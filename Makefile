@@ -10,32 +10,30 @@
 #                         lint job
 #   make determinism      run the figure/scenario experiments twice and diff
 #                         byte-for-byte against baselines/determinism.txt
-#   make determinism-hybrid  same report under the analytic fast-forward
-#                         kernel; must match the same committed baseline
 #   make trace-roundtrip  record three scenario shapes, replay each trace,
 #                         fail unless metrics are byte-identical
 #   make bench-smoke      one pass of the workload + kernel benchmarks
 #   make bench-kernel     kernel events/sec only (writes BENCH_kernel.json)
-#   make bench-macro      macro-charge batching + parallel sweep bench
-#                         (writes BENCH_macro_charge.json)
-#   make bench-trace-replay  100k-query trace replay, both kernels (writes
+#   make bench-macro      sequential vs parallel class sweep (writes
+#                         BENCH_macro_charge.json)
+#   make bench-trace-replay  100k-query trace replay (writes
 #                         BENCH_trace_replay.json; TRACE_REPLAY_QUERIES
 #                         overrides the trace length — nightly runs 1M)
-#   make bench-overload   overload goodput sweep, both kernels, including
-#                         the graceful-degradation acceptance gate (writes
+#   make bench-overload   overload goodput sweep, including the
+#                         graceful-degradation acceptance gate (writes
 #                         BENCH_overload.json; OVERLOAD_QUERIES overrides
 #                         the per-cell query count)
-#   make bench-regression regenerate the kernel/macro/replay/overload
-#                         benches and fail on a >25% events/s drop vs the
+#   make bench-regression regenerate the kernel/replay/overload benches
+#                         and fail on a >25% events/s drop vs the
 #                         committed BENCH_*.json baselines
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: check check-slow check-full lint determinism determinism-hybrid \
-	trace-roundtrip bench-smoke bench-kernel bench-macro \
-	bench-trace-replay bench-overload bench-regression experiments
+.PHONY: check check-slow check-full lint determinism trace-roundtrip \
+	bench-smoke bench-kernel bench-macro bench-trace-replay \
+	bench-overload bench-regression experiments
 
 check:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q
@@ -51,9 +49,6 @@ lint:
 
 determinism:
 	$(PYTHON) scripts/check_determinism.py
-
-determinism-hybrid:
-	$(PYTHON) scripts/check_determinism.py --kernel hybrid
 
 trace-roundtrip:
 	$(PYTHON) scripts/check_trace_roundtrip.py
@@ -80,16 +75,13 @@ bench-overload:
 # the gate skips with a note.
 bench-regression:
 	git show HEAD:benchmarks/BENCH_kernel.json > /tmp/BENCH_kernel.baseline.json
-	git show HEAD:benchmarks/BENCH_macro_charge.json > /tmp/BENCH_macro_charge.baseline.json
 	git show HEAD:benchmarks/BENCH_trace_replay.json > /tmp/BENCH_trace_replay.baseline.json 2>/dev/null || true
 	git show HEAD:benchmarks/BENCH_overload.json > /tmp/BENCH_overload.baseline.json 2>/dev/null || true
 	$(MAKE) bench-kernel
-	$(MAKE) bench-macro
 	$(MAKE) bench-trace-replay
 	$(MAKE) bench-overload
 	$(PYTHON) scripts/check_bench_regression.py \
 		--pair /tmp/BENCH_kernel.baseline.json benchmarks/BENCH_kernel.json \
-		--pair /tmp/BENCH_macro_charge.baseline.json benchmarks/BENCH_macro_charge.json \
 		--pair /tmp/BENCH_trace_replay.baseline.json benchmarks/BENCH_trace_replay.json \
 		--pair /tmp/BENCH_overload.baseline.json benchmarks/BENCH_overload.json
 

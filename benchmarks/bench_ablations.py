@@ -1,4 +1,5 @@
-"""Ablation benches for the engine's design decisions (DESIGN.md §5).
+"""Ablation benches for the engine's design decisions (ARCHITECTURE.md,
+"Choices the paper leaves open").
 
 Each ablation sweeps one knob of the execution model on a fixed skewed
 hierarchical scenario and prints the response-time impact:

@@ -9,31 +9,8 @@ number in this repo — with two storms:
   serving layer's processor-sharing hot path, measured per discipline.
 
 Writes ``BENCH_kernel.json`` next to this file so the perf trajectory is
-machine-readable across PRs.  The ``reference`` block records the
-before/after of each optimization pass (same dev container):
-
-* the PR-2 ``__slots__``/fast-path pass over ``sim/core.py`` — a slotted
-  ``Environment``, a flattened ``Timeout.__init__`` (no ``super`` chain,
-  no per-event f-string name) and an ``until``-free ``run()`` loop —
-  lifted the timer storm from ~391k to ~608k events/s (+55%) and the
-  FIFO resource storm from ~201k to ~280k events/s (+39%);
-* the macro-charge PR's callback-driven rewrite of the fair and priority
-  disciplines — one event per charge (a ``_FairCharge``/``_PrioSegment``
-  timeout that doubles as the park spot, no acquire/grant/preempt events,
-  no ``any_of`` gates, lazy-deleted cancelled heap entries, the deferred
-  fair grant riding ``Environment.defer`` instead of a scheduled event)
-  — lifted the fair storm from ~168k to ~359k events/s (+113%) and the
-  priority storm from ~141k to ~312k events/s (+121%), with FIFO
-  untouched (byte-identity) and the timer storm unchanged;
-* the hybrid-kernel PR's analytic fast-forward FIFO
-  (``Resource(fast_forward=True)``: O(1) horizon bookkeeping, one
-  born-triggered event per charge, no waiter queue) — lifted the FIFO
-  storm from ~266k to ~554k events/s (+109%); ``resource_fifo`` now
-  measures the fast-forward path the hybrid kernel uses, with the
-  discrete queued path kept honest as ``resource_fifo_discrete``.  The
-  ``timer_calendar`` entry tracks the pure-Python calendar-queue
-  backend; it is *expected* to trail the C-accelerated heap (see
-  ``sim/eventq.py``'s honesty note).
+machine-readable across PRs (the history of each optimization pass is in
+CHANGES.md).
 """
 
 import json
@@ -42,25 +19,12 @@ from pathlib import Path
 
 from repro.sim.core import ChargeTag, Environment, Resource, make_discipline
 
-#: pre/post numbers of the sim/core.py optimization passes, recorded when
-#: each landed (events/second, best of 3, dev container): the PR-2
-#: ``__slots__`` pass (timer), the macro-charge PR's callback-driven
-#: fair/priority rewrite, and the hybrid-kernel PR's analytic
-#: fast-forward FIFO (``resource_fifo``).
-REFERENCE = {
-    "timer": {"before": 391_182, "after": 608_267},
-    "resource_fifo": {"before": 265_543, "after": 553_669},
-    "resource_fair": {"before": 168_265, "after": 358_611},
-    "resource_priority": {"before": 141_023, "after": 311_691},
-}
-
 OUTPUT = Path(__file__).with_name("BENCH_kernel.json")
 
 
-def timer_storm(n_procs: int = 200, hops: int = 400, *,
-                queue: str = "heap") -> tuple[int, float]:
+def timer_storm(n_procs: int = 200, hops: int = 400) -> tuple[int, float]:
     """``n_procs`` processes each hopping over ``hops`` timeouts."""
-    env = Environment(queue=queue)
+    env = Environment()
 
     def hopper(i):
         for _ in range(hops):
@@ -74,15 +38,11 @@ def timer_storm(n_procs: int = 200, hops: int = 400, *,
 
 
 def resource_storm(discipline: str, n_procs: int = 100,
-                   charges: int = 200, *,
-                   fast_forward: bool = False) -> tuple[int, float]:
+                   charges: int = 200) -> tuple[int, float]:
     """Contended charges through one resource under ``discipline``."""
     env = Environment()
-    if fast_forward:
-        resource = Resource(env, capacity=4, name="cpu", fast_forward=True)
-    else:
-        resource = Resource(env, capacity=4, name="cpu",
-                            discipline=make_discipline(discipline))
+    resource = Resource(env, capacity=4, name="cpu",
+                        discipline=make_discipline(discipline))
 
     def worker(i):
         tag = ChargeTag(key=f"c{i % 5}", weight=float(i % 3 + 1),
@@ -107,18 +67,8 @@ def best_rate(fn, *args, repeats: int = 3) -> float:
 
 def test_kernel_events_per_second(benchmark):
     def measure():
-        rates = {
-            "timer": best_rate(timer_storm),
-            "timer_calendar": best_rate(lambda: timer_storm(queue="calendar")),
-            # The headline FIFO number is the hybrid kernel's analytic
-            # fast-forward path (what ExecutionParams.kernel="hybrid"
-            # runs); the discrete queued path stays tracked alongside.
-            "resource_fifo": best_rate(
-                lambda: resource_storm("fifo", fast_forward=True)
-            ),
-            "resource_fifo_discrete": best_rate(resource_storm, "fifo"),
-        }
-        for discipline in ("fair", "priority"):
+        rates = {"timer": best_rate(timer_storm)}
+        for discipline in ("fifo", "fair", "priority"):
             rates[f"resource_{discipline}"] = best_rate(
                 resource_storm, discipline
             )
@@ -126,10 +76,7 @@ def test_kernel_events_per_second(benchmark):
 
     rates = benchmark.pedantic(measure, rounds=1, iterations=1,
                                warmup_rounds=0)
-    report = {
-        "events_per_second": {k: round(v) for k, v in rates.items()},
-        "reference": REFERENCE,
-    }
+    report = {"events_per_second": {k: round(v) for k, v in rates.items()}}
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     print()
     for name, rate in rates.items():
@@ -137,10 +84,5 @@ def test_kernel_events_per_second(benchmark):
     # Generous floors: catch order-of-magnitude regressions, not machine
     # noise (CI machines vary; the JSON carries the precise numbers).
     assert rates["timer"] > 50_000
-    assert rates["timer_calendar"] > 20_000
-    assert rates["resource_fifo_discrete"] > 20_000
     for discipline in ("fifo", "fair", "priority"):
         assert rates[f"resource_{discipline}"] > 20_000
-    # The analytic fast-forward path must never lose to the discrete
-    # queued path it replaces — that's the hybrid kernel's entire point.
-    assert rates["resource_fifo"] > rates["resource_fifo_discrete"]

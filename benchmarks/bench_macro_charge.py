@@ -1,30 +1,12 @@
-"""Benchmark: macro-charge batching + parallel sweep fan-out, emitting
-BENCH_macro_charge.json.
+"""Benchmark: parallel sweep fan-out, emitting BENCH_macro_charge.json.
 
-Two measurements, both on serving-layer workloads:
-
-* ``sec512``: the mixed Section 5.1.2 plan population on a 2x4 machine at
-  MPL 1 and MPL 8, run in ``"tuple"`` (per-component charges, the seed
-  behaviour) and ``"batched"`` (macro-charge) quantum — wall-clock and
-  kernel events scheduled, so the JSON records how many events batching
-  removes and what that buys;
-* ``class_sweep_mpl8``: the service-class sweep (quick grid, MPL 8 only —
-  the acceptance workload) as per-tuple *sequential* versus batched +
-  ``parallel_map`` over all cores — the "batched+parallel" configuration.
-  The batched+parallel run must preserve the sweep's headline results:
-  priority-vs-FIFO interactive p95 improvement with batch throughput
-  within 20%, and (on the workload sweep cell) DP >= FP throughput under
-  skew.
-
-The ``reference`` block records the before/after of the PR that
-introduced the bench, measured on the same single-core dev container:
-the fair/priority kernel rewrite + O(1) steal-load counters + macro
-charges took the quick class sweep from ~0.93 s to ~0.7 s sequential and
-the MPL-8 Section 5.1.2 mix from ~6.1 s to ~3.3 s.  ``parallel``
-additionally divides the sweep wall-clock by (nearly) the core count —
-the dev container has one core, so the committed numbers carry its
-``cpu_count`` alongside; on a 4-8 core host the batched+parallel sweep
-runs >= 5x faster than the seed's sequential per-tuple mode.
+``class_sweep_mpl8``: the service-class sweep (quick grid, MPL 8 only)
+*sequential* versus ``parallel_map`` over all cores.  The parallel run
+must preserve the sweep's headline results: priority-vs-FIFO interactive
+p95 improvement with batch throughput within 20%.  ``parallel`` divides
+the sweep wall-clock by (nearly) the core count, so the JSON carries
+``cpu_count`` alongside.  (The Section 5.1.2 mix cells this file used to
+time are the ledger's ``mix_mpl8`` workload now.)
 """
 
 import json
@@ -32,23 +14,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.catalog.skew import SkewSpec
 from repro.experiments import service_class_sweep
-from repro.experiments.config import ExperimentOptions, scaled_execution_params
-from repro.serving import (AdmissionPolicy, ArrivalSpec, WorkloadDriver,
-                           WorkloadSpec)
-from repro.sim.machine import MachineConfig
-from repro.workloads.plans import build_workload
-
-#: recorded when this bench was introduced (same dev container, 1 core;
-#: wall seconds, best of 3).  "before" is the seed tree (per-tuple,
-#: sequential); "after" is the macro-charge PR in the same configuration.
-REFERENCE = {
-    "class_sweep_mpl8_wall": {"before": 0.933, "after": 0.748},
-    "sec512_mpl8_wall": {"before": 6.088, "after": 3.162},
-    "sec512_mpl1_wall": {"before": 3.045, "after": 2.427},
-    "cpu_count": 1,
-}
+from repro.experiments.config import ExperimentOptions
 
 OUTPUT = Path(__file__).with_name("BENCH_macro_charge.json")
 
@@ -58,34 +25,6 @@ OUTPUT = Path(__file__).with_name("BENCH_macro_charge.json")
 SWEEP_KWARGS = dict(mpl_levels=(8,), queries_per_cell=10,
                     nodes=2, processors_per_node=2, base_tuples=1000,
                     net_sweep=False)
-
-
-def sec512_cell(quantum: str, mpl: int, options: ExperimentOptions):
-    """One Section 5.1.2-mix cell; returns (wall_s, kernel_events)."""
-    config = MachineConfig(nodes=2, processors_per_node=4)
-    plans = build_workload(config, options.workload_config()).plans
-    plans = plans[:options.plans]
-    params = scaled_execution_params(
-        scale=options.scale,
-        skew=SkewSpec.uniform_redistribution(0.8),
-        seed=options.seed,
-        charge_quantum=quantum,
-    )
-    spec = WorkloadSpec(
-        queries=12,
-        arrival=ArrivalSpec(kind="closed", population=mpl),
-        policy=AdmissionPolicy(max_multiprogramming=mpl),
-        seed=options.seed,
-    )
-    driver = WorkloadDriver(plans, config, spec, params)
-    coordinator = driver.build_coordinator()
-    env = coordinator.env
-    start = time.perf_counter()
-    coordinator.run()
-    wall = time.perf_counter() - start
-    # The kernel's sequence counter ticks once per scheduled event: its
-    # final value is the run's total event count (one tick consumed here).
-    return wall, next(env._counter)
 
 
 def best_sweep_wall(repeats: int = 3, **kwargs):
@@ -99,38 +38,20 @@ def best_sweep_wall(repeats: int = 3, **kwargs):
     return best, result
 
 
-def test_macro_charge_batching(benchmark):
-    options = ExperimentOptions.quick()
-
+def test_parallel_sweep(benchmark):
     def measure():
-        report = {"sec512": {}, "class_sweep_mpl8": {}}
-        for mpl in (1, 8):
-            for quantum in ("tuple", "batched"):
-                wall, events = sec512_cell(quantum, mpl, options)
-                report["sec512"][f"mpl{mpl}_{quantum}"] = {
-                    "wall_seconds": round(wall, 3),
-                    "kernel_events": events,
-                    "events_per_second": round(events / wall),
-                }
-        seq_wall, _seq = best_sweep_wall(charge_quantum="tuple",
-                                         processes=None)
-        par_wall, par = best_sweep_wall(charge_quantum="batched",
-                                        processes=0)
-        report["class_sweep_mpl8"] = {
-            "per_tuple_sequential_wall": round(seq_wall, 3),
-            "batched_parallel_wall": round(par_wall, 3),
+        seq_wall, _seq = best_sweep_wall(processes=None)
+        par_wall, par = best_sweep_wall(processes=0)
+        return {"class_sweep_mpl8": {
+            "sequential_wall": round(seq_wall, 3),
+            "parallel_wall": round(par_wall, 3),
             "speedup": round(seq_wall / par_wall, 2),
             "cpu_count": os.cpu_count() or 1,
-        }
-        return report, par
+        }}, par
 
     report, par = benchmark.pedantic(measure, rounds=1, iterations=1,
                                      warmup_rounds=0)
-    # Batching removes events, never adds them.
-    for mpl in (1, 8):
-        assert (report["sec512"][f"mpl{mpl}_batched"]["kernel_events"]
-                < report["sec512"][f"mpl{mpl}_tuple"]["kernel_events"])
-    # The batched+parallel sweep preserves the headline orderings:
+    # The parallel sweep preserves the headline orderings:
     # priority-vs-FIFO interactive p95 and batch-throughput-within-20%.
     fifo = par.cell("fifo", 8, "interactive")
     prio = par.cell("priority", 8, "interactive")
@@ -138,7 +59,6 @@ def test_macro_charge_batching(benchmark):
     assert (par.cell("priority", 8, "batch").throughput
             >= 0.8 * par.cell("fifo", 8, "batch").throughput)
 
-    report["reference"] = REFERENCE
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     print()
     print(json.dumps(report, indent=2))

@@ -1,13 +1,13 @@
 """Benchmark: overload sweep throughput + graceful-degradation gate.
 
 Runs the ``overload`` experiment's load sweep (1x / 2x the calibrated
-base rate, both client/serving regimes) on both simulation kernels and
-emits ``BENCH_overload.json``.  Two things are gated here:
+base rate, both client/serving regimes) and emits
+``BENCH_overload.json``.  Two things are gated here:
 
 * **throughput** — attempts resolved per wall second across the sweep,
   mirrored under ``events_per_second`` for the generic regression gate
   (``scripts/check_bench_regression.py``);
-* **the degradation contract itself** — on *both* kernels, the graceful
+* **the degradation contract itself** — the graceful
   regime (bounded jittered retries, preemptive memory management,
   targeted broker) must hold >= 80% of its peak goodput at 2x offered
   load, while the naive regime (infinite fast retries) collapses below
@@ -18,7 +18,6 @@ emits ``BENCH_overload.json``.  Two things are gated here:
 96; enough for the retry storm to reach its metastable regime).
 """
 
-import dataclasses
 import json
 import os
 import time
@@ -36,20 +35,11 @@ MULTIPLIERS = (1.0, 2.0)
 
 OUTPUT = Path(__file__).with_name("BENCH_overload.json")
 
-#: goodput (within-SLO completions per virtual second) at this bench's
-#: exact configuration when the overload experiment landed, event
-#: kernel: the graceful regime held 95% of peak at 2x offered load
-#: while naive infinite retries collapsed to 44%.
-REFERENCE = {
-    "goodput_2x": {"graceful": 1.16, "naive": 0.54},
-}
 
-
-def run_kernel(kernel: str) -> dict:
-    """One full sweep on ``kernel``; returns its measured row."""
-    options = dataclasses.replace(ExperimentOptions.quick(), kernel=kernel)
+def run_sweep() -> dict:
+    """One full sweep; returns its measured row."""
     start = time.perf_counter()
-    result = run_overload(options, multipliers=MULTIPLIERS,
+    result = run_overload(ExperimentOptions.quick(), multipliers=MULTIPLIERS,
                           queries_per_cell=QUERIES)
     wall = time.perf_counter() - start
     attempts = sum(row.completed + row.retries + row.gave_up
@@ -62,6 +52,11 @@ def run_kernel(kernel: str) -> dict:
             f"{row.regime}_{row.multiplier:g}x": round(row.goodput, 4)
             for row in result.rows
         },
+        "p95_client_latency": {
+            f"{row.regime}_{row.multiplier:g}x":
+                round(row.p95_client_latency, 2)
+            for row in result.rows
+        },
         "retention_2x": {
             regime: round(result.goodput_at(regime, 2.0)
                           / result.peak_goodput(regime), 4)
@@ -71,42 +66,31 @@ def run_kernel(kernel: str) -> dict:
 
 
 def test_overload_degradation(benchmark):
-    def measure():
-        return {kernel: run_kernel(kernel)
-                for kernel in ("event", "hybrid")}
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1,
-                              warmup_rounds=0)
+    row = benchmark.pedantic(run_sweep, rounds=1, iterations=1,
+                             warmup_rounds=0)
     report = {
         "queries_per_cell": QUERIES,
         "multipliers": list(MULTIPLIERS),
-        "sweep": rows,
-        # Flat mirror of the headline rates so the generic regression
-        # gate (scripts/check_bench_regression.py) picks them up.
-        "events_per_second": {
-            "overload_event": rows["event"]["attempts_per_second"],
-            "overload_hybrid": rows["hybrid"]["attempts_per_second"],
-        },
-        "reference": REFERENCE,
+        "sweep": row,
+        # Flat mirror of the headline rate so the generic regression
+        # gate (scripts/check_bench_regression.py) picks it up.
+        "events_per_second": {"overload": row["attempts_per_second"]},
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    retention = row["retention_2x"]
     print()
-    for kernel, row in rows.items():
-        retention = row["retention_2x"]
-        print(f"  {kernel}: {row['attempts_per_second']:,} attempts/s "
-              f"({row['wall_seconds']}s wall); 2x retention "
-              f"graceful {retention['graceful']:.0%}, "
-              f"naive {retention['naive']:.0%}")
-    # The graceful-degradation acceptance contract, on both kernels.
-    for kernel, row in rows.items():
-        retention = row["retention_2x"]
-        assert retention["graceful"] >= 0.8, (
-            f"{kernel}: graceful regime lost its overload flatness "
-            f"({retention['graceful']:.0%} of peak at 2x)"
-        )
-        assert retention["naive"] < 0.8, (
-            f"{kernel}: naive retry storm no longer collapses "
-            f"({retention['naive']:.0%} of peak at 2x)"
-        )
-        goodput = row["goodput"]
-        assert goodput["graceful_2x"] > goodput["naive_2x"]
+    print(f"  {row['attempts_per_second']:,} attempts/s "
+          f"({row['wall_seconds']}s wall); 2x retention "
+          f"graceful {retention['graceful']:.0%}, "
+          f"naive {retention['naive']:.0%}")
+    # The graceful-degradation acceptance contract.
+    assert retention["graceful"] >= 0.8, (
+        f"graceful regime lost its overload flatness "
+        f"({retention['graceful']:.0%} of peak at 2x)"
+    )
+    assert retention["naive"] < 0.8, (
+        f"naive retry storm no longer collapses "
+        f"({retention['naive']:.0%} of peak at 2x)"
+    )
+    goodput = row["goodput"]
+    assert goodput["graceful_2x"] > goodput["naive_2x"]

@@ -9,25 +9,14 @@ overload* — the offered rate exceeds the tiny substrate's capacity, so
 the admission queue stays deep and the overload scans (shedding,
 head-of-line selection) are genuinely on the hot path.
 
-Replays run once per kernel (``ExecutionParams.kernel``):
+The replay uses a :class:`~repro.engine.metrics.StreamingWorkloadMetrics`
+sink (O(1) per-query memory).
 
-* ``event`` — the discrete kernel, every charge queued and granted;
-* ``hybrid`` — analytic fast-forward FIFO grants plus the cancelled-
-  entry purge.
-
-Both use a :class:`~repro.engine.metrics.StreamingWorkloadMetrics` sink
-(O(1) per-query memory) and batched macro-charges; the replays must
-agree on completed/shed counts — the hybrid kernel changes how fast the
-simulation runs, never what it computes.
-
-Honesty note: at macro-charge granularity the engine's per-activation
-machinery, not kernel charge events, dominates replay wall-clock — so
-``event`` and ``hybrid`` land close together here, and the hybrid
-kernel's 2x shows up in the charge-bound storms of ``bench_kernel.py``
-instead.  What made million-query replays land in minutes rather than
-hours are the coordinator's O(classes) overload scans (precomputed shed
-deadlines, class-head early exit) — the ``reference`` block records that
-before/after on this bench's exact configuration.
+Honesty note: the engine's per-activation machinery, not kernel charge
+events, dominates replay wall-clock.  What made million-query replays
+land in minutes rather than hours are the coordinator's O(classes)
+overload scans (precomputed shed deadlines, class-head early exit;
+CHANGES.md, PR 7).
 """
 
 import json
@@ -47,15 +36,6 @@ from repro.workloads.tracegen import TraceGenSpec, generate_trace
 QUERIES = int(os.environ.get("TRACE_REPLAY_QUERIES", "100000"))
 
 OUTPUT = Path(__file__).with_name("BENCH_trace_replay.json")
-
-#: replay throughput before/after the hybrid-kernel PR's serving-path
-#: work (queries resolved per wall second, this configuration at 5k
-#: queries, dev container): precomputed shed deadlines plus the
-#: class-head early exit in the admission loop turned two O(pending)
-#: sweeps per admission wake into O(classes) checks.
-REFERENCE = {
-    "queries_per_second": {"before": 1_414, "after": 2_554},
-}
 
 SEED = 3
 BASE_RATE = 40.0
@@ -77,9 +57,9 @@ def build_inputs():
     return plan, config, trace, time.perf_counter() - start
 
 
-def run_replay(kernel: str, plan, config, trace) -> dict:
+def run_replay(plan, config, trace) -> dict:
     """One full replay; returns its measured row for the report."""
-    params = ExecutionParams(kernel=kernel, charge_quantum="batched")
+    params = ExecutionParams()
     spec = WorkloadSpec(
         queries=len(trace.queries), arrival=ArrivalSpec(kind="poisson"),
         policy=AdmissionPolicy(max_multiprogramming=MPL,
@@ -108,36 +88,22 @@ def run_replay(kernel: str, plan, config, trace) -> dict:
 def test_trace_replay_throughput(benchmark):
     plan, config, trace, gen_seconds = build_inputs()
 
-    def measure():
-        return {kernel: run_replay(kernel, plan, config, trace)
-                for kernel in ("event", "hybrid")}
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1,
-                              warmup_rounds=0)
+    row = benchmark.pedantic(lambda: run_replay(plan, config, trace),
+                             rounds=1, iterations=1, warmup_rounds=0)
     report = {
         "queries": QUERIES,
         "trace_generation_seconds": round(gen_seconds, 3),
-        "replay": rows,
-        # Flat mirror of the headline rates so the generic regression
-        # gate (scripts/check_bench_regression.py) picks them up.
-        "events_per_second": {
-            "replay_event": rows["event"]["events_per_second"],
-            "replay_hybrid": rows["hybrid"]["events_per_second"],
-        },
-        "reference": REFERENCE,
+        "replay": row,
+        # Flat mirror of the headline rate so the generic regression
+        # gate (scripts/check_bench_regression.py) picks it up.
+        "events_per_second": {"replay": row["events_per_second"]},
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     print()
-    for kernel, row in rows.items():
-        print(f"  {kernel}: {row['queries_per_second']:,} q/s, "
-              f"{row['events_per_second']:,} events/s, "
-              f"{row['wall_seconds']}s wall "
-              f"({row['completed']:,} completed, {row['shed']:,} shed)")
-    # Same simulation, different kernel: outcomes must agree exactly.
-    assert rows["event"]["completed"] == rows["hybrid"]["completed"]
-    assert rows["event"]["shed"] == rows["hybrid"]["shed"]
-    assert rows["event"]["kernel_events"] >= rows["hybrid"]["kernel_events"]
+    print(f"  replay: {row['queries_per_second']:,} q/s, "
+          f"{row['events_per_second']:,} events/s, "
+          f"{row['wall_seconds']}s wall "
+          f"({row['completed']:,} completed, {row['shed']:,} shed)")
     # Generous wall-clock floor: a million-query replay must stay in
-    # minutes, not hours (200 q/s would be ~83 min/kernel at 1M).
-    for row in rows.values():
-        assert row["queries_per_second"] > 200
+    # minutes, not hours (200 q/s would be ~83 min at 1M).
+    assert row["queries_per_second"] > 200

@@ -8,10 +8,8 @@ pass; a real regression does not.
 
 Rates are discovered generically: every numeric leaf that sits under an
 ``events_per_second`` key — whether a flat mapping
-(``BENCH_kernel.json``) or nested per-cell fields
-(``BENCH_macro_charge.json``'s ``sec512.*.events_per_second``) — is
-gated, so new entries are picked up without touching this script.  The
-``reference`` blocks (historical before/after notes) are ignored.
+(``BENCH_kernel.json``) or nested per-cell fields — is gated, so new
+entries are picked up without touching this script.
 
 Per-file required entries catch a different failure: silently *dropping*
 a gated workload from a bench (rather than regressing it) also fails.
@@ -23,7 +21,7 @@ Usage::
 
     python scripts/check_bench_regression.py \\
         --pair /tmp/BENCH_kernel.baseline.json benchmarks/BENCH_kernel.json \\
-        --pair /tmp/BENCH_macro_charge.baseline.json benchmarks/BENCH_macro_charge.json
+        --pair /tmp/BENCH_overload.baseline.json benchmarks/BENCH_overload.json
 """
 
 import argparse
@@ -33,18 +31,14 @@ from pathlib import Path
 
 #: entries that must be present in both files, keyed by the fresh file's
 #: basename: the timer storm and one resource storm per scheduling
-#: discipline (kernel), the Section 5.1.2 grid (macro charges) and both
-#: kernels' replay rates (trace replay).
+#: discipline (kernel), the replay rate (trace replay) and the overload
+#: sweep rate.
 REQUIRED = {
     "BENCH_kernel.json": (
         "timer", "resource_fifo", "resource_fair", "resource_priority",
     ),
-    "BENCH_macro_charge.json": (
-        "sec512.mpl1_tuple", "sec512.mpl1_batched",
-        "sec512.mpl8_tuple", "sec512.mpl8_batched",
-    ),
-    "BENCH_trace_replay.json": ("replay_event", "replay_hybrid"),
-    "BENCH_overload.json": ("overload_event", "overload_hybrid"),
+    "BENCH_trace_replay.json": ("replay",),
+    "BENCH_overload.json": ("overload",),
 }
 
 
@@ -52,15 +46,13 @@ def extract_rates(doc) -> dict:
     """All numeric leaves under any ``events_per_second`` key.
 
     Entry names are the dotted JSON path with the ``events_per_second``
-    component elided; ``reference`` subtrees are skipped.
+    component elided.
     """
     rates: dict = {}
 
     def walk(node, path, under) -> None:
         if isinstance(node, dict):
             for key, value in node.items():
-                if key == "reference":
-                    continue
                 walk(value, path + (key,),
                      under or key == "events_per_second")
         elif under and isinstance(node, (int, float)):

@@ -12,11 +12,7 @@ Modes:
   two outputs are byte-identical and match the committed baseline;
 * ``--emit`` — print the canonical report to stdout (used internally);
 * ``--update`` — rewrite the committed baseline (run after a PR that
-  intentionally changes simulated timings, and say so in the PR);
-* ``--kernel hybrid`` — run the same report with the analytic
-  fast-forward kernel (``ExecutionParams.kernel="hybrid"``) and compare
-  it against the *same* committed baseline: the hybrid kernel must be
-  byte-identical to the discrete one on every gated figure and scenario.
+  intentionally changes simulated timings, and say so in the PR).
 """
 
 import argparse
@@ -30,7 +26,7 @@ REPO = Path(__file__).resolve().parent.parent
 BASELINE = REPO / "baselines" / "determinism.txt"
 
 
-def emit(kernel: str = "event") -> str:
+def emit() -> str:
     """The canonical determinism report (no wall times, no environment)."""
     from repro.catalog.skew import SkewSpec
     from repro.engine import QueryExecutor
@@ -49,9 +45,6 @@ def emit(kernel: str = "event") -> str:
     )
 
     options = ExperimentOptions.quick()
-    if kernel != "event":
-        import dataclasses
-        options = dataclasses.replace(options, kernel=kernel)
     sections = []
     for name, module in (
         ("figure6", figure6),
@@ -71,7 +64,6 @@ def emit(kernel: str = "event") -> str:
             params = scaled_execution_params(
                 skew=SkewSpec.uniform_redistribution(0.8),
                 seed=7,
-                kernel=kernel,
             )
             result = QueryExecutor(plan, config, strategy=strategy, params=params).run()
             metrics = result.metrics
@@ -83,31 +75,21 @@ def emit(kernel: str = "event") -> str:
             )
     sections.append("\n".join(lines) + "\n")
 
-    # Elastic membership: gate the kernel-invariant digest, not the full
-    # latency table — membership trajectories, counts and movement bytes
-    # are discrete outcomes both kernels must agree on exactly, while
-    # the elastic timeouts create same-instant ties whose ordering the
-    # hybrid kernel is documented to resolve differently (the opt-in
-    # caveat on FIFOFastForward), perturbing the latency floats.
+    # Elastic membership and placement policies: each digest pins the
+    # discrete outcomes, then the timing floats (and steal traffic).
     sections.append(f"== elastic ==\n{elastic.run(options).digest()}\n")
-
-    # Placement policies: same digest-not-table reasoning as elastic —
-    # rewrite counts, completions and steal traffic are discrete
-    # outcomes both kernels must reproduce exactly; the reduced grid
-    # keeps the gate fast (one regime, three policies, both steal
-    # modes).
+    # A reduced grid (one regime, three policies, both steal modes).
     sections.append(f"== placement ==\n{placement.determinism_digest(options)}\n")
     return "\n".join(sections)
 
 
-def run_emit(kernel: str = "event") -> str:
+def run_emit() -> str:
     """One report from a fresh interpreter (no shared caches)."""
     env = dict(os.environ)
     src = str(REPO / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--emit",
-         "--kernel", kernel],
+        [sys.executable, str(Path(__file__).resolve()), "--emit"],
         capture_output=True,
         text=True,
         env=env,
@@ -130,32 +112,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--emit", action="store_true")
     parser.add_argument("--update", action="store_true")
-    parser.add_argument("--kernel", choices=("event", "hybrid"),
-                        default="event",
-                        help="simulation kernel to run the report with; the "
-                        "baseline is shared — hybrid must match it byte for "
-                        "byte")
     args = parser.parse_args()
 
     if args.emit:
         sys.path.insert(0, str(REPO / "src"))
-        sys.stdout.write(emit(args.kernel))
+        sys.stdout.write(emit())
         return 0
 
     if args.update:
-        if args.kernel != "event":
-            print("refusing --update with a non-default kernel: the "
-                  "committed baseline is the discrete path's output",
-                  file=sys.stderr)
-            return 1
         sys.path.insert(0, str(REPO / "src"))
         BASELINE.parent.mkdir(parents=True, exist_ok=True)
         BASELINE.write_text(emit())
         print(f"baseline written to {BASELINE}")
         return 0
 
-    first = run_emit(args.kernel)
-    second = run_emit(args.kernel)
+    first = run_emit()
+    second = run_emit()
     if first != second:
         print("FAIL: two identical runs produced different outputs", file=sys.stderr)
         show_diff(first, second, "run-1", "run-2")
@@ -166,16 +138,13 @@ def main() -> int:
     committed = BASELINE.read_text()
     if first != committed:
         print(
-            f"FAIL: output (kernel={args.kernel}) drifted from the committed "
-            "baseline (rerun with --update only if the change is intentional)",
+            "FAIL: output drifted from the committed baseline "
+            "(rerun with --update only if the change is intentional)",
             file=sys.stderr,
         )
         show_diff(committed, first, "baseline", "fresh")
         return 1
-    print(
-        f"determinism check passed (kernel={args.kernel}): 2 runs "
-        "byte-identical, baseline matched"
-    )
+    print("determinism check passed: 2 runs byte-identical, baseline matched")
     return 0
 
 

@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from ..catalog.skew import SkewSpec
 from .facade import RunResult, run
 from .serde import SpecError, encode
-from .spec import ScenarioSpec, replace_path
+from .spec import ScenarioSpec, get_path, replace_path
 
 __all__ = [
     "AXIS_MACROS",
@@ -96,6 +96,10 @@ class SweepSpec:
         for axis, values in normalized:
             if not values:
                 raise ValueError(f"axis {axis!r} has no values")
+            if axis not in AXIS_MACROS:
+                # Fail at load, not at the first cell, on an axis
+                # naming no field.
+                get_path(self.base, axis)
         object.__setattr__(self, "axes", normalized)
 
     # -- materialization ----------------------------------------------------

@@ -205,18 +205,14 @@ class ExecutionContext:
         self.charge_tag = (service_class.charge_tag(query_id)
                           if service_class is not None else None)
         if substrate is None:
-            fast_forward = self.params.kernel == "hybrid"
-            self.env = Environment(tick=self.params.clock_tick,
-                                   queue=self.params.event_queue)
+            self.env = Environment()
             self.machine = Machine(config)
             self.processors = make_processors(
                 self.env, config, make_discipline(self.params.cpu_discipline),
-                fast_forward=fast_forward,
             )
             self.network = Network(
                 self.env, self.params.network,
                 discipline=make_discipline(self.params.net_discipline),
-                fast_forward=fast_forward,
             )
         else:
             self.env = substrate.env

@@ -115,7 +115,7 @@ class QueryExecutor:
         metrics = context.metrics
         metrics.thread_count = sum(len(n.threads) for n in context.nodes)
         # Derived (not live-accumulated): per-thread busy totals sum in a
-        # fixed order, so both charge quantums produce the identical float.
+        # fixed order.
         metrics.thread_busy_time = sum(
             thread.busy_time for node in context.nodes
             for thread in node.threads

@@ -676,7 +676,7 @@ class StreamingWorkloadMetrics(WorkloadMetrics):
     ``sum()`` over the completion list would, latencies feed the same
     :func:`percentile`, and :meth:`summary` emits the same digest minus
     the unbounded ``per_query`` list (pinned by
-    ``tests/test_sim_hybrid.py``).  Accessors that need the retained
+    ``tests/test_serving_properties.py``).  Accessors that need the retained
     objects themselves (``completions_of``, ``steal_bytes_per_query``)
     raise, loudly, instead of answering from an empty list.
     """

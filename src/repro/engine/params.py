@@ -13,14 +13,13 @@ Flow control: local activation queues are bounded (``queue_capacity``);
 remote producers additionally run a credit window (``credit_window``)
 because a remote producer cannot observe the consumer queue directly.  The
 paper cites [Graefe93, Pirahesh90] without details; the credit scheme is
-our documented implementation choice (DESIGN.md §5).
+our documented implementation choice (ARCHITECTURE.md, "Choices the
+paper leaves open").
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..catalog.skew import SkewSpec
 from ..optimizer.cost import CostParams
@@ -110,25 +109,6 @@ class ExecutionParams:
     #:   intervention's network cost proportional to its benefit.
     cross_steal_policy: str = "all"
 
-    # --- charge granularity (macro-charges) ---------------------------------
-    #: how execution threads turn CPU work into kernel charges:
-    #:
-    #: * ``"tuple"`` (default): one :meth:`~repro.sim.core.Resource.use`
-    #:   per cost component (activation overhead, per-tuple work, output
-    #:   routing, async-I/O init ...) — the seed behaviour, byte-identical
-    #:   figure outputs;
-    #: * ``"batched"``: consecutive components accumulate into one
-    #:   *macro-charge* per whole bucket/page batch, flushed before any
-    #:   externally visible action (queue push/pop, disk issue, hash-table
-    #:   insert, idle signal, steal-protocol decision point) so every
-    #:   observable event still happens at exactly the virtual time it
-    #:   does under ``"tuple"`` — single-query FIFO runs are
-    #:   byte-identical by construction, and the kernel processes a
-    #:   fraction of the events.  Under multiprogramming the disciplines
-    #:   see coarser charges (a macro-charge is still preempted/split by
-    #:   the priority discipline mid-flight and conserves total service).
-    charge_quantum: str = "tuple"
-
     # --- local scheduling costs --------------------------------------------
     #: thread <-> local scheduler signalling (operating-system signals).
     signal_instructions: int = 2000
@@ -140,31 +120,6 @@ class ExecutionParams:
     cost: CostParams = field(default_factory=CostParams)
     disk: DiskParams = field(default_factory=DiskParams)
     network: NetworkParams = field(default_factory=NetworkParams)
-
-    # --- simulation kernel (PR 7) -------------------------------------------
-    #: which kernel services uncontended FIFO charges:
-    #:
-    #: * ``"event"`` (default): one discrete completion event per charge —
-    #:   the seed behaviour, byte-identical figure outputs;
-    #: * ``"hybrid"``: FIFO resources run the analytic fast-forward path
-    #:   (:class:`~repro.sim.core.FIFOFastForward`) — completion instants,
-    #:   waits, wait/busy times are bit-identical to ``"event"``, but the
-    #:   kernel's internal event sequence numbering differs, so exact
-    #:   same-instant ties *can* order differently in pathological
-    #:   workloads (the property suite pins equality on the paper's
-    #:   mixes).  Fair/priority resources keep their discrete queued
-    #:   service either way (future arrivals legally reorder grants).
-    kernel: str = "event"
-    #: optional integer-tick clock: every scheduled instant is quantized
-    #: to a multiple of this tick (``Environment(tick=...)``), making
-    #: instants canonical per grid point instead of depending on the
-    #: exact float-addition order that produced them.  ``None`` keeps the
-    #: seed's continuous clock (required for byte-identical figures).
-    clock_tick: Optional[float] = None
-    #: pending-event structure: ``"heap"`` (C-accelerated binary heap,
-    #: default and fastest here) or ``"calendar"`` (indexed calendar
-    #: queue, ordering-identical; see ``sim/eventq.py``).
-    event_queue: str = "heap"
 
     # --- determinism ---------------------------------------------------------
     seed: int = 0
@@ -204,11 +159,6 @@ class ExecutionParams:
             raise ValueError(
                 f"io_multiplex_window must be >= 1, got {self.io_multiplex_window}"
             )
-        if self.charge_quantum not in ("tuple", "batched"):
-            raise ValueError(
-                f"unknown charge_quantum {self.charge_quantum!r}; "
-                "known: ['tuple', 'batched']"
-            )
         for field_name in ("cpu_discipline", "disk_discipline",
                            "net_discipline"):
             value = getattr(self, field_name)
@@ -217,20 +167,6 @@ class ExecutionParams:
                     f"unknown {field_name} {value!r}; known: "
                     f"{discipline_names()}"
                 )
-        if self.kernel not in ("event", "hybrid"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; known: ['event', 'hybrid']"
-            )
-        if self.clock_tick is not None and (
-                not math.isfinite(self.clock_tick) or self.clock_tick <= 0):
-            raise ValueError(
-                f"clock_tick must be positive and finite, got {self.clock_tick}"
-            )
-        if self.event_queue not in ("heap", "calendar"):
-            raise ValueError(
-                f"unknown event_queue {self.event_queue!r}; "
-                "known: ['heap', 'calendar']"
-            )
         if self.cross_steal_imbalance < 1.0:
             raise ValueError(
                 f"cross_steal_imbalance must be >= 1, got "

@@ -25,7 +25,8 @@ termination takes effect, reproducing both the cost and the
 detection latency the paper analyses.
 
 Scheduler CPU time is modelled as latency on the messages it handles (the
-paper's scheduler thread shares the node's processors; see DESIGN.md).
+paper's scheduler thread shares the node's processors; see
+ARCHITECTURE.md, "Choices the paper leaves open").
 """
 
 from __future__ import annotations

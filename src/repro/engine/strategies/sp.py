@@ -66,13 +66,10 @@ class SynchronousPipeliningExecutor:
 
     def run(self) -> ExecutionResult:
         """Execute all pipeline chains; returns the execution result."""
-        env = Environment(tick=self.params.clock_tick,
-                          queue=self.params.event_queue)
+        env = Environment()
         k = self.config.processors_per_node
         disks = [Disk(env, self.params.disk, name=f"d0.{d}") for d in range(k)]
-        processors = make_processors(
-            env, self.config, fast_forward=self.params.kernel == "hybrid"
-        )[0]
+        processors = make_processors(env, self.config)[0]
         self.launch(env, disks, processors)
         env.run()
         return self.collect(start_time=0.0, end_time=env.now)
@@ -111,8 +108,6 @@ class SynchronousPipeliningExecutor:
         self._thread_count = k
         self._disks = disks
         self._wait_key = (charge_tag or DEFAULT_TAG).key
-
-        batched = params.charge_quantum == "batched"
 
         def charge(thread_index: int, instructions: float):
             seconds = instructions / cost.mips
@@ -180,46 +175,13 @@ class SynchronousPipeliningExecutor:
         def worker(thread_index: int, chain: PipelineChain, pool):
             """Double-buffered scan + synchronous pipeline execution.
 
-            SP's charges are already whole-chunk macro-charges (the scan
-            and every downstream operator's per-tuple work fold into one
-            ``use`` per chunk); in batched mode the accumulator merely
-            defers the async-init cost to the next visibility boundary —
-            a shared-pool pop, a disk issue or the read wait — keeping
-            the two quantum modes aligned with the DP/FP scan path.
+            One charge per chunk: the scan and every downstream
+            operator's per-tuple work fold into a single ``use``.
             """
             # Query-scoped stream keys: concurrent queries sharing a disk
             # must not be mistaken for one sequential read stream.
-            accrued = 0.0
-            target = 0.0
-
-            def pay(instructions: float):
-                if batched:
-                    # Convert and account per component (identical to
-                    # tuple mode); only the processor hold is deferred,
-                    # with the completion instant replayed bit-exactly.
-                    nonlocal accrued, target
-                    seconds = instructions / cost.mips
-                    busy[thread_index] += seconds
-                    target = (env.now if accrued == 0.0 else target) + seconds
-                    accrued += seconds
-                    return
-                yield from charge(thread_index, instructions)
-
-            def flush():
-                nonlocal accrued
-                if accrued:
-                    seconds, accrued = accrued, 0.0
-                    started = env.now
-                    yield from processors[thread_index].use_until(
-                        seconds, charge_tag, target
-                    )
-                    waited = env.now - started - seconds
-                    if waited > 1e-12:
-                        contention[0] += waited
-
             pending = None
             while pool or pending is not None:
-                yield from flush()  # boundary: shared-pool pop / disk issue
                 if pending is None:
                     chunk = pool.popleft()
                     handle = disks[chunk.disk_id].read_async(
@@ -227,29 +189,28 @@ class SynchronousPipeliningExecutor:
                         stream=(query_id, chain.chain_id, chunk.disk_id),
                         tag=charge_tag,
                     )
-                    yield from pay(params.disk.async_init_instructions)
+                    yield from charge(thread_index,
+                                      params.disk.async_init_instructions)
                     pending = (chunk, handle)
                 chunk, handle = pending
                 # Prefetch the next chunk before waiting (I/O multiplexing).
                 if pool:
-                    yield from flush()  # boundary: pool pop / disk issue
                     nxt = pool.popleft()
                     nxt_handle = disks[nxt.disk_id].read_async(
                         nxt.pages,
                         stream=(query_id, chain.chain_id, nxt.disk_id),
                         tag=charge_tag,
                     )
-                    yield from pay(params.disk.async_init_instructions)
+                    yield from charge(thread_index,
+                                      params.disk.async_init_instructions)
                     pending = (nxt, nxt_handle)
                 else:
                     pending = None
-                yield from flush()  # boundary: waiting on the read
                 yield handle.event
                 scanned[0] += chunk.tuples
                 instructions = chunk.tuples * cost.scan_instructions_per_tuple
                 instructions += process_tuples(thread_index, chain, chunk.tuples)
-                yield from pay(instructions)
-            yield from flush()
+                yield from charge(thread_index, instructions)
 
         def driver():
             from collections import deque

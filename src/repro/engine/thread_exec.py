@@ -21,34 +21,20 @@ The two defining mechanisms implemented here:
   operator (avoiding immediate re-blocking) and nesting is bounded by
   ``max_suspension_depth``.
 
-**Macro-charges** (``ExecutionParams.charge_quantum = "batched"``): in the
-default ``"tuple"`` mode every cost component (activation overhead,
-per-tuple work, output routing, async-I/O init) is its own kernel charge —
-one :class:`~repro.sim.core.Resource` event each.  Batched mode
-accumulates consecutive components into one aggregate charge per
-bucket/page batch and *flushes* it before any externally visible action —
-a queue pop/push, a disk issue, a hash-table insert, an idle signal, an
-end-detection trigger, a steal-protocol decision point, or polling an
-asynchronous read.  Every observable action therefore happens at exactly
-the virtual time it does in tuple mode (single-query FIFO runs are
-byte-identical by construction) while the kernel processes a fraction of
-the events; under multiprogramming the scheduling disciplines simply see
-coarser charges (the priority discipline still splits an in-flight
-macro-charge at preemption, conserving total service).
+Every cost component (activation overhead, per-tuple work, output routing,
+async-I/O init) is its own kernel charge — one
+:class:`~repro.sim.core.Resource` event each.
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from ..optimizer.operator_tree import OpKind
 from .activation import Activation, DataActivation, TriggerActivation
 from .context import ExecutionContext, NodeState
 from .opstate import OperatorRuntime
 from .queues import ActivationQueue
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
 
 __all__ = ["ExecutionThread"]
 
@@ -77,13 +63,6 @@ class ExecutionThread:
         #: signal accounting: the thread pays the scheduler-signal cost
         #: when it *becomes* idle, not on every fruitless wakeup.
         self._worked_since_idle = True
-        #: macro-charge accumulator (virtual seconds); only ever non-zero
-        #: in batched mode, between two visibility boundaries.
-        self._pending = 0.0
-        #: absolute completion instant of the pending macro-charge,
-        #: replaying the per-component float additions bit-exactly.
-        self._target = 0.0
-        self._batched = context.params.charge_quantum == "batched"
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -113,53 +92,14 @@ class ExecutionThread:
         and this degenerates to a plain timeout.  Under multiprogramming,
         time spent queued behind another query's charge is recorded as
         ``cpu_contention_time`` (it is neither busy nor idle time).
-
-        In batched mode the seconds accumulate into the thread's pending
-        macro-charge instead (per-component conversion and busy-time
-        accounting stay identical to tuple mode); :meth:`_flush` pays
-        them as one aggregate charge at the next visibility boundary.
         """
         # ``metrics.thread_busy_time`` is derived from the per-thread
-        # totals at collect time: a live global accumulator would sum in
-        # chronological interleaving order, which differs between charge
-        # quantums by float ulps.
+        # totals at collect time, not accumulated live.
         seconds = self.context.instructions_time(instructions)
         self.busy_time += seconds
-        if self._batched:
-            # Replay the exact additions the separate timeouts would
-            # perform, so the flush completes at the identical float.
-            if self._pending == 0.0:
-                self._target = self.context.env.now + seconds
-            else:
-                self._target = self._target + seconds
-            self._pending += seconds
-            return
         started = self.context.env.now
         yield from self.processor.use(seconds, self.context.charge_tag)
         waited = self.context.env.now - started - seconds
-        if waited > 1e-12:
-            self.contention_time += waited
-            self.context.metrics.cpu_contention_time += waited
-
-    def _flush(self):
-        """Pay the pending macro-charge (a no-op outside batched mode).
-
-        Called before every externally visible action — queue traffic,
-        disk issues, store inserts, idle/steal signals, end detection,
-        asynchronous-read polls — so every observable action happens at
-        the *bit-identical* virtual time it does in tuple mode: the
-        accumulated target replays the component timeouts' float
-        additions and :meth:`~repro.sim.core.Resource.use_until` lands
-        the uncontended-FIFO completion on that exact float.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = 0.0
-        started = self.context.env.now
-        yield from self.processor.use_until(pending, self.context.charge_tag,
-                                            self._target)
-        waited = self.context.env.now - started - pending
         if waited > 1e-12:
             self.contention_time += waited
             self.context.metrics.cpu_contention_time += waited
@@ -273,10 +213,6 @@ class ExecutionThread:
         if self._worked_since_idle:
             self._worked_since_idle = False
             yield from self._charge(context.params.signal_instructions)
-            # Macro-charge boundary: the re-check pops queues, and the
-            # idle signal below feeds the steal protocol/broker.
-            if self._pending:
-                yield from self._flush()
             picked = self._select()
             if picked is not None:
                 yield from self._execute(picked, depth=0)
@@ -315,10 +251,6 @@ class ExecutionThread:
         else:
             yield from self._run_probe(activation, runtime)
 
-        # Macro-charge boundary: end detection must observe the counters
-        # at the virtual time all of this activation's work is paid for.
-        if self._pending:
-            yield from self._flush()
         runtime.activations_processed += 1
         context.metrics.activations_processed += 1
         runtime.outstanding -= 1
@@ -357,18 +289,12 @@ class ExecutionThread:
                 tag=context.charge_tag,
             )
 
-        yield from self._flush()  # macro-charge boundary: disk issue
         inflight: list[tuple[TriggerActivation, object]] = [
             (activation, issue(activation))
         ]
         yield from self._charge(params.disk.async_init_instructions)
 
         while inflight:
-            # Macro-charge boundary: polling ``handle.done`` is
-            # time-sensitive — the batch accumulated so far must be paid
-            # before observing the disks.
-            if self._pending:
-                yield from self._flush()
             ready_index = next(
                 (i for i, (_, handle) in enumerate(inflight) if handle.done),
                 None,
@@ -387,7 +313,6 @@ class ExecutionThread:
                             overhead += cost.foreign_queue_penalty_instructions
                             context.metrics.foreign_queue_consumptions += 1
                         yield from self._charge(overhead)
-                        yield from self._flush()  # boundary: disk issue
                         inflight.append((extra, issue(extra)))
                         yield from self._charge(
                             params.disk.async_init_instructions
@@ -401,10 +326,8 @@ class ExecutionThread:
                 runtime.tuples_out += output
                 yield from self._route_output(runtime, output)
                 if trigger is not activation:
-                    # Boundary: absorbed triggers complete their whole
-                    # lifecycle here, including end detection.
-                    if self._pending:
-                        yield from self._flush()
+                    # Absorbed triggers complete their whole lifecycle
+                    # here, including end detection.
                     runtime.activations_processed += 1
                     context.metrics.activations_processed += 1
                     runtime.outstanding -= 1
@@ -434,7 +357,6 @@ class ExecutionThread:
                         overhead += cost.foreign_queue_penalty_instructions
                         context.metrics.foreign_queue_consumptions += 1
                     yield from self._charge(overhead)
-                    yield from self._flush()  # boundary: disk issue
                     inflight.append((trigger, issue(trigger)))
                     yield from self._charge(params.disk.async_init_instructions)
                     continue
@@ -449,10 +371,6 @@ class ExecutionThread:
         yield from self._charge(
             activation.tuples * cost.build_instructions_per_tuple
         )
-        # Macro-charge boundary: the store is shared by every thread of
-        # this query (and its watermark by admission control).
-        if self._pending:
-            yield from self._flush()
         # Single-query mode keeps the strict chain-fits-in-memory check;
         # under a shared substrate a racing concurrent build may beat the
         # admission estimate, so the store degrades to unreserved
@@ -502,10 +420,6 @@ class ExecutionThread:
         """Push output tuples into the operator's channel on this node."""
         if output <= 0:
             return
-        # Macro-charge boundary: the push lands in consumer queues (and
-        # possibly on the network) at a specific virtual time.
-        if self._pending:
-            yield from self._flush()
         channel = self.context.channels[(self.node.node_id, runtime.op_id)]
         instructions = channel.push_tuples(output)
         if instructions:

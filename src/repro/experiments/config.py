@@ -122,21 +122,12 @@ class ExperimentOptions:
     scale: float = 0.01
     workload_queries: int = 20
     seed: int = 1996
-    #: simulation kernel the figure runs use (``ExecutionParams.kernel``):
-    #: ``"event"`` is the seed's discrete path, ``"hybrid"`` the analytic
-    #: fast-forward — the determinism gate runs both against the same
-    #: committed baseline (``scripts/check_determinism.py --kernel``).
-    kernel: str = "event"
 
     def __post_init__(self) -> None:
         if self.plans < 1:
             raise ValueError(f"plans must be >= 1, got {self.plans}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.kernel not in ("event", "hybrid"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; known: ['event', 'hybrid']"
-            )
 
     def workload_config(self):
         from ..workloads.plans import WorkloadConfig

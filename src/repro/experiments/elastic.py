@@ -22,13 +22,8 @@ declarative scenario API (:class:`~repro.api.spec.ScenarioSpec` with a
 :class:`~repro.cluster.spec.ClusterSpec`), so each row is one
 serializable spec.
 
-The determinism gate pins :meth:`ElasticResult.digest` rather than the
-full table: membership trajectories and movement totals are discrete
-outcomes shared bit-for-bit by both kernels, while the latency floats
-are legitimately perturbed by the hybrid kernel's documented
-same-instant tie reordering (see
-:class:`~repro.sim.core.FIFOFastForward` — elastic membership timeouts
-create exactly such ties), so they stay out of the baseline.
+The determinism gate pins :meth:`ElasticResult.digest`: the membership
+trajectories and movement totals, and the latency columns as raw floats.
 """
 
 from __future__ import annotations
@@ -104,13 +99,11 @@ class ElasticResult:
         )
 
     def digest(self) -> str:
-        """Kernel-invariant outcome lines — what the determinism gate pins.
+        """Outcome lines — what the determinism gate pins.
 
-        Everything here is a discrete outcome (counts, byte totals, the
-        membership trajectory) that the event and hybrid kernels must
-        agree on exactly; the latency floats of :meth:`table` are
-        excluded because same-instant tie ordering is allowed to differ
-        between kernels (the opt-in caveat on ``FIFOFastForward``).
+        Per row, the discrete outcomes (counts, byte totals, the
+        membership trajectory), then a second block with the latency
+        columns of :meth:`table` as raw floats.
         """
         lines = []
         for row in self.rows:
@@ -125,6 +118,11 @@ class ElasticResult:
                          f"bytes={c['rebalance_bytes']} "
                          f"procs={c['load_gained_processors']}")
             lines.append(line)
+        lines += [
+            f"{row.label} latency: p95={row.p95_latency!r} "
+            f"queueing={row.mean_queueing!r}"
+            for row in self.rows
+        ]
         return "\n".join(lines)
 
 
@@ -139,7 +137,7 @@ def elastic_scenarios(options: ExperimentOptions,
     from ..api.spec import PlanSpec, ScenarioSpec
 
     params = scaled_execution_params(
-        scale=options.scale, seed=options.seed, kernel=options.kernel,
+        scale=options.scale, seed=options.seed,
     )
     machines = MachineConfig(nodes=big_nodes,
                              processors_per_node=processors_per_node)

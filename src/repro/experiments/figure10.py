@@ -83,7 +83,6 @@ def run(options: Optional[ExperimentOptions] = None,
     params = scaled_execution_params(
         scale=options.scale,
         skew=SkewSpec.uniform_redistribution(skew_factor),
-        kernel=options.kernel,
     )
     dp_points, fp_points = [], []
     gains: dict[str, float] = {}

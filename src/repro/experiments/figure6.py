@@ -53,8 +53,7 @@ def run(options: Optional[ExperimentOptions] = None,
         processor_counts: tuple[int, ...] = PROCESSOR_COUNTS) -> Figure6Result:
     """Measure SP/DP/FP on one SM-node across processor counts."""
     options = options or ExperimentOptions()
-    params = scaled_execution_params(scale=options.scale,
-                                     kernel=options.kernel)
+    params = scaled_execution_params(scale=options.scale)
     points: dict[str, list[tuple[float, float]]] = {"SP": [], "DP": [], "FP": []}
     for procs in processor_counts:
         config = MachineConfig(nodes=1, processors_per_node=procs)

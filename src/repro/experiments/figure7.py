@@ -69,8 +69,7 @@ def run(options: Optional[ExperimentOptions] = None,
         distortions_per_plan: int = DISTORTIONS_PER_PLAN) -> Figure7Result:
     """Measure FP under distorted cost estimates."""
     options = options or ExperimentOptions()
-    params = scaled_execution_params(scale=options.scale,
-                                     kernel=options.kernel)
+    params = scaled_execution_params(scale=options.scale)
     # The paper restricts the plan count here ("given the random nature of
     # the measurements"): cap at 8 unless the caller asks for fewer.
     plan_cap = min(options.plans, 8)

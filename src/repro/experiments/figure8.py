@@ -57,8 +57,7 @@ def run(options: Optional[ExperimentOptions] = None,
         processor_counts: tuple[int, ...] = PROCESSOR_COUNTS) -> Figure8Result:
     """Measure the speedup curves."""
     options = options or ExperimentOptions()
-    params = scaled_execution_params(scale=options.scale,
-                                     kernel=options.kernel)
+    params = scaled_execution_params(scale=options.scale)
     strategies = ("SP", "DP", "FP")
     times: dict[tuple[str, int], list[float]] = {}
     for procs in processor_counts:

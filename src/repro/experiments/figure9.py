@@ -71,7 +71,6 @@ def run(options: Optional[ExperimentOptions] = None,
         params = scaled_execution_params(
             scale=options.scale,
             skew=SkewSpec.uniform_redistribution(theta),
-            kernel=options.kernel,
         )
         times = [
             QueryExecutor(plan, config, strategy="DP", params=params)

@@ -203,7 +203,7 @@ def overload_scenarios(options: ExperimentOptions,
     cells = []
     for regime, retry, policy, steal_policy in regimes:
         params = scaled_execution_params(
-            scale=options.scale, seed=options.seed, kernel=options.kernel,
+            scale=options.scale, seed=options.seed,
             cross_steal_policy=steal_policy,
         )
         for multiplier in multipliers:

@@ -12,8 +12,8 @@ process.
 :func:`parallel_map` is the one primitive: map a module-level worker
 function over picklable cell specs, preserving order.  Results are
 identical to the sequential run *by construction* — determinism lives in
-the per-cell seeds, not in cross-cell execution order — which the
-macro-charge property suite pins.
+the per-cell seeds, not in cross-cell execution order — which
+``tests/test_api_sweep.py`` pins.
 
 Processes semantics (shared by every sweep CLI's ``--parallel`` flag):
 

@@ -198,26 +198,28 @@ class PlacementSweepResult:
         return "\n".join(lines)
 
     def digest(self) -> str:
-        """Kernel-invariant outcome lines — what the determinism gate pins.
+        """Outcome lines — what the determinism gate pins.
 
-        Admission-time discrete outcomes only: completions, plans
-        rewritten and estimated bytes avoided are exact integers both
-        kernels must agree on.  Steal traffic is excluded along with
-        the latency floats — on rewritten (narrowed) homes the steal
-        protocol's round-by-round victim choice is sensitive to
-        same-instant tie ordering, which the hybrid kernel is
-        documented to resolve differently (the opt-in caveat on
-        ``FIFOFastForward``).
+        Per cell, the admission-time discrete outcomes (completions,
+        plans rewritten, estimated bytes avoided), then a second block
+        with the timing outcomes as raw floats plus the steal traffic.
         """
-        lines = []
-        for cell in self.cells:
-            lines.append(
-                f"{cell.regime} {cell.policy} "
-                f"steal={'on' if cell.steal else 'off'}: "
-                f"completed={cell.completed} "
-                f"rewritten={cell.plans_rewritten} "
-                f"avoided={cell.bytes_avoided}"
-            )
+        def head(cell: PlacementCell) -> str:
+            return (f"{cell.regime} {cell.policy} "
+                    f"steal={'on' if cell.steal else 'off'}")
+
+        lines = [
+            f"{head(cell)}: completed={cell.completed} "
+            f"rewritten={cell.plans_rewritten} "
+            f"avoided={cell.bytes_avoided}"
+            for cell in self.cells
+        ]
+        lines += [
+            f"{head(cell)} timing: throughput={cell.throughput!r} "
+            f"p95={cell.p95_latency!r} makespan={cell.makespan!r} "
+            f"steal_bytes={cell.steal_bytes}"
+            for cell in self.cells
+        ]
         return "\n".join(lines)
 
 
@@ -233,8 +235,8 @@ def _plan_spec(population: str, options: ExperimentOptions) -> PlanSpec:
 
 def base_scenario(options: ExperimentOptions, regime: Regime = REGIMES[0],
                   nodes: int = 4, processors_per_node: int = 4,
-                  queries_per_cell: int = 12, width: int = 2,
-                  charge_quantum: str = "tuple") -> ScenarioSpec:
+                  queries_per_cell: int = 12,
+                  width: int = 2) -> ScenarioSpec:
     """One regime's base cell: paper homes, stealing on."""
     return ScenarioSpec(
         cluster=MachineConfig(nodes=nodes,
@@ -243,8 +245,6 @@ def base_scenario(options: ExperimentOptions, regime: Regime = REGIMES[0],
             scale=options.scale,
             skew=SkewSpec.uniform_redistribution(regime.skew),
             seed=options.seed,
-            kernel=options.kernel,
-            charge_quantum=charge_quantum,
         ),
         workload=WorkloadSpec(
             queries=queries_per_cell,
@@ -263,14 +263,12 @@ def sweep_spec(options: ExperimentOptions, regime: Regime = REGIMES[0],
                policies: Sequence[str] = POLICIES,
                steal_modes: Sequence[bool] = STEAL_MODES,
                nodes: int = 4, processors_per_node: int = 4,
-               queries_per_cell: int = 12, width: int = 2,
-               charge_quantum: str = "tuple") -> SweepSpec:
+               queries_per_cell: int = 12, width: int = 2) -> SweepSpec:
     """One regime's grid as data: policy × steal on/off."""
     return SweepSpec(
         base=base_scenario(options, regime=regime, nodes=nodes,
                            processors_per_node=processors_per_node,
-                           queries_per_cell=queries_per_cell, width=width,
-                           charge_quantum=charge_quantum),
+                           queries_per_cell=queries_per_cell, width=width),
         axes=(("workload.placement.scheduler", tuple(policies)),
               ("params.enable_global_lb", tuple(steal_modes))),
         label=f"placement-{regime.name}",
@@ -302,7 +300,7 @@ def _collect_cell(result: RunResult) -> PlacementCell:
     "placement",
     "Placement sweep: policy x steal protocol x regime",
     expectation=PAPER_EXPECTATION,
-    accepts=("processes", "charge_quantum"),
+    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
         regimes: Sequence[Regime] = REGIMES,
@@ -310,7 +308,6 @@ def run(options: Optional[ExperimentOptions] = None,
         steal_modes: Sequence[bool] = STEAL_MODES,
         nodes: int = 4, processors_per_node: int = 4,
         queries_per_cell: int = 12, width: int = 2,
-        charge_quantum: str = "tuple",
         processes: Optional[int] = None) -> PlacementSweepResult:
     """Sweep placement policy × steal protocol over the three regimes.
 
@@ -329,7 +326,6 @@ def run(options: Optional[ExperimentOptions] = None,
             steal_modes=steal_modes, nodes=nodes,
             processors_per_node=processors_per_node,
             queries_per_cell=queries_per_cell, width=width,
-            charge_quantum=charge_quantum,
         )
         cells.extend(run_sweep(sweep, processes=processes,
                                collect=_collect_cell))
@@ -365,15 +361,11 @@ def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI
                         help="small grid for smoke runs")
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
                         help="fan cells across N processes (0 = per core)")
-    parser.add_argument("--quantum", choices=("tuple", "batched"),
-                        default="tuple",
-                        help="engine charge granularity (batched = "
-                             "macro-charges)")
     args = parser.parse_args(argv)
     options = ExperimentOptions.quick() if args.quick else ExperimentOptions()
     kwargs = dict(nodes=args.nodes, processors_per_node=args.procs,
                   queries_per_cell=args.queries, width=args.width,
-                  charge_quantum=args.quantum, processes=args.parallel)
+                  processes=args.parallel)
     if args.quick:
         kwargs.update(queries_per_cell=8)
     result = run(options, **kwargs)

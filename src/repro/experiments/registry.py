@@ -10,9 +10,9 @@ Each experiment module decorates its ``run`` function::
 and the runner (:mod:`repro.experiments.runner`) iterates
 :data:`REGISTRY` — no hand-maintained lambda table.  An entry records
 the experiment's id, description, paper expectation and which optional
-runner knobs it accepts (``accepts=("processes", "charge_quantum")`` for
-the parallelizable sweeps), so ``repro-experiments --parallel/--quantum``
-reach exactly the experiments that understand them.
+runner knobs it accepts (``accepts=("processes",)`` for the
+parallelizable sweeps), so ``repro-experiments --parallel`` reaches
+exactly the experiments that understand it.
 
 The runner callable takes :class:`~repro.experiments.config.
 ExperimentOptions` (plus accepted keywords) and returns either a result

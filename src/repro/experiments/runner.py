@@ -7,7 +7,6 @@ Usage (installed as ``repro-experiments`` via ``pip install -e .``)::
     repro-experiments --plans 12           # fewer plans per point (faster)
     repro-experiments --quick              # smallest meaningful setting
     repro-experiments --parallel 0         # sweep cells, one per core
-    repro-experiments --quantum batched    # macro-charge engine mode
     repro-experiments --output results.md  # where to write the report
 
 Every experiment prints its table to stdout as it completes and the
@@ -15,8 +14,8 @@ combined report records paper-vs-measured for each figure.  The set of
 experiments is the :data:`~repro.experiments.registry.REGISTRY` — each
 experiment module registers its ``run`` with
 :func:`~repro.experiments.registry.register_experiment`; ``--parallel``
-and ``--quantum`` are forwarded to exactly the experiments that declare
-they accept them (the serving-layer sweeps).
+is forwarded to exactly the experiments that declare they accept it
+(the serving-layer sweeps).
 """
 
 from __future__ import annotations
@@ -43,20 +42,18 @@ def run_all(options: Optional[ExperimentOptions] = None,
             only: Optional[list[str]] = None,
             output: Optional[str] = None,
             echo: bool = True,
-            processes: Optional[int] = None,
-            charge_quantum: Optional[str] = None) -> str:
+            processes: Optional[int] = None) -> str:
     """Run the selected experiments and return the combined report.
 
-    ``processes`` and ``charge_quantum`` reach the experiments whose
-    registry entries accept them (the sweeps); the figure experiments
-    ignore both.
+    ``processes`` reaches the experiments whose registry entries accept
+    it (the sweeps); the figure experiments ignore it.
     """
     options = options or ExperimentOptions()
     selected = only or list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments {unknown}; known: {list(EXPERIMENTS)}")
-    extras = {"processes": processes, "charge_quantum": charge_quantum}
+    extras = {"processes": processes}
     sections = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -113,10 +110,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
                         help="fan sweep cells across N processes "
                              "(0 = one per core; sweeps only)")
-    parser.add_argument("--quantum", choices=("tuple", "batched"),
-                        default=None,
-                        help="engine charge granularity for the sweeps "
-                             "(batched = macro-charges)")
     parser.add_argument("--output", default="EXPERIMENTS.md",
                         help="report path (default EXPERIMENTS.md)")
     args = parser.parse_args(argv)
@@ -132,7 +125,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.scale is not None:
         options = replace(options, scale=args.scale)
     run_all(options, only=args.only, output=args.output,
-            processes=args.parallel, charge_quantum=args.quantum)
+            processes=args.parallel)
     print(f"report written to {args.output}")
     return 0
 

@@ -89,7 +89,6 @@ def run(options: Optional[ExperimentOptions] = None,
     params = scaled_execution_params(
         scale=options.scale,
         skew=SkewSpec.uniform_redistribution(SKEW_FACTOR),
-        kernel=options.kernel,
     )
     dp = QueryExecutor(plan, config, strategy="DP", params=params).run()
     fp = QueryExecutor(plan, config, strategy="FP", params=params).run()

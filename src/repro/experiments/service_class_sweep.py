@@ -35,9 +35,7 @@ ordering holds end to end at the disk arms and the link.
 
 Every cell of the grid is an independent simulation, so the sweep fans
 cells across cores with :func:`repro.experiments.parallel.parallel_map`
-(``processes=``/``--parallel``), and ``charge_quantum="batched"`` runs
-the engine in macro-charge mode — together the batched+parallel
-configuration that makes big-MPL sweeps wall-clock cheap.
+(``processes=``/``--parallel``).
 """
 
 from __future__ import annotations
@@ -330,7 +328,7 @@ def sweep_specs(options: ExperimentOptions,
                 io_base_tuples: Optional[int] = None,
                 net_sweep: bool = True,
                 net_bandwidths: Sequence[float] = NET_BANDWIDTHS,
-                charge_quantum: str = "tuple") -> list[SweepSpec]:
+                ) -> list[SweepSpec]:
     """The experiment as data: one :class:`SweepSpec` per column."""
     cluster = MachineConfig(nodes=nodes,
                             processors_per_node=processors_per_node)
@@ -340,7 +338,6 @@ def sweep_specs(options: ExperimentOptions,
             scale=options.scale,
             skew=SkewSpec.uniform_redistribution(0.8),
             seed=options.seed,
-            charge_quantum=charge_quantum,
         ),
         workload=WorkloadSpec(
             queries=queries_per_cell,
@@ -384,10 +381,7 @@ def sweep_specs(options: ExperimentOptions,
     if io_sweep:
         io_base = dataclasses.replace(
             closed_base,
-            params=dataclasses.replace(
-                io_heavy_params(options, disk_discipline="fifo"),
-                charge_quantum=charge_quantum,
-            ),
+            params=io_heavy_params(options, disk_discipline="fifo"),
             plans=PlanSpec(kind="io_heavy",
                            base_tuples=io_base_tuples or base_tuples),
             label="classes-io",
@@ -466,7 +460,7 @@ def _collect_cells(result: RunResult) -> list[ClassCell]:
     "classes",
     "Service classes: CPU discipline x MPL (machine-scheduler layer)",
     expectation=PAPER_EXPECTATION,
-    accepts=("processes", "charge_quantum"),
+    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
         mpl_levels: Sequence[int] = MPL_LEVELS,
@@ -481,17 +475,15 @@ def run(options: Optional[ExperimentOptions] = None,
         io_base_tuples: Optional[int] = None,
         net_sweep: bool = True,
         net_bandwidths: Sequence[float] = NET_BANDWIDTHS,
-        charge_quantum: str = "tuple",
         processes: Optional[int] = None) -> ServiceClassSweepResult:
     """Sweep discipline × MPL for an interactive/batch mix.
 
     ``io_sweep`` adds the I/O-heavy disk-discipline comparison (same
     class mix, disk-dominated plan population, CPU pinned to FIFO) and
     ``net_sweep`` the finite-bandwidth net-discipline × bandwidth
-    column.  ``charge_quantum`` selects the engine's charge granularity
-    (``"batched"`` = macro-charges) and ``processes`` fans the
-    independent cells across worker processes (None = sequential,
-    0 = one per core) — results are identical either way.
+    column.  ``processes`` fans the independent cells across worker
+    processes (None = sequential, 0 = one per core) — results are
+    identical either way.
     """
     options = options or ExperimentOptions()
     sweeps = sweep_specs(
@@ -501,7 +493,7 @@ def run(options: Optional[ExperimentOptions] = None,
         interactive_slo=interactive_slo, overload=overload,
         io_sweep=io_sweep, io_mpl_levels=io_mpl_levels,
         io_base_tuples=io_base_tuples, net_sweep=net_sweep,
-        net_bandwidths=net_bandwidths, charge_quantum=charge_quantum,
+        net_bandwidths=net_bandwidths,
     )
     scenarios = [cell for sweep in sweeps for cell in sweep.cells()]
     results = run_scenarios(scenarios, processes=processes,
@@ -534,15 +526,11 @@ def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI
                         help="small grid for smoke runs")
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
                         help="fan cells across N processes (0 = per core)")
-    parser.add_argument("--quantum", choices=("tuple", "batched"),
-                        default="tuple",
-                        help="engine charge granularity (batched = "
-                             "macro-charges)")
     args = parser.parse_args(argv)
     options = ExperimentOptions.quick() if args.quick else ExperimentOptions()
     kwargs = dict(nodes=args.nodes, processors_per_node=args.procs,
                   base_tuples=args.tuples, queries_per_cell=args.queries,
-                  charge_quantum=args.quantum, processes=args.parallel)
+                  processes=args.parallel)
     if args.quick:
         kwargs.update(nodes=2, processors_per_node=2, base_tuples=1000,
                       queries_per_cell=10, mpl_levels=(8,))

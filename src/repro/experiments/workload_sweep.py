@@ -124,15 +124,13 @@ class WorkloadSweepResult:
 
 def base_scenario(options: ExperimentOptions,
                   nodes: int = 4, processors_per_node: int = 8,
-                  queries_per_cell: int = 16,
-                  charge_quantum: str = "tuple") -> ScenarioSpec:
+                  queries_per_cell: int = 16) -> ScenarioSpec:
     """The sweep's base cell: MPL 1, no skew, DP, the 5.1.2 plan mix."""
     return ScenarioSpec(
         cluster=MachineConfig(nodes=nodes,
                               processors_per_node=processors_per_node),
         params=scaled_execution_params(
             scale=options.scale, seed=options.seed,
-            charge_quantum=charge_quantum,
         ),
         workload=WorkloadSpec(
             queries=queries_per_cell,
@@ -155,14 +153,12 @@ def sweep_spec(options: ExperimentOptions,
                skew_levels: Sequence[float] = SKEW_LEVELS,
                strategies: Sequence[str] = STRATEGIES,
                nodes: int = 4, processors_per_node: int = 8,
-               queries_per_cell: int = 16,
-               charge_quantum: str = "tuple") -> SweepSpec:
+               queries_per_cell: int = 16) -> SweepSpec:
     """The whole grid as data: base scenario × (skew, strategy, mpl) axes."""
     return SweepSpec(
         base=base_scenario(options, nodes=nodes,
                            processors_per_node=processors_per_node,
-                           queries_per_cell=queries_per_cell,
-                           charge_quantum=charge_quantum),
+                           queries_per_cell=queries_per_cell),
         axes=(("skew", tuple(skew_levels)),
               ("strategy", tuple(strategies)),
               ("mpl", tuple(mpl_levels))),
@@ -192,7 +188,7 @@ def _collect_cell(result: RunResult) -> SweepCell:
     "workload",
     "Workload sweep: MPL x skew x strategy (serving layer)",
     expectation=PAPER_EXPECTATION,
-    accepts=("processes", "charge_quantum"),
+    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
         mpl_levels: Sequence[int] = MPL_LEVELS,
@@ -201,25 +197,22 @@ def run(options: Optional[ExperimentOptions] = None,
         nodes: int = 4, processors_per_node: int = 8,
         queries_per_cell: int = 16,
         plans=None,
-        charge_quantum: str = "tuple",
         processes: Optional[int] = None) -> WorkloadSweepResult:
     """Sweep MPL × skew × strategy over a mixed plan population.
 
     ``plans`` defaults to the paper's Section 5.1.2 workload compiled for
     the sweep's machine, limited to ``options.plans`` entries; each
     submitted query draws its plan from the population, so every cell
-    mixes query shapes and sizes.  ``charge_quantum`` selects the
-    engine's charge granularity (``"batched"`` = macro-charges) and
-    ``processes`` fans the independent cells across worker processes
-    (None = sequential, 0 = one per core); the per-cell results are
-    identical either way.
+    mixes query shapes and sizes.  ``processes`` fans the independent
+    cells across worker processes (None = sequential, 0 = one per core);
+    the per-cell results are identical either way.
     """
     options = options or ExperimentOptions()
     sweep = sweep_spec(
         options, mpl_levels=mpl_levels, skew_levels=skew_levels,
         strategies=strategies, nodes=nodes,
         processors_per_node=processors_per_node,
-        queries_per_cell=queries_per_cell, charge_quantum=charge_quantum,
+        queries_per_cell=queries_per_cell,
     )
     if plans is not None:
         # An explicit plan population cannot be shipped to workers (it
@@ -245,15 +238,10 @@ def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI
                         help="small grid for smoke runs")
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
                         help="fan cells across N processes (0 = per core)")
-    parser.add_argument("--quantum", choices=("tuple", "batched"),
-                        default="tuple",
-                        help="engine charge granularity (batched = "
-                             "macro-charges)")
     args = parser.parse_args(argv)
     options = ExperimentOptions.quick() if args.quick else ExperimentOptions()
     kwargs = dict(nodes=args.nodes, processors_per_node=args.procs,
-                  queries_per_cell=args.queries,
-                  charge_quantum=args.quantum, processes=args.parallel)
+                  queries_per_cell=args.queries, processes=args.parallel)
     if args.quick:
         kwargs.update(nodes=2, processors_per_node=4,
                       queries_per_cell=8, mpl_levels=(1, 4),

@@ -55,7 +55,7 @@ class QueryGeneratorConfig:
 
     ``scale`` shrinks the size-class ranges proportionally (1.0 = the
     paper's sizes; experiments default to 0.01 for tractable simulations —
-    see DESIGN.md, "Substitutions").
+    see ARCHITECTURE.md, "Substitutions").
     """
 
     relations_per_query: int = 12

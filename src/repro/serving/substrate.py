@@ -56,19 +56,15 @@ class SharedSubstrate:
                  params: Optional[ExecutionParams] = None):
         self.config = config
         self.params = params or ExecutionParams()
-        self.env = Environment(tick=self.params.clock_tick,
-                               queue=self.params.event_queue)
+        self.env = Environment()
         self.machine = Machine(config)
-        #: hybrid kernel: FIFO resources fast-forward analytically (a
-        #: structural no-op under fair/priority — see ``Resource``).
-        fast_forward = self.params.kernel == "hybrid"
         #: the CPU scheduling discipline every processor of this machine
         #: runs (``params.cpu_discipline``): FIFO, fair share or
         #: priority-preemptive — the serving layer's machine-scheduler
         #: choice, uniform across the machine.
         self.discipline = make_discipline(self.params.cpu_discipline)
         self.processors: list[list[Processor]] = make_processors(
-            self.env, config, self.discipline, fast_forward=fast_forward
+            self.env, config, self.discipline
         )
         #: every disk arm of the machine runs ``params.disk_discipline``
         #: — the same registry as the CPUs, so an interactive class's
@@ -85,7 +81,6 @@ class SharedSubstrate:
             self.net_link = NetworkLink(
                 self.env, self.params.network,
                 make_discipline(self.params.net_discipline),
-                fast_forward=fast_forward,
             )
         #: live (admitted, unfinished) execution contexts.
         self.contexts: list = []
@@ -192,19 +187,3 @@ class SharedSubstrate:
     def free_memory(self, node_id: int) -> int:
         """Unreserved bytes on ``node_id`` (live across all queries)."""
         return self.machine.node(node_id).available
-
-    def min_free_memory(self) -> int:
-        """The tightest node's free memory — the admission bottleneck.
-
-        On an elastic cluster only the current members count: a node
-        that has not joined yet (or already left) cannot bottleneck
-        admission.
-        """
-        nodes = self.machine.nodes
-        if self.membership is not None:
-            nodes = nodes[:self.membership.member_count]
-        return min(node.available for node in nodes)
-
-    def cpu_pressure(self) -> int:
-        """Threads currently queued for a processor, machine-wide."""
-        return sum(p.queued for row in self.processors for p in row)

@@ -1,7 +1,7 @@
 """Simulation substrate: event kernel, machine, disks, network, RNG.
 
 This subpackage stands in for the paper's 72-processor KSR1 testbed (see
-DESIGN.md, "Substitutions").  Everything above it — the execution engine,
+ARCHITECTURE.md, "Substitutions").  Everything above it — the execution engine,
 the strategies, the experiments — runs unchanged in virtual time.
 """
 
@@ -12,7 +12,6 @@ from .core import (
     Event,
     FairShareDiscipline,
     FIFODiscipline,
-    FIFOFastForward,
     Interrupt,
     PriorityPreemptiveDiscipline,
     Process,
@@ -36,7 +35,6 @@ __all__ = [
     "Environment",
     "Event",
     "FIFODiscipline",
-    "FIFOFastForward",
     "FairShareDiscipline",
     "Interrupt",
     "PriorityPreemptiveDiscipline",

@@ -40,8 +40,9 @@ charges are ordered — and whether a running charge can be preempted — is
 delegated to a pluggable :class:`SchedulingDiscipline`:
 
 * :class:`FIFODiscipline` (the default) serves charges strictly
-  first-come-first-served and is event-for-event identical to the
-  original FIFO resource, so single-query runs stay bit-reproducible;
+  first-come-first-served, granting every charge analytically from the
+  per-slot busy horizons — one completion event per charge, contended
+  or not;
 * :class:`FairShareDiscipline` implements self-clocked weighted fair
   queueing at charge granularity (non-preemptive): each charge carries a
   :class:`ChargeTag` whose ``weight`` sets its class's share;
@@ -54,13 +55,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from collections import deque
 from functools import partial
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from .eventq import CalendarQueue
 
 __all__ = [
     "Environment",
@@ -74,7 +72,6 @@ __all__ = [
     "DEFAULT_TAG",
     "SchedulingDiscipline",
     "FIFODiscipline",
-    "FIFOFastForward",
     "FairShareDiscipline",
     "PriorityPreemptiveDiscipline",
     "make_discipline",
@@ -298,42 +295,17 @@ class Environment:
         print(env.now)
     """
 
-    __slots__ = ("_now", "_heap", "_counter", "_active", "_deferred",
-                 "_tick", "_plain", "_dead")
+    __slots__ = ("_now", "_heap", "_counter", "_deferred", "_dead")
 
-    def __init__(self, tick: Optional[float] = None,
-                 queue: str = "heap") -> None:
-        """``tick`` snaps every scheduled instant to an integer multiple
-        of the given quantum (the integer-tick clock: each instant is
-        canonically ``round(when / tick) * tick``, so two computations
-        landing on the same grid index produce the *same float* no
-        matter what order of additions produced them — bit-identity
-        stops depending on replaying exact float-addition order).
-        ``queue`` selects the pending-event structure: ``"heap"`` (the
-        default binary heap) or ``"calendar"`` (an indexed
-        :class:`~repro.sim.eventq.CalendarQueue`).
-        """
-        if tick is not None and (tick <= 0 or not math.isfinite(tick)):
-            raise SimulationError(
-                f"clock tick must be a positive finite quantum, got {tick}"
-            )
-        if queue not in ("heap", "calendar"):
-            raise SimulationError(
-                f"unknown event queue {queue!r}; known: ['heap', 'calendar']"
-            )
+    def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: Any = [] if queue == "heap" else CalendarQueue()
+        #: pending events as (when, priority, sequence, event) on a
+        #: binary heap.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
-        self._active = True
         #: same-instant deferred callbacks (see :meth:`defer`).
         self._deferred: list[Callable[[], None]] = []
-        #: tick-clock quantum; ``None`` is the continuous float clock.
-        self._tick = tick
-        #: fast-path flag: the default configuration (continuous clock,
-        #: binary heap), which the disciplines' inlined heappush sites
-        #: check so the hot path stays one C call.
-        self._plain = tick is None and queue == "heap"
-        #: lazily-cancelled entries still sitting in the queue (see
+        #: lazily-cancelled entries still sitting in the heap (see
         #: :meth:`discard`).
         self._dead = 0
 
@@ -342,27 +314,11 @@ class Environment:
         """Current virtual time (seconds by convention in this repo)."""
         return self._now
 
-    @property
-    def tick(self) -> Optional[float]:
-        """The integer-tick clock quantum (``None``: continuous clock)."""
-        return self._tick
-
     # -- scheduling -------------------------------------------------------
 
     def _schedule_at(self, when: float, event: Event, priority: int) -> None:
-        if self._plain:
-            heapq.heappush(self._heap,
-                           (when, priority, next(self._counter), event))
-            return
-        tick = self._tick
-        if tick is not None:
-            when = round(when / tick) * tick
-        heap = self._heap
-        entry = (when, priority, next(self._counter), event)
-        if type(heap) is list:
-            heapq.heappush(heap, entry)
-        else:
-            heap.push(entry)
+        heapq.heappush(self._heap,
+                       (when, priority, next(self._counter), event))
 
     def _schedule_event(self, event: Event, priority: int) -> None:
         self._schedule_at(self._now, event, priority)
@@ -370,7 +326,7 @@ class Environment:
     def discard(self, event: Event) -> None:
         """Lazily cancel a scheduled ``event``; eagerly purge when due.
 
-        The event's entry stays in the queue and fires as a no-op (its
+        The event's entry stays in the heap and fires as a no-op (its
         callbacks must already be detached) — O(1) instead of an O(n)
         heap removal.  But a long busy period can accumulate cancelled
         entries faster than they expire (the fair/priority heap leak:
@@ -385,14 +341,10 @@ class Environment:
         self._dead += 1
         heap = self._heap
         if self._dead > 64 and self._dead * 2 > len(heap):
-            if type(heap) is list:
-                live = [entry for entry in heap
-                        if not getattr(entry[3], "_cancelled", False)]
-                # In place: the run loop holds a reference to this list.
-                heap[:] = live
-                heapq.heapify(heap)
-            else:
-                heap.purge(lambda ev: getattr(ev, "_cancelled", False))
+            # In place: the run loop holds a reference to this list.
+            heap[:] = [entry for entry in heap
+                       if not getattr(entry[3], "_cancelled", False)]
+            heapq.heapify(heap)
             self._dead = 0
 
     def defer(self, callback: Callable[[], None]) -> None:
@@ -459,9 +411,7 @@ class Environment:
         LOW event, or a drained heap.
         """
         heap = self._heap
-        # The calendar backend duck-types ``heap[0]``/``bool``; only the
-        # pop callable differs (bound per run, invisible to the hot loop).
-        pop = heapq.heappop if type(heap) is list else type(heap).pop
+        pop = heapq.heappop
         deferred = self._deferred
         if until is None:
             while heap or deferred:
@@ -585,8 +535,8 @@ class SchedulingDiscipline:
     """How a :class:`Resource` orders (and possibly preempts) its charges.
 
     A discipline instance is stateless and shareable; per-resource
-    scheduling state lives on the resource (``_waiters`` for FIFO, the
-    ``_sched`` slot for the others, installed by :meth:`attach`).
+    scheduling state lives in the resource's ``_sched`` slot, installed
+    by :meth:`attach`.
     """
 
     #: registry key ("fifo", "fair", "priority").
@@ -604,52 +554,24 @@ class SchedulingDiscipline:
         """Charges currently waiting for a slot."""
         raise NotImplementedError
 
-
-class FIFODiscipline(SchedulingDiscipline):
-    """Strict first-come-first-served service (the paper's model).
-
-    Event-for-event identical to charging a plain timeout when the
-    resource is uncontended, and to the pre-discipline FIFO resource when
-    it is contended — the byte-identity of single-query figure outputs
-    rests on this discipline being the default.
-    """
-
-    name = "fifo"
-
-    def use(self, resource: "Resource", delay: float,
-            tag: ChargeTag) -> Generator:
-        if resource.users < resource.capacity and not resource._waiters:
-            resource.users += 1
-        else:
-            event = resource.env.event(f"acquire:{resource.name}")
-            resource._waiters.append(event)
-            resource.waits += 1
-            started = resource.env.now
-            yield event  # release() hands us the slot; ``users`` stays counted
-            resource.wait_time += resource.env.now - started
-        try:
-            yield resource.env.timeout(delay)
-            resource.busy_time += delay
-        finally:
-            resource.release()
-
-    def queued(self, resource: "Resource") -> int:
-        return len(resource._waiters)
+    def in_use(self, resource: "Resource") -> int:
+        """Slots currently held."""
+        return resource.users
 
 
-class _FFGrant(Event):
-    """The single completion event of an analytic fast-forward charge.
+class _FIFOCharge(Event):
+    """The single completion event of a FIFO charge.
 
     Born triggered (like a :class:`Timeout`) and scheduled directly at
     the charge's precomputed completion instant; the owner's resume is
     its only callback.  Minimal constructor — one of these is the *only*
-    event a fast-forward charge ever allocates.
+    event a FIFO charge ever allocates.
     """
 
     __slots__ = ()
 
     def __init__(self) -> None:
-        self.name = "ff-charge"
+        self.name = "fifo-charge"
         self.callbacks = []
         self._ok = True
         self._fired = False
@@ -657,83 +579,56 @@ class _FFGrant(Event):
         self._value = None
 
 
-class _FFState:
-    """Per-resource state of :class:`FIFOFastForward`."""
+class _FIFOState:
+    """Per-resource state of :class:`FIFODiscipline`."""
 
-    __slots__ = ("horizons", "grants", "starts")
+    __slots__ = ("horizons", "unfired", "starts")
 
     def __init__(self, capacity: int) -> None:
-        #: per-slot busy horizon: the instant each slot next falls idle.
-        #: FCFS with ``capacity`` servers is exactly "each arrival takes
-        #: the earliest-free server", so the whole queueing discipline
-        #: reduces to this list.
+        #: per-slot busy horizon: the instant each slot next falls idle
+        #: (FCFS = "each arrival takes the earliest-free server").
         self.horizons = [0.0] * capacity
-        #: per-slot last completion event — consulted only on the exact
-        #: tie ``horizon == now``, where the discrete kernel counts a
-        #: wait iff the holder's completion has not fired yet within the
-        #: current instant.
-        self.grants: list[Optional[Event]] = [None] * capacity
-        #: service-start instants of charges that had to wait, popped
-        #: lazily against the clock — only :attr:`Resource.queued` reads
-        #: it (a rarely-sampled load signal, not the hot path).
-        self.starts: list[float] = []
+        #: per-slot count of granted charges whose completion has not
+        #: fired yet — consulted only on the exact tie ``horizon == now``,
+        #: where the slot still counts as occupied iff its last holder's
+        #: completion has not fired yet within the current instant.
+        self.unfired = [0] * capacity
+        #: start instants of the charges still waiting, oldest first
+        #: (FCFS starts never decrease); expired heads are dropped before
+        #: every push.  Only :attr:`Resource.queued` reads it.
+        self.starts: deque[float] = deque()
 
 
-class FIFOFastForward(FIFODiscipline):
-    """Analytic FIFO: O(1) busy-period math instead of queue events.
+class FIFODiscipline(SchedulingDiscipline):
+    """Strict first-come-first-served service (the paper's model),
+    computed analytically: O(1) busy-period math instead of queue events.
 
-    The hybrid kernel's fast-forward path (``ExecutionParams.kernel =
-    "hybrid"``).  Because FIFO service order is fixed at arrival — no
-    later arrival can ever be served earlier — a charge's start instant
-    is computable the moment it is issued: the earliest slot horizon
-    (or ``now`` when a slot is idle).  The discipline therefore grants
-    *every* charge analytically: one precomputed completion event per
-    charge, zero acquire/release events, zero extra generator resumes —
-    the generalization of ``Resource.use_until`` (the macro-charge flush
-    path) and of the seed disk's ``busy_until`` arm to all FIFO
-    resources, contended or not.
+    FIFO service order is fixed at arrival, so a charge's start instant
+    is computable the moment it is issued: the earliest slot horizon (or
+    ``now`` when a slot is idle).  Every charge is granted at issue: one
+    precomputed completion event, no acquire/release events, no extra
+    generator resumes — the disk's ``busy_until`` closed form, for any
+    capacity.
 
-    Equivalence to the discrete :class:`FIFODiscipline`:
-
-    * *uncontended* charges are event-for-event identical — same
-      ``(finish, priority, sequence)`` heap entry, same single counter
-      draw — so single-query figure outputs stay byte-identical with
-      fast-forward enabled (a CI determinism gate);
-    * *contended* charges complete at bit-identical instants with
-      bit-identical per-charge wait times (the same float arithmetic in
-      a different place), but the completion event's sequence number is
-      drawn at issue instead of at grant — an *exact* same-instant tie
-      against an unrelated event can therefore order differently, which
-      is why hybrid mode is opt-in rather than the default.  The
-      property suite (``tests/test_sim_hybrid.py``) pins the
-      trajectory-level equality on randomized charge streams, and the
-      serving equivalence test pins metrics equality on the Section
-      5.1.2 mix.
-
-    The stride/segment math of the fair and priority disciplines does
-    *not* permit this precomputation: a future arrival with a smaller
-    pass (or higher priority) legally reorders — or preempts — already
-    queued service, so a queued charge's start instant is unknowable at
-    issue.  Their grants are already analytic in the uncontended sense
-    (one event per charge since the macro-charge PR); the hybrid
-    kernel's gains for them come from the cancelled-entry purge and the
-    selectable event-queue backend instead.
-
-    Not in the ``make_discipline`` registry: selected structurally via
-    ``Resource(fast_forward=True)`` so ``discipline.name == "fifo"``
-    checks (the disk's analytic arm, ``use_until``) keep meaning "FIFO
-    semantics" for both paths.
+    An uncontended charge is event-for-event identical to charging a
+    plain timeout (single-query figure byte-identity rests on that).  A
+    contended charge completes when, and waits as long as, an
+    event-per-charge FIFO queue would have it; that queue is the
+    reference model of ``tests/test_sim_fifo_reference.py``, which pins
+    trajectories, per-charge waits and ``busy_time`` against it bit for
+    bit.  (Fair and priority cannot precompute: a later arrival legally
+    reorders or preempts queued service.)
     """
 
     name = "fifo"
 
     def attach(self, resource: "Resource") -> None:
-        resource._sched = _FFState(resource.capacity)
+        resource._sched = _FIFOState(resource.capacity)
 
     def use(self, resource: "Resource", delay: float,
             tag: ChargeTag) -> Generator:
         env = resource.env
-        state: _FFState = resource._sched
+        state: _FIFOState = resource._sched
         horizons = state.horizons
         if len(horizons) > 1:
             # C-level min+index beats a Python scan on the small slot
@@ -747,59 +642,44 @@ class FIFOFastForward(FIFODiscipline):
         if start > now:
             resource.waits += 1
             resource.wait_time += start - now
-            heapq.heappush(state.starts, start)
+            starts = state.starts
+            while starts and starts[0] <= now:
+                starts.popleft()
+            starts.append(start)
         else:
             if start == now:
                 # Exact tie: this slot's horizon is *now*, but its
                 # holder's completion may not have fired yet within the
-                # current instant — the discrete kernel would then still
-                # count the slot as occupied.  Prefer a genuinely free
-                # slot (fired or never-used grant); only when every slot
-                # is occupied does the arrival take a zero-length wait,
-                # exactly like the discrete ``users >= capacity`` test.
-                prev = state.grants[slot]
-                if prev is not None and not prev._fired:
+                # current instant — the slot then still counts as
+                # occupied.  Prefer a genuinely free slot; only when
+                # every slot is occupied does the arrival take a
+                # zero-length wait.
+                unfired = state.unfired
+                if unfired[slot]:
                     for j in range(len(horizons)):
-                        if horizons[j] <= now:
-                            grant = state.grants[j]
-                            if grant is None or grant._fired:
-                                slot = j
-                                break
+                        if horizons[j] <= now and not unfired[j]:
+                            slot = j
+                            break
                     else:
                         resource.waits += 1
             start = now
         finish = start + delay
-        tick = env._tick
-        if tick is not None:
-            # Keep horizons on the tick grid: the stored horizon must be
-            # the exact float instant the completion event fires at, or
-            # later waits would be computed off-grid and drift from the
-            # discrete path's quantized grant instants.
-            finish = round(finish / tick) * tick
         horizons[slot] = finish
-        done = _FFGrant()
-        state.grants[slot] = done
-        if env._plain:
-            heapq.heappush(env._heap,
-                           (finish, NORMAL, next(env._counter), done))
-        else:
-            env._schedule_at(finish, done, NORMAL)
+        state.unfired[slot] += 1
+        done = _FIFOCharge()
+        heapq.heappush(env._heap, (finish, NORMAL, next(env._counter), done))
         yield done
-        # Accumulate in completion order — the same float-summation order
-        # as the discrete path (which adds after its timeout fires) — so
-        # ``busy_time`` is bit-identical between the two kernels.
-        resource.busy_time += delay
+        state.unfired[slot] -= 1
+        resource.busy_time += delay  # summed in completion order
 
     def queued(self, resource: "Resource") -> int:
-        starts = resource._sched.starts
         now = resource.env._now
-        while starts and starts[0] <= now:
-            heapq.heappop(starts)
-        return len(starts)
+        return sum(1 for start in resource._sched.starts if start > now)
 
-
-#: shared stateless singleton; installed by ``Resource(fast_forward=True)``.
-_FF_FIFO = FIFOFastForward()
+    def in_use(self, resource: "Resource") -> int:
+        now = resource.env._now
+        return sum(1 for horizon in resource._sched.horizons
+                   if horizon > now)
 
 
 class _Park(Event):
@@ -939,14 +819,10 @@ class FairShareDiscipline(SchedulingDiscipline):
                 state.vtime = finish
             # Start serving now: the charge becomes its service timeout
             # and the caller resumes straight off it (inlined
-            # ``_schedule_at`` — this is the per-charge hot path; the
-            # tick-clock/calendar configurations take the full method).
+            # ``_schedule_at`` — this is the per-charge hot path).
             charge._triggered = True
-            if env._plain:
-                heapq.heappush(env._heap, (env._now + delay, NORMAL,
-                                           next(env._counter), charge))
-            else:
-                env._schedule_at(env._now + delay, charge, NORMAL)
+            heapq.heappush(env._heap, (env._now + delay, NORMAL,
+                                       next(env._counter), charge))
         else:
             heapq.heappush(state.heap,
                            (finish, next(resource._seq), charge, env._now))
@@ -990,16 +866,13 @@ class FairShareDiscipline(SchedulingDiscipline):
                 state.vtime = finish
             resource.wait_time += env._now - parked_at
             charge._triggered = True
-            if env._plain:
-                heapq.heappush(env._heap, (env._now + charge.delay, NORMAL,
-                                           next(env._counter), charge))
-            else:
-                env._schedule_at(env._now + charge.delay, charge, NORMAL)
+            heapq.heappush(env._heap, (env._now + charge.delay, NORMAL,
+                                       next(env._counter), charge))
             return
         for _ in range(due):
             if heap:
                 # Hand the slot to the smallest pass; ``users`` is
-                # unchanged (ownership transfer, as in FIFO release).
+                # unchanged (ownership transfer).
                 finish, _seq, charge, parked_at = heapq.heappop(heap)
                 if finish > state.vtime:
                     state.vtime = finish
@@ -1007,12 +880,9 @@ class FairShareDiscipline(SchedulingDiscipline):
                 # Convert the parked charge into its service timeout in
                 # place: the owner's resume already rides on it.
                 charge._triggered = True
-                if env._plain:
-                    heapq.heappush(env._heap,
-                                   (env._now + charge.delay, NORMAL,
-                                    next(env._counter), charge))
-                else:
-                    env._schedule_at(env._now + charge.delay, charge, NORMAL)
+                heapq.heappush(env._heap,
+                               (env._now + charge.delay, NORMAL,
+                                next(env._counter), charge))
             else:
                 resource.users -= 1
         if resource.users == 0:
@@ -1274,57 +1144,42 @@ class Resource:
     order in which waiting charges are served — and whether a running
     charge can be preempted — is the :class:`SchedulingDiscipline`'s
     decision; the default :class:`FIFODiscipline` serves strictly
-    first-come-first-served, handing a released slot directly to the
-    oldest waiter so later arrivals can never barge past it even when
-    they run at the same virtual timestamp.
+    first-come-first-served, so later arrivals can never barge past an
+    older waiter even when they run at the same virtual timestamp.
 
-    The uncontended fast path schedules no extra events: ``yield from
+    The uncontended path schedules no extra events: ``yield from
     resource.use(d)`` with a free slot is event-for-event identical to
     ``yield env.timeout(d)``.  Single-owner executions (one thread per
     processor, as in a lone query) therefore behave bit-identically to a
     plain timeout, while concurrent queries sharing the processor queue
     behind each other — the contention the serving layer measures.
 
-    :meth:`acquire`/:meth:`release` remain available for explicit FIFO
-    slot management; the fair and preemptive disciplines manage slots
-    inside :meth:`use` only.
+    Slots are managed inside :meth:`use` only; ``users`` counts the held
+    slots of the fair and priority disciplines (FIFO keeps per-slot
+    busy horizons instead — read :attr:`in_use`, which covers both).
 
-    ``fast_forward=True`` swaps a FIFO resource onto the analytic
-    :class:`FIFOFastForward` path (the hybrid kernel): charges are
-    granted by O(1) busy-period math with a single precomputed
-    completion event each — see that class for the exact equivalence
-    contract.  The flag is ignored for non-FIFO disciplines (their
-    queued service legally reorders under future arrivals, so start
-    instants are not precomputable); :meth:`acquire`/:meth:`release`
-    are unsupported in fast-forward mode (no slot state to hand over).
-
-    Limitation: interrupting a process that is parked waiting for a slot
-    leaks its queue entry — and under the fair/priority disciplines the
-    parked process's resume callback migrates between park events and
-    service timeouts, which :meth:`Process.interrupt` cannot detach.
-    The engine never interrupts threads in these paths.
+    Limitation: interrupting a process that is waiting for a slot leaks
+    its queue entry — under the fair/priority disciplines the parked
+    process's resume callback migrates between park events and service
+    timeouts, which :meth:`Process.interrupt` cannot detach, and a FIFO
+    charge's slot horizon is already booked.  The engine never
+    interrupts threads in these paths.
     """
 
-    __slots__ = ("env", "capacity", "name", "users", "_waiters",
-                 "discipline", "_sched", "_seq", "_use", "fast_forward",
-                 "busy_time", "wait_time", "waits", "preemptions")
+    __slots__ = ("env", "capacity", "name", "users", "discipline", "_sched",
+                 "_seq", "_use", "busy_time", "wait_time", "waits",
+                 "preemptions")
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = "",
-                 discipline: Optional[SchedulingDiscipline] = None,
-                 fast_forward: bool = False):
+                 discipline: Optional[SchedulingDiscipline] = None):
         if capacity < 1:
             raise SimulationError(f"resource capacity must be >= 1: {capacity}")
         self.env = env
         self.capacity = capacity
         self.name = name
         self.users = 0
-        self._waiters: deque[Event] = deque()
         self.discipline = discipline if discipline is not None \
             else _DISCIPLINES["fifo"]
-        self.fast_forward = bool(fast_forward) \
-            and self.discipline.name == "fifo"
-        if self.fast_forward:
-            self.discipline = _FF_FIFO
         self._sched: Any = None
         self._seq = itertools.count()
         # --- statistics -------------------------------------------------
@@ -1346,47 +1201,7 @@ class Resource:
     @property
     def in_use(self) -> int:
         """Slots currently held."""
-        if self.fast_forward:
-            now = self.env._now
-            return sum(1 for horizon in self._sched.horizons
-                       if horizon > now)
-        return self.users
-
-    def acquire(self) -> Generator:
-        """Wait for (and take) a slot FIFO; ``yield from`` this generator."""
-        if self.fast_forward:
-            raise SimulationError(
-                f"resource {self.name!r} runs the analytic fast-forward "
-                "path; explicit acquire/release has no slot state to "
-                "transfer — charge through use()/use_until() instead"
-            )
-        if self.users < self.capacity and not self._waiters:
-            self.users += 1
-            return
-        event = self.env.event(f"acquire:{self.name}")
-        self._waiters.append(event)
-        self.waits += 1
-        started = self.env.now
-        yield event  # release() hands us the slot; ``users`` stays counted
-        self.wait_time += self.env.now - started
-
-    def release(self) -> None:
-        """Return a slot; hands it straight to the oldest FIFO waiter."""
-        if self.fast_forward:
-            raise SimulationError(
-                f"resource {self.name!r} runs the analytic fast-forward "
-                "path; explicit acquire/release has no slot state to "
-                "transfer — charge through use()/use_until() instead"
-            )
-        if self.users < 1:
-            raise SimulationError(f"resource {self.name!r} released too often")
-        if self._waiters:
-            # Ownership transfer: ``users`` is unchanged, so a process
-            # arriving between this release and the waiter's resumption
-            # still sees the resource full and queues behind it.
-            self._waiters.popleft().succeed()
-        else:
-            self.users -= 1
+        return self.discipline.in_use(self)
 
     def use(self, delay: float, tag: Optional[ChargeTag] = None) -> Generator:
         """Hold one slot for ``delay`` virtual seconds.
@@ -1395,101 +1210,3 @@ class Resource:
         priority); ``None`` means :data:`DEFAULT_TAG`.  FIFO ignores it.
         """
         return self._use(self, delay, DEFAULT_TAG if tag is None else tag)
-
-    def use_until(self, delay: float, tag: Optional[ChargeTag],
-                  at: float) -> Generator:
-        """Hold one slot for ``delay`` seconds, completing at exactly ``at``.
-
-        The macro-charge flush path: a batched charge replays the exact
-        float additions of its per-component timeouts into an absolute
-        completion instant, and an *uncontended FIFO* resource schedules
-        the completion at that very float — so merging N charges into one
-        is bit-identical to issuing them back-to-back, the property the
-        batched quantum's figure-output identity rests on.  (Sequence
-        numbers are the one residual: a merged charge allocates fewer of
-        them, so an *exact* same-instant tie against an unrelated event
-        can in principle order differently than in tuple mode; the
-        macro-charge property suite pins the actual figure workloads.)
-        A contended slot (the wait already moved the completion) or a
-        non-FIFO discipline (no identity claim) falls back to
-        :meth:`use`.
-
-        ``at`` must not lie in the past: the accumulate-then-flush
-        contract is that no virtual time passes between a macro-charge's
-        first component and its flush, and a stale deadline would move
-        the clock backwards — better a loud error than silently
-        corrupted timings.
-        """
-        if at < self.env._now:
-            raise SimulationError(
-                f"macro-charge flush deadline {at} is in the past "
-                f"(now {self.env._now}): a visibility boundary was "
-                "crossed without flushing"
-            )
-        if self.fast_forward:
-            # The analytic generalization: an idle slot completes at the
-            # exact absolute ``at`` (the batched quantum's bit-identity),
-            # a busy one at ``horizon + delay`` — the same float
-            # arithmetic as the discrete fallback's grant + timeout.
-            state: _FFState = self._sched
-            horizons = state.horizons
-            start = horizons[0]
-            slot = 0
-            if len(horizons) > 1:
-                for j in range(1, len(horizons)):
-                    if horizons[j] < start:
-                        start, slot = horizons[j], j
-            now = self.env._now
-            if start < now:
-                finish = at
-            elif start > now:
-                self.waits += 1
-                self.wait_time += start - now
-                heapq.heappush(state.starts, start)
-                finish = start + delay
-            else:
-                # Exact tie (see FIFOFastForward.use): prefer a genuinely
-                # free slot; with every slot occupied the discrete path
-                # would have fallen back to the queued ``use`` —
-                # zero-length wait, ``now + delay`` arithmetic instead of
-                # the exact ``at``.
-                finish = at
-                prev = state.grants[slot]
-                if prev is not None and not prev._fired:
-                    for j in range(len(horizons)):
-                        if horizons[j] <= now:
-                            grant = state.grants[j]
-                            if grant is None or grant._fired:
-                                slot = j
-                                break
-                    else:
-                        self.waits += 1
-                        finish = start + delay
-            tick = self.env._tick
-            if tick is not None:
-                # Horizons must equal the fired event's on-grid instant
-                # (see FIFOFastForward.use).
-                finish = round(finish / tick) * tick
-            horizons[slot] = finish
-            done = _FFGrant()
-            state.grants[slot] = done
-            self.env._schedule_at(finish, done, NORMAL)
-            yield done
-            # Completion-order accumulation, matching the discrete branch
-            # below — keeps ``busy_time`` bit-identical across kernels.
-            self.busy_time += delay
-            return
-        if self.discipline.name != "fifo" or self.users >= self.capacity \
-                or self._waiters:
-            yield from self._use(self, delay,
-                                 DEFAULT_TAG if tag is None else tag)
-            return
-        self.users += 1
-        try:
-            done = Event(self.env)
-            done._triggered = True
-            self.env._schedule_at(at, done, NORMAL)
-            yield done
-            self.busy_time += delay
-        finally:
-            self.release()

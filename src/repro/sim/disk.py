@@ -81,12 +81,6 @@ class DiskParams:
             raise ValueError(f"pages must be positive, got {pages}")
         return self.latency + self.seek_time + pages * self.page_size / self.transfer_rate
 
-    def sequential_time(self, pages: int) -> float:
-        """Wall time to stream ``pages`` sequential pages (one seek)."""
-        if pages <= 0:
-            raise ValueError(f"pages must be positive, got {pages}")
-        return self.latency + self.seek_time + pages * self.page_size / self.transfer_rate
-
     def transfer_time(self, pages: int) -> float:
         """Pure transfer time of ``pages`` pages (no latency, no seek)."""
         if pages <= 0:
@@ -160,26 +154,9 @@ class Disk:
         return "fifo" if self._arm is None else self._arm.discipline.name
 
     @property
-    def fast_forward(self) -> bool:
-        """Whether this arm services requests analytically (O(1) events).
-
-        The FIFO path (``_arm is None``) *is* the busy-period math the
-        hybrid kernel's :class:`~repro.sim.core.FIFOFastForward`
-        generalizes — the disk has always fast-forwarded; only the
-        fair/priority arm schedules discrete grants.
-        """
-        return self._arm is None
-
-    @property
     def preemptions(self) -> int:
         """Transfers preempted mid-service (0 under FIFO/fair)."""
         return 0 if self._arm is None else self._arm.preemptions
-
-    @property
-    def queued(self) -> int:
-        """Requests currently waiting for the arm (0 on the FIFO path,
-        whose queueing is folded into the busy-period horizon)."""
-        return 0 if self._arm is None else self._arm.queued
 
     def wait_time_for(self, key: str) -> float:
         """Queued time accumulated by requests tagged with ``key``."""
@@ -292,10 +269,3 @@ class Disk:
         # FIFO arm tracks issue order, where the two coincide).
         self._last_stream = stream
         done.succeed(pages)
-
-    @property
-    def utilization_until_now(self) -> float:
-        """Fraction of elapsed virtual time this disk spent transferring."""
-        if self.env.now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / self.env.now)

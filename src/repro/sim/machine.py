@@ -172,27 +172,23 @@ class Processor(Resource):
     __slots__ = ("node_id", "index")
 
     def __init__(self, env: Environment, node_id: int, index: int,
-                 discipline: SchedulingDiscipline | None = None,
-                 fast_forward: bool = False):
+                 discipline: SchedulingDiscipline | None = None):
         super().__init__(env, capacity=1, name=f"cpu:n{node_id}.{index}",
-                         discipline=discipline, fast_forward=fast_forward)
+                         discipline=discipline)
         self.node_id = node_id
         self.index = index
 
 
 def make_processors(env: Environment, config: MachineConfig,
-                    discipline: SchedulingDiscipline | None = None,
-                    fast_forward: bool = False) -> list[list[Processor]]:
+                    discipline: SchedulingDiscipline | None = None
+                    ) -> list[list[Processor]]:
     """One :class:`Processor` per (node, index) of ``config``.
 
     All processors of a machine share one ``discipline`` instance (the
     disciplines are stateless; per-processor state lives on the resource).
-    ``fast_forward`` selects the hybrid kernel's analytic FIFO path (a
-    no-op under fair/priority disciplines — see :class:`Resource`).
     """
     return [
-        [Processor(env, node_id, index, discipline,
-                   fast_forward=fast_forward)
+        [Processor(env, node_id, index, discipline)
          for index in range(config.processors_per_node)]
         for node_id in range(config.nodes)
     ]
@@ -206,8 +202,7 @@ def make_disks(env: Environment, disk_params, config: MachineConfig,
     context-owned and serving-shared substrates so they can never
     desynchronize.  All disks of a machine share one ``discipline``
     instance, exactly like the processors (``None`` keeps the analytic
-    FIFO arm, the paper's model — the disk is "fast-forward" by
-    construction: :attr:`repro.sim.disk.Disk.fast_forward`).
+    FIFO arm, the paper's model).
     """
     from .disk import Disk  # late import: disk depends only on core
     return [

@@ -119,15 +119,13 @@ class NetworkLink:
     """
 
     def __init__(self, env: Environment, params: NetworkParams,
-                 discipline: Optional[SchedulingDiscipline] = None,
-                 fast_forward: bool = False):
+                 discipline: Optional[SchedulingDiscipline] = None):
         if params.bandwidth is None:
             raise ValueError("a NetworkLink needs finite bandwidth")
         self.env = env
         self.params = params
         self.resource = Resource(env, capacity=1, name="net:link",
-                                 discipline=discipline,
-                                 fast_forward=fast_forward)
+                                 discipline=discipline)
         # --- statistics -------------------------------------------------
         self.busy_time = 0.0
         self.wait_time = 0.0
@@ -168,15 +166,13 @@ class Network:
 
     def __init__(self, env: Environment, params: Optional[NetworkParams] = None,
                  link: Optional[NetworkLink] = None,
-                 discipline: Optional[SchedulingDiscipline] = None,
-                 fast_forward: bool = False):
+                 discipline: Optional[SchedulingDiscipline] = None):
         self.env = env
         self.params = params or NetworkParams()
         #: the shared physical link (None on the infinite-bandwidth path).
         self.link = link
         if self.link is None and self.params.bandwidth is not None:
-            self.link = NetworkLink(env, self.params, discipline,
-                                    fast_forward=fast_forward)
+            self.link = NetworkLink(env, self.params, discipline)
         # --- statistics -------------------------------------------------
         self._inboxes: dict[int, Callable[[Message], None]] = {}
         self.messages_sent = 0

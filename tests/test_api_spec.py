@@ -24,6 +24,7 @@ from repro.api import (
     RunResult,
     ScenarioSpec,
     SpecError,
+    SweepSpec,
     build_plans,
     get_path,
     replace_path,
@@ -59,7 +60,7 @@ def _rich_scenario() -> ScenarioSpec:
     params = scaled_execution_params(
         scale=0.02, skew=SkewSpec.uniform_redistribution(0.7), seed=11,
         cpu_discipline="priority", disk_discipline="fair",
-        charge_quantum="batched",
+        cross_steal_policy="best",
     )
     params = dataclasses.replace(
         params,
@@ -162,6 +163,21 @@ class TestStrictDecoding:
     def test_invalid_json_text(self):
         with pytest.raises(SpecError, match="invalid JSON"):
             ScenarioSpec.from_json("{not json")
+
+    @pytest.mark.parametrize("knob", ["kernel", "event_queue",
+                                      "charge_quantum", "clock_tick"])
+    def test_retired_kernel_knobs_fail_at_load(self, knob):
+        """There is one kernel configuration: a scenario or sweep still
+        naming a retired knob is a load error, not a silent default."""
+        data = ScenarioSpec().to_dict()
+        data["params"][knob] = None
+        with pytest.raises(SpecError, match=rf"\$\.params: .*'{knob}'"):
+            ScenarioSpec.from_dict(data)
+        sweep = {"base": ScenarioSpec().to_dict(),
+                 "axes": {f"params.{knob}": [None]}}
+        with pytest.raises(SpecError,
+                           match=rf"no field '{knob}' \(path 'params\.{knob}'"):
+            SweepSpec.from_dict(sweep)
 
 
 class TestSpecValidation:

@@ -188,7 +188,7 @@ class TestRegistry:
 
     def test_sweeps_declare_their_extra_knobs(self):
         for name in ("workload", "classes"):
-            assert EXPERIMENTS[name].accepts == ("processes", "charge_quantum")
+            assert EXPERIMENTS[name].accepts == ("processes",)
         assert EXPERIMENTS["fig6"].accepts == ()
 
     def test_expectations_registered(self):
@@ -304,6 +304,28 @@ class TestParallelSweepStillIdentical:
         assert all(isinstance(row, float) and row > 0 for row in rows)
         parallel_rows = run_sweep(sweep, processes=2, collect=_throughput_of)
         assert rows == parallel_rows
+
+
+class TestParallelRunnerIdentity:
+    def test_parallel_cells_identical_to_sequential(self):
+        """The full classes grid (overload column included): fanning
+        cells across worker processes returns the identical result
+        object the sequential run builds."""
+        options = ExperimentOptions.quick()
+        kwargs = dict(mpl_levels=(4,), queries_per_cell=6, nodes=2,
+                      processors_per_node=2, base_tuples=800,
+                      io_sweep=False, net_sweep=False)
+        sequential = service_class_sweep.run(options, **kwargs)
+        parallel = service_class_sweep.run(options, processes=2, **kwargs)
+        assert sequential == parallel
+
+    def test_parallel_map_degenerate_cases(self):
+        from repro.experiments.parallel import parallel_map, resolve_processes
+        assert parallel_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
+        assert parallel_map(lambda x: x * x, [], processes=0) == []
+        assert resolve_processes(None) == 1
+        assert resolve_processes(3) == 3
+        assert resolve_processes(0) >= 1
 
 
 def _throughput_of(result):

@@ -43,25 +43,6 @@ def assert_workload_sane(plan, metrics, queries):
 class TestServingStress4x8:
     """50+ concurrent queries on the paper's 4x8 hierarchical machine."""
 
-    def test_closed_loop_50_queries_complete(self):
-        plan, config = pipeline_chain_scenario(
-            nodes=4, processors_per_node=8, base_tuples=4000,
-        )
-        params = ExecutionParams(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=1
-        )
-        spec = stress_spec(
-            50, ArrivalSpec(kind="closed", population=12), mpl=12
-        )
-        driver = WorkloadDriver(plan, config, spec, params)
-        coordinator = driver.build_coordinator()
-        metrics = coordinator.run()
-        assert_workload_sane(plan, metrics, 50)
-        assert coordinator.peak_running <= 12
-        # Concurrency was real: queries overlapped on the machine.
-        assert coordinator.peak_running >= 8
-        assert metrics.total_cpu_contention() > 0.0
-
     def test_open_loop_underload_keeps_queueing_bounded(self):
         # Offered load ~60% of the measured closed-loop capacity
         # (~8 q/s at MPL 12): admission queues must stay shallow, so
@@ -170,20 +151,19 @@ class TestServingStress4x8:
 class TestServingStress50Tier1:
     """The 50-query closed-loop stress shape, promoted into tier-1.
 
-    Runs under the hybrid kernel (``ExecutionParams.kernel="hybrid"``),
-    so every push exercises analytic fast-forward at real
-    multiprogramming scale — 50 queries on the paper's 4x8 machine —
-    and the run stays well inside the tier-1 time budget (<10s).  The
-    discrete-kernel original remains in the slow tier above.
+    Every push exercises the analytic FIFO at real multiprogramming
+    scale — 50 queries on the paper's 4x8 machine, MPL 12 — and the run
+    stays well inside the tier-1 time budget (<10s).  The open-loop,
+    bursty, cross-query-stealing and service-class variants remain in
+    the slow tier above.
     """
 
-    def test_closed_loop_50_queries_hybrid_kernel(self):
+    def test_closed_loop_50_queries(self):
         plan, config = pipeline_chain_scenario(
             nodes=4, processors_per_node=8, base_tuples=4000,
         )
         params = ExecutionParams(
             skew=SkewSpec.uniform_redistribution(0.8), seed=1,
-            kernel="hybrid",
         )
         spec = stress_spec(
             50, ArrivalSpec(kind="closed", population=12), mpl=12

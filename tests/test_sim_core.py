@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import (ChargeTag, Environment, Interrupt, Resource,
+                       SimulationError, make_discipline)
 
 
 def test_clock_starts_at_zero():
@@ -312,3 +313,54 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 0.0  # process bootstrap event
     env.run(until=1)
     assert env.peek() == 7.0
+
+
+class TestLazyDeletionPurge:
+    """Lazily-cancelled heap entries (priority preemption storms) are
+    eagerly purged once they dominate the queue."""
+
+    def test_discard_purges_when_dead_dominate(self):
+        env = Environment()
+        events = [env.timeout(float(i + 1)) for i in range(500)]
+        assert len(env._heap) == 500
+        for event in events[:400]:
+            event.callbacks = []
+            env.discard(event)
+        # The purge triggers whenever dead entries pass the fixed floor
+        # AND dominate the queue, so the heap can never hold more than
+        # live + max(64, live) entries (here: 100 live).
+        assert len(env._heap) <= 200
+        # All 100 live events are still there.
+        live = [e for e in env._heap if not getattr(e[3], "_cancelled", False)]
+        assert len(live) == 100
+
+    def test_preemption_storm_keeps_heap_bounded(self):
+        """The regression the purge fixes: a long-running victim preempted
+        over and over leaves one cancelled far-future segment timeout per
+        preemption — unbounded growth within one busy period before the
+        purge, bounded now."""
+        env = Environment()
+        resource = Resource(env, capacity=1,
+                            discipline=make_discipline("priority"))
+        peak = [0]
+
+        def victim():
+            tag = ChargeTag(key="batch", weight=1.0, priority=0)
+            yield from resource.use(1000.0, tag)
+
+        def interactive():
+            tag = ChargeTag(key="slo", weight=1.0, priority=9)
+            for _ in range(600):
+                yield env.timeout(0.01)
+                yield from resource.use(1e-4, tag)
+                peak[0] = max(peak[0], len(env._heap))
+
+        env.process(victim())
+        env.process(interactive())
+        env.run()
+        assert resource.preemptions >= 600
+        # Each preemption lazily cancels the victim's far-future segment
+        # timeout; without the purge those ~600 dead entries pile up in
+        # one busy period.  With it, dead entries can never exceed
+        # max(64, live) and live events here are a handful.
+        assert peak[0] < 150
