@@ -78,7 +78,7 @@ class CardinalityEstimator:
 
     def cardinality(self, tree: JoinTree) -> float:
         """Estimated output cardinality of ``tree``."""
-        key = _signature(tree)
+        key = tree.signature
         if key not in self._memo:
             if isinstance(tree, BaseNode):
                 value = self.base_cards[tree.relation.name]
@@ -90,12 +90,6 @@ class CardinalityEstimator:
                 )
             self._memo[key] = value
         return self._memo[key]
-
-
-def _signature(tree: JoinTree) -> str:
-    if isinstance(tree, BaseNode):
-        return tree.relation.name
-    return f"({_signature(tree.build)}>{_signature(tree.probe)})"
 
 
 def distort_cardinalities(graph: QueryGraph, error_rate: float,

@@ -19,7 +19,7 @@ used here (and in [Ziane93]):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from ..catalog.relation import Relation
@@ -45,11 +45,14 @@ class BaseNode:
     """A leaf: one base relation."""
 
     relation: Relation
+    #: names of relations under this node
+    relations: frozenset[str] = field(init=False, repr=False, compare=False)
+    #: canonical string of the tree, see :func:`tree_signature`
+    signature: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def relations(self) -> frozenset[str]:
-        """Names of relations under this node."""
-        return frozenset((self.relation.name,))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "relations", frozenset((self.relation.name,)))
+        object.__setattr__(self, "signature", self.relation.name)
 
     def __str__(self) -> str:
         return self.relation.name
@@ -61,12 +64,17 @@ class JoinNode:
 
     ``selectivity`` is the join selectivity factor of the predicate edge
     connecting the two subtrees (exactly one edge, since query graphs are
-    trees).
+    trees).  ``relations`` and ``signature`` are derived once, from the
+    children's, at construction; equality, hash and repr ignore them.
     """
 
     build: "JoinTree"
     probe: "JoinTree"
     selectivity: float
+    #: names of relations under this node
+    relations: frozenset[str] = field(init=False, repr=False, compare=False)
+    #: canonical string of the tree, see :func:`tree_signature`
+    signature: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.selectivity <= 0:
@@ -74,11 +82,11 @@ class JoinNode:
         overlap = self.build.relations & self.probe.relations
         if overlap:
             raise ValueError(f"children overlap on {sorted(overlap)}")
-
-    @property
-    def relations(self) -> frozenset[str]:
-        """Names of relations under this node."""
-        return self.build.relations | self.probe.relations
+        object.__setattr__(
+            self, "relations", self.build.relations | self.probe.relations)
+        object.__setattr__(
+            self, "signature",
+            f"({self.build.signature}>{self.probe.signature})")
 
     def __str__(self) -> str:
         return f"({self.build} ⋈ {self.probe})"
@@ -154,7 +162,9 @@ def validate_tree(tree: JoinTree, graph: QueryGraph) -> None:
 
 
 def tree_signature(tree: JoinTree) -> str:
-    """A canonical string for deduplicating structurally equal trees."""
-    if isinstance(tree, BaseNode):
-        return tree.relation.name
-    return f"({tree_signature(tree.build)}>{tree_signature(tree.probe)})"
+    """A canonical string for deduplicating structurally equal trees.
+
+    ``(build>probe)`` nested over relation names; each node carries it
+    from construction, so this is a field read.
+    """
+    return tree.signature

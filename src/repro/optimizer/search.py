@@ -9,7 +9,19 @@ connected sub-graphs, retaining the top ``k`` trees per subset, which for
 Because query graphs are trees (acyclic connected), the partition step is
 cheap: a connected subset induces a subtree, and every way of splitting it
 into two connected halves corresponds to cutting exactly one induced edge.
-For 12 relations the whole search visits at most a few thousand subsets.
+Relation sets are bitmasks; with the query tree rooted once, cutting the
+edge above ``child`` splits a subset ``S`` into ``S & subtree(child)`` and
+the rest.
+
+Measured shape: a 12-relation query has about 360 connected subsets and
+about 10.8 k candidate joins (a split x a retained row of each half x two
+orientations); the ledger's 8-query population searches 31 generated
+graphs (333 602 candidates), the paper's 20-query one 54.  The search is
+every cold start's set-up, so it does O(1) work per candidate: a retained
+row carries its cost and cardinality, a candidate's are one expression
+over its two children's, and a candidate dearer than the k-th best so far
+is dropped before it has a signature or a ``JoinNode``.  Only the rows a
+subset retains, at most ``k``, become trees.
 
 Build-side choice: both orientations of every join are explored; the cost
 model then prefers hashing the smaller side, unless the global shape makes
@@ -20,6 +32,7 @@ bushy).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from ..query.graph import QueryGraph
@@ -27,6 +40,9 @@ from .cost import CardinalityEstimator, CostModel
 from .join_tree import BaseNode, JoinNode, JoinTree, tree_signature
 
 __all__ = ["PlanCandidate", "BushySearch", "best_bushy_trees"]
+
+#: candidates are ranked by cost, ties broken by canonical signature
+_RANK = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
@@ -53,112 +69,119 @@ class BushySearch:
         self.cost_model = cost_model or CostModel()
         self.estimator = estimator or CardinalityEstimator(graph)
         self.k = k
+        # Relation sets are bitmasks over ``graph.names`` from here on.
+        names = graph.names
+        self._bit = {name: 1 << i for i, name in enumerate(names)}
+        self._adjacent = {
+            self._bit[name]: sum(self._bit[n] for n in graph.neighbors(name))
+            for name in names
+        }
+        # Root the query tree at the first relation.  Cutting the edge above
+        # ``child`` splits a connected subset S into S & below[child] and the
+        # rest, so one cut is (both endpoints, below[child], selectivity).
+        parent: dict[str, str] = {}
+        order = [names[0]]
+        for name in order:
+            for neighbor in graph.neighbors(name):
+                if neighbor != parent.get(name):
+                    parent[neighbor] = name
+                    order.append(neighbor)
+        below = dict(self._bit)
+        for child in reversed(order[1:]):
+            below[parent[child]] |= below[child]
+        self._cuts = [
+            (self._bit[child] | self._bit[up], below[child],
+             graph.edge_between(child, up).selectivity)
+            for child, up in parent.items()
+        ]
 
     # -- subset enumeration -------------------------------------------------
 
+    def _connected_masks(self) -> list[int]:
+        """Bitmasks of all connected subsets, smallest subsets first."""
+        # subset -> the relations adjacent to it, grown one relation at a time
+        frontier = dict(self._adjacent)
+        ordered = list(frontier)
+        while frontier:
+            grown: dict[int, int] = {}
+            for subset, border in frontier.items():
+                rest = border
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    bigger = subset | bit
+                    if bigger not in grown:
+                        grown[bigger] = (border | self._adjacent[bit]) & ~bigger
+            ordered.extend(grown)
+            frontier = grown
+        return ordered
+
     def connected_subsets(self) -> list[frozenset[str]]:
         """All connected subsets, ordered by size then lexicographically."""
-        frontier = {frozenset((name,)) for name in self.graph.names}
-        all_subsets = set(frontier)
-        while frontier:
-            grown = set()
-            for subset in frontier:
-                for name in subset:
-                    for neighbor in self.graph.neighbors(name):
-                        if neighbor not in subset:
-                            bigger = subset | {neighbor}
-                            if bigger not in all_subsets:
-                                grown.add(bigger)
-            all_subsets |= grown
-            frontier = grown
-        return sorted(all_subsets, key=lambda s: (len(s), tuple(sorted(s))))
-
-    def _splits(self, subset: frozenset[str]) -> list[tuple[frozenset[str], frozenset[str]]]:
-        """All (left, right) connected bipartitions of ``subset``.
-
-        Each split cuts one edge of the induced subtree.  Left/right order
-        is canonicalized (lexicographic) because orientation is explored
-        separately when combining.
-        """
-        induced_edges = [
-            edge for edge in self.graph.edges
-            if edge.left in subset and edge.right in subset
+        subsets = [
+            frozenset(name for name, bit in self._bit.items() if mask & bit)
+            for mask in self._connected_masks()
         ]
-        splits = []
-        for cut in induced_edges:
-            remaining = [e for e in induced_edges if e is not cut]
-            adjacency: dict[str, list[str]] = {name: [] for name in subset}
-            for e in remaining:
-                adjacency[e.left].append(e.right)
-                adjacency[e.right].append(e.left)
-            component = {cut.left}
-            stack = [cut.left]
-            while stack:
-                current = stack.pop()
-                for neighbor in adjacency[current]:
-                    if neighbor not in component:
-                        component.add(neighbor)
-                        stack.append(neighbor)
-            left = frozenset(component)
-            right = subset - left
-            splits.append((left, right))
-        return splits
+        return sorted(subsets, key=lambda s: (len(s), tuple(sorted(s))))
 
-    # -- cost of one join step ----------------------------------------------
+    # -- the DP ---------------------------------------------------------------
 
-    def _join_step_cost(self, build: JoinTree, probe: JoinTree,
-                        selectivity: float) -> float:
-        build_card = self.estimator.cardinality(build)
-        probe_card = self.estimator.cardinality(probe)
-        out_card = build_card * probe_card * selectivity
-        return (
-            self.cost_model.build_instructions(build_card)
-            + self.cost_model.probe_instructions(probe_card, out_card)
-        )
-
-    def _leaf_cost(self, leaf: BaseNode) -> float:
-        card = self.estimator.cardinality(leaf)
+    def _leaf_cost(self, card: float) -> float:
         return (
             self.cost_model.scan_instructions(card)
             + self.cost_model.scan_io_seconds(card) * self.cost_model.params.mips
         )
 
-    # -- the DP ---------------------------------------------------------------
-
     def run(self) -> list[PlanCandidate]:
         """Top-``k`` bushy trees for the full relation set, cheapest first."""
-        best: dict[frozenset[str], list[PlanCandidate]] = {}
-        for name in self.graph.names:
+        k = self.k
+        build_instructions = self.cost_model.build_instructions
+        probe_instructions = self.cost_model.probe_instructions
+        # subset -> its retained rows ``(cost, cardinality, tree)``, best first
+        best: dict[int, list[tuple[float, float, JoinTree]]] = {}
+        for name, bit in self._bit.items():
             leaf = BaseNode(self.graph.relation(name))
-            best[frozenset((name,))] = [PlanCandidate(self._leaf_cost(leaf), leaf)]
+            card = self.estimator.cardinality(leaf)
+            best[bit] = [(self._leaf_cost(card), card, leaf)]
 
-        for subset in self.connected_subsets():
-            if len(subset) == 1:
+        for subset in self._connected_masks():
+            if subset in best:
                 continue
-            candidates: list[PlanCandidate] = []
-            seen: set[str] = set()
-            for left, right in self._splits(subset):
-                edge = self.graph.connecting_edges(left, right)[0]
-                for l_cand in best[left]:
-                    for r_cand in best[right]:
-                        for build, probe, b_cost, p_cost in (
-                            (l_cand.tree, r_cand.tree, l_cand.cost, r_cand.cost),
-                            (r_cand.tree, l_cand.tree, r_cand.cost, l_cand.cost),
+            # the <= k cheapest ``(cost, signature, cardinality, build tree,
+            # probe tree, selectivity)`` so far; ``bar`` is the k-th's cost
+            top: list[tuple] = []
+            bar = float("inf")
+            for both, below, selectivity in self._cuts:
+                if subset & both != both:
+                    continue
+                left = subset & below
+                for l_row in best[left]:
+                    for r_row in best[subset ^ left]:
+                        for (b_cost, b_card, build), (p_cost, p_card, probe) in (
+                            (l_row, r_row), (r_row, l_row),
                         ):
-                            tree = JoinNode(build, probe, edge.selectivity)
-                            signature = tree_signature(tree)
-                            if signature in seen:
-                                continue
-                            seen.add(signature)
-                            cost = b_cost + p_cost + self._join_step_cost(
-                                build, probe, edge.selectivity
+                            out_card = b_card * p_card * selectivity
+                            cost = b_cost + p_cost + (
+                                build_instructions(b_card)
+                                + probe_instructions(p_card, out_card)
                             )
-                            candidates.append(PlanCandidate(cost, tree))
-            candidates.sort(key=lambda c: (c.cost, c.signature))
-            best[subset] = candidates[: self.k]
+                            if cost > bar:
+                                continue
+                            top.append((
+                                cost, f"({build.signature}>{probe.signature})",
+                                out_card, build, probe, selectivity,
+                            ))
+                            top.sort(key=_RANK)
+                            del top[k:]
+                            if len(top) == k:
+                                bar = top[-1][0]
+            best[subset] = [
+                (cost, card, JoinNode(build, probe, selectivity))
+                for cost, _, card, build, probe, selectivity in top
+            ]
 
-        full = frozenset(self.graph.names)
-        return best[full]
+        full = (1 << len(self._bit)) - 1
+        return [PlanCandidate(cost, tree) for cost, _, tree in best[full]]
 
 
 def best_bushy_trees(graph: QueryGraph, k: int = 2,

@@ -115,17 +115,19 @@ class _Population:
 
 
 #: query selection is expensive (exact bushy search per candidate) and
-#: machine-independent: memoize it per workload configuration.
-_POPULATION_CACHE: dict[WorkloadConfig, _Population] = {}
+#: machine-independent: memoize it per workload configuration and per value
+#: of the cost model that ranks and band-filters the candidates.
+_POPULATION_CACHE: dict[tuple, _Population] = {}
 
 
 def build_query_population(config: Optional[WorkloadConfig] = None,
                            cost_model: Optional[CostModel] = None) -> _Population:
     """Select the accepted queries and their top-k bushy trees (cached)."""
     config = config or WorkloadConfig()
-    if config in _POPULATION_CACHE:
-        return _POPULATION_CACHE[config]
     cost_model = cost_model or CostModel()
+    key = (config, cost_model.params, cost_model.disk, cost_model.tuple_size)
+    if key in _POPULATION_CACHE:
+        return _POPULATION_CACHE[key]
     low, high = config.effective_band
     generator = QueryGenerator(
         RandomStreams(config.seed),
@@ -168,7 +170,7 @@ def build_query_population(config: Optional[WorkloadConfig] = None,
             (graph, tuple(c.tree for c in candidates), index - 1)
         )
     population = _Population(entries=tuple(entries), rejected=rejected)
-    _POPULATION_CACHE[config] = population
+    _POPULATION_CACHE[key] = population
     return population
 
 

@@ -1,5 +1,6 @@
 """Tests for join trees, the cost model, and the bushy search."""
 
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from repro.optimizer import (
     tree_signature,
     validate_tree,
 )
-from repro.query import JoinEdge, QueryGenerator, QueryGraph
+from repro.query import JoinEdge, QueryGenerator, QueryGeneratorConfig, QueryGraph
 from repro.sim import RandomStreams
 
 
@@ -274,7 +275,6 @@ class TestBushySearch:
     @given(seed=st.integers(0, 50))
     @settings(max_examples=15, deadline=None)
     def test_property_search_valid_on_random_queries(self, seed):
-        from repro.query import QueryGeneratorConfig
         generator = QueryGenerator(
             RandomStreams(seed),
             QueryGeneratorConfig(relations_per_query=6, scale=0.01),
@@ -285,3 +285,182 @@ class TestBushySearch:
         for candidate in candidates:
             validate_tree(candidate.tree, graph)
             assert candidate.cost > 0
+
+
+# ---------------------------------------------------------------------------
+# The search against its reference model
+# ---------------------------------------------------------------------------
+
+def connected_by_brute_force(graph):
+    """Every connected subset, by size then lexicographically."""
+    return [
+        frozenset(names)
+        for size in range(1, len(graph) + 1)
+        for names in itertools.combinations(sorted(graph.names), size)
+        if graph.is_connected_subset(frozenset(names))
+    ]
+
+
+def reference_search(graph, k):
+    """The exhaustive DP that ``BushySearch.run`` replaced, as its reference.
+
+    Every candidate join of every connected bipartition is allocated as a
+    ``JoinNode``, signed and sized by walking its whole subtree, and the
+    full candidate list is sorted by ``(cost, signature)``.  Returns the
+    top-``k`` ``(cost, tree)`` rows and how many candidates the
+    signature-dedup set turned away.
+    """
+    model = CostModel()
+
+    def signature(tree):
+        if isinstance(tree, BaseNode):
+            return tree.relation.name
+        return f"({signature(tree.build)}>{signature(tree.probe)})"
+
+    def card(tree):
+        if isinstance(tree, BaseNode):
+            return float(tree.relation.cardinality)
+        return card(tree.build) * card(tree.probe) * tree.selectivity
+
+    connected = connected_by_brute_force(graph)
+    best, turned_away = {}, 0
+    for subset in connected:
+        if len(subset) == 1:
+            tree = BaseNode(graph.relation(min(subset)))
+            cost = (model.scan_instructions(card(tree))
+                    + model.scan_io_seconds(card(tree)) * model.params.mips)
+            best[subset] = [(cost, tree)]
+            continue
+        candidates, seen = [], set()
+        for left in connected:
+            right = subset - left
+            if not (min(subset) in left and left < subset and right in best):
+                continue
+            (edge,) = graph.connecting_edges(left, right)
+            for l_cost, l_tree in best[left]:
+                for r_cost, r_tree in best[right]:
+                    for build, probe, b_cost, p_cost in (
+                        (l_tree, r_tree, l_cost, r_cost),
+                        (r_tree, l_tree, r_cost, l_cost),
+                    ):
+                        tree = JoinNode(build, probe, edge.selectivity)
+                        if signature(tree) in seen:
+                            turned_away += 1
+                            continue
+                        seen.add(signature(tree))
+                        out_card = card(build) * card(probe) * edge.selectivity
+                        step = (model.build_instructions(card(build))
+                                + model.probe_instructions(card(probe), out_card))
+                        candidates.append((b_cost + p_cost + step, tree))
+        candidates.sort(key=lambda row: (row[0], signature(row[1])))
+        best[subset] = candidates[:k]
+    return best[frozenset(graph.names)], turned_away
+
+
+def shaped_graph(seed, relations, shape):
+    """A generated query, optionally rewired into a chain or a star."""
+    graph = QueryGenerator(
+        RandomStreams(seed),
+        QueryGeneratorConfig(relations_per_query=relations, scale=0.01),
+    ).generate(0)
+    if shape == "random":
+        return graph
+    names = graph.names
+    ends = {
+        "chain": list(zip(names, names[1:])),
+        "star": [(names[0], name) for name in names[1:]],
+    }[shape]
+    edges = [JoinEdge(a, b, edge.selectivity)
+             for (a, b), edge in zip(ends, graph.edges)]
+    return QueryGraph(graph.relations.values(), edges)
+
+
+def assert_matches_reference(graph, k):
+    expected, _ = reference_search(graph, k)
+    found = BushySearch(graph, k=k).run()
+    assert len(found) == len(expected)
+    for candidate, (cost, tree) in zip(found, expected):
+        assert candidate.cost == cost  # bit-equal, not approx
+        assert candidate.signature == tree_signature(tree)
+        assert candidate.tree == tree
+        validate_tree(candidate.tree, graph)
+
+
+class TestSearchAgainstReference:
+    @given(seed=st.integers(0, 10_000), relations=st.integers(2, 9),
+           k=st.sampled_from((1, 2, 4)),
+           shape=st.sampled_from(("chain", "star", "random")))
+    @settings(max_examples=40, deadline=None)
+    def test_property_same_rows_as_the_exhaustive_search(
+            self, seed, relations, k, shape):
+        assert_matches_reference(shaped_graph(seed, relations, shape), k)
+
+    @pytest.mark.parametrize("shape", ("chain", "star", "random"))
+    def test_connected_subsets_match_brute_force(self, shape):
+        graph = shaped_graph(3, 8, shape)
+        assert (BushySearch(graph).connected_subsets()
+                == connected_by_brute_force(graph))
+
+    @pytest.mark.parametrize("k", (1, 2, 4))
+    def test_cost_ties_rank_by_signature(self, k):
+        # Equal cardinalities make many candidates cost exactly the same.
+        assert_matches_reference(chain_graph((100,) * 6), k)
+
+    @pytest.mark.parametrize("shape", ("chain", "star", "random"))
+    def test_dedup_set_never_rejects(self, shape):
+        # Distinct splits give distinct child relation sets, so no two
+        # candidates of a subset share a signature: what licenses the
+        # search to keep no ``seen`` set.
+        for seed in range(5):
+            _, turned_away = reference_search(shaped_graph(seed, 8, shape), 4)
+            assert turned_away == 0
+
+
+class TestSearchDoesConstantWorkPerCandidate:
+    """Operation counts, so the quadratic walk cannot return unnoticed."""
+
+    def test_only_retained_rows_become_join_nodes(self, monkeypatch):
+        from repro.optimizer import search as search_module
+
+        built = []
+
+        def counting_join_node(*args):
+            built.append(args)
+            return JoinNode(*args)
+
+        monkeypatch.setattr(search_module, "JoinNode", counting_join_node)
+        graph = QueryGenerator(RandomStreams(5)).generate(0)
+        assert len(graph) == 12
+        search = BushySearch(graph, k=2)
+        candidates = search.run()
+        assert len(candidates) == 2
+        assert 0 < len(built) <= 2 * len(search.connected_subsets())
+
+    def test_tree_signature_does_not_recurse(self, monkeypatch):
+        from repro.optimizer import join_tree
+
+        tree = best_bushy_trees(QueryGenerator(RandomStreams(5)).generate(0),
+                                k=1)[0]
+        assert len(list(leaves(tree))) == 12
+        calls = []
+        original = join_tree.tree_signature
+
+        def counting_signature(node):
+            calls.append(node)
+            return original(node)
+
+        # A recursive call would resolve the module global: this wrapper.
+        monkeypatch.setattr(join_tree, "tree_signature", counting_signature)
+        assert join_tree.tree_signature(tree).count(">") == 11
+        assert calls == [tree]
+
+    def test_cached_fields_stay_out_of_equality_hash_and_repr(self):
+        graph = chain_graph()
+        sel = graph.edge_between("R0", "R1").selectivity
+        a = JoinNode(leaf(graph, "R0"), leaf(graph, "R1"), sel)
+        b = JoinNode(leaf(graph, "R0"), leaf(graph, "R1"), sel)
+        assert a == b and hash(a) == hash(b)
+        object.__setattr__(b, "signature", "something else")
+        object.__setattr__(b, "relations", frozenset())
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "signature" not in repr(a) and "relations=" not in repr(a)

@@ -1,5 +1,8 @@
 """Tests for the workload builder and the canned scenarios."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.optimizer import is_right_deep, validate_tree
@@ -63,6 +66,62 @@ class TestWorkloadBuilder:
         assert w1.accepted_queries == w2.accepted_queries
         assert w1.plans[0].node_set == (0,)
         assert w2.plans[0].node_set == (0, 1, 2, 3)
+
+    def test_population_cache_keyed_on_the_cost_model(self):
+        from repro.optimizer.cost import CostModel, CostParams
+        from repro.sim.disk import DiskParams
+        default = build_query_population(SMALL)
+        # Ten times the build price moves every plan out of the default
+        # band: the default model's queries must not come back.
+        pricey = CostModel(CostParams(build_instructions_per_tuple=2000))
+        wide = WorkloadConfig(queries=3, band=(450.0, 9000.0))
+        assert (build_query_population(wide, pricey).entries
+                != build_query_population(wide).entries)
+        slow_disk = CostModel(disk=DiskParams(transfer_rate=1024 * 1024))
+        assert (build_query_population(wide, slow_disk).entries
+                != build_query_population(wide).entries)
+        big_tuples = CostModel(tuple_size=1000)
+        assert (build_query_population(wide, big_tuples).entries
+                != build_query_population(wide).entries)
+        # An equal-valued model is the same key.
+        assert build_query_population(SMALL, CostModel()) is default
+
+    @pytest.mark.parametrize("config, golden", [
+        # the paper's 20-query x 2-plan population
+        (WorkloadConfig(),
+         "778ede0c14f6d557067a12847a63ab5907f186601d647e950d575c14c7cedf25"),
+        # the ledger's (plans.workload_queries=8, scale=0.01, seed=1996)
+        (WorkloadConfig(queries=8, scale=0.01, seed=1996),
+         "ee145eac6b460c5fb54c539fdc87e3ff8d258bb95c6c40d6477295af252f8316"),
+    ])
+    def test_golden_population_digest(self, config, golden):
+        """Which queries are accepted, their trees and their exact costs.
+
+        The digests were computed with the exhaustive search of PR 14; a
+        faster search must reproduce them byte for byte.
+        """
+        from repro.optimizer import tree_signature
+        from repro.optimizer.search import BushySearch
+        sha = hashlib.sha256()
+        for graph, trees, query_index in build_query_population(config).entries:
+            candidates = BushySearch(graph, k=config.plans_per_query).run()
+            assert tuple(c.tree for c in candidates) == trees
+            for rank, c in enumerate(candidates):
+                sha.update(repr((query_index, rank, tree_signature(c.tree),
+                                 repr(c.cost))).encode())
+        assert sha.hexdigest() == golden
+
+    def test_compiled_plan_pickles(self):
+        # The ``processes`` sweep option ships compiled plans to workers.
+        from repro.optimizer import tree_signature
+        plan = build_workload(MachineConfig(nodes=2, processors_per_node=2),
+                              SMALL).plans[0]
+        shipped = pickle.loads(pickle.dumps(plan))
+        assert shipped.join_tree == plan.join_tree
+        assert (tree_signature(shipped.join_tree)
+                == tree_signature(plan.join_tree))
+        assert shipped.join_tree.relations == plan.join_tree.relations
+        assert shipped.label == plan.label
 
     def test_the_two_plans_differ(self):
         from repro.optimizer import tree_signature
