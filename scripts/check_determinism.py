@@ -137,9 +137,13 @@ def main() -> int:
         return 1
     committed = BASELINE.read_text()
     if first != committed:
+        # The baseline is interpreter-independent by contract: a failure
+        # under one interpreter only means a float ``sum()`` (compensated
+        # from 3.12 on) crept back into the engine or the metrics.
         print(
             "FAIL: output drifted from the committed baseline "
-            "(rerun with --update only if the change is intentional)",
+            "(rerun with --update only if the change is intentional)\n"
+            f"interpreter: {sys.version}",
             file=sys.stderr,
         )
         show_diff(committed, first, "baseline", "fresh")

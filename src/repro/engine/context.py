@@ -530,9 +530,12 @@ class ExecutionContext:
         # unique (per query under the serving layer, the default tag in
         # single-query mode, where all devices are context-owned anyway).
         key = (self.charge_tag or DEFAULT_TAG).key
-        self.metrics.disk_wait_time = sum(
-            disk.wait_time_for(key) for row in self.disks for disk in row
-        )
+        # Folded left to right: float ``sum()`` rounds differently from 3.12 on.
+        disk_wait = 0.0
+        for row in self.disks:
+            for disk in row:
+                disk_wait += disk.wait_time_for(key)
+        self.metrics.disk_wait_time = disk_wait
         self.metrics.net_wait_time = self.network.wait_time_for(key)
         if self.substrate is not None:
             self.substrate.unregister_context(self)

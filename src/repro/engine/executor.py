@@ -19,7 +19,7 @@ from typing import Optional, Union
 from ..optimizer.plan import ParallelExecutionPlan
 from ..sim.machine import MachineConfig
 from .context import ExecutionContext, ExecutionDeadlock
-from .metrics import ExecutionResult
+from .metrics import ExecutionMetrics, ExecutionResult
 from .params import ExecutionParams
 from .scheduler import NodeScheduler
 from .strategies.base import ExecutionStrategy, StrategyError, make_strategy
@@ -112,14 +112,21 @@ class QueryExecutor:
         return context
 
     def collect(self, context: ExecutionContext) -> ExecutionResult:
+        """Freeze the finished execution: nothing reachable from the
+        result changes once this returns.  It takes the context's counters
+        with it, and the context gets a scratch sink for the threads whose
+        last charge was still in flight when the root operator ended (they
+        go on adding CPU contention)."""
         metrics = context.metrics
+        context.metrics = ExecutionMetrics()
         metrics.thread_count = sum(len(n.threads) for n in context.nodes)
-        # Derived (not live-accumulated): per-thread busy totals sum in a
-        # fixed order.
-        metrics.thread_busy_time = sum(
-            thread.busy_time for node in context.nodes
-            for thread in node.threads
-        )
+        # Derived (not live-accumulated): per-thread busy totals, folded
+        # left to right (float ``sum()`` rounds differently from 3.12 on).
+        busy = 0.0
+        for node in context.nodes:
+            for thread in node.threads:
+                busy += thread.busy_time
+        metrics.thread_busy_time = busy
         metrics.result_tuples = context.result_sink.tuples
         metrics.data_activations = sum(
             channel.activations_emitted for channel in context.channels.values()

@@ -34,7 +34,6 @@ __all__ = [
     "QueryCompletion",
     "QueryShed",
     "ShedRecord",
-    "StreamingWorkloadMetrics",
     "WorkloadMetrics",
     "percentile",
 ]
@@ -227,11 +226,6 @@ class QueryCompletion:
         """Load-balancing bytes shipped on behalf of this query."""
         return self.result.metrics.loadbalance_bytes
 
-    @property
-    def steal_messages(self) -> int:
-        """Load-balancing messages sent on behalf of this query."""
-        return self.result.metrics.loadbalance_messages
-
 
 @dataclass(frozen=True)
 class ShedRecord:
@@ -291,19 +285,79 @@ class QueryShed:
         return self.record.reason
 
 
+@dataclass(slots=True)
+class _Fold:
+    """Accumulators over a completion stream (the whole run, or one class).
+
+    :meth:`add`, the only writer, adds with plain ``+=`` in record order:
+    a left fold, so the same bits on every interpreter (builtin ``sum()``
+    is Neumaier-compensated from Python 3.12 on, so it is not).
+    """
+
+    count: int = 0
+    latencies: list[float] = field(default_factory=list)
+    queueing_sum: float = 0.0
+    queueing_max: float = 0.0
+    execution_sum: float = 0.0
+    #: completions that did not miss a declared SLO.
+    slo_met: int = 0
+    steal_bytes: int = 0
+    cross_steal_rounds: int = 0
+    cpu_wait: float = 0.0
+    disk_wait: float = 0.0
+    net_wait: float = 0.0
+
+    def add(self, completion: QueryCompletion) -> None:
+        queueing = completion.queueing_delay
+        metrics = completion.result.metrics
+        self.count += 1
+        self.latencies.append(completion.latency)
+        self.queueing_sum += queueing
+        if queueing > self.queueing_max:
+            self.queueing_max = queueing
+        self.execution_sum += completion.execution_time
+        if completion.slo_met is not False:
+            self.slo_met += 1
+        self.steal_bytes += metrics.loadbalance_bytes
+        self.cross_steal_rounds += metrics.cross_steal_rounds
+        self.cpu_wait += metrics.cpu_contention_time
+        self.disk_wait += metrics.disk_wait_time
+        self.net_wait += metrics.net_wait_time
+
+    def mean(self, total: float) -> float:
+        """``total`` (one of this fold's sums) per completion; 0.0 if none."""
+        return total / self.count if self.count else 0.0
+
+
 @dataclass
 class WorkloadMetrics:
     """Aggregate observables of one multi-query workload run.
 
     ``makespan`` is the virtual time from the first arrival to the last
-    completion; throughput and utilization are computed against it.  All
-    accessors are deterministic functions of the completion list, so two
-    runs of the same seeded workload produce byte-identical
-    :meth:`summary` strings (the determinism regression tests compare
-    exactly that).
+    completion; throughput and utilization are computed against it.
+    :meth:`record` folds each completion, in record order, into run-level
+    and per-class accumulators, and every aggregate accessor reads those.
+    A completion is frozen when it is recorded (see
+    :meth:`~repro.engine.executor.QueryExecutor.collect`), so the digest
+    is a pure function of the completion stream: two runs of the same
+    seeded workload produce byte-identical :meth:`summary` strings on any
+    interpreter (the determinism regression tests compare exactly that).
+
+    ``retain_completions=False`` drops each :class:`QueryCompletion` —
+    with its full :class:`ExecutionResult`, ~40 counters — once folded,
+    which is what lets a million-query replay run out of time before it
+    runs out of memory.  Only the per-query latency floats (exact
+    percentiles, ~8 MB per million queries) and the shed records remain:
+    every aggregate reads the same, :meth:`summary` omits the unbounded
+    ``per_query`` list, and :meth:`completions_of`, the one accessor that
+    needs the objects, raises, loudly, instead of answering from an empty
+    list.
     """
 
-    completions: list[QueryCompletion] = field(default_factory=list)
+    retain_completions: bool = True
+    #: in record order; filled only by :meth:`record`, which folds them too.
+    completions: list[QueryCompletion] = field(default_factory=list,
+                                               init=False)
     #: queries rejected by overload handling (queue timeout / deadline).
     shed: list[ShedRecord] = field(default_factory=list)
     #: queries generated but never admitted (still queued at the end of a
@@ -357,39 +411,46 @@ class WorkloadMetrics:
     #: processors added by scale-outs — the "load gained" denominator the
     #: movement cost is priced against.
     load_gained_processors: int = 0
+    _run: _Fold = field(default_factory=_Fold, init=False, repr=False)
+    #: class name -> that class's fold, in first-completion order.
+    _classes: dict[str, _Fold] = field(default_factory=dict, init=False,
+                                       repr=False)
 
     def record(self, completion: QueryCompletion) -> None:
-        if not self.completions:
+        if (self._run.count == 0
+                or completion.arrival_time < self.first_arrival_time):
             self.first_arrival_time = completion.arrival_time
-        else:
-            self.first_arrival_time = min(self.first_arrival_time,
-                                          completion.arrival_time)
-        self.completions.append(completion)
         self.last_completion_time = max(self.last_completion_time,
                                         completion.completion_time)
+        self._run.add(completion)
+        fold = self._classes.get(completion.service_class)
+        if fold is None:
+            fold = self._classes[completion.service_class] = _Fold()
+        fold.add(completion)
+        if self.retain_completions:
+            self.completions.append(completion)
 
     @property
     def makespan(self) -> float:
         """Virtual time from the first arrival to the last completion."""
         return max(0.0, self.last_completion_time - self.first_arrival_time)
 
+    def _rate(self, count: int) -> float:
+        """``count`` per virtual second of makespan."""
+        return count / self.makespan if self.makespan > 0 else 0.0
+
     # -- headline numbers --------------------------------------------------
 
     @property
     def completed(self) -> int:
-        return len(self.completions)
+        return self._run.count
 
     def throughput(self) -> float:
         """Completed queries per virtual second over the makespan."""
-        if self.makespan <= 0:
-            return 0.0
-        return len(self.completions) / self.makespan
-
-    def latencies(self) -> list[float]:
-        return [c.latency for c in self.completions]
+        return self._rate(self._run.count)
 
     def latency_percentile(self, p: float) -> float:
-        return percentile(self.latencies(), p)
+        return percentile(self._run.latencies, p)
 
     @property
     def p50_latency(self) -> float:
@@ -403,22 +464,14 @@ class WorkloadMetrics:
     def p99_latency(self) -> float:
         return self.latency_percentile(99.0)
 
-    def mean_latency(self) -> float:
-        lats = self.latencies()
-        return sum(lats) / len(lats) if lats else 0.0
-
     def mean_queueing_delay(self) -> float:
-        if not self.completions:
-            return 0.0
-        return sum(c.queueing_delay for c in self.completions) / len(self.completions)
+        return self._run.mean(self._run.queueing_sum)
 
     def max_queueing_delay(self) -> float:
-        return max((c.queueing_delay for c in self.completions), default=0.0)
+        return self._run.queueing_max
 
     def mean_execution_time(self) -> float:
-        if not self.completions:
-            return 0.0
-        return sum(c.execution_time for c in self.completions) / len(self.completions)
+        return self._run.mean(self._run.execution_sum)
 
     def record_shed(self, record: ShedRecord) -> None:
         self.shed.append(record)
@@ -430,9 +483,8 @@ class WorkloadMetrics:
     def shed_reason_counts(self, service_class: Optional[str] = None) -> dict:
         """reason -> shed count (sorted by reason; optionally per class).
 
-        The taxonomy view of :class:`ShedRecord.reason` — works
-        identically on :class:`StreamingWorkloadMetrics`, which retains
-        the full shed list.
+        The taxonomy view of :class:`ShedRecord.reason`; shed records are
+        kept whether or not completions are.
         """
         counts: dict[str, int] = {}
         for record in self.shed:
@@ -449,34 +501,38 @@ class WorkloadMetrics:
     # name would be merged indistinguishably here, which is why
     # WorkloadSpec rejects duplicate class names at construction.
 
+    def _class(self, service_class: str) -> _Fold:
+        """The class's fold (an empty one if it completed nothing)."""
+        return self._classes.get(service_class) or _Fold()
+
     def class_names(self) -> list[str]:
         """Service classes seen in this run (completed or shed), sorted."""
-        names = {c.service_class for c in self.completions}
+        names = set(self._classes)
         names.update(s.service_class for s in self.shed)
         return sorted(names)
 
     def completions_of(self, service_class: str) -> list[QueryCompletion]:
+        if not self.retain_completions:
+            raise NotImplementedError("completions were not retained: use "
+                                      "the aggregate accessors")
         return [c for c in self.completions if c.service_class == service_class]
 
     def shed_of(self, service_class: str) -> list[ShedRecord]:
         return [s for s in self.shed if s.service_class == service_class]
 
+    def class_completed(self, service_class: str) -> int:
+        return self._class(service_class).count
+
     def class_throughput(self, service_class: str) -> float:
         """Completed queries of the class per virtual second of makespan."""
-        if self.makespan <= 0:
-            return 0.0
-        return len(self.completions_of(service_class)) / self.makespan
+        return self._rate(self._class(service_class).count)
 
     def class_latency_percentile(self, service_class: str, p: float) -> float:
-        return percentile(
-            [c.latency for c in self.completions_of(service_class)], p
-        )
+        return percentile(self._class(service_class).latencies, p)
 
     def class_mean_queueing_delay(self, service_class: str) -> float:
-        completions = self.completions_of(service_class)
-        if not completions:
-            return 0.0
-        return sum(c.queueing_delay for c in completions) / len(completions)
+        fold = self._class(service_class)
+        return fold.mean(fold.queueing_sum)
 
     def class_resource_waits(self, service_class: str) -> dict:
         """Mean per-query queueing delay at each service resource.
@@ -485,20 +541,13 @@ class WorkloadMetrics:
         queries spent queued for a processor (``cpu``), behind other read
         requests at the disk arms (``disk``) and for the network link
         (``net``) — all after admission, so none of it overlaps the
-        admission queueing delay.
+        admission queueing delay, and all before completion: what a last
+        in-flight charge waits after the root operator ended cost no SLO.
         """
-        completions = self.completions_of(service_class)
-        if not completions:
-            return {"cpu": 0.0, "disk": 0.0, "net": 0.0}
-        n = len(completions)
-        return {
-            "cpu": sum(c.result.metrics.cpu_contention_time
-                       for c in completions) / n,
-            "disk": sum(c.result.metrics.disk_wait_time
-                        for c in completions) / n,
-            "net": sum(c.result.metrics.net_wait_time
-                       for c in completions) / n,
-        }
+        fold = self._class(service_class)
+        return {"cpu": fold.mean(fold.cpu_wait),
+                "disk": fold.mean(fold.disk_wait),
+                "net": fold.mean(fold.net_wait)}
 
     def slo_attainment(self, service_class: str) -> float:
         """Fraction of the class's queries that met their latency SLO.
@@ -508,19 +557,17 @@ class WorkloadMetrics:
         so a class with no SLO reports the fraction of its queries that
         were served at all.
         """
-        completions = self.completions_of(service_class)
-        shed = self.shed_of(service_class)
-        total = len(completions) + len(shed)
+        fold = self._class(service_class)
+        total = fold.count + len(self.shed_of(service_class))
         if total == 0:
             return 1.0
-        met = sum(1 for c in completions if c.slo_met is not False)
-        return met / total
+        return fold.slo_met / total
 
     def per_class_summary(self) -> dict:
         """class name -> plain-data digest (deterministic per seed)."""
         return {
             name: {
-                "completed": len(self.completions_of(name)),
+                "completed": self.class_completed(name),
                 "shed": len(self.shed_of(name)),
                 "shed_reasons": self.shed_reason_counts(name),
                 "throughput": self.class_throughput(name),
@@ -533,31 +580,26 @@ class WorkloadMetrics:
             for name in self.class_names()
         }
 
-    # -- steal traffic -------------------------------------------------------
+    # -- steal traffic and resource waits, summed over all completions ------
 
     def total_steal_bytes(self) -> int:
-        return sum(c.steal_bytes for c in self.completions)
+        return self._run.steal_bytes
 
     def total_cross_steal_rounds(self) -> int:
         """Broker-initiated steal rounds summed over all completions."""
-        return sum(
-            c.result.metrics.cross_steal_rounds for c in self.completions
-        )
-
-    def steal_bytes_per_query(self) -> dict[int, int]:
-        """query_id -> load-balancing bytes shipped for that query."""
-        return {c.query_id: c.steal_bytes for c in self.completions}
+        return self._run.cross_steal_rounds
 
     def total_cpu_contention(self) -> float:
-        return sum(c.result.metrics.cpu_contention_time for c in self.completions)
+        """Processor queueing delay, each query's up to its completion."""
+        return self._run.cpu_wait
 
     def total_disk_wait(self) -> float:
         """Disk queueing delay summed over all completions."""
-        return sum(c.result.metrics.disk_wait_time for c in self.completions)
+        return self._run.disk_wait
 
     def total_net_wait(self) -> float:
         """Network-link queueing delay summed over all completions."""
-        return sum(c.result.metrics.net_wait_time for c in self.completions)
+        return self._run.net_wait
 
     # -- placement digest -----------------------------------------------------
 
@@ -612,9 +654,10 @@ class WorkloadMetrics:
     def summary(self) -> dict:
         """A plain-data digest; ``repr(summary())`` is byte-stable per seed.
 
-        On an elastic run a ``"cluster"`` sub-digest is appended; static
-        runs omit the key entirely, keeping every pre-elastic baseline
-        byte-identical.
+        The unbounded ``per_query`` list is present only when completions
+        were retained.  On an elastic run a ``"cluster"`` sub-digest is
+        appended; static runs omit the key entirely, keeping every
+        pre-elastic baseline byte-identical (likewise ``"placement"``).
         """
         digest = {
             "completed": self.completed,
@@ -643,239 +686,15 @@ class WorkloadMetrics:
             "spill_bytes": self.spill_bytes,
             "retries": self.retries,
             "per_class": self.per_class_summary(),
-            "per_query": [
+        }
+        if self.retain_completions:
+            digest["per_query"] = [
                 (c.query_id, c.plan_label, c.service_class, c.arrival_time,
                  c.start_time, c.completion_time, c.steal_bytes,
                  c.result.metrics.result_tuples,
                  c.result.metrics.activations_processed)
                 for c in sorted(self.completions, key=lambda c: c.query_id)
-            ],
-        }
-        cluster = self.cluster_summary()
-        if cluster is not None:
-            digest["cluster"] = cluster
-        placement = self.placement_summary()
-        if placement is not None:
-            digest["placement"] = placement
-        return digest
-
-
-class StreamingWorkloadMetrics(WorkloadMetrics):
-    """A :class:`WorkloadMetrics` that does not retain per-query results.
-
-    ``WorkloadMetrics`` keeps every :class:`QueryCompletion` — including
-    its full :class:`ExecutionResult` with ~40 counters and per-thread
-    breakdowns — which is what makes million-query replays run out of
-    memory long before they run out of time.  This subclass aggregates
-    each completion into scalar accumulators at :meth:`record` time and
-    drops the object, keeping only the per-query latency floats (needed
-    for exact percentiles: ~8 MB per million queries).
-
-    Every aggregate it reports is bit-identical to the retaining
-    parent's: the accumulators add in the same record order that
-    ``sum()`` over the completion list would, latencies feed the same
-    :func:`percentile`, and :meth:`summary` emits the same digest minus
-    the unbounded ``per_query`` list (pinned by
-    ``tests/test_serving_properties.py``).  Accessors that need the retained
-    objects themselves (``completions_of``, ``steal_bytes_per_query``)
-    raise, loudly, instead of answering from an empty list.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._completed = 0
-        self._latencies: list[float] = []
-        self._queueing_sum = 0.0
-        self._queueing_max = 0.0
-        self._execution_sum = 0.0
-        self._steal_bytes = 0
-        self._cpu_contention = 0.0
-        self._disk_wait = 0.0
-        self._net_wait = 0.0
-        self._cross_steal_rounds = 0
-        #: class name -> [count, latencies, queueing_sum, slo_met,
-        #:               cpu_wait, disk_wait, net_wait]
-        self._per_class: dict[str, list] = {}
-
-    def record(self, completion: QueryCompletion) -> None:
-        if self._completed == 0:
-            self.first_arrival_time = completion.arrival_time
-        else:
-            self.first_arrival_time = min(self.first_arrival_time,
-                                          completion.arrival_time)
-        self.last_completion_time = max(self.last_completion_time,
-                                        completion.completion_time)
-        self._completed += 1
-        self._latencies.append(completion.latency)
-        self._queueing_sum += completion.queueing_delay
-        self._queueing_max = max(self._queueing_max,
-                                 completion.queueing_delay)
-        self._execution_sum += completion.execution_time
-        self._steal_bytes += completion.steal_bytes
-        metrics = completion.result.metrics
-        self._cpu_contention += metrics.cpu_contention_time
-        self._disk_wait += metrics.disk_wait_time
-        self._net_wait += metrics.net_wait_time
-        self._cross_steal_rounds += metrics.cross_steal_rounds
-        entry = self._per_class.get(completion.service_class)
-        if entry is None:
-            entry = [0, [], 0.0, 0, 0.0, 0.0, 0.0]
-            self._per_class[completion.service_class] = entry
-        entry[0] += 1
-        entry[1].append(completion.latency)
-        entry[2] += completion.queueing_delay
-        entry[3] += 1 if completion.slo_met is not False else 0
-        entry[4] += metrics.cpu_contention_time
-        entry[5] += metrics.disk_wait_time
-        entry[6] += metrics.net_wait_time
-
-    # -- aggregate accessors, re-answered from the accumulators -------------
-
-    @property
-    def completed(self) -> int:
-        return self._completed
-
-    def throughput(self) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        return self._completed / self.makespan
-
-    def latencies(self) -> list[float]:
-        return list(self._latencies)
-
-    def latency_percentile(self, p: float) -> float:
-        return percentile(self._latencies, p)
-
-    def mean_latency(self) -> float:
-        if not self._latencies:
-            return 0.0
-        return sum(self._latencies) / len(self._latencies)
-
-    def mean_queueing_delay(self) -> float:
-        return self._queueing_sum / self._completed if self._completed else 0.0
-
-    def max_queueing_delay(self) -> float:
-        return self._queueing_max
-
-    def mean_execution_time(self) -> float:
-        return self._execution_sum / self._completed if self._completed else 0.0
-
-    def total_steal_bytes(self) -> int:
-        return self._steal_bytes
-
-    def total_cross_steal_rounds(self) -> int:
-        return self._cross_steal_rounds
-
-    def total_cpu_contention(self) -> float:
-        return self._cpu_contention
-
-    def total_disk_wait(self) -> float:
-        return self._disk_wait
-
-    def total_net_wait(self) -> float:
-        return self._net_wait
-
-    # -- per-class views -----------------------------------------------------
-
-    def class_names(self) -> list[str]:
-        names = set(self._per_class)
-        names.update(s.service_class for s in self.shed)
-        return sorted(names)
-
-    def completions_of(self, service_class: str):
-        raise NotImplementedError(
-            "StreamingWorkloadMetrics does not retain completions; use the "
-            "aggregate accessors or plain WorkloadMetrics"
-        )
-
-    def steal_bytes_per_query(self):
-        raise NotImplementedError(
-            "StreamingWorkloadMetrics does not retain completions; use the "
-            "aggregate accessors or plain WorkloadMetrics"
-        )
-
-    def class_throughput(self, service_class: str) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        entry = self._per_class.get(service_class)
-        return (entry[0] if entry else 0) / self.makespan
-
-    def class_latency_percentile(self, service_class: str, p: float) -> float:
-        entry = self._per_class.get(service_class)
-        return percentile(entry[1] if entry else [], p)
-
-    def class_mean_queueing_delay(self, service_class: str) -> float:
-        entry = self._per_class.get(service_class)
-        if not entry or not entry[0]:
-            return 0.0
-        return entry[2] / entry[0]
-
-    def class_resource_waits(self, service_class: str) -> dict:
-        entry = self._per_class.get(service_class)
-        if not entry or not entry[0]:
-            return {"cpu": 0.0, "disk": 0.0, "net": 0.0}
-        n = entry[0]
-        return {"cpu": entry[4] / n, "disk": entry[5] / n,
-                "net": entry[6] / n}
-
-    def slo_attainment(self, service_class: str) -> float:
-        entry = self._per_class.get(service_class)
-        completed = entry[0] if entry else 0
-        met = entry[3] if entry else 0
-        total = completed + len(self.shed_of(service_class))
-        if total == 0:
-            return 1.0
-        return met / total
-
-    def per_class_summary(self) -> dict:
-        return {
-            name: {
-                "completed": (self._per_class[name][0]
-                              if name in self._per_class else 0),
-                "shed": len(self.shed_of(name)),
-                "shed_reasons": self.shed_reason_counts(name),
-                "throughput": self.class_throughput(name),
-                "p50_latency": self.class_latency_percentile(name, 50.0),
-                "p95_latency": self.class_latency_percentile(name, 95.0),
-                "mean_queueing_delay": self.class_mean_queueing_delay(name),
-                "slo_attainment": self.slo_attainment(name),
-                "resource_waits": self.class_resource_waits(name),
-            }
-            for name in self.class_names()
-        }
-
-    # -- deterministic digest ------------------------------------------------
-
-    def summary(self) -> dict:
-        """The parent's digest minus the unbounded ``per_query`` list."""
-        digest = {
-            "completed": self.completed,
-            "unfinished": self.unfinished,
-            "shed": [
-                (s.query_id, s.service_class, s.arrival_time, s.shed_time,
-                 s.reason)
-                for s in sorted(self.shed, key=lambda s: s.query_id)
-            ],
-            "shed_reasons": self.shed_reason_counts(),
-            "makespan": self.makespan,
-            "throughput": self.throughput(),
-            "p50_latency": self.p50_latency,
-            "p95_latency": self.p95_latency,
-            "p99_latency": self.p99_latency,
-            "mean_queueing_delay": self.mean_queueing_delay(),
-            "max_queueing_delay": self.max_queueing_delay(),
-            "mean_execution_time": self.mean_execution_time(),
-            "total_steal_bytes": self.total_steal_bytes(),
-            "total_cpu_contention": self.total_cpu_contention(),
-            "total_disk_wait": self.total_disk_wait(),
-            "total_net_wait": self.total_net_wait(),
-            "cross_steal_rounds": self.total_cross_steal_rounds(),
-            "broker_notifications": self.broker_notifications,
-            "memory_preemptions": self.memory_preemptions,
-            "spill_bytes": self.spill_bytes,
-            "retries": self.retries,
-            "per_class": self.per_class_summary(),
-        }
+            ]
         cluster = self.cluster_summary()
         if cluster is not None:
             digest["cluster"] = cluster

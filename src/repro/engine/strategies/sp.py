@@ -229,11 +229,15 @@ class SynchronousPipeliningExecutor:
         metrics = self.metrics
         metrics.response_time = end_time - start_time
         metrics.thread_count = self._thread_count
-        metrics.thread_busy_time = sum(self._busy)
+        # Left folds: float ``sum()`` rounds differently from 3.12 on.
+        busy = disk_wait = 0.0
+        for seconds in self._busy:
+            busy += seconds
+        for disk in self._disks:
+            disk_wait += disk.wait_time_for(self._wait_key)
+        metrics.thread_busy_time = busy
         metrics.cpu_contention_time = self._contention[0]
-        metrics.disk_wait_time = sum(
-            disk.wait_time_for(self._wait_key) for disk in self._disks
-        )
+        metrics.disk_wait_time = disk_wait
         metrics.tuples_scanned = self._scanned[0]
         metrics.result_tuples = int(round(self._results[0]))
         return ExecutionResult(

@@ -51,8 +51,6 @@ class ExecutionThread:
         self.processor = context.processors[node.node_id][index]
         self.busy_time = 0.0
         self.idle_time = 0.0
-        #: virtual time spent queued behind other queries' CPU charges.
-        self.contention_time = 0.0
         #: FP restriction: the operator ids this thread may process
         #: (None = unrestricted, the DP default).
         self.assigned_ops: Optional[set[int]] = None
@@ -101,7 +99,6 @@ class ExecutionThread:
         yield from self.processor.use(seconds, self.context.charge_tag)
         waited = self.context.env.now - started - seconds
         if waited > 1e-12:
-            self.contention_time += waited
             self.context.metrics.cpu_contention_time += waited
 
     # -- activation selection (Figure 5) ----------------------------------------------

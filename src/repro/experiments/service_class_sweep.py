@@ -442,7 +442,7 @@ def _collect_cells(result: RunResult) -> list[ClassCell]:
             discipline=discipline,
             mpl=mpl,
             service_class=name,
-            completed=len(metrics.completions_of(name)),
+            completed=metrics.class_completed(name),
             shed=len(metrics.shed_of(name)),
             throughput=metrics.class_throughput(name),
             p50_latency=metrics.class_latency_percentile(name, 50.0),

@@ -303,9 +303,8 @@ class MultiQueryCoordinator:
         #: highest number of simultaneously executing queries observed —
         #: the admission tests assert it never exceeds the policy cap.
         self.peak_running = 0
-        #: injectable sink: pass a
-        #: :class:`~repro.engine.metrics.StreamingWorkloadMetrics` for
-        #: replays too large to retain per-query results in memory.
+        #: injectable sink: pass ``WorkloadMetrics(retain_completions=False)``
+        #: for replays too large to retain per-query results in memory.
         self.metrics = metrics if metrics is not None else WorkloadMetrics()
         self._arrivals_open = True
         self._kick: Optional[Event] = None

@@ -232,7 +232,7 @@ class WorkloadDriver:
         #: when set, replay this trace instead of generating arrivals.
         self.trace = trace
         #: optional metrics sink forwarded to the coordinator (e.g. a
-        #: StreamingWorkloadMetrics for million-query replays).
+        #: non-retaining WorkloadMetrics for million-query replays).
         self.metrics = metrics
         #: elastic wiring (see :mod:`repro.cluster`): the ClusterSpec,
         #: the per-size plan bank (``{nodes: (plan, ...)}``) and the

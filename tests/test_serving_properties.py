@@ -16,9 +16,7 @@ The invariants under concurrency:
 * **admission** — the multiprogramming cap is never exceeded and the
   memory gate defers queries that do not fit;
 * **latency accounting** — queueing delay + execution time == latency,
-  exactly, per query;
-* **streaming == retaining metrics** — ``StreamingWorkloadMetrics``
-  reports the same summary without keeping per-query results.
+  exactly, per query.
 """
 
 import pytest
@@ -451,38 +449,3 @@ class TestInterQueryBehaviour:
         metrics = coordinator.run()
         assert metrics.completed == 3
         assert {c.strategy for c in metrics.completions} == {"SP", "DP", "FP"}
-
-
-class TestStreamingMetricsEquivalence:
-    def test_workload_summary_streaming_matches_retaining(self):
-        """A mixed multi-query workload: ``StreamingWorkloadMetrics``
-        reports the retaining ``WorkloadMetrics.summary()`` digest
-        without retaining per-query results."""
-        from repro.engine.metrics import StreamingWorkloadMetrics
-
-        plan, config = pipeline_chain_scenario(
-            nodes=2, processors_per_node=2, base_tuples=600,
-        )
-        spec = WorkloadSpec(
-            queries=8,
-            arrival=ArrivalSpec(kind="poisson", rate=40.0),
-            strategy="DP",
-            policy=AdmissionPolicy(max_multiprogramming=4),
-            seed=11,
-        )
-        params = ExecutionParams(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=11
-        )
-        retaining = WorkloadDriver(plan, config, spec, params).run().metrics
-
-        streaming_sink = StreamingWorkloadMetrics()
-        streaming = WorkloadDriver(
-            plan, config, spec, params, metrics=streaming_sink,
-        ).run().metrics
-        assert streaming is streaming_sink
-        assert not streaming.completions  # nothing retained
-        expected = dict(retaining.summary())
-        expected.pop("per_query")
-        assert repr(streaming.summary()) == repr(expected)
-        with pytest.raises(NotImplementedError):
-            streaming.completions_of("default")
