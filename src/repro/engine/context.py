@@ -109,10 +109,6 @@ class NodeState:
         if woken:
             self._idle = keep
 
-    @property
-    def idle_thread_count(self) -> int:
-        return len(self._idle)
-
     # -- queue callbacks ------------------------------------------------------------
 
     def on_queue_push(self, queue: ActivationQueue) -> None:
@@ -412,9 +408,6 @@ class ExecutionContext:
             channel.on_credit(cell, count)
 
     # -- flow-control hooks -------------------------------------------------------------
-
-    def on_channel_stalled(self, channel: OutputChannel) -> None:
-        """A producer stalled; nothing to do (selection checks live state)."""
 
     def on_channel_unstalled(self, channel: OutputChannel) -> None:
         """A producer unstalled: its activations are selectable again."""

@@ -261,7 +261,7 @@ class ShedRecord:
 class QueryShed:
     """Explicit completion kind of a shed query.
 
-    A :class:`~repro.serving.coordinator.QueryRequest`'s ``done`` event
+    A :class:`~repro.serving.pending.QueryRequest`'s ``done`` event
     fires with a :class:`~repro.engine.metrics.QueryCompletion` when the
     query finished — and with a :class:`QueryShed` when overload handling
     rejected it, so closed-loop clients (and future retry/backoff client

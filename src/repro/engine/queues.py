@@ -69,10 +69,6 @@ class ActivationQueue:
         return len(self._items) >= self.capacity
 
     @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._items)
-
-    @property
     def key(self) -> tuple[int, int, int]:
         """(op, node, thread index) identity."""
         return (self.op_id, self.node_id, self.thread_index)
@@ -146,6 +142,8 @@ class OperatorQueueSet:
             for index in range(thread_count)
         ]
         self._non_empty = 0
+        #: queued activations across the member queues, kept incrementally:
+        #: the steal protocol and the broker read it on every idle signal.
         self._queued = 0
         self.blocked = False
         #: callback(queue) invoked after every successful push (wakes idle
@@ -162,18 +160,6 @@ class OperatorQueueSet:
     def has_work(self) -> bool:
         """True when some queue holds an activation (blocked or not)."""
         return self._non_empty > 0
-
-    @property
-    def total_queued(self) -> int:
-        """Queued activations across the member queues, maintained
-        incrementally: the steal protocol and the cross-query broker read
-        this on every idle signal, so an O(queues) recomputation was one
-        of the serving layer's hottest paths."""
-        return self._queued
-
-    @property
-    def total_queued_bytes(self) -> int:
-        return sum(q.bytes_queued for q in self.queues)
 
     def set_blocked(self, blocked: bool) -> None:
         """Propagate the operator's blocked state to all queues."""

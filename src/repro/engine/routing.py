@@ -234,7 +234,6 @@ class OutputChannel:
         if not self._cell_stalled[cell_index] and len(pending) >= self.stall_limit:
             self._cell_stalled[cell_index] = True
             self._stalled_cells += 1
-            self.context.on_channel_stalled(self)
 
     def _drain(self, cell_index: int) -> None:
         """Retry parked deliveries for one cell (space or credit appeared).

@@ -124,7 +124,7 @@ class NodeScheduler:
         *machine-wide* fact — this physical node has CPU to spare — so it
         is forwarded to the cross-query broker, which may trigger the
         steal protocol of co-resident queries toward this node (see
-        :class:`repro.serving.coordinator.CrossQueryBroker`).
+        :class:`repro.serving.broker.CrossQueryBroker`).
         """
         context = self.context
         if context.done or context.config.nodes < 2:

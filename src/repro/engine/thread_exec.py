@@ -103,9 +103,6 @@ class ExecutionThread:
 
     # -- activation selection (Figure 5) ----------------------------------------------
 
-    def _allowed(self, runtime: OperatorRuntime) -> bool:
-        return self.assigned_ops is None or runtime.op_id in self.assigned_ops
-
     def _select(self, exclude_op: Optional[int] = None
                 ) -> Optional[tuple[Activation, ActivationQueue]]:
         """Pick and pop the next activation, or None if nothing is consumable.

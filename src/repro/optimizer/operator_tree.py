@@ -85,11 +85,6 @@ class Operator:
             return 0.0
         return self.output_cardinality / self.input_cardinality
 
-    @property
-    def is_terminal(self) -> bool:
-        """True when the operator has no pipelined consumer."""
-        return self.consumer_id is None
-
     def __str__(self) -> str:
         return self.label
 
@@ -192,10 +187,6 @@ class OperatorTree:
 
     def _sorted_ops(self) -> list[Operator]:
         return [self.operators[i] for i in sorted(self.operators)]
-
-    def pipeline_consumer(self, op_id: int) -> Optional[int]:
-        """The operator consuming ``op_id``'s pipelined output, if any."""
-        return self._pipeline_consumer.get(op_id)
 
     def pipeline_producers(self, op_id: int) -> list[int]:
         """Operators feeding ``op_id`` through pipelined edges."""

@@ -18,10 +18,13 @@ adds the missing regime — multiprogramming — without forking the engine:
   :mod:`repro.sim.core`) (:mod:`repro.serving.classes`);
 * :class:`MultiQueryCoordinator` — runs many ``ExecutionContext``s in one
   environment so threads contend for processors and the steal protocol
-  balances load under inter-query pressure; its
-  :class:`CrossQueryBroker` turns any query's idle-thread signal into
+  balances load under inter-query pressure
+  (:mod:`repro.serving.coordinator`, with its per-class pending FIFOs in
+  :mod:`repro.serving.pending` and memory preemption in
+  :mod:`repro.serving.preemption`);
+* :class:`CrossQueryBroker` — turns any query's idle-thread signal into
   machine-share stealing by co-resident queries
-  (:mod:`repro.serving.coordinator`);
+  (:mod:`repro.serving.broker`);
 * :class:`WorkloadDriver` — seeded end-to-end workload runs returning
   :class:`~repro.engine.metrics.WorkloadMetrics`
   (:mod:`repro.serving.driver`).
@@ -64,10 +67,12 @@ objects directly)::
 from ..engine.metrics import QueryCompletion, QueryShed
 from .admission import AdmissionController, AdmissionPolicy, estimated_node_demand
 from .arrivals import ArrivalSpec, sample_arrival_times
+from .broker import CrossQueryBroker
 from .classes import BATCH, DEFAULT_CLASS, INTERACTIVE, ServiceClass
-from .coordinator import CrossQueryBroker, MultiQueryCoordinator, QueryRequest
+from .coordinator import MultiQueryCoordinator
 from .driver import (ClientStats, RetryPolicySpec, WorkloadDriver,
                      WorkloadRunResult, WorkloadSpec)
+from .pending import QueryRequest
 from .substrate import SharedSubstrate
 from .trace import (NOOP_LOGGER, JsonLinesLogger, MemoryLogger, NoopLogger,
                     RunLogger, Trace, TraceQuery, read_events)

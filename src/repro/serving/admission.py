@@ -134,47 +134,25 @@ class AdmissionController:
         self.deferrals_by_class: Dict[str, int] = {}
         self.shed_by_class: Dict[str, int] = {}
 
-    def can_admit(self, plan: ParallelExecutionPlan,
-                  live_queries: Optional[int] = None,
-                  service_class=None,
-                  class_running: int = 0,
-                  mpl: Optional[int] = None) -> bool:
-        """Whether ``plan`` may start now, given live machine state.
-
-        A pure predicate (no statistics side effects), safe to call from
-        tests and diagnostics.  ``live_queries`` overrides the
-        substrate's context count — the coordinator passes its own
-        running count, which also covers SP executions (they have no
-        ``ExecutionContext`` to register).  ``service_class`` adds the
-        class's own gates (its MPL cap against ``class_running``, its
-        memory-headroom override); None applies the global gates only.
-        ``mpl`` overrides the policy's multiprogramming cap — on an
-        elastic cluster the coordinator passes the membership-scaled cap.
-        """
-        return self.blocking_gate(
-            plan, live_queries=live_queries, service_class=service_class,
-            class_running=class_running, mpl=mpl,
-        ) is None
-
-    def blocking_gate(self, plan: ParallelExecutionPlan,
-                      live_queries: Optional[int] = None,
-                      service_class=None,
-                      class_running: int = 0,
-                      mpl: Optional[int] = None) -> Optional[str]:
+    def blocking_gate(self, plan: ParallelExecutionPlan, live_queries: int,
+                      service_class, class_running: int,
+                      mpl: int) -> Optional[str]:
         """The first gate blocking ``plan``, or None if it may start.
 
-        Same contract as :meth:`can_admit`, but names the blocker —
-        ``"mpl"``, ``"class_mpl"`` or ``"memory"`` — so the coordinator
-        can intervene differently per gate (only a memory-blocked query
-        is a preemption candidate; an MPL-blocked one just waits).
+        Names the blocker — ``"mpl"``, ``"class_mpl"`` or ``"memory"`` —
+        so the coordinator can intervene differently per gate (only a
+        memory-blocked query is a preemption candidate; an MPL-blocked
+        one just waits).  No statistics side effects.  ``live_queries``
+        is the coordinator's running count (it covers SP executions, which
+        register no ``ExecutionContext``), ``mpl`` the effective cap (on
+        an elastic cluster, the membership-scaled one); ``service_class``
+        adds the class's own gates (its MPL cap against ``class_running``,
+        its memory-headroom override) unless None.
         """
         substrate = self.substrate
-        live = substrate.live_queries if live_queries is None else live_queries
-        if mpl is None:
-            mpl = self.policy.max_multiprogramming
-        if live >= mpl:
+        if live_queries >= mpl:
             return "mpl"
-        if live == 0:
+        if live_queries == 0:
             # Progress guarantee: an empty machine always takes the head
             # query, even one whose estimate can never fit.
             return None
@@ -213,23 +191,28 @@ class AdmissionController:
                 shortfall[node_id] = int(nbytes - allowed)
         return shortfall
 
-    def shed_deadline(self, arrival_time: float, service_class) -> Optional[float]:
-        """Virtual instant at which a queued query must be shed (or None).
+    def shed_deadline(self, arrival_time: float,
+                      service_class) -> tuple[Optional[float], str]:
+        """``(instant a queued query must be shed at or None, reason)``.
 
-        The earlier of the class/policy queue timeout and — when
-        ``deadline_shedding`` is on — the expiry of the class's latency
-        SLO.
+        The earlier of the class/policy queue timeout (``"queue_timeout"``)
+        and — when ``deadline_shedding`` is on — the expiry of the class's
+        latency SLO (``"deadline"``, which also wins a tie).  Both are
+        ``arrival_time`` plus per-class constants: within a class,
+        deadlines follow arrival order (``PendingQueues`` relies on it).
         """
-        deadlines = []
+        deadline, reason = None, "queue_timeout"
         timeout = self.policy.queue_timeout
         if service_class is not None and service_class.queue_timeout is not None:
             timeout = service_class.queue_timeout
         if timeout is not None:
-            deadlines.append(arrival_time + timeout)
+            deadline = arrival_time + timeout
         if (self.policy.deadline_shedding and service_class is not None
                 and service_class.latency_slo is not None):
-            deadlines.append(arrival_time + service_class.latency_slo)
-        return min(deadlines) if deadlines else None
+            slo_expiry = arrival_time + service_class.latency_slo
+            if deadline is None or slo_expiry <= deadline:
+                deadline, reason = slo_expiry, "deadline"
+        return deadline, reason
 
     # -- statistics ---------------------------------------------------------
 

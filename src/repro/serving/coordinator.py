@@ -32,241 +32,37 @@ executor's driver process runs inside the shared environment and its
 workers charge the shared processors, so SP streams contend with
 activation-model queries — mixed-strategy workloads are legal.
 
-**Cross-query machine-share stealing** (:class:`CrossQueryBroker`): the
-paper's steal protocol only ever moves a query's *own* activations, and
-only when that query's thread starves.  Under multiprogramming the
-machine can be imbalanced even while every query's local threads still
-trickle along — the idle CPU belongs to *someone else*.  The broker
-closes that gap: every idle-thread signal is also a machine-wide "node n
-has CPU to spare" fact, and when the machine-wide load imbalance is
-large enough the broker triggers the Section 4 steal protocol of every
-co-resident query *from* the starving node, moving their backlog onto
-the idle share.  The stolen activations still travel inside their own
-query's context, through the unmodified five-condition audit — only the
-initiation is cross-query.
+Beside this module: the per-class pending FIFOs
+(:mod:`repro.serving.pending`), victim suspension for memory-blocked
+heads (:mod:`repro.serving.preemption`) and cross-query machine-share
+stealing (:mod:`repro.serving.broker`, owned by the substrate).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from typing import Optional
 
-from ..engine.context import ExecutionContext, ExecutionDeadlock
+from ..engine.context import ExecutionDeadlock
 from ..engine.executor import QueryExecutor
 from ..engine.metrics import (QueryCompletion, QueryShed, ShedRecord,
                               WorkloadMetrics)
 from ..engine.params import ExecutionParams
 from ..engine.strategies.base import StrategyError
 from ..engine.strategies.sp import SynchronousPipeliningExecutor
-from ..optimizer.operator_tree import OpKind
 from ..optimizer.plan import ParallelExecutionPlan
 from ..placement import ClusterView, get_policy, place_plan
 from ..sim.core import Event
 from ..sim.machine import MachineConfig
 from .admission import AdmissionController, AdmissionPolicy
 from .classes import DEFAULT_CLASS, ServiceClass
+from .pending import PendingQueues, QueryRequest
+from .preemption import MemoryPreemptor
 from .substrate import SharedSubstrate
-from .trace import (NOOP_LOGGER, BrokerImbalance, QueryAdmitted,
-                    QueryFinished, QueryPlaced, QueryPreempted, QueryResumed,
+from .trace import (NOOP_LOGGER, QueryAdmitted, QueryFinished, QueryPlaced,
                     QueryShedEvent, QueryStarted, QuerySubmitted, RunLogger)
 
-__all__ = ["QueryRequest", "MultiQueryCoordinator", "CrossQueryBroker"]
-
-
-class CrossQueryBroker:
-    """Mediates machine-share stealing between co-resident queries.
-
-    Receiver-initiated, in the taxonomy of the DLB surveys: the trigger
-    is spare capacity (an idle thread of *any* query on node ``n``), the
-    decision is machine-wide (the most loaded node must queue more than
-    ``cross_steal_imbalance`` times node ``n``'s load, and at least
-    ``min_steal_activations`` so a round can amortize), and the action is
-    delegated to each co-resident query's own
-    :meth:`~repro.engine.scheduler.NodeScheduler.on_machine_starving` —
-    i.e. the paper's protocol with its cooldowns, blocked-scope latches
-    and five provider-side conditions fully intact.
-    """
-
-    def __init__(self, substrate: "SharedSubstrate"):
-        self.substrate = substrate
-        self.enabled = substrate.params.cross_query_steal
-        #: memoized machine-wide load snapshot, valid for one virtual
-        #: instant — idle signals cluster at the same timestamp (every
-        #: thread that drains parks in the same event cascade), and one
-        #: O(nodes x queries) queue walk per instant is plenty for a
-        #: heuristic trigger.
-        self._loads_at: float = -1.0
-        self._loads: list[int] = []
-        # --- statistics -------------------------------------------------
-        #: idle signals that found an actionable machine imbalance.
-        self.notifications = 0
-
-    def _load_snapshot(self) -> list[int]:
-        substrate = self.substrate
-        now = substrate.env.now
-        if now != self._loads_at:
-            self._loads_at = now
-            self._loads = [substrate.node_load(n)
-                           for n in range(substrate.config.nodes)]
-        return self._loads
-
-    def on_node_starving(self, node_id: int, context) -> None:
-        """An idle thread of ``context`` signalled spare CPU on ``node_id``."""
-        if not self.enabled:
-            return
-        substrate = self.substrate
-        membership = substrate.membership
-        if membership is not None and (
-                not membership.is_member(node_id)
-                or membership.is_draining(node_id)):
-            # Never attract work onto a node that is leaving (or gone):
-            # its spare CPU is spare precisely because it is draining.
-            return
-        others = [c for c in substrate.contexts
-                  if c is not context and not c.done]
-        if not others:
-            return
-        params = substrate.params
-        loads = self._load_snapshot()
-        local = loads[node_id]
-        peak = max(loads)
-        if peak < params.min_steal_activations:
-            return
-        if peak <= local * params.cross_steal_imbalance:
-            return
-        self.notifications += 1
-        logger = substrate.logger
-        if logger.enabled:
-            logger.log(BrokerImbalance(
-                time=substrate.env.now, node_id=node_id,
-                local_load=local, peak_load=peak,
-            ))
-        targets = []
-        for other in others:
-            if node_id >= len(other.nodes):
-                continue  # elastic: the query planned on a smaller prefix
-            scheduler = other.nodes[node_id].scheduler
-            if scheduler is not None:
-                targets.append((other, scheduler))
-        if params.cross_steal_policy == "best" and len(targets) > 1:
-            targets = [min(targets, key=self._benefit_key)]
-        for _other, scheduler in targets:
-            scheduler.on_machine_starving()
-
-    @staticmethod
-    def _benefit_key(target) -> tuple:
-        """Benefit/overhead rank of one steal candidate (lower = better).
-
-        Benefit is the backlog a steal round could actually relieve: the
-        candidate's own queued activations on its most loaded node.
-        Overhead is what a steal would ship — the hash-table bytes the
-        candidate holds (stolen build scopes travel with their table
-        pages).  ``"best"`` picks the argmax of benefit/overhead, with the
-        query id as a deterministic tiebreak, so the broker's intervention
-        moves the one query whose relief is cheapest per byte instead of
-        stampeding every co-resident query at once.
-        """
-        other, _scheduler = target
-        backlog = max(
-            node.total_queued_activations() for node in other.nodes
-        )
-        shipped = sum(node.store.bytes_held for node in other.nodes)
-        return (-(backlog / (1.0 + shipped)), other.query_id)
-
-
-class QueryRequest:
-    """One submitted query: identity, timestamps, completion event."""
-
-    __slots__ = ("query_id", "plan", "base_plan", "strategy", "params",
-                 "service_class",
-                 "arrival_time", "seq", "start_time", "done", "completion",
-                 "context", "_sp", "deferred", "shed", "shed_at",
-                 "shed_reason", "plan_index", "planned_size", "attempt",
-                 "final_attempt", "preempting", "placement")
-
-    def __init__(self, query_id: int, plan: ParallelExecutionPlan,
-                 strategy: str, params: ExecutionParams,
-                 service_class: ServiceClass,
-                 arrival_time: float, seq: int, done: Event):
-        self.query_id = query_id
-        self.plan = plan
-        #: the un-placed plan (as submitted, or the bank's re-resolution)
-        #: the placement policy re-derives ``plan`` from on every head
-        #: evaluation — placement never compounds on its own output.
-        self.base_plan = plan
-        self.strategy = strategy
-        self.params = params
-        #: scheduling/admission contract (weight, priority, SLO, gates).
-        self.service_class = service_class
-        self.arrival_time = arrival_time
-        #: submission order, the FIFO tiebreak within a service class.
-        self.seq = seq
-        self.start_time: Optional[float] = None
-        #: fires when the query finishes (with its QueryCompletion) or is
-        #: shed (with a QueryShed) — closed-loop clients wait on it.
-        self.done = done
-        self.completion: Optional[QueryCompletion] = None
-        self.context: Optional[ExecutionContext] = None
-        self._sp: Optional[SynchronousPipeliningExecutor] = None
-        #: set once the query has waited on a closed admission gate
-        #: (deferral is counted per query, not per re-evaluation).
-        self.deferred = False
-        #: set when overload handling rejected the query before starting.
-        self.shed = False
-        #: precomputed shed deadline and reason (both pure functions of
-        #: arrival time, class and policy) — computed once at submission
-        #: so the admission loop's overload scan compares floats instead
-        #: of re-deriving deadlines per wake (O(pending) per event adds
-        #: up on deep queues; see the trace-replay bench).
-        self.shed_at: Optional[float] = None
-        self.shed_reason = "queue_timeout"
-        #: index into the driver's plan population (None: direct submit).
-        #: On an elastic cluster this is what lets admission re-resolve
-        #: the plan against the membership at *start* time.
-        self.plan_index: Optional[int] = None
-        #: node count the current ``plan`` was compiled for.
-        self.planned_size: int = 0
-        #: which submission of the logical query this is (0 = the
-        #: original arrival; k = the k-th retry of a backoff client).
-        self.attempt: int = 0
-        #: True when a retry client has no attempts left after this one —
-        #: a shed then records ``retries_exhausted`` instead of the
-        #: mechanical queue reason, making terminal give-ups countable.
-        self.final_attempt: bool = False
-        #: a memory preemption (victim spill) is in flight on this
-        #: query's behalf; the admission loop must not trigger another
-        #: until it lands and the freed bytes are observable.
-        self.preempting: bool = False
-        #: the placement decision behind the current ``plan`` (None when
-        #: no policy is active); finalized at admission.
-        self.placement = None
-
-
-class _Preemption:
-    """One in-flight victim suspension: spill state and resume latch."""
-
-    __slots__ = ("request", "victim", "joins", "nbytes", "spilled",
-                 "spill_done", "resume_requested")
-
-    def __init__(self, request: QueryRequest, victim: QueryRequest,
-                 joins, nbytes: int):
-        #: the admission candidate the spill frees memory for.
-        self.request = request
-        #: the batch query whose hash build is being suspended.
-        self.victim = victim
-        #: ``[(suspended runtime, join id, {shortfall node: spillable
-        #: bytes})]`` — the runtime is the join's build while building,
-        #: its probe once the build finished (see ``_spillable_joins``);
-        #: only the listed nodes are spilled and reloaded.
-        self.joins = joins
-        self.nbytes = nbytes
-        #: bytes actually released once the spill lands.
-        self.spilled = 0
-        self.spill_done = False
-        #: the preemptor resolved (finished or shed) before the spill
-        #: landed; the spill process chains straight into the resume.
-        self.resume_requested = False
+__all__ = ["MultiQueryCoordinator"]
 
 
 class MultiQueryCoordinator:
@@ -288,14 +84,10 @@ class MultiQueryCoordinator:
         self.substrate.logger = self.logger
         self.admission = AdmissionController(self.substrate, policy)
         self.env = self.substrate.env
-        self.pending: deque[QueryRequest] = deque()
-        #: live pending count per service-class name.  Head-of-line scans
-        #: (:meth:`_class_heads`) stop once every distinct class has been
-        #: seen — O(classes) instead of O(pending) per admission wake,
-        #: which is what keeps million-query replays with deep overload
-        #: queues near-linear (see ``benchmarks/bench_trace_replay.py``).
-        self._pending_classes: dict[str, int] = {}
+        self.pending = PendingQueues()
         self.running: dict[int, QueryRequest] = {}
+        #: the one :class:`ServiceClass` seen under each name this run.
+        self._classes: dict[str, ServiceClass] = {}
         #: live executing queries per service class (the per-class MPL gate).
         self.running_by_class: dict[str, int] = {}
         #: highest per-class concurrency observed, per class name.
@@ -316,6 +108,10 @@ class MultiQueryCoordinator:
         # Mid-execution memory releases (probe ends freeing hash tables)
         # re-evaluate admission without waiting for a whole completion.
         self.substrate.on_memory_release = self._poke
+        self.preemption = MemoryPreemptor(
+            self.env, self.admission, self.substrate, self.metrics,
+            self.logger, self.running, poke=self._poke,
+        )
         #: plans per cluster size (``{nodes: (plan, ...)}``) — the plan
         #: bank admission re-resolves against when membership changes.
         self.plan_bank = plan_bank
@@ -371,6 +167,14 @@ class MultiQueryCoordinator:
                         "scheduling disciplines are machine-wide (set them "
                         "on the coordinator's params)"
                     )
+        cls = service_class or DEFAULT_CLASS
+        if self._classes.setdefault(cls.name, cls) != cls:
+            # Pending order, the class MPL gate and per-class metrics are
+            # keyed by name; head-only expiry needs one deadline rule each.
+            raise ValueError(
+                f"service class {cls.name!r} was already submitted as "
+                f"{self._classes[cls.name]!r}; got {cls!r}"
+            )
         if query_id is None:
             query_id = self._next_query_id
         if query_id in self._used_query_ids:
@@ -382,7 +186,7 @@ class MultiQueryCoordinator:
             plan=plan,
             strategy=(strategy or "DP").upper(),
             params=params or self.params,
-            service_class=service_class or DEFAULT_CLASS,
+            service_class=cls,
             arrival_time=self.env.now,
             seq=self._next_seq,
             done=self.env.event(f"query-done:{query_id}"),
@@ -392,19 +196,10 @@ class MultiQueryCoordinator:
         request.planned_size = self.planning_count
         request.attempt = attempt
         request.final_attempt = final_attempt
-        cls = request.service_class
-        request.shed_at = self.admission.shed_deadline(
+        request.shed_at, request.shed_reason = self.admission.shed_deadline(
             request.arrival_time, cls
         )
-        if (request.shed_at is not None
-                and self.admission.policy.deadline_shedding
-                and cls.latency_slo is not None
-                and request.shed_at
-                == request.arrival_time + cls.latency_slo):
-            request.shed_reason = "deadline"
-        self.pending.append(request)
-        name = cls.name
-        self._pending_classes[name] = self._pending_classes.get(name, 0) + 1
+        self.pending.push(request)
         if self.logger.enabled:
             self.logger.log(QuerySubmitted(
                 time=self.env.now, query_id=request.query_id,
@@ -477,8 +272,7 @@ class MultiQueryCoordinator:
                 request = self._next_admissible()
                 if request is None:
                     break
-                self.pending.remove(request)
-                self._drop_pending_class(request)
+                self.pending.pop_head(request)
                 if request.placement is not None:
                     # The decision of *this* evaluation is the one that
                     # runs: count it exactly once, at admission.
@@ -497,8 +291,7 @@ class MultiQueryCoordinator:
                             bytes_avoided=decision.bytes_avoided,
                         ))
                 self._start(request)
-            if (not self._arrivals_open and not self.pending
-                    and not self.running):
+            if self.workload_done:
                 return
             self._arm_shed_timer()
             self._kick = self.env.event("admission-kick")
@@ -510,9 +303,8 @@ class MultiQueryCoordinator:
         Also counts deferrals: each head that fails its gates is counted
         once per query, not once per re-evaluation.
         """
-        heads = self._class_heads()
         order = sorted(
-            heads.values(),
+            self.pending.heads(),
             key=lambda r: (-r.service_class.priority, r.seq),
         )
         preempt_tried = False
@@ -533,8 +325,10 @@ class MultiQueryCoordinator:
                 # preemption is targeted at the query the class priority
                 # order wants next, not at every starving head.
                 preempt_tried = True
-                if self._handle_memory_blocked(request):
-                    continue  # shed with "memory_preempted"
+                if self.preemption.handle_memory_blocked(request):
+                    self.pending.pop_head(request)
+                    self._shed(request, "memory_preempted")
+                    continue
             if not request.deferred:
                 request.deferred = True
                 self.admission.on_deferred(cls)
@@ -585,307 +379,12 @@ class MultiQueryCoordinator:
             request.query_id,
         )
 
-    def _class_heads(self) -> dict[str, QueryRequest]:
-        """Head-of-line pending request per service-class name.
-
-        Walks the FIFO queue front-to-back but stops as soon as every
-        distinct pending class has surfaced its head (the per-class
-        counts are maintained at submit/admit/shed time) — with one
-        class, that is the first element, not the whole queue.
-        """
-        heads: dict[str, QueryRequest] = {}
-        want = len(self._pending_classes)
-        for request in self.pending:
-            name = request.service_class.name
-            if name not in heads:
-                heads[name] = request
-                if len(heads) == want:
-                    break
-        return heads
-
-    def _drop_pending_class(self, request: QueryRequest) -> None:
-        """Account for ``request`` leaving ``pending`` (admitted or shed)."""
-        name = request.service_class.name
-        count = self._pending_classes[name] - 1
-        if count:
-            self._pending_classes[name] = count
-        else:
-            del self._pending_classes[name]
-
-    # -- preemptive memory management ----------------------------------------
-
-    def _handle_memory_blocked(self, request: QueryRequest) -> bool:
-        """A head query is blocked on the memory gate alone: intervene.
-
-        Tries to suspend the best lower-priority victim's hash build
-        (spilling its reserved bytes back to the node pools).  Returns
-        True when the request was *shed* instead — no eligible victim and
-        the policy says a memory-starved query should fail fast rather
-        than rot in the queue.
-        """
-        if request.preempting:
-            return False  # a spill is already in flight for this query
-        policy = self.admission.policy
-        if request.shed_at is None and not policy.preemption_shed:
-            # A victim's resume is keyed to this request's resolution
-            # (admission-then-completion, or a shed).  Without a shed
-            # deadline or the shed fallback an insufficient spill could
-            # freeze the victim forever — refuse to preempt and let the
-            # request wait like any deferred query.
-            return False
-        if self._start_preemption(request):
-            return False
-        if policy.preemption_shed:
-            self.pending.remove(request)
-            self._drop_pending_class(request)
-            self._shed(request, "memory_preempted")
-            return True
-        return False
-
-    def _start_preemption(self, request: QueryRequest) -> bool:
-        """Pick and suspend the best victim for ``request``; True if begun."""
-        shortfall = self.admission.memory_shortfall(
-            request.plan, request.service_class
-        )
-        if not shortfall:
-            return False  # raced with a release: the gate will pass now
-        selected = self._select_victim(request, shortfall)
-        if selected is None:
-            return False
-        victim, joins = selected
-        joins = self._greedy_cover(joins, shortfall)
-        # Mark synchronously, inside this event cascade: a suspended
-        # operator cannot be selected, stolen from, or end.  For a live
-        # build that freezes the writer (its probe is still blocked
-        # upstream); for a finished build the *probe* is what gets
-        # suspended — it is the table's only reader, so nothing touches
-        # the spilled bytes while the timed spill is in flight.
-        for runtime, _join_id, _per_node in joins:
-            runtime.suspended = True
-        request.preempting = True
-        pre = _Preemption(
-            request=request, victim=victim, joins=joins,
-            nbytes=sum(sum(per_node.values())
-                       for _runtime, _join_id, per_node in joins),
-        )
-        request.done.callbacks.append(
-            lambda _event, p=pre: self._on_preemptor_done(p)
-        )
-        self.env.process(
-            self._spill_proc(pre), name=f"spill:q{victim.query_id}"
-        )
-        return True
-
-    def _select_victim(self, request: QueryRequest, shortfall):
-        """Best suspension victim: most spillable bytes where they matter.
-
-        Eligible victims run at strictly lower class priority than the
-        blocked request and have at least one live (not terminated, not
-        ending, not already suspended) hash build holding reserved bytes
-        on a shortfall node.  Rank by those bytes, query id as the
-        deterministic tiebreak.  Returns ``(victim, joins)`` or None.
-        """
-        best = None
-        best_key = None
-        for victim in self.running.values():
-            context = victim.context
-            if context is None or context.done:
-                continue  # SP executions have no spillable hash state
-            if (victim.service_class.priority
-                    >= request.service_class.priority):
-                continue
-            joins = self._spillable_joins(context, shortfall)
-            if not joins:
-                continue
-            total = sum(sum(per_node.values())
-                        for _runtime, _join_id, per_node in joins)
-            key = (-total, victim.query_id)
-            if best_key is None or key < best_key:
-                best, best_key = (victim, joins), key
-        return best
-
-    @staticmethod
-    def _greedy_cover(joins, shortfall):
-        """Smallest useful prefix of the biggest-first join list.
-
-        Spilling (and later reloading) a join the shortfall does not
-        need is pure overhead — every spilled byte is priced through the
-        network/disk models twice.  Take joins in descending spillable
-        size (join id as the deterministic tiebreak) and stop as soon as
-        every shortfall node is covered; if even the full set cannot
-        cover, spill it all (partial relief still unblocks the gate
-        sooner than waiting for the victim's own releases).
-        """
-        ordered = sorted(
-            joins,
-            key=lambda j: (-sum(j[2].values()), j[1]),
-        )
-        chosen = []
-        covered = dict.fromkeys(shortfall, 0)
-        for target, join_id, per_node in ordered:
-            chosen.append((target, join_id, per_node))
-            for node_id, nbytes in per_node.items():
-                covered[node_id] += nbytes
-            if all(covered[node_id] >= need
-                   for node_id, need in shortfall.items()):
-                break
-        return chosen
-
-    @staticmethod
-    def _spillable_joins(context: ExecutionContext, shortfall):
-        """``[(runtime to suspend, join id, {shortfall node: bytes})]``.
-
-        A join's hash table is preemptible in two phases, with a
-        different operator frozen in each:
-
-        * **building** — the build runtime is live: suspend *it* (the
-          probe is already blocked behind the unfinished build, so the
-          table has no reader);
-        * **probing** — the build terminated but its table persists until
-          probe end: suspend the *probe*, the table's only reader.
-
-        A join whose probe also finished has released its table (nothing
-        to spill), and an already-suspended operator is skipped — one
-        preemption per join at a time.
-        """
-        live = {}
-        for runtime in context.ops.values():
-            if runtime.terminated or runtime.ending or runtime.suspended:
-                continue
-            live[(runtime.op.kind, runtime.op.join_id)] = runtime
-        joins = []
-        for runtime in context.ops.values():
-            op = runtime.op
-            if op.kind is not OpKind.BUILD:
-                continue
-            target = live.get((OpKind.BUILD, op.join_id))
-            if target is None:
-                target = live.get((OpKind.PROBE, op.join_id))
-            if target is None:
-                continue
-            per_node = {}
-            for node_id in shortfall:
-                if node_id >= len(context.nodes):
-                    continue
-                nbytes = context.nodes[node_id].store.spillable_bytes(
-                    op.join_id
-                )
-                if nbytes > 0:
-                    per_node[node_id] = nbytes
-            if per_node:
-                joins.append((target, op.join_id, per_node))
-        return joins
-
-    def _spill_seconds(self, context: ExecutionContext, nbytes: int) -> float:
-        """Price of shipping ``nbytes`` of hash table out of memory.
-
-        The same shape as a steal page transfer — serialize the pages
-        (network send instructions at the victim's CPU speed), then
-        stream them at the disk transfer rate (the spill target).
-        """
-        params = context.params
-        serialize = context.instructions_time(
-            params.network.send_instructions(max(1, nbytes))
-        )
-        return serialize + nbytes / params.disk.transfer_rate
-
-    def _reload_seconds(self, context: ExecutionContext, nbytes: int) -> float:
-        """Price of reading spilled bytes back in (the resume path)."""
-        params = context.params
-        deserialize = context.instructions_time(
-            params.network.receive_instructions(max(1, nbytes))
-        )
-        return deserialize + nbytes / params.disk.transfer_rate
-
-    def _spill_proc(self, pre: _Preemption):
-        victim = pre.victim
-        context = victim.context
-        yield self.env.timeout(self._spill_seconds(context, pre.nbytes))
-        released = 0
-        for _runtime, join_id, per_node in pre.joins:
-            for node_id in per_node:
-                released += context.nodes[node_id].store.spill_join(join_id)
-        pre.spilled = released
-        pre.spill_done = True
-        context.metrics.memory_preemptions += 1
-        context.metrics.spill_bytes += released
-        self.metrics.memory_preemptions += 1
-        self.metrics.spill_bytes += released
-        if self.logger.enabled:
-            self.logger.log(QueryPreempted(
-                time=self.env.now, query_id=victim.query_id,
-                for_query_id=pre.request.query_id, spilled_bytes=released,
-            ))
-        pre.request.preempting = False
-        # The freed bytes are now observable: re-evaluate admission.
-        self.substrate.notify_memory_released()
-        self._poke()
-        if pre.resume_requested:
-            self.env.process(
-                self._resume_proc(pre), name=f"resume:q{victim.query_id}"
-            )
-
-    def _on_preemptor_done(self, pre: _Preemption) -> None:
-        """The preemptor resolved (finished or shed): give the memory back."""
-        pre.resume_requested = True
-        if pre.spill_done:
-            self.env.process(
-                self._resume_proc(pre),
-                name=f"resume:q{pre.victim.query_id}",
-            )
-
-    def _resume_proc(self, pre: _Preemption):
-        victim = pre.victim
-        context = victim.context
-        if context.done:
-            return  # defensive: a suspended build cannot normally finish
-        yield self.env.timeout(self._reload_seconds(context, pre.spilled))
-        reloaded = 0
-        for _runtime, join_id, per_node in pre.joins:
-            for node_id in per_node:
-                reloaded += context.nodes[node_id].store.unspill_join(join_id)
-        for runtime, _join_id, _per_node in pre.joins:
-            runtime.suspended = False
-        if self.logger.enabled:
-            self.logger.log(QueryResumed(
-                time=self.env.now, query_id=victim.query_id,
-                reloaded_bytes=reloaded,
-            ))
-        # The end condition may have ripened while the operator was
-        # frozen (its producers finishing), and its threads may all be
-        # parked.
-        for runtime, _join_id, _per_node in pre.joins:
-            context.maybe_end(runtime)
-        for node in context.nodes:
-            node.wake_all()
-
     # -- overload handling (shedding) ----------------------------------------
 
     def _shed_expired(self) -> None:
-        """Drop pending queries whose shed deadline has passed.
-
-        Deadlines and reasons are precomputed at submission
-        (:attr:`QueryRequest.shed_at`) and, within one class, follow
-        arrival order — so "anything expired?" is answered by the class
-        heads alone, and the O(pending) sweep only runs when a query
-        actually expires.
-        """
-        if not self.pending:
-            return
-        now = self.env.now
-        cutoff = now + 1e-12
-        if not any(r.shed_at is not None and r.shed_at <= cutoff
-                   for r in self._class_heads().values()):
-            return
-        kept: deque[QueryRequest] = deque()
-        for request in self.pending:
-            deadline = request.shed_at
-            if deadline is not None and now >= deadline - 1e-12:
-                self._shed(request, request.shed_reason)
-                self._drop_pending_class(request)
-            else:
-                kept.append(request)
-        self.pending = kept
+        """Shed every pending query whose deadline has passed."""
+        for request in self.pending.pop_expired(self.env.now):
+            self._shed(request, request.shed_reason)
 
     def _shed(self, request: QueryRequest, reason: str) -> None:
         request.shed = True
@@ -921,13 +420,9 @@ class MultiQueryCoordinator:
         Without this, a query could rot past its deadline until the next
         completion happens to poke the loop; with it, shedding is exact.
         """
-        # Within a class, deadlines follow arrival order: the earliest
-        # pending deadline is always at one of the class heads.
-        deadlines = [r.shed_at for r in self._class_heads().values()
-                     if r.shed_at is not None]
-        if not deadlines:
+        when = self.pending.earliest_deadline()
+        if when is None:
             return
-        when = min(deadlines)
         if self._shed_timer_at is not None and self._shed_timer_at <= when:
             return
         self._shed_timer_at = when
@@ -961,14 +456,15 @@ class MultiQueryCoordinator:
             sp = SynchronousPipeliningExecutor(
                 request.plan, self.config, request.params
             )
-            request._sp = sp
             driver = sp.launch(
                 self.env, self.substrate.disks[0], self.substrate.processors[0],
                 query_id=request.query_id,
                 service_class=request.service_class,
             )
             driver.callbacks.append(
-                lambda _event, req=request: self._finish_sp(req)
+                lambda _event, req=request, sp=sp: self._record(
+                    req, sp.collect(start_time=req.start_time,
+                                    end_time=self.env.now))
             )
         else:
             config = self.config
@@ -991,30 +487,14 @@ class MultiQueryCoordinator:
             request.context = context
             context.finished.callbacks.append(
                 lambda _event, req=request, ex=executor:
-                    self._finish_engine(req, ex)
+                    self._record(req, ex.collect(req.context))
             )
 
-    def _finish_engine(self, request: QueryRequest,
-                       executor: QueryExecutor) -> None:
-        context = request.context
-        queueing = request.start_time - request.arrival_time
-        context.metrics.queueing_delay = queueing
-        result = dataclasses.replace(
-            executor.collect(context), queueing_delay=queueing
-        )
-        self._record(request, result)
-
-    def _finish_sp(self, request: QueryRequest) -> None:
-        queueing = request.start_time - request.arrival_time
-        sp = request._sp
-        sp.metrics.queueing_delay = queueing
-        result = dataclasses.replace(
-            sp.collect(start_time=request.start_time, end_time=self.env.now),
-            queueing_delay=queueing,
-        )
-        self._record(request, result)
-
     def _record(self, request: QueryRequest, result) -> None:
+        """Account one finished execution (``result`` as just collected)."""
+        queueing = request.start_time - request.arrival_time
+        result.metrics.queueing_delay = queueing
+        result = dataclasses.replace(result, queueing_delay=queueing)
         completion = QueryCompletion(
             query_id=request.query_id,
             plan_label=request.plan.label,
@@ -1033,8 +513,7 @@ class MultiQueryCoordinator:
                 time=self.env.now, query_id=request.query_id,
                 plan_label=completion.plan_label,
                 service_class=completion.service_class,
-                latency=completion.latency,
-                queueing_delay=request.start_time - request.arrival_time,
+                latency=completion.latency, queueing_delay=queueing,
             ))
         del self.running[request.query_id]
         name = request.service_class.name

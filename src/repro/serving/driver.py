@@ -269,9 +269,6 @@ class WorkloadDriver:
         rng = random.Random(derive_seed(self.spec.seed, f"plan:{index}"))
         return rng.randrange(len(self.plans))
 
-    def _plan_for(self, index: int) -> ParallelExecutionPlan:
-        return self.plans[self._plan_index_for(index)]
-
     def _plan(self, coordinator: MultiQueryCoordinator,
               plan_index: int) -> ParallelExecutionPlan:
         """The plan to submit *now*: sized to the live membership.

@@ -45,6 +45,8 @@ from ..sim.disk import Disk
 from ..sim.machine import (Machine, MachineConfig, Processor, make_disks,
                            make_processors)
 from ..sim.network import NetworkLink
+from .broker import CrossQueryBroker
+from .trace import NOOP_LOGGER
 
 __all__ = ["SharedSubstrate"]
 
@@ -84,8 +86,6 @@ class SharedSubstrate:
             )
         #: live (admitted, unfinished) execution contexts.
         self.contexts: list = []
-        #: total contexts ever registered (diagnostics).
-        self.total_registered = 0
         #: hook the coordinator installs so mid-execution memory releases
         #: (a probe's end freeing its join's hash tables) re-evaluate
         #: admission immediately instead of waiting for a completion.
@@ -94,11 +94,9 @@ class SharedSubstrate:
         #: the coordinator installs a real one when recording.  Lives on
         #: the substrate so the engine scheduler (which only sees
         #: ``context.substrate``) can log steal rounds and transfers.
-        from .trace import NOOP_LOGGER
         self.logger = NOOP_LOGGER
         #: cross-query machine-share broker (installed here so even bare
         #: substrates run it; gated by ``params.cross_query_steal``).
-        from .coordinator import CrossQueryBroker  # late import (cycle)
         self.broker = CrossQueryBroker(self)
         #: live cluster membership, installed by an
         #: :class:`~repro.cluster.runtime.ElasticCluster` when the run is
@@ -150,7 +148,6 @@ class SharedSubstrate:
                 "substrate's; processors are shared hardware"
             )
         self.contexts.append(context)
-        self.total_registered += 1
 
     def notify_memory_released(self) -> None:
         """Engine hook: a query freed node memory mid-execution."""
@@ -163,11 +160,6 @@ class SharedSubstrate:
             self.contexts.remove(context)
         except ValueError:
             pass
-
-    @property
-    def live_queries(self) -> int:
-        """Currently admitted, unfinished query executions."""
-        return len(self.contexts)
 
     # -- cross-query signals ------------------------------------------------
 

@@ -28,6 +28,7 @@ from repro.query import JoinEdge, QueryGraph
 from repro.serving import (
     BATCH,
     INTERACTIVE,
+    AdmissionController,
     AdmissionPolicy,
     ArrivalSpec,
     MultiQueryCoordinator,
@@ -208,6 +209,52 @@ class TestOverloadHandling:
         assert all(r.reason == "deadline" for r in metrics.shed)
         # Attainment counts the shed queries as misses.
         assert metrics.slo_attainment("tight") < 1.0
+
+    def test_shed_deadline_names_its_reason(self):
+        controller = AdmissionController(
+            None, AdmissionPolicy(queue_timeout=2.0, deadline_shedding=True))
+        assert controller.shed_deadline(1.0, ServiceClass("best-effort")) \
+            == (3.0, "queue_timeout")
+        assert controller.shed_deadline(
+            1.0, ServiceClass("tight", latency_slo=0.5)) == (1.5, "deadline")
+        assert controller.shed_deadline(
+            1.0, ServiceClass("loose", latency_slo=5.0, queue_timeout=0.25)
+        ) == (1.25, "queue_timeout")
+        # a timeout/SLO tie is an SLO miss
+        assert controller.shed_deadline(
+            1.0, ServiceClass("tie", latency_slo=2.0)) == (3.0, "deadline")
+        patient = AdmissionController(None, AdmissionPolicy())
+        assert patient.shed_deadline(
+            1.0, ServiceClass("tight", latency_slo=0.5)
+        ) == (None, "queue_timeout")
+
+    def test_one_name_means_one_class(self):
+        # Pending order, the class MPL gate, every per-class metric and
+        # the head-only expiry check are keyed by class *name*.  A second,
+        # different ServiceClass under a seen name used to queue behind a
+        # head with a later deadline and rot past its own (shed at 0.0674
+        # instead of 0.001 here); submit() now refuses it.
+        config = MachineConfig(nodes=1, processors_per_node=2)
+        plan = join_plan(config)
+        coordinator = MultiQueryCoordinator(
+            config, policy=AdmissionPolicy(max_multiprogramming=1)
+        )
+        patient = ServiceClass("x", queue_timeout=10.0)
+        coordinator.submit(plan, service_class=patient)
+        coordinator.submit(plan, service_class=patient)
+        with pytest.raises(ValueError, match="service class 'x'"):
+            coordinator.submit(
+                plan, service_class=ServiceClass("x", queue_timeout=0.001)
+            )
+        # an equal class is the same class, whichever object carries it
+        coordinator.submit(
+            plan, service_class=ServiceClass("x", queue_timeout=10.0)
+        )
+        coordinator.close_arrivals()
+        metrics = coordinator.run()
+        # the refused submission consumed nothing: ids stay dense
+        assert [c.query_id for c in metrics.completions] == [0, 1, 2]
+        assert metrics.shed_count == 0
 
     def test_no_overload_policy_means_no_shedding(self):
         config = MachineConfig(nodes=2, processors_per_node=2)
