@@ -1,7 +1,7 @@
 """Benchmark: parallel sweep fan-out, emitting BENCH_macro_charge.json.
 
 ``class_sweep_mpl8``: the service-class sweep (quick grid, MPL 8 only)
-*sequential* versus ``parallel_map`` over all cores.  The parallel run
+*sequential* versus ``processes=0`` (one worker per core).  The parallel run
 must preserve the sweep's headline results: priority-vs-FIFO interactive
 p95 improvement with batch throughput within 20%.  ``parallel`` divides
 the sweep wall-clock by (nearly) the core count, so the JSON carries
@@ -53,11 +53,14 @@ def test_parallel_sweep(benchmark):
                                      warmup_rounds=0)
     # The parallel sweep preserves the headline orderings:
     # priority-vs-FIFO interactive p95 and batch-throughput-within-20%.
-    fifo = par.cell("fifo", 8, "interactive")
-    prio = par.cell("priority", 8, "interactive")
-    assert prio.p95_latency < fifo.p95_latency
-    assert (par.cell("priority", 8, "batch").throughput
-            >= 0.8 * par.cell("fifo", 8, "batch").throughput)
+    def closed(discipline, name):
+        return par.cell(column="closed", discipline=discipline, mpl=8,
+                        service_class=name)
+
+    assert (closed("priority", "interactive").p95_latency
+            < closed("fifo", "interactive").p95_latency)
+    assert (closed("priority", "batch").throughput
+            >= 0.8 * closed("fifo", "batch").throughput)
 
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     print()

@@ -58,7 +58,7 @@ def run_sweep() -> dict:
             for row in result.rows
         },
         "retention_2x": {
-            regime: round(result.goodput_at(regime, 2.0)
+            regime: round(result.cell(regime=regime, multiplier=2.0).goodput
                           / result.peak_goodput(regime), 4)
             for regime in ("graceful", "naive")
         },

@@ -1,20 +1,9 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared helper of the pytest-benchmark benches.
 
-Benchmarks run the paper's experiments at reduced size (few plans, small
-scale) so the whole suite regenerates every table and figure in minutes.
-Each bench prints the same rows/series the paper reports; absolute
-timings come from pytest-benchmark.
+``bench_workload.py`` and ``bench_ablations.py`` run their sweeps at
+reduced size (few plans, small scale), once each; absolute timings come
+from pytest-benchmark.
 """
-
-import pytest
-
-from repro.experiments.config import ExperimentOptions
-
-
-@pytest.fixture(scope="session")
-def quick_options() -> ExperimentOptions:
-    """Reduced experiment options shared by all benches."""
-    return ExperimentOptions.quick()
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -1,66 +1,19 @@
-"""Quickstart: run one multi-join query under all three strategies.
+"""Quickstart: the shipped Section 3.3 two-node join under DP (the paper's
+model) and FP; SP is shared-memory-only and needs a one-node cluster.
+Run with ``PYTHONPATH=src python examples/quickstart.py``."""
 
-Builds a four-relation bushy query (the shape of the paper's Figure 2),
-compiles it into a parallel execution plan, and executes it on a
-single SM-node with Dynamic Processing (the paper's model), Synchronous
-Pipelining, and Fixed Processing.
+from pathlib import Path
 
-Run with::
+import repro
+from repro.api import ScenarioSpec, replace_path
 
-    python examples/quickstart.py
-"""
-
-from repro.catalog import Relation
-from repro.engine import QueryExecutor
-from repro.experiments.config import scaled_execution_params
-from repro.optimizer import BaseNode, JoinNode, compile_plan
-from repro.query import JoinEdge, QueryGraph
-from repro.sim import MachineConfig
-
-
-def build_query() -> tuple[QueryGraph, JoinNode]:
-    """(R join S) join (T join U), sized so every result is predictable."""
-    cards = {"R": 10_000, "S": 20_000, "T": 15_000, "U": 25_000}
-    relations = [Relation(name, card) for name, card in cards.items()]
-    sel_rs = 1.0 / cards["R"]   # |R join S|  = |S|
-    sel_tu = 1.0 / cards["T"]   # |T join U|  = |U|
-    sel_top = 1.0 / cards["S"]  # |RS join TU| = |U|
-    graph = QueryGraph(relations, [
-        JoinEdge("R", "S", sel_rs),
-        JoinEdge("S", "T", sel_top),
-        JoinEdge("T", "U", sel_tu),
-    ])
-    tree = JoinNode(
-        JoinNode(BaseNode(graph.relation("R")), BaseNode(graph.relation("S")), sel_rs),
-        JoinNode(BaseNode(graph.relation("T")), BaseNode(graph.relation("U")), sel_tu),
-        sel_top,
-    )
-    return graph, tree
-
-
-def main() -> None:
-    graph, tree = build_query()
-    config = MachineConfig(nodes=1, processors_per_node=8)
-    plan = compile_plan(graph, tree, config, label="quickstart")
-    params = scaled_execution_params(scale=0.1)
-
-    print("Operator tree (macro-expansion of the join tree):")
-    for chain in plan.operators.chains:
-        labels = " -> ".join(plan.operators.op(i).label for i in chain.op_ids)
-        print(f"  chain {chain.chain_id}: {labels}")
-    print()
-
-    print(f"{'strategy':>8}  {'response':>10}  {'idle':>6}  {'results':>8}")
-    for strategy in ("SP", "DP", "FP"):
-        result = QueryExecutor(plan, config, strategy=strategy,
-                               params=params).run()
-        print(f"{strategy:>8}  {result.response_time:>9.3f}s "
-              f"{result.metrics.idle_fraction():>6.1%} "
-              f"{result.metrics.result_tuples:>8}")
-    print()
-    print("Expected: SP fastest (shared-memory reference), DP within a few")
-    print("percent (activation-queue overhead), FP behind (static allocation).")
-
+SCENARIO = Path(__file__).parent / "scenarios" / "single_query.json"
 
 if __name__ == "__main__":
-    main()
+    spec = ScenarioSpec.from_json(SCENARIO.read_text())
+    print(f"{'strategy':>8}  {'response':>10}  {'idle':>6}  {'results':>8}")
+    for strategy in ("DP", "FP"):
+        result = repro.run_query(replace_path(spec, "workload.strategy", strategy))
+        print(f"{strategy:>8}  {result.response_time:>9.4f}s "
+              f"{result.metrics.idle_fraction():>6.1%} "
+              f"{result.metrics.result_tuples:>8}")

@@ -17,18 +17,28 @@ axis is either
   - ``"strategy"`` — shorthand for ``workload.strategy``.
 
 :func:`run_sweep` executes the grid: cells fan over
-:func:`repro.experiments.parallel.parallel_map` (``processes=None``
-sequential, ``0`` one per core) and an optional module-level ``collect``
-function reduces each :class:`~repro.api.facade.RunResult` to a row
-*inside the worker*, so only rows cross the process boundary.  Results
-are identical to the sequential run by construction — each cell is an
-independent simulation seeded by its own spec.
+:func:`parallel_map` and an optional module-level ``collect`` function
+reduces each :class:`~repro.api.facade.RunResult` to a row *inside the
+worker*, so only rows cross the process boundary.  Results are
+identical to the sequential run by construction — each cell builds its
+own :class:`~repro.sim.core.Environment` from its own seed and never
+touches another cell's state, and the virtual-time kernel is
+single-threaded, so one simulation per process is the only way to use a
+multi-core host.
+
+``processes`` (what a CLI's ``--parallel N`` passes through):
+
+* ``None``  — sequential in-process execution (the default: benches and
+  CI timings stay comparable, and nested pools are impossible);
+* ``0``     — one worker per available core;
+* ``n >= 1``— exactly ``n`` workers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -42,6 +52,8 @@ __all__ = [
     "AXIS_MACROS",
     "SweepSpec",
     "apply_axis",
+    "parallel_map",
+    "resolve_processes",
     "run_scenarios",
     "run_sweep",
     "sweep_table",
@@ -178,6 +190,45 @@ class SweepSpec:
         return cls.from_dict(data)
 
 
+def resolve_processes(processes: Optional[int]) -> int:
+    """Normalize the ``processes`` convention to a worker count."""
+    if processes is None:
+        return 1
+    if processes <= 0:
+        return os.cpu_count() or 1
+    return processes
+
+
+def parallel_map(
+    fn: Callable,
+    items: Iterable,
+    processes: Optional[int] = None,
+) -> list:
+    """Map ``fn`` over ``items`` across worker processes, order preserved.
+
+    Sequential (and pool-free) when ``processes`` resolves to one worker
+    or there is at most one item, so the degenerate cases behave exactly
+    like a list comprehension — same results, same exceptions.  The pool
+    uses ``fork`` where the platform offers it (workers inherit the
+    imported modules and compiled plans for free) and ``spawn``
+    elsewhere, which is why ``fn`` must be a module-level function with
+    picklable arguments.
+    """
+    items = list(items)
+    count = min(resolve_processes(processes), len(items))
+    if count <= 1:
+        return [fn(item) for item in items]
+    # Imported here, not at module level: ``import repro.api`` is on the
+    # path every ``repro-run`` pays, and only a real fan-out needs it.
+    import multiprocessing as mp
+
+    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+    with mp.get_context(method).Pool(processes=count) as pool:
+        # chunksize 1: cells are few and coarse; tail latency matters
+        # more than task-dispatch overhead.
+        return pool.map(fn, items, chunksize=1)
+
+
 def _run_one(
     scenario: ScenarioSpec,
     collect: Optional[Callable[[RunResult], Any]] = None,
@@ -199,10 +250,6 @@ def run_scenarios(
     :class:`~repro.api.facade.RunResult` and its return value is what
     crosses the process boundary.
     """
-    # Late import: repro.experiments pulls in the whole experiment
-    # registry, which itself builds on this module.
-    from ..experiments.parallel import parallel_map
-
     return parallel_map(
         partial(_run_one, collect=collect),
         list(scenarios),

@@ -137,6 +137,15 @@ class ExperimentOptions:
             seed=self.seed,
         )
 
+    def plan_mix(self):
+        """The Section 5.1.2 population as a scenario's ``PlanSpec``."""
+        from ..api.spec import PlanSpec
+        return PlanSpec(
+            kind="workload_mix", plan_count=self.plans,
+            workload_queries=self.workload_queries,
+            scale=self.scale, seed=self.seed,
+        )
+
     @classmethod
     def quick(cls) -> "ExperimentOptions":
         """A reduced setting for benchmarks and smoke runs."""

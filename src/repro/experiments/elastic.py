@@ -31,6 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..api.facade import RunResult
+from ..api.spec import ScenarioSpec
+from ..api.sweep import run_scenarios
 from ..cluster.spec import AutoscalerSpec, ClusterSpec
 from ..serving.admission import AdmissionPolicy
 from ..serving.arrivals import ArrivalSpec
@@ -38,9 +41,10 @@ from ..serving.driver import WorkloadSpec
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment
-from .reporting import format_table
+from .reporting import SweepResult, pivot_table
 
-__all__ = ["run", "ElasticResult", "ElasticRow", "elastic_scenarios"]
+__all__ = ["run", "ElasticResult", "ElasticRow", "elastic_scenarios",
+           "collect"]
 
 PAPER_EXPECTATION = (
     "The autoscaled cluster tracks the big static cluster's tail latency "
@@ -75,25 +79,23 @@ class ElasticRow:
         return self.cluster["load_gained_processors"] if self.cluster else 0
 
 
-@dataclass
-class ElasticResult:
+@dataclass(frozen=True)
+class ElasticResult(SweepResult):
     """One row per cluster regime, over the identical bursty workload."""
 
-    rows: tuple
     queries: int
 
     def table(self) -> str:
-        headers = ("cluster", "nodes", "completed", "shed",
-                   "p95 latency (s)", "mean queueing (s)",
-                   "moved (KB)", "procs gained")
-        rows = [
-            (row.label, row.nodes, row.completed, row.shed,
-             f"{row.p95_latency:.4f}", f"{row.mean_queueing:.4f}",
-             f"{row.rebalance_bytes / 1024:.0f}", row.gained_processors)
-            for row in self.rows
-        ]
-        return format_table(
-            headers, rows,
+        return pivot_table(
+            self.rows, "label",
+            (("cluster", {}, lambda r: r.label),
+             ("nodes", {}, lambda r: r.nodes),
+             ("completed", {}, lambda r: r.completed),
+             ("shed", {}, lambda r: r.shed),
+             ("p95 latency (s)", {}, lambda r: f"{r.p95_latency:.4f}"),
+             ("mean queueing (s)", {}, lambda r: f"{r.mean_queueing:.4f}"),
+             ("moved (KB)", {}, lambda r: f"{r.rebalance_bytes / 1024:.0f}"),
+             ("procs gained", {}, lambda r: r.gained_processors)),
             title=(f"Elastic cluster under a flash crowd "
                    f"({self.queries} queries)"),
         )
@@ -133,19 +135,12 @@ def elastic_scenarios(options: ExperimentOptions,
                       target_utilization: float = 0.6,
                       scale_out_latency: float = 0.05,
                       cooldown: float = 0.1) -> tuple:
-    """The three (label, ScenarioSpec) regimes of the comparison."""
-    from ..api.spec import PlanSpec, ScenarioSpec
-
+    """The three regimes of the comparison, labelled by regime."""
     params = scaled_execution_params(
         scale=options.scale, seed=options.seed,
     )
     machines = MachineConfig(nodes=big_nodes,
                              processors_per_node=processors_per_node)
-    plans = PlanSpec(
-        kind="workload_mix", plan_count=options.plans,
-        workload_queries=options.workload_queries, scale=options.scale,
-        seed=options.seed,
-    )
     workload = WorkloadSpec(
         queries=4 * options.workload_queries,
         arrival=ArrivalSpec(kind="bursty", rate=base_rate,
@@ -155,11 +150,11 @@ def elastic_scenarios(options: ExperimentOptions,
         seed=options.seed,
     )
 
-    def scenario(label: str, cluster: ClusterSpec) -> tuple:
-        return (label, ScenarioSpec(
+    def scenario(label: str, cluster: ClusterSpec) -> ScenarioSpec:
+        return ScenarioSpec(
             cluster=cluster, params=params, workload=workload,
-            plans=plans, label=label,
-        ))
+            plans=options.plan_mix(), label=label,
+        )
 
     return (
         scenario("static-small", ClusterSpec(
@@ -180,40 +175,41 @@ def elastic_scenarios(options: ExperimentOptions,
     )
 
 
+def collect(result: RunResult) -> ElasticRow:
+    """Reduce one regime's run to its row (runs in the worker)."""
+    scenario = result.scenario
+    metrics = result.metrics
+    cluster = metrics.cluster_summary()
+    if cluster is None:
+        nodes = str(scenario.cluster.machines.nodes)
+    else:
+        nodes = (f"{scenario.cluster.active_at_start}"
+                 f"->{cluster['peak_nodes']}->{cluster['low_nodes']}")
+    return ElasticRow(
+        label=scenario.label, nodes=nodes,
+        completed=metrics.completed, shed=metrics.shed_count,
+        p95_latency=metrics.p95_latency,
+        mean_queueing=metrics.mean_queueing_delay(),
+        cluster=cluster,
+    )
+
+
 @register_experiment(
     "elastic",
     "Elastic cluster: autoscaled membership vs. static provisioning "
     "under a flash crowd",
     expectation=PAPER_EXPECTATION,
+    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
-        **knobs) -> ElasticResult:
-    """Run the three regimes and price elasticity explicitly."""
-    from ..api.facade import run as run_scenario
+        processes: Optional[int] = None, **shape) -> ElasticResult:
+    """Run the three regimes and price elasticity explicitly.
 
+    ``shape`` is :func:`elastic_scenarios`'s keywords; ``processes``
+    fans the independent regimes across worker processes.
+    """
     options = options or ExperimentOptions()
-    rows = []
-    queries = 0
-    for label, scenario in elastic_scenarios(options, **knobs):
-        result = run_scenario(scenario)
-        metrics = result.metrics
-        queries = scenario.workload.queries
-        cluster = metrics.cluster_summary()
-        if cluster is None:
-            nodes_desc = str(scenario.cluster.machines.nodes)
-        else:
-            nodes_desc = (f"{scenario.cluster.active_at_start}"
-                          f"->{cluster['peak_nodes']}"
-                          f"->{cluster['low_nodes']}")
-        rows.append(ElasticRow(
-            label=label, nodes=nodes_desc,
-            completed=metrics.completed, shed=metrics.shed_count,
-            p95_latency=metrics.p95_latency,
-            mean_queueing=metrics.mean_queueing_delay(),
-            cluster=cluster,
-        ))
-    return ElasticResult(rows=tuple(rows), queries=queries)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(ExperimentOptions.quick()).table())
+    cells = elastic_scenarios(options, **shape)
+    rows = run_scenarios(cells, processes=processes, collect=collect)
+    return ElasticResult(rows=tuple(rows),
+                         queries=cells[0].workload.queries)

@@ -37,6 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..api.facade import RunResult
+from ..api.spec import ScenarioSpec
+from ..api.sweep import run_scenarios
 from ..serving.admission import AdmissionPolicy
 from ..serving.arrivals import ArrivalSpec, sample_arrival_times
 from ..serving.classes import ServiceClass
@@ -45,10 +48,10 @@ from ..sim.machine import MachineConfig
 from ..sim.rng import RandomStreams, derive_seed
 from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment
-from .reporting import format_table
+from .reporting import SweepResult, pivot_table
 
 __all__ = ["run", "OverloadResult", "OverloadRow", "overload_scenarios",
-           "LOAD_MULTIPLIERS"]
+           "collect", "LOAD_MULTIPLIERS"]
 
 PAPER_EXPECTATION = (
     "Bounded retries with jittered backoff plus preemptive memory "
@@ -91,67 +94,45 @@ class OverloadRow:
     p95_client_latency: float
 
 
-@dataclass
-class OverloadResult:
+@dataclass(frozen=True)
+class OverloadResult(SweepResult):
     """The goodput-vs-offered-load curve, one row per sweep cell."""
 
-    rows: tuple
     queries: int
     slo: float
 
     def table(self) -> str:
-        headers = ("regime", "load", "offered (q/s)", "completed",
-                   "gave up", "retries", "preempt", "good", "goodput (q/s)",
-                   "p95 client (s)")
-        rows = [
-            (row.regime, f"{row.multiplier:.1f}x", f"{row.offered:.1f}",
-             row.completed, row.gave_up, row.retries, row.preemptions,
-             row.good, f"{row.goodput:.2f}",
-             f"{row.p95_client_latency:.3f}")
-            for row in self.rows
-        ]
-        return format_table(
-            headers, rows,
+        return pivot_table(
+            self.rows, ("regime", "multiplier"),
+            (("regime", {}, lambda r: r.regime),
+             ("load", {}, lambda r: f"{r.multiplier:.1f}x"),
+             ("offered (q/s)", {}, lambda r: f"{r.offered:.1f}"),
+             ("completed", {}, lambda r: r.completed),
+             ("gave up", {}, lambda r: r.gave_up),
+             ("retries", {}, lambda r: r.retries),
+             ("preempt", {}, lambda r: r.preemptions),
+             ("good", {}, lambda r: r.good),
+             ("goodput (q/s)", {}, lambda r: f"{r.goodput:.2f}"),
+             ("p95 client (s)", {}, lambda r: f"{r.p95_client_latency:.3f}")),
             title=(f"Goodput under overload ({self.queries} queries per "
                    f"cell, SLO {self.slo:.3f}s)"),
         )
 
     def peak_goodput(self, regime: str) -> float:
-        return max((r.goodput for r in self.rows if r.regime == regime),
-                   default=0.0)
-
-    def goodput_at(self, regime: str, multiplier: float) -> float:
-        for row in self.rows:
-            if row.regime == regime and row.multiplier == multiplier:
-                return row.goodput
-        return 0.0
+        return max(row.goodput for row in self.select(regime=regime))
 
     def degradation_summary(self) -> str:
         """The acceptance line: 2x goodput as a fraction of each peak."""
         lines = []
         for regime in ("graceful", "naive"):
             peak = self.peak_goodput(regime)
-            at2x = self.goodput_at(regime, 2.0)
+            at2x = self.cell(regime=regime, multiplier=2.0).goodput
             frac = at2x / peak if peak else 0.0
             lines.append(
                 f"{regime}: peak {peak:.2f} q/s, 2.0x {at2x:.2f} q/s "
                 f"({100 * frac:.0f}% of peak)"
             )
         return "\n".join(lines)
-
-
-def _interactive_class(queue_timeout: float, slo: float) -> ServiceClass:
-    return ServiceClass(
-        name="interactive", weight=4.0, priority=10,
-        latency_slo=slo, queue_timeout=queue_timeout,
-    )
-
-
-def _batch_class(queue_timeout: float) -> ServiceClass:
-    return ServiceClass(
-        name="batch", weight=1.0, priority=0,
-        queue_timeout=4 * queue_timeout,
-    )
 
 
 def overload_scenarios(options: ExperimentOptions,
@@ -161,7 +142,7 @@ def overload_scenarios(options: ExperimentOptions,
                        slo: float = DEFAULT_SLO,
                        queries_per_cell: Optional[int] = None,
                        memory_per_processor: int = 4 << 20) -> tuple:
-    """``(regime label, multiplier, ScenarioSpec)`` for every sweep cell.
+    """Every sweep cell, labelled ``overload-<regime>-<multiplier>x``.
 
     Both regimes share plans, machine, classes and the seeded arrival
     schedule — the *only* differences are the retry policy, the
@@ -171,20 +152,20 @@ def overload_scenarios(options: ExperimentOptions,
     build per query) so concurrent builds genuinely contend for node
     memory and preemption has something to do.
     """
-    from ..api.spec import PlanSpec, ScenarioSpec
-
     queries = queries_per_cell or 6 * options.workload_queries
     machines = MachineConfig(
         nodes=2, processors_per_node=4,
         memory_per_processor=memory_per_processor,
     )
-    plans = PlanSpec(
-        kind="workload_mix", plan_count=options.plans,
-        workload_queries=options.workload_queries, scale=options.scale,
-        seed=options.seed,
+    plans = options.plan_mix()
+    interactive = ServiceClass(
+        name="interactive", weight=4.0, priority=10,
+        latency_slo=slo, queue_timeout=queue_timeout,
     )
-    interactive = _interactive_class(queue_timeout, slo)
-    batch = _batch_class(queue_timeout)
+    batch = ServiceClass(
+        name="batch", weight=1.0, priority=0,
+        queue_timeout=4 * queue_timeout,
+    )
     regimes = (
         ("naive", RetryPolicySpec(
             max_attempts=None, base_backoff=queue_timeout / 2,
@@ -216,11 +197,10 @@ def overload_scenarios(options: ExperimentOptions,
                 retry=retry,
                 seed=options.seed,
             )
-            label = f"overload-{regime}-{multiplier:g}x"
-            cells.append((regime, multiplier, ScenarioSpec(
+            cells.append(ScenarioSpec(
                 cluster=machines, params=params, workload=workload,
-                plans=plans, label=label,
-            )))
+                plans=plans, label=f"overload-{regime}-{multiplier!r}x",
+            ))
     return tuple(cells)
 
 
@@ -241,48 +221,54 @@ def _client_latencies(workload, metrics) -> dict:
     return latencies
 
 
+def collect(result: RunResult) -> OverloadRow:
+    """Reduce one cell's run to its row (runs in the worker).
+
+    Regime and multiplier come back off the cell's label, the SLO off
+    its interactive class — the cell is the whole configuration.
+    """
+    scenario = result.scenario
+    _prefix, regime, load = scenario.label.split("-")
+    slo = scenario.workload.classes[0][0].latency_slo
+    workload = result.workload
+    metrics = workload.metrics
+    latencies = _client_latencies(scenario.workload, metrics)
+    good = sum(1 for latency in latencies.values() if latency <= slo)
+    ordered = sorted(latencies.values())
+    return OverloadRow(
+        regime=regime, multiplier=float(load.removesuffix("x")),
+        offered=scenario.workload.arrival.rate,
+        completed=metrics.completed,
+        gave_up=workload.clients.gave_up,
+        retries=workload.clients.retries,
+        shed_reasons=metrics.shed_reason_counts(),
+        preemptions=metrics.memory_preemptions,
+        good=good,
+        goodput=good / (metrics.makespan or 1.0),
+        p95_client_latency=(ordered[int(0.95 * (len(ordered) - 1))]
+                            if ordered else 0.0),
+    )
+
+
 @register_experiment(
     "overload",
     "Graceful degradation under deep overload: bounded retry/backoff + "
     "preemptive memory management vs. a naive retry storm",
     expectation=PAPER_EXPECTATION,
+    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
-        **knobs) -> OverloadResult:
-    """Sweep offered load through deep overload under both regimes."""
-    from ..api.facade import run as run_scenario
+        processes: Optional[int] = None, **shape) -> OverloadResult:
+    """Sweep offered load through deep overload under both regimes.
 
+    ``shape`` is :func:`overload_scenarios`'s keywords; ``processes``
+    fans the independent cells across worker processes.
+    """
     options = options or ExperimentOptions()
-    slo = knobs.get("slo", DEFAULT_SLO)
-    rows = []
-    queries = 0
-    for regime, multiplier, scenario in overload_scenarios(options, **knobs):
-        result = run_scenario(scenario)
-        workload = result.workload
-        metrics = workload.metrics
-        queries = scenario.workload.queries
-        latencies = _client_latencies(scenario.workload, metrics)
-        good = sum(1 for latency in latencies.values() if latency <= slo)
-        makespan = metrics.makespan or 1.0
-        ordered = sorted(latencies.values())
-        p95 = ordered[int(0.95 * (len(ordered) - 1))] if ordered else 0.0
-        rows.append(OverloadRow(
-            regime=regime, multiplier=multiplier,
-            offered=scenario.workload.arrival.rate,
-            completed=metrics.completed,
-            gave_up=workload.clients.gave_up,
-            retries=workload.clients.retries,
-            shed_reasons=metrics.shed_reason_counts(),
-            preemptions=metrics.memory_preemptions,
-            good=good,
-            goodput=good / makespan,
-            p95_client_latency=p95,
-        ))
-    return OverloadResult(rows=tuple(rows), queries=queries, slo=slo)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    result = run(ExperimentOptions.quick())
-    print(result.table())
-    print()
-    print(result.degradation_summary())
+    cells = overload_scenarios(options, **shape)
+    rows = run_scenarios(cells, processes=processes, collect=collect)
+    return OverloadResult(
+        rows=tuple(rows),
+        queries=cells[0].workload.queries,
+        slo=cells[0].workload.classes[0][0].latency_slo,
+    )

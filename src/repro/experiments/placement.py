@@ -43,17 +43,17 @@ from typing import Optional, Sequence
 
 from ..api.facade import RunResult
 from ..api.spec import PlanSpec, ScenarioSpec
-from ..api.sweep import SweepSpec, run_sweep
+from ..api.sweep import SweepSpec, run_scenarios
 from ..catalog.skew import SkewSpec
 from ..placement import PlacementSpec
 from ..serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment
-from .reporting import format_table
+from .reporting import SweepResult, pivot_table
 
-__all__ = ["PlacementSweepResult", "Regime", "run", "base_scenario",
-           "sweep_spec", "determinism_digest", "PAPER_EXPECTATION",
+__all__ = ["PlacementSweepResult", "Regime", "run", "sweep_specs",
+           "collect", "determinism_digest", "PAPER_EXPECTATION",
            "POLICIES", "REGIMES", "STEAL_MODES"]
 
 #: placement policies on the sweep's x-axis (``paper`` = optimizer homes
@@ -108,60 +108,29 @@ class PlacementCell:
     bytes_avoided: int
 
 
-@dataclass(frozen=True)
-class PlacementSweepResult:
-    """The full policy × steal × regime grid."""
-
-    cells: tuple[PlacementCell, ...]
-    options: ExperimentOptions
-
-    def cell(self, regime: str, policy: str, steal: bool) -> PlacementCell:
-        for cell in self.cells:
-            if (cell.regime == regime and cell.policy == policy
-                    and cell.steal == steal):
-                return cell
-        raise KeyError((regime, policy, steal))
-
-    def regimes(self) -> tuple[str, ...]:
-        seen = []
-        for cell in self.cells:
-            if cell.regime not in seen:
-                seen.append(cell.regime)
-        return tuple(seen)
-
-    def policies(self) -> tuple[str, ...]:
-        seen = []
-        for cell in self.cells:
-            if cell.policy not in seen:
-                seen.append(cell.policy)
-        return tuple(seen)
+class PlacementSweepResult(SweepResult):
+    """The full policy × steal × regime grid, one cell per row."""
 
     def table(self) -> str:
-        blocks = []
-        for regime in self.regimes():
-            headers = ["policy",
-                       "steal q/s", "steal p95", "steal KB",
-                       "no-steal q/s", "no-steal p95",
-                       "rewritten", "avoided KB"]
-            rows = []
-            for policy in self.policies():
-                on = self.cell(regime, policy, True)
-                off = self.cell(regime, policy, False)
-                rows.append([
-                    policy,
-                    f"{on.throughput:.2f}",
-                    f"{on.p95_latency:.3f}",
-                    f"{on.steal_bytes / 1024:.1f}",
-                    f"{off.throughput:.2f}",
-                    f"{off.p95_latency:.3f}",
-                    on.plans_rewritten,
-                    f"{on.bytes_avoided / 1024:.1f}",
-                ])
-            blocks.append(format_table(
-                headers, rows,
+        on, off = {"steal": True}, {"steal": False}
+        columns = (
+            ("policy", {}, lambda c: c.policy),
+            ("steal q/s", on, lambda c: f"{c.throughput:.2f}"),
+            ("steal p95", on, lambda c: f"{c.p95_latency:.3f}"),
+            ("steal KB", on, lambda c: f"{c.steal_bytes / 1024:.1f}"),
+            ("no-steal q/s", off, lambda c: f"{c.throughput:.2f}"),
+            ("no-steal p95", off, lambda c: f"{c.p95_latency:.3f}"),
+            ("rewritten", on, lambda c: c.plans_rewritten),
+            ("avoided KB", on, lambda c: f"{c.bytes_avoided / 1024:.1f}"),
+        )
+        blocks = [
+            pivot_table(
+                self.select(regime=regime), "policy", columns,
                 title=(f"Placement x steal protocol, {regime} regime "
                        f"(closed loop, throughput in queries/s)"),
-            ))
+            )
+            for regime in self.distinct("regime")
+        ]
         blocks.append(self.crossover())
         return "\n\n".join(blocks)
 
@@ -174,10 +143,10 @@ class PlacementSweepResult:
         """
         lines = ["Crossover (best smart policy, steal OFF vs paper homes, "
                  "steal ON):"]
-        for regime in self.regimes():
-            reactive = self.cell(regime, "paper", True)
-            smart = [self.cell(regime, policy, False)
-                     for policy in self.policies() if policy != "paper"]
+        for regime in self.distinct("regime"):
+            reactive = self.cell(regime=regime, policy="paper", steal=True)
+            smart = [cell for cell in self.select(regime=regime, steal=False)
+                     if cell.policy != "paper"]
             best = max(smart, key=lambda c: (c.throughput, -c.makespan))
             if best.throughput > reactive.throughput:
                 verdict = "placement wins"
@@ -212,70 +181,59 @@ class PlacementSweepResult:
             f"{head(cell)}: completed={cell.completed} "
             f"rewritten={cell.plans_rewritten} "
             f"avoided={cell.bytes_avoided}"
-            for cell in self.cells
+            for cell in self.rows
         ]
         lines += [
             f"{head(cell)} timing: throughput={cell.throughput!r} "
             f"p95={cell.p95_latency!r} makespan={cell.makespan!r} "
             f"steal_bytes={cell.steal_bytes}"
-            for cell in self.cells
+            for cell in self.rows
         ]
         return "\n".join(lines)
 
 
-def _plan_spec(population: str, options: ExperimentOptions) -> PlanSpec:
-    if population == "io_heavy":
-        return PlanSpec(kind="io_heavy", base_tuples=4000)
-    return PlanSpec(
-        kind="workload_mix", plan_count=options.plans,
-        workload_queries=options.workload_queries,
-        scale=options.scale, seed=options.seed,
-    )
+def sweep_specs(options: ExperimentOptions,
+                regimes: Sequence[Regime] = REGIMES,
+                policies: Sequence[str] = POLICIES,
+                steal_modes: Sequence[bool] = STEAL_MODES,
+                nodes: int = 4, processors_per_node: int = 4,
+                queries_per_cell: int = 12,
+                width: int = 2) -> list[SweepSpec]:
+    """One grid per regime as data: a base cell (paper homes, stealing
+    on) × (policy, steal on/off) axes.
 
-
-def base_scenario(options: ExperimentOptions, regime: Regime = REGIMES[0],
-                  nodes: int = 4, processors_per_node: int = 4,
-                  queries_per_cell: int = 12,
-                  width: int = 2) -> ScenarioSpec:
-    """One regime's base cell: paper homes, stealing on."""
-    return ScenarioSpec(
-        cluster=MachineConfig(nodes=nodes,
-                              processors_per_node=processors_per_node),
-        params=scaled_execution_params(
-            scale=options.scale,
-            skew=SkewSpec.uniform_redistribution(regime.skew),
-            seed=options.seed,
+    ``width`` is the non-paper policies' target home width
+    (``transfer_aware`` picks its own cost-minimizing width).
+    """
+    return [SweepSpec(
+        base=ScenarioSpec(
+            cluster=MachineConfig(nodes=nodes,
+                                  processors_per_node=processors_per_node),
+            params=scaled_execution_params(
+                scale=options.scale,
+                skew=SkewSpec.uniform_redistribution(regime.skew),
+                seed=options.seed,
+            ),
+            workload=WorkloadSpec(
+                queries=queries_per_cell,
+                arrival=ArrivalSpec(kind="closed", population=regime.mpl),
+                strategy="DP",
+                policy=AdmissionPolicy(max_multiprogramming=regime.mpl),
+                placement=PlacementSpec(scheduler="paper", width=width),
+                seed=options.seed,
+            ),
+            plans=(PlanSpec(kind="io_heavy", base_tuples=4000)
+                   if regime.population == "io_heavy"
+                   else options.plan_mix()),
+            label=f"placement-{regime.name}",
         ),
-        workload=WorkloadSpec(
-            queries=queries_per_cell,
-            arrival=ArrivalSpec(kind="closed", population=regime.mpl),
-            strategy="DP",
-            policy=AdmissionPolicy(max_multiprogramming=regime.mpl),
-            placement=PlacementSpec(scheduler="paper", width=width),
-            seed=options.seed,
-        ),
-        plans=_plan_spec(regime.population, options),
-        label=f"placement-{regime.name}",
-    )
-
-
-def sweep_spec(options: ExperimentOptions, regime: Regime = REGIMES[0],
-               policies: Sequence[str] = POLICIES,
-               steal_modes: Sequence[bool] = STEAL_MODES,
-               nodes: int = 4, processors_per_node: int = 4,
-               queries_per_cell: int = 12, width: int = 2) -> SweepSpec:
-    """One regime's grid as data: policy × steal on/off."""
-    return SweepSpec(
-        base=base_scenario(options, regime=regime, nodes=nodes,
-                           processors_per_node=processors_per_node,
-                           queries_per_cell=queries_per_cell, width=width),
         axes=(("workload.placement.scheduler", tuple(policies)),
               ("params.enable_global_lb", tuple(steal_modes))),
         label=f"placement-{regime.name}",
-    )
+    ) for regime in regimes]
 
 
-def _collect_cell(result: RunResult) -> PlacementCell:
+def collect(result: RunResult) -> PlacementCell:
     """Reduce one cell's run to its observables (runs in the worker)."""
     scenario = result.scenario
     metrics = result.metrics
@@ -303,33 +261,21 @@ def _collect_cell(result: RunResult) -> PlacementCell:
     accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
-        regimes: Sequence[Regime] = REGIMES,
-        policies: Sequence[str] = POLICIES,
-        steal_modes: Sequence[bool] = STEAL_MODES,
-        nodes: int = 4, processors_per_node: int = 4,
-        queries_per_cell: int = 12, width: int = 2,
-        processes: Optional[int] = None) -> PlacementSweepResult:
+        processes: Optional[int] = None,
+        **shape) -> PlacementSweepResult:
     """Sweep placement policy × steal protocol over the three regimes.
 
-    Each cell is one closed-loop serving run at the regime's
-    multiprogramming level; ``width`` is the non-paper policies' target
-    home width (``transfer_aware`` picks its own cost-minimizing
-    width).  ``processes`` fans the independent cells across worker
-    processes (None = sequential, 0 = one per core); the per-cell
-    results are identical either way.
+    ``shape`` is :func:`sweep_specs`'s keywords.  Each cell is one
+    closed-loop serving run at the regime's multiprogramming level.
+    ``processes`` fans the independent cells across worker processes
+    (None = sequential, 0 = one per core); the per-cell results are
+    identical either way.
     """
     options = options or ExperimentOptions()
-    cells: list[PlacementCell] = []
-    for regime in regimes:
-        sweep = sweep_spec(
-            options, regime=regime, policies=policies,
-            steal_modes=steal_modes, nodes=nodes,
-            processors_per_node=processors_per_node,
-            queries_per_cell=queries_per_cell, width=width,
-        )
-        cells.extend(run_sweep(sweep, processes=processes,
-                               collect=_collect_cell))
-    return PlacementSweepResult(cells=tuple(cells), options=options)
+    scenarios = [cell for sweep in sweep_specs(options, **shape)
+                 for cell in sweep.cells()]
+    rows = run_scenarios(scenarios, processes=processes, collect=collect)
+    return PlacementSweepResult(rows=tuple(rows))
 
 
 def determinism_digest(options: Optional[ExperimentOptions] = None) -> str:
@@ -346,32 +292,3 @@ def determinism_digest(options: Optional[ExperimentOptions] = None) -> str:
         queries_per_cell=6,
     )
     return result.digest()
-
-
-def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(
-        description="Sweep placement policy x steal protocol x regime."
-    )
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--procs", type=int, default=4)
-    parser.add_argument("--queries", type=int, default=12)
-    parser.add_argument("--width", type=int, default=2)
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid for smoke runs")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="fan cells across N processes (0 = per core)")
-    args = parser.parse_args(argv)
-    options = ExperimentOptions.quick() if args.quick else ExperimentOptions()
-    kwargs = dict(nodes=args.nodes, processors_per_node=args.procs,
-                  queries_per_cell=args.queries, width=args.width,
-                  processes=args.parallel)
-    if args.quick:
-        kwargs.update(queries_per_cell=8)
-    result = run(options, **kwargs)
-    print(result.table())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

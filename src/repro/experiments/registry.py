@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-__all__ = ["Experiment", "REGISTRY", "register_experiment", "experiment_names"]
+__all__ = ["Experiment", "REGISTRY", "register_experiment"]
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,12 @@ def register_experiment(name: str, description: str, *,
 
     def decorate(fn: Callable) -> Callable:
         existing = REGISTRY.get(name)
-        if existing is not None:
-            # ``python -m repro.experiments.workload_sweep`` executes the
-            # module twice — once on package import, once as ``__main__``
-            # — so its experiments re-register.  Keep the canonical
-            # package entry (or refresh it on a same-module re-import);
-            # only a *different* module claiming the id is a bug.
-            if fn.__module__ == "__main__":
-                return fn
-            if fn.__module__ != existing.runner.__module__:
-                raise ValueError(f"experiment {name!r} registered twice")
-            # Same module re-imported (e.g. importlib.reload): refresh
-            # in place — dict assignment keeps the presentation order.
+        if (existing is not None
+                and fn.__module__ != existing.runner.__module__):
+            raise ValueError(f"experiment {name!r} registered twice")
+        # The same module re-imported (e.g. importlib.reload) refreshes
+        # its entry in place — dict assignment keeps the presentation
+        # order.
         REGISTRY[name] = Experiment(
             name=name, description=description, runner=fn,
             expectation=expectation, accepts=tuple(accepts),
@@ -75,11 +69,6 @@ def register_experiment(name: str, description: str, *,
         return fn
 
     return decorate
-
-
-def experiment_names() -> list[str]:
-    """Registered ids in presentation order."""
-    return list(REGISTRY)
 
 
 @register_experiment(

@@ -1,12 +1,21 @@
-"""ASCII reporting helpers for the experiment harness."""
+"""Reporting for the experiment harness: ASCII tables and sweep results.
+
+The serving sweeps share one result shape, :class:`SweepResult`: flat
+``rows`` (one frozen dataclass per measurement, built by the module's
+``collect`` reducer inside the worker) addressed by field value —
+``result.cell(regime="mixed", policy="paper", steal=True)`` — and laid
+out by :func:`pivot_table`.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence, Union
 
 from .methodology import Series
 
-__all__ = ["format_table", "format_series_table"]
+__all__ = ["SweepResult", "distinct", "format_series_table", "format_table",
+           "pivot_table", "select"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -42,3 +51,59 @@ def format_series_table(series: Sequence[Series], x_label: str,
                 row.append("-")
         rows.append(row)
     return format_table(headers, rows, title=title)
+
+
+def select(rows: Sequence[Any], **key) -> tuple:
+    """The rows whose fields equal ``key``, in order."""
+    return tuple(row for row in rows
+                 if all(getattr(row, name) == value
+                        for name, value in key.items()))
+
+
+def distinct(rows: Sequence[Any], field: str) -> tuple:
+    """The values ``field`` takes over ``rows``, in first-seen order."""
+    return tuple(dict.fromkeys(getattr(row, field) for row in rows))
+
+
+def pivot_table(rows: Sequence[Any], index: Union[str, Sequence[str]],
+                columns: Sequence[tuple[str, dict, Callable[[Any], object]]],
+                title: str = "") -> str:
+    """Pivot flat sweep rows into one table.
+
+    One line per distinct value of the ``index`` field (or tuple of
+    fields), in first-seen order; one column per ``(header, key,
+    render)`` entry, showing ``render`` of the first row that matches
+    the line's index value plus ``key`` — ``{}`` for a column that
+    depends on the index alone.
+    """
+    fields = (index,) if isinstance(index, str) else tuple(index)
+    lines = dict.fromkeys(
+        tuple(getattr(row, name) for name in fields) for row in rows
+    )
+    body = [
+        [render(select(rows, **dict(zip(fields, line)), **key)[0])
+         for _header, key, render in columns]
+        for line in lines
+    ]
+    return format_table([header for header, _key, _render in columns],
+                        body, title=title)
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """What a serving sweep returns (see module docstring)."""
+
+    rows: tuple
+
+    def select(self, **key) -> tuple:
+        return select(self.rows, **key)
+
+    def distinct(self, field: str) -> tuple:
+        return distinct(self.rows, field)
+
+    def cell(self, **key) -> Any:
+        """The one row whose fields equal ``key``."""
+        matches = select(self.rows, **key)
+        if len(matches) != 1:
+            raise KeyError(f"{len(matches)} rows match {key}")
+        return matches[0]

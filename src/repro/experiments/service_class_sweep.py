@@ -11,7 +11,7 @@ and SLO attainment.
 Four columns, each a declarative
 :class:`~repro.api.sweep.SweepSpec` over a base
 :class:`~repro.api.spec.ScenarioSpec` (the cell *is* the config — the
-run kind, the swept discipline, the bandwidth are all read back off the
+column, the swept discipline, the bandwidth are all read back off the
 spec, no bespoke cell plumbing):
 
 * **closed** — CPU discipline × MPL over the Section 5.3 chain;
@@ -33,9 +33,9 @@ batch work — while batch throughput stays within 20% of FIFO's: the
 disciplines reorder the same total work, they do not add any.  The same
 ordering holds end to end at the disk arms and the link.
 
-Every cell of the grid is an independent simulation, so the sweep fans
-cells across cores with :func:`repro.experiments.parallel.parallel_map`
-(``processes=``/``--parallel``).
+Every cell of the grid is an independent simulation, so
+:func:`~repro.api.sweep.run_scenarios` fans them across cores
+(``processes=`` / ``repro-experiments --parallel``).
 """
 
 from __future__ import annotations
@@ -52,14 +52,13 @@ from ..serving import (AdmissionPolicy, ArrivalSpec, BATCH, INTERACTIVE,
                        WorkloadSpec)
 from ..sim.disk import DiskParams
 from ..sim.machine import MachineConfig
-from ..workloads.scenarios import io_heavy_chain_population
 from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment
-from .reporting import format_table
+from .reporting import SweepResult, distinct, pivot_table, select
 
-__all__ = ["ServiceClassSweepResult", "run", "PAPER_EXPECTATION",
-           "DISCIPLINES", "MPL_LEVELS", "IO_MPL_LEVELS", "NET_MPL",
-           "NET_BANDWIDTHS", "io_heavy_plans", "io_heavy_params"]
+__all__ = ["ServiceClassSweepResult", "run", "sweep_specs", "collect",
+           "PAPER_EXPECTATION", "DISCIPLINES", "MPL_LEVELS",
+           "IO_MPL_LEVELS", "NET_MPL", "NET_BANDWIDTHS", "io_heavy_params"]
 
 #: scheduling disciplines under comparison (CPU and disk sweeps alike).
 DISCIPLINES = ("fifo", "fair", "priority")
@@ -96,8 +95,13 @@ PAPER_EXPECTATION = (
 
 @dataclass(frozen=True)
 class ClassCell:
-    """One (discipline, MPL, class) measurement."""
+    """One (column, discipline, MPL, class) measurement."""
 
+    #: which of the four sweeps the cell belongs to: ``closed`` /
+    #: ``overload`` / ``io`` / ``net`` (see module docstring).
+    column: str
+    #: the *swept* discipline: CPU on the closed and overload columns,
+    #: disk on ``io``, link on ``net`` (the other resources stay FIFO).
     discipline: str
     mpl: int
     service_class: str
@@ -117,162 +121,50 @@ class ClassCell:
     bandwidth: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ServiceClassSweepResult:
-    """The full sweep grid plus the overload and I/O-heavy columns."""
+_THROUGHPUT = ("q/s", lambda c: f"{c.throughput:.2f}")
+_P95 = ("p95", lambda c: f"{c.p95_latency:.4f}")
+_SLO = ("SLO%", lambda c: f"{c.slo_attainment:.0%}")
 
-    cells: tuple[ClassCell, ...]
-    overload_cells: tuple[ClassCell, ...]
-    options: ExperimentOptions
-    #: disk-discipline cells of the I/O-heavy mix (``discipline`` holds
-    #: the *disk* discipline; the CPU stays FIFO to isolate the effect).
-    io_cells: tuple[ClassCell, ...] = ()
-    #: net-discipline × bandwidth cells over the shared finite-bandwidth
-    #: link (``discipline`` holds the *net* discipline, CPU/disks FIFO).
-    net_cells: tuple[ClassCell, ...] = ()
+#: the report, one entry per column: the field whose values split the
+#: column into tables (the overload column has one MPL, so one table),
+#: the index header, the per-class measures and a table's title.
+_LAYOUT = (
+    ("closed", "mpl", "Discipline", (_THROUGHPUT, _P95, _SLO),
+     lambda mpl: f"Service classes at MPL {mpl} (closed loop)"),
+    ("overload", "mpl", "Discipline",
+     (("done", lambda c: c.completed), ("shed", lambda c: c.shed), _SLO),
+     lambda mpl: "Open-loop overload (queue timeout + deadline shedding)"),
+    ("io", "mpl", "Disk discipline",
+     (_THROUGHPUT, _P95, ("disk-wait", lambda c: f"{c.disk_wait:.4f}")),
+     lambda mpl: f"I/O-heavy mix at MPL {mpl}: disk discipline "
+                 "(CPU stays FIFO)"),
+    ("net", "bandwidth", "Net discipline",
+     (_THROUGHPUT, _P95, ("net-wait", lambda c: f"{c.net_wait:.4f}")),
+     lambda bandwidth: f"Finite-bandwidth link at MPL {NET_MPL}, "
+                       f"{bandwidth / 1e6:.0f} MB/s: net discipline "
+                       "(CPU and disks stay FIFO)"),
+)
 
-    def cell(self, discipline: str, mpl: int,
-             service_class: str) -> ClassCell:
-        for cell in self.cells:
-            if (cell.discipline == discipline and cell.mpl == mpl
-                    and cell.service_class == service_class):
-                return cell
-        raise KeyError((discipline, mpl, service_class))
 
-    def overload_cell(self, discipline: str, service_class: str) -> ClassCell:
-        for cell in self.overload_cells:
-            if (cell.discipline == discipline
-                    and cell.service_class == service_class):
-                return cell
-        raise KeyError((discipline, service_class))
-
-    def io_cell(self, discipline: str, mpl: int,
-                service_class: str) -> ClassCell:
-        for cell in self.io_cells:
-            if (cell.discipline == discipline and cell.mpl == mpl
-                    and cell.service_class == service_class):
-                return cell
-        raise KeyError((discipline, mpl, service_class))
-
-    def net_cell(self, discipline: str, bandwidth: float,
-                 service_class: str) -> ClassCell:
-        for cell in self.net_cells:
-            if (cell.discipline == discipline
-                    and cell.bandwidth == bandwidth
-                    and cell.service_class == service_class):
-                return cell
-        raise KeyError((discipline, bandwidth, service_class))
-
-    @staticmethod
-    def _disciplines_of(cells) -> list[str]:
-        """Distinct disciplines of ``cells`` in canonical sweep order."""
-        present = {c.discipline for c in cells}
-        ordered = [d for d in DISCIPLINES if d in present]
-        return ordered + sorted(present.difference(DISCIPLINES))
+class ServiceClassSweepResult(SweepResult):
+    """Every column's per-class rows, told apart by ``ClassCell.column``."""
 
     def table(self) -> str:
-        mpls = sorted({c.mpl for c in self.cells})
-        classes = sorted({c.service_class for c in self.cells})
+        """Per table: a line per discipline, a column group per class."""
         blocks = []
-        for mpl in mpls:
-            headers = ["Discipline"]
-            for name in classes:
-                headers += [f"{name} q/s", f"{name} p95", f"{name} SLO%"]
-            rows = []
-            for discipline in self._disciplines_of(self.cells):
-                row: list[object] = [discipline]
-                for name in classes:
-                    cell = self.cell(discipline, mpl, name)
-                    row += [
-                        f"{cell.throughput:.2f}",
-                        f"{cell.p95_latency:.4f}",
-                        f"{cell.slo_attainment:.0%}",
-                    ]
-                rows.append(row)
-            blocks.append(format_table(
-                headers, rows,
-                title=f"Service classes at MPL {mpl} (closed loop)",
-            ))
-        if self.overload_cells:
-            headers = ["Discipline"]
-            for name in classes:
-                headers += [f"{name} done", f"{name} shed", f"{name} SLO%"]
-            rows = []
-            for discipline in self._disciplines_of(self.overload_cells):
-                row = [discipline]
-                for name in classes:
-                    cell = self.overload_cell(discipline, name)
-                    row += [str(cell.completed), str(cell.shed),
-                            f"{cell.slo_attainment:.0%}"]
-                rows.append(row)
-            blocks.append(format_table(
-                headers, rows,
-                title="Open-loop overload (queue timeout + deadline shedding)",
-            ))
-        if self.io_cells:
-            io_classes = sorted({c.service_class for c in self.io_cells})
-            for mpl in sorted({c.mpl for c in self.io_cells}):
-                headers = ["Disk discipline"]
-                for name in io_classes:
-                    headers += [f"{name} q/s", f"{name} p95",
-                                f"{name} disk-wait"]
-                rows = []
-                for discipline in self._disciplines_of(self.io_cells):
-                    row = [discipline]
-                    for name in io_classes:
-                        cell = self.io_cell(discipline, mpl, name)
-                        row += [
-                            f"{cell.throughput:.2f}",
-                            f"{cell.p95_latency:.4f}",
-                            f"{cell.disk_wait:.4f}",
-                        ]
-                    rows.append(row)
-                blocks.append(format_table(
-                    headers, rows,
-                    title=(f"I/O-heavy mix at MPL {mpl}: disk discipline "
-                           "(CPU stays FIFO)"),
-                ))
-        if self.net_cells:
-            net_classes = sorted({c.service_class for c in self.net_cells})
-            for bandwidth in sorted(
-                {c.bandwidth for c in self.net_cells}, reverse=True
-            ):
-                headers = ["Net discipline"]
-                for name in net_classes:
-                    headers += [f"{name} q/s", f"{name} p95",
-                                f"{name} net-wait"]
-                rows = []
-                net_at = [c for c in self.net_cells
-                          if c.bandwidth == bandwidth]
-                for discipline in self._disciplines_of(net_at):
-                    row = [discipline]
-                    for name in net_classes:
-                        cell = self.net_cell(discipline, bandwidth, name)
-                        row += [
-                            f"{cell.throughput:.2f}",
-                            f"{cell.p95_latency:.4f}",
-                            f"{cell.net_wait:.4f}",
-                        ]
-                    rows.append(row)
-                blocks.append(format_table(
-                    headers, rows,
-                    title=(f"Finite-bandwidth link at MPL {NET_MPL}, "
-                           f"{bandwidth / 1e6:.0f} MB/s: net discipline "
-                           "(CPU and disks stay FIFO)"),
-                ))
+        for column, split, header, measures, title in _LAYOUT:
+            cells = self.select(column=column)
+            columns = [(header, {}, lambda c: c.discipline)] + [
+                (f"{name} {label}", {"service_class": name}, render)
+                for name in distinct(cells, "service_class")
+                for label, render in measures
+            ]
+            blocks += [
+                pivot_table(select(cells, **{split: value}), "discipline",
+                            columns, title=title(value))
+                for value in distinct(cells, split)
+            ]
         return "\n\n".join(blocks)
-
-
-def io_heavy_plans(nodes: int = 2, processors_per_node: int = 4,
-                   base_tuples: int = 2000):
-    """The disk-dominated plan population — see
-    :func:`repro.workloads.scenarios.io_heavy_chain_population` (kept
-    here as a shim for its original import path).  Returns
-    ``(plans, config)``."""
-    return io_heavy_chain_population(
-        nodes=nodes, processors_per_node=processors_per_node,
-        base_tuples=base_tuples,
-    )
 
 
 def io_heavy_params(options: ExperimentOptions, disk_discipline: str,
@@ -325,7 +217,6 @@ def sweep_specs(options: ExperimentOptions,
                 overload: bool = True,
                 io_sweep: bool = True,
                 io_mpl_levels: Sequence[int] = IO_MPL_LEVELS,
-                io_base_tuples: Optional[int] = None,
                 net_sweep: bool = True,
                 net_bandwidths: Sequence[float] = NET_BANDWIDTHS,
                 ) -> list[SweepSpec]:
@@ -382,8 +273,7 @@ def sweep_specs(options: ExperimentOptions,
         io_base = dataclasses.replace(
             closed_base,
             params=io_heavy_params(options, disk_discipline="fifo"),
-            plans=PlanSpec(kind="io_heavy",
-                           base_tuples=io_base_tuples or base_tuples),
+            plans=PlanSpec(kind="io_heavy", base_tuples=base_tuples),
             label="classes-io",
         )
         sweeps.append(SweepSpec(
@@ -413,32 +303,22 @@ def sweep_specs(options: ExperimentOptions,
     return sweeps
 
 
-def _cell_kind(scenario: ScenarioSpec) -> str:
-    """Which column a cell belongs to — read straight off the spec."""
-    if scenario.plans.kind == "io_heavy":
-        return "io"
-    if scenario.params.network.bandwidth is not None:
-        return "net"
-    if scenario.workload.arrival.open_loop:
-        return "overload"
-    return "closed"
-
-
-def _collect_cells(result: RunResult) -> list[ClassCell]:
+def collect(result: RunResult) -> list[ClassCell]:
     """Reduce one cell's run to per-class rows (runs in the worker)."""
     scenario = result.scenario
-    kind = _cell_kind(scenario)
+    column = scenario.label.removeprefix("classes-")
     params = scenario.params
     discipline = {"io": params.disk_discipline,
-                  "net": params.net_discipline}.get(kind,
+                  "net": params.net_discipline}.get(column,
                                                     params.cpu_discipline)
     mpl = scenario.workload.policy.max_multiprogramming
-    bandwidth = params.network.bandwidth if kind == "net" else None
+    bandwidth = params.network.bandwidth if column == "net" else None
     metrics = result.metrics
     cells = []
     for name in metrics.class_names():
         waits = metrics.class_resource_waits(name)
         cells.append(ClassCell(
+            column=column,
             discipline=discipline,
             mpl=mpl,
             service_class=name,
@@ -463,81 +343,23 @@ def _collect_cells(result: RunResult) -> list[ClassCell]:
     accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
-        mpl_levels: Sequence[int] = MPL_LEVELS,
-        disciplines: Sequence[str] = DISCIPLINES,
-        nodes: int = 2, processors_per_node: int = 4,
-        base_tuples: int = 2000,
-        queries_per_cell: int = 18,
-        interactive_slo: float = 0.3,
-        overload: bool = True,
-        io_sweep: bool = True,
-        io_mpl_levels: Sequence[int] = IO_MPL_LEVELS,
-        io_base_tuples: Optional[int] = None,
-        net_sweep: bool = True,
-        net_bandwidths: Sequence[float] = NET_BANDWIDTHS,
-        processes: Optional[int] = None) -> ServiceClassSweepResult:
+        processes: Optional[int] = None,
+        **shape) -> ServiceClassSweepResult:
     """Sweep discipline × MPL for an interactive/batch mix.
 
-    ``io_sweep`` adds the I/O-heavy disk-discipline comparison (same
-    class mix, disk-dominated plan population, CPU pinned to FIFO) and
+    ``shape`` is :func:`sweep_specs`'s keywords: ``io_sweep`` adds the
+    I/O-heavy disk-discipline comparison (same class mix,
+    disk-dominated plan population, CPU pinned to FIFO) and
     ``net_sweep`` the finite-bandwidth net-discipline × bandwidth
     column.  ``processes`` fans the independent cells across worker
     processes (None = sequential, 0 = one per core) — results are
     identical either way.
     """
     options = options or ExperimentOptions()
-    sweeps = sweep_specs(
-        options, mpl_levels=mpl_levels, disciplines=disciplines,
-        nodes=nodes, processors_per_node=processors_per_node,
-        base_tuples=base_tuples, queries_per_cell=queries_per_cell,
-        interactive_slo=interactive_slo, overload=overload,
-        io_sweep=io_sweep, io_mpl_levels=io_mpl_levels,
-        io_base_tuples=io_base_tuples, net_sweep=net_sweep,
-        net_bandwidths=net_bandwidths,
-    )
-    scenarios = [cell for sweep in sweeps for cell in sweep.cells()]
-    results = run_scenarios(scenarios, processes=processes,
-                            collect=_collect_cells)
-
-    buckets: dict[str, list[ClassCell]] = {
-        "closed": [], "overload": [], "io": [], "net": [],
-    }
-    for scenario, cell_list in zip(scenarios, results):
-        buckets[_cell_kind(scenario)].extend(cell_list)
+    scenarios = [cell for sweep in sweep_specs(options, **shape)
+                 for cell in sweep.cells()]
+    per_scenario = run_scenarios(scenarios, processes=processes,
+                                 collect=collect)
     return ServiceClassSweepResult(
-        cells=tuple(buckets["closed"]),
-        overload_cells=tuple(buckets["overload"]),
-        options=options,
-        io_cells=tuple(buckets["io"]),
-        net_cells=tuple(buckets["net"]),
+        rows=tuple(cell for cells in per_scenario for cell in cells),
     )
-
-
-def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(
-        description="Sweep CPU discipline x MPL for an interactive/batch mix."
-    )
-    parser.add_argument("--nodes", type=int, default=2)
-    parser.add_argument("--procs", type=int, default=4)
-    parser.add_argument("--tuples", type=int, default=2000)
-    parser.add_argument("--queries", type=int, default=18)
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid for smoke runs")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="fan cells across N processes (0 = per core)")
-    args = parser.parse_args(argv)
-    options = ExperimentOptions.quick() if args.quick else ExperimentOptions()
-    kwargs = dict(nodes=args.nodes, processors_per_node=args.procs,
-                  base_tuples=args.tuples, queries_per_cell=args.queries,
-                  processes=args.parallel)
-    if args.quick:
-        kwargs.update(nodes=2, processors_per_node=2, base_tuples=1000,
-                      queries_per_cell=10, mpl_levels=(8,))
-    result = run(options, **kwargs)
-    print(result.table())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

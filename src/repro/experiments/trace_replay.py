@@ -167,6 +167,3 @@ def run(options: Optional[ExperimentOptions] = None,
         queries=len(trace.queries),
     )
 
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(ExperimentOptions.quick()).table())

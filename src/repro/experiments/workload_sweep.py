@@ -10,9 +10,8 @@ latency, mean queueing delay, CPU contention and per-query steal traffic.
 The grid is data, not code: one base
 :class:`~repro.api.spec.ScenarioSpec` (cluster, engine params, workload,
 plan population) plus a :class:`~repro.api.sweep.SweepSpec` with
-``skew`` / ``strategy`` / ``mpl`` axes; the generic grid runner
-materializes the cells and fans them over
-:func:`repro.experiments.parallel.parallel_map`.  Queries come from the
+``skew`` / ``strategy`` / ``mpl`` axes, run by
+:func:`~repro.api.sweep.run_sweep`.  Queries come from the
 paper's own mixed plan population (``PlanSpec(kind="workload_mix")``,
 the Section 5.1.2 construction: 30–60-minute-band bushy plans), so
 concurrent queries have genuinely different shapes and sizes.  Pass
@@ -35,15 +34,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..api.facade import RunResult, run as run_scenario
-from ..api.spec import PlanSpec, ScenarioSpec
+from ..api.spec import ScenarioSpec
 from ..api.sweep import SweepSpec, run_sweep
 from ..serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment
-from .reporting import format_table
+from .reporting import SweepResult, pivot_table
 
-__all__ = ["WorkloadSweepResult", "run", "base_scenario", "sweep_spec",
+__all__ = ["WorkloadSweepResult", "run", "sweep_spec", "collect",
            "PAPER_EXPECTATION", "MPL_LEVELS", "SKEW_LEVELS", "STRATEGIES"]
 
 #: multiprogramming levels on the sweep's x-axis.
@@ -78,55 +77,40 @@ class SweepCell:
     steal_bytes: int
 
 
-@dataclass(frozen=True)
-class WorkloadSweepResult:
-    """The full sweep grid."""
-
-    cells: tuple[SweepCell, ...]
-    options: ExperimentOptions
-
-    def cell(self, strategy: str, skew: float, mpl: int) -> SweepCell:
-        for cell in self.cells:
-            if (cell.strategy == strategy and cell.skew == skew
-                    and cell.mpl == mpl):
-                return cell
-        raise KeyError((strategy, skew, mpl))
+class WorkloadSweepResult(SweepResult):
+    """The full sweep grid, one :class:`SweepCell` per row."""
 
     def table(self) -> str:
-        blocks = []
-        skews = sorted({c.skew for c in self.cells})
-        strategies = sorted({c.strategy for c in self.cells})
-        mpls = sorted({c.mpl for c in self.cells})
-        for skew in skews:
-            headers = ["MPL"]
-            for strategy in strategies:
-                headers += [f"{strategy} q/s", f"{strategy} p95",
-                            f"{strategy} queue", f"{strategy} steal KB"]
-            rows = []
-            for mpl in mpls:
-                row: list[object] = [mpl]
-                for strategy in strategies:
-                    cell = self.cell(strategy, skew, mpl)
-                    row += [
-                        f"{cell.throughput:.2f}",
-                        f"{cell.p95_latency:.3f}",
-                        f"{cell.mean_queueing_delay:.3f}",
-                        f"{cell.steal_bytes / 1024:.1f}",
-                    ]
-                rows.append(row)
-            blocks.append(format_table(
-                headers, rows,
+        measures = (
+            ("q/s", lambda c: f"{c.throughput:.2f}"),
+            ("p95", lambda c: f"{c.p95_latency:.3f}"),
+            ("queue", lambda c: f"{c.mean_queueing_delay:.3f}"),
+            ("steal KB", lambda c: f"{c.steal_bytes / 1024:.1f}"),
+        )
+        columns = [("MPL", {}, lambda c: c.mpl)] + [
+            (f"{strategy} {name}", {"strategy": strategy}, render)
+            for strategy in self.distinct("strategy")
+            for name, render in measures
+        ]
+        return "\n\n".join(
+            pivot_table(
+                self.select(skew=skew), "mpl", columns,
                 title=f"Workload sweep, redistribution skew {skew:.1f} "
                       f"(closed loop, throughput in queries/s)",
-            ))
-        return "\n\n".join(blocks)
+            )
+            for skew in self.distinct("skew")
+        )
 
 
-def base_scenario(options: ExperimentOptions,
-                  nodes: int = 4, processors_per_node: int = 8,
-                  queries_per_cell: int = 16) -> ScenarioSpec:
-    """The sweep's base cell: MPL 1, no skew, DP, the 5.1.2 plan mix."""
-    return ScenarioSpec(
+def sweep_spec(options: ExperimentOptions,
+               mpl_levels: Sequence[int] = MPL_LEVELS,
+               skew_levels: Sequence[float] = SKEW_LEVELS,
+               strategies: Sequence[str] = STRATEGIES,
+               nodes: int = 4, processors_per_node: int = 8,
+               queries_per_cell: int = 16) -> SweepSpec:
+    """The whole grid as data: a base cell (MPL 1, no skew, DP, the
+    5.1.2 plan mix) × (skew, strategy, mpl) axes."""
+    base = ScenarioSpec(
         cluster=MachineConfig(nodes=nodes,
                               processors_per_node=processors_per_node),
         params=scaled_execution_params(
@@ -139,26 +123,11 @@ def base_scenario(options: ExperimentOptions,
             policy=AdmissionPolicy(max_multiprogramming=1),
             seed=options.seed,
         ),
-        plans=PlanSpec(
-            kind="workload_mix", plan_count=options.plans,
-            workload_queries=options.workload_queries,
-            scale=options.scale, seed=options.seed,
-        ),
+        plans=options.plan_mix(),
         label="workload-sweep",
     )
-
-
-def sweep_spec(options: ExperimentOptions,
-               mpl_levels: Sequence[int] = MPL_LEVELS,
-               skew_levels: Sequence[float] = SKEW_LEVELS,
-               strategies: Sequence[str] = STRATEGIES,
-               nodes: int = 4, processors_per_node: int = 8,
-               queries_per_cell: int = 16) -> SweepSpec:
-    """The whole grid as data: base scenario × (skew, strategy, mpl) axes."""
     return SweepSpec(
-        base=base_scenario(options, nodes=nodes,
-                           processors_per_node=processors_per_node,
-                           queries_per_cell=queries_per_cell),
+        base=base,
         axes=(("skew", tuple(skew_levels)),
               ("strategy", tuple(strategies)),
               ("mpl", tuple(mpl_levels))),
@@ -166,7 +135,7 @@ def sweep_spec(options: ExperimentOptions,
     )
 
 
-def _collect_cell(result: RunResult) -> SweepCell:
+def collect(result: RunResult) -> SweepCell:
     """Reduce one cell's run to its observables (runs in the worker)."""
     scenario = result.scenario
     metrics = result.metrics
@@ -191,65 +160,25 @@ def _collect_cell(result: RunResult) -> SweepCell:
     accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
-        mpl_levels: Sequence[int] = MPL_LEVELS,
-        skew_levels: Sequence[float] = SKEW_LEVELS,
-        strategies: Sequence[str] = STRATEGIES,
-        nodes: int = 4, processors_per_node: int = 8,
-        queries_per_cell: int = 16,
-        plans=None,
-        processes: Optional[int] = None) -> WorkloadSweepResult:
+        processes: Optional[int] = None, plans=None,
+        **shape) -> WorkloadSweepResult:
     """Sweep MPL × skew × strategy over a mixed plan population.
 
-    ``plans`` defaults to the paper's Section 5.1.2 workload compiled for
-    the sweep's machine, limited to ``options.plans`` entries; each
-    submitted query draws its plan from the population, so every cell
-    mixes query shapes and sizes.  ``processes`` fans the independent
-    cells across worker processes (None = sequential, 0 = one per core);
-    the per-cell results are identical either way.
+    ``shape`` is :func:`sweep_spec`'s keywords.  ``plans`` defaults to
+    the paper's Section 5.1.2 workload compiled for the sweep's machine,
+    limited to ``options.plans`` entries; each submitted query draws its
+    plan from the population, so every cell mixes query shapes and
+    sizes.  ``processes`` fans the independent cells across worker
+    processes (None = sequential, 0 = one per core); the per-cell
+    results are identical either way.
     """
     options = options or ExperimentOptions()
-    sweep = sweep_spec(
-        options, mpl_levels=mpl_levels, skew_levels=skew_levels,
-        strategies=strategies, nodes=nodes,
-        processors_per_node=processors_per_node,
-        queries_per_cell=queries_per_cell,
-    )
+    sweep = sweep_spec(options, **shape)
     if plans is not None:
         # An explicit plan population cannot be shipped to workers (it
         # may be arbitrary, unpicklable objects): run it in-process.
-        cells = [
-            _collect_cell(run_scenario(scenario, plans=list(plans)))
-            for scenario in sweep.cells()
-        ]
-        return WorkloadSweepResult(cells=tuple(cells), options=options)
-    cells = run_sweep(sweep, processes=processes, collect=_collect_cell)
-    return WorkloadSweepResult(cells=tuple(cells), options=options)
-
-
-def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(
-        description="Sweep multiprogramming level x skew x strategy."
-    )
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--procs", type=int, default=8)
-    parser.add_argument("--queries", type=int, default=16)
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid for smoke runs")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="fan cells across N processes (0 = per core)")
-    args = parser.parse_args(argv)
-    options = ExperimentOptions.quick() if args.quick else ExperimentOptions()
-    kwargs = dict(nodes=args.nodes, processors_per_node=args.procs,
-                  queries_per_cell=args.queries, processes=args.parallel)
-    if args.quick:
-        kwargs.update(nodes=2, processors_per_node=4,
-                      queries_per_cell=8, mpl_levels=(1, 4),
-                      skew_levels=(0.8,))
-    result = run(options, **kwargs)
-    print(result.table())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+        rows = [collect(run_scenario(scenario, plans=list(plans)))
+                for scenario in sweep.cells()]
+    else:
+        rows = run_sweep(sweep, processes=processes, collect=collect)
+    return WorkloadSweepResult(rows=tuple(rows))

@@ -8,6 +8,7 @@ registry drives the runner with validated CLI options.
 
 import dataclasses
 import io
+import runpy
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.catalog.skew import SkewSpec
-from repro.experiments import service_class_sweep, workload_sweep
+from repro.experiments import (elastic, overload, placement,
+                               service_class_sweep, workload_sweep)
 from repro.experiments.config import ExperimentOptions
 from repro.experiments.registry import REGISTRY, register_experiment
 from repro.experiments.runner import EXPERIMENTS, main as runner_main, run_all
@@ -31,6 +33,20 @@ from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadDriver, Workload
 from repro.sim.machine import MachineConfig
 
 TINY = ExperimentOptions(plans=2, workload_queries=2)
+#: experiment id -> (module, a shape small enough for tier-1).
+SERVING_EXPERIMENTS = {
+    "workload": (workload_sweep, dict(
+        mpl_levels=(1, 2), skew_levels=(0.8,), nodes=2,
+        processors_per_node=2, queries_per_cell=4)),
+    "classes": (service_class_sweep, dict(
+        mpl_levels=(2,), queries_per_cell=4, nodes=2, processors_per_node=2,
+        base_tuples=700, io_sweep=False, net_sweep=False)),
+    "elastic": (elastic, dict(processors_per_node=2)),
+    "overload": (overload, dict(multipliers=(2.0,), queries_per_cell=6)),
+    "placement": (placement, dict(
+        regimes=(placement.REGIMES[2],), policies=("paper", "round_robin"),
+        nodes=2, processors_per_node=2, queries_per_cell=4)),
+}
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 
@@ -109,12 +125,12 @@ class TestWorkloadSweepEquivalence:
             TINY, mpl_levels=(1, 2), skew_levels=(0.8,), strategies=("DP",),
             nodes=2, processors_per_node=2, queries_per_cell=4,
         )
-        assert len(result.cells) == 2
+        assert len(result.rows) == 2
         sweep = workload_sweep.sweep_spec(
             TINY, mpl_levels=(1, 2), skew_levels=(0.8,), strategies=("DP",),
             nodes=2, processors_per_node=2, queries_per_cell=4,
         )
-        for cell, scenario in zip(result.cells, sweep.cells()):
+        for cell, scenario in zip(result.rows, sweep.cells()):
             # Rebuild the legacy wiring by hand for this cell.
             from repro.api import build_plans
 
@@ -140,8 +156,8 @@ class TestWorkloadSweepEquivalence:
             nodes=2, processors_per_node=2, queries_per_cell=4,
             plans=[plan],
         )
-        assert len(explicit.cells) == 1
-        assert explicit.cells[0].mpl == 2
+        assert len(explicit.rows) == 1
+        assert explicit.rows[0].mpl == 2
 
 
 class TestServiceClassSweepSpecs:
@@ -151,13 +167,11 @@ class TestServiceClassSweepSpecs:
             nodes=2, processors_per_node=2, base_tuples=700,
             queries_per_cell=4,
         )
-        kinds = [service_class_sweep._cell_kind(sweep.cells()[0])
-                 for sweep in sweeps]
-        assert kinds == ["closed", "overload", "io", "net"]
-        # Every cell of every column round-trips as pure data.
-        for sweep in sweeps:
-            for cell in sweep.cells():
-                assert ScenarioSpec.from_json(cell.to_json()) == cell
+        # ``collect`` reads a cell's column back off its label.
+        assert [{cell.label for cell in sweep.cells()} for sweep in sweeps] == [
+            {"classes-closed"}, {"classes-overload"}, {"classes-io"},
+            {"classes-net"},
+        ]
 
     def test_net_cells_carry_bandwidth_axis(self):
         sweeps = service_class_sweep.sweep_specs(
@@ -187,7 +201,7 @@ class TestRegistry:
         assert list(EXPERIMENTS)[0] == "params"
 
     def test_sweeps_declare_their_extra_knobs(self):
-        for name in ("workload", "classes"):
+        for name in SERVING_EXPERIMENTS:
             assert EXPERIMENTS[name].accepts == ("processes",)
         assert EXPERIMENTS["fig6"].accepts == ()
 
@@ -198,18 +212,6 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="registered twice"):
             register_experiment("params", "again")(lambda options: "")
-
-    def test_main_module_reregistration_is_ignored(self):
-        """``python -m repro.experiments.workload_sweep`` executes the
-        module a second time as ``__main__``; its re-registrations must
-        not clobber (or crash on) the canonical package entries."""
-        def fake(options):
-            return ""
-
-        fake.__module__ = "__main__"
-        canonical = EXPERIMENTS["workload"]
-        assert register_experiment("workload", "dup")(fake) is fake
-        assert EXPERIMENTS["workload"] is canonical
 
     def test_run_all_rejects_unknown_programmatically(self):
         with pytest.raises(ValueError, match="unknown experiments"):
@@ -276,15 +278,44 @@ class TestScenarioCli:
         assert "result_tuples" in out.getvalue()
 
 
-class TestParallelSweepStillIdentical:
-    def test_parallel_equals_sequential_through_the_new_runner(self):
-        kwargs = dict(mpl_levels=(2,), queries_per_cell=4, nodes=2,
-                      processors_per_node=2, base_tuples=700,
-                      io_sweep=False, net_sweep=False, overload=False)
-        sequential = service_class_sweep.run(TINY, **kwargs)
-        parallel = service_class_sweep.run(TINY, processes=2, **kwargs)
-        assert sequential == parallel
+class TestQuickstartExample:
+    def test_quickstart_example_runs_both_strategies(self, capsys):
+        runpy.run_path(str(SCENARIO_DIR.parent / "quickstart.py"),
+                       run_name="__main__")
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["strategy", "DP", "FP"]
+        # Both strategies produce the join's full result.
+        assert {line.split()[-1] for line in lines[1:]} == {"8000"}
 
+
+class TestServingExperimentsShareOneShape:
+    """Builder -> ``run_scenarios`` -> ``collect`` -> rows, five times."""
+
+    @pytest.mark.parametrize("name", sorted(SERVING_EXPERIMENTS))
+    def test_parallel_equals_sequential(self, name):
+        """Fanning cells across worker processes returns the identical
+        result object the sequential run builds."""
+        module, small = SERVING_EXPERIMENTS[name]
+        sequential = module.run(TINY, **small)
+        assert sequential.rows
+        assert module.run(TINY, processes=2, **small) == sequential
+
+    @pytest.mark.parametrize("name", sorted(SERVING_EXPERIMENTS))
+    def test_every_quick_cell_is_expressible_as_json(self, name):
+        module, _small = SERVING_EXPERIMENTS[name]
+        cells = _quick_cells(module)
+        assert cells
+        for cell in cells:
+            assert ScenarioSpec.from_json(cell.to_json()) == cell
+
+    @pytest.mark.parametrize("module", [workload_sweep, service_class_sweep,
+                                        placement])
+    def test_every_quick_sweep_spec_round_trips(self, module):
+        for sweep in _quick_sweeps(module):
+            assert SweepSpec.from_json(sweep.to_json()) == sweep
+
+
+class TestParallelSweepStillIdentical:
     def test_run_sweep_collect_runs_in_worker(self):
         base = ScenarioSpec(
             cluster=MachineConfig(nodes=2, processors_per_node=2),
@@ -307,20 +338,8 @@ class TestParallelSweepStillIdentical:
 
 
 class TestParallelRunnerIdentity:
-    def test_parallel_cells_identical_to_sequential(self):
-        """The full classes grid (overload column included): fanning
-        cells across worker processes returns the identical result
-        object the sequential run builds."""
-        options = ExperimentOptions.quick()
-        kwargs = dict(mpl_levels=(4,), queries_per_cell=6, nodes=2,
-                      processors_per_node=2, base_tuples=800,
-                      io_sweep=False, net_sweep=False)
-        sequential = service_class_sweep.run(options, **kwargs)
-        parallel = service_class_sweep.run(options, processes=2, **kwargs)
-        assert sequential == parallel
-
     def test_parallel_map_degenerate_cases(self):
-        from repro.experiments.parallel import parallel_map, resolve_processes
+        from repro.api.sweep import parallel_map, resolve_processes
         assert parallel_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
         assert parallel_map(lambda x: x * x, [], processes=0) == []
         assert resolve_processes(None) == 1
@@ -331,3 +350,21 @@ class TestParallelRunnerIdentity:
 def _throughput_of(result):
     """Module-level collector (must be picklable for the pool)."""
     return result.metrics.throughput()
+
+
+def _quick_sweeps(module):
+    """The module's grids at the ``repro-experiments --quick`` shape."""
+    options = ExperimentOptions.quick()
+    if module is workload_sweep:
+        return [module.sweep_spec(options)]
+    return module.sweep_specs(options)
+
+
+def _quick_cells(module):
+    """Every scenario the module runs under ``--quick``."""
+    options = ExperimentOptions.quick()
+    if module is elastic:
+        return module.elastic_scenarios(options)
+    if module is overload:
+        return module.overload_scenarios(options)
+    return [cell for sweep in _quick_sweeps(module) for cell in sweep.cells()]

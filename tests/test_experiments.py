@@ -177,23 +177,31 @@ class TestFigureModules:
         # The acceptance ordering: priority preemption improves the
         # interactive class's p95 over FIFO at MPL 8, batch throughput
         # stays within 20%.
-        fifo = result.cell("fifo", 8, "interactive")
-        prio = result.cell("priority", 8, "interactive")
+        def closed(discipline, name):
+            return result.cell(column="closed", discipline=discipline,
+                               mpl=8, service_class=name)
+
+        fifo = closed("fifo", "interactive")
+        prio = closed("priority", "interactive")
         assert prio.p95_latency < fifo.p95_latency
-        assert (result.cell("priority", 8, "batch").throughput
-                >= 0.8 * result.cell("fifo", 8, "batch").throughput)
+        assert (closed("priority", "batch").throughput
+                >= 0.8 * closed("fifo", "batch").throughput)
         # Overload handling actually shed something, somewhere.
-        assert any(c.shed > 0 for c in result.overload_cells)
+        assert any(c.shed > 0 for c in result.select(column="overload"))
         assert "Service classes at MPL 8" in result.table()
         # The I/O-heavy acceptance ordering: priority *disk* scheduling
         # improves the interactive p95 over FIFO disks at MPL 8, batch
         # throughput within 20%, and the gain shows up as interactive
         # disk-queueing time (the per-resource breakdown).
-        io_fifo = result.io_cell("fifo", 8, "interactive")
-        io_prio = result.io_cell("priority", 8, "interactive")
+        def io(discipline, name):
+            return result.cell(column="io", discipline=discipline,
+                               mpl=8, service_class=name)
+
+        io_fifo = io("fifo", "interactive")
+        io_prio = io("priority", "interactive")
         assert io_prio.p95_latency < io_fifo.p95_latency
-        assert (result.io_cell("priority", 8, "batch").throughput
-                >= 0.8 * result.io_cell("fifo", 8, "batch").throughput)
+        assert (io("priority", "batch").throughput
+                >= 0.8 * io("fifo", "batch").throughput)
         assert io_prio.disk_wait < io_fifo.disk_wait
         assert "I/O-heavy mix at MPL 8" in result.table()
 

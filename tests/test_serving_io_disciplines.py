@@ -28,8 +28,7 @@ import pytest
 from repro.engine import ExecutionParams
 from repro.engine.metrics import QueryCompletion, QueryShed
 from repro.experiments.config import scaled_execution_params
-from repro.experiments.service_class_sweep import (io_heavy_params,
-                                                   io_heavy_plans)
+from repro.experiments.service_class_sweep import io_heavy_params
 from repro.optimizer.cost import CostParams
 from repro.serving import (
     BATCH,
@@ -45,6 +44,7 @@ from repro.sim import MachineConfig
 from repro.sim.disk import DiskParams
 from repro.sim.network import NetworkParams
 from repro.workloads import pipeline_chain_scenario
+from repro.workloads.scenarios import io_heavy_chain_population
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ class TestMixedResourceContention:
 
 class TestDiskDisciplineDifferentiation:
     def run_io_mix(self, disk_discipline, mpl=8, queries=12, seed=1996):
-        plans, config = io_heavy_plans(
+        plans, config = io_heavy_chain_population(
             nodes=2, processors_per_node=2, base_tuples=1000
         )
         interactive = dataclasses.replace(INTERACTIVE, latency_slo=0.5)

@@ -1,10 +1,12 @@
-"""Import layering of the serving package, checked on the source.
+"""Import layering of the serving and api packages, checked on the source.
 
 ``coordinator.py`` sits on top: it wires the pending queues, the
 preemptor and (through the substrate) the broker together, and none of
 them may reach back into it — that back-edge is how the coordinator grew
 to own six concerns, and how ``substrate.py`` came to hide an import
-cycle behind a function-level import.
+cycle behind a function-level import.  ``repro.api`` sits *below*
+``repro.experiments`` (the experiments are built on the scenario API),
+so no api module may import it, not even inside a function.
 """
 
 import ast
@@ -12,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.api
 import repro.serving
 
 SERVING = Path(repro.serving.__file__).parent
+API = Path(repro.api.__file__).parent
 
 
 def imports(path):
@@ -55,3 +59,13 @@ def test_the_substrate_defers_no_import():
         f"{deferred}: a deferred import hides an import cycle — break the "
         "cycle instead (the broker lives in serving/broker.py for this)"
     )
+
+
+@pytest.mark.parametrize("path", sorted(API.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_the_api_never_imports_the_experiments(path):
+    for node, _top in imports(path):
+        assert "experiments" not in imported_names(node), (
+            f"api/{path.name} line {node.lineno} imports "
+            "repro.experiments: dependencies point downwards only"
+        )
