@@ -26,6 +26,10 @@
 #   make bench-regression regenerate the kernel/replay/overload benches
 #                         and fail on a >25% events/s drop vs the
 #                         committed BENCH_*.json baselines
+#   make profile WORKLOAD=replay_tiny
+#                         cProfile one warm repetition of a ledger workload
+#                         and print the top rows with their share of the
+#                         total (TOP=40, SORT=cumulative|tottime)
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python
@@ -33,7 +37,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: check check-slow check-full lint determinism trace-roundtrip \
 	bench-smoke bench-kernel bench-macro bench-trace-replay \
-	bench-overload bench-regression experiments
+	bench-overload bench-regression profile experiments
 
 check:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q
@@ -84,6 +88,13 @@ bench-regression:
 		--pair /tmp/BENCH_kernel.baseline.json benchmarks/BENCH_kernel.json \
 		--pair /tmp/BENCH_trace_replay.baseline.json benchmarks/BENCH_trace_replay.json \
 		--pair /tmp/BENCH_overload.baseline.json benchmarks/BENCH_overload.json
+
+WORKLOAD ?= replay_tiny
+TOP ?= 40
+SORT ?= cumulative
+
+profile:
+	$(PYTHON) scripts/profile_workload.py $(WORKLOAD) --top $(TOP) --sort $(SORT)
 
 experiments:
 	$(PYTHON) -m repro.experiments.runner --quick

@@ -16,10 +16,8 @@ idle/wake bookkeeping) and the cross-cutting mechanisms:
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
 
-from ..catalog.skew import proportional_split, zipf_weights
 from ..optimizer.operator_tree import OpKind
 from ..optimizer.plan import ParallelExecutionPlan
 from ..sim.core import DEFAULT_TAG, Environment, Event, make_discipline
@@ -33,8 +31,9 @@ from .metrics import ExecutionMetrics
 from .opstate import OperatorRuntime
 from .params import ExecutionParams
 from .queues import ActivationQueue, OperatorQueueSet
-from .routing import OutputChannel, ResultSink, Router, consumer_cells
+from .routing import OutputChannel, ResultSink
 from .tables import HashTableStore
+from .template import ExecutionTemplate, queue_shares
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scheduler import NodeScheduler
@@ -187,10 +186,20 @@ class ExecutionContext:
     def __init__(self, plan: ParallelExecutionPlan, config: MachineConfig,
                  params: Optional[ExecutionParams] = None,
                  substrate=None, query_id: int = 0,
-                 service_class=None):
+                 service_class=None,
+                 template: Optional[ExecutionTemplate] = None):
         self.plan = plan
         self.config = config
         self.params = params or ExecutionParams()
+        if template is None:
+            template = ExecutionTemplate(plan, config, self.params)
+        elif template.plan is not plan or template.config != config:
+            raise ValueError("the execution template was built for another "
+                             "plan or machine")
+        #: the seed-independent tables this context instantiates, shared
+        #: read-only with every other execution its owner launches; held
+        #: until the triggers are seeded (see :meth:`seed_triggers`).
+        self.template: Optional[ExecutionTemplate] = template
         self.substrate = substrate
         self.query_id = query_id
         #: the serving layer's service class (weight/priority/SLO); None
@@ -243,60 +252,46 @@ class ExecutionContext:
         if substrate is not None:
             substrate.register_context(self)
 
-        # --- operator runtimes ------------------------------------------------
+        # --- operator runtimes and their queues -----------------------------
         self.ops: dict[int, OperatorRuntime] = {}
         #: consumer op -> its unique pipelined producer op.
-        self.producer_of: dict[int, int] = {}
-        for op in plan.operators:
-            runtime = OperatorRuntime(
-                op, plan.homes[op.op_id],
-                plan.schedule.predecessors_of(op.op_id),
-            )
-            self.ops[op.op_id] = runtime
-            if op.consumer_id is not None:
-                self.producer_of[op.consumer_id] = op.op_id
-
-        # --- queues -------------------------------------------------------------
+        self.producer_of: dict[int, int] = dict(template.producer_of)
         k = config.processors_per_node
-        for runtime in self.ops.values():
-            for node_id in runtime.home:
+        capacity = self.params.queue_capacity
+        for op, home, predecessors in template.operators:
+            runtime = OperatorRuntime(op, home, predecessors)
+            self.ops[op.op_id] = runtime
+            for node_id in home:
                 node = self.nodes[node_id]
-                queue_set = OperatorQueueSet(
-                    runtime.op_id, node_id, k, self.params.queue_capacity
-                )
+                queue_set = OperatorQueueSet(op.op_id, node_id, k, capacity)
                 queue_set.set_blocked(runtime.blocked)
                 queue_set.on_push = node.on_queue_push
-                node.queue_sets[runtime.op_id] = queue_set
+                node.queue_sets[op.op_id] = queue_set
 
         # --- routing ----------------------------------------------------------------
-        self.routers: dict[int, Optional[Router]] = {}
         self.channels: dict[tuple[int, int], OutputChannel] = {}
-        tuple_size = self._plan_tuple_size()
-        theta = self.params.skew.redistribution
-        for runtime in self.ops.values():
-            op = runtime.op
-            if op.kind is OpKind.BUILD:
-                continue  # builds output a hash table, not a tuple stream
-            consumer_id = op.consumer_id
-            if consumer_id is None:
-                router = None  # root: results go to the sink
-            else:
-                consumer_home = self.ops[consumer_id].home
-                cells = consumer_cells(consumer_home, k)
-                buckets = self.params.buckets_for_home(len(consumer_home) * k)
-                rng = self.streams.stream(f"router:{op.op_id}")
-                router = Router(cells, buckets, theta, rng)
-            self.routers[op.op_id] = router
-            for node_id in runtime.home:
-                self.channels[(node_id, op.op_id)] = OutputChannel(
-                    self, node_id, op.op_id, consumer_id, router, tuple_size
+        tuple_size = template.tuple_size
+        for op_id, consumer_id, router, channels in template.routes:
+            if router is not None and template.permutes:
+                # This producer's own permutation of the Zipf weights over
+                # the shared bucket space (Section 5.2.2).
+                router = router.with_bucket_weights(
+                    self._permuted(router.buckets, f"router:{op_id}")
+                )
+            for node_id, credits in channels:
+                self.channels[(node_id, op_id)] = OutputChannel(
+                    self, node_id, op_id, consumer_id, router, tuple_size,
+                    credits,
                 )
 
     # -- small helpers -----------------------------------------------------------
 
-    def _plan_tuple_size(self) -> int:
-        sizes = {rel.tuple_size for rel in self.plan.graph.relations.values()}
-        return max(sizes) if sizes else 100
+    def _permuted(self, n: int, stream: str) -> list[float]:
+        """The template's Zipf weights over ``n`` cells, shuffled by the
+        query's stream of that name (each stream is drawn from once)."""
+        weights = list(self.template.zipf_vector(n))
+        self.streams.stream(stream).shuffle(weights)
+        return weights
 
     def instructions_time(self, instructions: float) -> float:
         """Virtual seconds for ``instructions`` on one processor."""
@@ -305,64 +300,32 @@ class ExecutionContext:
     # -- trigger seeding (Section 4, "Query execution") ---------------------------
 
     def seed_triggers(self) -> None:
-        """Create all trigger activations and mark scans' producers done."""
-        theta = self.params.skew.redistribution
-        for runtime in self.ops.values():
-            if runtime.kind is not OpKind.SCAN:
-                continue
-            placement = self.plan.placements[runtime.op.relation.name]
-            tuples_per_page = runtime.op.relation.tuples_per_page(
-                self.config.page_size
-            )
-            for node_id in runtime.home:
-                node = self.nodes[node_id]
-                queue_set = node.queue_sets[runtime.op_id]
-                per_disk: list[list[TriggerActivation]] = []
-                for disk_id, disk_tuples in enumerate(placement.disk_shares(node_id)):
-                    if disk_tuples == 0:
-                        continue
-                    pages = math.ceil(disk_tuples / tuples_per_page)
-                    n_chunks = math.ceil(pages / self.params.pages_per_trigger)
-                    page_shares = proportional_split(pages, [1.0] * n_chunks)
-                    tuple_shares = proportional_split(disk_tuples, page_shares)
-                    per_disk.append([
-                        TriggerActivation(
-                            op_id=runtime.op_id, disk_id=disk_id,
-                            pages=chunk_pages, tuples=chunk_tuples,
-                        )
-                        for chunk_pages, chunk_tuples in zip(page_shares,
-                                                             tuple_shares)
-                        if chunk_pages
-                    ])
-                # Disk-major order: a queue's share covers one disk (or a
-                # contiguous run of disks), giving consuming threads
-                # stream affinity — consecutive requests per disk stay
-                # sequential and tightly spaced.  Threads that need more
-                # I/O parallelism absorb triggers *disk-aware* instead
-                # (see ExecutionThread._select_trigger_of).
-                chunks: list[TriggerActivation] = [
-                    chunk for disk_chunks in per_disk for chunk in disk_chunks
-                ]
-                if not chunks:
-                    continue
-                # Distribute chunks over the node's scan queues; a Zipf
-                # factor reproduces the paper's trigger-side
-                # redistribution skew (Section 5.2.2).
-                rng = self.streams.stream(f"trigger:{runtime.op_id}:{node_id}")
-                weights = zipf_weights(len(queue_set.queues), theta, rng)
-                counts = proportional_split(len(chunks), weights)
-                cursor = 0
-                for queue_index, count in enumerate(counts):
-                    for activation in chunks[cursor:cursor + count]:
-                        runtime.outstanding += 1
-                        self.metrics.trigger_activations += 1
-                        # Trigger seeding is the initial work assignment,
-                        # not pipeline flow: it bypasses the queue bound.
-                        queue_set.push(queue_index, activation, force=True)
-                    cursor += count
+        """Queue all trigger activations and mark scans' producers done."""
+        template = self.template
+        k = self.config.processors_per_node
+        for op_id, seeds in template.scans:
+            runtime = self.ops[op_id]
+            for node_id, chunks, shares in seeds:
+                if template.permutes:
+                    # A Zipf factor reproduces the paper's trigger-side
+                    # redistribution skew (Section 5.2.2).
+                    shares = queue_shares(chunks, self._permuted(
+                        k, f"trigger:{op_id}:{node_id}"
+                    ))
+                runtime.outstanding += len(chunks)
+                self.metrics.trigger_activations += len(chunks)
+                queue_set = self.nodes[node_id].queue_sets[op_id]
+                for queue_index, share in enumerate(shares):
+                    if share:
+                        queue_set.seed(queue_index, share)
             runtime.producers_done = True
             # An empty scan may be done before it starts.
             self.maybe_end(runtime)
+        # Instantiation is complete.  A finished context is cyclic garbage
+        # until the collector runs; it must not keep its owner's template —
+        # a large plan's trigger chunks — alive that long (``single_skew``
+        # peaked 4 MiB higher when it did).
+        self.template = None
 
     # -- network paths --------------------------------------------------------------
 

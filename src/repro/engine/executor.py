@@ -24,6 +24,7 @@ from .params import ExecutionParams
 from .scheduler import NodeScheduler
 from .strategies.base import ExecutionStrategy, StrategyError, make_strategy
 from .strategies.sp import SynchronousPipeliningExecutor
+from .template import ExecutionTemplate
 from .thread_exec import ExecutionThread
 
 __all__ = ["QueryExecutor"]
@@ -34,21 +35,22 @@ class QueryExecutor:
 
     def __init__(self, plan: ParallelExecutionPlan, config: MachineConfig,
                  strategy: Union[str, ExecutionStrategy] = "DP",
-                 params: Optional[ExecutionParams] = None):
+                 params: Optional[ExecutionParams] = None,
+                 template: Optional[ExecutionTemplate] = None):
+        """``template`` is the caller's :class:`ExecutionTemplate` for
+        ``(plan, config, params-sans-seed)``, shared by every query the
+        caller launches on that plan; an executor run alone builds a
+        private one per launch."""
         self.plan = plan
         self.config = config
         self.params = params or ExecutionParams()
+        self.template = template
         if isinstance(strategy, str):
             self.strategy_name = strategy.upper()
+            self._strategy_instance = None
         else:
             self.strategy_name = strategy.name
             self._strategy_instance = strategy
-        max_node = max(plan.node_set)
-        if max_node >= config.nodes:
-            raise ValueError(
-                f"plan references node {max_node} but the machine has only "
-                f"{config.nodes} nodes"
-            )
 
     def run(self) -> ExecutionResult:
         """Execute to completion; raises :class:`ExecutionDeadlock` if the
@@ -85,13 +87,19 @@ class QueryExecutor:
                 "SP bypasses the activation engine; use "
                 "SynchronousPipeliningExecutor.launch for shared-substrate runs"
             )
-        strategy = getattr(self, "_strategy_instance", None)
+        strategy = self._strategy_instance
         if strategy is None:
             strategy = make_strategy(self.strategy_name)
-
+        # A private template lasts for this instantiation only: kept, it
+        # would hold every trigger chunk until the executor goes, where the
+        # queues let go of each as it is consumed.
+        template = self.template or ExecutionTemplate(
+            self.plan, self.config, self.params
+        )
         context = ExecutionContext(self.plan, self.config, self.params,
                                    substrate=substrate, query_id=query_id,
-                                   service_class=service_class)
+                                   service_class=service_class,
+                                   template=template)
         context.strategy = strategy
 
         # Per-node schedulers (message handling, LB, end detection).
@@ -111,14 +119,17 @@ class QueryExecutor:
                 thread.start()
         return context
 
-    def collect(self, context: ExecutionContext) -> ExecutionResult:
+    def collect(self, context: ExecutionContext,
+                queueing_delay: float = 0.0) -> ExecutionResult:
         """Freeze the finished execution: nothing reachable from the
         result changes once this returns.  It takes the context's counters
         with it, and the context gets a scratch sink for the threads whose
         last charge was still in flight when the root operator ended (they
-        go on adding CPU contention)."""
+        go on adding CPU contention).  ``queueing_delay`` is the
+        pre-admission wait the serving layer measured (0 when run alone)."""
         metrics = context.metrics
         context.metrics = ExecutionMetrics()
+        metrics.queueing_delay = queueing_delay
         metrics.thread_count = sum(len(n.threads) for n in context.nodes)
         # Derived (not live-accumulated): per-thread busy totals, folded
         # left to right (float ``sum()`` rounds differently from 3.12 on).
@@ -147,4 +158,5 @@ class QueryExecutor:
             config_label=self.config.describe(),
             response_time=context.response_time,
             metrics=metrics,
+            queueing_delay=queueing_delay,
         )

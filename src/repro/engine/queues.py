@@ -18,9 +18,10 @@ and maintains the non-empty count used by O(1) thread selection.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
-from .activation import Activation
+from .activation import (TRIGGER_ACTIVATION_BYTES, Activation,
+                         TriggerActivation)
 
 __all__ = ["ActivationQueue", "OperatorQueueSet", "QueueFull"]
 
@@ -91,6 +92,15 @@ class ActivationQueue:
         self._items.append(activation)
         self.total_pushed += 1
         self.bytes_queued += activation.nbytes
+        self.end_signaled = False
+
+    def seed(self, triggers: Sequence[TriggerActivation]) -> None:
+        """Append a run of this operator's trigger activations, bypassing
+        the bound: trigger seeding is the initial work assignment, not
+        pipeline flow.  Same state as one forced :meth:`push` each."""
+        self._items.extend(triggers)
+        self.total_pushed += len(triggers)
+        self.bytes_queued += len(triggers) * TRIGGER_ACTIVATION_BYTES
         self.end_signaled = False
 
     def pop(self) -> Activation:
@@ -178,6 +188,19 @@ class OperatorQueueSet:
         self._queued += 1
         if was_empty:
             self._non_empty += 1
+        if self.on_push is not None:
+            self.on_push(queue)
+
+    def seed(self, queue_index: int,
+             triggers: Sequence[TriggerActivation]) -> None:
+        """Seed one member queue with a non-empty run of triggers (see
+        :meth:`ActivationQueue.seed`).  The arrival hook runs once, not
+        once per trigger: its effects are idempotent."""
+        queue = self.queues[queue_index]
+        if queue.is_empty:
+            self._non_empty += 1
+        queue.seed(triggers)
+        self._queued += len(triggers)
         if self.on_push is not None:
             self.on_push(queue)
 

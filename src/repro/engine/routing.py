@@ -32,6 +32,7 @@ probe queues fill).
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..catalog.skew import zipf_weights
@@ -59,20 +60,46 @@ class Router:
     (Section 5.2.2: "the skew factor of a producer operator does not
     impact that of the consumer operator" — each producer gets its own
     permutation of the Zipf weights over the shared bucket space).
+
+    Read-only once built: an :class:`~repro.engine.template.
+    ExecutionTemplate` shares one router between every query of a plan
+    (``rng=None`` leaves the bucket weights unpermuted; at ``theta == 0``
+    they are all equal and a permutation would change nothing).
     """
 
-    def __init__(self, cells: list[GroupId], buckets: int, theta: float, rng):
+    __slots__ = ("cells", "cell_index", "buckets", "weights")
+
+    def __init__(self, cells: Sequence[GroupId], buckets: int, theta: float,
+                 rng):
         if not cells:
             raise ValueError("router needs at least one destination cell")
-        if buckets < len(cells):
-            buckets = len(cells)
-        self.cells = list(cells)
-        self.buckets = buckets
-        bucket_weights = zipf_weights(buckets, theta, rng)
-        weights = [0.0] * len(cells)
+        self.cells = tuple(cells)
+        #: cell -> its position in ``cells`` (the channels' lookup table).
+        self.cell_index = MappingProxyType(
+            {cell: i for i, cell in enumerate(self.cells)}
+        )
+        self.buckets = max(buckets, len(self.cells))
+        self.weights = self._cell_weights(
+            zipf_weights(self.buckets, theta, rng)
+        )
+
+    def _cell_weights(self, bucket_weights: Sequence[float]) -> tuple:
+        """Aggregate per-bucket weights per cell (bucket -> cell by modulo)."""
+        n = len(self.cells)
+        weights = [0.0] * n
         for bucket, weight in enumerate(bucket_weights):
-            weights[bucket % len(cells)] += weight
-        self.weights = weights
+            weights[bucket % n] += weight
+        return tuple(weights)
+
+    def with_bucket_weights(self, bucket_weights: Sequence[float]) -> "Router":
+        """A router over the same cells for another bucket-weight vector
+        (one query's permutation of the template's Zipf vector)."""
+        router = Router.__new__(Router)
+        router.cells = self.cells
+        router.cell_index = self.cell_index
+        router.buckets = self.buckets
+        router.weights = self._cell_weights(bucket_weights)
+        return router
 
     @property
     def max_cell_share(self) -> float:
@@ -102,7 +129,10 @@ class OutputChannel:
 
     def __init__(self, context: "ExecutionContext", node_id: int,
                  producer_op_id: int, consumer_op_id: Optional[int],
-                 router: Optional[Router], tuple_size: int):
+                 router: Optional[Router], tuple_size: int,
+                 remote_credits: Sequence[int] = ()):
+        """``remote_credits`` is the opening credit per cell of ``router``
+        (the window for cells on other nodes, 0 for local ones)."""
         self.context = context
         self.node_id = node_id
         self.producer_op_id = producer_op_id
@@ -117,11 +147,8 @@ class OutputChannel:
             self._carry = [0.0] * n
             self._pending = [0] * n
             self._undelivered: list[deque[DataActivation]] = [deque() for _ in range(n)]
-            self._remote_credits = [
-                params.credit_window if cell[0] != node_id else 0
-                for cell in router.cells
-            ]
-            self._cell_index = {cell: i for i, cell in enumerate(router.cells)}
+            self._remote_credits = list(remote_credits)
+            self._cell_index = router.cell_index
             self._cell_stalled = [False] * n
         self._stalled_cells = 0
         self.flushed = False

@@ -224,9 +224,11 @@ class SynchronousPipeliningExecutor:
 
         return env.process(driver(), name=f"sp:driver:q{query_id}")
 
-    def collect(self, start_time: float, end_time: float) -> ExecutionResult:
+    def collect(self, start_time: float, end_time: float,
+                queueing_delay: float = 0.0) -> ExecutionResult:
         """Assemble the result after the driver process has finished."""
         metrics = self.metrics
+        metrics.queueing_delay = queueing_delay
         metrics.response_time = end_time - start_time
         metrics.thread_count = self._thread_count
         # Left folds: float ``sum()`` rounds differently from 3.12 on.
@@ -246,4 +248,5 @@ class SynchronousPipeliningExecutor:
             config_label=self.config.describe(),
             response_time=metrics.response_time,
             metrics=metrics,
+            queueing_delay=queueing_delay,
         )

@@ -50,6 +50,7 @@ from ..engine.metrics import (QueryCompletion, QueryShed, ShedRecord,
 from ..engine.params import ExecutionParams
 from ..engine.strategies.base import StrategyError
 from ..engine.strategies.sp import SynchronousPipeliningExecutor
+from ..engine.template import ExecutionTemplate
 from ..optimizer.plan import ParallelExecutionPlan
 from ..placement import ClusterView, get_policy, place_plan
 from ..sim.core import Event
@@ -105,6 +106,13 @@ class MultiQueryCoordinator:
         self._used_query_ids: set[int] = set()
         #: virtual instant the armed shed timer targets (None: no timer).
         self._shed_timer_at: Optional[float] = None
+        #: the machine an execution planned over ``n`` nodes spans, per
+        #: ``n`` (the whole machine unless the cluster is elastic).
+        self._configs: dict[int, MachineConfig] = {config.nodes: config}
+        #: the execution template of each ``(plan index, planned node
+        #: count)`` launched so far — built on the first launch, dropped
+        #: with the coordinator (see :mod:`repro.engine.template`).
+        self._templates: dict[tuple, ExecutionTemplate] = {}
         # Mid-execution memory releases (probe ends freeing hash tables)
         # re-evaluate admission without waiting for a whole completion.
         self.substrate.on_memory_release = self._poke
@@ -464,21 +472,15 @@ class MultiQueryCoordinator:
             driver.callbacks.append(
                 lambda _event, req=request, sp=sp: self._record(
                     req, sp.collect(start_time=req.start_time,
-                                    end_time=self.env.now))
+                                    end_time=self.env.now,
+                                    queueing_delay=req.queueing_delay))
             )
         else:
-            config = self.config
-            if (self.elastic is not None
-                    and request.planned_size
-                    and request.planned_size != config.nodes):
-                # The execution spans the planned prefix of the physical
-                # footprint, not the whole machine.
-                config = dataclasses.replace(
-                    config, nodes=request.planned_size
-                )
+            config = self._config_for(request)
             executor = QueryExecutor(
                 request.plan, config, strategy=request.strategy,
                 params=request.params,
+                template=self._template_for(request, config),
             )
             context = executor.launch(
                 substrate=self.substrate, query_id=request.query_id,
@@ -486,15 +488,42 @@ class MultiQueryCoordinator:
             )
             request.context = context
             context.finished.callbacks.append(
-                lambda _event, req=request, ex=executor:
-                    self._record(req, ex.collect(req.context))
+                lambda _event, req=request, ex=executor: self._record(
+                    req, ex.collect(req.context, req.queueing_delay))
             )
+
+    def _config_for(self, request: QueryRequest) -> MachineConfig:
+        """The machine ``request`` executes on: the planned prefix of the
+        physical footprint (all of it unless the cluster is elastic)."""
+        size = request.planned_size or self.config.nodes
+        config = self._configs.get(size)
+        if config is None:
+            config = self._configs[size] = dataclasses.replace(
+                self.config, nodes=size
+            )
+        return config
+
+    def _template_for(self, request: QueryRequest,
+                      config: MachineConfig) -> ExecutionTemplate:
+        """The run's execution template for ``request``'s plan on ``config``.
+
+        Keyed by the plan's index in the driver's bank (direct submissions
+        share the ``None`` slot) and checked against the plan object and
+        the params it was built from, so a placement-rewritten plan or a
+        per-query params override gets a template of its own; each slot
+        holds the latest, so the store stays O(plans x cluster sizes).
+        """
+        key = (request.plan_index, config.nodes)
+        template = self._templates.get(key)
+        if (template is None or template.plan is not request.plan
+                or not template.fits(request.params)):
+            template = self._templates[key] = ExecutionTemplate(
+                request.plan, config, request.params
+            )
+        return template
 
     def _record(self, request: QueryRequest, result) -> None:
         """Account one finished execution (``result`` as just collected)."""
-        queueing = request.start_time - request.arrival_time
-        result.metrics.queueing_delay = queueing
-        result = dataclasses.replace(result, queueing_delay=queueing)
         completion = QueryCompletion(
             query_id=request.query_id,
             plan_label=request.plan.label,
@@ -513,7 +542,8 @@ class MultiQueryCoordinator:
                 time=self.env.now, query_id=request.query_id,
                 plan_label=completion.plan_label,
                 service_class=completion.service_class,
-                latency=completion.latency, queueing_delay=queueing,
+                latency=completion.latency,
+                queueing_delay=result.queueing_delay,
             ))
         del self.running[request.query_id]
         name = request.service_class.name

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ..engine.metrics import WorkloadMetrics
@@ -285,9 +285,8 @@ class WorkloadDriver:
     def _params_for(self, index: int) -> ExecutionParams:
         """Per-query engine params: an independent seed per query, so two
         instances of the same plan do not draw identical routing skew."""
-        return replace(
-            self.params,
-            seed=derive_seed(self.spec.seed, f"query:{index}"),
+        return self.params.with_seed(
+            derive_seed(self.spec.seed, f"query:{index}")
         )
 
     def _class_for(self, index: int) -> Optional[ServiceClass]:
@@ -470,7 +469,7 @@ class WorkloadDriver:
                     yield env.timeout_at(q.arrival_time)
             coordinator.submit(
                 self._plan(coordinator, q.plan_index), strategy=q.strategy,
-                params=replace(self.params, seed=q.params_seed),
+                params=self.params.with_seed(q.params_seed),
                 query_id=q.query_id, service_class=q.service_class,
                 plan_index=q.plan_index,
                 attempt=q.attempt, final_attempt=q.final_attempt,

@@ -97,6 +97,11 @@ class QueryRequest:
         #: no policy is active); finalized at admission.
         self.placement = None
 
+    @property
+    def queueing_delay(self) -> float:
+        """Pre-admission wait of a started query (arrival -> start)."""
+        return self.start_time - self.arrival_time
+
 
 class PendingQueues:
     """Queries awaiting admission, one FIFO per service-class name."""

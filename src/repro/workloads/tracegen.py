@@ -161,11 +161,20 @@ def session_rate_at(spec: TraceGenSpec, t: float) -> float:
     Exposed so tests can check the generated arrivals against the model
     (a flash window really is denser; a diurnal trough really is not).
     """
+    return _session_rate(spec, t, _flash_starts(spec))
+
+
+def _session_rate(spec: TraceGenSpec, t: float,
+                  flash_starts: list[float]) -> float:
+    """λ(t) given ``_flash_starts(spec)`` (computed once per trace)."""
     base = spec.base_rate / spec.session_mean_queries
     phase = 2.0 * math.pi * (t / spec.diurnal_period)
     rate = base * (1.0 + spec.diurnal_amplitude * math.sin(phase))
-    if spec.flash_crowds > 0 and _in_flash_window(spec, t):
-        rate *= spec.flash_magnitude
+    t_in_cycle = t % spec.diurnal_period
+    for start in flash_starts:
+        if start <= t_in_cycle < start + spec.flash_duration:
+            rate *= spec.flash_magnitude
+            break
     return rate
 
 
@@ -178,14 +187,6 @@ def _flash_starts(spec: TraceGenSpec) -> list[float]:
         frac = (k + 1) / (spec.flash_crowds + 1)
         starts.append(frac * spec.diurnal_period)
     return starts
-
-
-def _in_flash_window(spec: TraceGenSpec, t: float) -> bool:
-    t_in_cycle = t % spec.diurnal_period
-    for start in _flash_starts(spec):
-        if start <= t_in_cycle < start + spec.flash_duration:
-            return True
-    return False
 
 
 def _peak_session_rate(spec: TraceGenSpec) -> float:
@@ -246,11 +247,12 @@ def generate_trace(spec: TraceGenSpec, plan_count: int) -> Trace:
     # 2x headroom bounds the truncation bias at the trace tail (sessions
     # starting late would otherwise be under-sampled near the cut).
     peak = _peak_session_rate(spec)
+    flash_starts = _flash_starts(spec)
     raw: list[tuple] = []
     t = 0.0
     while len(raw) < 2 * spec.queries:
         t += arrivals_rng.expovariate(peak)
-        if arrivals_rng.random() * peak > session_rate_at(spec, t):
+        if arrivals_rng.random() * peak > _session_rate(spec, t, flash_starts):
             continue
         tenant = shape_rng.randrange(spec.tenants)
         raw.extend(session_queries(t, tenant))
