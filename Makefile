@@ -30,6 +30,11 @@
 #                         cProfile one warm repetition of a ledger workload
 #                         and print the top rows with their share of the
 #                         total (TOP=40, SORT=cumulative|tottime)
+#   make digests          run the ledger's four workloads at seeds 1996 and
+#                         2815 (zero-second window, traced) and print the
+#                         eight `workload seed sim_digest sim.events` rows a
+#                         byte-identity PR tabulates, parent and change
+#                         (DIGESTS_OUT=/tmp/ledger-digests keeps the files)
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python
@@ -37,7 +42,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: check check-slow check-full lint determinism trace-roundtrip \
 	bench-smoke bench-kernel bench-macro bench-trace-replay \
-	bench-overload bench-regression profile experiments
+	bench-overload bench-regression profile digests experiments
 
 check:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q
@@ -95,6 +100,17 @@ SORT ?= cumulative
 
 profile:
 	$(PYTHON) scripts/profile_workload.py $(WORKLOAD) --top $(TOP) --sort $(SORT)
+
+DIGESTS_OUT ?= /tmp/ledger-digests
+
+digests:
+	mkdir -p $(DIGESTS_OUT)
+	for seed in 1996 2815; do \
+		$(PYTHON) benchmarks/ledger/run.py --seconds 0 --trace 1 --seed $$seed \
+			--out $(DIGESTS_OUT)/seed$$seed.json > $(DIGESTS_OUT)/seed$$seed.log \
+			|| { tail -20 $(DIGESTS_OUT)/seed$$seed.log; exit 1; }; \
+	done
+	$(PYTHON) scripts/print_digests.py $(DIGESTS_OUT)/seed1996.json $(DIGESTS_OUT)/seed2815.json
 
 experiments:
 	$(PYTHON) -m repro.experiments.runner --quick

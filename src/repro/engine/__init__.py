@@ -3,6 +3,7 @@
 Public surface:
 
 - :class:`QueryExecutor` — run a plan on a machine with a strategy;
+- :class:`Substrate` — the machine every execution is launched on;
 - :class:`ExecutionParams` — every engine knob;
 - :class:`ExecutionResult` / :class:`ExecutionMetrics` — outcomes;
 - the strategy registry (``DP``, ``FP``, ``SP``).
@@ -23,6 +24,7 @@ from .strategies import (
     make_strategy,
     strategy_names,
 )
+from .substrate import Substrate
 
 __all__ = [
     "DataActivation",
@@ -30,6 +32,7 @@ __all__ = [
     "ExecutionContext",
     "ExecutionDeadlock",
     "QueryExecutor",
+    "Substrate",
     "ExecutionMetrics",
     "ExecutionResult",
     "ExecutionParams",

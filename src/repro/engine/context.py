@@ -1,8 +1,9 @@
 """Execution context: the shared runtime state of one query execution.
 
-Wires together the substrate (environment, machine, disks, network), the
-plan-derived operator runtimes, the per-node state (queues, hash tables,
-idle/wake bookkeeping) and the cross-cutting mechanisms:
+Wires together the machine it is handed (a :class:`~repro.engine.substrate.
+Substrate`: environment, node memory, processors, disks, interconnect),
+the plan-derived operator runtimes, the per-node state (queues, hash
+tables, idle/wake bookkeeping) and the cross-cutting mechanisms:
 
 * trigger seeding ("query execution starts by sending trigger activations
   to all scan queues", Section 4 — blocked scans receive their triggers
@@ -20,10 +21,8 @@ from typing import TYPE_CHECKING, Optional
 
 from ..optimizer.operator_tree import OpKind
 from ..optimizer.plan import ParallelExecutionPlan
-from ..sim.core import DEFAULT_TAG, Environment, Event, make_discipline
-from ..sim.disk import Disk
-from ..sim.machine import (Machine, MachineConfig, SMNode, make_disks,
-                           make_processors)
+from ..sim.core import DEFAULT_TAG, Event
+from ..sim.machine import MachineConfig, SMNode
 from ..sim.network import Network
 from ..sim.rng import RandomStreams
 from .activation import DataActivation, GroupId, TriggerActivation
@@ -37,6 +36,7 @@ from .template import ExecutionTemplate, queue_shares
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scheduler import NodeScheduler
+    from .substrate import Substrate
     from .thread_exec import ExecutionThread
 
 __all__ = ["NodeState", "ExecutionContext", "ExecutionDeadlock"]
@@ -167,26 +167,27 @@ class NodeState:
 class ExecutionContext:
     """All shared state of one simulated query execution.
 
-    A context normally owns its whole substrate (environment, machine,
-    disks, processors) — the single-query mode of the original paper.
-    Passing ``substrate`` (see :class:`repro.serving.SharedSubstrate`)
-    instead *shares* the physical machine with other concurrent query
-    executions: the context keeps its own queues, operator runtimes,
-    schedulers and network overlay (per-query traffic counters stay
-    exact; with the paper's infinite bandwidth the overlays are
-    semantically identical to one multiplexed network, and with finite
-    bandwidth they all serialize over the substrate's one shared
-    :class:`~repro.sim.network.NetworkLink`), but its threads contend
-    with other queries' threads for the shared
+    A context owns no hardware: the environment, node memory, processors
+    and disks are its ``substrate``'s (:class:`~repro.engine.substrate.
+    Substrate`), built for this query alone (``QueryExecutor.run``, the
+    single-query mode of the original paper) or shared with other
+    concurrent executions (:mod:`repro.serving`).  What the context keeps
+    to itself are its queues, operator runtimes, schedulers and network
+    overlay (per-query traffic counters stay exact; with the paper's
+    infinite bandwidth the overlays are semantically identical to one
+    multiplexed network, and with finite bandwidth they all serialize
+    over the substrate's one :class:`~repro.sim.network.NetworkLink`);
+    its threads contend with whatever else is on the machine for the
     :class:`~repro.sim.machine.Processor` slots, disks and node memory.
-    ``start_time`` is then the admission time: response times are reported
-    relative to it, separating queueing delay from execution time.
+    ``start_time`` is the launch (admission) time: response times are
+    reported relative to it, separating queueing delay from execution
+    time.
     """
 
     def __init__(self, plan: ParallelExecutionPlan, config: MachineConfig,
+                 substrate: "Substrate",
                  params: Optional[ExecutionParams] = None,
-                 substrate=None, query_id: int = 0,
-                 service_class=None,
+                 query_id: int = 0, service_class=None,
                  template: Optional[ExecutionTemplate] = None):
         self.plan = plan
         self.config = config
@@ -209,48 +210,29 @@ class ExecutionContext:
         #: None charges as the default tag (FIFO ignores tags entirely).
         self.charge_tag = (service_class.charge_tag(query_id)
                           if service_class is not None else None)
-        if substrate is None:
-            self.env = Environment()
-            self.machine = Machine(config)
-            self.processors = make_processors(
-                self.env, config, make_discipline(self.params.cpu_discipline),
-            )
-            self.network = Network(
-                self.env, self.params.network,
-                discipline=make_discipline(self.params.net_discipline),
-            )
-        else:
-            self.env = substrate.env
-            self.machine = substrate.machine
-            self.processors = substrate.processors
-            # A per-query overlay over the *shared* physical link: traffic
-            # counters stay per query, but messages of all queries queue
-            # behind each other on the one interconnect.
-            self.network = Network(self.env, self.params.network,
-                                   link=substrate.net_link)
+        self.env = substrate.env
+        self.processors = substrate.processors
+        self.disks = substrate.disks
+        # A per-query overlay over the machine's one physical link: traffic
+        # counters stay per query, but messages of all queries queue
+        # behind each other on the one interconnect.
+        self.network = Network(self.env, self.params.network,
+                               link=substrate.net_link)
         self.streams = RandomStreams(self.params.seed)
         self.metrics = ExecutionMetrics()
         self.result_sink = ResultSink()
         self.done = False
         self.finished = self.env.event("query-finished")
-        #: admission time; 0.0 for a context that owns its environment.
+        #: launch (admission) time; 0.0 for a query run alone.
         self.start_time: float = self.env.now
         self.completion_time: Optional[float] = None
         self.response_time: Optional[float] = None
 
-        # --- substrate ------------------------------------------------------
-        if substrate is None:
-            self.disks: list[list[Disk]] = make_disks(
-                self.env, self.params.disk, config,
-                make_discipline(self.params.disk_discipline),
-            )
-        else:
-            self.disks = substrate.disks
         self.nodes: list[NodeState] = [
-            NodeState(self, n, self.machine.node(n)) for n in range(config.nodes)
+            NodeState(self, n, substrate.machine.node(n))
+            for n in range(config.nodes)
         ]
-        if substrate is not None:
-            substrate.register_context(self)
+        substrate.register_context(self)
 
         # --- operator runtimes and their queues -----------------------------
         self.ops: dict[int, OperatorRuntime] = {}
@@ -444,14 +426,14 @@ class ExecutionContext:
             self.maybe_end(consumer)
 
         # 3. A probe's end releases its join's hash tables (on every node,
-        #    including stolen copies).  On a shared machine the freed
-        #    memory may unblock a deferred admission right now.
+        #    including stolen copies).  The freed memory may unblock a
+        #    deferred admission right now.
         if runtime.kind is OpKind.PROBE:
             freed = sum(
                 node.store.release_join(runtime.op.join_id)
                 for node in self.nodes
             )
-            if freed and self.substrate is not None:
+            if freed:
                 self.substrate.notify_memory_released()
 
         if self.strategy is not None:
@@ -469,9 +451,9 @@ class ExecutionContext:
         """Mark the query complete and wake everything so processes exit.
 
         ``response_time`` is the *execution* time — completion minus
-        admission (``start_time``).  For a context that owns its
-        environment ``start_time`` is 0 and this is the classic paper
-        number; under the serving layer the queueing delay spent before
+        admission (``start_time``).  For a query run alone ``start_time``
+        is 0 and this is the classic paper number; under the serving
+        layer the queueing delay spent before
         admission is accounted separately (:class:`~repro.engine.metrics.
         QueryCompletion`), never folded into the execution time.
         """
@@ -483,39 +465,22 @@ class ExecutionContext:
         self.metrics.response_time = self.response_time
         # Per-resource queueing attribution: the disks and the network
         # link account waiting per ChargeTag key, and this query's key is
-        # unique (per query under the serving layer, the default tag in
-        # single-query mode, where all devices are context-owned anyway).
+        # unique (per query under the serving layer, the default tag for
+        # a query run alone).  The totals are *taken*: a device must not
+        # keep a key for every query that ever queued on it.
         key = (self.charge_tag or DEFAULT_TAG).key
         # Folded left to right: float ``sum()`` rounds differently from 3.12 on.
         disk_wait = 0.0
         for row in self.disks:
             for disk in row:
-                disk_wait += disk.wait_time_for(key)
+                disk_wait += disk.take_wait_time(key)
         self.metrics.disk_wait_time = disk_wait
-        self.metrics.net_wait_time = self.network.wait_time_for(key)
-        if self.substrate is not None:
-            self.substrate.unregister_context(self)
+        self.metrics.net_wait_time = self.network.take_wait_time(key)
+        self.substrate.unregister_context(self)
         if not self.finished.triggered:
             self.finished.succeed()
         for node in self.nodes:
             node.wake_all()
-
-    # -- cross-query load signal -------------------------------------------------
-
-    def node_load(self, node_id: int) -> int:
-        """Queued activations on ``node_id``, across *all* live queries.
-
-        The steal protocol's provider ranking ("acquire from the most
-        loaded offering node") uses this: under multiprogramming a node's
-        pressure comes from every query it hosts, so ranking by
-        machine-wide load steers steals away from nodes other queries are
-        hammering — inter-query load balancing on top of the paper's
-        intra-query protocol.  Single-query contexts fall back to their
-        own per-node count, which is the same number.
-        """
-        if self.substrate is not None:
-            return self.substrate.node_load(node_id)
-        return self.nodes[node_id].total_queued_activations()
 
     # -- post-run verification -----------------------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Query executor: plan + machine + strategy -> execution result.
 
-The public entry point of the engine.  For DP and FP it builds an
-:class:`~repro.engine.context.ExecutionContext` (queues, channels,
-schedulers, threads), seeds the trigger activations and runs the
-simulation to completion; SP dispatches to its own executor.
+The public entry point of the engine, and one protocol for every
+strategy: ``launch(substrate)`` starts the execution on a machine
+(:class:`~repro.engine.substrate.Substrate`) and returns its handle — an
+:class:`~repro.engine.context.ExecutionContext` for DP and FP, SP's own —
+whose ``finished`` event fires at completion, and ``collect(execution)``
+freezes the result.  :meth:`QueryExecutor.run` is that protocol on a
+private machine; the coordinator drives it on a shared one.
 
 Example::
 
@@ -22,8 +25,9 @@ from .context import ExecutionContext, ExecutionDeadlock
 from .metrics import ExecutionMetrics, ExecutionResult
 from .params import ExecutionParams
 from .scheduler import NodeScheduler
-from .strategies.base import ExecutionStrategy, StrategyError, make_strategy
+from .strategies.base import ExecutionStrategy, make_strategy
 from .strategies.sp import SynchronousPipeliningExecutor
+from .substrate import Substrate
 from .template import ExecutionTemplate
 from .thread_exec import ExecutionThread
 
@@ -45,48 +49,46 @@ class QueryExecutor:
         self.config = config
         self.params = params or ExecutionParams()
         self.template = template
+        #: SP bypasses the activation engine: its own executor runs it.
+        self._sp = None
         if isinstance(strategy, str):
             self.strategy_name = strategy.upper()
             self._strategy_instance = None
+            if self.strategy_name == "SP":
+                self._sp = SynchronousPipeliningExecutor(plan, config,
+                                                         self.params)
         else:
             self.strategy_name = strategy.name
             self._strategy_instance = strategy
 
     def run(self) -> ExecutionResult:
-        """Execute to completion; raises :class:`ExecutionDeadlock` if the
-        simulation wedges (which would indicate an engine bug)."""
-        if self.strategy_name == "SP":
-            return SynchronousPipeliningExecutor(
-                self.plan, self.config, self.params
-            ).run()
-
-        context = self.launch()
-        context.env.run()
-        if not context.done:
-            context.assert_all_terminated()
+        """Execute alone, to completion, on a private machine (one that
+        raises ``MemoryExhausted`` when a chain does not fit); raises
+        :class:`ExecutionDeadlock` if the simulation wedges (an engine bug)."""
+        substrate = Substrate(self.config, self.params)
+        execution = self.launch(substrate)
+        substrate.env.run()
+        if not execution.done:
+            execution.assert_all_terminated()
             raise ExecutionDeadlock("simulation drained without finishing")
+        return self.collect(execution)
 
-        return self.collect(context)
-
-    def launch(self, substrate=None, query_id: int = 0,
-               service_class=None) -> ExecutionContext:
+    def launch(self, substrate: Substrate, query_id: int = 0,
+               service_class=None):
         """Build and start an execution, without running the simulation.
 
-        Creates the context (optionally on a shared ``substrate`` so
-        several queries contend for one machine — see
-        :mod:`repro.serving`), wires the per-node schedulers, creates one
-        thread per processor (Section 3.1: one thread per processor *per
-        query*), seeds the trigger activations and starts the threads.
-        ``service_class`` tags the query's CPU charges with its
-        weight/priority for non-FIFO scheduling disciplines.  The caller
-        decides when the environment runs; completion is observable on
-        ``context.finished``.
+        Creates the context on ``substrate`` (where it contends with
+        whatever else was launched there — see :mod:`repro.serving`),
+        wires the per-node schedulers, creates one thread per processor
+        (Section 3.1: one thread per processor *per query*), seeds the
+        trigger activations and starts the threads.  ``service_class``
+        tags the query's CPU charges with its weight/priority for
+        non-FIFO scheduling disciplines.  The caller decides when the
+        environment runs; completion is observable on the returned
+        execution's ``finished`` event.
         """
-        if self.strategy_name == "SP":
-            raise StrategyError(
-                "SP bypasses the activation engine; use "
-                "SynchronousPipeliningExecutor.launch for shared-substrate runs"
-            )
+        if self._sp is not None:
+            return self._sp.launch(substrate, query_id, service_class)
         strategy = self._strategy_instance
         if strategy is None:
             strategy = make_strategy(self.strategy_name)
@@ -96,8 +98,8 @@ class QueryExecutor:
         template = self.template or ExecutionTemplate(
             self.plan, self.config, self.params
         )
-        context = ExecutionContext(self.plan, self.config, self.params,
-                                   substrate=substrate, query_id=query_id,
+        context = ExecutionContext(self.plan, self.config, substrate,
+                                   self.params, query_id=query_id,
                                    service_class=service_class,
                                    template=template)
         context.strategy = strategy
@@ -119,14 +121,16 @@ class QueryExecutor:
                 thread.start()
         return context
 
-    def collect(self, context: ExecutionContext,
-                queueing_delay: float = 0.0) -> ExecutionResult:
-        """Freeze the finished execution: nothing reachable from the
-        result changes once this returns.  It takes the context's counters
-        with it, and the context gets a scratch sink for the threads whose
-        last charge was still in flight when the root operator ended (they
-        go on adding CPU contention).  ``queueing_delay`` is the
-        pre-admission wait the serving layer measured (0 when run alone)."""
+    def collect(self, context, queueing_delay: float = 0.0) -> ExecutionResult:
+        """Freeze the finished execution ``launch`` returned: nothing
+        reachable from the result changes once this returns.  It takes the
+        context's counters with it, and the context gets a scratch sink
+        for the threads whose last charge was still in flight when the
+        root operator ended (they go on adding CPU contention).
+        ``queueing_delay`` is the pre-admission wait the serving layer
+        measured (0 when run alone)."""
+        if self._sp is not None:
+            return self._sp.collect(context, queueing_delay)
         metrics = context.metrics
         context.metrics = ExecutionMetrics()
         metrics.queueing_delay = queueing_delay

@@ -40,6 +40,7 @@ from ..sim.network import Message
 from .activation import DataActivation, GroupId
 from .context import ExecutionContext, NodeState
 from .opstate import OperatorRuntime
+from .runlog import StealRound, StealTransfer
 
 __all__ = ["NodeScheduler", "run_end_detection", "StealCandidate"]
 
@@ -120,11 +121,11 @@ class NodeScheduler:
         assigned probe operator (an idle processor only proves *its*
         operator is starving here).
 
-        Under a shared substrate the idle signal is additionally a
-        *machine-wide* fact — this physical node has CPU to spare — so it
-        is forwarded to the cross-query broker, which may trigger the
-        steal protocol of co-resident queries toward this node (see
-        :class:`repro.serving.broker.CrossQueryBroker`).
+        The idle signal is additionally a *machine-wide* fact — this
+        physical node has CPU to spare — so it is forwarded to the
+        machine's cross-query broker, if the serving layer installed one,
+        which may trigger the steal protocol of co-resident queries toward
+        this node (see :class:`repro.serving.broker.CrossQueryBroker`).
         """
         context = self.context
         if context.done or context.config.nodes < 2:
@@ -133,9 +134,9 @@ class NodeScheduler:
             self._maybe_start_rounds(
                 context.strategy.steal_scopes(context, thread)
             )
-        substrate = context.substrate
-        if substrate is not None and substrate.broker is not None:
-            substrate.broker.on_node_starving(self.node.node_id, context)
+        broker = context.substrate.broker
+        if broker is not None:
+            broker.on_node_starving(self.node.node_id, context)
 
     def on_machine_starving(self) -> None:
         """Cross-query broker hook: the physical node has idle CPU.
@@ -171,12 +172,10 @@ class NodeScheduler:
         empty out so it can leave.
         """
         context = self.context
-        substrate = context.substrate
-        if substrate is not None:
-            membership = getattr(substrate, "membership", None)
-            if (membership is not None
-                    and membership.is_draining(self.node.node_id)):
-                return
+        membership = context.substrate.membership
+        if membership is not None and membership.is_draining(self.node.node_id):
+            return
+        logger = context.substrate.logger
         now = context.env.now
         for scope in scopes:
             if scope in self.rounds:
@@ -190,10 +189,8 @@ class NodeScheduler:
             self._start_round(scope)
             if cross:
                 context.metrics.cross_steal_rounds += 1
-            substrate = context.substrate
-            if substrate is not None and substrate.logger.enabled:
-                from ..serving.trace import StealRound
-                substrate.logger.log(StealRound(
+            if logger.enabled:
+                logger.log(StealRound(
                     time=now, query_id=context.query_id,
                     node_id=self.node.node_id, scope=scope, cross=cross,
                 ))
@@ -239,7 +236,7 @@ class NodeScheduler:
             "candidate": candidate,
             # Machine-wide pressure (all queries on this node), so the
             # requester ranks providers by true load under multiprogramming.
-            "load": context.node_load(self.node.node_id),
+            "load": context.substrate.node_load(self.node.node_id),
         }
         context.network.send(self.node.node_id, requester, "offer",
                              reply, nbytes=48, purpose="control",
@@ -428,13 +425,12 @@ class NodeScheduler:
             queue_set.push(i % k, local, force=True)
         context.metrics.steals_succeeded += 1
         context.metrics.activations_stolen += len(activations)
-        substrate = context.substrate
-        if substrate is not None and substrate.logger.enabled:
-            from ..serving.trace import StealTransfer
+        logger = context.substrate.logger
+        if logger.enabled:
             shipped = 0
             if hash_info is not None:
                 shipped = hash_info[1]
-            substrate.logger.log(StealTransfer(
+            logger.log(StealTransfer(
                 time=context.env.now, query_id=context.query_id,
                 src_node=group[0], dst_node=self.node.node_id,
                 activations=len(activations), hash_bytes=shipped,

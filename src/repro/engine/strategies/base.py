@@ -8,7 +8,8 @@ The three strategies of Section 5.2.1:
   shared-memory: threads statically allocated to operators per pipeline
   chain in proportion to estimated costs, per-operator work stealing;
 * **SP** (synchronous pipelining) — the shared-memory baseline, which
-  bypasses the activation machinery entirely (own executor).
+  bypasses the activation machinery entirely (own executor, same
+  ``launch(substrate)`` / ``collect`` protocol — not in this registry).
 
 DP and FP share the activation engine ("[FP] was implemented by using our
 execution model, restricting each thread to process activations associated

@@ -19,24 +19,32 @@ Figure 6, by the activation/queue overhead DP pays.
 
 SP is only defined on a single SM-node (one shared memory): requesting it
 on a multi-node configuration raises :class:`StrategyError`.
+
+SP takes its hardware the way DP and FP do: ``launch`` starts it on node
+0 of a :class:`~repro.engine.substrate.Substrate` (private when run
+alone, the coordinator's when co-resident), ``collect`` freezes the
+result once the execution's ``finished`` event has fired.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from ...catalog.skew import proportional_split
 from ...optimizer.operator_tree import OpKind, PipelineChain
 from ...optimizer.plan import ParallelExecutionPlan
-from ...sim.core import DEFAULT_TAG, Environment
-from ...sim.disk import Disk
-from ...sim.machine import MachineConfig, make_processors
+from ...optimizer.scheduling import chain_total_order
+from ...sim.core import DEFAULT_TAG, Process
+from ...sim.machine import MachineConfig
+from ..context import ExecutionDeadlock
 from ..metrics import ExecutionMetrics, ExecutionResult
 from ..params import ExecutionParams
+from ..substrate import Substrate
 from .base import StrategyError
 
-__all__ = ["SynchronousPipeliningExecutor"]
+__all__ = ["SynchronousPipeliningExecutor", "SPExecution"]
 
 
 @dataclass
@@ -46,6 +54,32 @@ class _Chunk:
     disk_id: int
     pages: int
     tuples: int
+
+
+class SPExecution:
+    """A launched SP execution: the handle between launch and collect,
+    with the surface of an :class:`~repro.engine.context.ExecutionContext`
+    that callers of either use (``finished``, ``done``, ``ops``,
+    ``assert_all_terminated``)."""
+
+    #: SP has no operator runtimes: nothing to suspend, spill or steal.
+    ops: dict = {}
+
+    def __init__(self, substrate: Substrate, threads: int, wait_key: str):
+        self.disks = substrate.disks[0]
+        self.wait_key = wait_key
+        self.start_time: float = substrate.env.now
+        self.metrics = ExecutionMetrics()
+        self.busy = [0.0] * threads
+        self.results = 0.0
+        self.done = False
+        #: the driver process — an event that fires at query completion.
+        self.finished: Process | None = None
+
+    def assert_all_terminated(self) -> None:
+        """Raise :class:`ExecutionDeadlock` unless every chain ran."""
+        if not self.done:
+            raise ExecutionDeadlock("SP driver never finished its chains")
 
 
 class SynchronousPipeliningExecutor:
@@ -62,52 +96,38 @@ class SynchronousPipeliningExecutor:
         self.plan = plan
         self.config = config
         self.params = params or ExecutionParams()
-        self.metrics = ExecutionMetrics()
 
     def run(self) -> ExecutionResult:
-        """Execute all pipeline chains; returns the execution result."""
-        env = Environment()
-        k = self.config.processors_per_node
-        disks = [Disk(env, self.params.disk, name=f"d0.{d}") for d in range(k)]
-        processors = make_processors(env, self.config)[0]
-        self.launch(env, disks, processors)
-        env.run()
-        return self.collect(start_time=0.0, end_time=env.now)
+        """Execute all pipeline chains alone, on a private machine."""
+        substrate = Substrate(self.config, self.params)
+        execution = self.launch(substrate)
+        substrate.env.run()
+        return self.collect(execution)
 
-    def launch(self, env: Environment, disks: list[Disk],
-               processors, query_id: int = 0, service_class=None):
-        """Start the SP execution inside ``env``; return the driver process.
+    def launch(self, substrate: Substrate, query_id: int = 0,
+               service_class=None) -> SPExecution:
+        """Start the SP execution on ``substrate``; return its handle.
 
-        ``disks`` and ``processors`` are node 0's shared hardware (SP is a
-        single-SM-node model).  The returned driver is a
-        :class:`~repro.sim.core.Process`, i.e. an event that fires at
-        query completion — the serving layer's coordinator waits on it.
-        CPU charges go through the shared processors — tagged with
+        SP is a single-SM-node model: it runs on node 0's disks and
+        processors.  CPU charges and disk reads are tagged with
         ``service_class``'s weight/priority, so under a non-FIFO
         discipline concurrent SP queries are scheduled exactly like
         DP/FP threads of the same class.
         """
+        substrate.check_hardware(self.config, self.params)
+        env = substrate.env
+        disks = substrate.disks[0]
+        processors = substrate.processors[0]
         params = self.params
         cost = params.cost
         k = self.config.processors_per_node
         tree = self.plan.operators
         charge_tag = (service_class.charge_tag(query_id)
                       if service_class is not None else None)
-
-        from ...optimizer.scheduling import chain_total_order
         order = chain_total_order(tree)
-
-        busy = [0.0] * k
-        results = [0.0]
-        scanned = [0]
-        contention = [0.0]
-        self._busy = busy
-        self._results = results
-        self._scanned = scanned
-        self._contention = contention
-        self._thread_count = k
-        self._disks = disks
-        self._wait_key = (charge_tag or DEFAULT_TAG).key
+        execution = SPExecution(substrate, k, (charge_tag or DEFAULT_TAG).key)
+        metrics = execution.metrics
+        busy = execution.busy
 
         def charge(thread_index: int, instructions: float):
             seconds = instructions / cost.mips
@@ -116,7 +136,7 @@ class SynchronousPipeliningExecutor:
             yield from processors[thread_index].use(seconds, charge_tag)
             waited = env.now - started - seconds
             if waited > 1e-12:
-                contention[0] += waited
+                metrics.cpu_contention_time += waited
 
         def make_chunks(chain: PipelineChain) -> list[_Chunk]:
             """Chunks interleaved round-robin across disks.
@@ -150,14 +170,11 @@ class SynchronousPipeliningExecutor:
                         interleaved.append(disk_chunks[i])
             return interleaved
 
-        def chain_ops(chain: PipelineChain):
-            return [tree.op(op_id) for op_id in chain.op_ids]
-
         def process_tuples(thread_index: int, chain: PipelineChain, tuples: float):
             """Carry ``tuples`` through the chain by procedure calls."""
             instructions = 0.0
             n = tuples
-            ops = chain_ops(chain)
+            ops = [tree.op(op_id) for op_id in chain.op_ids]
             # Scan cost is charged by the caller; walk the downstream ops.
             n *= ops[0].fanout  # scan selectivity
             for op in ops[1:]:
@@ -169,7 +186,7 @@ class SynchronousPipeliningExecutor:
                 else:  # terminal build
                     instructions += n * cost.build_instructions_per_tuple
             if ops[-1].op_id == tree.root_id:
-                results[0] += n
+                execution.results += n
             return instructions
 
         def worker(thread_index: int, chain: PipelineChain, pool):
@@ -207,13 +224,12 @@ class SynchronousPipeliningExecutor:
                 else:
                     pending = None
                 yield handle.event
-                scanned[0] += chunk.tuples
+                metrics.tuples_scanned += chunk.tuples
                 instructions = chunk.tuples * cost.scan_instructions_per_tuple
                 instructions += process_tuples(thread_index, chain, chunk.tuples)
                 yield from charge(thread_index, instructions)
 
         def driver():
-            from collections import deque
             for chain_id in order:
                 chain = tree.chains[chain_id]
                 pool = deque(make_chunks(chain))
@@ -221,27 +237,28 @@ class SynchronousPipeliningExecutor:
                                      name=f"sp:q{query_id}t{t}")
                          for t in range(k)]
                 yield env.all_of(procs)
+            metrics.response_time = env.now - execution.start_time
+            execution.done = True
 
-        return env.process(driver(), name=f"sp:driver:q{query_id}")
+        execution.finished = env.process(driver(),
+                                         name=f"sp:driver:q{query_id}")
+        return execution
 
-    def collect(self, start_time: float, end_time: float,
+    def collect(self, execution: SPExecution,
                 queueing_delay: float = 0.0) -> ExecutionResult:
-        """Assemble the result after the driver process has finished."""
-        metrics = self.metrics
+        """Assemble the result after ``execution.finished`` has fired."""
+        metrics = execution.metrics
         metrics.queueing_delay = queueing_delay
-        metrics.response_time = end_time - start_time
-        metrics.thread_count = self._thread_count
+        metrics.thread_count = len(execution.busy)
         # Left folds: float ``sum()`` rounds differently from 3.12 on.
         busy = disk_wait = 0.0
-        for seconds in self._busy:
+        for seconds in execution.busy:
             busy += seconds
-        for disk in self._disks:
-            disk_wait += disk.wait_time_for(self._wait_key)
+        for disk in execution.disks:
+            disk_wait += disk.take_wait_time(execution.wait_key)
         metrics.thread_busy_time = busy
-        metrics.cpu_contention_time = self._contention[0]
         metrics.disk_wait_time = disk_wait
-        metrics.tuples_scanned = self._scanned[0]
-        metrics.result_tuples = int(round(self._results[0]))
+        metrics.result_tuples = int(round(execution.results))
         return ExecutionResult(
             plan_label=self.plan.label,
             strategy="SP",

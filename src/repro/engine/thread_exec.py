@@ -365,14 +365,12 @@ class ExecutionThread:
         yield from self._charge(
             activation.tuples * cost.build_instructions_per_tuple
         )
-        # Single-query mode keeps the strict chain-fits-in-memory check;
-        # under a shared substrate a racing concurrent build may beat the
-        # admission estimate, so the store degrades to unreserved
-        # accounting instead of crashing every in-flight query.
+        # Raise or degrade to unreserved accounting when the chain does
+        # not fit: the machine builder's call (``Substrate.strict_memory``).
         fitted = self.node.store.insert(
             runtime.op.join_id, activation.group,
             activation.tuples, activation.tuple_size,
-            strict=context.substrate is None,
+            strict=context.substrate.strict_memory,
         )
         if not fitted:
             context.metrics.memory_overcommit_bytes += (

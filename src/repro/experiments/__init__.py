@@ -8,7 +8,7 @@ from .config import (
     ExperimentOptions,
     scaled_execution_params,
 )
-from .methodology import Series, average_speedup, geometric_mean, relative_performance
+from .methodology import Series, average_speedup, relative_performance
 from .runner import EXPERIMENTS, run_all
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "scaled_execution_params",
     "Series",
     "average_speedup",
-    "geometric_mean",
     "relative_performance",
     "EXPERIMENTS",
     "run_all",

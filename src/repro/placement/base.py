@@ -143,11 +143,11 @@ def estimated_shipped_bytes(plan: ParallelExecutionPlan,
 
 def join_work_seconds(plan: ParallelExecutionPlan, view: ClusterView) -> float:
     """Estimated CPU seconds of the plan's join work on one processor."""
-    instructions = sum(
-        plan.estimated_work[op.op_id]
-        for op in plan.operators
-        if op.kind is not OpKind.SCAN
-    )
+    # A left fold (float ``sum()`` rounds differently from 3.12 on).
+    instructions = 0.0
+    for op in plan.operators:
+        if op.kind is not OpKind.SCAN:
+            instructions += plan.estimated_work[op.op_id]
     return instructions / view.params.cost.mips
 
 

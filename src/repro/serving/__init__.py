@@ -4,8 +4,8 @@ The paper (and :mod:`repro.engine`) executes one query at a time; the
 ROADMAP's north star is a system serving sustained traffic.  This package
 adds the missing regime — multiprogramming — without forking the engine:
 
-* :class:`SharedSubstrate` — one environment/machine/processors/disks
-  shared by many executions (:mod:`repro.serving.substrate`);
+* :class:`SharedSubstrate` — the engine's one machine builder, shared by
+  many executions: adds the broker (:mod:`repro.serving.substrate`);
 * :class:`ArrivalSpec` — open-loop (Poisson, bursty) and closed-loop
   arrival processes (:mod:`repro.serving.arrivals`);
 * :class:`AdmissionController` — gates admissions on multiprogramming

@@ -15,12 +15,8 @@ initiation is cross-query.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from ..engine.substrate import Substrate
 from .trace import BrokerImbalance
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .substrate import SharedSubstrate
 
 __all__ = ["CrossQueryBroker", "benefit_key"]
 
@@ -39,7 +35,7 @@ class CrossQueryBroker:
     and five provider-side conditions fully intact.
     """
 
-    def __init__(self, substrate: SharedSubstrate):
+    def __init__(self, substrate: Substrate):
         self.substrate = substrate
         self.enabled = substrate.params.cross_query_steal
         #: memoized machine-wide load snapshot, valid for one virtual

@@ -14,7 +14,7 @@ concurrent queries FIFO-share each processor at activation granularity
 queues, the steal protocol, flow control and operator-end detection all
 run per query, unchanged; what becomes *inter-query* is the contention —
 CPU, disk arms, memory — and the provider-ranking load signal of the
-steal protocol (see :meth:`ExecutionContext.node_load`).
+steal protocol (``Substrate.node_load``).
 
 Lifecycle of a query: ``submit()`` (arrival) -> admission queue (FIFO
 within a service class, strict class priority across classes) ->
@@ -27,7 +27,8 @@ expired SLO deadline): its ``done`` event fires with an explicit
 :class:`~repro.engine.metrics.QueryShed` and the rejection is recorded
 as a :class:`~repro.engine.metrics.ShedRecord`.
 
-SP queries are coordinated too (single-node substrates only): the SP
+SP queries are coordinated too (single-node substrates only), through
+the same ``launch`` -> ``finished`` -> ``collect`` protocol: the SP
 executor's driver process runs inside the shared environment and its
 workers charge the shared processors, so SP streams contend with
 activation-model queries — mixed-strategy workloads are legal.
@@ -49,7 +50,6 @@ from ..engine.metrics import (QueryCompletion, QueryShed, ShedRecord,
                               WorkloadMetrics)
 from ..engine.params import ExecutionParams
 from ..engine.strategies.base import StrategyError
-from ..engine.strategies.sp import SynchronousPipeliningExecutor
 from ..engine.template import ExecutionTemplate
 from ..optimizer.plan import ParallelExecutionPlan
 from ..placement import ClusterView, get_policy, place_plan
@@ -460,37 +460,20 @@ class MultiQueryCoordinator:
         self.peak_running_by_class[name] = max(
             self.peak_running_by_class.get(name, 0), live
         )
-        if request.strategy == "SP":
-            sp = SynchronousPipeliningExecutor(
-                request.plan, self.config, request.params
-            )
-            driver = sp.launch(
-                self.env, self.substrate.disks[0], self.substrate.processors[0],
-                query_id=request.query_id,
-                service_class=request.service_class,
-            )
-            driver.callbacks.append(
-                lambda _event, req=request, sp=sp: self._record(
-                    req, sp.collect(start_time=req.start_time,
-                                    end_time=self.env.now,
-                                    queueing_delay=req.queueing_delay))
-            )
-        else:
-            config = self._config_for(request)
-            executor = QueryExecutor(
-                request.plan, config, strategy=request.strategy,
-                params=request.params,
-                template=self._template_for(request, config),
-            )
-            context = executor.launch(
-                substrate=self.substrate, query_id=request.query_id,
-                service_class=request.service_class,
-            )
-            request.context = context
-            context.finished.callbacks.append(
-                lambda _event, req=request, ex=executor: self._record(
-                    req, ex.collect(req.context, req.queueing_delay))
-            )
+        config = self._config_for(request)
+        executor = QueryExecutor(
+            request.plan, config, strategy=request.strategy,
+            params=request.params,
+            template=self._template_for(request, config),
+        )
+        request.context = executor.launch(
+            self.substrate, query_id=request.query_id,
+            service_class=request.service_class,
+        )
+        request.context.finished.callbacks.append(
+            lambda _event, req=request, ex=executor: self._record(
+                req, ex.collect(req.context, req.queueing_delay))
+        )
 
     def _config_for(self, request: QueryRequest) -> MachineConfig:
         """The machine ``request`` executes on: the planned prefix of the
@@ -568,8 +551,7 @@ class MultiQueryCoordinator:
         leftover = len(self.pending) + len(self.running)
         if leftover and until is None:
             for request in self.running.values():
-                if request.context is not None:
-                    request.context.assert_all_terminated()
+                request.context.assert_all_terminated()
             raise ExecutionDeadlock(
                 f"workload wedged: {len(self.pending)} pending, "
                 f"{len(self.running)} running"

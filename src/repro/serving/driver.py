@@ -298,7 +298,10 @@ class WorkloadDriver:
         classes = self.spec.classes
         if not classes:
             return None
-        total = sum(fraction for _cls, fraction in classes)
+        # A left fold (float ``sum()`` rounds differently from 3.12 on).
+        total = 0.0
+        for _cls, fraction in classes:
+            total += fraction
         rng = random.Random(derive_seed(self.spec.seed, f"class:{index}"))
         point = rng.random() * total
         acc = 0.0
@@ -547,8 +550,8 @@ class WorkloadDriver:
             # ``shed_count == retries + gave_up``.  ``backoff_seconds``
             # stays 0: the backoffs are baked into the recorded arrival
             # instants, not stated separately.
-            stats.retries = sum(
-                1 for q in self.trace.queries if q.attempt > 0
+            stats.retries = len(
+                [q for q in self.trace.queries if q.attempt > 0]
             )
             stats.gave_up = metrics.shed_count - stats.retries
             stats.served = metrics.completed

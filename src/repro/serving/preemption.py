@@ -76,8 +76,9 @@ def select_victim(running: Iterable, request, shortfall):
     Eligible victims (among the ``running`` requests) run at strictly
     lower class priority than the blocked ``request`` and have at least
     one live (not terminated, not ending, not already suspended) hash
-    build holding reserved bytes on a shortfall node.  Rank by those
-    bytes, query id as the deterministic tiebreak.  Returns
+    build holding reserved bytes on a shortfall node (an SP execution
+    has no operator runtimes, hence none).  Rank by those bytes, query id
+    as the deterministic tiebreak.  Returns
     ``(victim, joins)`` or None.
     """
     best = None
@@ -85,7 +86,7 @@ def select_victim(running: Iterable, request, shortfall):
     for victim in running:
         context = victim.context
         if context is None or context.done:
-            continue  # SP executions have no spillable hash state
+            continue
         if (victim.service_class.priority
                 >= request.service_class.priority):
             continue

@@ -9,7 +9,9 @@ Two halves, mirroring the record/replay split of
   coordinator, admission loop, broker and engine scheduler all log
   through the substrate's logger, so a single sink sees the whole run.
   :class:`NoopLogger` (the default) keeps the hot path to one attribute
-  check; :class:`JsonLinesLogger` writes one JSON object per line,
+  check — it, the sink interface and the two steal events are the
+  engine's (:mod:`repro.engine.runlog`), registered here;
+  :class:`JsonLinesLogger` writes one JSON object per line,
   gzip-compressed when the path ends in ``.gz``.
 * **Replay** — a :class:`Trace` is the workload-defining subset of a
   recorded event stream: for each query, its exact arrival instant, plan
@@ -32,6 +34,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import IO, Iterable, List, Optional
 
+from ..engine.runlog import (NOOP_LOGGER, NoopLogger, RunLogger, StealRound,
+                             StealTransfer)
 from .classes import ServiceClass
 
 __all__ = [
@@ -171,32 +175,6 @@ class QueryResumed:
 
 
 @dataclass(frozen=True)
-class StealRound:
-    """A node started a Section 4 steal round (local- or broker-initiated)."""
-
-    kind = "steal_round"
-    time: float
-    query_id: int
-    node_id: int
-    #: operator scope of the round (None: global scope).
-    scope: Optional[int]
-    cross: bool
-
-
-@dataclass(frozen=True)
-class StealTransfer:
-    """Stolen activations (and possibly a hash-table copy) were installed."""
-
-    kind = "steal_transfer"
-    time: float
-    query_id: int
-    src_node: int
-    dst_node: int
-    activations: int
-    hash_bytes: int
-
-
-@dataclass(frozen=True)
 class BrokerImbalance:
     """The cross-query broker found an actionable machine imbalance."""
 
@@ -299,39 +277,6 @@ def decode_event(payload: dict):
 
 
 # -- sinks -------------------------------------------------------------------
-
-class RunLogger:
-    """Event sink interface.  ``enabled`` gates the hot-path call sites:
-    producers check it before *building* an event, so the default
-    :class:`NoopLogger` costs one attribute read per site."""
-
-    enabled = True
-
-    def log(self, event) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "RunLogger":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class NoopLogger(RunLogger):
-    """The default sink: drops everything, advertises ``enabled=False``."""
-
-    enabled = False
-
-    def log(self, event) -> None:
-        pass
-
-
-#: shared default instance (stateless, safe to share).
-NOOP_LOGGER = NoopLogger()
-
 
 class MemoryLogger(RunLogger):
     """Collects events in a list — tests and in-process trace capture."""

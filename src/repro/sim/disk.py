@@ -45,7 +45,7 @@ no stable notion of "the request right behind me".
 
 Queueing is observable either way: :attr:`Disk.wait_time` accumulates the
 time requests spent queued behind other requests, and
-:meth:`Disk.wait_time_for` splits it by :class:`ChargeTag` key, which the
+:meth:`Disk.take_wait_time` splits it by :class:`ChargeTag` key, which the
 serving layer reads back into per-class disk queueing-delay metrics.
 
 The engine drives disks through :class:`AsyncReadHandle`: start a read,
@@ -158,9 +158,11 @@ class Disk:
         """Transfers preempted mid-service (0 under FIFO/fair)."""
         return 0 if self._arm is None else self._arm.preemptions
 
-    def wait_time_for(self, key: str) -> float:
-        """Queued time accumulated by requests tagged with ``key``."""
-        return self.wait_by_key.get(key, 0.0)
+    def take_wait_time(self, key: str) -> float:
+        """Queued time accumulated by requests tagged with ``key``, which
+        is forgotten: a finished query takes its total with it, so a
+        long-lived disk holds keys of live queries only."""
+        return self.wait_by_key.pop(key, 0.0)
 
     def _record_wait(self, key: str, waited: float) -> None:
         if waited > 1e-15:
@@ -187,7 +189,7 @@ class Disk:
         arm ignores it (tags are inert, exactly as on CPU charges); the
         fair and priority disciplines order — and may preempt — requests
         by it.  Either way the tag's key attributes the request's queueing
-        time in :meth:`wait_time_for`.
+        time in :meth:`take_wait_time`.
         """
         if pages <= 0:
             raise ValueError(f"pages must be positive, got {pages}")

@@ -198,11 +198,9 @@ def make_disks(env: Environment, disk_params, config: MachineConfig,
                discipline: SchedulingDiscipline | None = None):
     """One disk per (node, processor) of ``config`` (the paper's layout).
 
-    The single source of the disk-grid shape and naming, shared by
-    context-owned and serving-shared substrates so they can never
-    desynchronize.  All disks of a machine share one ``discipline``
-    instance, exactly like the processors (``None`` keeps the analytic
-    FIFO arm, the paper's model).
+    All disks of a machine share one ``discipline`` instance, exactly
+    like the processors (``None`` keeps the analytic FIFO arm, the
+    paper's model).
     """
     from .disk import Disk  # late import: disk depends only on core
     return [

@@ -23,7 +23,7 @@ propagation delay, and the link's
 :class:`~repro.sim.core.SchedulingDiscipline` — the same ``"fifo"`` /
 ``"fair"`` / ``"priority"`` registry the CPUs and disks use — orders the
 waiting messages by their :class:`~repro.sim.core.ChargeTag`.  Per-class
-link queueing is observable through :meth:`Network.wait_time_for`, which
+link queueing is observable through :meth:`Network.take_wait_time`, which
 the serving layer reads back into per-class network queueing-delay
 metrics.  A :class:`NetworkLink` can be shared by several
 :class:`Network` overlays (the serving layer's per-query networks all
@@ -137,9 +137,10 @@ class NetworkLink:
         """Registry name of the discipline this link runs."""
         return self.resource.discipline.name
 
-    def wait_time_for(self, key: str) -> float:
-        """Queued time accumulated by messages tagged with ``key``."""
-        return self.wait_by_key.get(key, 0.0)
+    def take_wait_time(self, key: str) -> float:
+        """Queued time accumulated by messages tagged with ``key``, which
+        is forgotten (a finished query takes its total with it)."""
+        return self.wait_by_key.pop(key, 0.0)
 
     def transmit(self, nbytes: int, tag: ChargeTag):
         """Hold the link for the message's serialization; ``yield from``."""
@@ -186,9 +187,10 @@ class Network:
             raise ValueError(f"node {node_id} already registered")
         self._inboxes[node_id] = deliver
 
-    def wait_time_for(self, key: str) -> float:
-        """Link queueing time of messages tagged ``key`` (0 when infinite)."""
-        return 0.0 if self.link is None else self.link.wait_time_for(key)
+    def take_wait_time(self, key: str) -> float:
+        """Link queueing time of messages tagged ``key`` (0 when infinite),
+        taken off the link's table."""
+        return 0.0 if self.link is None else self.link.take_wait_time(key)
 
     def send(self, src: int, dst: int, kind: str, payload: Any,
              nbytes: int, purpose: str = "control",

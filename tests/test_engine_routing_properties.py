@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.catalog import Relation
 from repro.engine import ExecutionParams
 from repro.engine.context import ExecutionContext
+from repro.engine.substrate import Substrate
 from repro.optimizer import BaseNode, JoinNode, compile_plan
 from repro.query import JoinEdge, QueryGraph
 from repro.sim import MachineConfig
@@ -27,7 +28,8 @@ def make_context(nodes=1, procs=4, params=None):
     tree = JoinNode(BaseNode(graph.relation("R")), BaseNode(graph.relation("S")), sel)
     config = MachineConfig(nodes=nodes, processors_per_node=procs)
     plan = compile_plan(graph, tree, config)
-    return ExecutionContext(plan, config, params or ExecutionParams())
+    params = params or ExecutionParams()
+    return ExecutionContext(plan, config, Substrate(config, params), params)
 
 
 def build_channel(context):

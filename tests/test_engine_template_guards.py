@@ -152,6 +152,7 @@ class TestTemplateLifetime:
         chunk the queues would have released one by one (``single_skew``
         ``peak_rss_mb`` 40 -> 44 MiB)."""
         from repro.engine import QueryExecutor
+        from repro.engine.substrate import Substrate
         from repro.sim import MachineConfig
         from repro.workloads import pipeline_chain_scenario
 
@@ -159,7 +160,7 @@ class TestTemplateLifetime:
         plan, _ = pipeline_chain_scenario(base_tuples=400, chain_joins=2,
                                           config=config)
         executor = QueryExecutor(plan, config)
-        context = executor.launch()
+        context = executor.launch(Substrate(config))
         assert executor.template is None and context.template is None
         assert live_templates() == []  # with the query not yet run
         context.env.run()

@@ -33,6 +33,8 @@ from repro.engine import ExecutionParams, QueryExecutor
 from repro.engine import context as context_module
 from repro.engine.activation import TriggerActivation
 from repro.engine.routing import Router, consumer_cells
+from repro.engine.runlog import NOOP_LOGGER
+from repro.engine.substrate import Substrate
 from repro.engine.template import ExecutionTemplate
 from repro.optimizer import BaseNode, JoinNode, compile_plan
 from repro.optimizer.operator_tree import OpKind
@@ -225,7 +227,8 @@ class TestTemplateMatchesReference:
                 template = ExecutionTemplate(plan, config, params)
             assert template.fits(params)
             context = QueryExecutor(plan, config, strategy=strategy,
-                                    params=params, template=template).launch()
+                                    params=params, template=template
+                                    ).launch(Substrate(config, params))
             reference = reference_build(plan, config, params)
             assert_matches_reference(context, reference)
             names = list(context.streams.names())
@@ -250,7 +253,8 @@ class TestTemplateMatchesReference:
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = bushy_plan(config)
         params = params_for(0.5, 3)
-        context = context_module.ExecutionContext(plan, config, params)
+        context = context_module.ExecutionContext(
+            plan, config, Substrate(config, params), params)
         context.seed_triggers()
         assert_matches_reference(context, reference_build(plan, config, params))
 
@@ -260,7 +264,7 @@ class TestTemplateMatchesReference:
         with pytest.raises(ValueError, match="plan references node 2"):
             ExecutionTemplate(plan, small, ExecutionParams())
         with pytest.raises(ValueError, match="plan references node 2"):
-            QueryExecutor(plan, small).launch()
+            QueryExecutor(plan, small).launch(Substrate(small))
 
     def test_fits_ignores_the_seed_and_nothing_else(self):
         config = MachineConfig(nodes=1, processors_per_node=2)
@@ -323,7 +327,7 @@ class TestEachStreamIsDrawnFromOnce:
         plan = bushy_plan(config)
         executor = QueryExecutor(plan, config, strategy=strategy,
                                  params=params_for(theta, 11))
-        context = executor.launch()
+        context = executor.launch(Substrate(config, executor.params))
         streams = context.streams
         names = list(streams.names())
         routed = [op for op in plan.operators
@@ -361,7 +365,7 @@ class TestEachStreamIsDrawnFromOnce:
         plan = bushy_plan(config)
         executor = QueryExecutor(plan, config, strategy=strategy,
                                  params=params_for(0.0, 11))
-        context = executor.launch()
+        context = executor.launch(Substrate(config, executor.params))
         context.env.run()
         assert context.done
         assert list(context.streams.names()) == []
@@ -418,7 +422,7 @@ class TestQueriesShareNothingMutable:
         template = ExecutionTemplate(plan, config, params_for(theta, 0))
         contexts = [
             QueryExecutor(plan, config, params=params_for(theta, seed),
-                          template=template).launch()
+                          template=template).launch(Substrate(config))
             for seed in (1, 2)
         ]
         return plan, config, template, contexts
@@ -426,7 +430,9 @@ class TestQueriesShareNothingMutable:
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     def test_shared_objects_are_all_immutable(self, theta):
         plan, config, template, (a, b) = self.launch_pair(theta)
-        stop = {id(plan), id(config), id(template)}
+        # Each query has a machine of its own here; every machine's default
+        # sink is the one stateless ``NOOP_LOGGER``.
+        stop = {id(plan), id(config), id(template), id(NOOP_LOGGER)}
         # What the plan owns (operators, relations, homes) is read-only
         # input, shared with every execution since the first version.
         stop |= set(reachable(plan, set()))

@@ -12,7 +12,6 @@ from repro.experiments import (
     ExperimentOptions,
     Series,
     average_speedup,
-    geometric_mean,
     relative_performance,
     scaled_execution_params,
 )
@@ -45,13 +44,6 @@ class TestMethodology:
     def test_average_speedup(self):
         # speedup = rt(1 proc) / rt(p procs), averaged per plan.
         assert average_speedup([8.0, 16.0], [1.0, 2.0]) == pytest.approx(8.0)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([0.0])
 
     def test_series_access(self):
         series = Series("s", ((1.0, 2.0), (2.0, 3.0)))

@@ -10,7 +10,8 @@ drives hand-built completion/shed streams through both, with and without
 retained completions; no simulator is involved.
 
 Also here: a recorded completion never changes afterwards, a golden
-digest of a real run, and a guard that keeps ``sum()`` out of the module.
+digest of a real run, and a guard that keeps ``sum()`` out of the module
+(and out of three more on decision and report paths).
 """
 
 import ast
@@ -308,13 +309,20 @@ class TestRecordedCompletionIsImmutable:
         assert machine_wait > sink.total_cpu_contention() + 1e-4
 
 
-def test_metrics_module_never_calls_builtin_sum():
-    tree = ast.parse(Path(metrics_module.__file__).read_text())
+@pytest.mark.parametrize("module", [
+    "engine/metrics.py",
+    # decision / report paths: every figure table, the service-class
+    # draw, and the ``transfer_aware`` candidate ranking
+    "experiments/methodology.py", "serving/driver.py", "placement/base.py",
+])
+def test_module_never_calls_builtin_sum(module):
+    path = Path(metrics_module.__file__).parents[1] / module
+    tree = ast.parse(path.read_text())
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "sum"]
     assert not calls, (
-        f"engine/metrics.py calls sum() on line(s) {calls}: builtin sum() of "
+        f"{module} calls sum() on line(s) {calls}: builtin sum() of "
         "floats is Neumaier-compensated from Python 3.12 on, so the digest "
         "would differ between interpreters (and from baselines/"
         "determinism.txt, generated on 3.11); fold with += in record order"

@@ -6,7 +6,11 @@ them may reach back into it — that back-edge is how the coordinator grew
 to own six concerns, and how ``substrate.py`` came to hide an import
 cycle behind a function-level import.  ``repro.api`` sits *below*
 ``repro.experiments`` (the experiments are built on the scenario API),
-so no api module may import it, not even inside a function.
+so no api module may import it, not even inside a function.  At the
+bottom, ``repro.engine`` and ``repro.sim`` import nothing above them —
+the scheduler used to fetch its two trace events from ``serving`` inside
+a function — and hardware is built in exactly one module outside
+``sim/``: ``engine/substrate.py``.
 """
 
 import ast
@@ -19,6 +23,7 @@ import repro.serving
 
 SERVING = Path(repro.serving.__file__).parent
 API = Path(repro.api.__file__).parent
+SRC = SERVING.parent
 
 
 def imports(path):
@@ -51,13 +56,59 @@ def test_nothing_behind_the_coordinator_imports_it(module):
         )
 
 
-def test_the_substrate_defers_no_import():
+@pytest.mark.parametrize("module", ["serving/substrate.py",
+                                    "engine/substrate.py"])
+def test_the_substrate_defers_no_import(module):
     deferred = [node.lineno
-                for node, top in imports(SERVING / "substrate.py") if not top]
+                for node, top in imports(SRC / module) if not top]
     assert not deferred, (
-        f"serving/substrate.py has function-level imports at lines "
+        f"{module} has function-level imports at lines "
         f"{deferred}: a deferred import hides an import cycle — break the "
         "cycle instead (the broker lives in serving/broker.py for this)"
+    )
+
+
+UPPER_LAYERS = {"serving", "cluster", "placement", "api", "experiments"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*(SRC / "engine").rglob("*.py"),
+                    *(SRC / "sim").rglob("*.py")]),
+    ids=lambda path: str(path.relative_to(SRC)))
+def test_the_engine_and_the_kernel_import_nothing_above_them(path):
+    for node, _top in imports(path):
+        above = UPPER_LAYERS & imported_names(node)
+        assert not above, (
+            f"{path.relative_to(SRC)} line {node.lineno} imports "
+            f"{sorted(above)}: the engine is handed a substrate and "
+            "reaches the upper layers through its slots only"
+        )
+
+
+def call_sites(name):
+    """Modules of ``src/repro`` outside ``sim/`` that call ``name(...)``."""
+    sites = set()
+    for path in SRC.rglob("*.py"):
+        if path.is_relative_to(SRC / "sim"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (func.id if isinstance(func, ast.Name)
+                          else getattr(func, "attr", None))
+                if called == name:
+                    sites.add(str(path.relative_to(SRC)))
+    return sites
+
+
+@pytest.mark.parametrize("constructor", [
+    "Environment", "Machine", "make_processors", "make_disks", "NetworkLink",
+])
+def test_hardware_is_built_in_one_place(constructor):
+    assert call_sites(constructor) == {"engine/substrate.py"}, (
+        f"{constructor}(...) is the substrate's to call: a second builder "
+        "is a second machine model that can drift (a lone SP run once "
+        "ignored its disciplines this way)"
     )
 
 

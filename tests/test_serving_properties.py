@@ -282,6 +282,28 @@ class TestAdmission:
                 3600, rel=0.02
             )
 
+    def test_a_lone_run_still_raises_when_a_chain_does_not_fit(self):
+        # The other side of the same coin: a machine built for one query
+        # keeps the paper's chain-fits-in-memory assumption (Section 2.2),
+        # a shared one tolerates the overcommit.  Which one is the
+        # substrate builder's call (``strict_memory``), not a spec field.
+        from repro.serving import SharedSubstrate
+        from repro.sim.machine import MemoryExhausted
+
+        config = MachineConfig(nodes=2, processors_per_node=2,
+                               memory_per_processor=30 * 1024)
+        plan = small_join_plan(config, r=3000, s=3600)
+        executor = QueryExecutor(plan, config)
+        with pytest.raises(MemoryExhausted):
+            executor.run()
+        shared = SharedSubstrate(config)
+        assert not shared.strict_memory
+        context = executor.launch(shared)
+        shared.env.run()
+        result = executor.collect(context)
+        assert result.metrics.memory_overcommit_bytes > 0
+        assert result.metrics.result_tuples == 3600
+
     def test_sp_on_multi_node_substrate_rejected_at_submit(self):
         from repro.engine import StrategyError
 
@@ -309,7 +331,7 @@ class TestAdmission:
         other = ExecutionParams(disk=DiskParams(latency=1e-3))
         with pytest.raises(ValueError):
             QueryExecutor(plan, config, strategy="DP",
-                          params=other).launch(substrate=substrate)
+                          params=other).launch(substrate)
 
     def test_deferrals_counted_per_query_not_per_wakeup(self):
         # Eight queries arrive at once with an MPL cap of 1: each of the

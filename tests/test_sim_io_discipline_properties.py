@@ -98,8 +98,8 @@ class TestDiskFIFOByteIdentity:
         assert done[0][0] == pytest.approx(one)
         assert done[1][0] == pytest.approx(2 * one)
         assert disk.wait_time == pytest.approx(one)
-        assert disk.wait_time_for("b") == pytest.approx(one)
-        assert disk.wait_time_for("a") == 0.0
+        assert disk.take_wait_time("b") == pytest.approx(one)
+        assert disk.take_wait_time("a") == 0.0
 
 
 class TestDiskFairShare:
@@ -248,7 +248,7 @@ class TestNetworkLinkScheduling:
         assert [i for _t, i in delivered] == [0, 1]
         assert delivered[0][0] == pytest.approx(0.01)
         assert delivered[1][0] == pytest.approx(0.02)
-        assert network.wait_time_for("b") == pytest.approx(0.01)
+        assert network.take_wait_time("b") == pytest.approx(0.01)
 
     def test_priority_link_preempts_a_bulk_transfer(self):
         # A 100 KB shipment from t=0 at 1 MB/s; a high-priority control
@@ -308,9 +308,9 @@ class TestNetworkLinkScheduling:
         env.process(go(nets[1], "q1"))
         env.run()
         assert done == [pytest.approx(0.05), pytest.approx(0.1)]
-        assert link.wait_time_for("q1") == pytest.approx(0.05)
-        assert nets[1].wait_time_for("q1") == pytest.approx(0.05)
-        assert link.wait_time_for("q0") == 0.0
+        assert link.wait_by_key == {"q1": pytest.approx(0.05)}
+        assert nets[1].take_wait_time("q1") == pytest.approx(0.05)
+        assert link.wait_by_key == {}  # taken, not read
 
     def test_link_requires_finite_bandwidth(self):
         env = Environment()
