@@ -52,7 +52,10 @@ def emit() -> str:
         ("figure10", figure10),
         ("section53", section53),
     ):
-        sections.append(f"== {name} ==\n{module.run(options).table()}\n")
+        # One worker per core: a point's rows do not depend on which
+        # process measured it.
+        table = module.run(options, processes=0).table()
+        sections.append(f"== {name} ==\n{table}\n")
 
     lines = ["== scenarios =="]
     for label, scenario in (

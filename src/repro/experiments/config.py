@@ -52,7 +52,6 @@ __all__ = [
     "DISK_TABLE",
     "scaled_execution_params",
     "ExperimentOptions",
-    "SHARED_MEMORY_PROCS",
     "FIGURE10_CONFIGS",
 ]
 
@@ -73,9 +72,6 @@ DISK_TABLE = [
     ("CPU cost for asynchronous I/O init.", "5000 instr."),
     ("I/O Cache Size", "8 pages"),
 ]
-
-#: processor counts of the shared-memory experiments (Figures 6 and 8).
-SHARED_MEMORY_PROCS = (8, 16, 32, 64)
 
 #: hierarchical configurations of Figure 10: (nodes, processors per node).
 FIGURE10_CONFIGS = ((4, 8), (4, 12), (4, 16))
@@ -128,14 +124,6 @@ class ExperimentOptions:
             raise ValueError(f"plans must be >= 1, got {self.plans}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-
-    def workload_config(self):
-        from ..workloads.plans import WorkloadConfig
-        return WorkloadConfig(
-            queries=self.workload_queries,
-            scale=self.scale,
-            seed=self.seed,
-        )
 
     def plan_mix(self):
         """The Section 5.1.2 population as a scenario's ``PlanSpec``."""

@@ -199,7 +199,6 @@ def collect(result: RunResult) -> ElasticRow:
     "Elastic cluster: autoscaled membership vs. static provisioning "
     "under a flash crowd",
     expectation=PAPER_EXPECTATION,
-    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
         processes: Optional[int] = None, **shape) -> ElasticResult:

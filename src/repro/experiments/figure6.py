@@ -10,21 +10,20 @@ number of processors decreases (discretization errors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from ..engine import QueryExecutor
 from ..sim.machine import MachineConfig
-from ..workloads.plans import build_workload
-from .config import ExperimentOptions, scaled_execution_params
-from .methodology import Series, relative_performance
+from .config import ExperimentOptions
+from .methodology import FigureResult, measure_points, single_point
 from .registry import register_experiment
-from .reporting import format_series_table
+from .reporting import pivot_table
 
-__all__ = ["Figure6Result", "run", "PAPER_EXPECTATION"]
+__all__ = ["Figure6Result", "run", "points", "PAPER_EXPECTATION"]
 
 #: processor counts on the figure's x-axis.
 PROCESSOR_COUNTS = (8, 16, 32, 64)
+#: SP first: it is the reference.
+STRATEGIES = ("SP", "DP", "FP")
 
 PAPER_EXPECTATION = (
     "SP = 1.0 (reference, always best); DP within a few percent of SP at "
@@ -33,46 +32,41 @@ PAPER_EXPECTATION = (
 )
 
 
-@dataclass(frozen=True)
-class Figure6Result:
-    """Relative-performance series for SP, DP, FP vs processor count."""
-
-    series: tuple[Series, ...]
-    options: ExperimentOptions
+class Figure6Result(FigureResult):
+    """One point per (processors, strategy)."""
 
     def table(self) -> str:
-        return format_series_table(
-            self.series, x_label="processors",
+        def relative(point) -> str:
+            reference = self.reference(point, strategy="SP")
+            return f"{point.relative_to(reference):.3f}"
+
+        return pivot_table(
+            self.rows, "processors",
+            [("processors", {}, lambda point: point.processors)] + [
+                (strategy, {"strategy": strategy}, relative)
+                for strategy in self.distinct("strategy")
+            ],
             title="Figure 6: relative performance (reference = SP)",
         )
+
+
+def points(options: ExperimentOptions,
+           processor_counts: tuple[int, ...] = PROCESSOR_COUNTS) -> tuple:
+    """SP/DP/FP on one SM-node across processor counts."""
+    return tuple(
+        single_point(options,
+                     MachineConfig(nodes=1, processors_per_node=procs),
+                     strategy)
+        for procs in processor_counts
+        for strategy in STRATEGIES
+    )
 
 
 @register_experiment("fig6", "Figure 6: SP/DP/FP relative performance",
                      expectation=PAPER_EXPECTATION)
 def run(options: Optional[ExperimentOptions] = None,
-        processor_counts: tuple[int, ...] = PROCESSOR_COUNTS) -> Figure6Result:
-    """Measure SP/DP/FP on one SM-node across processor counts."""
+        processes: Optional[int] = None, **shape) -> Figure6Result:
+    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
     options = options or ExperimentOptions()
-    params = scaled_execution_params(scale=options.scale)
-    points: dict[str, list[tuple[float, float]]] = {"SP": [], "DP": [], "FP": []}
-    for procs in processor_counts:
-        config = MachineConfig(nodes=1, processors_per_node=procs)
-        workload = build_workload(config, options.workload_config())
-        plans = workload.plans[: options.plans]
-        sp_times = [
-            QueryExecutor(plan, config, strategy="SP", params=params)
-            .run().response_time
-            for plan in plans
-        ]
-        points["SP"].append((procs, 1.0))
-        for strategy in ("DP", "FP"):
-            times = [
-                QueryExecutor(plan, config, strategy=strategy, params=params)
-                .run().response_time
-                for plan in plans
-            ]
-            points[strategy].append(
-                (procs, relative_performance(times, sp_times))
-            )
-    series = tuple(Series(name, tuple(pts)) for name, pts in points.items())
-    return Figure6Result(series=series, options=options)
+    return Figure6Result(
+        rows=measure_points(points(options, **shape), processes))

@@ -15,20 +15,17 @@ the degradation is steadier and proportionally smaller.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
-from ..engine import QueryExecutor
 from ..sim.machine import MachineConfig
-from ..sim.rng import derive_seed
-from ..workloads.plans import build_workload
-from .config import ExperimentOptions, scaled_execution_params
-from .methodology import Series, relative_performance
+from .config import ExperimentOptions
+from .methodology import (Distortion, FigureResult, measure_points,
+                          single_point)
 from .registry import register_experiment
-from .reporting import format_series_table
+from .reporting import pivot_table
 
-__all__ = ["Figure7Result", "run", "PAPER_EXPECTATION"]
+__all__ = ["Figure7Result", "run", "points", "PAPER_EXPECTATION"]
 
 #: cost-model error rates on the x-axis (fractions).
 ERROR_RATES = (0.0, 0.05, 0.10, 0.20, 0.30)
@@ -42,62 +39,54 @@ PAPER_EXPECTATION = (
 )
 
 
-@dataclass(frozen=True)
-class Figure7Result:
-    """FP relative performance vs error rate, one series per #processors."""
-
-    series: tuple[Series, ...]
-    options: ExperimentOptions
+class Figure7Result(FigureResult):
+    """Per processor count, the SP reference point and one distorted FP
+    point per error rate."""
 
     def table(self) -> str:
-        return format_series_table(
-            self.series, x_label="error rate",
+        def relative(point) -> str:
+            reference = self.reference(point, strategy="SP", error_rate=0.0)
+            return f"{point.relative_to(reference):.3f}"
+
+        return pivot_table(
+            self.select(strategy="FP"), "error_rate",
+            [("error rate", {}, lambda point: point.error_rate)] + [
+                (f"{procs} procs", {"processors": procs}, relative)
+                for procs in self.distinct("processors")
+            ],
             title="Figure 7: FP degradation vs cost-model error (ref = SP)",
         )
 
-    def degradation(self, procs: int) -> float:
-        """Ratio of the worst point to the zero-error point for ``procs``."""
-        series = next(s for s in self.series if s.name == f"{procs} procs")
-        return max(series.ys()) / series.y_at(0.0)
+
+def points(options: ExperimentOptions,
+           processor_counts: tuple[int, ...] = PROCESSOR_COUNTS,
+           error_rates: tuple[float, ...] = ERROR_RATES,
+           distortions_per_plan: int = DISTORTIONS_PER_PLAN) -> tuple:
+    """FP under distorted cost estimates, with its SP references."""
+    # The paper restricts the plan count here ("given the random nature of
+    # the measurements"): cap at 8 unless the caller asks for fewer.
+    plans = replace(options.plan_mix(), plan_count=min(options.plans, 8))
+    built = []
+    for procs in processor_counts:
+        machine = MachineConfig(nodes=1, processors_per_node=procs)
+        built.append(single_point(options, machine, "SP", plans=plans))
+        built.extend(
+            single_point(options, machine, "FP", plans=plans,
+                         distortion=Distortion(
+                             rate=rate,
+                             draws=distortions_per_plan if rate > 0 else 1,
+                             seed=options.seed, stream=f"fig7:{procs}:{rate}",
+                         ))
+            for rate in error_rates
+        )
+    return tuple(built)
 
 
 @register_experiment("fig7", "Figure 7: FP vs cost-model error",
                      expectation=PAPER_EXPECTATION)
 def run(options: Optional[ExperimentOptions] = None,
-        processor_counts: tuple[int, ...] = PROCESSOR_COUNTS,
-        error_rates: tuple[float, ...] = ERROR_RATES,
-        distortions_per_plan: int = DISTORTIONS_PER_PLAN) -> Figure7Result:
-    """Measure FP under distorted cost estimates."""
+        processes: Optional[int] = None, **shape) -> Figure7Result:
+    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
     options = options or ExperimentOptions()
-    params = scaled_execution_params(scale=options.scale)
-    # The paper restricts the plan count here ("given the random nature of
-    # the measurements"): cap at 8 unless the caller asks for fewer.
-    plan_cap = min(options.plans, 8)
-    all_series = []
-    for procs in processor_counts:
-        config = MachineConfig(nodes=1, processors_per_node=procs)
-        workload = build_workload(config, options.workload_config())
-        plans = workload.plans[:plan_cap]
-        sp_times = [
-            QueryExecutor(plan, config, strategy="SP", params=params)
-            .run().response_time
-            for plan in plans
-        ]
-        points = []
-        for rate in error_rates:
-            measured = []
-            references = []
-            for plan_index, plan in enumerate(plans):
-                for distortion in range(distortions_per_plan if rate > 0 else 1):
-                    rng = random.Random(derive_seed(
-                        options.seed, f"fig7:{procs}:{rate}:{plan_index}:{distortion}"
-                    ))
-                    distorted = plan.distorted(rate, rng)
-                    result = QueryExecutor(
-                        distorted, config, strategy="FP", params=params
-                    ).run()
-                    measured.append(result.response_time)
-                    references.append(sp_times[plan_index])
-            points.append((rate, relative_performance(measured, references)))
-        all_series.append(Series(f"{procs} procs", tuple(points)))
-    return Figure7Result(series=tuple(all_series), options=options)
+    return Figure7Result(
+        rows=measure_points(points(options, **shape), processes))

@@ -12,20 +12,17 @@ per-chain costs and granularity limits); FP always below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from ..engine import QueryExecutor
-from ..sim.machine import MachineConfig
-from ..workloads.plans import build_workload
-from .config import ExperimentOptions, scaled_execution_params
-from .methodology import Series, average_speedup
+from . import figure6
+from .config import ExperimentOptions
+from .methodology import FigureResult, measure_points
 from .registry import register_experiment
-from .reporting import format_series_table
+from .reporting import pivot_table
 
-__all__ = ["Figure8Result", "run", "PAPER_EXPECTATION"]
+__all__ = ["Figure8Result", "run", "points", "PAPER_EXPECTATION"]
 
-#: processor counts of the speedup curve (1 is the reference).
+#: processor counts of the speedup curve (the first is the reference).
 PROCESSOR_COUNTS = (1, 8, 16, 32, 48, 64)
 
 PAPER_EXPECTATION = (
@@ -34,49 +31,39 @@ PAPER_EXPECTATION = (
 )
 
 
-@dataclass(frozen=True)
-class Figure8Result:
-    """Average speedup series per strategy."""
-
-    series: tuple[Series, ...]
-    options: ExperimentOptions
+class Figure8Result(FigureResult):
+    """One point per (processors, strategy)."""
 
     def table(self) -> str:
-        return format_series_table(
-            self.series, x_label="processors",
-            title="Figure 8: average speedup", fmt="{:.1f}",
+        base = self.distinct("processors")[0]
+
+        def speedup(point) -> str:
+            # Mean of rt(base procs) / rt(p procs): the formula with the
+            # roles swapped.
+            reference = self.reference(point, processors=base)
+            return f"{reference.relative_to(point):.1f}"
+
+        return pivot_table(
+            self.rows, "processors",
+            [("processors", {}, lambda point: point.processors)] + [
+                (strategy, {"strategy": strategy}, speedup)
+                for strategy in self.distinct("strategy")
+            ],
+            title="Figure 8: average speedup",
         )
 
-    def speedup(self, strategy: str, procs: int) -> float:
-        return next(s for s in self.series if s.name == strategy).y_at(procs)
+
+def points(options: ExperimentOptions,
+           processor_counts: tuple[int, ...] = PROCESSOR_COUNTS) -> tuple:
+    """Figure 6's points over the speedup curve's processor counts."""
+    return figure6.points(options, processor_counts)
 
 
 @register_experiment("fig8", "Figure 8: speedup",
                      expectation=PAPER_EXPECTATION)
 def run(options: Optional[ExperimentOptions] = None,
-        processor_counts: tuple[int, ...] = PROCESSOR_COUNTS) -> Figure8Result:
-    """Measure the speedup curves."""
+        processes: Optional[int] = None, **shape) -> Figure8Result:
+    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
     options = options or ExperimentOptions()
-    params = scaled_execution_params(scale=options.scale)
-    strategies = ("SP", "DP", "FP")
-    times: dict[tuple[str, int], list[float]] = {}
-    for procs in processor_counts:
-        config = MachineConfig(nodes=1, processors_per_node=procs)
-        workload = build_workload(config, options.workload_config())
-        plans = workload.plans[: options.plans]
-        for strategy in strategies:
-            times[(strategy, procs)] = [
-                QueryExecutor(plan, config, strategy=strategy, params=params)
-                .run().response_time
-                for plan in plans
-            ]
-    series = []
-    for strategy in strategies:
-        base = times[(strategy, processor_counts[0])]
-        points = []
-        for procs in processor_counts:
-            points.append(
-                (procs, average_speedup(base, times[(strategy, procs)]))
-            )
-        series.append(Series(strategy, tuple(points)))
-    return Figure8Result(series=tuple(series), options=options)
+    return Figure8Result(
+        rows=measure_points(points(options, **shape), processes))

@@ -13,21 +13,17 @@ buffering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from ..catalog.skew import SkewSpec
-from ..engine import QueryExecutor
 from ..sim.machine import MachineConfig
-from ..workloads.plans import build_workload
-from .config import ExperimentOptions, scaled_execution_params
-from .methodology import Series, relative_performance
+from .config import ExperimentOptions
+from .methodology import FigureResult, measure_points, single_point
 from .registry import register_experiment
-from .reporting import format_series_table
+from .reporting import pivot_table
 
-__all__ = ["Figure9Result", "run", "PAPER_EXPECTATION"]
+__all__ = ["Figure9Result", "run", "points", "PAPER_EXPECTATION"]
 
-#: Zipf skew factors on the x-axis.
+#: Zipf skew factors on the x-axis (the first is the reference).
 SKEW_FACTORS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 PROCESSORS = 64
 
@@ -37,48 +33,35 @@ PAPER_EXPECTATION = (
 )
 
 
-@dataclass(frozen=True)
-class Figure9Result:
-    """DP relative performance vs redistribution skew factor."""
-
-    series: tuple[Series, ...]
-    options: ExperimentOptions
+class Figure9Result(FigureResult):
+    """One DP point per skew factor; the first is the reference."""
 
     def table(self) -> str:
-        return format_series_table(
-            self.series, x_label="Zipf factor",
-            title=f"Figure 9: DP degradation vs skew ({PROCESSORS} processors, "
-                  "ref = no skew)",
+        reference = self.rows[0]
+        return pivot_table(
+            self.rows, "skew",
+            (("Zipf factor", {}, lambda point: point.skew),
+             ("DP", {},
+              lambda point: f"{point.relative_to(reference):.3f}")),
+            title=f"Figure 9: DP degradation vs skew ({reference.processors} "
+                  "processors, ref = no skew)",
         )
 
-    def max_degradation(self) -> float:
-        return max(self.series[0].ys())
+
+def points(options: ExperimentOptions,
+           skew_factors: tuple[float, ...] = SKEW_FACTORS,
+           processors: int = PROCESSORS) -> tuple:
+    """DP on one SM-node across redistribution skew factors."""
+    machine = MachineConfig(nodes=1, processors_per_node=processors)
+    return tuple(single_point(options, machine, "DP", skew=theta)
+                 for theta in skew_factors)
 
 
 @register_experiment("fig9", "Figure 9: DP vs redistribution skew",
                      expectation=PAPER_EXPECTATION)
 def run(options: Optional[ExperimentOptions] = None,
-        skew_factors: tuple[float, ...] = SKEW_FACTORS,
-        processors: int = PROCESSORS) -> Figure9Result:
-    """Measure DP's skew resilience."""
+        processes: Optional[int] = None, **shape) -> Figure9Result:
+    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
     options = options or ExperimentOptions()
-    config = MachineConfig(nodes=1, processors_per_node=processors)
-    workload = build_workload(config, options.workload_config())
-    plans = workload.plans[: options.plans]
-    reference: Optional[list[float]] = None
-    points = []
-    for theta in skew_factors:
-        params = scaled_execution_params(
-            scale=options.scale,
-            skew=SkewSpec.uniform_redistribution(theta),
-        )
-        times = [
-            QueryExecutor(plan, config, strategy="DP", params=params)
-            .run().response_time
-            for plan in plans
-        ]
-        if reference is None:
-            reference = times
-        points.append((theta, relative_performance(times, reference)))
-    series = (Series("DP", tuple(points)),)
-    return Figure9Result(series=series, options=options)
+    return Figure9Result(
+        rows=measure_points(points(options, **shape), processes))

@@ -255,7 +255,6 @@ def collect(result: RunResult) -> OverloadRow:
     "Graceful degradation under deep overload: bounded retry/backoff + "
     "preemptive memory management vs. a naive retry storm",
     expectation=PAPER_EXPECTATION,
-    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
         processes: Optional[int] = None, **shape) -> OverloadResult:

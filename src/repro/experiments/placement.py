@@ -258,7 +258,6 @@ def collect(result: RunResult) -> PlacementCell:
     "placement",
     "Placement sweep: policy x steal protocol x regime",
     expectation=PAPER_EXPECTATION,
-    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
         processes: Optional[int] = None,

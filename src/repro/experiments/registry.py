@@ -9,14 +9,13 @@ Each experiment module decorates its ``run`` function::
 
 and the runner (:mod:`repro.experiments.runner`) iterates
 :data:`REGISTRY` — no hand-maintained lambda table.  An entry records
-the experiment's id, description, paper expectation and which optional
-runner knobs it accepts (``accepts=("processes",)`` for the
-parallelizable sweeps), so ``repro-experiments --parallel`` reaches
-exactly the experiments that understand it.
+the experiment's id, description and paper expectation.
 
 The runner callable takes :class:`~repro.experiments.config.
-ExperimentOptions` (plus accepted keywords) and returns either a result
-object with a ``.table()`` method or a plain string table.
+ExperimentOptions` and ``processes`` (what ``repro-experiments
+--parallel`` passes: the worker count its independent cells fan over)
+and returns either a result object with a ``.table()`` method or a
+plain string table.
 """
 
 from __future__ import annotations
@@ -35,12 +34,10 @@ class Experiment:
     description: str
     runner: Callable
     expectation: str = ""
-    #: optional ``run_all`` keywords this runner understands.
-    accepts: tuple[str, ...] = ()
 
-    def table(self, options, **kwargs) -> str:
-        """Run and render — accepts only the keywords the runner declared."""
-        result = self.runner(options, **kwargs)
+    def table(self, options, processes: Optional[int] = None) -> str:
+        """Run and render."""
+        result = self.runner(options, processes=processes)
         return result.table() if hasattr(result, "table") else str(result)
 
 
@@ -50,8 +47,7 @@ REGISTRY: dict[str, Experiment] = {}
 
 
 def register_experiment(name: str, description: str, *,
-                        expectation: str = "",
-                        accepts: tuple[str, ...] = ()) -> Callable:
+                        expectation: str = "") -> Callable:
     """Decorator factory: register the decorated ``run`` as ``name``."""
 
     def decorate(fn: Callable) -> Callable:
@@ -64,7 +60,7 @@ def register_experiment(name: str, description: str, *,
         # order.
         REGISTRY[name] = Experiment(
             name=name, description=description, runner=fn,
-            expectation=expectation, accepts=tuple(accepts),
+            expectation=expectation,
         )
         return fn
 
@@ -76,8 +72,9 @@ def register_experiment(name: str, description: str, *,
     "Section 5.1.1 parameter tables",
     expectation="Reproduced verbatim as defaults.",
 )
-def _params_experiment(options: Optional[object] = None) -> str:
-    """The static parameter tables (no simulation)."""
+def _params_experiment(options: Optional[object] = None,
+                       processes: Optional[int] = None) -> str:
+    """The static parameter tables (no simulation, nothing to fan out)."""
     from .config import DISK_TABLE, NETWORK_TABLE
     from .reporting import format_table
 

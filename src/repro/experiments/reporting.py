@@ -1,10 +1,11 @@
 """Reporting for the experiment harness: ASCII tables and sweep results.
 
-The serving sweeps share one result shape, :class:`SweepResult`: flat
-``rows`` (one frozen dataclass per measurement, built by the module's
-``collect`` reducer inside the worker) addressed by field value —
-``result.cell(regime="mixed", policy="paper", steal=True)`` — and laid
-out by :func:`pivot_table`.
+Every simulating experiment shares one result shape,
+:class:`SweepResult`: flat ``rows`` (one frozen dataclass per
+measurement, reduced inside the worker — by the module's ``collect`` for
+a serving sweep, by :func:`~repro.experiments.methodology.measure` for a
+paper figure) addressed by field value — ``result.cell(regime="mixed",
+policy="paper", steal=True)`` — and laid out by :func:`pivot_table`.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, Union
 
-from .methodology import Series
-
-__all__ = ["SweepResult", "distinct", "format_series_table", "format_table",
-           "pivot_table", "select"]
+__all__ = ["SweepResult", "distinct", "format_table", "pivot_table",
+           "select"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -34,23 +33,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     for row in rows:
         lines.append("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series_table(series: Sequence[Series], x_label: str,
-                        title: str = "", fmt: str = "{:.3f}") -> str:
-    """Render several series sharing an x-axis as one table."""
-    xs = sorted({x for s in series for x, _ in s.points})
-    headers = [x_label] + [s.name for s in series]
-    rows = []
-    for x in xs:
-        row: list[object] = [x]
-        for s in series:
-            try:
-                row.append(fmt.format(s.y_at(x)))
-            except KeyError:
-                row.append("-")
-        rows.append(row)
-    return format_table(headers, rows, title=title)
 
 
 def select(rows: Sequence[Any], **key) -> tuple:
@@ -91,7 +73,7 @@ def pivot_table(rows: Sequence[Any], index: Union[str, Sequence[str]],
 
 @dataclass(frozen=True)
 class SweepResult:
-    """What a serving sweep returns (see module docstring)."""
+    """What an experiment returns (see module docstring)."""
 
     rows: tuple
 

@@ -6,7 +6,7 @@ Usage (installed as ``repro-experiments`` via ``pip install -e .``)::
     repro-experiments --only fig6 fig9     # a subset (validated up front)
     repro-experiments --plans 12           # fewer plans per point (faster)
     repro-experiments --quick              # smallest meaningful setting
-    repro-experiments --parallel 0         # sweep cells, one per core
+    repro-experiments --parallel 0         # cells fan out, one per core
     repro-experiments --output results.md  # where to write the report
 
 Every experiment prints its table to stdout as it completes and the
@@ -14,8 +14,8 @@ combined report records paper-vs-measured for each figure.  The set of
 experiments is the :data:`~repro.experiments.registry.REGISTRY` — each
 experiment module registers its ``run`` with
 :func:`~repro.experiments.registry.register_experiment`; ``--parallel``
-is forwarded to exactly the experiments that declare they accept it
-(the serving-layer sweeps).
+reaches every experiment (the static ``params`` table and the one-run
+``traces`` round trip have nothing to fan out).
 """
 
 from __future__ import annotations
@@ -45,15 +45,14 @@ def run_all(options: Optional[ExperimentOptions] = None,
             processes: Optional[int] = None) -> str:
     """Run the selected experiments and return the combined report.
 
-    ``processes`` reaches the experiments whose registry entries accept
-    it (the sweeps); the figure experiments ignore it.
+    ``processes`` is the worker count each experiment fans its
+    independent cells over (None = sequential, 0 = one per core).
     """
     options = options or ExperimentOptions()
     selected = only or list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments {unknown}; known: {list(EXPERIMENTS)}")
-    extras = {"processes": processes}
     sections = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -66,13 +65,9 @@ def run_all(options: Optional[ExperimentOptions] = None,
     ]
     for name in selected:
         experiment = EXPERIMENTS[name]
-        kwargs = {
-            key: value for key, value in extras.items()
-            if key in experiment.accepts and value is not None
-        }
-        started = time.time()
-        table = experiment.table(options, **kwargs)
-        elapsed = time.time() - started
+        started = time.perf_counter()
+        table = experiment.table(options, processes=processes)
+        elapsed = time.perf_counter() - started
         block = (
             f"## {name}: {experiment.description}\n\n"
             f"**Paper expectation.** {experiment.expectation}\n\n"
@@ -98,7 +93,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list registered experiments (one 'name: "
                              "description' line each) and exit")
-    parser.add_argument("--only", nargs="*", default=None,
+    parser.add_argument("--only", nargs="+", default=None,
                         choices=list(EXPERIMENTS), metavar="EXPERIMENT",
                         help=f"subset of experiments: {list(EXPERIMENTS)}")
     parser.add_argument("--plans", type=int, default=None,
@@ -108,8 +103,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smallest meaningful setting (4 plans)")
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="fan sweep cells across N processes "
-                             "(0 = one per core; sweeps only)")
+                        help="fan each experiment's cells across N "
+                             "processes (0 = one per core)")
     parser.add_argument("--output", default="EXPERIMENTS.md",
                         help="report path (default EXPERIMENTS.md)")
     args = parser.parse_args(argv)

@@ -19,17 +19,17 @@ between roughly 2x and 4x) is the reproducible observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
-from ..catalog.skew import SkewSpec
-from ..engine import QueryExecutor
-from ..workloads.scenarios import pipeline_chain_scenario
-from .config import ExperimentOptions, scaled_execution_params
+from ..api.spec import PlanSpec
+from ..sim.machine import MachineConfig
+from .config import ExperimentOptions
+from .methodology import FigureResult, measure_points, single_point
 from .registry import register_experiment
-from .reporting import format_table
+from .reporting import pivot_table
 
-__all__ = ["Section53Result", "run", "PAPER_EXPECTATION"]
+__all__ = ["Section53Result", "run", "points", "PAPER_EXPECTATION"]
 
 SKEW_FACTOR = 0.8
 NODES = 4
@@ -41,62 +41,56 @@ PAPER_EXPECTATION = (
 )
 
 
-@dataclass(frozen=True)
-class Section53Result:
-    """Transfer volumes and steal behaviour for DP and FP."""
-
-    dp_bytes: int
-    fp_bytes: int
-    dp_steals: int
-    fp_steals: int
-    dp_response: float
-    fp_response: float
-
-    @property
-    def traffic_ratio(self) -> float:
-        """FP bytes over DP bytes (the paper's 9/2.5 = 3.6)."""
-        return self.fp_bytes / max(1, self.dp_bytes)
+class Section53Result(FigureResult):
+    """The DP and the FP point, one run each."""
 
     def table(self) -> str:
-        rows = [
-            ("DP", f"{self.dp_bytes / 1e6:.2f} MB", self.dp_steals,
-             f"{self.dp_response:.3f} s"),
-            ("FP", f"{self.fp_bytes / 1e6:.2f} MB", self.fp_steals,
-             f"{self.fp_response:.3f} s"),
-            ("FP/DP", f"{self.traffic_ratio:.1f}x", "-", "-"),
-        ]
-        return format_table(
-            ["strategy", "LB data transferred", "steals", "response"],
-            rows,
+        dp, fp = (self.cell(strategy=strategy).runs[0]
+                  for strategy in ("DP", "FP"))
+        # The paper's 9/2.5 = 3.6: a third line with no run of its own.
+        ratio = fp.loadbalance_bytes / max(1, dp.loadbalance_bytes)
+        derived = replace(self.rows[0], strategy="FP/DP", runs=())
+
+        def of_run(render, otherwise="-"):
+            return lambda point: (render(point.runs[0]) if point.runs
+                                  else otherwise)
+
+        return pivot_table(
+            (*self.rows, derived), "strategy",
+            (("strategy", {}, lambda point: point.strategy),
+             ("LB data transferred", {}, of_run(
+                 lambda run: f"{run.loadbalance_bytes / 1e6:.2f} MB",
+                 otherwise=f"{ratio:.1f}x")),
+             ("steals", {}, of_run(lambda run: run.steals)),
+             ("response", {},
+              of_run(lambda run: f"{run.response_time:.3f} s"))),
             title=f"Section 5.3: 5-operator chain, skew {SKEW_FACTOR}, "
                   f"{NODES}x{PROCESSORS_PER_NODE}",
         )
 
 
-@register_experiment("sec53", "Section 5.3: LB transfer volume",
-                     expectation=PAPER_EXPECTATION)
-def run(options: Optional[ExperimentOptions] = None,
-        base_tuples: Optional[int] = None) -> Section53Result:
-    """Measure the LB transfer volume on the paper's chain scenario."""
-    options = options or ExperimentOptions()
+def points(options: ExperimentOptions,
+           base_tuples: Optional[int] = None) -> tuple:
+    """DP and FP on the paper's chain scenario."""
     if base_tuples is None:
         # 1M-tuple driving relation at scale 1.0 (a "large" relation).
         base_tuples = max(500, int(1_000_000 * options.scale))
-    plan, config = pipeline_chain_scenario(
-        nodes=NODES, processors_per_node=PROCESSORS_PER_NODE,
-        base_tuples=base_tuples,
+    machine = MachineConfig(nodes=NODES,
+                            processors_per_node=PROCESSORS_PER_NODE)
+    chain = PlanSpec(kind="pipeline_chain", base_tuples=base_tuples)
+    return tuple(
+        single_point(options, machine, strategy, skew=SKEW_FACTOR,
+                     plans=chain)
+        for strategy in ("DP", "FP")
     )
-    params = scaled_execution_params(
-        scale=options.scale,
-        skew=SkewSpec.uniform_redistribution(SKEW_FACTOR),
-    )
-    dp = QueryExecutor(plan, config, strategy="DP", params=params).run()
-    fp = QueryExecutor(plan, config, strategy="FP", params=params).run()
+
+
+@register_experiment("sec53", "Section 5.3: LB transfer volume",
+                     expectation=PAPER_EXPECTATION)
+def run(options: Optional[ExperimentOptions] = None,
+        processes: Optional[int] = None, **shape) -> Section53Result:
+    """Measure the transfer volumes; ``shape`` is :func:`points`'s
+    keywords."""
+    options = options or ExperimentOptions()
     return Section53Result(
-        dp_bytes=dp.metrics.loadbalance_bytes,
-        fp_bytes=fp.metrics.loadbalance_bytes,
-        dp_steals=dp.metrics.steals_succeeded,
-        fp_steals=fp.metrics.steals_succeeded,
-        dp_response=dp.response_time,
-        fp_response=fp.response_time,
-    )
+        rows=measure_points(points(options, **shape), processes))

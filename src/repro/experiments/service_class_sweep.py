@@ -340,7 +340,6 @@ def collect(result: RunResult) -> list[ClassCell]:
     "classes",
     "Service classes: CPU discipline x MPL (machine-scheduler layer)",
     expectation=PAPER_EXPECTATION,
-    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
         processes: Optional[int] = None,

@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from ..api.facade import build_plans
+from ..api.spec import ScenarioSpec
 from ..engine.metrics import WorkloadMetrics
 from ..serving.admission import AdmissionPolicy
 from ..serving.arrivals import ArrivalSpec
@@ -112,27 +114,26 @@ def _phase_rows(trace: Trace, metrics: WorkloadMetrics,
     expectation=PAPER_EXPECTATION,
 )
 def run(options: Optional[ExperimentOptions] = None,
+        processes: Optional[int] = None,
         queries: Optional[int] = None,
         nodes: int = 2, processors_per_node: int = 4,
         base_rate: float = 60.0,
         phases: int = 4,
         max_multiprogramming: int = 6,
         queue_timeout: float = 1.5) -> TraceReplayResult:
-    """Generate a trace, run + record it, replay, and report by phase."""
+    """Generate a trace, run + record it, replay, and report by phase.
+
+    ``processes`` is unused: the replay needs the recording first.
+    """
     options = options or ExperimentOptions()
     if queries is None:
         # Scale with the shared experiment knob so --quick stays cheap.
         queries = max(12, 3 * options.workload_queries)
 
-    from ..workloads.plans import WorkloadConfig, build_workload
-
     machine = MachineConfig(nodes=nodes,
                             processors_per_node=processors_per_node)
-    workload = build_workload(machine, WorkloadConfig(
-        queries=options.workload_queries, scale=options.scale,
-        seed=options.seed,
-    ))
-    plans = list(workload.plans[: options.plans])
+    plans = list(build_plans(ScenarioSpec(cluster=machine,
+                                          plans=options.plan_mix())))
 
     gen = TraceGenSpec(
         queries=queries, seed=options.seed, base_rate=base_rate,

@@ -157,7 +157,6 @@ def collect(result: RunResult) -> SweepCell:
     "workload",
     "Workload sweep: MPL x skew x strategy (serving layer)",
     expectation=PAPER_EXPECTATION,
-    accepts=("processes",),
 )
 def run(options: Optional[ExperimentOptions] = None,
         processes: Optional[int] = None, plans=None,

@@ -7,6 +7,7 @@ registry drives the runner with validated CLI options.
 """
 
 import dataclasses
+import inspect
 import io
 import runpy
 from contextlib import redirect_stdout
@@ -24,7 +25,8 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.catalog.skew import SkewSpec
-from repro.experiments import (elastic, overload, placement,
+from repro.experiments import (elastic, figure6, figure7, figure8, figure9,
+                               figure10, overload, placement, section53,
                                service_class_sweep, workload_sweep)
 from repro.experiments.config import ExperimentOptions
 from repro.experiments.registry import REGISTRY, register_experiment
@@ -46,6 +48,37 @@ SERVING_EXPERIMENTS = {
     "placement": (placement, dict(
         regimes=(placement.REGIMES[2],), policies=("paper", "round_robin"),
         nodes=2, processors_per_node=2, queries_per_cell=4)),
+}
+#: figure id -> (module, a tier-1 shape, every row's (nodes, processors
+#: per node, strategy, skew, error rate, executions) at TINY's two plans,
+#: the table title).
+FIGURE_EXPERIMENTS = {
+    "fig6": (figure6, dict(processor_counts=(4,)),
+             [(1, 4, strategy, 0.0, 0.0, 2)
+              for strategy in ("SP", "DP", "FP")],
+             "Figure 6: relative performance (reference = SP)"),
+    # Two distortion draws per plan, one at error rate zero.
+    "fig7": (figure7, dict(processor_counts=(4,), error_rates=(0.0, 0.2),
+                           distortions_per_plan=2),
+             [(1, 4, "SP", 0.0, 0.0, 2), (1, 4, "FP", 0.0, 0.0, 2),
+              (1, 4, "FP", 0.0, 0.2, 4)],
+             "Figure 7: FP degradation vs cost-model error (ref = SP)"),
+    "fig8": (figure8, dict(processor_counts=(1, 4)),
+             [(1, procs, strategy, 0.0, 0.0, 2) for procs in (1, 4)
+              for strategy in ("SP", "DP", "FP")],
+             "Figure 8: average speedup"),
+    "fig9": (figure9, dict(skew_factors=(0.0, 0.8), processors=8),
+             [(1, 8, "DP", 0.0, 0.0, 2), (1, 8, "DP", 0.8, 0.0, 2)],
+             "Figure 9: DP degradation vs skew (8 processors, "
+             "ref = no skew)"),
+    "fig10": (figure10, dict(configs=((2, 2), (2, 4))),
+              [(2, procs, strategy, 0.6, 0.0, 2) for procs in (2, 4)
+               for strategy in ("DP", "FP")],
+              "Figure 10: relative performance, skew 0.6 (reference = FP)"),
+    # The chain population is one plan.
+    "sec53": (section53, dict(base_tuples=500),
+              [(4, 8, "DP", 0.8, 0.0, 1), (4, 8, "FP", 0.8, 0.0, 1)],
+              "Section 5.3: 5-operator chain, skew 0.8, 4x8"),
 }
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
@@ -200,10 +233,10 @@ class TestRegistry:
     def test_presentation_order_params_first(self):
         assert list(EXPERIMENTS)[0] == "params"
 
-    def test_sweeps_declare_their_extra_knobs(self):
-        for name in SERVING_EXPERIMENTS:
-            assert EXPERIMENTS[name].accepts == ("processes",)
-        assert EXPERIMENTS["fig6"].accepts == ()
+    def test_every_registered_runner_accepts_processes(self):
+        for name, experiment in EXPERIMENTS.items():
+            assert "processes" in inspect.signature(
+                experiment.runner).parameters, name
 
     def test_expectations_registered(self):
         assert "DP" in EXPERIMENTS["workload"].expectation
@@ -222,6 +255,13 @@ class TestRegistry:
             runner_main(["--only", "not-an-experiment"])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_runner_cli_rejects_only_without_ids(self, capsys):
+        # ``--only`` alone used to mean "everything".
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["--only"])
+        assert excinfo.value.code == 2
+        assert "expected at least one argument" in capsys.readouterr().err
 
     def test_run_all_params_report(self, tmp_path):
         report = run_all(TINY, only=["params"], echo=False,
@@ -313,6 +353,29 @@ class TestServingExperimentsShareOneShape:
     def test_every_quick_sweep_spec_round_trips(self, module):
         for sweep in _quick_sweeps(module):
             assert SweepSpec.from_json(sweep.to_json()) == sweep
+
+
+class TestPaperFiguresShareTheShape:
+    """Point builder -> ``measure_points`` -> rows, six times."""
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_EXPERIMENTS))
+    def test_tiny_shape_runs_and_parallel_equals_sequential(self, name):
+        module, small, keys, title = FIGURE_EXPERIMENTS[name]
+        sequential = module.run(TINY, **small)
+        assert [(row.nodes, row.processors, row.strategy, row.skew,
+                 row.error_rate, len(row.runs))
+                for row in sequential.rows] == keys
+        assert sequential.table().splitlines()[0] == title
+        assert module.run(TINY, processes=2, **small).rows == sequential.rows
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_EXPERIMENTS))
+    def test_every_quick_cell_is_expressible_as_json(self, name):
+        module = FIGURE_EXPERIMENTS[name][0]
+        points = module.points(ExperimentOptions.quick())
+        assert points
+        for cell, _distortion in points:
+            assert cell.mode == "single"
+            assert ScenarioSpec.from_json(cell.to_json()) == cell
 
 
 class TestParallelSweepStillIdentical:

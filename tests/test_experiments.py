@@ -5,19 +5,24 @@ assertions check mechanics and direction, not precision; the benchmark
 suite and the full runner carry the real measurements.
 """
 
+import random
+
 import pytest
 
 from repro.catalog import SkewSpec
+from repro.engine import QueryExecutor
 from repro.experiments import (
     ExperimentOptions,
-    Series,
-    average_speedup,
     relative_performance,
     scaled_execution_params,
 )
-from repro.experiments import figure6, figure9, section53
-from repro.experiments.reporting import format_series_table, format_table
+from repro.experiments import figure6, figure7, figure9, section53
+from repro.experiments.methodology import PlanRun, Point, measure_points
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.sim.machine import MachineConfig
+from repro.sim.rng import derive_seed
+from repro.workloads.plans import WorkloadConfig, build_workload
 
 
 TINY = ExperimentOptions(plans=2, workload_queries=2)
@@ -41,17 +46,21 @@ class TestMethodology:
         with pytest.raises(ValueError):
             relative_performance([0.0], [1.0])
 
-    def test_average_speedup(self):
-        # speedup = rt(1 proc) / rt(p procs), averaged per plan.
-        assert average_speedup([8.0, 16.0], [1.0, 2.0]) == pytest.approx(8.0)
+    def test_point_ratio_pairs_runs_with_the_reference_by_plan(self):
+        def point(*runs):
+            return Point(nodes=1, processors=8, strategy="FP", skew=0.0,
+                         error_rate=0.0, runs=tuple(
+                             PlanRun(plan, time, 0, 0, 0.0)
+                             for plan, time in runs))
 
-    def test_series_access(self):
-        series = Series("s", ((1.0, 2.0), (2.0, 3.0)))
-        assert series.xs() == [1.0, 2.0]
-        assert series.ys() == [2.0, 3.0]
-        assert series.y_at(2.0) == 3.0
-        with pytest.raises(KeyError):
-            series.y_at(9.0)
+        reference = point((0, 1.0), (1, 2.0))
+        # Two distorted draws of plan 1 both divide by plan 1's reference.
+        drawn = point((0, 2.0), (1, 4.0), (1, 8.0))
+        assert drawn.relative_to(reference) == pytest.approx((2 + 2 + 4) / 3)
+        # Figure 8's speedup is the formula with the roles swapped:
+        # rt(1 proc) / rt(p procs), averaged per plan.
+        assert (point((0, 8.0), (1, 16.0)).relative_to(reference)
+                == pytest.approx(8.0))
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +112,6 @@ class TestReporting:
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
 
-    def test_format_series_table_merges_x_axes(self):
-        s1 = Series("one", ((1.0, 0.5),))
-        s2 = Series("two", ((1.0, 0.6), (2.0, 0.7)))
-        text = format_series_table([s1, s2], x_label="x")
-        assert "-" in text.splitlines()[-2] or "-" in text  # missing cell marker
-
 
 # ---------------------------------------------------------------------------
 # Figure modules (miniature runs)
@@ -117,25 +120,49 @@ class TestReporting:
 class TestFigureModules:
     def test_figure6_miniature(self):
         result = figure6.run(TINY, processor_counts=(4,))
-        names = {s.name for s in result.series}
-        assert names == {"SP", "DP", "FP"}
-        sp = next(s for s in result.series if s.name == "SP")
-        assert sp.ys() == [1.0]
-        fp = next(s for s in result.series if s.name == "FP")
-        dp = next(s for s in result.series if s.name == "DP")
-        assert fp.y_at(4) >= dp.y_at(4) * 0.95
+        assert result.distinct("strategy") == ("SP", "DP", "FP")
+        sp = result.cell(processors=4, strategy="SP")
+        assert sp.relative_to(sp) == 1.0
+        fp = result.cell(processors=4, strategy="FP").relative_to(sp)
+        dp = result.cell(processors=4, strategy="DP").relative_to(sp)
+        assert fp >= dp * 0.95
         assert "Figure 6" in result.table()
+
+    def test_a_measured_point_is_the_hand_wired_executor_loop(self):
+        """Figure 7's points == the per-plan loop the figure used to
+        spell out, distortion stream names included."""
+        sp, fp = measure_points(figure7.points(
+            TINY, processor_counts=(4,), error_rates=(0.2,),
+            distortions_per_plan=2))
+        config = MachineConfig(nodes=1, processors_per_node=4)
+        params = scaled_execution_params(scale=TINY.scale)
+        plans = build_workload(config, WorkloadConfig(
+            queries=TINY.workload_queries, scale=TINY.scale, seed=TINY.seed,
+        )).plans[: TINY.plans]
+
+        def legacy(plan, strategy):
+            return QueryExecutor(plan, config, strategy=strategy,
+                                 params=params).run().response_time
+
+        assert [run.response_time for run in sp.runs] == [
+            legacy(plan, "SP") for plan in plans]
+        assert [(run.plan, run.response_time) for run in fp.runs] == [
+            (index, legacy(plan.distorted(0.2, random.Random(derive_seed(
+                TINY.seed, f"fig7:4:0.2:{index}:{draw}"))), "FP"))
+            for index, plan in enumerate(plans) for draw in range(2)]
 
     def test_figure9_miniature(self):
         result = figure9.run(TINY, skew_factors=(0.0, 0.8), processors=8)
-        assert result.series[0].y_at(0.0) == pytest.approx(1.0)
-        assert result.max_degradation() < 1.5
+        reference = result.cell(skew=0.0)
+        assert reference.relative_to(reference) == pytest.approx(1.0)
+        assert result.cell(skew=0.8).relative_to(reference) < 1.5
         assert "Figure 9" in result.table()
 
     def test_section53_runs(self):
         result = section53.run(TINY, base_tuples=500)
-        assert result.dp_bytes >= 0
-        assert result.fp_bytes >= 0
+        for strategy in ("DP", "FP"):
+            (run,) = result.cell(strategy=strategy).runs
+            assert run.loadbalance_bytes >= 0
         assert "5-operator chain" in result.table()
 
     def test_overload_miniature(self):

@@ -10,7 +10,9 @@ so no api module may import it, not even inside a function.  At the
 bottom, ``repro.engine`` and ``repro.sim`` import nothing above them —
 the scheduler used to fetch its two trace events from ``serving`` inside
 a function — and hardware is built in exactly one module outside
-``sim/``: ``engine/substrate.py``.
+``sim/``: ``engine/substrate.py``.  Inside ``repro.experiments`` a query
+is executed from exactly one module, ``methodology.py``: a figure is a
+point builder and a table layout, not another measurement loop.
 """
 
 import ast
@@ -120,3 +122,34 @@ def test_the_api_never_imports_the_experiments(path):
             f"api/{path.name} line {node.lineno} imports "
             "repro.experiments: dependencies point downwards only"
         )
+
+
+def names(path):
+    """Every identifier ``path`` mentions in code: names, attributes and
+    imports (docstrings and comments do not count)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= imported_names(node)
+    return found
+
+
+def test_the_experiments_execute_queries_in_one_place():
+    mentions = {path.name: names(path)
+                for path in (SRC / "experiments").glob("*.py")}
+    executing = {name for name, found in mentions.items()
+                 if {"QueryExecutor", "run_query"} & found}
+    assert executing == {"methodology.py"}, (
+        f"{sorted(executing)} execute queries: a graph point is measured "
+        "by methodology.measure, a serving cell by api.sweep.run_scenarios"
+    )
+    compiling = {name for name, found in mentions.items()
+                 if "build_workload" in found}
+    assert not compiling, (
+        f"{sorted(compiling)} compile the 5.1.2 workload by hand: the "
+        "one spelling of the population is ExperimentOptions.plan_mix()"
+    )
