@@ -56,12 +56,21 @@ class NodeState:
         self.store = HashTableStore(smnode)
         #: op_id -> queue set, for operators homed on this node.
         self.queue_sets: dict[int, OperatorQueueSet] = {}
+        #: what thread selection walks: one ``(op_id, queue set, runtime,
+        #: output channel or None)`` per entry of :attr:`queue_sets`, in
+        #: the same order — built once the context's channels exist.
+        self.selection: tuple[tuple[int, OperatorQueueSet, OperatorRuntime,
+                                    Optional[OutputChannel]], ...] = ()
         self.threads: list["ExecutionThread"] = []
         self.scheduler: Optional["NodeScheduler"] = None
         self._idle: list["ExecutionThread"] = []
-        #: per (consumer op, queue index, src node): consumed since the last
-        #: credit return (flow-control bookkeeping).
-        self._credit_owed: dict[tuple[int, int, int], int] = {}
+        #: per (consumer op, queue index), per src node in first-owed
+        #: order: consumed since the last credit return (flow-control
+        #: bookkeeping).
+        self._credit_owed: dict[tuple[int, int], dict[int, int]] = {}
+        #: owed credits returned at once, without waiting for the queue
+        #: to empty: half the window.
+        self._credit_threshold = max(1, context.params.credit_window // 2)
         #: set after a fruitless steal round; cleared when local state
         #: changes, so idle threads do not spam starving messages.
         self.lb_blocked_scopes: set[Optional[int]] = set()
@@ -127,37 +136,37 @@ class NodeState:
         # Credit return for remote batches.
         if (not activation.is_trigger and activation.remote
                 and activation.src_node >= 0):
-            key = (queue.op_id, queue.thread_index, activation.src_node)
-            owed = self._credit_owed.get(key, 0) + 1
-            threshold = max(1, self.context.params.credit_window // 2)
-            if owed >= threshold:
-                self._credit_owed[key] = 0
+            queue_key = (queue.op_id, queue.thread_index)
+            owed_by_src = self._credit_owed.get(queue_key)
+            if owed_by_src is None:
+                owed_by_src = self._credit_owed[queue_key] = {}
+            src = activation.src_node
+            owed = owed_by_src.get(src, 0) + 1
+            if owed >= self._credit_threshold:
+                owed_by_src[src] = 0
                 self.context.return_credits(
-                    self.node_id, activation.src_node, queue.op_id,
+                    self.node_id, src, queue.op_id,
                     (self.node_id, queue.thread_index), owed,
                 )
             else:
-                self._credit_owed[key] = owed
+                owed_by_src[src] = owed
         # An emptied queue returns every owed credit at once: producers may
         # be parked on their last sub-window batches (e.g. after a flush),
         # and withholding the crumbs would wedge the pipeline.
         if queue.is_empty:
-            for key in list(self._credit_owed):
-                op_id, thread_index, src = key
-                if op_id == queue.op_id and thread_index == queue.thread_index:
-                    owed = self._credit_owed.pop(key)
+            owed_by_src = self._credit_owed.pop(
+                (queue.op_id, queue.thread_index), None)
+            if owed_by_src:
+                for src, owed in owed_by_src.items():
                     if owed:
                         self.context.return_credits(
-                            self.node_id, src, op_id,
-                            (self.node_id, thread_index), owed,
+                            self.node_id, src, queue.op_id,
+                            (self.node_id, queue.thread_index), owed,
                         )
 
     def total_queued_activations(self) -> int:
-        """Load indicator used by the steal protocol (provider ranking).
-
-        Read on every idle signal and broker snapshot; the per-set counts
-        are O(1) and the plain loop avoids generator overhead.
-        """
+        """This query's queued activations on this node (the broker's
+        steal-benefit ranking; machine-wide load is ``Substrate.queued``)."""
         total = 0
         for queue_set in self.queue_sets.values():
             total += queue_set._queued
@@ -245,7 +254,8 @@ class ExecutionContext:
             self.ops[op.op_id] = runtime
             for node_id in home:
                 node = self.nodes[node_id]
-                queue_set = OperatorQueueSet(op.op_id, node_id, k, capacity)
+                queue_set = OperatorQueueSet(op.op_id, node_id, k, capacity,
+                                             substrate.queued)
                 queue_set.set_blocked(runtime.blocked)
                 queue_set.on_push = node.on_queue_push
                 node.queue_sets[op.op_id] = queue_set
@@ -265,6 +275,12 @@ class ExecutionContext:
                     self, node_id, op_id, consumer_id, router, tuple_size,
                     credits,
                 )
+        for node in self.nodes:
+            node.selection = tuple(
+                (op_id, queue_set, self.ops[op_id],
+                 self.channels.get((node.node_id, op_id)))
+                for op_id, queue_set in node.queue_sets.items()
+            )
 
     # -- small helpers -----------------------------------------------------------
 

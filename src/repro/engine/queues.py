@@ -12,7 +12,8 @@ blocked, i.e., its activations cannot be consumed but they can still be
 produced").
 
 :class:`OperatorQueueSet` aggregates the per-node queues of one operator
-and maintains the non-empty count used by O(1) thread selection.
+and maintains the non-empty count used by O(1) thread selection and its
+node's entry of the machine-wide load counter.
 """
 
 from __future__ import annotations
@@ -142,9 +143,10 @@ class OperatorQueueSet:
     """
 
     __slots__ = ("op_id", "node_id", "queues", "_non_empty", "_queued",
-                 "on_push", "blocked")
+                 "_load", "on_push", "blocked")
 
-    def __init__(self, op_id: int, node_id: int, thread_count: int, capacity: int):
+    def __init__(self, op_id: int, node_id: int, thread_count: int,
+                 capacity: int, load: Optional[list[int]] = None):
         self.op_id = op_id
         self.node_id = node_id
         self.queues = [
@@ -152,9 +154,13 @@ class OperatorQueueSet:
             for index in range(thread_count)
         ]
         self._non_empty = 0
-        #: queued activations across the member queues, kept incrementally:
-        #: the steal protocol and the broker read it on every idle signal.
+        #: queued activations across the member queues, kept incrementally.
         self._queued = 0
+        #: the machine's per-node load counters (``Substrate.queued``):
+        #: every change to ``_queued`` is applied to ``_load[node_id]``
+        #: too.  A set outside any machine, or detached from one, counts
+        #: into a private list nobody reads.
+        self._load = load if load is not None else [0] * (node_id + 1)
         self.blocked = False
         #: callback(queue) invoked after every successful push (wakes idle
         #: threads, re-arms end detection); installed by the node state.
@@ -171,6 +177,10 @@ class OperatorQueueSet:
         """True when some queue holds an activation (blocked or not)."""
         return self._non_empty > 0
 
+    def detach_load(self) -> None:
+        """Stop counting into the machine's load (the query finished)."""
+        self._load = [0] * (self.node_id + 1)
+
     def set_blocked(self, blocked: bool) -> None:
         """Propagate the operator's blocked state to all queues."""
         self.blocked = blocked
@@ -186,6 +196,7 @@ class OperatorQueueSet:
         was_empty = queue.is_empty
         queue.push(activation, force=force)
         self._queued += 1
+        self._load[self.node_id] += 1
         if was_empty:
             self._non_empty += 1
         if self.on_push is not None:
@@ -201,6 +212,7 @@ class OperatorQueueSet:
             self._non_empty += 1
         queue.seed(triggers)
         self._queued += len(triggers)
+        self._load[self.node_id] += len(triggers)
         if self.on_push is not None:
             self.on_push(queue)
 
@@ -209,6 +221,7 @@ class OperatorQueueSet:
         queue = self.queues[queue_index]
         activation = queue.pop()
         self._queued -= 1
+        self._load[self.node_id] -= 1
         if queue.is_empty:
             self._non_empty -= 1
         return activation
@@ -219,6 +232,7 @@ class OperatorQueueSet:
         was_non_empty = not queue.is_empty
         stolen = queue.pop_tail_batch(count)
         self._queued -= len(stolen)
+        self._load[self.node_id] -= len(stolen)
         if was_non_empty and queue.is_empty:
             self._non_empty -= 1
         return stolen

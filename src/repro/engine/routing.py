@@ -146,7 +146,12 @@ class OutputChannel:
             n = len(router.cells)
             self._carry = [0.0] * n
             self._pending = [0] * n
-            self._undelivered: list[deque[DataActivation]] = [deque() for _ in range(n)]
+            #: per cell, the batches parked for want of space or credit.
+            #: A cell has a deque only while it holds parked batches: a
+            #: finished query's channels live until the cyclic garbage
+            #: collector runs, and should hold no empty ones meanwhile.
+            self._undelivered: list[Optional[deque[DataActivation]]] = (
+                [None] * n)
             self._remote_credits = list(remote_credits)
             self._cell_index = router.cell_index
             self._cell_stalled = [False] * n
@@ -183,15 +188,20 @@ class OutputChannel:
             self.tuples_out += tuples
             return 0
         instructions = 0
+        carry = self._carry
+        pending = self._pending
+        batch_size = self.batch_size
         for i, weight in enumerate(self.router.weights):
-            self._carry[i] += tuples * weight
-            whole = int(self._carry[i])
+            c = carry[i] + tuples * weight
+            whole = int(c)
             if whole:
-                self._carry[i] -= whole
-                self._pending[i] += whole
-                while self._pending[i] >= self.batch_size:
-                    self._pending[i] -= self.batch_size
-                    instructions += self._emit(i, self.batch_size)
+                carry[i] = c - whole
+                pending[i] += whole
+                while pending[i] >= batch_size:
+                    pending[i] -= batch_size
+                    instructions += self._emit(i, batch_size)
+            else:
+                carry[i] = c
         return instructions
 
     def flush(self) -> int:
@@ -257,6 +267,8 @@ class OutputChannel:
 
     def _park(self, cell_index: int, activation: DataActivation) -> None:
         pending = self._undelivered[cell_index]
+        if pending is None:
+            pending = self._undelivered[cell_index] = deque()
         pending.append(activation)
         if not self._cell_stalled[cell_index] and len(pending) >= self.stall_limit:
             self._cell_stalled[cell_index] = True
@@ -287,7 +299,9 @@ class OutputChannel:
                 # Scheduler-context send: the CPU cost is already folded
                 # into the message dispatch latency.
                 self.context.send_data_activation(self.node_id, activation)
-        if self._cell_stalled[cell_index] and not pending:
+        # Drained: the next park makes a new deque.
+        self._undelivered[cell_index] = None
+        if self._cell_stalled[cell_index]:
             self._cell_stalled[cell_index] = False
             self._stalled_cells -= 1
             if self._stalled_cells == 0:
@@ -318,4 +332,4 @@ class OutputChannel:
         """Total undeliverable batches currently parked (tests/debug)."""
         if self.router is None:
             return 0
-        return sum(len(d) for d in self._undelivered)
+        return sum(len(d) for d in self._undelivered if d is not None)

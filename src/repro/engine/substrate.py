@@ -83,6 +83,10 @@ class Substrate:
             )
         #: live (launched, unfinished) execution contexts.
         self.contexts: list = []
+        #: queued activations per node, summed over the live contexts:
+        #: every ``OperatorQueueSet`` mutation of a registered context
+        #: adjusts its node's entry (see :meth:`node_load`).
+        self.queued: list[int] = [0] * config.nodes
         #: hook the coordinator installs so mid-execution memory releases
         #: (a probe's end freeing its join's hash tables) re-evaluate
         #: admission immediately instead of waiting for a completion.
@@ -139,8 +143,18 @@ class Substrate:
         self.contexts.append(context)
 
     def unregister_context(self, context) -> None:
-        """A query execution completed; drop it from the live set."""
+        """A query execution completed; drop it from the live set.
+
+        Its leftover queued activations leave :attr:`queued`, and its
+        queue sets stop counting into it: a stolen batch can still be
+        installed into a finished context, and that is no machine load.
+        """
         self.contexts.remove(context)
+        queued = self.queued
+        for node in context.nodes:
+            for queue_set in node.queue_sets.values():
+                queued[node.node_id] -= queue_set._queued
+                queue_set.detach_load()
 
     def notify_memory_released(self) -> None:
         """Engine hook: a query freed node memory mid-execution."""
@@ -156,13 +170,10 @@ class Substrate:
         loaded offering node") uses this: under multiprogramming a node's
         pressure comes from every query it hosts.  Elastic runs admit
         contexts of different sizes; a query that planned on a smaller
-        prefix contributes no load on the nodes it does not span.
+        prefix contributes no load on the nodes it does not span.  Kept
+        incrementally in :attr:`queued`, so this is O(1).
         """
-        return sum(
-            context.nodes[node_id].total_queued_activations()
-            for context in self.contexts
-            if node_id < len(context.nodes)
-        )
+        return self.queued[node_id]
 
     def free_memory(self, node_id: int) -> int:
         """Unreserved bytes on ``node_id`` (live across all queries)."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..optimizer.operator_tree import OpKind
+from ..sim.core import DEFAULT_TAG
 from .activation import Activation, DataActivation, TriggerActivation
 from .context import ExecutionContext, NodeState
 from .opstate import OperatorRuntime
@@ -49,6 +50,13 @@ class ExecutionThread:
         #: the physical processor backing this thread; threads of other
         #: concurrent queries with the same (node, index) share it.
         self.processor = context.processors[node.node_id][index]
+        # ``_charge``'s invariants, bound once: the clock, the CPU speed,
+        # the processor's discipline entry point and the resolved tag.
+        self._env = context.env
+        self._mips = context.params.cost.mips
+        self._use = self.processor._use
+        self._tag = (DEFAULT_TAG if context.charge_tag is None
+                     else context.charge_tag)
         self.busy_time = 0.0
         self.idle_time = 0.0
         #: FP restriction: the operator ids this thread may process
@@ -93,12 +101,14 @@ class ExecutionThread:
         """
         # ``metrics.thread_busy_time`` is derived from the per-thread
         # totals at collect time, not accumulated live.
-        seconds = self.context.instructions_time(instructions)
+        seconds = instructions / self._mips
         self.busy_time += seconds
-        started = self.context.env.now
-        yield from self.processor.use(seconds, self.context.charge_tag)
-        waited = self.context.env.now - started - seconds
+        env = self._env
+        started = env._now
+        yield from self._use(self.processor, seconds, self._tag)
+        waited = env._now - started - seconds
         if waited > 1e-12:
+            # Read through the context: ``collect`` swaps the metrics object.
             self.context.metrics.cpu_contention_time += waited
 
     # -- activation selection (Figure 5) ----------------------------------------------
@@ -111,46 +121,41 @@ class ExecutionThread:
         node's operators; pass 2 takes any consumable queue, starting just
         past the primary position (the circular-list walk of Figure 5).
         """
-        context = self.context
         node = self.node
-        ops = context.ops
+        selection = node.selection
         assigned = self.assigned_ops
-        channels = context.channels
-        node_id = node.node_id
-        # The checks are inlined from ``context.is_op_selectable`` with
-        # the cheapest, most selective guard first (the incrementally
-        # maintained non-empty count): selection runs once per processed
-        # activation, the engine's hottest non-kernel loop.
+        index = self.index
+        # The checks are inlined from ``context.is_op_selectable`` over the
+        # node's prebuilt selection table, with the cheapest, most
+        # selective guard first (the incrementally maintained non-empty
+        # count): selection runs once per processed activation, the
+        # engine's hottest non-kernel loop.
         # Pass 1: primary queues.
-        for op_id, queue_set in node.queue_sets.items():
+        for op_id, queue_set, runtime, channel in selection:
             if not queue_set._non_empty or op_id == exclude_op:
                 continue
             if assigned is not None and op_id not in assigned:
                 continue
-            runtime = ops[op_id]
             if runtime.terminated or runtime.blocked or runtime.suspended:
                 continue
-            channel = channels.get((node_id, op_id))
-            if channel is not None and channel.stalled:
+            if channel is not None and channel._stalled_cells:
                 continue
-            queue = queue_set.queues[self.index]
-            if not queue.is_empty:
-                activation = queue_set.pop(self.index)
+            queue = queue_set.queues[index]
+            if queue._items:
+                activation = queue_set.pop(index)
                 node.on_queue_pop(queue, activation)
                 return activation, queue
         # Pass 2: any queue of the node.
-        for op_id, queue_set in node.queue_sets.items():
+        for op_id, queue_set, runtime, channel in selection:
             if not queue_set._non_empty or op_id == exclude_op:
                 continue
             if assigned is not None and op_id not in assigned:
                 continue
-            runtime = ops[op_id]
             if runtime.terminated or runtime.blocked or runtime.suspended:
                 continue
-            channel = channels.get((node_id, op_id))
-            if channel is not None and channel.stalled:
+            if channel is not None and channel._stalled_cells:
                 continue
-            queue_index = queue_set.first_non_empty(self.index + 1)
+            queue_index = queue_set.first_non_empty(index + 1)
             if queue_index is not None:
                 queue = queue_set.queues[queue_index]
                 activation = queue_set.pop(queue_index)

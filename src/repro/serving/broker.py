@@ -41,8 +41,8 @@ class CrossQueryBroker:
         #: memoized machine-wide load snapshot, valid for one virtual
         #: instant — idle signals cluster at the same timestamp (every
         #: thread that drains parks in the same event cascade), and one
-        #: O(nodes x queries) queue walk per instant is plenty for a
-        #: heuristic trigger.
+        #: snapshot per instant is plenty for a heuristic trigger.  Each
+        #: entry is an O(1) ``Substrate.node_load`` read.
         self._loads_at: float = -1.0
         self._loads: list[int] = []
         # --- statistics -------------------------------------------------

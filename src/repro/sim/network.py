@@ -40,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .core import (ChargeTag, DEFAULT_TAG, Environment, Resource,
+from .core import (ChargeTag, DEFAULT_TAG, Environment, Event, Resource,
                    SchedulingDiscipline)
 
 __all__ = ["NetworkParams", "Message", "Network", "NetworkLink",
@@ -90,7 +90,7 @@ class NetworkParams:
         return nbytes / self.bandwidth
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One inter-node message.
 
@@ -216,22 +216,35 @@ class Network:
         self.messages_by_purpose[purpose] += 1
         self.bytes_by_purpose[purpose] += nbytes
 
+        if self.link is None:
+            # Two heap entries, no process: a departure at ``now`` whose
+            # callback schedules the arrival ``transmission_delay`` later.
+            # The departure hop is kept (rather than scheduling the arrival
+            # directly) because the arrival's sequence number must be drawn
+            # when the departure fires, as a process's first timeout was,
+            # or it would reorder against same-instant arrivals.
+            self.env.event().succeed(message).callbacks.append(self._depart)
+            return message
+
+        link = self.link
         deliver = self._inboxes[dst]
 
-        if self.link is None:
-            def _deliver_process():
-                yield self.env.timeout(self.params.transmission_delay)
-                deliver(message)
-        else:
-            link = self.link
-
-            def _deliver_process():
-                yield from link.transmit(nbytes, tag or DEFAULT_TAG)
-                yield self.env.timeout(self.params.transmission_delay)
-                deliver(message)
+        def _deliver_process():
+            yield from link.transmit(nbytes, tag or DEFAULT_TAG)
+            yield self.env.timeout(self.params.transmission_delay)
+            deliver(message)
 
         self.env.process(_deliver_process(), name=f"net:{kind}:{src}->{dst}")
         return message
+
+    def _depart(self, departure: Event) -> None:
+        """Infinite bandwidth: the message leaves; schedule its arrival."""
+        self.env.timeout(self.params.transmission_delay,
+                         departure._value).callbacks.append(self._arrive)
+
+    def _arrive(self, arrival: Event) -> None:
+        message = arrival._value
+        self._inboxes[message.dst](message)
 
     def bytes_for(self, purpose: str) -> int:
         """Total bytes sent with the given ``purpose`` tag."""

@@ -134,6 +134,8 @@ class TestFlowControl:
                     drained += activation.tuples
         assert not channel.stalled
         assert channel.parked_activations() == 0
+        # A drained cell keeps no deque (dead channels are cyclic garbage).
+        assert all(parked is None for parked in channel._undelivered)
         assert drained == channel.tuples_out
 
     def test_stalled_op_not_selectable(self):
