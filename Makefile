@@ -29,7 +29,8 @@
 #   make profile WORKLOAD=replay_tiny
 #                         cProfile one warm repetition of a ledger workload
 #                         and print the top rows with their share of the
-#                         total (TOP=40, SORT=cumulative|tottime)
+#                         total (TOP=40, SORT=cumulative|tottime), then
+#                         the cyclic-garbage census of one more repetition
 #   make digests          run the ledger's four workloads at seeds 1996 and
 #                         2815 (zero-second window, traced) and print the
 #                         eight `workload seed sim_digest sim.events` rows a

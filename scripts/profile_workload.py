@@ -10,12 +10,21 @@ and prints the top rows with their share of the profiled total — the
 attribution ROADMAP items 1–2 start from.  Profiler overhead inflates
 call-heavy rows, so read the shares as a ranking, not as wall seconds;
 the ledger (``benchmarks/ledger/run.py``) is what measures.
+
+The report ends with a cyclic-garbage census: one more warm repetition
+under ``gc.disable()`` and ``gc.DEBUG_SAVEALL``, then the object count
+by type of what only the cyclic collector could free.  A finished query
+and a single-query machine are freed by refcount, so anything engine-
+or serving-shaped in it is a leak of teardown, and ``peak_rss_mb``
+then depends on when the collector happens to run.
 """
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -24,17 +33,45 @@ sys.path.insert(0, str(REPO / "src"))
 WORKLOADS = REPO / "benchmarks" / "ledger" / "workloads"
 
 
-def profile(name: str) -> pstats.Stats:
-    import repro
+def load(name: str):
     from repro.api import ScenarioSpec
 
-    spec = ScenarioSpec.from_json((WORKLOADS / f"{name}.json").read_text())
+    return ScenarioSpec.from_json((WORKLOADS / f"{name}.json").read_text())
+
+
+def profile(spec) -> pstats.Stats:
+    import repro
+
     repro.run(spec).to_json()  # warm-up: plan caches, lazy imports
     profiler = cProfile.Profile()
     profiler.enable()
     repro.run(spec).to_json()
     profiler.disable()
     return pstats.Stats(profiler)
+
+
+def census(spec, top: int = 10) -> str:
+    """Cyclic garbage of one warm repetition, counted by type."""
+    import repro
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        repro.run(spec).to_json()
+        gc.collect()
+        counts = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    lines = [
+        f"cyclic garbage of one warm repetition: "
+        f"{sum(counts.values())} objects; top {top} types",
+        f"{'objects':>9}  type",
+    ]
+    lines += [f"{count:>9}  {kind}" for kind, count in counts.most_common(top)]
+    return "\n".join(lines)
 
 
 def report(stats: pstats.Stats, top: int, sort: str) -> str:
@@ -71,7 +108,10 @@ def main(argv=None) -> int:
         "--sort", choices=("cumulative", "tottime"), default="cumulative"
     )
     args = parser.parse_args(argv)
-    print(report(profile(args.workload), args.top, args.sort))
+    spec = load(args.workload)
+    print(report(profile(spec), args.top, args.sort))
+    print()
+    print(census(spec))
     return 0
 
 

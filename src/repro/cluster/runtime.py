@@ -77,6 +77,11 @@ class ElasticCluster:
 
     # -- coordinator hooks ---------------------------------------------------
 
+    def close(self) -> None:
+        """The run drained: drop the rebalance overlay's inboxes, which
+        point back at the rebalancer."""
+        self.rebalancer.network.close()
+
     @property
     def planning_count(self) -> int:
         return self.membership.planning_count

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..optimizer.operator_tree import OpKind
 from ..optimizer.plan import ParallelExecutionPlan
-from ..sim.core import DEFAULT_TAG, Event
+from ..sim.core import DEFAULT_TAG, Event, Process
 from ..sim.machine import MachineConfig, SMNode
 from ..sim.network import Network
 from ..sim.rng import RandomStreams
@@ -164,6 +164,16 @@ class NodeState:
                             (self.node_id, queue.thread_index), owed,
                         )
 
+    def close(self) -> None:
+        """Cut this node's cycles: the edge back to the context, the
+        threads and scheduler (which point back at it) and the queue sets'
+        arrival hooks (bound to it).  See :meth:`ExecutionContext.close`."""
+        self.context = None
+        self.threads = []
+        self.scheduler = None
+        for queue_set in self.queue_sets.values():
+            queue_set.on_push = None
+
     def total_queued_activations(self) -> int:
         """This query's queued activations on this node (the broker's
         steal-benefit ranking; machine-wide load is ``Substrate.queued``)."""
@@ -232,6 +242,10 @@ class ExecutionContext:
         self.result_sink = ResultSink()
         self.done = False
         self.finished = self.env.event("query-finished")
+        #: live processes of this execution (see :meth:`spawn`); with the
+        #: overlay's in-flight messages, the tails :meth:`close` waits for.
+        self._live = 0
+        self._closing = False
         #: launch (admission) time; 0.0 for a query run alone.
         self.start_time: float = self.env.now
         self.completion_time: Optional[float] = None
@@ -319,10 +333,10 @@ class ExecutionContext:
             runtime.producers_done = True
             # An empty scan may be done before it starts.
             self.maybe_end(runtime)
-        # Instantiation is complete.  A finished context is cyclic garbage
-        # until the collector runs; it must not keep its owner's template —
-        # a large plan's trigger chunks — alive that long (``single_skew``
-        # peaked 4 MiB higher when it did).
+        # Instantiation is complete.  The running query must not keep its
+        # owner's template — a large plan's trigger chunks — alive while
+        # the queues release the chunks one by one as they are consumed
+        # (``single_skew`` peaked 4 MiB higher when it did).
         self.template = None
 
     # -- network paths --------------------------------------------------------------
@@ -406,8 +420,7 @@ class ExecutionContext:
             return
         runtime.ending = True
         from .scheduler import run_end_detection  # late import (cycle)
-        self.env.process(run_end_detection(self, runtime),
-                         name=f"end:{runtime.label}")
+        self.spawn(run_end_detection(self, runtime), f"end:{runtime.label}")
 
     def terminate_op(self, runtime: OperatorRuntime) -> None:
         """Apply an operator's termination effects everywhere."""
@@ -497,6 +510,49 @@ class ExecutionContext:
             self.finished.succeed()
         for node in self.nodes:
             node.wake_all()
+
+    # -- tails and teardown -------------------------------------------------------------------
+
+    def spawn(self, generator, name: str) -> Process:
+        """Start one of this execution's processes (a thread, an end
+        detection, a steal shipment or install): counted until it exits."""
+        self._live += 1
+        process = self.env.process(generator, name=name)
+        # Rides on the completion event every process schedules anyway.
+        process.callbacks.append(self._exited)
+        return process
+
+    def _exited(self, _process: Process) -> None:
+        self._live -= 1
+        if self._closing:
+            self._teardown_when_idle()
+
+    def close(self) -> None:
+        """Let refcount free the finished execution, not the collector.
+
+        Nodes, channels, threads and schedulers point back at the context
+        (the schedulers through the network overlay's inboxes), so a
+        finished context is a reference cycle.  The teardown cuts every
+        edge back, leaving the context the root of a plain tree.  Code of
+        this execution may still run after ``finished``: woken threads
+        exiting, messages in flight, the steal traffic they answer.  So
+        the teardown runs when the last counted process has exited and the
+        last message has been delivered, and it schedules nothing.
+        """
+        if self._closing:
+            return
+        self._closing = True
+        self.network.on_drained = self._teardown_when_idle
+        self._teardown_when_idle()
+
+    def _teardown_when_idle(self) -> None:
+        if self._live or self.network.in_flight:
+            return
+        for node in self.nodes:
+            node.close()
+        for channel in self.channels.values():
+            channel.context = None
+        self.network.close()
 
     # -- post-run verification -----------------------------------------------------------------
 

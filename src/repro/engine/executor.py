@@ -17,7 +17,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..optimizer.plan import ParallelExecutionPlan
 from ..sim.machine import MachineConfig
@@ -40,11 +40,12 @@ class QueryExecutor:
     def __init__(self, plan: ParallelExecutionPlan, config: MachineConfig,
                  strategy: Union[str, ExecutionStrategy] = "DP",
                  params: Optional[ExecutionParams] = None,
-                 template: Optional[ExecutionTemplate] = None):
-        """``template`` is the caller's :class:`ExecutionTemplate` for
+                 template: Optional[Callable[[], ExecutionTemplate]] = None):
+        """``template`` returns the caller's :class:`ExecutionTemplate` for
         ``(plan, config, params-sans-seed)``, shared by every query the
-        caller launches on that plan; an executor run alone builds a
-        private one per launch."""
+        caller launches on that plan; it is called by the launches that
+        instantiate one, so SP, which reads none, never builds it.  An
+        executor run alone builds a private template per launch."""
         self.plan = plan
         self.config = config
         self.params = params or ExecutionParams()
@@ -71,7 +72,9 @@ class QueryExecutor:
         if not execution.done:
             execution.assert_all_terminated()
             raise ExecutionDeadlock("simulation drained without finishing")
-        return self.collect(execution)
+        result = self.collect(execution)
+        substrate.close()
+        return result
 
     def launch(self, substrate: Substrate, query_id: int = 0,
                service_class=None):
@@ -92,12 +95,11 @@ class QueryExecutor:
         strategy = self._strategy_instance
         if strategy is None:
             strategy = make_strategy(self.strategy_name)
-        # A private template lasts for this instantiation only: kept, it
-        # would hold every trigger chunk until the executor goes, where the
-        # queues let go of each as it is consumed.
-        template = self.template or ExecutionTemplate(
-            self.plan, self.config, self.params
-        )
+        # A private template lasts for this instantiation only: the running
+        # query's queues let go of each trigger chunk as it is consumed,
+        # and a template kept here would hold them all until the end.
+        template = (self.template() if self.template is not None
+                    else ExecutionTemplate(self.plan, self.config, self.params))
         context = ExecutionContext(self.plan, self.config, substrate,
                                    self.params, query_id=query_id,
                                    service_class=service_class,
@@ -156,6 +158,7 @@ class QueryExecutor:
         metrics.memory_high_watermark = max(
             (n.store.high_watermark for n in context.nodes), default=0
         )
+        context.close()
         return ExecutionResult(
             plan_label=self.plan.label,
             strategy=self.strategy_name,

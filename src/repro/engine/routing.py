@@ -148,8 +148,8 @@ class OutputChannel:
             self._pending = [0] * n
             #: per cell, the batches parked for want of space or credit.
             #: A cell has a deque only while it holds parked batches: a
-            #: finished query's channels live until the cyclic garbage
-            #: collector runs, and should hold no empty ones meanwhile.
+            #: drained cell keeps none, so a running query's channels hold
+            #: no empty deques for the many cells that never back up.
             self._undelivered: list[Optional[deque[DataActivation]]] = (
                 [None] * n)
             self._remote_credits = list(remote_credits)

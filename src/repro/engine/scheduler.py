@@ -346,7 +346,7 @@ class NodeScheduler:
                                  reply, nbytes=nbytes, purpose="loadbalance",
                                  tag=context.charge_tag)
 
-        env.process(_ship(), name=f"ship:{self.node.node_id}->{requester}")
+        context.spawn(_ship(), f"ship:{self.node.node_id}->{requester}")
 
     # -- requester side -------------------------------------------------------------
 
@@ -397,7 +397,7 @@ class NodeScheduler:
             yield env.timeout(receive)
             self._install_stolen(payload)
 
-        env.process(_install(), name=f"install:{self.node.node_id}")
+        context.spawn(_install(), f"install:{self.node.node_id}")
 
     def _install_stolen(self, payload: dict) -> None:
         context = self.context

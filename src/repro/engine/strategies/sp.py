@@ -102,7 +102,9 @@ class SynchronousPipeliningExecutor:
         substrate = Substrate(self.config, self.params)
         execution = self.launch(substrate)
         substrate.env.run()
-        return self.collect(execution)
+        result = self.collect(execution)
+        substrate.close()
+        return result
 
     def launch(self, substrate: Substrate, query_id: int = 0,
                service_class=None) -> SPExecution:

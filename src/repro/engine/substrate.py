@@ -103,6 +103,24 @@ class Substrate:
         #: elastic; None on a static cluster (every node is a member).
         self.membership = None
 
+    def close(self) -> None:
+        """Release a machine built for one run, after its environment drained.
+
+        Drops the devices' scheduling state (a fair discipline's sweep
+        callback points back at its resource) and the hooks the upper
+        layers installed, so the machine is freed by refcount.
+        """
+        for row in self.processors:
+            for processor in row:
+                processor.close()
+        for row in self.disks:
+            for disk in row:
+                disk.close()
+        if self.net_link is not None:
+            self.net_link.close()
+        self.on_memory_release = None
+        self.broker = None
+
     # -- hardware contract --------------------------------------------------
 
     def check_hardware(self, config: MachineConfig,

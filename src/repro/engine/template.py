@@ -25,15 +25,14 @@ once, for one ``shuffle`` of a Zipf weight vector.  So:
   what ``zipf_weights(n, theta, rng)`` does, value for value.
 
 **Ownership.**  A template belongs to whoever runs the queries and is
-built lazily, on the first launch: the serving coordinator keeps one per
-(plan, planned node count) for the lifetime of the run; a
-:class:`~repro.engine.executor.QueryExecutor` run alone builds a private
-one per launch and lets go of it once the context is instantiated, as the
-context itself does after seeding — the queues then release each trigger
-chunk as it is consumed.  There is deliberately no process-wide store: the
-trigger chunks of a large plan are megabytes, and a template that outlives
-its use is a leak (``single_skew``'s ``peak_rss_mb`` reads 44 MiB instead
-of 40 whenever one does).
+built lazily, on the first launch that instantiates one (SP reads none):
+the serving coordinator keeps one per (plan, planned node count) for the
+lifetime of the run; a :class:`~repro.engine.executor.QueryExecutor` run
+alone builds a private one per launch and lets go of it once the context
+is instantiated, as the context itself does after seeding — the running
+query's queues then release each trigger chunk as it is consumed.  There
+is deliberately no process-wide store: the trigger chunks of a large plan
+are megabytes, and a template that outlives its use holds all of them.
 """
 
 from __future__ import annotations

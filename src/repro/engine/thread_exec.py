@@ -74,8 +74,8 @@ class ExecutionThread:
 
     def start(self) -> None:
         """Launch the thread's main loop as a simulation process."""
-        self.process = self.context.env.process(
-            self.run(), name=f"thread:n{self.node.node_id}t{self.index}"
+        self.process = self.context.spawn(
+            self.run(), f"thread:n{self.node.node_id}t{self.index}"
         )
 
     def run(self):

@@ -110,8 +110,8 @@ class MultiQueryCoordinator:
         #: ``n`` (the whole machine unless the cluster is elastic).
         self._configs: dict[int, MachineConfig] = {config.nodes: config}
         #: the execution template of each ``(plan index, planned node
-        #: count)`` launched so far — built on the first launch, dropped
-        #: with the coordinator (see :mod:`repro.engine.template`).
+        #: count)`` launched so far — built on the first DP/FP launch,
+        #: dropped with the coordinator (see :mod:`repro.engine.template`).
         self._templates: dict[tuple, ExecutionTemplate] = {}
         # Mid-execution memory releases (probe ends freeing hash tables)
         # re-evaluate admission without waiting for a whole completion.
@@ -464,7 +464,7 @@ class MultiQueryCoordinator:
         executor = QueryExecutor(
             request.plan, config, strategy=request.strategy,
             params=request.params,
-            template=self._template_for(request, config),
+            template=lambda: self._template_for(request, config),
         )
         request.context = executor.launch(
             self.substrate, query_id=request.query_id,
@@ -538,6 +538,15 @@ class MultiQueryCoordinator:
             self.elastic.on_query_finished()
 
     # -- whole-run driver -----------------------------------------------------
+
+    def close(self) -> None:
+        """Free a drained run by refcount: release the machine and cut the
+        callbacks that point back at this coordinator."""
+        self.substrate.close()
+        self.preemption = None
+        if self.elastic is not None:
+            self.elastic.close()
+            self.elastic = None
 
     def run(self, until: Optional[float] = None) -> WorkloadMetrics:
         """Run the shared simulation until all work drains (or ``until``).

@@ -579,7 +579,7 @@ class WorkloadDriver:
                     f"+ {metrics.shed_count} shed != {expected} + "
                     f"{stats.retries} retries submissions"
                 )
-        return WorkloadRunResult(
+        result = WorkloadRunResult(
             spec=self.spec,
             config_label=self.config.describe(),
             metrics=metrics,
@@ -587,3 +587,5 @@ class WorkloadDriver:
             deferrals=coordinator.admission.deferrals,
             clients=stats,
         )
+        coordinator.close()
+        return result

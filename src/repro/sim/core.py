@@ -746,7 +746,9 @@ class _FairState:
         self.heap: list[tuple[float, int, "_FairCharge", float]] = []
         #: slots freed this instant, granted by one coalesced deferred sweep.
         self.grants_due = 0
-        #: the zero-arg sweep closure handed to ``Environment.defer``.
+        #: the zero-arg sweep closure handed to ``Environment.defer``; it
+        #: holds the resource, not this state, so dropping the resource's
+        #: ``_sched`` (:meth:`Resource.close`) leaves no cycle behind.
         self.grant_cb = None
         #: shared completion callback (one bound method per resource).
         self.service_cb = None
@@ -791,7 +793,7 @@ class FairShareDiscipline(SchedulingDiscipline):
 
     def attach(self, resource: "Resource") -> None:
         state = _FairState()
-        state.grant_cb = partial(self._sweep, resource, state)
+        state.grant_cb = partial(self._sweep, resource)
         state.service_cb = self._on_service_end
         resource._sched = state
 
@@ -853,8 +855,9 @@ class FairShareDiscipline(SchedulingDiscipline):
         if state.grants_due == 1:
             env._deferred.append(state.grant_cb)
 
-    def _sweep(self, resource: "Resource", state: _FairState) -> None:
+    def _sweep(self, resource: "Resource") -> None:
         """Grant every slot freed this instant, smallest pass first."""
+        state: _FairState = resource._sched
         due, state.grants_due = state.grants_due, 0
         env = resource.env
         heap = state.heap
@@ -998,7 +1001,6 @@ class PriorityPreemptiveDiscipline(SchedulingDiscipline):
 
     def use(self, resource: "Resource", delay: float,
             tag: ChargeTag) -> Generator:
-        env = resource.env
         state: _PrioState = resource._sched
         charge = _PrioCharge(tag.priority, next(resource._seq), delay)
         if resource.users < resource.capacity:
@@ -1202,6 +1204,11 @@ class Resource:
     def in_use(self) -> int:
         """Slots currently held."""
         return self.discipline.in_use(self)
+
+    def close(self) -> None:
+        """Drop the discipline's per-resource state, and with it the
+        callbacks that point back here (the resource is retired)."""
+        self._sched = None
 
     def use(self, delay: float, tag: Optional[ChargeTag] = None) -> Generator:
         """Hold one slot for ``delay`` virtual seconds.

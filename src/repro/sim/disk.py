@@ -158,6 +158,11 @@ class Disk:
         """Transfers preempted mid-service (0 under FIFO/fair)."""
         return 0 if self._arm is None else self._arm.preemptions
 
+    def close(self) -> None:
+        """Retire the scheduled arm (see :meth:`Resource.close`)."""
+        if self._arm is not None:
+            self._arm.close()
+
     def take_wait_time(self, key: str) -> float:
         """Queued time accumulated by requests tagged with ``key``, which
         is forgotten: a finished query takes its total with it, so a

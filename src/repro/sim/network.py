@@ -142,6 +142,10 @@ class NetworkLink:
         is forgotten (a finished query takes its total with it)."""
         return self.wait_by_key.pop(key, 0.0)
 
+    def close(self) -> None:
+        """Retire the link's resource (see :meth:`Resource.close`)."""
+        self.resource.close()
+
     def transmit(self, nbytes: int, tag: ChargeTag):
         """Hold the link for the message's serialization; ``yield from``."""
         service = self.params.serialization_time(nbytes)
@@ -174,8 +178,13 @@ class Network:
         self.link = link
         if self.link is None and self.params.bandwidth is not None:
             self.link = NetworkLink(env, self.params, discipline)
-        # --- statistics -------------------------------------------------
         self._inboxes: dict[int, Callable[[Message], None]] = {}
+        #: messages sent and not yet delivered.
+        self.in_flight = 0
+        #: called whenever ``in_flight`` drops to zero, if set (an owner
+        #: waiting for its last message before it tears down).
+        self.on_drained: Optional[Callable[[], None]] = None
+        # --- statistics -------------------------------------------------
         self.messages_sent = 0
         self.bytes_sent = 0
         self.messages_by_purpose: dict[str, int] = defaultdict(int)
@@ -186,6 +195,12 @@ class Network:
         if node_id in self._inboxes:
             raise ValueError(f"node {node_id} already registered")
         self._inboxes[node_id] = deliver
+
+    def close(self) -> None:
+        """Drop the delivery callbacks and the drain hook: the overlay's
+        owner is done and nothing is in flight (a later send raises)."""
+        self._inboxes = {}
+        self.on_drained = None
 
     def take_wait_time(self, key: str) -> float:
         """Link queueing time of messages tagged ``key`` (0 when infinite),
@@ -211,6 +226,7 @@ class Network:
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
         message = Message(src, dst, kind, payload, nbytes, purpose, self.env.now)
+        self.in_flight += 1
         self.messages_sent += 1
         self.bytes_sent += nbytes
         self.messages_by_purpose[purpose] += 1
@@ -233,6 +249,7 @@ class Network:
             yield from link.transmit(nbytes, tag or DEFAULT_TAG)
             yield self.env.timeout(self.params.transmission_delay)
             deliver(message)
+            self._delivered()
 
         self.env.process(_deliver_process(), name=f"net:{kind}:{src}->{dst}")
         return message
@@ -245,6 +262,16 @@ class Network:
     def _arrive(self, arrival: Event) -> None:
         message = arrival._value
         self._inboxes[message.dst](message)
+        # After the inbox ran: replies it sent keep the overlay busy.
+        self.in_flight -= 1
+        if not self.in_flight and self.on_drained is not None:
+            self.on_drained()
+
+    def _delivered(self) -> None:
+        """``_arrive``'s bookkeeping, for the finite-bandwidth path."""
+        self.in_flight -= 1
+        if not self.in_flight and self.on_drained is not None:
+            self.on_drained()
 
     def bytes_for(self, purpose: str) -> int:
         """Total bytes sent with the given ``purpose`` tag."""

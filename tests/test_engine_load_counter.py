@@ -137,14 +137,18 @@ def test_a_stolen_batch_installed_after_finish_is_no_load():
     context = executor.launch(substrate)
     substrate.env.run()
     assert context.done and substrate.queued == [0, 0]
+    node = context.nodes[0]
+    # Held as a pending install would hold it: ``collect`` tears a
+    # drained context down, and the node lets go of its scheduler.
+    scheduler = node.scheduler
     executor.collect(context)
+    assert node.scheduler is None
 
     probe = next(r for r in context.ops.values() if r.kind is OpKind.PROBE
                  and 0 in r.home)
     batch = [DataActivation(op_id=probe.op_id, group=(1, 0), tuples=10,
                             remote=True, src_node=1) for _ in range(3)]
-    node = context.nodes[0]
-    node.scheduler._install_stolen({
+    scheduler._install_stolen({
         "op_id": probe.op_id, "join_id": probe.op.join_id, "group": (1, 0),
         "activations": batch, "hash_info": None,
     })

@@ -9,8 +9,9 @@ later change could lose without moving a single simulated instant:
   admits;
 * **lifetime** — a template dies with the run (or the lone executor) that
   built it.  Nothing process-wide keeps one: the trigger chunks of a large
-  plan are megabytes (``single_skew``'s ``peak_rss_mb`` read 39.9 MiB with
-  run-scoped templates and 44.1 MiB with a module-level store).
+  plan are megabytes, and a finished query is freed by refcount (see
+  ``tests/test_engine_teardown.py``), so a template kept past its run is
+  the one thing left holding them.
 """
 
 import gc
@@ -103,6 +104,20 @@ class TestLaunchPathOperationCounts:
         assert zipf_calls <= 2 * routes + 2
         assert validated == 0               # per-query params skip validation
 
+    def test_an_sp_only_run_builds_no_template(self, monkeypatch):
+        """SP reads no template, so the coordinator builds it only when a
+        DP or FP launch asks for one."""
+        templates = Counter(monkeypatch, ExecutionTemplate, "__init__")
+        built = {}
+        # Generated arrivals: a trace replays each query's recorded strategy.
+        arrivals = replace_path(replay_spec(40, 0.0), "trace", None)
+        for strategy in ("SP", "DP"):
+            spec = replace_path(arrivals, "workload.strategy", strategy)
+            before = templates.calls
+            assert repro.run(spec).workload.admitted > 0
+            built[strategy] = templates.calls - before
+        assert built == {"SP": 0, "DP": 1}
+
     def test_per_query_params_are_a_seed_only_copy(self):
         base = ExecutionParams(batch_size=32, seed=1)
         clone = base.with_seed(99)
@@ -149,8 +164,7 @@ class TestTemplateLifetime:
 
     def test_a_lone_executor_lets_go_of_its_template_at_launch(self):
         """Kept for the whole query, a private template holds every trigger
-        chunk the queues would have released one by one (``single_skew``
-        ``peak_rss_mb`` 40 -> 44 MiB)."""
+        chunk the running query's queues would have released one by one."""
         from repro.engine import QueryExecutor
         from repro.engine.substrate import Substrate
         from repro.sim import MachineConfig

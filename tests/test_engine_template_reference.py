@@ -227,7 +227,7 @@ class TestTemplateMatchesReference:
                 template = ExecutionTemplate(plan, config, params)
             assert template.fits(params)
             context = QueryExecutor(plan, config, strategy=strategy,
-                                    params=params, template=template
+                                    params=params, template=lambda: template
                                     ).launch(Substrate(config, params))
             reference = reference_build(plan, config, params)
             assert_matches_reference(context, reference)
@@ -422,7 +422,7 @@ class TestQueriesShareNothingMutable:
         template = ExecutionTemplate(plan, config, params_for(theta, 0))
         contexts = [
             QueryExecutor(plan, config, params=params_for(theta, seed),
-                          template=template).launch(Substrate(config))
+                          template=lambda: template).launch(Substrate(config))
             for seed in (1, 2)
         ]
         return plan, config, template, contexts
