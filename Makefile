@@ -8,10 +8,11 @@
 #   make lint             ruff check (whole tree) + ruff format --check on
 #                         scripts/ and src/repro/api/ — identical to the CI
 #                         lint job
-#   make determinism      run the figure/scenario experiments twice and diff
-#                         byte-for-byte against baselines/determinism.txt
-#   make trace-roundtrip  record three scenario shapes, replay each trace,
-#                         fail unless metrics are byte-identical
+#   make identity         every "nothing moved" claim (figure tables, shipped
+#                         examples, record -> replay, ledger sim_digest +
+#                         sim.events, parallel == sequential) against
+#                         baselines/identity.txt; a declared model change
+#                         re-baselines with `python scripts/identity.py --update`
 #   make bench-smoke      one pass of the workload + kernel benchmarks
 #   make bench-kernel     kernel events/sec only (writes BENCH_kernel.json)
 #   make bench-macro      sequential vs parallel class sweep (writes
@@ -31,19 +32,14 @@
 #                         and print the top rows with their share of the
 #                         total (TOP=40, SORT=cumulative|tottime), then
 #                         the cyclic-garbage census of one more repetition
-#   make digests          run the ledger's four workloads at seeds 1996 and
-#                         2815 (zero-second window, traced) and print the
-#                         eight `workload seed sim_digest sim.events` rows a
-#                         byte-identity PR tabulates, parent and change
-#                         (DIGESTS_OUT=/tmp/ledger-digests keeps the files)
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: check check-slow check-full lint determinism trace-roundtrip \
-	bench-smoke bench-kernel bench-macro bench-trace-replay \
-	bench-overload bench-regression profile digests experiments
+.PHONY: check check-slow check-full lint identity bench-smoke \
+	bench-kernel bench-macro bench-trace-replay bench-overload \
+	bench-regression profile experiments
 
 check:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q
@@ -57,11 +53,8 @@ lint:
 	ruff check .
 	ruff format --check scripts src/repro/api
 
-determinism:
-	$(PYTHON) scripts/check_determinism.py
-
-trace-roundtrip:
-	$(PYTHON) scripts/check_trace_roundtrip.py
+identity:
+	$(PYTHON) scripts/identity.py
 
 bench-smoke:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest -q bench_workload.py bench_kernel.py
@@ -101,17 +94,6 @@ SORT ?= cumulative
 
 profile:
 	$(PYTHON) scripts/profile_workload.py $(WORKLOAD) --top $(TOP) --sort $(SORT)
-
-DIGESTS_OUT ?= /tmp/ledger-digests
-
-digests:
-	mkdir -p $(DIGESTS_OUT)
-	for seed in 1996 2815; do \
-		$(PYTHON) benchmarks/ledger/run.py --seconds 0 --trace 1 --seed $$seed \
-			--out $(DIGESTS_OUT)/seed$$seed.json > $(DIGESTS_OUT)/seed$$seed.log \
-			|| { tail -20 $(DIGESTS_OUT)/seed$$seed.log; exit 1; }; \
-	done
-	$(PYTHON) scripts/print_digests.py $(DIGESTS_OUT)/seed1996.json $(DIGESTS_OUT)/seed2815.json
 
 experiments:
 	$(PYTHON) -m repro.experiments.runner --quick

@@ -110,8 +110,9 @@ class TestLoneSPHonoursItsDisciplines:
                 == dataclasses.asdict(scheduled))
 
     def test_fifo_is_what_it_always_was(self):
-        # figure 6/7/8 are pinned byte for byte by baselines/determinism.txt;
-        # this is the same fact at unit size (the value is the parent's).
+        # SP on FIFO disks is pinned byte for byte by the `figure6` row of
+        # baselines/identity.txt (SP is its reference) and by the `tier1
+        # fig6` / `tier1 fig8` rows; this is the same fact at unit size.
         result = self.response()
         assert result.response_time == pytest.approx(0.13982708333333332,
                                                      rel=1e-12)

@@ -325,5 +325,5 @@ def test_module_never_calls_builtin_sum(module):
         f"{module} calls sum() on line(s) {calls}: builtin sum() of "
         "floats is Neumaier-compensated from Python 3.12 on, so the digest "
         "would differ between interpreters (and from baselines/"
-        "determinism.txt, generated on 3.11); fold with += in record order"
+        "identity.txt, generated on 3.11); fold with += in record order"
     )
