@@ -28,8 +28,9 @@
 #                         and fail on a >25% events/s drop vs the
 #                         committed BENCH_*.json baselines
 #   make profile WORKLOAD=replay_tiny
-#                         cProfile one warm repetition of a ledger workload
-#                         and print the top rows with their share of the
+#                         cProfile the cold plan compilation and then one
+#                         warm repetition of a ledger workload, printing
+#                         each one's top rows with their share of its
 #                         total (TOP=40, SORT=cumulative|tottime), then
 #                         the cyclic-garbage census of one more repetition
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)

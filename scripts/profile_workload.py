@@ -4,12 +4,18 @@
     python scripts/profile_workload.py NAME [--top N] [--sort cumulative|tottime]
 
 Loads ``benchmarks/ledger/workloads/NAME.json`` read-only through
-``ScenarioSpec.from_json``, runs one warm-up and then one profiled
-``repro.run(spec).to_json()`` (a ledger repetition on warm plan caches),
-and prints the top rows with their share of the profiled total — the
-attribution ROADMAP items 1–2 start from.  Profiler overhead inflates
-call-heavy rows, so read the shares as a ranking, not as wall seconds;
-the ledger (``benchmarks/ledger/run.py``) is what measures.
+``ScenarioSpec.from_json`` and prints two top-N sections, each row with
+its share of the section's profiled total:
+
+* the cold set-up: ``build_plans`` + ``build_plan_bank`` on the empty
+  caches of this fresh process (the optimizer's part of ``setup_s``);
+* one warm repetition: after one warm-up, one profiled
+  ``repro.run(spec).to_json()`` (a ledger repetition on warm plan
+  caches) — the attribution ROADMAP items 1–2 start from.
+
+Profiler overhead inflates call-heavy rows, so read the shares as a
+ranking, not as wall seconds; the ledger (``benchmarks/ledger/run.py``)
+is what measures.
 
 The report ends with a cyclic-garbage census: one more warm repetition
 under ``gc.disable()`` and ``gc.DEBUG_SAVEALL``, then the object count
@@ -37,6 +43,18 @@ def load(name: str):
     from repro.api import ScenarioSpec
 
     return ScenarioSpec.from_json((WORKLOADS / f"{name}.json").read_text())
+
+
+def profile_setup(spec) -> pstats.Stats:
+    """Cold plan compilation; must run before anything fills the caches."""
+    from repro.api import build_plan_bank, build_plans
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    build_plans(spec)
+    build_plan_bank(spec)
+    profiler.disable()
+    return pstats.Stats(profiler)
 
 
 def profile(spec) -> pstats.Stats:
@@ -109,6 +127,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     spec = load(args.workload)
+    print("cold set-up: build_plans + build_plan_bank on empty caches")
+    print(report(profile_setup(spec), args.top, args.sort))
+    print()
+    print("one warm repetition")
     print(report(profile(spec), args.top, args.sort))
     print()
     print(census(spec))

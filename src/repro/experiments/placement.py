@@ -53,7 +53,7 @@ from .registry import register_experiment
 from .reporting import SweepResult, pivot_table
 
 __all__ = ["PlacementSweepResult", "Regime", "run", "sweep_specs",
-           "collect", "determinism_digest", "PAPER_EXPECTATION",
+           "collect", "PAPER_EXPECTATION",
            "POLICIES", "REGIMES", "STEAL_MODES"]
 
 #: placement policies on the sweep's x-axis (``paper`` = optimizer homes
@@ -276,18 +276,3 @@ def run(options: Optional[ExperimentOptions] = None,
     rows = run_scenarios(scenarios, processes=processes, collect=collect)
     return PlacementSweepResult(rows=tuple(rows))
 
-
-def determinism_digest(options: Optional[ExperimentOptions] = None) -> str:
-    """The reduced grid the determinism gate pins (see its ``digest``).
-
-    One fast regime (``io-heavy``), three policies, both steal modes —
-    small enough to run inside the byte-identity gate, wide enough to
-    exercise the rewrite path, the no-op paper path and the counters.
-    """
-    options = options or ExperimentOptions.quick()
-    result = run(
-        options, regimes=(REGIMES[2],),
-        policies=("paper", "round_robin", "load_aware"),
-        queries_per_cell=6,
-    )
-    return result.digest()

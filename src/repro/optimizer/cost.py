@@ -158,8 +158,9 @@ class CostModel:
                        graph: Optional[QueryGraph] = None) -> float:
         """Total sequential work of ``tree`` in instruction-equivalents.
 
-        Used by the bushy search to rank candidate trees.  Counts each scan
-        (CPU + I/O), each build and each probe once.
+        The bushy search's ranking cost, summed over one whole tree (the
+        population builder's pre-search bound prices its trees with it).
+        Counts each scan (CPU + I/O), each build and each probe once.
         """
         if estimator is None:
             if graph is None:

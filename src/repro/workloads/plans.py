@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..optimizer.cost import CostModel
-from ..optimizer.join_tree import JoinTree
+from ..optimizer.cost import CardinalityEstimator, CostModel
+from ..optimizer.join_tree import BaseNode, JoinNode, JoinTree, joins
 from ..optimizer.plan import ParallelExecutionPlan, compile_plan
 from ..optimizer.search import BushySearch
 from ..query.generator import QueryGenerator, QueryGeneratorConfig
@@ -98,9 +98,6 @@ class Workload:
 
 def _intermediate_bytes(graph: QueryGraph, tree: JoinTree) -> float:
     """Total bytes of all intermediate (join output) results of a tree."""
-    from ..optimizer.cost import CardinalityEstimator
-    from ..optimizer.join_tree import joins
-
     estimator = CardinalityEstimator(graph)
     tuple_size = max(rel.tuple_size for rel in graph.relations.values())
     return sum(estimator.cardinality(join) for join in joins(tree)) * tuple_size
@@ -114,15 +111,93 @@ class _Population:
     rejected: int
 
 
-#: query selection is expensive (exact bushy search per candidate) and
-#: machine-independent: memoize it per workload configuration and per value
-#: of the cost model that ranks and band-filters the candidates.
+#: relative slack of the bound's rejection test: tree shapes multiply the
+#: same cardinalities in different orders, so equal exact costs differ by
+#: ~1e-15 in floating point.
+_BOUND_MARGIN = 1e-9
+
+
+def _flipped(tree: JoinTree, target: JoinNode) -> JoinTree:
+    """``tree`` with the build and probe sides of ``target`` swapped."""
+    if tree is target:
+        return JoinNode(tree.probe, tree.build, tree.selectivity)
+    if isinstance(tree, BaseNode) or not target.relations <= tree.relations:
+        return tree
+    return JoinNode(_flipped(tree.build, target), _flipped(tree.probe, target),
+                    tree.selectivity)
+
+
+def _kth_cost_bound(graph: QueryGraph, cost_model: CostModel,
+                    k: int) -> Optional[float]:
+    """The largest cost among ``k`` distinct join trees of ``graph``.
+
+    The search's ``k``-th best cost is at most this.  The trees are a
+    greedy one (repeatedly join the two adjacent parts with the smallest
+    output, hashing the side that makes the join cheaper) and ``k - 1``
+    copies of it with one join's sides swapped, the root's first.  None
+    when the graph has too few joins for ``k`` distinct trees.
+    """
+    if k > len(graph):
+        return None
+    estimator = CardinalityEstimator(graph)
+    card = estimator.cardinality
+    part: dict[str, JoinTree] = {
+        name: BaseNode(graph.relation(name)) for name in graph.names
+    }
+
+    def output(edge) -> float:
+        return (card(part[edge.left]) * card(part[edge.right])
+                * edge.selectivity)
+
+    def step(build: JoinTree, probe: JoinTree, out: float) -> float:
+        return (cost_model.build_instructions(card(build))
+                + cost_model.probe_instructions(card(probe), out))
+
+    # The graph is a tree, so every edge joins two different parts.
+    formed: list[JoinNode] = []
+    edges = list(graph.edges)
+    while edges:
+        edge = min(edges, key=output)
+        edges.remove(edge)
+        build, probe = part[edge.left], part[edge.right]
+        out = output(edge)
+        if step(probe, build, out) < step(build, probe, out):
+            build, probe = probe, build
+        join = JoinNode(build, probe, edge.selectivity)
+        formed.append(join)
+        for name in join.relations:
+            part[name] = join
+    greedy = part[graph.names[0]]
+    trees = [greedy] + [_flipped(greedy, join) for join in formed[::-1][:k - 1]]
+    return max(cost_model.join_tree_cost(tree, estimator) for tree in trees)
+
+
+def _below_band(graph: QueryGraph, cost_model: CostModel, k: int,
+                low: float) -> bool:
+    """Whether the search's ``k`` best trees surely run under ``low`` s."""
+    bound = _kth_cost_bound(graph, cost_model, k)
+    return (bound is not None
+            and bound * (1 + _BOUND_MARGIN) / cost_model.params.mips < low)
+
+
+#: query selection is machine-independent and, for every candidate the
+#: bound cannot turn away, an exact bushy search: memoize it per workload
+#: configuration and per value of the cost model that ranks and
+#: band-filters the candidates.
 _POPULATION_CACHE: dict[tuple, _Population] = {}
 
 
 def build_query_population(config: Optional[WorkloadConfig] = None,
                            cost_model: Optional[CostModel] = None) -> _Population:
-    """Select the accepted queries and their top-k bushy trees (cached)."""
+    """Select the accepted queries and their top-k bushy trees (cached).
+
+    A candidate whose :func:`_kth_cost_bound` already lies below the band
+    is rejected without a search: the search's k-th best tree costs at
+    most the bound, so the search would reject it too.  Only the rest,
+    in practice the accepted queries, pay the exact search; the accepted
+    set, its trees, their costs and ``rejected`` are those of searching
+    every candidate.
+    """
     config = config or WorkloadConfig()
     cost_model = cost_model or CostModel()
     key = (config, cost_model.params, cost_model.disk, cost_model.tuple_size)
@@ -148,6 +223,9 @@ def build_query_population(config: Optional[WorkloadConfig] = None,
             )
         graph = generator.generate(index)
         index += 1
+        if _below_band(graph, cost_model, config.plans_per_query, low):
+            rejected += 1
+            continue
         search = BushySearch(graph, cost_model=cost_model,
                              k=config.plans_per_query)
         candidates = search.run()

@@ -4,19 +4,26 @@ import hashlib
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.optimizer import is_right_deep, validate_tree
-from repro.sim import MachineConfig
+from repro.optimizer import CostModel, is_right_deep, validate_tree
+from repro.optimizer.search import BushySearch
+from repro.query import QueryGenerator, QueryGeneratorConfig
+from repro.sim import MachineConfig, RandomStreams
 from repro.workloads import (
     WorkloadConfig,
     build_workload,
     pipeline_chain_scenario,
     two_node_join_scenario,
 )
+from repro.workloads import plans
 from repro.workloads.plans import _intermediate_bytes, build_query_population
 
 
 SMALL = WorkloadConfig(queries=3)
+PAPER = WorkloadConfig()
+LEDGER = WorkloadConfig(queries=8, scale=0.01, seed=1996)
 
 
 class TestWorkloadBuilder:
@@ -27,11 +34,9 @@ class TestWorkloadBuilder:
         assert len(workload.accepted_queries) == 3
 
     def test_sequential_band_respected(self):
-        from repro.optimizer.cost import CostModel
         cost_model = CostModel()
         population = build_query_population(SMALL, cost_model)
         low, high = SMALL.effective_band
-        from repro.optimizer.search import BushySearch
         for graph, trees, _ in population.entries:
             for tree in trees:
                 validate_tree(tree, graph)
@@ -68,7 +73,7 @@ class TestWorkloadBuilder:
         assert w2.plans[0].node_set == (0, 1, 2, 3)
 
     def test_population_cache_keyed_on_the_cost_model(self):
-        from repro.optimizer.cost import CostModel, CostParams
+        from repro.optimizer.cost import CostParams
         from repro.sim.disk import DiskParams
         default = build_query_population(SMALL)
         # Ten times the build price moves every plan out of the default
@@ -86,30 +91,37 @@ class TestWorkloadBuilder:
         # An equal-valued model is the same key.
         assert build_query_population(SMALL, CostModel()) is default
 
-    @pytest.mark.parametrize("config, golden", [
+    @pytest.mark.parametrize("config, golden, rejected, accepted", [
         # the paper's 20-query x 2-plan population
-        (WorkloadConfig(),
-         "778ede0c14f6d557067a12847a63ab5907f186601d647e950d575c14c7cedf25"),
+        (PAPER,
+         "778ede0c14f6d557067a12847a63ab5907f186601d647e950d575c14c7cedf25",
+         34, [1, 4, 9, 13, 18, 23, 25, 30, 31, 33, 34, 36, 37, 39, 40, 44,
+              45, 51, 52, 53]),
         # the ledger's (plans.workload_queries=8, scale=0.01, seed=1996)
-        (WorkloadConfig(queries=8, scale=0.01, seed=1996),
-         "ee145eac6b460c5fb54c539fdc87e3ff8d258bb95c6c40d6477295af252f8316"),
+        (LEDGER,
+         "ee145eac6b460c5fb54c539fdc87e3ff8d258bb95c6c40d6477295af252f8316",
+         23, [1, 4, 9, 13, 18, 23, 25, 30]),
     ])
-    def test_golden_population_digest(self, config, golden):
+    def test_golden_population_digest(self, config, golden, rejected,
+                                      accepted):
         """Which queries are accepted, their trees and their exact costs.
 
-        The digests were computed with the exhaustive search of PR 14; a
-        faster search must reproduce them byte for byte.
+        The digests were computed with the exhaustive search, and the
+        counts by searching every candidate; a faster search or a
+        pre-search rejection must reproduce them byte for byte.
         """
         from repro.optimizer import tree_signature
-        from repro.optimizer.search import BushySearch
         sha = hashlib.sha256()
-        for graph, trees, query_index in build_query_population(config).entries:
+        population = build_query_population(config)
+        for graph, trees, query_index in population.entries:
             candidates = BushySearch(graph, k=config.plans_per_query).run()
             assert tuple(c.tree for c in candidates) == trees
             for rank, c in enumerate(candidates):
                 sha.update(repr((query_index, rank, tree_signature(c.tree),
                                  repr(c.cost))).encode())
         assert sha.hexdigest() == golden
+        assert population.rejected == rejected
+        assert [index for _, _, index in population.entries] == accepted
 
     def test_compiled_plan_pickles(self):
         # The ``processes`` sweep option ships compiled plans to workers.
@@ -139,6 +151,67 @@ class TestWorkloadBuilder:
                 WorkloadConfig(queries=1, band=(1e12, 2e12),
                                max_candidates=20),
             )
+
+
+class TestRejectBeforeSearch:
+    """The pre-search bound turns away only what the search would."""
+
+    @given(seed=st.integers(0, 10_000), relations=st.integers(2, 12),
+           scale=st.floats(0.001, 0.1), k=st.sampled_from((1, 2, 4)),
+           floor=st.floats(0.25, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_property_bound_rejects_only_what_the_search_rejects(
+            self, seed, relations, scale, k, floor):
+        graph = QueryGenerator(
+            RandomStreams(seed),
+            QueryGeneratorConfig(relations_per_query=relations, scale=scale),
+        ).generate(0)
+        cost_model = CostModel()
+        found = BushySearch(graph, cost_model=cost_model, k=k).run()
+        bound = plans._kth_cost_bound(graph, cost_model, k)
+        if bound is None:
+            assert k > relations
+            return
+        assert len(found) == k
+        assert found[-1].cost <= bound * (1 + plans._BOUND_MARGIN)
+        # A band floor below (floor < 1) or around the search's k-th cost:
+        # the bound lets the first kind through to the search.
+        sequential = found[-1].cost / cost_model.params.mips
+        low = floor * sequential
+        if plans._below_band(graph, cost_model, k, low):
+            assert sequential < low
+        if floor < 1:
+            assert not plans._below_band(graph, cost_model, k, low)
+
+    def test_bound_decides_both_ways(self):
+        graph = QueryGenerator(RandomStreams(7)).generate(0)
+        cost_model = CostModel()
+        (_, second) = BushySearch(graph, cost_model=cost_model, k=2).run()
+        sequential = second.cost / cost_model.params.mips
+        assert not plans._below_band(graph, cost_model, 2, sequential)
+        assert plans._below_band(graph, cost_model, 2, 1.5 * sequential)
+        # two relations have two trees, not four: the bound does not decide
+        pair = QueryGenerator(
+            RandomStreams(7), QueryGeneratorConfig(relations_per_query=2),
+        ).generate(0)
+        assert plans._kth_cost_bound(pair, cost_model, 2) is not None
+        assert plans._kth_cost_bound(pair, cost_model, 4) is None
+        assert not plans._below_band(pair, cost_model, 4, float("inf"))
+
+    @pytest.mark.parametrize("config, searches", [(PAPER, 20), (LEDGER, 8)])
+    def test_only_accepted_candidates_are_searched(self, monkeypatch, config,
+                                                   searches):
+        monkeypatch.setattr(plans, "_POPULATION_CACHE", {})
+        calls = []
+        original = BushySearch.run
+
+        def counting_run(search):
+            calls.append(search.graph)
+            return original(search)
+
+        monkeypatch.setattr(BushySearch, "run", counting_run)
+        population = build_query_population(config)
+        assert len(calls) == searches == len(population.entries)
 
 
 class TestScenarios:
