@@ -28,8 +28,8 @@ multi-core host.
 
 ``processes`` (what a CLI's ``--parallel N`` passes through):
 
-* ``None``  — sequential in-process execution (the default: benches and
-  CI timings stay comparable, and nested pools are impossible);
+* ``None``  — sequential in-process execution (the default: timings
+  stay comparable, and nested pools are impossible);
 * ``0``     — one worker per available core;
 * ``n >= 1``— exactly ``n`` workers.
 """

@@ -342,19 +342,8 @@ class WorkloadMetrics:
     is a pure function of the completion stream: two runs of the same
     seeded workload produce byte-identical :meth:`summary` strings on any
     interpreter (the determinism regression tests compare exactly that).
-
-    ``retain_completions=False`` drops each :class:`QueryCompletion` —
-    with its full :class:`ExecutionResult`, ~40 counters — once folded,
-    which is what lets a million-query replay run out of time before it
-    runs out of memory.  Only the per-query latency floats (exact
-    percentiles, ~8 MB per million queries) and the shed records remain:
-    every aggregate reads the same, :meth:`summary` omits the unbounded
-    ``per_query`` list, and :meth:`completions_of`, the one accessor that
-    needs the objects, raises, loudly, instead of answering from an empty
-    list.
     """
 
-    retain_completions: bool = True
     #: in record order; filled only by :meth:`record`, which folds them too.
     completions: list[QueryCompletion] = field(default_factory=list,
                                                init=False)
@@ -427,8 +416,7 @@ class WorkloadMetrics:
         if fold is None:
             fold = self._classes[completion.service_class] = _Fold()
         fold.add(completion)
-        if self.retain_completions:
-            self.completions.append(completion)
+        self.completions.append(completion)
 
     @property
     def makespan(self) -> float:
@@ -512,9 +500,6 @@ class WorkloadMetrics:
         return sorted(names)
 
     def completions_of(self, service_class: str) -> list[QueryCompletion]:
-        if not self.retain_completions:
-            raise NotImplementedError("completions were not retained: use "
-                                      "the aggregate accessors")
         return [c for c in self.completions if c.service_class == service_class]
 
     def shed_of(self, service_class: str) -> list[ShedRecord]:
@@ -654,10 +639,9 @@ class WorkloadMetrics:
     def summary(self) -> dict:
         """A plain-data digest; ``repr(summary())`` is byte-stable per seed.
 
-        The unbounded ``per_query`` list is present only when completions
-        were retained.  On an elastic run a ``"cluster"`` sub-digest is
-        appended; static runs omit the key entirely, keeping every
-        pre-elastic baseline byte-identical (likewise ``"placement"``).
+        On an elastic run a ``"cluster"`` sub-digest is appended; static
+        runs omit the key entirely, keeping every pre-elastic baseline
+        byte-identical (likewise ``"placement"``).
         """
         digest = {
             "completed": self.completed,
@@ -686,15 +670,14 @@ class WorkloadMetrics:
             "spill_bytes": self.spill_bytes,
             "retries": self.retries,
             "per_class": self.per_class_summary(),
-        }
-        if self.retain_completions:
-            digest["per_query"] = [
+            "per_query": [
                 (c.query_id, c.plan_label, c.service_class, c.arrival_time,
                  c.start_time, c.completion_time, c.steal_bytes,
                  c.result.metrics.result_tuples,
                  c.result.metrics.activations_processed)
                 for c in sorted(self.completions, key=lambda c: c.query_id)
-            ]
+            ],
+        }
         cluster = self.cluster_summary()
         if cluster is not None:
             digest["cluster"] = cluster

@@ -1,8 +1,8 @@
 """Execution-model parameters.
 
 Groups every knob of the engine in one frozen dataclass so experiments can
-describe their configuration declaratively and ablation benches can sweep
-individual parameters.
+describe their configuration declaratively and sweeps can vary individual
+parameters.
 
 Granularity (Section 3.1 of the paper): "we reduce the granularity of
 trigger activations by replacing a bucket by one or more pages of a bucket,

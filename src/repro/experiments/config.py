@@ -110,7 +110,7 @@ class ExperimentOptions:
 
     ``plans`` limits how many of the 40 workload plans each point uses
     (the paper averages over all 40; smaller values trade precision for
-    speed, e.g. in the benchmark suite).  ``scale`` is the workload scale
+    speed, e.g. in ``--quick`` runs).  ``scale`` is the workload scale
     (see module docstring).
     """
 
@@ -136,5 +136,5 @@ class ExperimentOptions:
 
     @classmethod
     def quick(cls) -> "ExperimentOptions":
-        """A reduced setting for benchmarks and smoke runs."""
+        """A reduced setting for ``--quick`` runs and the slow tier."""
         return cls(plans=4, workload_queries=4)

@@ -73,7 +73,6 @@ class MultiQueryCoordinator:
                  params: Optional[ExecutionParams] = None,
                  policy: AdmissionPolicy = AdmissionPolicy(),
                  logger: Optional[RunLogger] = None,
-                 metrics: Optional[WorkloadMetrics] = None,
                  cluster=None, plan_bank=None, relations=(),
                  placement=None):
         self.config = config
@@ -96,9 +95,8 @@ class MultiQueryCoordinator:
         #: highest number of simultaneously executing queries observed —
         #: the admission tests assert it never exceeds the policy cap.
         self.peak_running = 0
-        #: injectable sink: pass ``WorkloadMetrics(retain_completions=False)``
-        #: for replays too large to retain per-query results in memory.
-        self.metrics = metrics if metrics is not None else WorkloadMetrics()
+        #: the run's aggregates, filled as queries complete or are shed.
+        self.metrics = WorkloadMetrics()
         self._arrivals_open = True
         self._kick: Optional[Event] = None
         self._next_query_id = 0

@@ -217,7 +217,6 @@ class WorkloadDriver:
                  params: Optional[ExecutionParams] = None,
                  logger: Optional[RunLogger] = None,
                  trace: Optional[Trace] = None,
-                 metrics: Optional[WorkloadMetrics] = None,
                  cluster=None, plan_bank=None, relations=()):
         if isinstance(plans, ParallelExecutionPlan):
             plans = [plans]
@@ -231,9 +230,6 @@ class WorkloadDriver:
         self.logger = logger or NOOP_LOGGER
         #: when set, replay this trace instead of generating arrivals.
         self.trace = trace
-        #: optional metrics sink forwarded to the coordinator (e.g. a
-        #: non-retaining WorkloadMetrics for million-query replays).
-        self.metrics = metrics
         #: elastic wiring (see :mod:`repro.cluster`): the ClusterSpec,
         #: the per-size plan bank (``{nodes: (plan, ...)}``) and the
         #: resident relations membership changes must rebalance.  All
@@ -496,7 +492,7 @@ class WorkloadDriver:
         """
         coordinator = MultiQueryCoordinator(
             self.config, params=self.params, policy=self.spec.policy,
-            logger=self.logger, metrics=self.metrics,
+            logger=self.logger,
             cluster=self.cluster, plan_bank=self.plan_bank,
             relations=self.relations, placement=self.spec.placement,
         )

@@ -1,8 +1,10 @@
 """Tests for the experiment harness: methodology, config, reporting, figures.
 
 Figure modules run at miniature size here (2 plans, few points) — the
-assertions check mechanics and direction, not precision; the benchmark
-suite and the full runner carry the real measurements.
+assertions check mechanics and direction, not precision; the full runner
+(``repro-experiments``) carries the real measurements.  The overload and
+workload-sweep contracts run at their full shape in the slow tier
+(``TestServingSweepContracts``, ``make check-slow``).
 """
 
 import random
@@ -223,6 +225,51 @@ class TestFigureModules:
                 >= 0.8 * io("fifo", "batch").throughput)
         assert io_prio.disk_wait < io_fifo.disk_wait
         assert "I/O-heavy mix at MPL 8" in result.table()
+
+
+@pytest.mark.slow
+class TestServingSweepContracts:
+    """The serving sweeps' behavioural contracts at their full shape."""
+
+    def test_overload_graceful_degradation(self):
+        """Graceful holds >= 80 % of its peak goodput at 2x offered load;
+        the naive retry storm collapses below that bar."""
+        from repro.experiments import overload
+
+        result = overload.run(ExperimentOptions.quick(),
+                              multipliers=(1.0, 2.0), queries_per_cell=96)
+
+        def retention_2x(regime):
+            return (result.cell(regime=regime, multiplier=2.0).goodput
+                    / result.peak_goodput(regime))
+
+        assert retention_2x("graceful") >= 0.8
+        assert retention_2x("naive") < 0.8
+        assert (result.cell(regime="graceful", multiplier=2.0).goodput
+                > result.cell(regime="naive", multiplier=2.0).goodput)
+
+    def test_workload_sweep_orderings(self):
+        from repro.experiments import workload_sweep
+
+        result = workload_sweep.run(
+            ExperimentOptions.quick(), nodes=2, processors_per_node=4,
+            queries_per_cell=8, mpl_levels=(1, 4, 8), skew_levels=(0.0, 0.8),
+        )
+        for mpl in (1, 4, 8):
+            dp = result.cell(strategy="DP", skew=0.8, mpl=mpl)
+            fp = result.cell(strategy="FP", skew=0.8, mpl=mpl)
+            assert dp.throughput >= fp.throughput, mpl
+        # The Section 5.3 transfer-volume ordering (FP ships more LB data)
+        # is a single-query claim: it must hold at MPL 1; under
+        # multiprogramming the mixed plan population can invert it per cell.
+        dp1 = result.cell(strategy="DP", skew=0.8, mpl=1)
+        fp1 = result.cell(strategy="FP", skew=0.8, mpl=1)
+        assert dp1.steal_bytes <= fp1.steal_bytes
+        # Saturation: latency grows with multiprogramming.
+        for strategy in ("DP", "FP"):
+            p95s = [cell.p95_latency
+                    for cell in result.select(strategy=strategy, skew=0.8)]
+            assert p95s[0] < p95s[-1], strategy
 
 
 # ---------------------------------------------------------------------------

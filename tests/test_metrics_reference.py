@@ -6,8 +6,8 @@ one kept *here*: hold every completion in a list and compute each number
 from the list when asked (:func:`reference_summary`, with explicit left
 folds — builtin ``sum()`` of floats is Neumaier-compensated from Python
 3.12 on and would make the reference interpreter-dependent).  Hypothesis
-drives hand-built completion/shed streams through both, with and without
-retained completions; no simulator is involved.
+drives hand-built completion/shed streams through both; no simulator is
+involved.
 
 Also here: a recorded completion never changes afterwards, a golden
 digest of a real run, and a guard that keeps ``sum()`` out of the module
@@ -185,12 +185,11 @@ def streams(draw):
 
 
 class TestReferenceModel:
-    @pytest.mark.parametrize("retain", [True, False])
     @settings(max_examples=150)
     @given(stream=streams())
-    def test_summary_matches_the_list_based_model(self, retain, stream):
+    def test_summary_matches_the_list_based_model(self, stream):
         events, counters = stream
-        metrics = WorkloadMetrics(retain_completions=retain)
+        metrics = WorkloadMetrics()
         for event in events:
             if isinstance(event, ShedRecord):
                 metrics.record_shed(event)
@@ -201,17 +200,11 @@ class TestReferenceModel:
         completions = [e for e in events if isinstance(e, QueryCompletion)]
         shed = [e for e in events if isinstance(e, ShedRecord)]
         expected = reference_summary(completions, shed, counters)
-        if retain:
-            assert metrics.completions == completions
-            for name in CLASS_NAMES:
-                assert metrics.completions_of(name) == [
-                    c for c in completions if c.service_class == name
-                ]
-        else:
-            del expected["per_query"]
-            assert not metrics.completions  # nothing retained
-            with pytest.raises(NotImplementedError):
-                metrics.completions_of("default")
+        assert metrics.completions == completions
+        for name in CLASS_NAMES:
+            assert metrics.completions_of(name) == [
+                c for c in completions if c.service_class == name
+            ]
         assert repr(metrics.summary()) == repr(expected)
         assert metrics.completed == len(completions)
         assert metrics.shed_count == len(shed)
@@ -220,7 +213,7 @@ class TestReferenceModel:
 # -- real runs ---------------------------------------------------------------------
 
 
-def poisson_driver(sink=None):
+def poisson_driver():
     """A mixed 8-query Poisson run (the scenario the golden digest pins)."""
     plan, config = pipeline_chain_scenario(
         nodes=2, processors_per_node=2, base_tuples=600,
@@ -235,7 +228,7 @@ def poisson_driver(sink=None):
     params = ExecutionParams(
         skew=SkewSpec.uniform_redistribution(0.8), seed=11
     )
-    return WorkloadDriver(plan, config, spec, params, metrics=sink)
+    return WorkloadDriver(plan, config, spec, params)
 
 
 def sha(summary):
@@ -251,15 +244,6 @@ class TestGoldenDigest:
         assert len(metrics.completions) == 8
         assert sha(metrics.summary()) == (
             "62e240094901869fc397a04961e0c1e8a6298b69dd09c12e99260bfd83d47bee"
-        )
-
-    def test_not_retained(self):
-        sink = WorkloadMetrics(retain_completions=False)
-        metrics = poisson_driver(sink).run().metrics
-        assert metrics is sink
-        assert not sink.completions
-        assert sha(sink.summary()) == (
-            "570cd6d3b5d8ad362a6633b2e91073f92601f62701d16030e28ec78b444f20de"
         )
 
 

@@ -150,14 +150,11 @@ class TestPolicyInvariants:
         assert sum(metrics.placements.values()) == 6
 
     def test_streaming_metrics_carry_placement_digest(self):
-        from repro.engine.metrics import WorkloadMetrics
-
         _name, config, plan_spec = SHAPES[3]
         metrics = WorkloadDriver(
             list(plan_spec.build(config)), config,
             serving_spec(placement=PlacementSpec(scheduler="load_aware",
                                                  width=2)),
-            metrics=WorkloadMetrics(retain_completions=False),
         ).run().metrics
         summary = metrics.summary()
         assert summary["placement"]["policies"] == {"load_aware": 6}

@@ -1,8 +1,10 @@
 """Stress tier: many concurrent queries on the hierarchical 4x8 machine.
 
 The heavy runs are marked ``slow`` and excluded from tier-1 (see
-``pytest.ini``); run them with ``pytest -m slow`` or ``make check-full``.
-A small smoke variant stays in tier-1 so the multi-query path is always
+``pytest.ini``); they are part of the slow tier, which ``make
+check-slow`` (``pytest -m slow``) runs over all of ``tests/``, beside the
+overload and workload-sweep contracts in ``test_experiments.py``.  A
+small smoke variant stays in tier-1 so the multi-query path is always
 exercised.
 """
 
