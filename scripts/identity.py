@@ -60,9 +60,9 @@ TIER1 = {
         io_sweep=False, net_sweep=False)),
     "elastic": ("elastic", dict(processors_per_node=2)),
     "overload": ("overload", dict(multipliers=(2.0,), queries_per_cell=6)),
-    "placement": ("placement", dict(SMALL, regimes=(placement.REGIMES[2],),
-                                    policies=("paper", "round_robin"),
-                                    queries_per_cell=4)),
+    # The shape where no two placement policies tie (tests/test_placement.py).
+    "placement": ("placement", dict(regimes=(placement.REGIMES[2],),
+                                    queries_per_cell=12)),
     "fig6": ("figure6", dict(processor_counts=(4,))),
     "fig7": ("figure7", dict(processor_counts=(4,), error_rates=(0.0, 0.2),
                              distortions_per_plan=2)),

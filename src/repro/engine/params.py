@@ -62,9 +62,6 @@ class ExecutionParams:
     steal_fraction: float = 0.5
     #: condition (ii): enough work to amortize the acquisition.
     min_steal_activations: int = 2
-    #: Section 4 optimization: remember stolen queues whose hash data was
-    #: already copied and steal from them again for free.
-    stolen_queue_cache: bool = True
     #: minimum virtual seconds between steal rounds of one scope on one
     #: node (keeps a starving node from flooding the network while the
     #: cluster drains a hot spot).

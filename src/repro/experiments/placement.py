@@ -5,9 +5,8 @@ from the optimizer, and the Section 4 steal protocol redistributes
 activations at run time when a processor idles.  The placement subsystem
 (:mod:`repro.placement`) adds the *proactive* alternative a cluster
 scheduler would take: rewrite each query's join homes at admission time
-— round-robin windows, the least-loaded nodes, the nodes already
-holding its base partitions, or the width that minimizes estimated
-transfer cost.
+— round-robin windows, the least-loaded nodes, or the nodes already
+holding its base partitions.
 
 This experiment runs the two head-to-head: every placement policy ×
 steal protocol on/off × three regimes built from the paper's own plan
@@ -58,8 +57,7 @@ __all__ = ["PlacementSweepResult", "Regime", "run", "sweep_specs",
 
 #: placement policies on the sweep's x-axis (``paper`` = optimizer homes
 #: verbatim, the reproduction's default).
-POLICIES = ("paper", "round_robin", "load_aware", "location_aware",
-            "transfer_aware", "threshold_local")
+POLICIES = ("paper", "round_robin", "load_aware", "location_aware")
 #: steal protocol on/off (``params.enable_global_lb``).
 STEAL_MODES = (True, False)
 
@@ -202,8 +200,7 @@ def sweep_specs(options: ExperimentOptions,
     """One grid per regime as data: a base cell (paper homes, stealing
     on) × (policy, steal on/off) axes.
 
-    ``width`` is the non-paper policies' target home width
-    (``transfer_aware`` picks its own cost-minimizing width).
+    ``width`` is the non-paper policies' target home width.
     """
     return [SweepSpec(
         base=ScenarioSpec(

@@ -8,17 +8,13 @@ weighted fair sharing and priority-preemptive — at increasing
 multiprogramming levels, reading back per-class throughput, p95 latency
 and SLO attainment.
 
-Four columns, each a declarative
+Three columns, each a declarative
 :class:`~repro.api.sweep.SweepSpec` over a base
 :class:`~repro.api.spec.ScenarioSpec` (the cell *is* the config — the
 column, the swept discipline, the bandwidth are all read back off the
 spec, no bespoke cell plumbing):
 
 * **closed** — CPU discipline × MPL over the Section 5.3 chain;
-* **overload** — a Poisson/bursty stream far above capacity with queue
-  timeouts on batch and deadline shedding on interactive, showing
-  non-zero shed counts while admitted interactive SLO attainment stays
-  high;
 * **io** — the **disk** discipline over a disk-dominated plan
   population (``PlanSpec(kind="io_heavy")``, disks at 20x the scaled
   latency), CPU pinned to FIFO: scheduling only the CPU would just move
@@ -83,9 +79,7 @@ PAPER_EXPECTATION = (
     "layer adds the differentiation: at MPL >= 8 the interactive class's "
     "p95 latency improves under priority-preemptive (and fair) scheduling "
     "relative to FIFO, while batch throughput stays within 20% of FIFO's "
-    "(the disciplines reorder work, they do not add any).  Under open-loop "
-    "overload, queue timeouts and deadline shedding bound the admission "
-    "queue instead of letting it grow without limit.  The same ordering "
+    "(the disciplines reorder work, they do not add any).  The same ordering "
     "holds end to end: on the I/O-heavy mix, priority scheduling of the "
     "disk arms improves the interactive p95 over FIFO disks at MPL >= 8 "
     "with batch throughput again within 20% — scheduling only the CPU "
@@ -97,16 +91,15 @@ PAPER_EXPECTATION = (
 class ClassCell:
     """One (column, discipline, MPL, class) measurement."""
 
-    #: which of the four sweeps the cell belongs to: ``closed`` /
-    #: ``overload`` / ``io`` / ``net`` (see module docstring).
+    #: which of the three sweeps the cell belongs to: ``closed`` /
+    #: ``io`` / ``net`` (see module docstring).
     column: str
-    #: the *swept* discipline: CPU on the closed and overload columns,
-    #: disk on ``io``, link on ``net`` (the other resources stay FIFO).
+    #: the *swept* discipline: CPU on the closed column, disk on ``io``,
+    #: link on ``net`` (the other resources stay FIFO).
     discipline: str
     mpl: int
     service_class: str
     completed: int
-    shed: int
     throughput: float
     p50_latency: float
     p95_latency: float
@@ -126,14 +119,11 @@ _P95 = ("p95", lambda c: f"{c.p95_latency:.4f}")
 _SLO = ("SLO%", lambda c: f"{c.slo_attainment:.0%}")
 
 #: the report, one entry per column: the field whose values split the
-#: column into tables (the overload column has one MPL, so one table),
-#: the index header, the per-class measures and a table's title.
+#: column into tables, the index header, the per-class measures and a
+#: table's title.
 _LAYOUT = (
     ("closed", "mpl", "Discipline", (_THROUGHPUT, _P95, _SLO),
      lambda mpl: f"Service classes at MPL {mpl} (closed loop)"),
-    ("overload", "mpl", "Discipline",
-     (("done", lambda c: c.completed), ("shed", lambda c: c.shed), _SLO),
-     lambda mpl: "Open-loop overload (queue timeout + deadline shedding)"),
     ("io", "mpl", "Disk discipline",
      (_THROUGHPUT, _P95, ("disk-wait", lambda c: f"{c.disk_wait:.4f}")),
      lambda mpl: f"I/O-heavy mix at MPL {mpl}: disk discipline "
@@ -197,14 +187,10 @@ def io_heavy_params(options: ExperimentOptions, disk_discipline: str,
 # ---------------------------------------------------------------------------
 
 
-def _class_mix(interactive_slo: float,
-               batch_queue_timeout: Optional[float] = None):
+def _class_mix(interactive_slo: float):
     """The interactive/batch population of every column."""
     interactive = dataclasses.replace(INTERACTIVE, latency_slo=interactive_slo)
-    batch = BATCH
-    if batch_queue_timeout is not None:
-        batch = dataclasses.replace(BATCH, queue_timeout=batch_queue_timeout)
-    return ((interactive, 1.0), (batch, 2.0))
+    return ((interactive, 1.0), (BATCH, 2.0))
 
 
 def sweep_specs(options: ExperimentOptions,
@@ -214,7 +200,6 @@ def sweep_specs(options: ExperimentOptions,
                 base_tuples: int = 2000,
                 queries_per_cell: int = 18,
                 interactive_slo: float = 0.3,
-                overload: bool = True,
                 io_sweep: bool = True,
                 io_mpl_levels: Sequence[int] = IO_MPL_LEVELS,
                 net_sweep: bool = True,
@@ -246,29 +231,6 @@ def sweep_specs(options: ExperimentOptions,
               ("mpl", tuple(mpl_levels))),
         label="classes-closed",
     )]
-    if overload:
-        # Offered load far above capacity (a whole burst arrives in a
-        # fraction of one query's service time, MPL 1): admission must
-        # shed, not queue without bound.  Batch tolerates a queue up to
-        # its timeout; interactive is shed the moment its SLO can no
-        # longer be met.
-        overload_base = dataclasses.replace(
-            closed_base,
-            workload=WorkloadSpec(
-                queries=queries_per_cell,
-                arrival=ArrivalSpec(kind="bursty", rate=400.0, burst_size=16),
-                policy=AdmissionPolicy(max_multiprogramming=1,
-                                       deadline_shedding=True),
-                classes=_class_mix(interactive_slo, batch_queue_timeout=0.4),
-                seed=options.seed,
-            ),
-            label="classes-overload",
-        )
-        sweeps.append(SweepSpec(
-            base=overload_base,
-            axes=(("params.cpu_discipline", tuple(disciplines)),),
-            label="classes-overload",
-        ))
     if io_sweep:
         io_base = dataclasses.replace(
             closed_base,
@@ -323,7 +285,6 @@ def collect(result: RunResult) -> list[ClassCell]:
             mpl=mpl,
             service_class=name,
             completed=metrics.class_completed(name),
-            shed=len(metrics.shed_of(name)),
             throughput=metrics.class_throughput(name),
             p50_latency=metrics.class_latency_percentile(name, 50.0),
             p95_latency=metrics.class_latency_percentile(name, 95.0),

@@ -14,12 +14,12 @@ before the steal protocol has anything to react to.
   (constraint (i): a scan lives where its relation lives) and are never
   rewritten.
 * :mod:`repro.placement.registry` — the string-keyed policy registry
-  (``paper``, ``round_robin``, ``load_aware``, ``location_aware``,
-  ``transfer_aware``, ``threshold_local``), mirroring the
-  ray-scheduler-prototype registry excerpted in SNIPPETS.md.
+  (``paper``, ``round_robin``, ``load_aware``, ``location_aware``),
+  mirroring the ray-scheduler-prototype registry excerpted in
+  SNIPPETS.md.
 * :class:`PlacementSpec` — policy selection as data on
   ``ScenarioSpec.workload.placement``, every knob a sweepable dotted
-  path (``workload.placement.scheduler``, ``.width``, ``.threshold``).
+  path (``workload.placement.scheduler``, ``.width``).
 
 The ``paper`` policy is the default and a strict no-op: no homes are
 rewritten, no counters recorded, no events logged — byte-identical to a

@@ -9,12 +9,9 @@ the scanned relation), and each join's build and probe receive the same
 narrowed home (constraint (ii)) — the rewritten plan re-runs the full
 home validation in ``__post_init__``.
 
-Transfer estimates use the same page-transfer model as the steal
-protocol: redistribution ships every scanned tuple whose storage node is
-not its hash-target node, and a shipped byte costs CPU instructions at
-both ends (``NetworkParams.send_instructions`` /
-``receive_instructions`` at the machine's MIPS rate) — see
-:meth:`ClusterView.transfer_seconds`.
+A decision's ``bytes_avoided`` prices redistribution the way the engine
+routes it: every scanned tuple whose storage node is not its hash-target
+node ships — see :func:`estimated_shipped_bytes`.
 """
 
 from __future__ import annotations
@@ -22,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ..engine.params import ExecutionParams
 from ..optimizer.operator_tree import OpKind
 from ..optimizer.plan import ParallelExecutionPlan
-from ..sim.machine import MachineConfig
 
 __all__ = [
     "ClusterView",
@@ -39,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClusterView:
-    """What a policy may observe: membership, load, pricing, identity.
+    """What a policy may observe: membership, load, admission count.
 
     ``planning_nodes`` is the coordinator's current planning set — the
     non-draining members on an elastic cluster, the whole machine on a
@@ -54,17 +49,6 @@ class ClusterView:
     planning_nodes: tuple[int, ...]
     node_load: Callable[[int], int]
     admitted: int
-    params: ExecutionParams
-    config: MachineConfig
-
-    def transfer_seconds(self, nbytes: int) -> float:
-        """Steal-protocol pricing of shipping ``nbytes`` across nodes."""
-        if nbytes <= 0:
-            return 0.0
-        network = self.params.network
-        instructions = (network.send_instructions(nbytes)
-                        + network.receive_instructions(nbytes))
-        return instructions / self.params.cost.mips
 
 
 @dataclass(frozen=True)
@@ -84,13 +68,13 @@ class PlacementDecision:
 class PlacementPolicy:
     """One admission-time scheduler.  Subclasses set ``name`` and
     implement :meth:`choose`; they must be stateless and deterministic —
-    the same ``(plan, query_id, spec, view)`` must always yield the same
-    target (the determinism and replay contracts depend on it)."""
+    the same ``(plan, spec, view)`` must always yield the same target
+    (the determinism and replay contracts depend on it)."""
 
     name = "policy"
 
-    def choose(self, plan: ParallelExecutionPlan, query_id: int,
-               spec, view: ClusterView) -> Optional[tuple[int, ...]]:
+    def choose(self, plan: ParallelExecutionPlan, spec,
+               view: ClusterView) -> Optional[tuple[int, ...]]:
         """The target node set for the plan's joins (None: keep homes)."""
         raise NotImplementedError
 
@@ -141,16 +125,6 @@ def estimated_shipped_bytes(plan: ParallelExecutionPlan,
     return int(total)
 
 
-def join_work_seconds(plan: ParallelExecutionPlan, view: ClusterView) -> float:
-    """Estimated CPU seconds of the plan's join work on one processor."""
-    # A left fold (float ``sum()`` rounds differently from 3.12 on).
-    instructions = 0.0
-    for op in plan.operators:
-        if op.kind is not OpKind.SCAN:
-            instructions += plan.estimated_work[op.op_id]
-    return instructions / view.params.cost.mips
-
-
 def rewrite_homes(plan: ParallelExecutionPlan, target: Sequence[int],
                   ) -> tuple[ParallelExecutionPlan, bool]:
     """The plan with join homes narrowed to ``target`` (scans untouched).
@@ -191,7 +165,7 @@ def rewrite_homes(plan: ParallelExecutionPlan, target: Sequence[int],
 
 
 def place_plan(plan: ParallelExecutionPlan, policy: PlacementPolicy,
-               spec, view: ClusterView, query_id: int,
+               spec, view: ClusterView,
                ) -> tuple[ParallelExecutionPlan, Optional[PlacementDecision]]:
     """Apply ``policy`` to ``plan``; returns the plan to run + decision.
 
@@ -202,7 +176,7 @@ def place_plan(plan: ParallelExecutionPlan, policy: PlacementPolicy,
     the original home (``changed=False``), so placement counters always
     sum to the admitted query count.
     """
-    target = policy.choose(plan, query_id, spec, view)
+    target = policy.choose(plan, spec, view)
     if target is None:
         return plan, None
     placed, changed = rewrite_homes(plan, target)

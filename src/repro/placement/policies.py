@@ -1,6 +1,6 @@
 """The built-in placement policies.
 
-Six schedulers spanning the DLB-survey taxonomy:
+Four schedulers spanning the DLB-survey taxonomy:
 
 * ``paper`` — the optimizer homes verbatim (placement disabled; the
   default and a strict no-op, pinned byte-identical by the determinism
@@ -10,19 +10,10 @@ Six schedulers spanning the DLB-survey taxonomy:
 * ``load_aware`` — the ``k`` least-loaded members by total queued
   activations (the O(1) engine load snapshots), id as tiebreak;
 * ``location_aware`` — the ``k`` members holding the most bytes of the
-  query's base partitions (``catalog.partitioning`` shares);
-* ``transfer_aware`` — chooses the home *width itself* by minimizing
-  estimated cost: redistribution bytes priced with the steal protocol's
-  page-transfer model plus the join CPU work divided across the chosen
-  processors.  Narrow homes ship less, wide homes compute faster; this
-  policy buys whichever is cheaper for the plan at hand;
-* ``threshold_local`` — a deterministic "local" window per query
-  (``query_id`` rotates it) unless that window's queue depth exceeds
-  ``threshold``, in which case the query spills to the least-loaded
-  members — the classic threshold policy of the surveys.
+  query's base partitions (``catalog.partitioning`` shares).
 
 All policies narrow *join* homes only; scan homes are storage physics.
-All are pure functions of ``(plan, query_id, spec, view)``.
+All are pure functions of ``(plan, spec, view)``.
 """
 
 from __future__ import annotations
@@ -30,13 +21,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..optimizer.plan import ParallelExecutionPlan
-from .base import (PlacementPolicy, estimated_shipped_bytes,
-                   join_candidates, join_work_seconds)
+from .base import PlacementPolicy, join_candidates
 from .registry import register_policy
 
 __all__ = [
     "PaperPolicy", "RoundRobinPolicy", "LoadAwarePolicy",
-    "LocationAwarePolicy", "TransferAwarePolicy", "ThresholdLocalPolicy",
+    "LocationAwarePolicy",
 ]
 
 
@@ -54,7 +44,7 @@ class PaperPolicy(PlacementPolicy):
 
     name = "paper"
 
-    def choose(self, plan, query_id, spec, view) -> Optional[tuple[int, ...]]:
+    def choose(self, plan, spec, view) -> Optional[tuple[int, ...]]:
         return None
 
 
@@ -64,7 +54,7 @@ class RoundRobinPolicy(PlacementPolicy):
 
     name = "round_robin"
 
-    def choose(self, plan, query_id, spec, view) -> Optional[tuple[int, ...]]:
+    def choose(self, plan, spec, view) -> Optional[tuple[int, ...]]:
         candidates = join_candidates(plan, view)
         if not candidates:
             return None
@@ -81,7 +71,7 @@ class LoadAwarePolicy(PlacementPolicy):
 
     name = "load_aware"
 
-    def choose(self, plan, query_id, spec, view) -> Optional[tuple[int, ...]]:
+    def choose(self, plan, spec, view) -> Optional[tuple[int, ...]]:
         candidates = join_candidates(plan, view)
         if not candidates:
             return None
@@ -96,7 +86,7 @@ class LocationAwarePolicy(PlacementPolicy):
 
     name = "location_aware"
 
-    def choose(self, plan, query_id, spec, view) -> Optional[tuple[int, ...]]:
+    def choose(self, plan, spec, view) -> Optional[tuple[int, ...]]:
         candidates = join_candidates(plan, view)
         if not candidates:
             return None
@@ -104,67 +94,4 @@ class LocationAwarePolicy(PlacementPolicy):
         ranked = sorted(
             candidates, key=lambda n: (-_base_bytes_on(plan, n), n)
         )
-        return tuple(sorted(ranked[:k]))
-
-
-@register_policy
-class TransferAwarePolicy(PlacementPolicy):
-    """Minimize estimated transfer + compute cost over home widths.
-
-    For each width ``k`` the best size-``k`` set is the ``k`` nodes
-    holding the most base bytes (uniform hash routing makes the shipped
-    volume ``total - sum(local shares)/k``, so locality-ranked prefixes
-    dominate).  Each prefix is scored as steal-priced transfer seconds
-    plus the join CPU work spread over ``k`` nodes' processors; the
-    first strictly-cheapest width wins (narrowest on ties).  ``width``
-    is ignored — the width *is* the decision.
-    """
-
-    name = "transfer_aware"
-
-    def choose(self, plan, query_id, spec, view) -> Optional[tuple[int, ...]]:
-        candidates = join_candidates(plan, view)
-        if not candidates:
-            return None
-        ranked = sorted(
-            candidates, key=lambda n: (-_base_bytes_on(plan, n), n)
-        )
-        work = join_work_seconds(plan, view)
-        processors = max(1, view.config.processors_per_node)
-        best: Optional[tuple[float, tuple[int, ...]]] = None
-        for k in range(1, len(ranked) + 1):
-            subset = tuple(sorted(ranked[:k]))
-            shipped = estimated_shipped_bytes(plan, subset)
-            cost = (view.transfer_seconds(shipped)
-                    + work / (k * processors))
-            if best is None or cost < best[0]:
-                best = (cost, subset)
-        return best[1]
-
-
-@register_policy
-class ThresholdLocalPolicy(PlacementPolicy):
-    """Local window unless its queue depth exceeds the threshold.
-
-    The query's "local" home is a deterministic width-``k`` window of
-    the candidates (rotated by ``query_id``, so a stream of queries
-    still spreads).  When the deepest queue inside that window exceeds
-    ``spec.threshold`` activations, the query spills to the ``k``
-    least-loaded members instead.
-    """
-
-    name = "threshold_local"
-
-    def choose(self, plan, query_id, spec, view) -> Optional[tuple[int, ...]]:
-        candidates = join_candidates(plan, view)
-        if not candidates:
-            return None
-        k = self.width(spec, candidates)
-        start = query_id % len(candidates)
-        local = tuple(sorted(
-            candidates[(start + i) % len(candidates)] for i in range(k)
-        ))
-        if max(view.node_load(n) for n in local) <= spec.threshold:
-            return local
-        ranked = sorted(candidates, key=lambda n: (view.node_load(n), n))
         return tuple(sorted(ranked[:k]))

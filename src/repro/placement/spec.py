@@ -4,7 +4,7 @@ A :class:`PlacementSpec` travels on
 :class:`~repro.serving.driver.WorkloadSpec`, so a scenario file selects
 its cluster scheduler the same way it selects arrivals or admission —
 and every knob is a sweepable dotted path
-(``workload.placement.scheduler``, ``.width``, ``.threshold``) for
+(``workload.placement.scheduler``, ``.width``) for
 :class:`~repro.api.sweep.SweepSpec` grids.
 
 Validation runs at spec load, not run time: an unknown ``scheduler``
@@ -30,15 +30,10 @@ class PlacementSpec:
     #: placement entirely — optimizer homes verbatim, no counters, no
     #: events, byte-identical to the pre-placement coordinator.
     scheduler: str = "paper"
-    #: join-home width for the width-taking policies (round_robin,
-    #: load_aware, location_aware, threshold_local): how many nodes each
+    #: join-home width of every other policy: how many nodes each
     #: query's joins are concentrated on.  0 = the full candidate set
-    #: (no narrowing); transfer_aware chooses its own width and ignores
-    #: this knob.
+    #: (no narrowing).
     width: int = 1
-    #: queued-activation depth above which ``threshold_local`` spills a
-    #: query off its local window to the least-loaded members.
-    threshold: int = 4
 
     def __post_init__(self) -> None:
         # Validation needs the roster: make sure the built-in policies
@@ -54,10 +49,6 @@ class PlacementSpec:
         if self.width < 0:
             raise ValueError(
                 f"width must be >= 0 (0 = full home width), got {self.width}"
-            )
-        if self.threshold < 0:
-            raise ValueError(
-                f"threshold must be >= 0, got {self.threshold}"
             )
 
     @property

@@ -377,12 +377,9 @@ class MultiQueryCoordinator:
             planning_nodes=tuple(range(self.planning_count)),
             node_load=self.substrate.node_load,
             admitted=self.admission.admitted,
-            params=self.params,
-            config=self.config,
         )
         request.plan, request.placement = place_plan(
             request.base_plan, policy, self.placement, view,
-            request.query_id,
         )
 
     # -- overload handling (shedding) ----------------------------------------

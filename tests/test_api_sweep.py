@@ -197,15 +197,14 @@ class TestServiceClassSweepSpecs:
         )
         # ``collect`` reads a cell's column back off its label.
         assert [{cell.label for cell in sweep.cells()} for sweep in sweeps] == [
-            {"classes-closed"}, {"classes-overload"}, {"classes-io"},
-            {"classes-net"},
+            {"classes-closed"}, {"classes-io"}, {"classes-net"},
         ]
 
     def test_net_cells_carry_bandwidth_axis(self):
         sweeps = service_class_sweep.sweep_specs(
             TINY, mpl_levels=(2,), disciplines=("fifo", "priority"),
             nodes=2, processors_per_node=2, base_tuples=700,
-            queries_per_cell=4, overload=False, io_sweep=False,
+            queries_per_cell=4, io_sweep=False,
             net_bandwidths=(8e6,),
         )
         net = sweeps[-1]

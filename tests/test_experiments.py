@@ -207,8 +207,6 @@ class TestFigureModules:
         assert prio.p95_latency < fifo.p95_latency
         assert (closed("priority", "batch").throughput
                 >= 0.8 * closed("fifo", "batch").throughput)
-        # Overload handling actually shed something, somewhere.
-        assert any(c.shed > 0 for c in result.select(column="overload"))
         assert "Service classes at MPL 8" in result.table()
         # The I/O-heavy acceptance ordering: priority *disk* scheduling
         # improves the interactive p95 over FIFO disks at MPL 8, batch

@@ -296,7 +296,7 @@ class TestRecordedCompletionIsImmutable:
 @pytest.mark.parametrize("module", [
     "engine/metrics.py",
     # decision / report paths: every figure table, the service-class
-    # draw, and the ``transfer_aware`` candidate ranking
+    # draw, and the placement ``bytes_avoided`` estimate
     "experiments/methodology.py", "serving/driver.py", "placement/base.py",
 ])
 def test_module_never_calls_builtin_sum(module):

@@ -17,18 +17,23 @@ The load-bearing properties:
   ``validate_homes`` contract re-checked by the plan constructor);
 * **spec safety** — an unknown scheduler or knob fails at spec load
   with a dotted-path :class:`~repro.api.serde.SpecError`, not at run
-  time, and every placement spec round-trips losslessly through JSON.
+  time, and every placement spec round-trips losslessly through JSON;
+* **every policy earns its row** — no two registered policies produce
+  the same placement-sweep row.
 """
 
 import dataclasses
+import itertools
 import json
 import pathlib
+import re
 
 import pytest
 
 from repro.api import ScenarioSpec, SpecError, replace_path, run as run_scenario
 from repro.api.spec import PlanSpec
-from repro.engine.params import ExecutionParams
+from repro.experiments import placement
+from repro.experiments.config import ExperimentOptions
 from repro.optimizer.operator_tree import OpKind
 from repro.placement import (
     ClusterView,
@@ -59,8 +64,7 @@ SHAPES = (
               scale=0.005)),
 )
 
-SMART_POLICIES = ("round_robin", "load_aware", "location_aware",
-                  "transfer_aware", "threshold_local")
+SMART_POLICIES = ("round_robin", "load_aware", "location_aware")
 
 
 def summary_bytes(metrics):
@@ -102,7 +106,7 @@ class TestPaperIsNoOp:
         assert "placement" not in metrics.summary()
 
     def test_paper_policy_choose_is_none(self):
-        assert get_policy("paper").choose(None, 0, PlacementSpec(), None) is None
+        assert get_policy("paper").choose(None, PlacementSpec(), None) is None
 
 
 # -- policy invariants -------------------------------------------------------
@@ -218,14 +222,49 @@ class TestRewriteHomes:
         view = ClusterView(
             planning_nodes=tuple(range(config.nodes)),
             node_load=lambda _n: 0, admitted=0,
-            params=ExecutionParams(), config=config,
         )
         spec = PlacementSpec(scheduler="load_aware", width=0)  # full width
-        placed, decision = place_plan(
-            plan, get_policy("load_aware"), spec, view, query_id=0
-        )
+        placed, decision = place_plan(plan, get_policy("load_aware"), spec,
+                                      view)
         assert decision is not None and not decision.changed
         assert placed is plan
+
+
+# -- every policy earns its row ---------------------------------------------
+
+
+@pytest.fixture(scope="module", params=(1996, 2815), ids=lambda s: f"seed{s}")
+def io_heavy_rows(request):
+    """The placement sweep at the shape of the identity gate's
+    ``tier1 placement`` row (4x4, io-heavy, 12 queries), steal on: one
+    row per registered policy."""
+    result = placement.run(
+        ExperimentOptions(plans=2, workload_queries=2, seed=request.param),
+        regimes=(placement.REGIMES[2],), steal_modes=(True,),
+        queries_per_cell=12,
+    )
+    return {cell.policy: cell for cell in result.rows}
+
+
+class TestEveryPolicyEarnsItsRow:
+    def test_no_registered_policy_ties_another(self, io_heavy_rows):
+        # At this shape every registered policy makes a decision no
+        # other one makes; a smaller shape lets load_aware and
+        # location_aware tie.
+        assert set(placement.POLICIES) == set(available_policies())
+        assert set(io_heavy_rows) == set(placement.POLICIES)
+        rows = {name: dataclasses.replace(cell, policy="")
+                for name, cell in io_heavy_rows.items()}
+        ties = [(a, b) for a, b in itertools.combinations(sorted(rows), 2)
+                if rows[a] == rows[b]]
+        assert not ties, f"policies with equal rows: {ties}"
+
+    def test_every_smart_policy_rewrites_plans(self, io_heavy_rows):
+        # At 2x2 every policy picks the whole machine and rewrites
+        # nothing, so a baseline there compares ``paper`` with itself.
+        assert io_heavy_rows["paper"].plans_rewritten == 0
+        for policy in SMART_POLICIES:
+            assert io_heavy_rows[policy].plans_rewritten > 0, policy
 
 
 # -- spec safety -------------------------------------------------------------
@@ -235,23 +274,34 @@ class TestPlacementSpecSerde:
     @pytest.mark.parametrize("policy", ("paper",) + SMART_POLICIES)
     def test_round_trips_losslessly(self, policy):
         spec = replace_path(ScenarioSpec(), "workload.placement",
-                            PlacementSpec(scheduler=policy, width=3,
-                                          threshold=7))
+                            PlacementSpec(scheduler=policy, width=3))
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
     def _quickstart_dict(self):
         return json.loads((SCENARIO_DIR / "quickstart.json").read_text())
 
-    def test_unknown_scheduler_is_dotted_path_spec_error(self):
+    # A deleted policy or knob in an old spec file fails at load too.
+    @pytest.mark.parametrize("scheduler",
+                             ("bogus", "transfer_aware", "threshold_local"))
+    def test_unknown_scheduler_is_dotted_path_spec_error(self, scheduler):
         data = self._quickstart_dict()
-        data["workload"]["placement"]["scheduler"] = "bogus"
+        data["workload"]["placement"]["scheduler"] = scheduler
         with pytest.raises(SpecError, match=r"\$\.workload\.placement"):
             ScenarioSpec.from_dict(data)
 
-    def test_unknown_knob_is_dotted_path_spec_error(self):
+    @pytest.mark.parametrize("section,knob,value", (
+        ("workload.placement", "widthh", 3),
+        ("workload.placement", "threshold", 4),
+        ("params", "stolen_queue_cache", True),
+    ))
+    def test_unknown_knob_is_dotted_path_spec_error(self, section, knob,
+                                                     value):
         data = self._quickstart_dict()
-        data["workload"]["placement"]["widthh"] = 3
-        with pytest.raises(SpecError, match=r"\$\.workload\.placement"):
+        node = data
+        for key in section.split("."):
+            node = node[key]
+        node[knob] = value
+        with pytest.raises(SpecError, match=re.escape(f"$.{section}")):
             ScenarioSpec.from_dict(data)
 
     def test_negative_width_rejected_at_load(self):
