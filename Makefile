@@ -19,8 +19,10 @@
 #                         cProfile the cold plan compilation and then one
 #                         warm repetition of a ledger workload, printing
 #                         each one's top rows with their share of its
-#                         total (TOP=40, SORT=cumulative|tottime), then
-#                         the cyclic-garbage census of one more repetition
+#                         total (TOP=40, SORT=cumulative|tottime), the
+#                         cold imports of set-up + one run by package
+#                         (python -X importtime in a child), then the
+#                         cyclic-garbage census of one more repetition
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python

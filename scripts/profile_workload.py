@@ -17,6 +17,12 @@ Profiler overhead inflates call-heavy rows, so read the shares as a
 ranking, not as wall seconds; the ledger (``benchmarks/ledger/run.py``)
 is what measures.
 
+It then prints where the cold imports go: the same set-up plus one run
+in a child ``python -X importtime``, as self time by package and the top
+modules.  Import cost grows with the source compiled and the dataclasses
+decorated, so this is the section to read when ``setup_s`` moves and the
+plan build did not.
+
 The report ends with a cyclic-garbage census: one more warm repetition
 under ``gc.disable()`` and ``gc.DEBUG_SAVEALL``, then the object count
 by type of what only the cyclic collector could free.  A finished query
@@ -28,7 +34,9 @@ then depends on when the collector happens to run.
 import argparse
 import cProfile
 import gc
+import os
 import pstats
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -92,6 +100,74 @@ def census(spec, top: int = 10) -> str:
     return "\n".join(lines)
 
 
+#: a ledger worker's cold set-up plus one run, for ``-X importtime``.
+COLD_RUN = """
+import sys
+import repro
+from repro.api import ScenarioSpec, build_plan_bank, build_plans
+spec = ScenarioSpec.from_json(open(sys.argv[1]).read())
+build_plans(spec)
+build_plan_bank(spec)
+repro.run(spec).to_json()
+"""
+
+
+def import_times(text: str) -> list[tuple[str, int, int]]:
+    """``(module, self us, cumulative us)`` rows of ``-X importtime``."""
+    rows = []
+    for line in text.splitlines():
+        fields = line.partition("import time:")[2].split("|")
+        if len(fields) != 3 or not fields[0].strip().isdigit():
+            continue  # the header row, or the run's own output
+        rows.append((fields[2].strip(), int(fields[0]), int(fields[1])))
+    return rows
+
+
+def import_report(rows: list[tuple[str, int, int]], top: int) -> str:
+    """Self time by package (``repro`` by subpackage), then top modules."""
+    total = sum(own for _module, own, _cumulative in rows)
+    by_package: Counter = Counter()
+    modules: dict[str, set] = {}
+    for module, own, _cumulative in rows:
+        parts = module.split(".")
+        package = ".".join(parts[:2]) if parts[0] == "repro" else parts[0]
+        by_package[package] += own
+        # A submodule loaded through its package's __init__ is listed
+        # twice; count each name once.
+        modules.setdefault(package, set()).add(module)
+    names = set().union(*modules.values())
+    ours = sum(1 for module in names if module.split(".")[0] == "repro")
+    lines = [
+        f"{len(names)} modules ({ours} repro), {total / 1000:.1f} ms self "
+        f"time; by package",
+        f"{'share':>7} {'ms':>8} {'modules':>8}  package",
+    ]
+    for package, own in by_package.most_common(top):
+        count = len(modules[package])
+        lines.append(f"{own / total:>7.1%} {own / 1000:>8.1f} {count:>8}  {package}")
+    lines += ["", f"top {top} modules by self time"]
+    lines.append(f"{'share':>7} {'ms':>8} {'cum ms':>8}  module")
+    for module, own, cumulative in sorted(rows, key=lambda row: -row[1])[:top]:
+        lines.append(
+            f"{own / total:>7.1%} {own / 1000:>8.1f} "
+            f"{cumulative / 1000:>8.1f}  {module}"
+        )
+    return "\n".join(lines)
+
+
+def cold_imports(name: str, top: int) -> str:
+    """The cold set-up plus one run, in a child under ``-X importtime``."""
+    workload = str(WORKLOADS / f"{name}.json")
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", COLD_RUN, workload],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return import_report(import_times(child.stderr), top)
+
+
 def report(stats: pstats.Stats, top: int, sort: str) -> str:
     total = stats.total_tt
     column = {"tottime": 2, "cumulative": 3}[sort]
@@ -132,6 +208,9 @@ def main(argv=None) -> int:
     print()
     print("one warm repetition")
     print(report(profile(spec), args.top, args.sort))
+    print()
+    print("cold imports: set-up + one run in a child python -X importtime")
+    print(cold_imports(args.workload, args.top))
     print()
     print(census(spec))
     return 0

@@ -16,7 +16,11 @@ declarative :class:`~repro.api.spec.ScenarioSpec`:
 Both paths delegate to the exact legacy entry points (the driver and the
 executor), so a scenario run is *metric-identical* to the equivalent
 hand-wired run — the regression suite asserts byte equality of the
-metrics digests.
+metrics digests.  A serving scenario's runtime (``serving.driver``,
+plus the elastic cluster and the trace generator when the spec uses
+them) is imported by :func:`build_plans`, a run's set-up, and by nothing
+a single-mode scenario reaches, so a cold single-mode run never loads
+the serving, cluster or placement runtimes.
 
 Plan populations are memoized per ``(plan spec, cluster)``: plan
 compilation is deterministic in those inputs, so sweep cells sharing a
@@ -30,14 +34,15 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..engine.metrics import ExecutionResult
-from ..serving.driver import WorkloadDriver, WorkloadRunResult
-from ..serving.trace import JsonLinesLogger
 from ..sim.machine import MachineConfig
 from .serde import encode
 from .spec import PlanSpec, ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..serving.driver import WorkloadRunResult
 
 __all__ = ["RunResult", "build_plan_bank", "build_plans", "run", "run_query"]
 
@@ -52,11 +57,30 @@ def build_plans(scenario: ScenarioSpec) -> tuple:
 
     On an elastic cluster this is the compilation for the *starting*
     node count — the full per-size bank is :func:`build_plan_bank`.
+    Compiling the plans is a run's set-up, so it also loads the layers
+    the scenario's mode executes: the first run imports nothing, and a
+    single-mode scenario never loads the serving stack.
     """
+    _import_runtime(scenario)
     cluster = scenario.cluster
     return _cached_plans(
         scenario.plans, cluster.machines_at(cluster.active_at_start)
     )
+
+
+def _import_runtime(scenario: ScenarioSpec) -> None:
+    """Import what a serving run of ``scenario`` executes (idempotent).
+
+    A single-mode run needs only the engine, which ``ExecutionParams``
+    has already loaded.
+    """
+    if scenario.mode == "single":
+        return
+    from ..serving import driver  # noqa: F401
+    if scenario.cluster.elastic:
+        from ..cluster import runtime  # noqa: F401
+    if scenario.trace is not None and scenario.trace.generate is not None:
+        from ..workloads import tracegen  # noqa: F401
 
 
 def build_plan_bank(scenario: ScenarioSpec) -> dict:
@@ -163,6 +187,11 @@ def run(scenario: ScenarioSpec, *, plans: Optional[Sequence] = None,
     arrival/queries knobs are replaced by the trace's recorded schedule.
     """
     if record is not None:
+        if scenario.mode == "single":
+            raise ValueError(
+                "record= captures a serving-mode event stream; single "
+                "mode has no arrivals to record"
+            )
         record = os.fspath(record)  # accept pathlib.Path once, here
     cluster = scenario.cluster
     if plans is not None and cluster.elastic:
@@ -175,15 +204,14 @@ def run(scenario: ScenarioSpec, *, plans: Optional[Sequence] = None,
     if not population:
         raise ValueError("scenario has an empty plan population")
     if scenario.mode == "single":
-        if record is not None:
-            raise ValueError(
-                "record= captures a serving-mode event stream; single "
-                "mode has no arrivals to record"
-            )
         return RunResult(
             scenario=scenario,
             execution=_execute_single(scenario, population),
         )
+    # Here, not at module top: a single-mode run never loads them.
+    from ..serving.driver import WorkloadDriver
+    from ..serving.trace import JsonLinesLogger
+
     trace = None
     if scenario.trace is not None:
         trace = scenario.trace.resolve(len(population))

@@ -4,7 +4,7 @@ A :class:`ScenarioSpec` is the serializable description of *everything*
 one run needs — cluster topology (:class:`~repro.sim.machine.
 MachineConfig`), engine knobs (:class:`~repro.engine.params.
 ExecutionParams`), workload (arrivals, service classes, admission policy:
-:class:`~repro.serving.driver.WorkloadSpec`) and the plan population
+:class:`~repro.serving.spec.WorkloadSpec`) and the plan population
 (:class:`PlanSpec`).  ``repro.run(scenario)`` executes it; two equal
 specs produce byte-identical metrics, and ``ScenarioSpec.from_json(
 spec.to_json()) == spec`` holds losslessly (see :mod:`repro.api.serde`).
@@ -16,6 +16,13 @@ object graph.  A :class:`PlanSpec` therefore names a deterministic plan
 of ``(plan spec, cluster)``, which is what makes scenario files
 reproducible and sweep cells picklable.
 
+Every type a spec tree holds comes from a ``spec`` module
+(:mod:`repro.serving.spec`, :mod:`repro.cluster.spec`,
+:mod:`repro.placement.spec`) or is a machine / engine knob set, so
+loading and validating a scenario imports no runtime: a
+``mode="single"`` run never loads the serving, cluster or placement
+machinery at all.
+
 :func:`replace_path` is the spec-surgery primitive the sweep layer
 builds on: ``replace_path(spec, "params.cpu_discipline", "fair")``
 rebuilds the frozen tree along one dotted path, re-running every
@@ -26,16 +33,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..cluster.spec import AutoscalerSpec, ClusterEventSpec, ClusterSpec
 from ..engine.params import ExecutionParams
 from ..placement.spec import PlacementSpec
-from ..serving.driver import RetryPolicySpec, WorkloadSpec
-from ..serving.trace import Trace
+from ..serving.spec import RetryPolicySpec, TraceGenSpec, WorkloadSpec
 from ..sim.machine import MachineConfig
-from ..workloads.tracegen import TraceGenSpec
 from .serde import SpecError, decode, encode, from_json, to_json
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..serving.trace import Trace
 
 __all__ = [
     "PLAN_KINDS",
@@ -176,7 +184,7 @@ class TraceSpec:
       as written by ``repro-run --record`` or
       :class:`~repro.serving.trace.JsonLinesLogger`;
     * ``generate`` — a synthetic-traffic model
-      (:class:`~repro.workloads.tracegen.TraceGenSpec`) rendered to a
+      (:class:`~repro.serving.spec.TraceGenSpec`) rendered to a
       trace at run time, so a scenario file stays self-contained.
 
     When set on a :class:`ScenarioSpec`, the trace *replaces* the
@@ -207,6 +215,8 @@ class TraceSpec:
 
             trace = generate_trace(self.generate, plan_count)
         else:
+            from ..serving.trace import Trace
+
             trace = Trace.load(self.path)
         if self.limit is not None and self.limit < len(trace.queries):
             trace = dataclasses.replace(

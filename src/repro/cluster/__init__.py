@@ -6,11 +6,12 @@ footprint plus a timeline of joins/leaves and an optional autoscaler,
 and the runtime (:class:`~repro.cluster.runtime.ElasticCluster`) changes
 live membership mid-run with explicit, priced partition movement
 (:class:`~repro.cluster.rebalance.Rebalancer`).
+
+The package re-exports the spec types only; the runtime classes are
+imported from :mod:`repro.cluster.runtime`,
+:mod:`repro.cluster.rebalance` and :mod:`repro.cluster.membership`.
 """
 
-from .membership import ClusterMembership
-from .rebalance import Rebalancer, resident_relations
-from .runtime import ElasticCluster
 from .spec import (CLUSTER_ACTIONS, AutoscalerSpec, ClusterEventSpec,
                    ClusterSpec)
 
@@ -18,9 +19,5 @@ __all__ = [
     "CLUSTER_ACTIONS",
     "AutoscalerSpec",
     "ClusterEventSpec",
-    "ClusterMembership",
     "ClusterSpec",
-    "ElasticCluster",
-    "Rebalancer",
-    "resident_relations",
 ]

@@ -35,9 +35,7 @@ from ..api.facade import RunResult
 from ..api.spec import ScenarioSpec
 from ..api.sweep import run_scenarios
 from ..cluster.spec import AutoscalerSpec, ClusterSpec
-from ..serving.admission import AdmissionPolicy
-from ..serving.arrivals import ArrivalSpec
-from ..serving.driver import WorkloadSpec
+from ..serving.spec import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment

@@ -31,7 +31,7 @@ from ..api.facade import build_plans, run_query
 from ..api.spec import PlanSpec, ScenarioSpec
 from ..api.sweep import parallel_map
 from ..catalog.skew import SkewSpec
-from ..serving.driver import WorkloadSpec
+from ..serving.spec import WorkloadSpec
 from ..sim.machine import MachineConfig
 from ..sim.rng import derive_seed
 from .config import ExperimentOptions, scaled_execution_params

@@ -40,10 +40,9 @@ from typing import Optional
 from ..api.facade import RunResult
 from ..api.spec import ScenarioSpec
 from ..api.sweep import run_scenarios
-from ..serving.admission import AdmissionPolicy
-from ..serving.arrivals import ArrivalSpec, sample_arrival_times
-from ..serving.classes import ServiceClass
-from ..serving.driver import RetryPolicySpec, WorkloadSpec
+from ..serving.arrivals import sample_arrival_times
+from ..serving.spec import (AdmissionPolicy, ArrivalSpec, RetryPolicySpec,
+                            ServiceClass, WorkloadSpec)
 from ..sim.machine import MachineConfig
 from ..sim.rng import RandomStreams, derive_seed
 from .config import ExperimentOptions, scaled_execution_params

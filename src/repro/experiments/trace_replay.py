@@ -24,12 +24,12 @@ from typing import Optional
 from ..api.facade import build_plans
 from ..api.spec import ScenarioSpec
 from ..engine.metrics import WorkloadMetrics
-from ..serving.admission import AdmissionPolicy
-from ..serving.arrivals import ArrivalSpec
-from ..serving.driver import WorkloadDriver, WorkloadSpec
+from ..serving.driver import WorkloadDriver
+from ..serving.spec import (AdmissionPolicy, ArrivalSpec, TraceGenSpec,
+                            WorkloadSpec)
 from ..serving.trace import MemoryLogger, Trace
 from ..sim.machine import MachineConfig
-from ..workloads.tracegen import TraceGenSpec, generate_trace
+from ..workloads.tracegen import generate_trace
 from .config import ExperimentOptions
 from .registry import register_experiment
 from .reporting import format_table

@@ -19,11 +19,15 @@ orientations).  The population builder searches only the generated
 graphs its greedy upper bound cannot reject first: 8 of the ledger's 31
 (84 612 candidates instead of 333 602), 20 of the paper's 54.  The search
 is part of every cold start's set-up, so it does O(1) work per
-candidate: a retained row carries its cost and cardinality, a
-candidate's are one expression over its two children's, and a candidate
-dearer than the k-th best so far is dropped before it has a signature or
-a ``JoinNode``.  Only the rows a subset retains, at most ``k``, become
-trees.
+candidate and calls no method for it: a retained row carries its cost
+and cardinality, the cost model's three per-tuple constants (build,
+probe, result) are read once per search, the output cardinality once
+per row pair (both orientations share it), and a candidate's cost is one
+expression over its two children's — the float expression of
+``CostModel.build_instructions`` + ``probe_instructions``, so costs are
+bit-identical.  A candidate dearer than the k-th best so far is dropped
+before it has a signature or a ``JoinNode``.  Only the rows a subset
+retains, at most ``k``, become trees.
 
 Build-side choice: both orientations of every join are explored; the cost
 model then prefers hashing the smaller side, unless the global shape makes
@@ -137,8 +141,12 @@ class BushySearch:
     def run(self) -> list[PlanCandidate]:
         """Top-``k`` bushy trees for the full relation set, cheapest first."""
         k = self.k
-        build_instructions = self.cost_model.build_instructions
-        probe_instructions = self.cost_model.probe_instructions
+        # CostModel.build_instructions / probe_instructions, inlined:
+        # per-tuple constants read once, the same float expression.
+        params = self.cost_model.params
+        per_build = params.build_instructions_per_tuple
+        per_probe = params.probe_instructions_per_tuple
+        per_result = params.result_instructions_per_tuple
         # subset -> its retained rows ``(cost, cardinality, tree)``, best first
         best: dict[int, list[tuple[float, float, JoinTree]]] = {}
         for name, bit in self._bit.items():
@@ -159,13 +167,14 @@ class BushySearch:
                 left = subset & below
                 for l_row in best[left]:
                     for r_row in best[subset ^ left]:
+                        # a product commutes exactly: one per row pair
+                        out_card = l_row[1] * r_row[1] * selectivity
                         for (b_cost, b_card, build), (p_cost, p_card, probe) in (
                             (l_row, r_row), (r_row, l_row),
                         ):
-                            out_card = b_card * p_card * selectivity
                             cost = b_cost + p_cost + (
-                                build_instructions(b_card)
-                                + probe_instructions(p_card, out_card)
+                                b_card * per_build
+                                + (p_card * per_probe + out_card * per_result)
                             )
                             if cost > bar:
                                 continue

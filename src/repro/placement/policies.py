@@ -22,11 +22,10 @@ from typing import Optional
 
 from ..optimizer.plan import ParallelExecutionPlan
 from .base import PlacementPolicy, join_candidates
-from .registry import register_policy
 
 __all__ = [
     "PaperPolicy", "RoundRobinPolicy", "LoadAwarePolicy",
-    "LocationAwarePolicy",
+    "LocationAwarePolicy", "available_policies", "get_policy",
 ]
 
 
@@ -38,7 +37,6 @@ def _base_bytes_on(plan: ParallelExecutionPlan, node: int) -> int:
     )
 
 
-@register_policy
 class PaperPolicy(PlacementPolicy):
     """Optimizer homes verbatim: decline every placement."""
 
@@ -48,7 +46,6 @@ class PaperPolicy(PlacementPolicy):
         return None
 
 
-@register_policy
 class RoundRobinPolicy(PlacementPolicy):
     """Rotate a width-``k`` window over the candidates per admission."""
 
@@ -65,7 +62,6 @@ class RoundRobinPolicy(PlacementPolicy):
         ))
 
 
-@register_policy
 class LoadAwarePolicy(PlacementPolicy):
     """The ``k`` least-loaded members (queued activations, id tiebreak)."""
 
@@ -80,7 +76,6 @@ class LoadAwarePolicy(PlacementPolicy):
         return tuple(sorted(ranked[:k]))
 
 
-@register_policy
 class LocationAwarePolicy(PlacementPolicy):
     """The ``k`` members holding the most of the query's base bytes."""
 
@@ -95,3 +90,29 @@ class LocationAwarePolicy(PlacementPolicy):
             candidates, key=lambda n: (-_base_bytes_on(plan, n), n)
         )
         return tuple(sorted(ranked[:k]))
+
+
+#: name -> policy instance (policies are stateless).  The names are the
+#: roster ``PlacementSpec`` validates against (``placement.spec.
+#: SCHEDULERS``); ``tests/test_placement.py`` keeps the two equal.
+_POLICIES: dict[str, PlacementPolicy] = {
+    policy.name: policy
+    for policy in (PaperPolicy(), RoundRobinPolicy(), LoadAwarePolicy(),
+                   LocationAwarePolicy())
+}
+
+
+def get_policy(name: str) -> PlacementPolicy:
+    """The policy registered as ``name`` (KeyError with the roster)."""
+    try:
+        return _POLICIES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown placement policy {name!r}; "
+            f"known: {available_policies()}"
+        ) from None
+
+
+def available_policies() -> tuple[str, ...]:
+    """Registered policy names, sorted."""
+    return tuple(sorted(_POLICIES))

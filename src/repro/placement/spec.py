@@ -1,7 +1,7 @@
 """Placement selection as data: the ``workload.placement`` subtree.
 
 A :class:`PlacementSpec` travels on
-:class:`~repro.serving.driver.WorkloadSpec`, so a scenario file selects
+:class:`~repro.serving.spec.WorkloadSpec`, so a scenario file selects
 its cluster scheduler the same way it selects arrivals or admission —
 and every knob is a sweepable dotted path
 (``workload.placement.scheduler``, ``.width``) for
@@ -11,15 +11,18 @@ Validation runs at spec load, not run time: an unknown ``scheduler``
 name or an out-of-range knob raises ``ValueError`` here, which the
 serde layer surfaces as a dotted-path
 :class:`~repro.api.serde.SpecError` (``$.workload.placement: ...``).
+The roster is data (:data:`SCHEDULERS`), so validating a spec never
+imports the policies (:mod:`repro.placement.policies`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .registry import available_policies
+__all__ = ["SCHEDULERS", "PlacementSpec"]
 
-__all__ = ["PlacementSpec"]
+#: the policy names :mod:`repro.placement.policies` registers, sorted.
+SCHEDULERS = ("load_aware", "location_aware", "paper", "round_robin")
 
 
 @dataclass(frozen=True)
@@ -36,15 +39,10 @@ class PlacementSpec:
     width: int = 1
 
     def __post_init__(self) -> None:
-        # Validation needs the roster: make sure the built-in policies
-        # are registered even when this module is imported directly.
-        from . import policies  # noqa: F401
-
-        known = available_policies()
-        if self.scheduler not in known:
+        if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown placement scheduler {self.scheduler!r}; "
-                f"known: {list(known)}"
+                f"known: {list(SCHEDULERS)}"
             )
         if self.width < 0:
             raise ValueError(

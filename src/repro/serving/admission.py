@@ -19,12 +19,13 @@ static reservations:
   requester must be able to store the activations and corresponding
   data"), so admission and load balancing see one consistent picture.
 
-Service classes (:mod:`repro.serving.classes`) layer per-class gates on
-top: a class may cap its own multiprogramming level and tighten its
-memory headroom, and the policy's overload handling (``queue_timeout``,
-``deadline_shedding``) decides when a *queued* query is shed instead of
-admitted — the open-loop overload behaviour the ROADMAP asked for, where
-previously an overloaded stream just queued without bound.
+Service classes (:class:`~repro.serving.spec.ServiceClass`) layer
+per-class gates on top: a class may cap its own multiprogramming level
+and tighten its memory headroom, and the policy's overload handling
+(``queue_timeout``, ``deadline_shedding``) decides when a *queued* query
+is shed instead of admitted — the open-loop overload behaviour the
+ROADMAP asked for, where previously an overloaded stream just queued
+without bound.
 
 The estimate is deliberately the optimizer's, not the truth: admission
 decisions in real systems are made from cost-model cardinalities, and an
@@ -36,13 +37,13 @@ admitted alone rather than deferred forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..optimizer.operator_tree import OpKind
 from ..optimizer.plan import ParallelExecutionPlan
+from .spec import AdmissionPolicy
 
-__all__ = ["AdmissionPolicy", "AdmissionController", "estimated_node_demand"]
+__all__ = ["AdmissionController", "estimated_node_demand"]
 
 
 def estimated_node_demand(plan: ParallelExecutionPlan) -> Dict[int, int]:
@@ -66,55 +67,6 @@ def estimated_node_demand(plan: ParallelExecutionPlan) -> Dict[int, int]:
         for node_id in home:
             demand[node_id] = demand.get(node_id, 0) + per_node
     return demand
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Admission knobs.
-
-    ``max_multiprogramming`` caps concurrently executing queries;
-    ``memory_headroom`` is the fraction of a node's *free* memory a new
-    query's estimated demand may claim (the rest absorbs estimate error,
-    stolen hash-table copies and queue growth).
-
-    Overload handling (open-loop streams): ``queue_timeout`` sheds any
-    query still awaiting admission after that many virtual seconds (a
-    service class's own ``queue_timeout`` overrides it), and
-    ``deadline_shedding`` additionally sheds a queued query the moment
-    its class's latency SLO can no longer be met.  Both default off, so a
-    policy-less workload behaves exactly as before: it queues.
-
-    Preemptive memory management: with ``memory_preemption`` on, a head
-    query blocked on the memory gate alone may *suspend* a running
-    lower-priority query's hash build — its reserved bytes spill back to
-    the node pools (timed like a steal page transfer) and reload when the
-    preemptor resolves — instead of waiting for batch work to drain on
-    its own.  ``preemption_shed`` additionally sheds the blocked query
-    with reason ``"memory_preempted"`` when no eligible victim exists
-    (fail fast rather than rot past the SLO).  Both default off.
-    """
-
-    max_multiprogramming: int = 8
-    memory_headroom: float = 0.8
-    queue_timeout: Optional[float] = None
-    deadline_shedding: bool = False
-    memory_preemption: bool = False
-    preemption_shed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_multiprogramming < 1:
-            raise ValueError(
-                f"max_multiprogramming must be >= 1, got "
-                f"{self.max_multiprogramming}"
-            )
-        if not 0.0 < self.memory_headroom <= 1.0:
-            raise ValueError(
-                f"memory_headroom must be in (0, 1], got {self.memory_headroom}"
-            )
-        if self.queue_timeout is not None and self.queue_timeout <= 0:
-            raise ValueError(
-                f"queue_timeout must be positive, got {self.queue_timeout}"
-            )
 
 
 class AdmissionController:

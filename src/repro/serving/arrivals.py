@@ -24,65 +24,12 @@ count)`` — the determinism regression tests depend on that.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import List
 
 from ..sim.rng import RandomStreams
+from .spec import ArrivalSpec
 
-__all__ = ["ArrivalSpec", "sample_arrival_times"]
-
-
-@dataclass(frozen=True)
-class ArrivalSpec:
-    """Arrival-process description.
-
-    ``kind`` is one of ``"poisson"``, ``"bursty"`` or ``"closed"``.
-
-    Open-loop knobs: ``rate`` (queries per virtual second), and for
-    ``bursty`` the ``burst_size`` (mean arrivals per burst, geometric)
-    and ``burst_speedup`` (how much faster than ``rate`` arrivals come
-    inside a burst).
-
-    Closed-loop knobs: ``population`` (concurrent clients) and
-    ``think_time`` (virtual seconds between a completion and the client's
-    next submission).
-    """
-
-    kind: str = "poisson"
-    rate: float = 10.0
-    burst_size: float = 4.0
-    burst_speedup: float = 10.0
-    population: int = 4
-    think_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("poisson", "bursty", "closed"):
-            raise ValueError(
-                f"unknown arrival kind {self.kind!r}; "
-                "expected 'poisson', 'bursty' or 'closed'"
-            )
-        # Every knob validates regardless of kind: a spec is data that may
-        # be serialized, swept or re-kinded later, so a non-positive rate
-        # in a closed-loop spec is a latent bug, not a dead field.
-        if not self.rate > 0 or not math.isfinite(self.rate):
-            raise ValueError(
-                f"rate must be positive and finite, got {self.rate}"
-            )
-        if self.burst_size < 1 or not math.isfinite(self.burst_size):
-            raise ValueError(f"burst_size must be >= 1, got {self.burst_size}")
-        if self.burst_speedup < 1 or not math.isfinite(self.burst_speedup):
-            raise ValueError(
-                f"burst_speedup must be >= 1, got {self.burst_speedup}"
-            )
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.think_time < 0 or not math.isfinite(self.think_time):
-            raise ValueError(f"think_time must be >= 0, got {self.think_time}")
-
-    @property
-    def open_loop(self) -> bool:
-        return self.kind != "closed"
+__all__ = ["sample_arrival_times"]
 
 
 def sample_arrival_times(spec: ArrivalSpec, count: int,

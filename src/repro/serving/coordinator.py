@@ -52,13 +52,14 @@ from ..engine.params import ExecutionParams
 from ..engine.strategies.base import StrategyError
 from ..engine.template import ExecutionTemplate
 from ..optimizer.plan import ParallelExecutionPlan
-from ..placement import ClusterView, get_policy, place_plan
+from ..placement.base import ClusterView, place_plan
+from ..placement.policies import get_policy
 from ..sim.core import Event
 from ..sim.machine import MachineConfig
-from .admission import AdmissionController, AdmissionPolicy
-from .classes import DEFAULT_CLASS, ServiceClass
+from .admission import AdmissionController
 from .pending import PendingQueues, QueryRequest
 from .preemption import MemoryPreemptor
+from .spec import DEFAULT_CLASS, AdmissionPolicy, ServiceClass
 from .substrate import SharedSubstrate
 from .trace import (NOOP_LOGGER, QueryAdmitted, QueryFinished, QueryPlaced,
                     QueryShedEvent, QueryStarted, QuerySubmitted, RunLogger)

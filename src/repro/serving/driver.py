@@ -3,7 +3,7 @@
 The top of the serving stack: a :class:`WorkloadDriver` turns a plan
 population (anything from a single canned scenario plan to the 40-plan
 paper workload of :mod:`repro.workloads.plans`) plus a
-:class:`~repro.serving.arrivals.ArrivalSpec` into a running multi-query
+:class:`~repro.serving.spec.WorkloadSpec` into a running multi-query
 simulation, and returns the aggregate
 :class:`~repro.engine.metrics.WorkloadMetrics`.
 
@@ -18,7 +18,6 @@ sequence)`` heap.  Two identical runs produce byte-identical
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -26,88 +25,15 @@ from typing import Optional, Sequence, Union
 from ..engine.metrics import WorkloadMetrics
 from ..engine.params import ExecutionParams
 from ..optimizer.plan import ParallelExecutionPlan
-from ..placement.spec import PlacementSpec
 from ..sim.core import LOW
 from ..sim.machine import MachineConfig
 from ..sim.rng import RandomStreams, derive_seed
-from .admission import AdmissionPolicy
-from .arrivals import ArrivalSpec, sample_arrival_times
-from .classes import ServiceClass
+from .arrivals import sample_arrival_times
 from .coordinator import MultiQueryCoordinator
+from .spec import ServiceClass, WorkloadSpec
 from .trace import NOOP_LOGGER, RunLogger, RunStarted, Trace
 
-__all__ = ["RetryPolicySpec", "ClientStats", "WorkloadSpec",
-           "WorkloadRunResult", "WorkloadDriver"]
-
-
-@dataclass(frozen=True)
-class RetryPolicySpec:
-    """How clients react to a shed query: jittered exponential backoff.
-
-    A shed query's client resubmits after a backoff, up to
-    ``max_attempts`` total submissions; the *final* attempt's shed is
-    recorded as ``retries_exhausted`` (the client gives up).  With
-    ``max_attempts=None`` the client retries forever — the naive
-    configuration whose retry storms the overload experiment shows
-    collapsing into metastable failure.
-
-    Determinism: the backoff before attempt ``k`` of logical query
-    ``index`` is a pure function of ``(seed, index, k)`` —
-    :meth:`backoff` draws its jitter from a seed derived with
-    ``derive_seed(seed, f"retry:{index}:{k}")``, never from a shared
-    stream, so the retry schedule cannot depend on completion
-    interleaving (the same purity contract as plan/class draws).
-    """
-
-    #: total submissions allowed per logical query (1 = no retries);
-    #: None retries without bound.
-    max_attempts: Optional[int] = 4
-    #: backoff before the first retry, in virtual seconds.
-    base_backoff: float = 1.0
-    #: exponential growth factor per further retry.
-    multiplier: float = 2.0
-    #: cap on the raw (pre-jitter) backoff; None leaves it uncapped.
-    max_backoff: Optional[float] = None
-    #: fraction of the backoff randomized away (0 = deterministic full
-    #: backoff, 1 = uniform in (0, backoff]) — decorrelates clients shed
-    #: at the same instant so they do not re-arrive as one thundering
-    #: herd.
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1 or None, got {self.max_attempts}"
-            )
-        if not self.base_backoff > 0:
-            raise ValueError(
-                f"base_backoff must be positive, got {self.base_backoff}"
-            )
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1, got {self.multiplier}"
-            )
-        if self.max_backoff is not None and self.max_backoff <= 0:
-            raise ValueError(
-                f"max_backoff must be positive, got {self.max_backoff}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    def backoff(self, seed: int, index: int, attempt: int) -> float:
-        """Backoff before the ``attempt``-th submission (attempt >= 1)."""
-        raw = self.base_backoff * self.multiplier ** (attempt - 1)
-        if self.max_backoff is not None:
-            raw = min(raw, self.max_backoff)
-        rng = random.Random(derive_seed(seed, f"retry:{index}:{attempt}"))
-        return raw * (1.0 - self.jitter * rng.random())
-
-    def is_final(self, attempt: int) -> bool:
-        """Whether the ``attempt``-th submission is the client's last."""
-        return (self.max_attempts is not None
-                and attempt >= self.max_attempts - 1)
+__all__ = ["ClientStats", "WorkloadRunResult", "WorkloadDriver"]
 
 
 @dataclass
@@ -133,54 +59,6 @@ class ClientStats:
     #: virtual seconds clients spent backing off — closed-loop, this is
     #: exactly the client-time the effective MPL lost to shedding.
     backoff_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Declarative description of one multi-query workload run."""
-
-    #: total queries to submit and resolve (completed or shed).
-    queries: int = 16
-    arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
-    #: execution strategy for every query ("DP", "FP" or "SP").
-    strategy: str = "DP"
-    policy: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    #: service-class mix as (class, proportion) pairs; each query draws
-    #: its class from this distribution (proportions are normalized).
-    #: Empty: every query runs as the default class, exactly the
-    #: pre-service-class behaviour.
-    classes: tuple[tuple[ServiceClass, float], ...] = ()
-    #: client retry behaviour on shed queries; None (default) keeps the
-    #: pre-retry behaviour — a shed query is simply gone.
-    retry: Optional[RetryPolicySpec] = None
-    #: admission-time cluster scheduler (see :mod:`repro.placement`);
-    #: the default ``paper`` policy is a strict no-op.
-    placement: PlacementSpec = field(default_factory=PlacementSpec)
-    #: master seed: plan choice, arrivals, think times and all per-query
-    #: engine randomness derive from it.
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.queries < 1:
-            raise ValueError(f"queries must be >= 1, got {self.queries}")
-        if self.strategy not in ("DP", "FP", "SP"):
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; "
-                "expected 'DP', 'FP' or 'SP'"
-            )
-        if any(
-            fraction <= 0 or not math.isfinite(fraction)
-            for _cls, fraction in self.classes
-        ):
-            raise ValueError("class proportions must be positive and finite")
-        names = [cls.name for cls, _fraction in self.classes]
-        if len(names) != len(set(names)):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(
-                f"duplicate service-class name(s) {dupes}: metrics are "
-                "keyed by class name, so two distinct classes sharing one "
-                "would be silently merged"
-            )
 
 
 @dataclass

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..engine.params import ExecutionParams
     from ..optimizer.plan import ParallelExecutionPlan
     from ..sim.core import Event
-    from .classes import ServiceClass
+    from .spec import ServiceClass
 
 __all__ = ["QueryRequest", "PendingQueues"]
 

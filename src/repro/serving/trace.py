@@ -36,7 +36,7 @@ from typing import IO, Iterable, List, Optional
 
 from ..engine.runlog import (NOOP_LOGGER, NoopLogger, RunLogger, StealRound,
                              StealTransfer)
-from .classes import ServiceClass
+from .spec import ServiceClass
 
 __all__ = [
     "RunStarted", "QuerySubmitted", "QueryAdmitted", "QueryPlaced",

@@ -1,5 +1,10 @@
-"""Canned workloads: the 40-plan population, the paper's examples, and
-synthetic trace generation (:mod:`repro.workloads.tracegen`)."""
+"""Canned workloads: the 40-plan population and the paper's examples.
+
+Synthetic trace generation lives in :mod:`repro.workloads.tracegen` and
+is imported from there (its spec, :class:`~repro.serving.spec.
+TraceGenSpec`, is a serving value type), so loading a plan factory never
+loads the trace machinery.
+"""
 
 from .plans import Workload, WorkloadConfig, build_workload
 from .scenarios import (
@@ -7,16 +12,12 @@ from .scenarios import (
     pipeline_chain_scenario,
     two_node_join_scenario,
 )
-from .tracegen import TraceGenSpec, generate_trace, session_rate_at
 
 __all__ = [
-    "TraceGenSpec",
     "Workload",
     "WorkloadConfig",
     "build_workload",
-    "generate_trace",
     "io_heavy_chain_population",
     "pipeline_chain_scenario",
-    "session_rate_at",
     "two_node_join_scenario",
 ]

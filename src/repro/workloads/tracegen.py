@@ -12,7 +12,7 @@ traffic and recorded traffic replay through the exact same
 
 Generation model (all draws from named
 :class:`~repro.sim.rng.RandomStreams`, so a trace is a pure function of
-its :class:`TraceGenSpec`):
+its :class:`~repro.serving.spec.TraceGenSpec`):
 
 * **Sessions, not queries, arrive.**  Session starts follow a
   non-homogeneous Poisson process (thinning): the base session rate is
@@ -39,120 +39,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
-from ..serving.classes import BATCH, INTERACTIVE, ServiceClass
+from ..serving.spec import BATCH, INTERACTIVE, ServiceClass, TraceGenSpec
 from ..serving.trace import Trace, TraceQuery
 from ..sim.rng import RandomStreams, derive_seed
 
-__all__ = ["TraceGenSpec", "generate_trace", "session_rate_at"]
-
-
-@dataclass(frozen=True)
-class TraceGenSpec:
-    """Knobs of the synthetic traffic model (all virtual-time units)."""
-
-    #: total queries in the generated trace.
-    queries: int = 100
-    seed: int = 0
-    #: long-run average *query* rate (queries per virtual second).
-    base_rate: float = 50.0
-    #: relative diurnal modulation in [0, 1): 0 = flat, 0.8 = deep cycle.
-    diurnal_amplitude: float = 0.6
-    #: virtual seconds per diurnal cycle (one "day").
-    diurnal_period: float = 8.0
-    #: number of flash-crowd windows per diurnal cycle.
-    flash_crowds: int = 1
-    #: rate multiplier inside a flash window.
-    flash_magnitude: float = 6.0
-    #: flash window length (virtual seconds).
-    flash_duration: float = 0.4
-    #: mean queries per session (Pareto mean; the tail does the rest).
-    session_mean_queries: float = 3.0
-    #: Pareto shape of the session length (smaller = heavier tail; must
-    #: be > 1 so the mean exists).
-    session_tail: float = 1.6
-    #: mean gap between queries of one session (exponential).
-    session_gap: float = 0.02
-    #: distinct tenants; sessions draw a tenant uniformly.
-    tenants: int = 4
-    #: correlated tenant-burst events across the whole trace.
-    tenant_bursts: int = 2
-    #: sessions started (near-)simultaneously by one burst.
-    tenant_burst_sessions: int = 4
-    #: probability a session uses its tenant's favored plan.
-    plan_affinity: float = 0.5
-    #: fraction of sessions that are interactive (SLO-bearing).
-    interactive_fraction: float = 0.5
-    #: end-to-end latency SLO stamped on interactive queries.
-    interactive_slo: float = 2.0
-    strategy: str = "DP"
-
-    def __post_init__(self) -> None:
-        if self.queries < 1:
-            raise ValueError(f"queries must be >= 1, got {self.queries}")
-        if not self.base_rate > 0 or not math.isfinite(self.base_rate):
-            raise ValueError(
-                f"base_rate must be positive and finite, got {self.base_rate}"
-            )
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError(
-                f"diurnal_amplitude must be in [0, 1), got "
-                f"{self.diurnal_amplitude}"
-            )
-        if self.diurnal_period <= 0:
-            raise ValueError(
-                f"diurnal_period must be positive, got {self.diurnal_period}"
-            )
-        if self.flash_crowds < 0 or self.tenant_bursts < 0:
-            raise ValueError("flash_crowds/tenant_bursts must be >= 0")
-        if self.flash_magnitude < 1:
-            raise ValueError(
-                f"flash_magnitude must be >= 1, got {self.flash_magnitude}"
-            )
-        if self.flash_duration <= 0:
-            raise ValueError(
-                f"flash_duration must be positive, got {self.flash_duration}"
-            )
-        if self.session_mean_queries < 1:
-            raise ValueError(
-                f"session_mean_queries must be >= 1, got "
-                f"{self.session_mean_queries}"
-            )
-        if self.session_tail <= 1:
-            raise ValueError(
-                f"session_tail must be > 1 (finite mean), got "
-                f"{self.session_tail}"
-            )
-        if self.session_gap < 0:
-            raise ValueError(
-                f"session_gap must be >= 0, got {self.session_gap}"
-            )
-        if self.tenants < 1:
-            raise ValueError(f"tenants must be >= 1, got {self.tenants}")
-        if self.tenant_burst_sessions < 1:
-            raise ValueError(
-                f"tenant_burst_sessions must be >= 1, got "
-                f"{self.tenant_burst_sessions}"
-            )
-        if not 0.0 <= self.plan_affinity <= 1.0:
-            raise ValueError(
-                f"plan_affinity must be in [0, 1], got {self.plan_affinity}"
-            )
-        if not 0.0 <= self.interactive_fraction <= 1.0:
-            raise ValueError(
-                f"interactive_fraction must be in [0, 1], got "
-                f"{self.interactive_fraction}"
-            )
-        if self.interactive_slo <= 0:
-            raise ValueError(
-                f"interactive_slo must be positive, got {self.interactive_slo}"
-            )
-        if self.strategy not in ("DP", "FP", "SP"):
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; "
-                "expected 'DP', 'FP' or 'SP'"
-            )
+__all__ = ["generate_trace", "session_rate_at"]
 
 
 def session_rate_at(spec: TraceGenSpec, t: float) -> float:

@@ -41,9 +41,9 @@ from repro.serving import (
     AdmissionPolicy,
     ArrivalSpec,
     ServiceClass,
-    WorkloadDriver,
     WorkloadSpec,
 )
+from repro.serving.driver import WorkloadDriver
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkParams
 from repro.workloads import pipeline_chain_scenario, two_node_join_scenario

@@ -31,7 +31,8 @@ from repro.experiments import (elastic, figure6, figure7, figure8, figure9,
 from repro.experiments.config import ExperimentOptions
 from repro.experiments.registry import REGISTRY, register_experiment
 from repro.experiments.runner import EXPERIMENTS, main as runner_main, run_all
-from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadDriver, WorkloadSpec
+from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
+from repro.serving.driver import WorkloadDriver
 from repro.sim.machine import MachineConfig
 
 TINY = ExperimentOptions(plans=2, workload_queries=2)

@@ -29,12 +29,11 @@ from repro.api.serde import SpecError, decode, encode
 from repro.api.spec import PlanSpec
 from repro.catalog.partitioning import place_relation, rebalance_moves
 from repro.catalog.relation import Relation
-from repro.cluster import (AutoscalerSpec, ClusterEventSpec, ClusterMembership,
-                           ClusterSpec, Rebalancer)
+from repro.cluster import AutoscalerSpec, ClusterEventSpec, ClusterSpec
+from repro.cluster.membership import ClusterMembership
+from repro.cluster.rebalance import Rebalancer
 from repro.cluster.runtime import ElasticCluster
-from repro.serving.admission import AdmissionPolicy
-from repro.serving.arrivals import ArrivalSpec
-from repro.serving.driver import WorkloadSpec
+from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from repro.serving.substrate import SharedSubstrate
 from repro.serving.trace import (NodeDraining, NodeJoined, NodeLeft,
                                  QueryFinished, QueryStarted,

@@ -15,8 +15,9 @@ import pytest
 
 from repro.engine import (ExecutionParams, QueryExecutor, Substrate,
                           SynchronousPipeliningExecutor)
-from repro.serving import (AdmissionPolicy, ArrivalSpec, SharedSubstrate,
-                           WorkloadDriver, WorkloadSpec)
+from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
+from repro.serving.driver import WorkloadDriver
+from repro.serving.substrate import SharedSubstrate
 from repro.sim import MachineConfig, NetworkParams
 from repro.workloads import pipeline_chain_scenario
 

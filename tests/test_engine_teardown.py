@@ -32,8 +32,8 @@ from repro.engine.routing import OutputChannel
 from repro.engine.scheduler import NodeScheduler
 from repro.engine.thread_exec import ExecutionThread
 from repro.optimizer.operator_tree import OpKind
-from repro.serving import (BATCH, INTERACTIVE, AdmissionPolicy,
-                           MultiQueryCoordinator)
+from repro.serving import BATCH, INTERACTIVE, AdmissionPolicy
+from repro.serving.coordinator import MultiQueryCoordinator
 from repro.serving.preemption import MemoryPreemptor
 from repro.sim import MachineConfig
 from repro.sim.core import Process

@@ -181,7 +181,7 @@ class TestTemplateLifetime:
         assert context.done
 
     def test_a_coordinator_keeps_one_template_per_plan_and_size(self):
-        from repro.serving import MultiQueryCoordinator
+        from repro.serving.coordinator import MultiQueryCoordinator
         from repro.sim import MachineConfig
         from repro.workloads import pipeline_chain_scenario
 

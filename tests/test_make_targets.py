@@ -4,9 +4,11 @@ that exist.
 Every ``make <target>`` in a code span or code block of ``README.md``,
 ``ARCHITECTURE.md`` or the verify skill must be a rule in the
 ``Makefile``, and every ``scripts/...`` / ``benchmarks/...`` path a
-recipe names must be in the tree.  Stdlib only; no target is run.
+recipe names must be in the tree, and ``make profile``'s cold-import
+section reads ``-X importtime`` rows.  Stdlib only; no target is run.
 """
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -41,3 +43,28 @@ def test_recipes_name_only_paths_that_exist():
              for path in PATH.findall(line)}
     assert paths, "no recipe names a scripts/ or benchmarks/ path"
     assert {path for path in paths if not (ROOT / path).exists()} == set()
+
+
+def test_profile_reports_cold_imports_by_package():
+    # ``make profile``'s cold-import section, on canned ``-X importtime``
+    # rows: a submodule a package __init__ loads is listed twice, and
+    # counts once.
+    spec = importlib.util.spec_from_file_location(
+        "profile_workload", ROOT / "scripts" / "profile_workload.py")
+    profile = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(profile)
+    stderr = "\n".join([
+        "import time: self [us] | cumulative | imported package",
+        "import time:       300 |        300 |   json",
+        "import time:      6000 |       6000 |       repro.cluster.spec",
+        "import time:        40 |       6040 |     repro.cluster.spec",
+        "import time:      2000 |       8340 | repro",
+    ])
+    rows = profile.import_times(stderr)
+    assert [module for module, _own, _cum in rows] == [
+        "json", "repro.cluster.spec", "repro.cluster.spec", "repro"]
+    text = profile.import_report(rows, top=2)
+    assert text.splitlines()[0] == (
+        "3 modules (2 repro), 8.3 ms self time; by package")
+    assert "      2  repro.cluster" not in text  # one module, not two
+    assert "      1  repro.cluster" in text

@@ -32,7 +32,8 @@ from repro.engine.metrics import (ExecutionMetrics, ExecutionResult,
                                   WorkloadMetrics)
 from repro.experiments.config import scaled_execution_params
 from repro.serving import (BATCH, INTERACTIVE, AdmissionPolicy, ArrivalSpec,
-                           WorkloadDriver, WorkloadSpec)
+                           WorkloadSpec)
+from repro.serving.driver import WorkloadDriver
 from repro.workloads import pipeline_chain_scenario
 
 COUNTERS = ("unfinished", "broker_notifications", "memory_preemptions",

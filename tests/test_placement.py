@@ -35,17 +35,13 @@ from repro.api.spec import PlanSpec
 from repro.experiments import placement
 from repro.experiments.config import ExperimentOptions
 from repro.optimizer.operator_tree import OpKind
-from repro.placement import (
-    ClusterView,
-    PlacementSpec,
-    available_policies,
-    get_policy,
-    place_plan,
-)
-from repro.placement.base import rewrite_homes
-from repro.serving import MemoryLogger, WorkloadDriver, WorkloadSpec, read_events
-from repro.serving.driver import AdmissionPolicy, ArrivalSpec
-from repro.serving.trace import QueryPlaced, decode_event, encode_event
+from repro.placement import SCHEDULERS, PlacementSpec
+from repro.placement.base import ClusterView, place_plan, rewrite_homes
+from repro.placement.policies import available_policies, get_policy
+from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
+from repro.serving.driver import WorkloadDriver
+from repro.serving.trace import (MemoryLogger, QueryPlaced, decode_event,
+                                 encode_event, read_events)
 from repro.sim import MachineConfig
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -117,6 +113,9 @@ class TestPolicyInvariants:
         assert available_policies() == tuple(sorted(
             ("paper",) + SMART_POLICIES
         ))
+        # The spec validates against data, not the table, so a scenario
+        # loads without importing a policy: the two must agree.
+        assert available_policies() == SCHEDULERS
 
     def test_unknown_policy_raises_with_roster(self):
         with pytest.raises(KeyError, match="round_robin"):

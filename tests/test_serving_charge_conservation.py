@@ -16,7 +16,8 @@ import pytest
 from repro.catalog.skew import SkewSpec
 from repro.experiments.config import scaled_execution_params
 from repro.serving import (AdmissionPolicy, ArrivalSpec, BATCH, INTERACTIVE,
-                           WorkloadDriver, WorkloadSpec)
+                           WorkloadSpec)
+from repro.serving.driver import WorkloadDriver
 from repro.workloads.scenarios import pipeline_chain_scenario
 
 

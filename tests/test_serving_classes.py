@@ -28,14 +28,14 @@ from repro.query import JoinEdge, QueryGraph
 from repro.serving import (
     BATCH,
     INTERACTIVE,
-    AdmissionController,
     AdmissionPolicy,
     ArrivalSpec,
-    MultiQueryCoordinator,
     ServiceClass,
-    WorkloadDriver,
     WorkloadSpec,
 )
+from repro.serving.admission import AdmissionController
+from repro.serving.coordinator import MultiQueryCoordinator
+from repro.serving.driver import WorkloadDriver
 from repro.sim import MachineConfig
 from repro.workloads import pipeline_chain_scenario
 

@@ -35,11 +35,11 @@ from repro.serving import (
     INTERACTIVE,
     AdmissionPolicy,
     ArrivalSpec,
-    MultiQueryCoordinator,
     ServiceClass,
-    WorkloadDriver,
     WorkloadSpec,
 )
+from repro.serving.coordinator import MultiQueryCoordinator
+from repro.serving.driver import WorkloadDriver
 from repro.sim import MachineConfig
 from repro.sim.disk import DiskParams
 from repro.sim.network import NetworkParams

@@ -13,9 +13,15 @@ a function — and hardware is built in exactly one module outside
 ``sim/``: ``engine/substrate.py``.  Inside ``repro.experiments`` a query
 is executed from exactly one module, ``methodology.py``: a figure is a
 point builder and a table layout, not another measurement loop.
+Scenario value types live in ``spec`` modules that load no runtime, so a
+cold ``mode="single"`` run never imports the serving, cluster or
+placement machinery — checked in a fresh interpreter after the run.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,4 +158,117 @@ def test_the_experiments_execute_queries_in_one_place():
     assert not compiling, (
         f"{sorted(compiling)} compile the 5.1.2 workload by hand: the "
         "one spelling of the population is ExperimentOptions.plan_mix()"
+    )
+
+
+# -- a single-query cold start loads only what it runs -----------------------
+
+REPO = SRC.parent.parent
+
+#: what a ``mode="single"`` run never executes, so never imports.
+SERVING_ONLY = (
+    *(f"repro.serving.{name}" for name in (
+        "driver", "coordinator", "admission", "broker", "preemption",
+        "pending", "substrate", "trace")),
+    "repro.cluster.runtime", "repro.cluster.rebalance",
+    "repro.cluster.membership",
+    "repro.placement.base", "repro.placement.policies",
+    "repro.workloads.tracegen",
+)
+
+
+def cold(code):
+    """Run ``code`` in a fresh interpreter on this tree; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_a_cold_single_run_never_imports_the_serving_runtime():
+    # Checked after the run, not after set-up: a deferred import would
+    # only move the cost into the first repetition.
+    loaded = cold(
+        "import pathlib, sys, repro\n"
+        "from repro.api import ScenarioSpec\n"
+        "text = pathlib.Path('examples/scenarios/single_query.json')"
+        ".read_text()\n"
+        "result = repro.run(ScenarioSpec.from_json(text))\n"
+        "print(result.execution.metrics.result_tuples)\n"
+        "print(*sorted(sys.modules))\n"
+    ).splitlines()
+    assert int(loaded[0]) > 0
+    assert sorted(set(SERVING_ONLY) & set(loaded[1].split())) == []
+
+
+def test_a_cold_serving_set_up_leaves_its_run_nothing_to_import():
+    # The serving runtime loads in set-up (``build_plans``), so a serving
+    # run's first repetition pays no import either; the sweep API still
+    # imports from the package.
+    lines = cold(
+        "import pathlib, sys, repro\n"
+        "from repro.api import ScenarioSpec, build_plans, run_sweep\n"
+        "def set_up(name):\n"
+        "    path = pathlib.Path(f'examples/scenarios/{name}.json')\n"
+        "    spec = ScenarioSpec.from_json(path.read_text())\n"
+        "    build_plans(spec)\n"
+        "    return spec\n"
+        "spec = set_up('quickstart')\n"
+        "before = set(sys.modules)\n"
+        "print(repro.run(spec).workload.admitted, callable(run_sweep))\n"
+        "print('new:', *sorted(set(sys.modules) - before))\n"
+        "set_up('elastic_surge')\n"
+        "set_up('trace_storm')\n"
+        "print(*sorted(sys.modules))\n"
+    ).splitlines()
+    admitted, sweep = lines[0].split()
+    assert int(admitted) > 0 and sweep == "True"
+    assert lines[1] == "new:"
+    loaded = set(lines[2].split())
+    assert set(SERVING_ONLY) <= loaded
+
+
+def runtime_imports(path):
+    """Absolute ``repro`` modules ``path`` imports when it is loaded:
+    module-level statements, ``if TYPE_CHECKING:`` blocks excluded."""
+    package = path.relative_to(SRC.parent).with_suffix("").parts[:-1]
+    statements = []
+    for block in ast.parse(path.read_text()).body:
+        if isinstance(block, ast.If):
+            if getattr(block.test, "id", None) != "TYPE_CHECKING":
+                statements += block.body + block.orelse
+        else:
+            statements.append(block)
+    found = set()
+    for node in statements:
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = (list(package[:len(package) - node.level + 1])
+                    if node.level else [])
+            if node.module:
+                found.add(".".join(base + [node.module]))
+            else:  # ``from . import policies`` imports the submodule
+                found |= {".".join(base + [alias.name])
+                          for alias in node.names}
+    return {module for module in found if module.startswith("repro")}
+
+
+#: the modules a spec tree may load: value types and knob sets only.
+SPEC_LAYER = ("repro.sim.machine", "repro.engine.params", "repro.api.serde")
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*SRC.glob("*/spec.py"), API / "serde.py",
+                    *(SRC / name / "__init__.py"
+                      for name in ("serving", "cluster", "placement"))]),
+    ids=lambda path: str(path.relative_to(SRC)))
+def test_spec_modules_import_only_spec_modules(path):
+    runtime = {module for module in runtime_imports(path)
+               if not module.endswith(".spec") and module not in SPEC_LAYER}
+    assert not runtime, (
+        f"{path.relative_to(SRC)} imports {sorted(runtime)} at module "
+        "level: loading a scenario must not load a runtime (a single-"
+        "mode run would pay for it); import it where it is used"
     )

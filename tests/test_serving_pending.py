@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.serving import AdmissionController, AdmissionPolicy, ServiceClass
+from repro.serving import AdmissionPolicy, ServiceClass
+from repro.serving.admission import AdmissionController
 from repro.serving.pending import PendingQueues, QueryRequest
 
 

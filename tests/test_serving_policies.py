@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 from repro.engine import ExecutionParams
 from repro.optimizer.operator_tree import OpKind
-from repro.serving import BATCH, INTERACTIVE, CrossQueryBroker, ServiceClass
+from repro.serving import BATCH, INTERACTIVE, ServiceClass
+from repro.serving.broker import CrossQueryBroker
 from repro.serving.broker import benefit_key
 from repro.serving.preemption import (greedy_cover, reload_seconds,
                                       select_victim, spill_seconds,

@@ -20,14 +20,10 @@ preemptor resolves.  The contract under test:
 
 import pytest
 
-from repro.serving import (
-    BATCH,
-    INTERACTIVE,
-    AdmissionPolicy,
-    MemoryLogger,
-    MultiQueryCoordinator,
-)
-from repro.serving.trace import QueryPreempted, QueryResumed, QueryShedEvent
+from repro.serving import BATCH, INTERACTIVE, AdmissionPolicy
+from repro.serving.coordinator import MultiQueryCoordinator
+from repro.serving.trace import (MemoryLogger, QueryPreempted, QueryResumed,
+                                 QueryShedEvent)
 from repro.sim import MachineConfig
 from repro.workloads import pipeline_chain_scenario
 

@@ -29,13 +29,9 @@ from repro.engine.scheduler import NodeScheduler
 from repro.optimizer import BaseNode, JoinNode, compile_plan
 from repro.optimizer.operator_tree import OpKind
 from repro.query import JoinEdge, QueryGraph
-from repro.serving import (
-    AdmissionPolicy,
-    ArrivalSpec,
-    MultiQueryCoordinator,
-    WorkloadDriver,
-    WorkloadSpec,
-)
+from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
+from repro.serving.coordinator import MultiQueryCoordinator
+from repro.serving.driver import WorkloadDriver
 from repro.sim import MachineConfig
 from repro.workloads import pipeline_chain_scenario
 
@@ -287,7 +283,7 @@ class TestAdmission:
         # keeps the paper's chain-fits-in-memory assumption (Section 2.2),
         # a shared one tolerates the overcommit.  Which one is the
         # substrate builder's call (``strict_memory``), not a spec field.
-        from repro.serving import SharedSubstrate
+        from repro.serving.substrate import SharedSubstrate
         from repro.sim.machine import MemoryExhausted
 
         config = MachineConfig(nodes=2, processors_per_node=2,
@@ -322,7 +318,7 @@ class TestAdmission:
             coordinator.submit(plan, query_id=5)
 
     def test_mismatched_hardware_params_rejected_on_shared_substrate(self):
-        from repro.serving import SharedSubstrate
+        from repro.serving.substrate import SharedSubstrate
         from repro.sim import DiskParams
 
         config = MachineConfig(nodes=2, processors_per_node=2)

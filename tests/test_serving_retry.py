@@ -26,12 +26,11 @@ from repro.query import JoinEdge, QueryGraph
 from repro.serving import (
     AdmissionPolicy,
     ArrivalSpec,
-    JsonLinesLogger,
     RetryPolicySpec,
-    Trace,
-    WorkloadDriver,
     WorkloadSpec,
 )
+from repro.serving.driver import WorkloadDriver
+from repro.serving.trace import JsonLinesLogger, Trace
 from repro.sim import MachineConfig
 
 

@@ -15,7 +15,8 @@ import pytest
 from repro.catalog import SkewSpec
 from repro.engine import ExecutionParams
 from repro.serving import (AdmissionPolicy, ArrivalSpec, BATCH, INTERACTIVE,
-                           WorkloadDriver, WorkloadSpec)
+                           WorkloadSpec)
+from repro.serving.driver import WorkloadDriver
 from repro.workloads import pipeline_chain_scenario
 
 

@@ -28,20 +28,20 @@ from repro.catalog import Relation
 from repro.optimizer import BaseNode, JoinNode, compile_plan
 from repro.query import JoinEdge, QueryGraph
 from repro.serving import (
+    BATCH,
+    INTERACTIVE,
     AdmissionPolicy,
     ArrivalSpec,
-    JsonLinesLogger,
-    MemoryLogger,
-    MultiQueryCoordinator,
-    Trace,
-    WorkloadDriver,
+    ServiceClass,
     WorkloadSpec,
-    read_events,
-    sample_arrival_times,
 )
-from repro.serving.classes import BATCH, INTERACTIVE, ServiceClass
+from repro.serving.arrivals import sample_arrival_times
+from repro.serving.coordinator import MultiQueryCoordinator
+from repro.serving.driver import WorkloadDriver
 from repro.serving.trace import (
     BrokerImbalance,
+    JsonLinesLogger,
+    MemoryLogger,
     QueryAdmitted,
     QueryFinished,
     QueryShedEvent,
@@ -50,9 +50,11 @@ from repro.serving.trace import (
     RunStarted,
     StealRound,
     StealTransfer,
+    Trace,
     TraceQuery,
     decode_event,
     encode_event,
+    read_events,
 )
 from repro.sim import MachineConfig, RandomStreams
 from repro.sim.core import Environment, SimulationError
@@ -520,7 +522,7 @@ class TestTraceSpecSurface:
 
     def test_trace_spec_validation(self):
         from repro.api import TraceSpec
-        from repro.workloads.tracegen import TraceGenSpec
+        from repro.serving import TraceGenSpec
 
         with pytest.raises(ValueError, match="exactly one source"):
             TraceSpec()
@@ -537,13 +539,19 @@ class TestTraceSpecSurface:
 
     def test_record_rejected_in_single_mode(self):
         from repro.api import ScenarioSpec, run
+        from repro.api.facade import _cached_plans
 
+        before = _cached_plans.cache_info()
         with pytest.raises(ValueError, match="single"):
             run(ScenarioSpec(mode="single"), record="/tmp/nope.jsonl")
+        # Rejected before the population is even looked up: a cold
+        # ``repro-run single.json --record x`` fails without compiling.
+        after = _cached_plans.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_scenario_with_trace_serde_roundtrip(self):
         from repro.api import ScenarioSpec, TraceSpec
-        from repro.workloads.tracegen import TraceGenSpec
+        from repro.serving import TraceGenSpec
 
         spec = ScenarioSpec(
             trace=TraceSpec(generate=TraceGenSpec(queries=10), limit=5),
@@ -552,7 +560,7 @@ class TestTraceSpecSurface:
 
     def test_trace_spec_limit_truncates(self, tmp_path):
         from repro.api import TraceSpec
-        from repro.workloads.tracegen import TraceGenSpec
+        from repro.serving import TraceGenSpec
 
         spec = TraceSpec(generate=TraceGenSpec(queries=10), limit=4)
         trace = spec.resolve(plan_count=2)

@@ -12,13 +12,10 @@ import dataclasses
 
 import pytest
 
-from repro.serving import ArrivalSpec, WorkloadDriver, WorkloadSpec
+from repro.serving import ArrivalSpec, TraceGenSpec, WorkloadSpec
+from repro.serving.driver import WorkloadDriver
 from repro.sim import MachineConfig
-from repro.workloads.tracegen import (
-    TraceGenSpec,
-    generate_trace,
-    session_rate_at,
-)
+from repro.workloads.tracegen import generate_trace, session_rate_at
 
 
 def small_spec(**overrides):
