@@ -26,7 +26,6 @@ import time
 from contextlib import redirect_stdout
 from dataclasses import replace
 from functools import partial
-from importlib import import_module
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -41,6 +40,7 @@ from repro.engine import QueryExecutor  # noqa: E402
 from repro.experiments import placement  # noqa: E402
 from repro.experiments.config import (ExperimentOptions,  # noqa: E402
                                       scaled_execution_params)
+from repro.experiments.runner import run_experiment  # noqa: E402
 from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec  # noqa: E402
 from repro.sim.machine import MachineConfig  # noqa: E402
 from repro.workloads import scenarios as named  # noqa: E402
@@ -51,44 +51,43 @@ LEDGER = REPO / "benchmarks" / "ledger"
 QUICK = ExperimentOptions.quick()
 TINY = ExperimentOptions(plans=2, workload_queries=2)
 SMALL = dict(nodes=2, processors_per_node=2)
-#: experiment id -> (module, a shape small enough for tier-1).
+#: experiment id -> a shape small enough for tier-1.
 TIER1 = {
-    "workload": ("workload_sweep", dict(SMALL, mpl_levels=(1, 2),
-                                        skew_levels=(0.8,), queries_per_cell=4)),
-    "classes": ("service_class_sweep", dict(
-        SMALL, mpl_levels=(2,), queries_per_cell=4, base_tuples=700,
-        io_sweep=False, net_sweep=False)),
-    "elastic": ("elastic", dict(processors_per_node=2)),
-    "overload": ("overload", dict(multipliers=(2.0,), queries_per_cell=6)),
+    "workload": dict(SMALL, mpl_levels=(1, 2), skew_levels=(0.8,),
+                     queries_per_cell=4),
+    "classes": dict(SMALL, mpl_levels=(2,), queries_per_cell=4,
+                    base_tuples=700, io_sweep=False, net_sweep=False),
+    "elastic": dict(processors_per_node=2),
+    "overload": dict(multipliers=(2.0,), queries_per_cell=6),
     # The shape where no two placement policies tie (tests/test_placement.py).
-    "placement": ("placement", dict(regimes=(placement.REGIMES[2],),
-                                    queries_per_cell=12)),
-    "fig6": ("figure6", dict(processor_counts=(4,))),
-    "fig7": ("figure7", dict(processor_counts=(4,), error_rates=(0.0, 0.2),
-                             distortions_per_plan=2)),
-    "fig8": ("figure8", dict(processor_counts=(1, 4))),
-    "fig9": ("figure9", dict(skew_factors=(0.0, 0.8), processors=8)),
-    "fig10": ("figure10", dict(configs=((2, 2), (2, 4)))),
-    "sec53": ("section53", dict(base_tuples=500)),
+    "placement": dict(regimes=(placement.REGIMES[2],), queries_per_cell=12),
+    "fig6": dict(processor_counts=(4,)),
+    "fig7": dict(processor_counts=(4,), error_rates=(0.0, 0.2),
+                 distortions_per_plan=2),
+    "fig8": dict(processor_counts=(1, 4)),
+    "fig9": dict(skew_factors=(0.0, 0.8), processors=8),
+    "fig10": dict(configs=((2, 2), (2, 4))),
+    "sec53": dict(base_tuples=500),
 }
+#: identity row -> the experiment whose quick-shape table it pins.
+TABLES = {"figure6": "fig6", "figure9": "fig9", "figure10": "fig10",
+          "section53": "sec53"}
 
 
 def sha16(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def experiment(module: str, digest=False, processes=None, **shape) -> str:
+def experiment(name: str, digest=False, processes=None, **shape) -> str:
     """A quick-shape experiment's table, or its determinism digest."""
-    result = import_module(f"repro.experiments.{module}").run(
-        QUICK, processes=processes, **shape)
+    result = run_experiment(name, QUICK, processes, **shape)
     return result.digest() if digest else result.table()
 
 
-def tier1(module: str, shape: dict, processes=None) -> str:
+def tier1(name: str, shape: dict, processes=None) -> str:
     """The whole result, hashed (what tier-1 compared with ``==``), then
     the table a re-baseline is reviewed by."""
-    result = import_module(f"repro.experiments.{module}").run(
-        TINY, processes=processes, **shape)
+    result = run_experiment(name, TINY, processes, **shape)
     return f"sha256: {sha16(repr(result))}\n{result.table()}"
 
 
@@ -192,8 +191,8 @@ def identity_rows() -> list:
     """Every claim, in baseline order."""
     workloads = json.loads((LEDGER / "workloads/manifest.json").read_text())
     return [
-        *(Row(name, partial(experiment, name), True)
-          for name in ("figure6", "figure9", "figure10", "section53")),
+        *(Row(row, partial(experiment, name), True)
+          for row, name in TABLES.items()),
         Row("scenarios", scenarios),
         Row("elastic", partial(experiment, "elastic", True), True),
         Row("placement", partial(  # one regime, three policies
@@ -207,8 +206,8 @@ def identity_rows() -> list:
         *(Row(f"ledger {workload} {seed}", partial(ledger, workload, seed))
           for seed in (1996, 2815)  # the ledger's default and held-out seeds
           for workload in workloads),
-        *(Row(f"tier1 {name}", partial(tier1, module, shape), True)
-          for name, (module, shape) in TIER1.items()),
+        *(Row(f"tier1 {name}", partial(tier1, name, shape), True)
+          for name, shape in TIER1.items()),
     ]
 
 

@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..api.facade import RunResult
+from ..api.facade import run as run_scenario
 from ..api.spec import ScenarioSpec
-from ..api.sweep import run_scenarios
 from ..cluster.spec import AutoscalerSpec, ClusterSpec
 from ..serving.spec import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from ..sim.machine import MachineConfig
@@ -41,8 +40,7 @@ from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment
 from .reporting import SweepResult, pivot_table
 
-__all__ = ["run", "ElasticResult", "ElasticRow", "elastic_scenarios",
-           "collect"]
+__all__ = ["ElasticResult", "ElasticRow", "elastic_scenarios", "measure"]
 
 PAPER_EXPECTATION = (
     "The autoscaled cluster tracks the big static cluster's tail latency "
@@ -82,6 +80,10 @@ class ElasticResult(SweepResult):
     """One row per cluster regime, over the identical bursty workload."""
 
     queries: int
+
+    @classmethod
+    def assemble(cls, options, cells, rows) -> "ElasticResult":
+        return cls(rows=tuple(rows), queries=cells[0].workload.queries)
 
     def table(self) -> str:
         return pivot_table(
@@ -173,8 +175,9 @@ def elastic_scenarios(options: ExperimentOptions,
     )
 
 
-def collect(result: RunResult) -> ElasticRow:
-    """Reduce one regime's run to its row (runs in the worker)."""
+def measure(cell: ScenarioSpec) -> ElasticRow:
+    """Run one regime and reduce it to its row (runs in the worker)."""
+    result = run_scenario(cell)
     scenario = result.scenario
     metrics = result.metrics
     cluster = metrics.cluster_summary()
@@ -192,21 +195,11 @@ def collect(result: RunResult) -> ElasticRow:
     )
 
 
-@register_experiment(
+register_experiment(
     "elastic",
     "Elastic cluster: autoscaled membership vs. static provisioning "
     "under a flash crowd",
+    cells=elastic_scenarios, measure=measure,
+    assemble=ElasticResult.assemble,
     expectation=PAPER_EXPECTATION,
 )
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, **shape) -> ElasticResult:
-    """Run the three regimes and price elasticity explicitly.
-
-    ``shape`` is :func:`elastic_scenarios`'s keywords; ``processes``
-    fans the independent regimes across worker processes.
-    """
-    options = options or ExperimentOptions()
-    cells = elastic_scenarios(options, **shape)
-    rows = run_scenarios(cells, processes=processes, collect=collect)
-    return ElasticResult(rows=tuple(rows),
-                         queries=cells[0].workload.queries)

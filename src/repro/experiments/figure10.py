@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import statistics
 from operator import attrgetter
-from typing import Optional
 
 from ..sim.machine import MachineConfig
 from .config import FIGURE10_CONFIGS, ExperimentOptions
-from .methodology import FigureResult, measure_points, single_point
+from .methodology import FigureResult, measure, single_point
 from .registry import register_experiment
 from .reporting import pivot_table
 
-__all__ = ["Figure10Result", "run", "points", "PAPER_EXPECTATION"]
+__all__ = ["Figure10Result", "points", "PAPER_EXPECTATION"]
 
 SKEW_FACTOR = 0.6
 
@@ -105,11 +104,7 @@ def points(options: ExperimentOptions,
     )
 
 
-@register_experiment("fig10", "Figure 10: DP vs FP, hierarchical",
-                     expectation=PAPER_EXPECTATION)
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, **shape) -> Figure10Result:
-    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
-    options = options or ExperimentOptions()
-    return Figure10Result(
-        rows=measure_points(points(options, **shape), processes))
+register_experiment("fig10", "Figure 10: DP vs FP, hierarchical",
+                    cells=points, measure=measure,
+                    assemble=Figure10Result.assemble,
+                    expectation=PAPER_EXPECTATION)

@@ -10,15 +10,13 @@ number of processors decreases (discretization errors).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions
-from .methodology import FigureResult, measure_points, single_point
+from .methodology import FigureResult, measure, single_point
 from .registry import register_experiment
 from .reporting import pivot_table
 
-__all__ = ["Figure6Result", "run", "points", "PAPER_EXPECTATION"]
+__all__ = ["Figure6Result", "points", "PAPER_EXPECTATION"]
 
 #: processor counts on the figure's x-axis.
 PROCESSOR_COUNTS = (8, 16, 32, 64)
@@ -62,11 +60,7 @@ def points(options: ExperimentOptions,
     )
 
 
-@register_experiment("fig6", "Figure 6: SP/DP/FP relative performance",
-                     expectation=PAPER_EXPECTATION)
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, **shape) -> Figure6Result:
-    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
-    options = options or ExperimentOptions()
-    return Figure6Result(
-        rows=measure_points(points(options, **shape), processes))
+register_experiment("fig6", "Figure 6: SP/DP/FP relative performance",
+                    cells=points, measure=measure,
+                    assemble=Figure6Result.assemble,
+                    expectation=PAPER_EXPECTATION)

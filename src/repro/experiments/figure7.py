@@ -16,16 +16,14 @@ the degradation is steadier and proportionally smaller.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions
-from .methodology import (Distortion, FigureResult, measure_points,
-                          single_point)
+from .methodology import Distortion, FigureResult, measure, single_point
 from .registry import register_experiment
 from .reporting import pivot_table
 
-__all__ = ["Figure7Result", "run", "points", "PAPER_EXPECTATION"]
+__all__ = ["Figure7Result", "points", "PAPER_EXPECTATION"]
 
 #: cost-model error rates on the x-axis (fractions).
 ERROR_RATES = (0.0, 0.05, 0.10, 0.20, 0.30)
@@ -70,23 +68,20 @@ def points(options: ExperimentOptions,
     for procs in processor_counts:
         machine = MachineConfig(nodes=1, processors_per_node=procs)
         built.append(single_point(options, machine, "SP", plans=plans))
+        # Error rate zero is the undistorted FP point (a zero-rate draw
+        # runs the plan unchanged): fig6's FP point, one key, measured once.
         built.extend(
             single_point(options, machine, "FP", plans=plans,
                          distortion=Distortion(
-                             rate=rate,
-                             draws=distortions_per_plan if rate > 0 else 1,
+                             rate=rate, draws=distortions_per_plan,
                              seed=options.seed, stream=f"fig7:{procs}:{rate}",
-                         ))
+                         ) if rate > 0 else None)
             for rate in error_rates
         )
     return tuple(built)
 
 
-@register_experiment("fig7", "Figure 7: FP vs cost-model error",
-                     expectation=PAPER_EXPECTATION)
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, **shape) -> Figure7Result:
-    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
-    options = options or ExperimentOptions()
-    return Figure7Result(
-        rows=measure_points(points(options, **shape), processes))
+register_experiment("fig7", "Figure 7: FP vs cost-model error",
+                    cells=points, measure=measure,
+                    assemble=Figure7Result.assemble,
+                    expectation=PAPER_EXPECTATION)

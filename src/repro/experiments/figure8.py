@@ -12,15 +12,13 @@ per-chain costs and granularity limits); FP always below.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import figure6
 from .config import ExperimentOptions
-from .methodology import FigureResult, measure_points
+from .methodology import FigureResult, measure
 from .registry import register_experiment
 from .reporting import pivot_table
 
-__all__ = ["Figure8Result", "run", "points", "PAPER_EXPECTATION"]
+__all__ = ["Figure8Result", "points", "PAPER_EXPECTATION"]
 
 #: processor counts of the speedup curve (the first is the reference).
 PROCESSOR_COUNTS = (1, 8, 16, 32, 48, 64)
@@ -59,11 +57,7 @@ def points(options: ExperimentOptions,
     return figure6.points(options, processor_counts)
 
 
-@register_experiment("fig8", "Figure 8: speedup",
-                     expectation=PAPER_EXPECTATION)
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, **shape) -> Figure8Result:
-    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
-    options = options or ExperimentOptions()
-    return Figure8Result(
-        rows=measure_points(points(options, **shape), processes))
+register_experiment("fig8", "Figure 8: speedup",
+                    cells=points, measure=measure,
+                    assemble=Figure8Result.assemble,
+                    expectation=PAPER_EXPECTATION)

@@ -13,15 +13,13 @@ buffering.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions
-from .methodology import FigureResult, measure_points, single_point
+from .methodology import FigureResult, measure, single_point
 from .registry import register_experiment
 from .reporting import pivot_table
 
-__all__ = ["Figure9Result", "run", "points", "PAPER_EXPECTATION"]
+__all__ = ["Figure9Result", "points", "PAPER_EXPECTATION"]
 
 #: Zipf skew factors on the x-axis (the first is the reference).
 SKEW_FACTORS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -57,11 +55,7 @@ def points(options: ExperimentOptions,
                  for theta in skew_factors)
 
 
-@register_experiment("fig9", "Figure 9: DP vs redistribution skew",
-                     expectation=PAPER_EXPECTATION)
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, **shape) -> Figure9Result:
-    """Measure the figure; ``shape`` is :func:`points`'s keywords."""
-    options = options or ExperimentOptions()
-    return Figure9Result(
-        rows=measure_points(points(options, **shape), processes))
+register_experiment("fig9", "Figure 9: DP vs redistribution skew",
+                    cells=points, measure=measure,
+                    assemble=Figure9Result.assemble,
+                    expectation=PAPER_EXPECTATION)

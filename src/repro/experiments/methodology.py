@@ -14,8 +14,8 @@ A graph point is data: :func:`single_point` builds it as a
 ``mode="single"`` :class:`~repro.api.spec.ScenarioSpec` (machine, scaled
 engine parameters, strategy, plan population).  :func:`measure` is the
 one place a point is measured — every plan of the population runs alone
-and is reduced to a :class:`PlanRun` inside the worker —
-:func:`measure_points` fans points over worker processes,
+and is reduced to a :class:`PlanRun` inside the worker (every figure
+registers it as its ``measure``),
 :meth:`FigureResult.reference` finds the point an experiment names as
 its reference and :meth:`Point.relative_to` applies the formula
 (:func:`relative_performance`) between the two.
@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..api.facade import build_plans, run_query
 from ..api.spec import PlanSpec, ScenarioSpec
-from ..api.sweep import parallel_map
 from ..catalog.skew import SkewSpec
 from ..serving.spec import WorkloadSpec
 from ..sim.machine import MachineConfig
@@ -38,7 +37,7 @@ from .config import ExperimentOptions, scaled_execution_params
 from .reporting import SweepResult
 
 __all__ = ["Distortion", "FigureResult", "PlanRun", "Point", "measure",
-           "measure_points", "relative_performance", "single_point"]
+           "relative_performance", "single_point"]
 
 
 def relative_performance(measured: Sequence[float],
@@ -173,10 +172,3 @@ def measure(point: tuple) -> Point:
         error_rate=distortion.rate if distortion is not None else 0.0,
         runs=tuple(runs),
     )
-
-
-def measure_points(points: Iterable[tuple],
-                   processes: Optional[int] = None) -> tuple[Point, ...]:
-    """Measure independent points, optionally fanned across processes
-    (see :func:`~repro.api.sweep.parallel_map`)."""
-    return tuple(parallel_map(measure, points, processes=processes))

@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..api.facade import RunResult
+from ..api.facade import run as run_scenario
 from ..api.spec import ScenarioSpec
-from ..api.sweep import run_scenarios
 from ..serving.arrivals import sample_arrival_times
 from ..serving.spec import (AdmissionPolicy, ArrivalSpec, RetryPolicySpec,
                             ServiceClass, WorkloadSpec)
@@ -49,8 +48,8 @@ from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment
 from .reporting import SweepResult, pivot_table
 
-__all__ = ["run", "OverloadResult", "OverloadRow", "overload_scenarios",
-           "collect", "LOAD_MULTIPLIERS"]
+__all__ = ["OverloadResult", "OverloadRow", "overload_scenarios", "measure",
+           "LOAD_MULTIPLIERS"]
 
 PAPER_EXPECTATION = (
     "Bounded retries with jittered backoff plus preemptive memory "
@@ -100,6 +99,12 @@ class OverloadResult(SweepResult):
     queries: int
     slo: float
 
+    @classmethod
+    def assemble(cls, options, cells, rows) -> "OverloadResult":
+        workload = cells[0].workload
+        return cls(rows=tuple(rows), queries=workload.queries,
+                   slo=workload.classes[0][0].latency_slo)
+
     def table(self) -> str:
         return pivot_table(
             self.rows, ("regime", "multiplier"),
@@ -119,19 +124,6 @@ class OverloadResult(SweepResult):
 
     def peak_goodput(self, regime: str) -> float:
         return max(row.goodput for row in self.select(regime=regime))
-
-    def degradation_summary(self) -> str:
-        """The acceptance line: 2x goodput as a fraction of each peak."""
-        lines = []
-        for regime in ("graceful", "naive"):
-            peak = self.peak_goodput(regime)
-            at2x = self.cell(regime=regime, multiplier=2.0).goodput
-            frac = at2x / peak if peak else 0.0
-            lines.append(
-                f"{regime}: peak {peak:.2f} q/s, 2.0x {at2x:.2f} q/s "
-                f"({100 * frac:.0f}% of peak)"
-            )
-        return "\n".join(lines)
 
 
 def overload_scenarios(options: ExperimentOptions,
@@ -220,12 +212,13 @@ def _client_latencies(workload, metrics) -> dict:
     return latencies
 
 
-def collect(result: RunResult) -> OverloadRow:
-    """Reduce one cell's run to its row (runs in the worker).
+def measure(cell: ScenarioSpec) -> OverloadRow:
+    """Run one cell and reduce it to its row (runs in the worker).
 
     Regime and multiplier come back off the cell's label, the SLO off
     its interactive class — the cell is the whole configuration.
     """
+    result = run_scenario(cell)
     scenario = result.scenario
     _prefix, regime, load = scenario.label.split("-")
     slo = scenario.workload.classes[0][0].latency_slo
@@ -249,24 +242,11 @@ def collect(result: RunResult) -> OverloadRow:
     )
 
 
-@register_experiment(
+register_experiment(
     "overload",
     "Graceful degradation under deep overload: bounded retry/backoff + "
     "preemptive memory management vs. a naive retry storm",
+    cells=overload_scenarios, measure=measure,
+    assemble=OverloadResult.assemble,
     expectation=PAPER_EXPECTATION,
 )
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, **shape) -> OverloadResult:
-    """Sweep offered load through deep overload under both regimes.
-
-    ``shape`` is :func:`overload_scenarios`'s keywords; ``processes``
-    fans the independent cells across worker processes.
-    """
-    options = options or ExperimentOptions()
-    cells = overload_scenarios(options, **shape)
-    rows = run_scenarios(cells, processes=processes, collect=collect)
-    return OverloadResult(
-        rows=tuple(rows),
-        queries=cells[0].workload.queries,
-        slo=cells[0].workload.classes[0][0].latency_slo,
-    )

@@ -38,21 +38,21 @@ side dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..api.facade import RunResult
+from ..api.facade import run as run_scenario
 from ..api.spec import PlanSpec, ScenarioSpec
-from ..api.sweep import SweepSpec, run_scenarios
+from ..api.sweep import SweepSpec
 from ..catalog.skew import SkewSpec
 from ..placement import PlacementSpec
 from ..serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions, scaled_execution_params
-from .registry import register_experiment
+from .registry import register_experiment, sweep_cells
 from .reporting import SweepResult, pivot_table
 
-__all__ = ["PlacementSweepResult", "Regime", "run", "sweep_specs",
-           "collect", "PAPER_EXPECTATION",
+__all__ = ["PlacementSweepResult", "Regime", "sweep_specs",
+           "measure", "PAPER_EXPECTATION",
            "POLICIES", "REGIMES", "STEAL_MODES"]
 
 #: placement policies on the sweep's x-axis (``paper`` = optimizer homes
@@ -230,8 +230,10 @@ def sweep_specs(options: ExperimentOptions,
     ) for regime in regimes]
 
 
-def collect(result: RunResult) -> PlacementCell:
-    """Reduce one cell's run to its observables (runs in the worker)."""
+def measure(cell: ScenarioSpec) -> PlacementCell:
+    """Run one cell and reduce it to its observables (runs in the
+    worker)."""
+    result = run_scenario(cell)
     scenario = result.scenario
     metrics = result.metrics
     placement = metrics.placement_summary() or {
@@ -251,25 +253,10 @@ def collect(result: RunResult) -> PlacementCell:
     )
 
 
-@register_experiment(
+register_experiment(
     "placement",
     "Placement sweep: policy x steal protocol x regime",
+    cells=sweep_cells(sweep_specs), measure=measure,
+    assemble=PlacementSweepResult.assemble,
     expectation=PAPER_EXPECTATION,
 )
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None,
-        **shape) -> PlacementSweepResult:
-    """Sweep placement policy × steal protocol over the three regimes.
-
-    ``shape`` is :func:`sweep_specs`'s keywords.  Each cell is one
-    closed-loop serving run at the regime's multiprogramming level.
-    ``processes`` fans the independent cells across worker processes
-    (None = sequential, 0 = one per core); the per-cell results are
-    identical either way.
-    """
-    options = options or ExperimentOptions()
-    scenarios = [cell for sweep in sweep_specs(options, **shape)
-                 for cell in sweep.cells()]
-    rows = run_scenarios(scenarios, processes=processes, collect=collect)
-    return PlacementSweepResult(rows=tuple(rows))
-

@@ -1,21 +1,28 @@
-"""Experiment registry: figures and sweeps register themselves as data.
+"""Experiment registry: every experiment is data.
 
-Each experiment module decorates its ``run`` function::
+Each experiment module registers three module-level parts::
 
-    @register_experiment("fig6", "Figure 6: SP/DP/FP relative performance",
-                         expectation=PAPER_EXPECTATION)
-    def run(options=None, ...):
-        ...
+    register_experiment("fig6", "Figure 6: SP/DP/FP relative performance",
+                        cells=points, measure=measure,
+                        assemble=Figure6Result.assemble,
+                        expectation=PAPER_EXPECTATION)
 
-and the runner (:mod:`repro.experiments.runner`) iterates
-:data:`REGISTRY` — no hand-maintained lambda table.  An entry records
-the experiment's id, description and paper expectation.
+* ``cells(options, **shape)`` builds the experiment's picklable cells
+  from :class:`~repro.experiments.config.ExperimentOptions` and shape
+  keywords, in grid order (a figure's graph points, a sweep's
+  scenarios);
+* ``measure(cell) -> row`` measures one cell inside a worker, so it is
+  a module-level function;
+* ``assemble(options, cells, rows) -> result`` builds the result — an
+  object with a ``table()`` method — from the rows, in grid order.
 
-The runner callable takes :class:`~repro.experiments.config.
-ExperimentOptions` and ``processes`` (what ``repro-experiments
---parallel`` passes: the worker count its independent cells fan over)
-and returns either a result object with a ``.table()`` method or a
-plain string table.
+A serving sweep whose cells are its ``SweepSpec`` grids registers
+``cells=sweep_cells(sweep_specs)``.
+
+The runner (:mod:`repro.experiments.runner`) iterates :data:`REGISTRY`:
+it collects the cells of every selected experiment and measures each
+distinct cell once, through one pool.  An entry also records the
+experiment's id, description and paper expectation.
 """
 
 from __future__ import annotations
@@ -23,7 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-__all__ = ["Experiment", "REGISTRY", "register_experiment"]
+from .config import DISK_TABLE, NETWORK_TABLE
+from .reporting import format_table
+
+__all__ = ["Experiment", "REGISTRY", "register_experiment", "sweep_cells"]
 
 
 @dataclass(frozen=True)
@@ -32,13 +42,11 @@ class Experiment:
 
     name: str
     description: str
-    runner: Callable
+    cells: Callable
+    #: None for an experiment with no cells.
+    measure: Optional[Callable]
+    assemble: Callable
     expectation: str = ""
-
-    def table(self, options, processes: Optional[int] = None) -> str:
-        """Run and render."""
-        result = self.runner(options, processes=processes)
-        return result.table() if hasattr(result, "table") else str(result)
 
 
 #: experiment id -> :class:`Experiment`, in registration order (which the
@@ -46,42 +54,52 @@ class Experiment:
 REGISTRY: dict[str, Experiment] = {}
 
 
-def register_experiment(name: str, description: str, *,
-                        expectation: str = "") -> Callable:
-    """Decorator factory: register the decorated ``run`` as ``name``."""
+def register_experiment(name: str, description: str, *, cells: Callable,
+                        measure: Optional[Callable], assemble: Callable,
+                        expectation: str = "") -> None:
+    """Register ``name``'s parts (see module docstring)."""
+    existing = REGISTRY.get(name)
+    if (existing is not None
+            and assemble.__module__ != existing.assemble.__module__):
+        raise ValueError(f"experiment {name!r} registered twice")
+    # The same module re-imported (e.g. importlib.reload) refreshes its
+    # entry in place — dict assignment keeps the presentation order.
+    REGISTRY[name] = Experiment(
+        name=name, description=description, cells=cells, measure=measure,
+        assemble=assemble, expectation=expectation,
+    )
 
-    def decorate(fn: Callable) -> Callable:
-        existing = REGISTRY.get(name)
-        if (existing is not None
-                and fn.__module__ != existing.runner.__module__):
-            raise ValueError(f"experiment {name!r} registered twice")
-        # The same module re-imported (e.g. importlib.reload) refreshes
-        # its entry in place — dict assignment keeps the presentation
-        # order.
-        REGISTRY[name] = Experiment(
-            name=name, description=description, runner=fn,
-            expectation=expectation,
+
+def sweep_cells(build: Callable) -> Callable:
+    """A ``cells`` builder over ``build(options, **shape)``, which returns
+    one :class:`~repro.api.sweep.SweepSpec` or a sequence of them: every
+    grid's cells, flattened in grid order."""
+    def cells(options, **shape) -> tuple:
+        sweeps = build(options, **shape)
+        if hasattr(sweeps, "cells"):
+            sweeps = (sweeps,)
+        return tuple(cell for sweep in sweeps for cell in sweep.cells())
+    return cells
+
+
+class ParameterTables:
+    """The static Section 5.1.1 tables: an experiment with no cells."""
+
+    def table(self) -> str:
+        return (
+            format_table(["Network Parameters", "Values"], NETWORK_TABLE,
+                         title="Section 5.1.1 network parameters")
+            + "\n\n"
+            + format_table(["Disk Parameters", "Values"], DISK_TABLE,
+                           title="Section 5.1.1 disk parameters")
         )
-        return fn
-
-    return decorate
 
 
-@register_experiment(
+register_experiment(
     "params",
     "Section 5.1.1 parameter tables",
+    cells=lambda options: (),
+    measure=None,
+    assemble=lambda options, cells, rows: ParameterTables(),
     expectation="Reproduced verbatim as defaults.",
 )
-def _params_experiment(options: Optional[object] = None,
-                       processes: Optional[int] = None) -> str:
-    """The static parameter tables (no simulation, nothing to fan out)."""
-    from .config import DISK_TABLE, NETWORK_TABLE
-    from .reporting import format_table
-
-    return (
-        format_table(["Network Parameters", "Values"], NETWORK_TABLE,
-                     title="Section 5.1.1 network parameters")
-        + "\n\n"
-        + format_table(["Disk Parameters", "Values"], DISK_TABLE,
-                       title="Section 5.1.1 disk parameters")
-    )

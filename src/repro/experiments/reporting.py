@@ -2,9 +2,10 @@
 
 Every simulating experiment shares one result shape,
 :class:`SweepResult`: flat ``rows`` (one frozen dataclass per
-measurement, reduced inside the worker — by the module's ``collect`` for
-a serving sweep, by :func:`~repro.experiments.methodology.measure` for a
-paper figure) addressed by field value — ``result.cell(regime="mixed",
+measurement, reduced inside the worker by the experiment's registered
+``measure`` — :func:`~repro.experiments.methodology.measure` for a paper
+figure; :meth:`SweepResult.assemble` builds the result from them)
+addressed by field value — ``result.cell(regime="mixed",
 policy="paper", steal=True)`` — and laid out by :func:`pivot_table`.
 """
 
@@ -76,6 +77,12 @@ class SweepResult:
     """What an experiment returns (see module docstring)."""
 
     rows: tuple
+
+    @classmethod
+    def assemble(cls, options, cells, rows) -> "SweepResult":
+        """The result of ``rows``, measured from ``cells`` in grid order
+        (an experiment's registered ``assemble``)."""
+        return cls(rows=tuple(rows))
 
     def select(self, **key) -> tuple:
         return select(self.rows, **key)

@@ -6,25 +6,31 @@ Usage (installed as ``repro-experiments`` via ``pip install -e .``)::
     repro-experiments --only fig6 fig9     # a subset (validated up front)
     repro-experiments --plans 12           # fewer plans per point (faster)
     repro-experiments --quick              # smallest meaningful setting
-    repro-experiments --parallel 0         # cells fan out, one per core
+    repro-experiments --parallel 0         # one pool, one worker per core
     repro-experiments --output results.md  # where to write the report
 
-Every experiment prints its table to stdout as it completes and the
-combined report records paper-vs-measured for each figure.  The set of
-experiments is the :data:`~repro.experiments.registry.REGISTRY` — each
-experiment module registers its ``run`` with
-:func:`~repro.experiments.registry.register_experiment`; ``--parallel``
-reaches every experiment (the static ``params`` table and the one-run
-``traces`` round trip have nothing to fan out).
+The report is one job set.  The set of experiments is the
+:data:`~repro.experiments.registry.REGISTRY`; :func:`run_all` collects
+the cells of every selected experiment, keys each by its ``measure``
+function and its canonical JSON, measures every distinct key once
+through one :func:`~repro.api.sweep.parallel_map` call (``--parallel``
+sizes that one pool) and hands each experiment its rows in its own grid
+order — so fig8 reads fig6's points instead of re-simulating them.  The
+combined report records paper-vs-measured for each experiment.
+:func:`run_experiment` runs one experiment the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import replace
 from typing import Optional
+
+from ..api.serde import encode
+from ..api.sweep import parallel_map
 
 # Importing the experiment modules populates the registry, in the
 # paper's presentation order ("params" registers with the registry
@@ -35,7 +41,54 @@ from . import (figure6, figure7, figure8, figure9, figure10, section53,  # noqa:
 from .config import ExperimentOptions
 from .registry import REGISTRY as EXPERIMENTS
 
-__all__ = ["main", "run_all", "EXPERIMENTS"]
+__all__ = ["main", "run_all", "run_experiment", "EXPERIMENTS"]
+
+
+def _timed(job: tuple) -> tuple:
+    """Worker: measure one cell, and how long that took."""
+    measure, cell = job
+    started = time.perf_counter()
+    row = measure(cell)
+    return row, time.perf_counter() - started
+
+
+def measure_cells(planned: list, processes: Optional[int] = None) -> list:
+    """Measure ``[(experiment, cells)]`` as one job set.
+
+    Returns, per entry, ``(rows, shared, seconds)``: the rows in the
+    entry's cell order, how many of its cells an earlier cell already
+    named, and the measuring time of the cells it named first.
+    """
+    def key_of(experiment, cell) -> tuple:
+        return experiment.measure, json.dumps(encode(cell), sort_keys=True)
+
+    jobs = {}
+    for experiment, cells in planned:
+        for cell in cells:
+            jobs.setdefault(key_of(experiment, cell), (experiment.measure, cell))
+    measured = dict(zip(jobs, parallel_map(_timed, jobs.values(), processes)))
+    outcomes, seen = [], set()
+    for experiment, cells in planned:
+        keys = [key_of(experiment, cell) for cell in cells]
+        first = [key for key in dict.fromkeys(keys) if key not in seen]
+        seen.update(keys)
+        outcomes.append(([measured[key][0] for key in keys],
+                         len(keys) - len(first),
+                         sum(measured[key][1] for key in first)))
+    return outcomes
+
+
+def run_experiment(name: str, options: Optional[ExperimentOptions] = None,
+                   processes: Optional[int] = None, **shape):
+    """Build, measure and assemble one experiment; ``shape`` is its
+    ``cells`` builder's keywords, ``processes`` the pool size (None =
+    sequential, 0 = one worker per core)."""
+    experiment = EXPERIMENTS[name]
+    options = options or ExperimentOptions()
+    cells = experiment.cells(options, **shape)
+    ((rows, _shared, _seconds),) = measure_cells([(experiment, cells)],
+                                                 processes)
+    return experiment.assemble(options, cells, rows)
 
 
 def run_all(options: Optional[ExperimentOptions] = None,
@@ -43,16 +96,19 @@ def run_all(options: Optional[ExperimentOptions] = None,
             output: Optional[str] = None,
             echo: bool = True,
             processes: Optional[int] = None) -> str:
-    """Run the selected experiments and return the combined report.
+    """Run the selected experiments (each named id once, in first-seen
+    order) and return the combined report.
 
-    ``processes`` is the worker count each experiment fans its
-    independent cells over (None = sequential, 0 = one per core).
+    ``processes`` sizes the one pool every cell of the report fans over
+    (None = sequential, 0 = one worker per core).
     """
     options = options or ExperimentOptions()
-    selected = only or list(EXPERIMENTS)
+    selected = list(dict.fromkeys(only or EXPERIMENTS))
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments {unknown}; known: {list(EXPERIMENTS)}")
+    planned = [(EXPERIMENTS[name], EXPERIMENTS[name].cells(options))
+               for name in selected]
     sections = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -63,15 +119,14 @@ def run_all(options: Optional[ExperimentOptions] = None,
         f"workload queries={options.workload_queries}, seed={options.seed}.",
         "",
     ]
-    for name in selected:
-        experiment = EXPERIMENTS[name]
-        started = time.perf_counter()
-        table = experiment.table(options, processes=processes)
-        elapsed = time.perf_counter() - started
+    for (experiment, cells), (rows, shared, seconds) in zip(
+            planned, measure_cells(planned, processes)):
+        table = experiment.assemble(options, cells, rows).table()
         block = (
-            f"## {name}: {experiment.description}\n\n"
+            f"## {experiment.name}: {experiment.description}\n\n"
             f"**Paper expectation.** {experiment.expectation}\n\n"
-            f"**Measured** (wall {elapsed:.0f}s):\n\n"
+            f"**Measured** ({len(cells)} cells ({shared} shared), "
+            f"cell time {seconds:.0f}s):\n\n"
             f"```\n{table}\n```\n"
         )
         sections.append(block)
@@ -103,7 +158,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smallest meaningful setting (4 plans)")
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="fan each experiment's cells across N "
+                        help="measure the report's cells in one pool of N "
                              "processes (0 = one per core)")
     parser.add_argument("--output", default="EXPERIMENTS.md",
                         help="report path (default EXPERIMENTS.md)")
@@ -115,10 +170,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     options = ExperimentOptions.quick() if args.quick else ExperimentOptions()
-    if args.plans is not None:
-        options = replace(options, plans=args.plans)
-    if args.scale is not None:
-        options = replace(options, scale=args.scale)
+    for flag in ("plans", "scale"):
+        value = getattr(args, flag)
+        if value is not None:
+            try:
+                options = replace(options, **{flag: value})
+            except ValueError as exc:
+                parser.error(f"argument --{flag}: {exc}")
     run_all(options, only=args.only, output=args.output,
             processes=args.parallel)
     print(f"report written to {args.output}")

@@ -25,11 +25,11 @@ from typing import Optional
 from ..api.spec import PlanSpec
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions
-from .methodology import FigureResult, measure_points, single_point
+from .methodology import FigureResult, measure, single_point
 from .registry import register_experiment
 from .reporting import pivot_table
 
-__all__ = ["Section53Result", "run", "points", "PAPER_EXPECTATION"]
+__all__ = ["Section53Result", "points", "PAPER_EXPECTATION"]
 
 SKEW_FACTOR = 0.8
 NODES = 4
@@ -85,12 +85,7 @@ def points(options: ExperimentOptions,
     )
 
 
-@register_experiment("sec53", "Section 5.3: LB transfer volume",
-                     expectation=PAPER_EXPECTATION)
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, **shape) -> Section53Result:
-    """Measure the transfer volumes; ``shape`` is :func:`points`'s
-    keywords."""
-    options = options or ExperimentOptions()
-    return Section53Result(
-        rows=measure_points(points(options, **shape), processes))
+register_experiment("sec53", "Section 5.3: LB transfer volume",
+                    cells=points, measure=measure,
+                    assemble=Section53Result.assemble,
+                    expectation=PAPER_EXPECTATION)

@@ -29,9 +29,8 @@ batch work — while batch throughput stays within 20% of FIFO's: the
 disciplines reorder the same total work, they do not add any.  The same
 ordering holds end to end at the disk arms and the link.
 
-Every cell of the grid is an independent simulation, so
-:func:`~repro.api.sweep.run_scenarios` fans them across cores
-(``processes=`` / ``repro-experiments --parallel``).
+Every cell of the grid is an independent simulation, so the runner
+fans them across cores (``repro-experiments --parallel``).
 """
 
 from __future__ import annotations
@@ -40,19 +39,19 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..api.facade import RunResult
+from ..api.facade import run as run_scenario
 from ..api.spec import PlanSpec, ScenarioSpec
-from ..api.sweep import SweepSpec, run_scenarios
+from ..api.sweep import SweepSpec
 from ..catalog.skew import SkewSpec
 from ..serving import (AdmissionPolicy, ArrivalSpec, BATCH, INTERACTIVE,
                        WorkloadSpec)
 from ..sim.disk import DiskParams
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions, scaled_execution_params
-from .registry import register_experiment
+from .registry import register_experiment, sweep_cells
 from .reporting import SweepResult, distinct, pivot_table, select
 
-__all__ = ["ServiceClassSweepResult", "run", "sweep_specs", "collect",
+__all__ = ["ServiceClassSweepResult", "sweep_specs", "measure",
            "PAPER_EXPECTATION", "DISCIPLINES", "MPL_LEVELS",
            "IO_MPL_LEVELS", "NET_MPL", "NET_BANDWIDTHS", "io_heavy_params"]
 
@@ -138,6 +137,11 @@ _LAYOUT = (
 
 class ServiceClassSweepResult(SweepResult):
     """Every column's per-class rows, told apart by ``ClassCell.column``."""
+
+    @classmethod
+    def assemble(cls, options, cells, rows) -> "ServiceClassSweepResult":
+        """One cell's rows per class, flattened in grid order."""
+        return cls(rows=tuple(row for per_class in rows for row in per_class))
 
     def table(self) -> str:
         """Per table: a line per discipline, a column group per class."""
@@ -265,8 +269,10 @@ def sweep_specs(options: ExperimentOptions,
     return sweeps
 
 
-def collect(result: RunResult) -> list[ClassCell]:
-    """Reduce one cell's run to per-class rows (runs in the worker)."""
+def measure(cell: ScenarioSpec) -> list[ClassCell]:
+    """Run one cell and reduce it to per-class rows (runs in the
+    worker)."""
+    result = run_scenario(cell)
     scenario = result.scenario
     column = scenario.label.removeprefix("classes-")
     params = scenario.params
@@ -297,29 +303,10 @@ def collect(result: RunResult) -> list[ClassCell]:
     return cells
 
 
-@register_experiment(
+register_experiment(
     "classes",
     "Service classes: CPU discipline x MPL (machine-scheduler layer)",
+    cells=sweep_cells(sweep_specs), measure=measure,
+    assemble=ServiceClassSweepResult.assemble,
     expectation=PAPER_EXPECTATION,
 )
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None,
-        **shape) -> ServiceClassSweepResult:
-    """Sweep discipline × MPL for an interactive/batch mix.
-
-    ``shape`` is :func:`sweep_specs`'s keywords: ``io_sweep`` adds the
-    I/O-heavy disk-discipline comparison (same class mix,
-    disk-dominated plan population, CPU pinned to FIFO) and
-    ``net_sweep`` the finite-bandwidth net-discipline × bandwidth
-    column.  ``processes`` fans the independent cells across worker
-    processes (None = sequential, 0 = one per core) — results are
-    identical either way.
-    """
-    options = options or ExperimentOptions()
-    scenarios = [cell for sweep in sweep_specs(options, **shape)
-                 for cell in sweep.cells()]
-    per_scenario = run_scenarios(scenarios, processes=processes,
-                                 collect=collect)
-    return ServiceClassSweepResult(
-        rows=tuple(cell for cells in per_scenario for cell in cells),
-    )

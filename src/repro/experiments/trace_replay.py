@@ -18,7 +18,7 @@ trace as the reproducible artifact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..api.facade import build_plans
@@ -34,7 +34,7 @@ from .config import ExperimentOptions
 from .registry import register_experiment
 from .reporting import format_table
 
-__all__ = ["run", "TraceReplayResult"]
+__all__ = ["TraceReplayResult", "cells", "measure"]
 
 PAPER_EXPECTATION = (
     "Replaying a recorded trace reproduces the run byte-for-byte; "
@@ -48,7 +48,6 @@ class TraceReplayResult:
     """Per-phase workload behaviour plus the round-trip verdict."""
 
     phases: tuple
-    metrics: WorkloadMetrics
     roundtrip_identical: bool
     queries: int
 
@@ -108,33 +107,19 @@ def _phase_rows(trace: Trace, metrics: WorkloadMetrics,
     return tuple(rows)
 
 
-@register_experiment(
-    "traces",
-    "Trace-driven serving: synthetic traffic, record/replay round trip",
-    expectation=PAPER_EXPECTATION,
-)
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None,
-        queries: Optional[int] = None,
-        nodes: int = 2, processors_per_node: int = 4,
-        base_rate: float = 60.0,
-        phases: int = 4,
-        max_multiprogramming: int = 6,
-        queue_timeout: float = 1.5) -> TraceReplayResult:
-    """Generate a trace, run + record it, replay, and report by phase.
-
-    ``processes`` is unused: the replay needs the recording first.
-    """
-    options = options or ExperimentOptions()
+def cells(options: ExperimentOptions,
+          queries: Optional[int] = None,
+          nodes: int = 2, processors_per_node: int = 4,
+          base_rate: float = 60.0,
+          phases: int = 4,
+          max_multiprogramming: int = 6,
+          queue_timeout: float = 1.5) -> tuple:
+    """The experiment's one cell, ``(scenario, gen, phases)``: the
+    machine, plan population and admission policy, the traffic to
+    generate, and how many phases the table slices the run into."""
     if queries is None:
         # Scale with the shared experiment knob so --quick stays cheap.
         queries = max(12, 3 * options.workload_queries)
-
-    machine = MachineConfig(nodes=nodes,
-                            processors_per_node=processors_per_node)
-    plans = list(build_plans(ScenarioSpec(cluster=machine,
-                                          plans=options.plan_mix())))
-
     gen = TraceGenSpec(
         queries=queries, seed=options.seed, base_rate=base_rate,
         diurnal_amplitude=0.6, diurnal_period=queries / base_rate * 2.0,
@@ -142,15 +127,30 @@ def run(options: Optional[ExperimentOptions] = None,
         flash_duration=queries / base_rate / 8.0,
         interactive_slo=2.0,
     )
-    trace = generate_trace(gen, len(plans))
-
-    spec = WorkloadSpec(
+    scenario = ScenarioSpec(
+        cluster=MachineConfig(nodes=nodes,
+                              processors_per_node=processors_per_node),
         # queries/arrival are placeholders — the trace drives arrivals.
-        queries=len(trace.queries), arrival=ArrivalSpec(kind="poisson"),
-        policy=AdmissionPolicy(max_multiprogramming=max_multiprogramming,
-                               queue_timeout=queue_timeout),
-        seed=options.seed,
+        workload=WorkloadSpec(
+            queries=queries, arrival=ArrivalSpec(kind="poisson"),
+            policy=AdmissionPolicy(max_multiprogramming=max_multiprogramming,
+                                   queue_timeout=queue_timeout),
+            seed=options.seed,
+        ),
+        plans=options.plan_mix(),
     )
+    return ((scenario, gen, phases),)
+
+
+def measure(cell: tuple) -> TraceReplayResult:
+    """Generate the trace, run + record it, replay the recording, and
+    report by phase (runs in the worker: the replay needs the recording
+    first, so the round trip is one cell)."""
+    scenario, gen, phases = cell
+    machine = scenario.cluster.machines
+    plans = list(build_plans(scenario))
+    trace = generate_trace(gen, len(plans))
+    spec = replace(scenario.workload, queries=len(trace.queries))
 
     recorder = MemoryLogger()
     first = WorkloadDriver(plans, machine, spec, logger=recorder,
@@ -163,8 +163,15 @@ def run(options: Optional[ExperimentOptions] = None,
     )
     return TraceReplayResult(
         phases=_phase_rows(trace, first.metrics, phases),
-        metrics=first.metrics,
         roundtrip_identical=identical,
         queries=len(trace.queries),
     )
 
+
+register_experiment(
+    "traces",
+    "Trace-driven serving: synthetic traffic, record/replay round trip",
+    cells=cells, measure=measure,
+    assemble=lambda options, cells, rows: rows[0],
+    expectation=PAPER_EXPECTATION,
+)

@@ -10,13 +10,12 @@ latency, mean queueing delay, CPU contention and per-query steal traffic.
 The grid is data, not code: one base
 :class:`~repro.api.spec.ScenarioSpec` (cluster, engine params, workload,
 plan population) plus a :class:`~repro.api.sweep.SweepSpec` with
-``skew`` / ``strategy`` / ``mpl`` axes, run by
-:func:`~repro.api.sweep.run_sweep`.  Queries come from the
+``skew`` / ``strategy`` / ``mpl`` axes; the registered ``cells``
+materializes it.  Queries come from the
 paper's own mixed plan population (``PlanSpec(kind="workload_mix")``,
-the Section 5.1.2 construction: 30–60-minute-band bushy plans), so
-concurrent queries have genuinely different shapes and sizes.  Pass
-``plans=[...]`` to sweep an explicit population instead
-(``pipeline_chain_scenario`` reproduces the old behaviour).
+the Section 5.1.2 construction: 30–60-minute-band bushy plans, limited
+to ``options.plans`` entries), so concurrent queries have genuinely
+different shapes and sizes.
 
 Expected shape: the paper's Section 5.3 single-query ordering (DP over FP
 under skew) survives multiprogramming.  DP's throughput meets or beats
@@ -31,18 +30,18 @@ drivers are where admission queueing appears (see the serving tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..api.facade import RunResult, run as run_scenario
+from ..api.facade import run as run_scenario
 from ..api.spec import ScenarioSpec
-from ..api.sweep import SweepSpec, run_sweep
+from ..api.sweep import SweepSpec
 from ..serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from ..sim.machine import MachineConfig
 from .config import ExperimentOptions, scaled_execution_params
-from .registry import register_experiment
+from .registry import register_experiment, sweep_cells
 from .reporting import SweepResult, pivot_table
 
-__all__ = ["WorkloadSweepResult", "run", "sweep_spec", "collect",
+__all__ = ["WorkloadSweepResult", "sweep_spec", "measure",
            "PAPER_EXPECTATION", "MPL_LEVELS", "SKEW_LEVELS", "STRATEGIES"]
 
 #: multiprogramming levels on the sweep's x-axis.
@@ -135,8 +134,10 @@ def sweep_spec(options: ExperimentOptions,
     )
 
 
-def collect(result: RunResult) -> SweepCell:
-    """Reduce one cell's run to its observables (runs in the worker)."""
+def measure(cell: ScenarioSpec) -> SweepCell:
+    """Run one cell and reduce it to its observables (runs in the
+    worker)."""
+    result = run_scenario(cell)
     scenario = result.scenario
     metrics = result.metrics
     return SweepCell(
@@ -153,31 +154,10 @@ def collect(result: RunResult) -> SweepCell:
     )
 
 
-@register_experiment(
+register_experiment(
     "workload",
     "Workload sweep: MPL x skew x strategy (serving layer)",
+    cells=sweep_cells(sweep_spec),
+    measure=measure, assemble=WorkloadSweepResult.assemble,
     expectation=PAPER_EXPECTATION,
 )
-def run(options: Optional[ExperimentOptions] = None,
-        processes: Optional[int] = None, plans=None,
-        **shape) -> WorkloadSweepResult:
-    """Sweep MPL × skew × strategy over a mixed plan population.
-
-    ``shape`` is :func:`sweep_spec`'s keywords.  ``plans`` defaults to
-    the paper's Section 5.1.2 workload compiled for the sweep's machine,
-    limited to ``options.plans`` entries; each submitted query draws its
-    plan from the population, so every cell mixes query shapes and
-    sizes.  ``processes`` fans the independent cells across worker
-    processes (None = sequential, 0 = one per core); the per-cell
-    results are identical either way.
-    """
-    options = options or ExperimentOptions()
-    sweep = sweep_spec(options, **shape)
-    if plans is not None:
-        # An explicit plan population cannot be shipped to workers (it
-        # may be arbitrary, unpicklable objects): run it in-process.
-        rows = [collect(run_scenario(scenario, plans=list(plans)))
-                for scenario in sweep.cells()]
-    else:
-        rows = run_sweep(sweep, processes=processes, collect=collect)
-    return WorkloadSweepResult(rows=tuple(rows))

@@ -7,9 +7,10 @@ registry drives the runner with validated CLI options.
 """
 
 import dataclasses
-import inspect
 import io
+import json
 import runpy
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -24,55 +25,48 @@ from repro.api import (
     sweep_table,
 )
 from repro.api.cli import main as cli_main
+from repro.api.serde import from_json, to_json
 from repro.catalog.skew import SkewSpec
-from repro.experiments import (elastic, figure6, figure7, figure8, figure9,
-                               figure10, overload, placement, section53,
-                               service_class_sweep, workload_sweep)
+from repro.experiments import placement, service_class_sweep, workload_sweep
 from repro.experiments.config import ExperimentOptions
 from repro.experiments.registry import REGISTRY, register_experiment
-from repro.experiments.runner import EXPERIMENTS, main as runner_main, run_all
+from repro.experiments.runner import (EXPERIMENTS, main as runner_main,
+                                      run_all, run_experiment)
 from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from repro.serving.driver import WorkloadDriver
 from repro.sim.machine import MachineConfig
 
 TINY = ExperimentOptions(plans=2, workload_queries=2)
-#: serving experiment id -> module.  Each one's parallel == sequential
-#: identity is a ``tier1 ID`` row of ``make identity``.
-SERVING_EXPERIMENTS = {
-    "workload": workload_sweep,
-    "classes": service_class_sweep,
-    "elastic": elastic,
-    "overload": overload,
-    "placement": placement,
-}
-#: figure id -> (module, a tier-1 shape, every row's (nodes, processors
-#: per node, strategy, skew, error rate, executions) at TINY's two plans,
-#: the table title).
+#: figure id -> (a tier-1 shape, every row's (nodes, processors per
+#: node, strategy, skew, error rate, executions) at TINY's two plans,
+#: the table title).  Each experiment's parallel == sequential identity
+#: is a ``tier1 ID`` row of ``make identity``.
 FIGURE_EXPERIMENTS = {
-    "fig6": (figure6, dict(processor_counts=(4,)),
+    "fig6": (dict(processor_counts=(4,)),
              [(1, 4, strategy, 0.0, 0.0, 2)
               for strategy in ("SP", "DP", "FP")],
              "Figure 6: relative performance (reference = SP)"),
-    # Two distortion draws per plan, one at error rate zero.
-    "fig7": (figure7, dict(processor_counts=(4,), error_rates=(0.0, 0.2),
-                           distortions_per_plan=2),
+    # Two distortion draws per plan at rate 0.2; rate zero is the
+    # undistorted FP point, one run per plan.
+    "fig7": (dict(processor_counts=(4,), error_rates=(0.0, 0.2),
+                  distortions_per_plan=2),
              [(1, 4, "SP", 0.0, 0.0, 2), (1, 4, "FP", 0.0, 0.0, 2),
               (1, 4, "FP", 0.0, 0.2, 4)],
              "Figure 7: FP degradation vs cost-model error (ref = SP)"),
-    "fig8": (figure8, dict(processor_counts=(1, 4)),
+    "fig8": (dict(processor_counts=(1, 4)),
              [(1, procs, strategy, 0.0, 0.0, 2) for procs in (1, 4)
               for strategy in ("SP", "DP", "FP")],
              "Figure 8: average speedup"),
-    "fig9": (figure9, dict(skew_factors=(0.0, 0.8), processors=8),
+    "fig9": (dict(skew_factors=(0.0, 0.8), processors=8),
              [(1, 8, "DP", 0.0, 0.0, 2), (1, 8, "DP", 0.8, 0.0, 2)],
              "Figure 9: DP degradation vs skew (8 processors, "
              "ref = no skew)"),
-    "fig10": (figure10, dict(configs=((2, 2), (2, 4))),
+    "fig10": (dict(configs=((2, 2), (2, 4))),
               [(2, procs, strategy, 0.6, 0.0, 2) for procs in (2, 4)
                for strategy in ("DP", "FP")],
               "Figure 10: relative performance, skew 0.6 (reference = FP)"),
     # The chain population is one plan.
-    "sec53": (section53, dict(base_tuples=500),
+    "sec53": (dict(base_tuples=500),
               [(4, 8, "DP", 0.8, 0.0, 1), (4, 8, "FP", 0.8, 0.0, 1)],
               "Section 5.3: 5-operator chain, skew 0.8, 4x8"),
 }
@@ -150,9 +144,10 @@ class TestSweepSpec:
 class TestWorkloadSweepEquivalence:
     def test_grid_matches_hand_wired_legacy_cells(self):
         """The SweepSpec grid == what the pre-API wiring produced."""
-        result = workload_sweep.run(
-            TINY, mpl_levels=(1, 2), skew_levels=(0.8,), strategies=("DP",),
-            nodes=2, processors_per_node=2, queries_per_cell=4,
+        result = run_experiment(
+            "workload", TINY, mpl_levels=(1, 2), skew_levels=(0.8,),
+            strategies=("DP",), nodes=2, processors_per_node=2,
+            queries_per_cell=4,
         )
         assert len(result.rows) == 2
         sweep = workload_sweep.sweep_spec(
@@ -174,20 +169,6 @@ class TestWorkloadSweepEquivalence:
             assert cell.strategy == scenario.workload.strategy
             assert cell.skew == scenario.params.skew.redistribution
 
-    def test_explicit_plans_path_equals_declared_population(self):
-        from repro.workloads import pipeline_chain_scenario
-
-        plan, _config = pipeline_chain_scenario(
-            nodes=2, processors_per_node=2, base_tuples=800
-        )
-        explicit = workload_sweep.run(
-            TINY, mpl_levels=(2,), skew_levels=(0.8,), strategies=("DP",),
-            nodes=2, processors_per_node=2, queries_per_cell=4,
-            plans=[plan],
-        )
-        assert len(explicit.rows) == 1
-        assert explicit.rows[0].mpl == 2
-
 
 class TestServiceClassSweepSpecs:
     def test_columns_are_derivable_from_the_specs(self):
@@ -196,7 +177,7 @@ class TestServiceClassSweepSpecs:
             nodes=2, processors_per_node=2, base_tuples=700,
             queries_per_cell=4,
         )
-        # ``collect`` reads a cell's column back off its label.
+        # ``measure`` reads a cell's column back off its label.
         assert [{cell.label for cell in sweep.cells()} for sweep in sweeps] == [
             {"classes-closed"}, {"classes-io"}, {"classes-net"},
         ]
@@ -228,10 +209,13 @@ class TestRegistry:
     def test_presentation_order_params_first(self):
         assert list(EXPERIMENTS)[0] == "params"
 
-    def test_every_registered_runner_accepts_processes(self):
+    def test_every_measure_is_module_level(self):
+        # A cell's measure travels to the pool workers by reference.
         for name, experiment in EXPERIMENTS.items():
-            assert "processes" in inspect.signature(
-                experiment.runner).parameters, name
+            measure = experiment.measure
+            if measure is not None:
+                module = sys.modules[measure.__module__]
+                assert getattr(module, measure.__name__) is measure, name
 
     def test_expectations_registered(self):
         assert "DP" in EXPERIMENTS["workload"].expectation
@@ -239,7 +223,8 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="registered twice"):
-            register_experiment("params", "again")(lambda options: "")
+            register_experiment("params", "again", cells=lambda options: (),
+                                measure=None, assemble=lambda *parts: None)
 
     def test_run_all_rejects_unknown_programmatically(self):
         with pytest.raises(ValueError, match="unknown experiments"):
@@ -263,6 +248,27 @@ class TestRegistry:
                          output=str(tmp_path / "r.md"))
         assert "17 ms" in report
         assert (tmp_path / "r.md").exists()
+
+    def test_runner_cli_runs_each_named_experiment_once(self, tmp_path,
+                                                        capsys):
+        output = tmp_path / "r.md"
+        assert runner_main(["--only", "sec53", "params", "sec53",
+                            "--quick", "--output", str(output)]) == 0
+        report = output.read_text()
+        sections = [line.split(":")[0] for line in report.splitlines()
+                    if line.startswith("## ")]
+        assert sections == ["## sec53", "## params"]
+        assert capsys.readouterr().out.count("## params:") == 1
+
+    @pytest.mark.parametrize("flag", ["--plans", "--scale"])
+    def test_runner_cli_rejects_a_bad_option_by_its_flag(self, flag,
+                                                         tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main([flag, "0", "--only", "params",
+                         "--output", str(tmp_path / "r.md")])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "r.md").exists()
 
 
 class TestScenarioCli:
@@ -323,43 +329,39 @@ class TestQuickstartExample:
         assert {line.split()[-1] for line in lines[1:]} == {"8000"}
 
 
-class TestServingExperimentsShareOneShape:
-    """Builder -> ``run_scenarios`` -> ``collect`` -> rows, five times."""
+class TestEveryExperimentIsData:
+    """``cells`` -> ``measure`` -> ``assemble``, for every experiment."""
 
-    @pytest.mark.parametrize("name", sorted(SERVING_EXPERIMENTS))
-    def test_every_quick_cell_is_expressible_as_json(self, name):
-        cells = _quick_cells(SERVING_EXPERIMENTS[name])
-        assert cells
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_every_quick_cell_round_trips_through_json(self, name):
+        cells = EXPERIMENTS[name].cells(ExperimentOptions.quick())
+        assert bool(cells) == (name != "params")  # params: static tables
         for cell in cells:
-            assert ScenarioSpec.from_json(cell.to_json()) == cell
+            assert _through_json(cell) == cell
+            # A figure's cell is (scenario, distortion), one query alone.
+            assert name not in FIGURE_EXPERIMENTS or cell[0].mode == "single"
 
-    @pytest.mark.parametrize("module", [workload_sweep, service_class_sweep,
-                                        placement])
-    def test_every_quick_sweep_spec_round_trips(self, module):
-        for sweep in _quick_sweeps(module):
+    @pytest.mark.parametrize("build", [
+        lambda options: [workload_sweep.sweep_spec(options)],
+        service_class_sweep.sweep_specs,
+        placement.sweep_specs,
+    ], ids=["workload", "classes", "placement"])
+    def test_every_quick_sweep_spec_round_trips(self, build):
+        # A non-JSON axis value would raise here (see
+        # test_non_scalar_axis_value_not_serializable).
+        sweeps = build(ExperimentOptions.quick())
+        assert sweeps
+        for sweep in sweeps:
             assert SweepSpec.from_json(sweep.to_json()) == sweep
-
-
-class TestPaperFiguresShareTheShape:
-    """Point builder -> ``measure_points`` -> rows, six times."""
 
     @pytest.mark.parametrize("name", sorted(FIGURE_EXPERIMENTS))
     def test_tiny_shape_runs_with_its_row_keys_and_title(self, name):
-        module, small, keys, title = FIGURE_EXPERIMENTS[name]
-        result = module.run(TINY, **small)
+        small, keys, title = FIGURE_EXPERIMENTS[name]
+        result = run_experiment(name, TINY, **small)
         assert [(row.nodes, row.processors, row.strategy, row.skew,
                  row.error_rate, len(row.runs))
                 for row in result.rows] == keys
         assert result.table().splitlines()[0] == title
-
-    @pytest.mark.parametrize("name", sorted(FIGURE_EXPERIMENTS))
-    def test_every_quick_cell_is_expressible_as_json(self, name):
-        module = FIGURE_EXPERIMENTS[name][0]
-        points = module.points(ExperimentOptions.quick())
-        assert points
-        for cell, _distortion in points:
-            assert cell.mode == "single"
-            assert ScenarioSpec.from_json(cell.to_json()) == cell
 
 
 class TestParallelSweepStillIdentical:
@@ -399,19 +401,11 @@ def _throughput_of(result):
     return result.metrics.throughput()
 
 
-def _quick_sweeps(module):
-    """The module's grids at the ``repro-experiments --quick`` shape."""
-    options = ExperimentOptions.quick()
-    if module is workload_sweep:
-        return [module.sweep_spec(options)]
-    return module.sweep_specs(options)
-
-
-def _quick_cells(module):
-    """Every scenario the module runs under ``--quick``."""
-    options = ExperimentOptions.quick()
-    if module is elastic:
-        return module.elastic_scenarios(options)
-    if module is overload:
-        return module.overload_scenarios(options)
-    return [cell for sweep in _quick_sweeps(module) for cell in sweep.cells()]
+def _through_json(value):
+    """``value`` as JSON text and back: a spec through its codec, a
+    tuple part by part."""
+    if isinstance(value, tuple):
+        return tuple(map(_through_json, value))
+    if value is None or isinstance(value, (int, float, str)):
+        return json.loads(json.dumps(value))
+    return from_json(type(value), to_json(value))

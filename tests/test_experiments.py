@@ -18,16 +18,30 @@ from repro.experiments import (
     relative_performance,
     scaled_execution_params,
 )
-from repro.experiments import figure6, figure7, figure9, section53
-from repro.experiments.methodology import PlanRun, Point, measure_points
+from repro.experiments import figure7
+from repro.experiments.methodology import PlanRun, Point, measure
+from repro.experiments.registry import REGISTRY, register_experiment
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.experiments.runner import EXPERIMENTS, run_all, run_experiment
 from repro.sim.machine import MachineConfig
 from repro.sim.rng import derive_seed
 from repro.workloads.plans import WorkloadConfig, build_workload
 
 
 TINY = ExperimentOptions(plans=2, workload_queries=2)
+#: what the stub experiments' measure was called with, in call order.
+MEASURED = []
+
+
+def _stub_measure(cell):
+    """A stub experiment's measure (module-level, like every measure)."""
+    MEASURED.append(cell)
+    return f"row {cell}"
+
+
+class _StubResult(tuple):
+    def table(self) -> str:
+        return " | ".join(self)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +135,7 @@ class TestReporting:
 
 class TestFigureModules:
     def test_figure6_miniature(self):
-        result = figure6.run(TINY, processor_counts=(4,))
+        result = run_experiment("fig6", TINY, processor_counts=(4,))
         assert result.distinct("strategy") == ("SP", "DP", "FP")
         sp = result.cell(processors=4, strategy="SP")
         assert sp.relative_to(sp) == 1.0
@@ -133,7 +147,7 @@ class TestFigureModules:
     def test_a_measured_point_is_the_hand_wired_executor_loop(self):
         """Figure 7's points == the per-plan loop the figure used to
         spell out, distortion stream names included."""
-        sp, fp = measure_points(figure7.points(
+        sp, fp = map(measure, figure7.points(
             TINY, processor_counts=(4,), error_rates=(0.2,),
             distortions_per_plan=2))
         config = MachineConfig(nodes=1, processors_per_node=4)
@@ -154,24 +168,25 @@ class TestFigureModules:
             for index, plan in enumerate(plans) for draw in range(2)]
 
     def test_figure9_miniature(self):
-        result = figure9.run(TINY, skew_factors=(0.0, 0.8), processors=8)
+        result = run_experiment("fig9", TINY, skew_factors=(0.0, 0.8),
+                                processors=8)
         reference = result.cell(skew=0.0)
         assert reference.relative_to(reference) == pytest.approx(1.0)
         assert result.cell(skew=0.8).relative_to(reference) < 1.5
         assert "Figure 9" in result.table()
 
     def test_section53_runs(self):
-        result = section53.run(TINY, base_tuples=500)
+        result = run_experiment("sec53", TINY, base_tuples=500)
         for strategy in ("DP", "FP"):
             (run,) = result.cell(strategy=strategy).runs
             assert run.loadbalance_bytes >= 0
         assert "5-operator chain" in result.table()
 
     def test_overload_miniature(self):
-        from repro.experiments import overload
-
-        result = overload.run(TINY, multipliers=(1.0, 2.0),
-                              queries_per_cell=8)
+        # Five queries: the fewest at which both regimes shed and retry
+        # at 2x, so every assertion below has something to count.
+        result = run_experiment("overload", TINY, multipliers=(1.0, 2.0),
+                                queries_per_cell=5)
         assert {(r.regime, r.multiplier) for r in result.rows} == {
             ("naive", 1.0), ("naive", 2.0),
             ("graceful", 1.0), ("graceful", 2.0),
@@ -186,13 +201,10 @@ class TestFigureModules:
                 assert row.gave_up == 0
                 assert row.completed == result.queries
         assert "Goodput under overload" in result.table()
-        assert "graceful" in result.degradation_summary()
 
     def test_service_class_sweep_miniature(self):
-        from repro.experiments import service_class_sweep
-
-        result = service_class_sweep.run(
-            TINY, mpl_levels=(8,), nodes=2, processors_per_node=2,
+        result = run_experiment(
+            "classes", TINY, mpl_levels=(8,), nodes=2, processors_per_node=2,
             base_tuples=1000, queries_per_cell=12,
         )
         # The acceptance ordering: priority preemption improves the
@@ -232,10 +244,8 @@ class TestServingSweepContracts:
     def test_overload_graceful_degradation(self):
         """Graceful holds >= 80 % of its peak goodput at 2x offered load;
         the naive retry storm collapses below that bar."""
-        from repro.experiments import overload
-
-        result = overload.run(ExperimentOptions.quick(),
-                              multipliers=(1.0, 2.0), queries_per_cell=96)
+        result = run_experiment("overload", ExperimentOptions.quick(),
+                                multipliers=(1.0, 2.0), queries_per_cell=96)
 
         def retention_2x(regime):
             return (result.cell(regime=regime, multiplier=2.0).goodput
@@ -247,10 +257,8 @@ class TestServingSweepContracts:
                 > result.cell(regime="naive", multiplier=2.0).goodput)
 
     def test_workload_sweep_orderings(self):
-        from repro.experiments import workload_sweep
-
-        result = workload_sweep.run(
-            ExperimentOptions.quick(), nodes=2, processors_per_node=4,
+        result = run_experiment(
+            "workload", ExperimentOptions.quick(), nodes=2, processors_per_node=4,
             queries_per_cell=8, mpl_levels=(1, 4, 8), skew_levels=(0.0, 0.8),
         )
         for mpl in (1, 4, 8):
@@ -292,3 +300,23 @@ class TestRunner:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
             run_all(TINY, only=["nope"], echo=False)
+
+    def test_a_cell_two_experiments_share_is_measured_once(self):
+        MEASURED.clear()
+        for name, cells in (("stub-a", ("shared", "a")),
+                            ("stub-b", ("b", "shared"))):
+            register_experiment(
+                name, f"stub {name}", cells=lambda options, cells=cells: cells,
+                measure=_stub_measure,
+                assemble=lambda options, cells, rows: _StubResult(rows))
+        try:
+            report = run_all(TINY, only=["stub-a", "stub-b"], echo=False)
+        finally:
+            for name in ("stub-a", "stub-b"):
+                del REGISTRY[name]
+        assert MEASURED == ["shared", "a", "b"]
+        # Each experiment reads its rows in its own grid order.
+        assert "row shared | row a" in report
+        assert "row b | row shared" in report
+        assert "2 cells (0 shared)" in report
+        assert "2 cells (1 shared)" in report

@@ -34,6 +34,7 @@ from repro.api import ScenarioSpec, SpecError, replace_path, run as run_scenario
 from repro.api.spec import PlanSpec
 from repro.experiments import placement
 from repro.experiments.config import ExperimentOptions
+from repro.experiments.runner import run_experiment
 from repro.optimizer.operator_tree import OpKind
 from repro.placement import SCHEDULERS, PlacementSpec
 from repro.placement.base import ClusterView, place_plan, rewrite_homes
@@ -237,7 +238,8 @@ def io_heavy_rows(request):
     """The placement sweep at the shape of the identity gate's
     ``tier1 placement`` row (4x4, io-heavy, 12 queries), steal on: one
     row per registered policy."""
-    result = placement.run(
+    result = run_experiment(
+        "placement",
         ExperimentOptions(plans=2, workload_queries=2, seed=request.param),
         regimes=(placement.REGIMES[2],), steal_modes=(True,),
         queries_per_cell=12,
