@@ -21,8 +21,10 @@
 #                         each one's top rows with their share of its
 #                         total (TOP=40, SORT=cumulative|tottime), the
 #                         cold imports of set-up + one run by package
-#                         (python -X importtime in a child), then the
-#                         cyclic-garbage census of one more repetition
+#                         (python -X importtime in a child), the
+#                         cyclic-garbage census of one more repetition,
+#                         then the top allocation sites at the traced
+#                         peak of one more (tracemalloc)
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python

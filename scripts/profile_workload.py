@@ -23,21 +23,31 @@ modules.  Import cost grows with the source compiled and the dataclasses
 decorated, so this is the section to read when ``setup_s`` moves and the
 plan build did not.
 
-The report ends with a cyclic-garbage census: one more warm repetition
-under ``gc.disable()`` and ``gc.DEBUG_SAVEALL``, then the object count
-by type of what only the cyclic collector could free.  A finished query
-and a single-query machine are freed by refcount, so anything engine-
-or serving-shaped in it is a leak of teardown, and ``peak_rss_mb``
-then depends on when the collector happens to run.
+Then comes a cyclic-garbage census: one more warm repetition under
+``gc.disable()`` and ``gc.DEBUG_SAVEALL``, then the object count by type
+of what only the cyclic collector could free.  A finished query and a
+single-query machine are freed by refcount, so anything engine- or
+serving-shaped in it is a leak of teardown, and ``peak_rss_mb`` then
+depends on when the collector happens to run.
+
+The report ends with where the peak heap goes: one more warm repetition
+under ``tracemalloc``.  Every 5 000 kernel events (heap pops, counted
+by a wrapper this script installs around ``heapq.heappop`` for that
+repetition) it reads the traced heap, and at each new high it takes a
+snapshot.  It prints the traced peak and the top allocation sites of
+the highest snapshot, by line, with their block counts: the section to
+read when ``peak_rss_mb`` moves.
 """
 
 import argparse
 import cProfile
 import gc
+import heapq
 import os
 import pstats
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -45,6 +55,12 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 WORKLOADS = REPO / "benchmarks" / "ledger" / "workloads"
+
+
+def shown(filename: str) -> Path:
+    """A path in the tree relative to it; any other by its file name."""
+    path = Path(filename)
+    return path.relative_to(REPO) if path.is_relative_to(REPO) else Path(path.name)
 
 
 def load(name: str):
@@ -97,6 +113,61 @@ def census(spec, top: int = 10) -> str:
         f"{'objects':>9}  type",
     ]
     lines += [f"{count:>9}  {kind}" for kind, count in counts.most_common(top)]
+    return "\n".join(lines)
+
+
+#: kernel events between two reads of the traced heap.
+SAMPLE_EVERY = 5_000
+
+
+def peak_heap(spec):
+    """``(traced peak bytes, snapshot at the highest sampled heap)`` of
+    one warm repetition."""
+    import repro
+
+    pop = heapq.heappop
+    countdown, high, snapshot = SAMPLE_EVERY, 0, None
+
+    def sampling_pop(heap):
+        nonlocal countdown, high, snapshot
+        countdown -= 1
+        if not countdown:
+            countdown = SAMPLE_EVERY
+            current = tracemalloc.get_traced_memory()[0]
+            if current > high:
+                high = current
+                snapshot = tracemalloc.take_snapshot()
+        return pop(heap)
+
+    gc.collect()
+    heapq.heappop = sampling_pop  # the kernel binds it when a run starts
+    tracemalloc.start()
+    try:
+        repro.run(spec).to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        heapq.heappop = pop
+    return peak, snapshot
+
+
+def heap_report(peak: int, snapshot, top: int = 10) -> str:
+    """The traced peak, then the snapshot's top sites by size."""
+    mib = 1 << 20
+    stats = snapshot.statistics("lineno")
+    total = sum(stat.size for stat in stats)
+    blocks = sum(stat.count for stat in stats)
+    lines = [
+        f"traced peak {peak / mib:.1f} MiB; highest sample "
+        f"{total / mib:.1f} MiB in {blocks} blocks; top {top} sites",
+        f"{'share':>7} {'MiB':>8} {'blocks':>8}  site",
+    ]
+    for stat in stats[:top]:
+        frame = stat.traceback[0]
+        lines.append(
+            f"{stat.size / total:>7.1%} {stat.size / mib:>8.3f} "
+            f"{stat.count:>8}  {shown(frame.filename)}:{frame.lineno}"
+        )
     return "\n".join(lines)
 
 
@@ -179,14 +250,9 @@ def report(stats: pstats.Stats, top: int, sort: str) -> str:
     ]
     for (filename, line, function), row in rows[:top]:
         seconds = row[column]
-        path = Path(filename)
-        if path.is_relative_to(REPO):
-            path = path.relative_to(REPO)
-        else:
-            path = Path(path.name)
         lines.append(
             f"{seconds / total:>7.1%} {seconds:>9.3f} {row[1]:>9}  "
-            f"{path}:{line}({function})"
+            f"{shown(filename)}:{line}({function})"
         )
     return "\n".join(lines)
 
@@ -213,6 +279,12 @@ def main(argv=None) -> int:
     print(cold_imports(args.workload, args.top))
     print()
     print(census(spec))
+    print()
+    print(
+        f"peak heap: one more warm repetition under tracemalloc, sampled "
+        f"every {SAMPLE_EVERY} kernel events"
+    )
+    print(heap_report(*peak_heap(spec)))
     return 0
 
 

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionMetrics:
     """Mutable counters filled in during one query execution."""
 
@@ -126,7 +126,7 @@ class ExecutionMetrics:
         return min(1.0, self.thread_busy_time / total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """One query execution's outcome.
 
@@ -176,7 +176,7 @@ def percentile(values: list[float], p: float) -> float:
     return ordered[rank - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryCompletion:
     """One query's lifetime inside a multi-query workload run.
 
@@ -239,7 +239,7 @@ class ShedRecord:
       queued, so completing it could no longer help;
     * ``"retries_exhausted"`` — the *final* attempt of a retrying
       client was shed: the client gives up instead of backing off again
-      (see :class:`~repro.serving.driver.RetryPolicySpec`);
+      (see :class:`~repro.serving.spec.RetryPolicySpec`);
     * ``"memory_preempted"`` — its memory reservation could not be met
       even after preemptive spilling of victim queries, so admission
       dropped it rather than let it wait out its deadline.

@@ -26,6 +26,11 @@ from .activation import (TRIGGER_ACTIVATION_BYTES, Activation,
 
 __all__ = ["ActivationQueue", "OperatorQueueSet", "QueueFull"]
 
+#: the storage of every empty queue.  Most of a query's operators x
+#: threads queues never receive work or hold it only briefly, so a queue
+#: owns a deque only while it holds activations.
+_EMPTY: tuple = ()
+
 
 class QueueFull(RuntimeError):
     """Raised on :meth:`ActivationQueue.push` when the queue is at capacity."""
@@ -37,6 +42,10 @@ class ActivationQueue:
     ``end_signaled`` supports operator-end detection: set when a consumer
     empties the queue after the producing operator has terminated; cleared
     if a (stolen or late) activation arrives afterwards.
+
+    ``_items`` is the shared empty tuple while the queue is empty: the
+    first push or seed allocates its deque, and the pop that empties the
+    queue drops it (the rule ``OutputChannel._undelivered`` follows).
     """
 
     __slots__ = (
@@ -50,7 +59,7 @@ class ActivationQueue:
         self.node_id = node_id
         self.thread_index = thread_index
         self.capacity = capacity
-        self._items: deque[Activation] = deque()
+        self._items: deque[Activation] | tuple = _EMPTY
         self.blocked = False
         self.end_signaled = False
         self.total_pushed = 0
@@ -90,7 +99,10 @@ class ActivationQueue:
             raise ValueError(
                 f"activation for op {activation.op_id} pushed to queue of op {self.op_id}"
             )
-        self._items.append(activation)
+        items = self._items
+        if not items:
+            items = self._items = deque()
+        items.append(activation)
         self.total_pushed += 1
         self.bytes_queued += activation.nbytes
         self.end_signaled = False
@@ -99,14 +111,22 @@ class ActivationQueue:
         """Append a run of this operator's trigger activations, bypassing
         the bound: trigger seeding is the initial work assignment, not
         pipeline flow.  Same state as one forced :meth:`push` each."""
-        self._items.extend(triggers)
+        if self._items:
+            self._items.extend(triggers)
+        elif triggers:
+            self._items = deque(triggers)
         self.total_pushed += len(triggers)
         self.bytes_queued += len(triggers) * TRIGGER_ACTIVATION_BYTES
         self.end_signaled = False
 
     def pop(self) -> Activation:
         """Remove and return the oldest activation."""
-        activation = self._items.popleft()
+        items = self._items
+        if not items:
+            raise IndexError(f"pop from empty queue {self.key}")
+        activation = items.popleft()
+        if not items:
+            self._items = _EMPTY
         self.total_popped += 1
         self.bytes_queued -= activation.nbytes
         return activation
@@ -121,12 +141,15 @@ class ActivationQueue:
         Stealing takes the *newest* activations so the provider continues
         with the work it would have reached first anyway.
         """
+        items = self._items
         stolen = []
-        for _ in range(min(count, len(self._items))):
-            activation = self._items.pop()
+        for _ in range(min(count, len(items))):
+            activation = items.pop()
             self.total_popped += 1
             self.bytes_queued -= activation.nbytes
             stolen.append(activation)
+        if not items:
+            self._items = _EMPTY
         stolen.reverse()
         return stolen
 

@@ -75,15 +75,17 @@ def scenario(path, **overrides):
 
 
 #: 50 queries through the serving stack: FIFO with stealing, priority and
-#: fair CPU, shedding with retries, and an elastic run (whose steal offers
-#: land on already finished queries).
+#: fair CPU, shedding with retries (five queries still shed one and retry
+#: it), and an elastic run at half the plan scale (it still joins two
+#: nodes, and its steal offers still land on already finished queries).
 SERVING_RUNS = [
-    ("examples/scenarios/quickstart.json", {"workload.queries": 8}),
+    ("examples/scenarios/quickstart.json", {"workload.queries": 11}),
     ("examples/scenarios/service_classes.json", {"workload.queries": 8}),
     ("examples/scenarios/service_classes.json",
      {"workload.queries": 8, "params.cpu_discipline": "fair"}),
-    ("examples/scenarios/overload_retry.json", {"workload.queries": 8}),
-    ("examples/scenarios/elastic_surge.json", {"workload.queries": 16}),
+    ("examples/scenarios/overload_retry.json", {"workload.queries": 5}),
+    ("examples/scenarios/elastic_surge.json",
+     {"workload.queries": 16, "plans.scale": 0.005}),
 ]
 
 

@@ -1,13 +1,20 @@
 """Unit tests for engine building blocks: activations, queues, routing, tables."""
 
-import pytest
+from collections import deque
 
-from repro.engine import ExecutionParams
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.engine import ExecutionParams, QueryExecutor, Substrate
 from repro.engine.activation import DataActivation, TriggerActivation
+from repro.engine.metrics import (ExecutionMetrics, ExecutionResult,
+                                  QueryCompletion)
 from repro.engine.queues import ActivationQueue, OperatorQueueSet, QueueFull
 from repro.engine.routing import Router, consumer_cells
 from repro.engine.tables import HashTableStore
 from repro.sim import Machine, MachineConfig
+from repro.workloads import pipeline_chain_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +180,81 @@ class TestOperatorQueueSet:
         stolen = qs.steal_from(0, 4)
         assert len(stolen) == 4
         assert qs.non_empty_queues == 0
+
+
+#: one step on a queue set of three queues: (op, queue index, argument).
+#: ``push`` takes a tuple count (negative: forced), ``seed`` a trigger
+#: count, ``steal`` a batch size.
+QUEUE_STEPS = st.lists(st.tuples(
+    st.sampled_from(["push", "seed", "pop", "steal"]), st.integers(0, 2),
+    st.integers(-5, 5)), max_size=60)
+
+
+@given(QUEUE_STEPS)
+def test_a_queue_owns_a_deque_exactly_while_it_holds_work(steps):
+    """The queue set against plain deques: every step keeps the same
+    contents, bounds, byte counts and non-empty count, and a queue's
+    storage is allocated exactly while it holds activations."""
+    capacity = 3
+    qs = OperatorQueueSet(5, 0, thread_count=3, capacity=capacity)
+    model = [deque() for _ in qs.queues]
+    for op, index, arg in steps:
+        ref = model[index]
+        if op == "push":
+            activation = _data(tuples=abs(arg) + 1)
+            if len(ref) >= capacity and arg >= 0:
+                with pytest.raises(QueueFull):
+                    qs.push(index, activation)
+            else:
+                qs.push(index, activation, force=arg < 0)
+                ref.append(activation)
+        elif op == "seed" and arg > 0:
+            triggers = [TriggerActivation(op_id=5, disk_id=0, pages=1,
+                                          tuples=1) for _ in range(arg)]
+            qs.seed(index, triggers)
+            ref.extend(triggers)
+        elif op == "pop":
+            if ref:
+                assert qs.pop(index) is ref.popleft()
+            else:
+                with pytest.raises(IndexError):
+                    qs.pop(index)
+        elif op == "steal":
+            stolen = qs.steal_from(index, abs(arg))
+            expected = [ref.pop() for _ in range(min(abs(arg), len(ref)))]
+            assert stolen == expected[::-1]
+        for queue, ref in zip(qs.queues, model):
+            assert isinstance(queue._items, deque) is bool(ref)
+            assert len(queue) == len(ref)
+            assert list(queue) == list(ref)
+            assert queue.peek() is (ref[0] if ref else None)
+            assert queue.is_full is (len(ref) >= capacity)
+            assert queue.bytes_queued == sum(a.nbytes for a in ref)
+        assert qs.non_empty_queues == sum(1 for ref in model if ref)
+    with pytest.raises(ValueError):
+        qs.push(0, _data(op_id=6), force=True)
+
+
+def test_after_launch_only_the_seeded_queues_own_storage():
+    plan, config = pipeline_chain_scenario(nodes=4, processors_per_node=8)
+    context = QueryExecutor(plan, config, strategy="DP").launch(
+        Substrate(config, ExecutionParams()))
+    queues = [queue for node in context.nodes
+              for queue_set in node.queue_sets.values()
+              for queue in queue_set.queues]
+    owners = [queue for queue in queues if isinstance(queue._items, deque)]
+    assert owners == [queue for queue in queues if len(queue)]
+    assert all(activation.is_trigger for queue in owners
+               for activation in queue)
+    assert 0 < len(owners) < len(queues)
+
+
+def test_execution_records_have_no_instance_dict():
+    metrics = ExecutionMetrics()
+    result = ExecutionResult("plan", "DP", "4x8", 1.0, metrics)
+    completion = QueryCompletion(0, "plan", "DP", 0.0, 0.5, 1.5, result)
+    for record in (metrics, result, completion):
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,8 @@ def test_the_experiments_execute_queries_in_one_place():
                  if {"QueryExecutor", "run_query"} & found}
     assert executing == {"methodology.py"}, (
         f"{sorted(executing)} execute queries: a graph point is measured "
-        "by methodology.measure, a serving cell by api.sweep.run_scenarios"
+        "by methodology.measure, a serving cell by its module's measure "
+        "over repro.run"
     )
     compiling = {name for name, found in mentions.items()
                  if "build_workload" in found}
