@@ -6,12 +6,14 @@
 
 ``baselines/identity.txt`` holds one row per claim (``identity_rows``):
 ``== name ==``, then its fields, one a line.  ``--update`` computes every
-row sequentially in this interpreter.  The check computes them in fresh
-interpreters: spawned pool workers, and this process for the experiment
-rows, which run at ``processes=2`` (pool workers are daemonic and cannot
-start pools).  A pass proves run-to-run *and* parallel == sequential
-identity; a failure names each differing row and its first differing
-field.  Stdlib only: the 3.11 baseline must hold on 3.12 and 3.13 too.
+row sequentially in this interpreter and prints each row it moves
+(``MOVED``, then the check's message) before writing.  The check
+computes them in fresh interpreters: spawned pool workers, and this
+process for the experiment rows, which run at ``processes=2`` (pool
+workers are daemonic and cannot start pools).  A pass proves run-to-run
+*and* parallel == sequential identity; a failure names each differing
+row and its first differing field.  Stdlib only: the 3.11 baseline must
+hold on 3.12 and 3.13 too.
 """
 
 import argparse
@@ -268,7 +270,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start, rows = time.perf_counter(), identity_rows()
     if args.update:
-        BASELINE.write_text(render(compute(rows, fresh=False)))
+        fresh = compute(rows, fresh=False)
+        # A declared change names the rows it moves from this list.
+        old = parse(BASELINE.read_text()) if BASELINE.exists() else fresh
+        for problem in compare(old, fresh):
+            print(f"MOVED {problem}")
+        BASELINE.write_text(render(fresh))
         print(f"{len(rows)} rows written to {BASELINE}")
         return 0
     problems = compare(parse(BASELINE.read_text()), compute(rows, fresh=True))

@@ -362,8 +362,8 @@ class WorkloadMetrics:
     #: hash-table bytes spilled by those preemptions (reload doubles the
     #: traffic; this counts the spill direction only).
     spill_bytes: int = 0
-    #: shed queries that re-entered the arrival stream after backoff
-    #: (total resubmissions across all retrying clients).
+    #: submissions with ``attempt > 0``: shed queries that re-entered the
+    #: arrival stream (live retries or replayed ones), counted at submit.
     retries: int = 0
     # -- placement accounting (all empty/zero when the ``paper`` no-op
     # -- policy is selected, in which case ``summary()`` omits the

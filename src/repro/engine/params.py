@@ -15,6 +15,12 @@ because a remote producer cannot observe the consumer queue directly.  The
 paper cites [Graefe93, Pirahesh90] without details; the credit scheme is
 our documented implementation choice (ARCHITECTURE.md, "Choices the
 paper leaves open").
+
+A field stays only with a reason: a paper section, an experiment, example
+or ledger workload that sets it, or an ablation that compares it
+(ARCHITECTURE.md, "Why each `ExecutionParams` field stays"; a tier-1 test
+keeps that table and these fields equal).  Bounds nothing varies are
+named constants in the one module that reads each.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ __all__ = ["ExecutionParams"]
 
 @dataclass(frozen=True)
 class ExecutionParams:
-    """All engine knobs, with the defaults used by the experiments."""
+    """The engine knobs, with the defaults used by the experiments."""
 
     # --- granularity of parallelism (Section 3.1) ------------------------
     batch_size: int = 64
@@ -46,16 +52,6 @@ class ExecutionParams:
     queue_capacity: int = 16
     #: per-(remote producer node, consumer queue) credit window.
     credit_window: int = 4
-    #: a producer operator stalls on this node when any destination has
-    #: this many undeliverable activations pending.
-    pending_stall_limit: int = 2
-
-    # --- suspension ("procedure call" nesting, Section 3.1) ----------------
-    max_suspension_depth: int = 8
-    #: outstanding asynchronous reads one thread keeps per scan (the
-    #: paper's I/O multiplexing: "the use of asynchronous I/O (for
-    #: multiplexing disk accesses with data processing)").
-    io_multiplex_window: int = 4
 
     # --- global load balancing (Sections 3.2 and 4) ------------------------
     enable_global_lb: bool = True
@@ -93,9 +89,6 @@ class ExecutionParams:
     #: their backlog moves onto the idle node (serving layer only; a
     #: single-query run has no co-resident context to steal from).
     cross_query_steal: bool = True
-    #: the broker only intervenes when the most loaded node queues more
-    #: than ``cross_steal_imbalance`` times the starving node's load.
-    cross_steal_imbalance: float = 2.0
     #: which co-resident queries the broker triggers on an imbalance:
     #:
     #: * ``"all"`` (default): every live co-resident query runs its
@@ -136,10 +129,6 @@ class ExecutionParams:
             raise ValueError(f"queue_capacity must be >= 2, got {self.queue_capacity}")
         if self.credit_window < 1:
             raise ValueError(f"credit_window must be >= 1, got {self.credit_window}")
-        if self.pending_stall_limit < 1:
-            raise ValueError(
-                f"pending_stall_limit must be >= 1, got {self.pending_stall_limit}"
-            )
         if not 0.0 < self.steal_fraction <= 1.0:
             raise ValueError(
                 f"steal_fraction must be in (0, 1], got {self.steal_fraction}"
@@ -147,14 +136,6 @@ class ExecutionParams:
         if self.min_steal_activations < 1:
             raise ValueError(
                 f"min_steal_activations must be >= 1, got {self.min_steal_activations}"
-            )
-        if self.max_suspension_depth < 1:
-            raise ValueError(
-                f"max_suspension_depth must be >= 1, got {self.max_suspension_depth}"
-            )
-        if self.io_multiplex_window < 1:
-            raise ValueError(
-                f"io_multiplex_window must be >= 1, got {self.io_multiplex_window}"
             )
         for field_name in ("cpu_discipline", "disk_discipline",
                            "net_discipline"):
@@ -164,11 +145,6 @@ class ExecutionParams:
                     f"unknown {field_name} {value!r}; known: "
                     f"{discipline_names()}"
                 )
-        if self.cross_steal_imbalance < 1.0:
-            raise ValueError(
-                f"cross_steal_imbalance must be >= 1, got "
-                f"{self.cross_steal_imbalance}"
-            )
         if self.cross_steal_policy not in ("all", "best"):
             raise ValueError(
                 f"unknown cross_steal_policy {self.cross_steal_policy!r}; "

@@ -43,6 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Router", "consumer_cells", "OutputChannel", "ResultSink"]
 
+#: a producer stalls on this node once one destination holds this many
+#: undeliverable batches.  The paper's flow control cites [Graefe93,
+#: Pirahesh90] without a bound; 2 is the value every shipped number ran with.
+PENDING_STALL_LIMIT = 2
+
 
 def consumer_cells(home: Sequence[int], threads_per_node: int) -> list[GroupId]:
     """The (node, queue-index) cells of an operator's queues.
@@ -139,9 +144,7 @@ class OutputChannel:
         self.consumer_op_id = consumer_op_id
         self.router = router
         self.tuple_size = tuple_size
-        params = context.params
-        self.batch_size = params.batch_size
-        self.stall_limit = params.pending_stall_limit
+        self.batch_size = context.params.batch_size
         if router is not None:
             n = len(router.cells)
             self._carry = [0.0] * n
@@ -270,7 +273,8 @@ class OutputChannel:
         if pending is None:
             pending = self._undelivered[cell_index] = deque()
         pending.append(activation)
-        if not self._cell_stalled[cell_index] and len(pending) >= self.stall_limit:
+        if (not self._cell_stalled[cell_index]
+                and len(pending) >= PENDING_STALL_LIMIT):
             self._cell_stalled[cell_index] = True
             self._stalled_cells += 1
 
@@ -278,9 +282,9 @@ class OutputChannel:
         """Retry parked deliveries for one cell (space or credit appeared).
 
         A stalled cell clears only when its parked batches fully drain
-        (hysteresis): clearing at ``stall_limit - 1`` would bounce the
-        producer between stalled and runnable on every consumed batch and
-        thrash the node's threads with wakeups.
+        (hysteresis): clearing at ``PENDING_STALL_LIMIT - 1`` would bounce
+        the producer between stalled and runnable on every consumed batch
+        and thrash the node's threads with wakeups.
         """
         pending = self._undelivered[cell_index]
         while pending:

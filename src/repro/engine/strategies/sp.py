@@ -23,7 +23,10 @@ on a multi-node configuration raises :class:`StrategyError`.
 SP takes its hardware the way DP and FP do: ``launch`` starts it on node
 0 of a :class:`~repro.engine.substrate.Substrate` (private when run
 alone, the coordinator's when co-resident), ``collect`` freezes the
-result once the execution's ``finished`` event has fired.
+result once the execution's ``finished`` event has fired.  A lone SP run
+goes through ``QueryExecutor(plan, config, strategy="SP").run()``, the
+one run path, which also raises :class:`ExecutionDeadlock` when the
+simulation drains before the chains finish.
 """
 
 from __future__ import annotations
@@ -96,15 +99,6 @@ class SynchronousPipeliningExecutor:
         self.plan = plan
         self.config = config
         self.params = params or ExecutionParams()
-
-    def run(self) -> ExecutionResult:
-        """Execute all pipeline chains alone, on a private machine."""
-        substrate = Substrate(self.config, self.params)
-        execution = self.launch(substrate)
-        substrate.env.run()
-        result = self.collect(execution)
-        substrate.close()
-        return result
 
     def launch(self, substrate: Substrate, query_id: int = 0,
                service_class=None) -> SPExecution:

@@ -19,7 +19,7 @@ The two defining mechanisms implemented here:
   the Python generator stack, exactly the cheap context save the paper
   describes.  ``ProcessAnotherActivation`` never consumes the same
   operator (avoiding immediate re-blocking) and nesting is bounded by
-  ``max_suspension_depth``.
+  ``MAX_SUSPENSION_DEPTH``.
 
 Every cost component (activation overhead, per-tuple work, output routing,
 async-I/O init) is its own kernel charge — one
@@ -38,6 +38,13 @@ from .opstate import OperatorRuntime
 from .queues import ActivationQueue
 
 __all__ = ["ExecutionThread"]
+
+#: procedure-call nesting bound: Section 3.1 names suspension without a
+#: bound; 8 is the value every shipped figure and ledger number ran with.
+MAX_SUSPENSION_DEPTH = 8
+#: asynchronous reads one thread keeps in flight per scan: Section 4 names
+#: the I/O multiplexing without a window; 4 is the shipped value.
+IO_MULTIPLEX_WINDOW = 4
 
 
 class ExecutionThread:
@@ -260,14 +267,14 @@ class ExecutionThread:
                   depth: int):
         """Asynchronous, multiplexed scan (Section 4's I/O pattern).
 
-        The thread keeps up to ``io_multiplex_window`` reads of this scan
+        The thread keeps up to ``IO_MULTIPLEX_WINDOW`` reads of this scan
         in flight at once — absorbing further trigger activations from the
         scan's queues — and processes completions in *arrival order* (the
         paper's asynchronous I/O "for multiplexing disk accesses with data
         processing").  When nothing of this scan is ready or absorbable,
         it suspends by procedure call into another operator's activation
         (``ProcessAnotherActivation``, never the same operator), bounded
-        by ``max_suspension_depth``.
+        by ``MAX_SUSPENSION_DEPTH``.
 
         Absorbed triggers run their full lifecycle here (queue-access
         overhead, conservation counters, end detection); the caller
@@ -335,7 +342,7 @@ class ExecutionThread:
             # "while (IO_Read(IoRequest) == 0) ProcessAnotherActivation":
             # prefer other operators' activations (the paper's rule) —
             # pipeline work downstream of this very scan, usually.
-            if depth < params.max_suspension_depth:
+            if depth < MAX_SUSPENSION_DEPTH:
                 other = self._select(exclude_op=runtime.op_id)
                 if other is not None:
                     context.metrics.suspensions += 1
@@ -346,7 +353,7 @@ class ExecutionThread:
             # (essential when threads are statically confined to the scan,
             # as under FP).  Prefer triggers on disks without an in-flight
             # read from this thread.
-            if len(inflight) < params.io_multiplex_window:
+            if len(inflight) < IO_MULTIPLEX_WINDOW:
                 busy_disks = {t.disk_id for t, _ in inflight}
                 absorbed = self._select_trigger_of(runtime, busy_disks)
                 if absorbed is not None:

@@ -16,8 +16,7 @@ imported from the module that defines them:
   (Poisson, bursty) arrival schedules;
 * :class:`~repro.serving.admission.AdmissionController` — gates
   admissions on multiprogramming level and live free node memory, plus
-  per-class gates and open-loop overload handling (queue timeouts,
-  deadline shedding);
+  open-loop overload handling (queue timeouts, deadline shedding);
 * :class:`~repro.serving.coordinator.MultiQueryCoordinator` — runs many
   ``ExecutionContext``s in one environment so threads contend for
   processors and the steal protocol balances load under inter-query

@@ -19,13 +19,11 @@ static reservations:
   requester must be able to store the activations and corresponding
   data"), so admission and load balancing see one consistent picture.
 
-Service classes (:class:`~repro.serving.spec.ServiceClass`) layer
-per-class gates on top: a class may cap its own multiprogramming level
-and tighten its memory headroom, and the policy's overload handling
-(``queue_timeout``, ``deadline_shedding``) decides when a *queued* query
-is shed instead of admitted — the open-loop overload behaviour the
-ROADMAP asked for, where previously an overloaded stream just queued
-without bound.
+Every service class (:class:`~repro.serving.spec.ServiceClass`) passes
+the same two gates; a class sets only its admission priority and when
+its *queued* queries are shed instead of admitted (its ``queue_timeout``,
+and its ``latency_slo`` under the policy's ``deadline_shedding``), so an
+overloaded open-loop stream does not queue without bound.
 
 The estimate is deliberately the optimizer's, not the truth: admission
 decisions in real systems are made from cost-model cardinalities, and an
@@ -75,69 +73,47 @@ class AdmissionController:
     def __init__(self, substrate, policy: AdmissionPolicy = AdmissionPolicy()):
         self.substrate = substrate
         self.policy = policy
-        # --- statistics -------------------------------------------------
+        # --- statistics (the coordinator counts) ---------------------------
         self.admitted = 0
         #: queries that waited on a closed gate at least once (counted
-        #: per query by the coordinator, not per gate re-evaluation).
+        #: per query, not per gate re-evaluation).
         self.deferrals = 0
-        #: queries shed by overload handling before starting.
-        self.shed = 0
-        self.admitted_by_class: Dict[str, int] = {}
-        self.deferrals_by_class: Dict[str, int] = {}
-        self.shed_by_class: Dict[str, int] = {}
 
     def blocking_gate(self, plan: ParallelExecutionPlan, live_queries: int,
-                      service_class, class_running: int,
                       mpl: int) -> Optional[str]:
         """The first gate blocking ``plan``, or None if it may start.
 
-        Names the blocker — ``"mpl"``, ``"class_mpl"`` or ``"memory"`` —
-        so the coordinator can intervene differently per gate (only a
+        Names the blocker — ``"mpl"`` or ``"memory"`` — so the
+        coordinator can intervene differently per gate (only a
         memory-blocked query is a preemption candidate; an MPL-blocked
         one just waits).  No statistics side effects.  ``live_queries``
         is the coordinator's running count (it covers SP executions, which
         register no ``ExecutionContext``), ``mpl`` the effective cap (on
-        an elastic cluster, the membership-scaled one); ``service_class``
-        adds the class's own gates (its MPL cap against ``class_running``,
-        its memory-headroom override) unless None.
+        an elastic cluster, the membership-scaled one).
         """
-        substrate = self.substrate
         if live_queries >= mpl:
             return "mpl"
         if live_queries == 0:
             # Progress guarantee: an empty machine always takes the head
             # query, even one whose estimate can never fit.
             return None
-        headroom = self.policy.memory_headroom
-        if service_class is not None:
-            cap = service_class.max_multiprogramming
-            if cap is not None and class_running >= cap:
-                return "class_mpl"
-            if service_class.memory_headroom is not None:
-                headroom = service_class.memory_headroom
-        demand = estimated_node_demand(plan)
-        for node_id, nbytes in demand.items():
-            free = substrate.free_memory(node_id)
-            if nbytes > free * headroom:
-                return "memory"
+        if self.memory_shortfall(plan):
+            return "memory"
         return None
 
-    def memory_shortfall(self, plan: ParallelExecutionPlan,
-                         service_class=None) -> Dict[int, int]:
+    def memory_shortfall(self, plan: ParallelExecutionPlan) -> Dict[int, int]:
         """node id -> bytes by which the plan's demand overshoots the gate.
 
-        The same arithmetic as the memory gate, reported per node — the
-        coordinator's victim selector ranks suspension candidates by
-        their spillable bytes *on these nodes* (freeing memory elsewhere
-        would not unblock the query).  Empty when the gate passes.
+        The memory gate itself, reported per node: a node is short when
+        the plan's estimated demand there exceeds ``memory_headroom`` of
+        its free memory.  The coordinator's victim selector ranks
+        suspension candidates by their spillable bytes *on these nodes*
+        (freeing memory elsewhere would not unblock the query).  Empty
+        when the gate passes.
         """
         headroom = self.policy.memory_headroom
-        if (service_class is not None
-                and service_class.memory_headroom is not None):
-            headroom = service_class.memory_headroom
-        demand = estimated_node_demand(plan)
         shortfall: Dict[int, int] = {}
-        for node_id, nbytes in demand.items():
+        for node_id, nbytes in estimated_node_demand(plan).items():
             allowed = self.substrate.free_memory(node_id) * headroom
             if nbytes > allowed:
                 shortfall[node_id] = int(nbytes - allowed)
@@ -165,21 +141,3 @@ class AdmissionController:
             if deadline is None or slo_expiry <= deadline:
                 deadline, reason = slo_expiry, "deadline"
         return deadline, reason
-
-    # -- statistics ---------------------------------------------------------
-
-    def _bump(self, counters: Dict[str, int], service_class) -> None:
-        name = service_class.name if service_class is not None else "default"
-        counters[name] = counters.get(name, 0) + 1
-
-    def on_admitted(self, service_class=None) -> None:
-        self.admitted += 1
-        self._bump(self.admitted_by_class, service_class)
-
-    def on_deferred(self, service_class=None) -> None:
-        self.deferrals += 1
-        self._bump(self.deferrals_by_class, service_class)
-
-    def on_shed(self, service_class=None) -> None:
-        self.shed += 1
-        self._bump(self.shed_by_class, service_class)

@@ -20,6 +20,11 @@ from .trace import BrokerImbalance
 
 __all__ = ["CrossQueryBroker", "benefit_key"]
 
+#: the broker acts only when the most loaded node queues more than this
+#: many times the starving node's load.  The paper has no cross-query
+#: broker; 2x is the value every shipped serving number ran with.
+CROSS_STEAL_IMBALANCE = 2.0
+
 
 class CrossQueryBroker:
     """Mediates machine-share stealing between co-resident queries.
@@ -27,7 +32,7 @@ class CrossQueryBroker:
     Receiver-initiated, in the taxonomy of the DLB surveys: the trigger
     is spare capacity (an idle thread of *any* query on node ``n``), the
     decision is machine-wide (the most loaded node must queue more than
-    ``cross_steal_imbalance`` times node ``n``'s load, and at least
+    ``CROSS_STEAL_IMBALANCE`` times node ``n``'s load, and at least
     ``min_steal_activations`` so a round can amortize), and the action is
     delegated to each co-resident query's own
     :meth:`~repro.engine.scheduler.NodeScheduler.on_machine_starving` —
@@ -80,7 +85,7 @@ class CrossQueryBroker:
         peak = max(loads)
         if peak < params.min_steal_activations:
             return
-        if peak <= local * params.cross_steal_imbalance:
+        if peak <= local * CROSS_STEAL_IMBALANCE:
             return
         self.notifications += 1
         logger = substrate.logger

@@ -89,10 +89,6 @@ class MultiQueryCoordinator:
         self.running: dict[int, QueryRequest] = {}
         #: the one :class:`ServiceClass` seen under each name this run.
         self._classes: dict[str, ServiceClass] = {}
-        #: live executing queries per service class (the per-class MPL gate).
-        self.running_by_class: dict[str, int] = {}
-        #: highest per-class concurrency observed, per class name.
-        self.peak_running_by_class: dict[str, int] = {}
         #: highest number of simultaneously executing queries observed —
         #: the admission tests assert it never exceeds the policy cap.
         self.peak_running = 0
@@ -176,8 +172,8 @@ class MultiQueryCoordinator:
                     )
         cls = service_class or DEFAULT_CLASS
         if self._classes.setdefault(cls.name, cls) != cls:
-            # Pending order, the class MPL gate and per-class metrics are
-            # keyed by name; head-only expiry needs one deadline rule each.
+            # Pending order and per-class metrics are keyed by name;
+            # head-only expiry needs one deadline rule each.
             raise ValueError(
                 f"service class {cls.name!r} was already submitted as "
                 f"{self._classes[cls.name]!r}; got {cls!r}"
@@ -203,6 +199,8 @@ class MultiQueryCoordinator:
         request.planned_size = self.planning_count
         request.attempt = attempt
         request.final_attempt = final_attempt
+        if attempt:
+            self.metrics.retries += 1
         request.shed_at, request.shed_reason = self.admission.shed_deadline(
             request.arrival_time, cls
         )
@@ -284,7 +282,7 @@ class MultiQueryCoordinator:
                     # The decision of *this* evaluation is the one that
                     # runs: count it exactly once, at admission.
                     self.metrics.record_placement(request.placement)
-                self.admission.on_admitted(request.service_class)
+                self.admission.admitted += 1
                 if self.logger.enabled:
                     self.logger.log(QueryAdmitted(
                         time=self.env.now, query_id=request.query_id,
@@ -316,13 +314,10 @@ class MultiQueryCoordinator:
         )
         preempt_tried = False
         for request in order:
-            cls = request.service_class
             self._resolve_plan(request)
             self._place(request)
             gate = self.admission.blocking_gate(
                 request.plan, live_queries=len(self.running),
-                service_class=cls,
-                class_running=self.running_by_class.get(cls.name, 0),
                 mpl=self.mpl_cap())
             if gate is None:
                 return request
@@ -338,7 +333,7 @@ class MultiQueryCoordinator:
                     continue
             if not request.deferred:
                 request.deferred = True
-                self.admission.on_deferred(cls)
+                self.admission.deferrals += 1
         return None
 
     def _resolve_plan(self, request: QueryRequest) -> None:
@@ -397,7 +392,6 @@ class MultiQueryCoordinator:
             # up, which is the fact worth counting — the mechanical queue
             # reason is the same one every earlier attempt already logged.
             reason = "retries_exhausted"
-        self.admission.on_shed(request.service_class)
         record = ShedRecord(
             query_id=request.query_id,
             service_class=request.service_class.name,
@@ -450,12 +444,6 @@ class MultiQueryCoordinator:
             ))
         self.running[request.query_id] = request
         self.peak_running = max(self.peak_running, len(self.running))
-        name = request.service_class.name
-        live = self.running_by_class.get(name, 0) + 1
-        self.running_by_class[name] = live
-        self.peak_running_by_class[name] = max(
-            self.peak_running_by_class.get(name, 0), live
-        )
         config = self._config_for(request)
         executor = QueryExecutor(
             request.plan, config, strategy=request.strategy,
@@ -525,8 +513,6 @@ class MultiQueryCoordinator:
                 queueing_delay=result.queueing_delay,
             ))
         del self.running[request.query_id]
-        name = request.service_class.name
-        self.running_by_class[name] = self.running_by_class.get(name, 1) - 1
         if not request.done.triggered:
             request.done.succeed(completion)
         self._poke()

@@ -212,9 +212,7 @@ class MemoryPreemptor:
 
     def _start_preemption(self, request) -> bool:
         """Pick and suspend the best victim for ``request``; True if begun."""
-        shortfall = self.admission.memory_shortfall(
-            request.plan, request.service_class
-        )
+        shortfall = self.admission.memory_shortfall(request.plan)
         if not shortfall:
             return False  # raced with a release: the gate will pass now
         selected = select_victim(self.running.values(), request, shortfall)

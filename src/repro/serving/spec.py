@@ -42,9 +42,9 @@ class ServiceClass:
     :class:`~repro.sim.core.ChargeTag` a class's queries stamp on their
     charges (``weight`` under ``"fair"``, ``priority`` under
     ``"priority"`` and in the admission queue), and the admission
-    controller reads the gates (``latency_slo`` with
-    ``AdmissionPolicy.deadline_shedding``, ``max_multiprogramming``,
-    ``memory_headroom``, ``queue_timeout``).  Experiments typically
+    controller reads the shed deadlines (``latency_slo`` with
+    ``AdmissionPolicy.deadline_shedding``, ``queue_timeout``).  Every
+    class shares the policy's MPL and memory gates.  Experiments typically
     ``dataclasses.replace`` the predefined ``INTERACTIVE`` / ``BATCH``
     with scenario-scaled SLOs.
     """
@@ -57,11 +57,6 @@ class ServiceClass:
     priority: int = 0
     #: end-to-end latency SLO in virtual seconds (None: best effort).
     latency_slo: Optional[float] = None
-    #: per-class cap on concurrently executing queries (None: only the
-    #: global admission cap applies).
-    max_multiprogramming: Optional[int] = None
-    #: per-class override of the admission memory headroom fraction.
-    memory_headroom: Optional[float] = None
     #: shed a query still waiting for admission after this long (None:
     #: fall back to the policy-wide timeout, if any).
     queue_timeout: Optional[float] = None
@@ -74,17 +69,6 @@ class ServiceClass:
         if self.latency_slo is not None and self.latency_slo <= 0:
             raise ValueError(
                 f"latency_slo must be positive, got {self.latency_slo}"
-            )
-        if (self.max_multiprogramming is not None
-                and self.max_multiprogramming < 1):
-            raise ValueError(
-                f"max_multiprogramming must be >= 1, got "
-                f"{self.max_multiprogramming}"
-            )
-        if self.memory_headroom is not None \
-                and not 0.0 < self.memory_headroom <= 1.0:
-            raise ValueError(
-                f"memory_headroom must be in (0, 1], got {self.memory_headroom}"
             )
         if self.queue_timeout is not None and self.queue_timeout <= 0:
             raise ValueError(

@@ -268,12 +268,25 @@ def decode_event(payload: dict):
     if cls is None:
         raise ValueError(f"unknown trace event kind {kind!r}")
     if kind == "query_submitted" and data.get("service_class") is not None:
-        data["service_class"] = ServiceClass(**data["service_class"])
+        data["service_class"] = _construct(ServiceClass, data["service_class"])
     if kind == "query_placed":
         # JSON has no tuples; restore the frozen event's exact shape so
         # decode(encode(e)) == e holds for QueryPlaced too.
         data["nodes"] = tuple(data["nodes"])
-    return cls(**data)
+    return _construct(cls, data)
+
+
+def _construct(cls, data: dict):
+    """``cls(**data)``, with an unknown key a ValueError that names it."""
+    try:
+        return cls(**data)
+    except TypeError:
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if not unknown:
+            raise
+        raise ValueError(
+            f"unknown {cls.__name__} field {unknown[0]!r}"
+        ) from None
 
 
 # -- sinks -------------------------------------------------------------------
@@ -318,13 +331,22 @@ def _open_text(path: str, mode: str) -> IO[str]:
 
 
 def read_events(path: str) -> List:
-    """Decode every event of a JSON-lines trace file (gzip by suffix)."""
+    """Decode every event of a JSON-lines trace file (gzip by suffix).
+
+    A line that does not decode — bad JSON, an unknown kind, or a field
+    the event type does not have (a recording from an older release) —
+    is a ValueError naming the file and the line.
+    """
     events: List = []
     with _open_text(str(path), "rt") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(decode_event(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return events
 
 
@@ -402,26 +424,3 @@ class Trace:
     def load(cls, path: str) -> "Trace":
         """Read a trace from a recorded JSON-lines event file."""
         return cls.from_events(read_events(path))
-
-    def save(self, path: str) -> None:
-        """Write this trace as a minimal event file :meth:`load` accepts."""
-        with JsonLinesLogger(str(path)) as logger:
-            for event in self.to_events():
-                logger.log(event)
-
-    def to_events(self) -> List:
-        """The minimal event stream equivalent to this trace."""
-        events: List = [RunStarted(
-            time=0.0, queries=len(self.queries),
-            arrival_kind=self.arrival_kind, strategy=self.strategy,
-            seed=self.seed,
-        )]
-        for q in self.queries:
-            events.append(QuerySubmitted(
-                time=q.arrival_time, query_id=q.query_id,
-                plan_index=q.plan_index, plan_label="",
-                strategy=q.strategy, service_class=q.service_class,
-                params_seed=q.params_seed,
-                attempt=q.attempt, final_attempt=q.final_attempt,
-            ))
-        return events

@@ -47,10 +47,6 @@ class RandomStreams:
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """A child factory whose streams are independent of the parent's."""
-        return RandomStreams(derive_seed(self.master_seed, f"spawn:{name}"))
-
     def names(self) -> Iterator[str]:
         """Names of streams created so far (for diagnostics)."""
         return iter(sorted(self._streams))

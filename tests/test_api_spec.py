@@ -53,10 +53,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 def _rich_scenario() -> ScenarioSpec:
     """A spec exercising non-default values at every nesting level."""
-    interactive = dataclasses.replace(INTERACTIVE, latency_slo=0.25,
-                                      max_multiprogramming=3)
-    batch = dataclasses.replace(BATCH, queue_timeout=0.5,
-                                memory_headroom=0.6)
+    interactive = dataclasses.replace(INTERACTIVE, latency_slo=0.25)
+    batch = dataclasses.replace(BATCH, queue_timeout=0.5)
     params = scaled_execution_params(
         scale=0.02, skew=SkewSpec.uniform_redistribution(0.7), seed=11,
         cpu_discipline="priority", disk_discipline="fair",

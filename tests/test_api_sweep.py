@@ -309,6 +309,25 @@ class TestScenarioCli:
         assert cli_main([str(bad)]) == 2
         assert "2-node cluster" in capsys.readouterr().err
 
+    def test_replaying_an_old_recording_is_a_clean_error(self, tmp_path,
+                                                         capsys):
+        # Recordings made while ServiceClass still had per-class gates
+        # carry their keys: exit 2 naming the file and line, no traceback.
+        old = tmp_path / "old.jsonl"
+        old.write_text(json.dumps({
+            "kind": "query_submitted", "time": 0.0, "query_id": 0,
+            "plan_index": 0, "plan_label": "p", "strategy": "DP",
+            "params_seed": 1, "attempt": 0, "final_attempt": False,
+            "service_class": {"name": "batch", "max_multiprogramming": None},
+        }) + "\n")
+        code = cli_main([str(SCENARIO_DIR / "quickstart.json"),
+                         "--replay", str(old)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{old}:1:" in err
+        assert "'max_multiprogramming'" in err
+        assert "Traceback" not in err
+
     def test_single_query_scenario_with_metrics(self):
         out = io.StringIO()
         with redirect_stdout(out):

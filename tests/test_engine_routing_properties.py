@@ -102,10 +102,12 @@ class TestChannelConservation:
 
 
 class TestFlowControl:
+    """A cell stalls its producer at ``routing.PENDING_STALL_LIMIT`` parked
+    batches (2): every test here runs against that constant."""
+
     def test_stall_on_full_queues(self):
         context = make_context(
-            params=ExecutionParams(queue_capacity=2, pending_stall_limit=2,
-                                   batch_size=8)
+            params=ExecutionParams(queue_capacity=2, batch_size=8)
         )
         channel = build_channel(context)
         assert not channel.stalled
@@ -116,8 +118,7 @@ class TestFlowControl:
 
     def test_unstall_after_draining(self):
         context = make_context(
-            params=ExecutionParams(queue_capacity=2, pending_stall_limit=2,
-                                   batch_size=8)
+            params=ExecutionParams(queue_capacity=2, batch_size=8)
         )
         channel = build_channel(context)
         channel.push_tuples(5000)
@@ -140,8 +141,7 @@ class TestFlowControl:
 
     def test_stalled_op_not_selectable(self):
         context = make_context(
-            params=ExecutionParams(queue_capacity=2, pending_stall_limit=2,
-                                   batch_size=8)
+            params=ExecutionParams(queue_capacity=2, batch_size=8)
         )
         channel = build_channel(context)
         scan_id = context.plan.operators.scans()[0].op_id
@@ -167,8 +167,7 @@ class TestRemoteCredits:
         from repro.engine.scheduler import NodeScheduler
         context = make_context(nodes=2, procs=2,
                                params=ExecutionParams(credit_window=1,
-                                                      batch_size=4,
-                                                      pending_stall_limit=100))
+                                                      batch_size=4))
         for node in context.nodes:
             NodeScheduler(context, node)
         channel = build_channel(context)

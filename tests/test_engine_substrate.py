@@ -13,8 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.engine import (ExecutionParams, QueryExecutor, Substrate,
-                          SynchronousPipeliningExecutor)
+from repro.engine import ExecutionParams, QueryExecutor, Substrate
 from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from repro.serving.driver import WorkloadDriver
 from repro.serving.substrate import SharedSubstrate
@@ -60,13 +59,6 @@ class TestOneProtocol:
             result = by_hand(plan, config, strategy, params, substrate)
             assert dataclasses.asdict(result) == dataclasses.asdict(alone)
             assert substrate.contexts == []
-
-    def test_sp_executor_and_query_executor_agree(self):
-        config = MachineConfig(nodes=1, processors_per_node=4)
-        plan = chain(config)
-        direct = SynchronousPipeliningExecutor(plan, config, FAIR).run()
-        facade = QueryExecutor(plan, config, strategy="SP", params=FAIR).run()
-        assert dataclasses.asdict(direct) == dataclasses.asdict(facade)
 
     def test_a_context_refuses_a_machine_of_another_shape(self):
         config = MachineConfig(nodes=2, processors_per_node=2)

@@ -1,6 +1,9 @@
 """Unit tests for engine building blocks: activations, queues, routing, tables."""
 
+import dataclasses
+import re
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -41,13 +44,23 @@ class TestExecutionParams:
         {"steal_fraction": 0.0},
         {"steal_fraction": 1.5},
         {"min_steal_activations": 0},
-        {"max_suspension_depth": 0},
-        {"pending_stall_limit": 0},
         {"fragmentation_factor": 0},
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExecutionParams(**kwargs)
+
+    def test_every_field_has_a_reason_row_in_architecture(self):
+        # A knob needs a stated reason to exist: ARCHITECTURE's table has
+        # one row per field, no more and no fewer.
+        text = (Path(__file__).resolve().parent.parent
+                / "ARCHITECTURE.md").read_text()
+        section = text.split("## Why each `ExecutionParams` field stays")[1]
+        section = section.split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert len(rows) == len(set(rows)), "a field has two rows"
+        fields = {f.name for f in dataclasses.fields(ExecutionParams)}
+        assert set(rows) == fields
 
 
 # ---------------------------------------------------------------------------

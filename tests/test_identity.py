@@ -2,9 +2,9 @@
 
 The stubs simulate nothing, so these tests pin the gate's own contract
 cheaply: a changed, missing or extra row fails with exit 1 and names the
-row and its first differing field; ``--update`` then a check passes; and
-the check runs a fanning row at ``processes=2``, which is how it proves
-parallel == sequential.
+row and its first differing field; ``--update`` names the rows it moves,
+then a check passes; and the check runs a fanning row at
+``processes=2``, which is how it proves parallel == sequential.
 """
 
 import sys
@@ -73,6 +73,17 @@ class TestGate:
         assert identity.parse(identity.BASELINE.read_text()) == STUB
         assert gate(stub_rows(STUB)) == 0
         assert "identity passed: 2 rows" in capsys.readouterr().out
+
+    def test_update_names_the_rows_it_moves(self, gate, capsys):
+        gate(stub_rows(STUB), "--update")
+        assert "MOVED" not in capsys.readouterr().out
+        moved = {**STUB, "alpha": "a: 1\nb: 3"}
+        assert gate(stub_rows(moved), "--update") == 0
+        out = capsys.readouterr().out
+        assert ("MOVED alpha: field 'b'\n"
+                "  baseline: b: 2\n  fresh:    b: 3") in out
+        assert "beta" not in out
+        assert identity.parse(identity.BASELINE.read_text()) == moved
 
     def test_a_changed_row_exits_1_naming_row_and_field(self, gate, capsys):
         gate(stub_rows(STUB), "--update")

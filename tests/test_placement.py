@@ -294,13 +294,20 @@ class TestPlacementSpecSerde:
         ("workload.placement", "widthh", 3),
         ("workload.placement", "threshold", 4),
         ("params", "stolen_queue_cache", True),
+        ("params", "pending_stall_limit", 2),
+        ("params", "max_suspension_depth", 8),
+        ("params", "io_multiplex_window", 4),
+        ("params", "cross_steal_imbalance", 2.0),
+        ("workload.classes[0][0]", "max_multiprogramming", None),
+        ("workload.classes[0][0]", "memory_headroom", None),
     ))
     def test_unknown_knob_is_dotted_path_spec_error(self, section, knob,
                                                      value):
         data = self._quickstart_dict()
+        data["workload"]["classes"] = [[{"name": "batch"}, 1.0]]
         node = data
-        for key in section.split("."):
-            node = node[key]
+        for key in re.findall(r"\w+", section):
+            node = node[int(key) if key.isdigit() else key]
         node[knob] = value
         with pytest.raises(SpecError, match=re.escape(f"$.{section}")):
             ScenarioSpec.from_dict(data)

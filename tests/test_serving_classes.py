@@ -2,8 +2,8 @@
 
 The serving-side contract of the machine-scheduler layer:
 
-* per-class admission gates (class MPL caps, priority bypass of a
-  blocked lower-priority head-of-line query) hold under load;
+* admission is strict priority across classes: a higher-priority query
+  bypasses lower-priority work queued ahead of it;
 * open-loop overload handling (queue timeouts, deadline shedding)
   resolves every query — completed or shed — instead of queueing without
   bound, and the per-class metrics account for both;
@@ -55,31 +55,14 @@ def join_plan(config, r=600, s=1200, label="classy"):
 # ---------------------------------------------------------------------------
 
 class TestPerClassAdmission:
-    def test_class_mpl_cap_never_exceeded(self):
-        config = MachineConfig(nodes=2, processors_per_node=2)
-        plan = join_plan(config)
-        capped = ServiceClass("capped", max_multiprogramming=2)
-        spec = WorkloadSpec(
-            queries=10,
-            arrival=ArrivalSpec(kind="poisson", rate=2000.0),
-            policy=AdmissionPolicy(max_multiprogramming=8),
-            classes=((capped, 1.0),),
-            seed=3,
-        )
-        driver = WorkloadDriver(plan, config, spec)
-        coordinator = driver.build_coordinator()
-        metrics = coordinator.run()
-        assert metrics.completed == 10
-        assert coordinator.peak_running_by_class["capped"] <= 2
-
     def test_priority_class_bypasses_blocked_lower_priority_head(self):
-        # Batch floods the queue first; an interactive query arriving
-        # later must be admitted ahead of the queued batch work.
+        # Batch floods the queue first and the policy's MPL of 1 blocks
+        # its heads; an interactive query arriving later must be
+        # admitted ahead of the queued batch work.
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = join_plan(config)
-        batch = dataclasses.replace(BATCH, max_multiprogramming=1)
         coordinator = MultiQueryCoordinator(
-            config, policy=AdmissionPolicy(max_multiprogramming=4)
+            config, policy=AdmissionPolicy(max_multiprogramming=1)
         )
         env = coordinator.env
         requests = {}
@@ -87,7 +70,7 @@ class TestPerClassAdmission:
         def submit():
             for i in range(3):
                 requests[f"b{i}"] = coordinator.submit(
-                    plan, service_class=batch, query_id=i
+                    plan, service_class=BATCH, query_id=i
                 )
             yield env.timeout(1e-4)
             requests["i0"] = coordinator.submit(
@@ -229,8 +212,8 @@ class TestOverloadHandling:
         ) == (None, "queue_timeout")
 
     def test_one_name_means_one_class(self):
-        # Pending order, the class MPL gate, every per-class metric and
-        # the head-only expiry check are keyed by class *name*.  A second,
+        # Pending order, every per-class metric and the head-only
+        # expiry check are keyed by class *name*.  A second,
         # different ServiceClass under a seen name used to queue behind a
         # head with a later deadline and rot past its own (shed at 0.0674
         # instead of 0.001 here); submit() now refuses it.

@@ -243,6 +243,10 @@ class TestEventCodec:
         with pytest.raises(ValueError, match="unknown trace event kind"):
             decode_event({"kind": "nope"})
 
+    def test_unknown_field_rejected_by_name(self):
+        with pytest.raises(ValueError, match="unknown RunStarted field 'x'"):
+            decode_event({**encode_event(EVENT_EXAMPLES[0]), "x": 1})
+
     def test_non_event_rejected(self):
         with pytest.raises(TypeError):
             encode_event({"kind": "run_started"})
