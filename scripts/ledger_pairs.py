@@ -14,8 +14,12 @@ the per-pair win count of the change, whether the medians lie further
 apart than the parent's interquartile spread, failed repetitions, and
 whether every run of both sides produced one and the same ``sim_digest``.
 
-Stdlib only; the ledger itself is invoked, never modified.  Compare
-``peak_rss_mb`` only when both sides ran equally many repetitions.
+``peak_rss_mb`` depends on how many repetitions a run fitted into its
+seconds, so it is reported a second time over only the pairs whose two
+runs had equal repetition counts, with how many pairs that kept: read
+that line for a memory claim.
+
+Stdlib only; the ledger itself is invoked, never modified.
 """
 
 import argparse
@@ -46,26 +50,40 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def compare(metric: str, pairs: list) -> list:
+    """The quartiles, ratio, wins and runs of one metric over ``pairs`` of
+    (parent run, change run)."""
+    higher = METRICS[metric]
+    a = [p["metrics"][metric]["value"] for p, _c in pairs]
+    b = [c["metrics"][metric]["value"] for _p, c in pairs]
+    qa, qb = quartiles(a), quartiles(b)
+    wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+    ties = sum(x == y for x, y in zip(a, b))
+    apart = abs(qb[1] - qa[1]) > qa[2] - qa[0]
+    return [
+        f"  {metric:<18} parent {qa[0]:.4g}/{qa[1]:.4g}/{qa[2]:.4g}  "
+        f"change {qb[0]:.4g}/{qb[1]:.4g}/{qb[2]:.4g}  "
+        f"ratio {qb[1] / qa[1]:.3f}  change wins {wins}/{len(a)} "
+        f"(ties {ties})  medians apart > parent IQR: "
+        f"{'yes' if apart else 'no'}",
+        "      parent runs: " + " ".join(f"{v:.4g}" for v in a),
+        "      change runs: " + " ".join(f"{v:.4g}" for v in b),
+    ]
+
+
 def report(workload: str, seed: int, runs: dict) -> str:
     parent, change = runs["parent"], runs["change"]
+    pairs = list(zip(parent, change))
     lines = [f"{workload} seed {seed}: {len(parent)} pairs "
              "(odd pairs parent first), --seconds 12 --trace 0"]
-    for metric, higher in METRICS.items():
-        a = [r["metrics"][metric]["value"] for r in parent]
-        b = [r["metrics"][metric]["value"] for r in change]
-        qa, qb = quartiles(a), quartiles(b)
-        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
-        ties = sum(x == y for x, y in zip(a, b))
-        apart = abs(qb[1] - qa[1]) > qa[2] - qa[0]
-        lines.append(
-            f"  {metric:<18} parent {qa[0]:.4g}/{qa[1]:.4g}/{qa[2]:.4g}  "
-            f"change {qb[0]:.4g}/{qb[1]:.4g}/{qb[2]:.4g}  "
-            f"ratio {qb[1] / qa[1]:.3f}  change wins {wins}/{len(a)} "
-            f"(ties {ties})  medians apart > parent IQR: "
-            f"{'yes' if apart else 'no'}")
-        lines.append("      parent runs: " + " ".join(f"{v:.4g}" for v in a))
-        lines.append("      change runs: " + " ".join(f"{v:.4g}" for v in b))
-    reps = [(r["repetitions"], s["repetitions"]) for r, s in zip(parent, change)]
+    for metric in METRICS:
+        lines += compare(metric, pairs)
+    equal = [(p, c) for p, c in pairs if p["repetitions"] == c["repetitions"]]
+    lines.append(f"  peak_rss_mb over the {len(equal)} of {len(pairs)} pairs "
+                 "whose runs had equal repetitions:")
+    if equal:
+        lines += compare("peak_rss_mb", equal)
+    reps = [(p["repetitions"], c["repetitions"]) for p, c in pairs]
     lines.append("  repetitions parent/change per pair: "
                  + " ".join(f"{x}/{y}" for x, y in reps))
     lines.append(f"  failed repetitions parent/change: "

@@ -17,6 +17,7 @@ tables, idle/wake bookkeeping) and the cross-cutting mechanisms:
 
 from __future__ import annotations
 
+from random import Random
 from typing import TYPE_CHECKING, Optional
 
 from ..optimizer.operator_tree import OpKind
@@ -24,7 +25,7 @@ from ..optimizer.plan import ParallelExecutionPlan
 from ..sim.core import DEFAULT_TAG, Event, Process
 from ..sim.machine import MachineConfig, SMNode
 from ..sim.network import Network
-from ..sim.rng import RandomStreams
+from ..sim.rng import derive_seed
 from .activation import DataActivation, GroupId, TriggerActivation
 from .metrics import ExecutionMetrics
 from .opstate import OperatorRuntime
@@ -237,7 +238,6 @@ class ExecutionContext:
         # behind each other on the one interconnect.
         self.network = Network(self.env, self.params.network,
                                link=substrate.net_link)
-        self.streams = RandomStreams(self.params.seed)
         self.metrics = ExecutionMetrics()
         self.result_sink = ResultSink()
         self.done = False
@@ -300,9 +300,11 @@ class ExecutionContext:
 
     def _permuted(self, n: int, stream: str) -> list[float]:
         """The template's Zipf weights over ``n`` cells, shuffled by the
-        query's stream of that name (each stream is drawn from once)."""
+        query's stream of that name: the ``random.Random`` that
+        ``RandomStreams(seed).stream(stream)`` would build.  Each stream is
+        drawn from once, so none outlives its shuffle."""
         weights = list(self.template.zipf_vector(n))
-        self.streams.stream(stream).shuffle(weights)
+        Random(derive_seed(self.params.seed, stream)).shuffle(weights)
         return weights
 
     def instructions_time(self, instructions: float) -> float:
@@ -335,7 +337,7 @@ class ExecutionContext:
             self.maybe_end(runtime)
         # Instantiation is complete.  The running query must not keep its
         # owner's template — a large plan's trigger chunks — alive while
-        # the queues release the chunks one by one as they are consumed
+        # the queues release each run of chunks as they drain
         # (``single_skew`` peaked 4 MiB higher when it did).
         self.template = None
 

@@ -11,6 +11,10 @@ operator scheduling constraints ("a queue for a blocked operator is also
 blocked, i.e., its activations cannot be consumed but they can still be
 produced").
 
+A queue holds storage only while it holds work.  A queue seeded with a
+run of triggers (Section 4's initial work assignment, read once from
+front to back) keeps the run's tuple and a cursor rather than a copy.
+
 :class:`OperatorQueueSet` aggregates the per-node queues of one operator
 and maintains the non-empty count used by O(1) thread selection and its
 node's entry of the machine-wide load counter.
@@ -19,6 +23,7 @@ node's entry of the machine-wide load counter.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from .activation import (TRIGGER_ACTIVATION_BYTES, Activation,
@@ -28,7 +33,7 @@ __all__ = ["ActivationQueue", "OperatorQueueSet", "QueueFull"]
 
 #: the storage of every empty queue.  Most of a query's operators x
 #: threads queues never receive work or hold it only briefly, so a queue
-#: owns a deque only while it holds activations.
+#: owns storage only while it holds activations.
 _EMPTY: tuple = ()
 
 
@@ -39,19 +44,20 @@ class QueueFull(RuntimeError):
 class ActivationQueue:
     """One bounded FIFO of activations.
 
-    ``end_signaled`` supports operator-end detection: set when a consumer
-    empties the queue after the producing operator has terminated; cleared
-    if a (stolen or late) activation arrives afterwards.
-
-    ``_items`` is the shared empty tuple while the queue is empty: the
-    first push or seed allocates its deque, and the pop that empties the
+    ``_items`` takes one of three forms, and is truthy exactly while the
+    queue holds work.  An empty queue shares one empty tuple.  A queue
+    whose only arrival is one seeded run keeps that run's tuple — the
+    share the template or :func:`~repro.engine.template.queue_shares`
+    built, not a copy — and ``_head`` counts the triggers already popped
+    from its front.  Any other queue owns a deque: the first push
+    allocates it (copying what is left of a seeded run, as a seed onto a
+    non-empty queue or a steal does too), and the pop that empties the
     queue drops it (the rule ``OutputChannel._undelivered`` follows).
     """
 
     __slots__ = (
-        "op_id", "node_id", "thread_index", "capacity", "_items",
-        "blocked", "end_signaled", "total_pushed", "total_popped",
-        "bytes_queued",
+        "op_id", "node_id", "thread_index", "capacity", "_items", "_head",
+        "blocked", "bytes_queued",
     )
 
     def __init__(self, op_id: int, node_id: int, thread_index: int, capacity: int):
@@ -60,16 +66,15 @@ class ActivationQueue:
         self.thread_index = thread_index
         self.capacity = capacity
         self._items: deque[Activation] | tuple = _EMPTY
+        #: triggers popped from the front of a seeded run; 0 otherwise.
+        self._head = 0
         self.blocked = False
-        self.end_signaled = False
-        self.total_pushed = 0
-        self.total_popped = 0
         self.bytes_queued = 0
 
     # -- state ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items) - self._head
 
     @property
     def is_empty(self) -> bool:
@@ -77,12 +82,18 @@ class ActivationQueue:
 
     @property
     def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
+        return len(self._items) - self._head >= self.capacity
 
     @property
     def key(self) -> tuple[int, int, int]:
         """(op, node, thread index) identity."""
         return (self.op_id, self.node_id, self.thread_index)
+
+    def _own_deque(self) -> deque[Activation]:
+        """Move what is left of a seeded run into a deque of the queue's own."""
+        items = self._items = deque(islice(self._items, self._head, None))
+        self._head = 0
+        return items
 
     # -- operations ------------------------------------------------------------
 
@@ -102,38 +113,48 @@ class ActivationQueue:
         items = self._items
         if not items:
             items = self._items = deque()
+        elif items.__class__ is tuple:
+            items = self._own_deque()
         items.append(activation)
-        self.total_pushed += 1
         self.bytes_queued += activation.nbytes
-        self.end_signaled = False
 
     def seed(self, triggers: Sequence[TriggerActivation]) -> None:
         """Append a run of this operator's trigger activations, bypassing
         the bound: trigger seeding is the initial work assignment, not
-        pipeline flow.  Same state as one forced :meth:`push` each."""
-        if self._items:
-            self._items.extend(triggers)
+        pipeline flow.  Same contents as one forced :meth:`push` each; an
+        empty queue keeps the run itself (a tuple is not copied)."""
+        items = self._items
+        if items:
+            if items.__class__ is tuple:
+                items = self._own_deque()
+            items.extend(triggers)
         elif triggers:
-            self._items = deque(triggers)
-        self.total_pushed += len(triggers)
+            self._items = tuple(triggers)
         self.bytes_queued += len(triggers) * TRIGGER_ACTIVATION_BYTES
-        self.end_signaled = False
 
     def pop(self) -> Activation:
         """Remove and return the oldest activation."""
         items = self._items
         if not items:
             raise IndexError(f"pop from empty queue {self.key}")
-        activation = items.popleft()
-        if not items:
-            self._items = _EMPTY
-        self.total_popped += 1
+        if items.__class__ is tuple:
+            head = self._head
+            activation = items[head]
+            head += 1
+            if head == len(items):
+                self._items = _EMPTY
+                head = 0
+            self._head = head
+        else:
+            activation = items.popleft()
+            if not items:
+                self._items = _EMPTY
         self.bytes_queued -= activation.nbytes
         return activation
 
     def peek(self) -> Optional[Activation]:
         """The oldest activation without removing it (None when empty)."""
-        return self._items[0] if self._items else None
+        return self._items[self._head] if self._items else None
 
     def pop_tail_batch(self, count: int) -> list[Activation]:
         """Remove up to ``count`` activations from the tail (for stealing).
@@ -142,10 +163,13 @@ class ActivationQueue:
         with the work it would have reached first anyway.
         """
         items = self._items
+        if not items or count <= 0:
+            return []
+        if items.__class__ is tuple:
+            items = self._own_deque()
         stolen = []
         for _ in range(min(count, len(items))):
             activation = items.pop()
-            self.total_popped += 1
             self.bytes_queued -= activation.nbytes
             stolen.append(activation)
         if not items:
@@ -154,7 +178,7 @@ class ActivationQueue:
         return stolen
 
     def __iter__(self) -> Iterator[Activation]:
-        return iter(self._items)
+        return islice(self._items, self._head, None)
 
 
 class OperatorQueueSet:

@@ -48,6 +48,9 @@ __all__ = ["Router", "consumer_cells", "OutputChannel", "ResultSink"]
 #: Pirahesh90] without a bound; 2 is the value every shipped number ran with.
 PENDING_STALL_LIMIT = 2
 
+#: the stalled-cell set of every channel with no stalled cell.
+_NO_CELLS: frozenset[int] = frozenset()
+
 
 def consumer_cells(home: Sequence[int], threads_per_node: int) -> list[GroupId]:
     """The (node, queue-index) cells of an operator's queues.
@@ -149,16 +152,17 @@ class OutputChannel:
             n = len(router.cells)
             self._carry = [0.0] * n
             self._pending = [0] * n
-            #: per cell, the batches parked for want of space or credit.
-            #: A cell has a deque only while it holds parked batches: a
-            #: drained cell keeps none, so a running query's channels hold
-            #: no empty deques for the many cells that never back up.
-            self._undelivered: list[Optional[deque[DataActivation]]] = (
-                [None] * n)
+            #: cell index -> the batches parked for want of space or
+            #: credit.  A cell has an entry only while it holds parked
+            #: batches, so a running query's channels keep nothing for the
+            #: many cells that never back up.
+            self._undelivered: dict[int, deque[DataActivation]] = {}
             self._remote_credits = list(remote_credits)
             self._cell_index = router.cell_index
-            self._cell_stalled = [False] * n
-        self._stalled_cells = 0
+        #: the cells whose parked batches reached ``PENDING_STALL_LIMIT``
+        #: and have not drained since.  Replaced, never mutated: most
+        #: channels never stall and share the one empty set.
+        self._stalled_cells: frozenset[int] = _NO_CELLS
         self.flushed = False
         # --- statistics ---------------------------------------------------
         self.tuples_in = 0
@@ -174,7 +178,7 @@ class OutputChannel:
         Thread selection skips the producer operator's activations on this
         node while stalled (upstream flow-control propagation).
         """
-        return self._stalled_cells > 0
+        return bool(self._stalled_cells)
 
     # -- producing -----------------------------------------------------------
 
@@ -269,14 +273,13 @@ class OutputChannel:
         return self.context.send_data_activation(self.node_id, activation)
 
     def _park(self, cell_index: int, activation: DataActivation) -> None:
-        pending = self._undelivered[cell_index]
+        pending = self._undelivered.get(cell_index)
         if pending is None:
             pending = self._undelivered[cell_index] = deque()
         pending.append(activation)
-        if (not self._cell_stalled[cell_index]
-                and len(pending) >= PENDING_STALL_LIMIT):
-            self._cell_stalled[cell_index] = True
-            self._stalled_cells += 1
+        if (len(pending) >= PENDING_STALL_LIMIT
+                and cell_index not in self._stalled_cells):
+            self._stalled_cells = self._stalled_cells | {cell_index}
 
     def _drain(self, cell_index: int) -> None:
         """Retry parked deliveries for one cell (space or credit appeared).
@@ -286,7 +289,7 @@ class OutputChannel:
         the producer between stalled and runnable on every consumed batch
         and thrash the node's threads with wakeups.
         """
-        pending = self._undelivered[cell_index]
+        pending = self._undelivered.get(cell_index)
         while pending:
             cell = self.router.cells[cell_index]
             node_id, queue_index = cell
@@ -304,11 +307,10 @@ class OutputChannel:
                 # into the message dispatch latency.
                 self.context.send_data_activation(self.node_id, activation)
         # Drained: the next park makes a new deque.
-        self._undelivered[cell_index] = None
-        if self._cell_stalled[cell_index]:
-            self._cell_stalled[cell_index] = False
-            self._stalled_cells -= 1
-            if self._stalled_cells == 0:
+        self._undelivered.pop(cell_index, None)
+        if cell_index in self._stalled_cells:
+            self._stalled_cells = self._stalled_cells - {cell_index} or _NO_CELLS
+            if not self._stalled_cells:
                 self.context.on_channel_unstalled(self)
 
     def on_local_space(self, queue_index: int) -> None:
@@ -316,7 +318,7 @@ class OutputChannel:
         if self.router is None:
             return
         cell_index = self._cell_index.get((self.node_id, queue_index))
-        if cell_index is not None and self._undelivered[cell_index]:
+        if cell_index in self._undelivered:
             self._drain(cell_index)
 
     def on_credit(self, cell: GroupId, credits: int) -> None:
@@ -327,7 +329,7 @@ class OutputChannel:
         if cell_index is None:
             return
         self._remote_credits[cell_index] += credits
-        if self._undelivered[cell_index]:
+        if cell_index in self._undelivered:
             self._drain(cell_index)
 
     # -- diagnostics -------------------------------------------------------------
@@ -336,4 +338,4 @@ class OutputChannel:
         """Total undeliverable batches currently parked (tests/debug)."""
         if self.router is None:
             return 0
-        return sum(len(d) for d in self._undelivered if d is not None)
+        return sum(len(d) for d in self._undelivered.values())

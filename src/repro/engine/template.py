@@ -21,18 +21,22 @@ once, for one ``shuffle`` of a Zipf weight vector.  So:
   template holds the finished :class:`~repro.engine.routing.Router`\\ s and
   per-queue trigger shares, and a query creates no RNG stream at all;
 * at ``theta > 0`` only the permutation is per query: the context shuffles
-  a copy of the template's unshuffled vector on the same stream, which is
-  what ``zipf_weights(n, theta, rng)`` does, value for value.
+  a copy of the template's unshuffled vector on a ``random.Random`` seeded
+  as ``RandomStreams(seed).stream(name)`` would be, which is what
+  ``zipf_weights(n, theta, rng)`` does, value for value.  Nothing else
+  draws from a stream, so the context drops each one after its shuffle.
 
 **Ownership.**  A template belongs to whoever runs the queries and is
 built lazily, on the first launch that instantiates one (SP reads none):
 the serving coordinator keeps one per (plan, planned node count) for the
 lifetime of the run; a :class:`~repro.engine.executor.QueryExecutor` run
 alone builds a private one per launch and lets go of it once the context
-is instantiated, as the context itself does after seeding — the running
-query's queues then release each trigger chunk as it is consumed.  There
-is deliberately no process-wide store: the trigger chunks of a large plan
-are megabytes, and a template that outlives its use holds all of them.
+is instantiated, as the context itself does after seeding.  A seeded
+queue keeps its share — the template's tuple, or the query's own split at
+``theta > 0`` — plus a cursor, and lets go of the whole run when it
+drains.  There is deliberately no process-wide store: the trigger chunks
+of a large plan are megabytes, and a template that outlives its use holds
+all of them.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from .core import (
     Event,
     FairShareDiscipline,
     FIFODiscipline,
-    Interrupt,
     PriorityPreemptiveDiscipline,
     Process,
     Resource,
@@ -36,7 +35,6 @@ __all__ = [
     "Event",
     "FIFODiscipline",
     "FairShareDiscipline",
-    "Interrupt",
     "PriorityPreemptiveDiscipline",
     "Process",
     "Resource",

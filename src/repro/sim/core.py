@@ -65,7 +65,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "Resource",
     "SimulationError",
     "ChargeTag",
@@ -89,19 +88,6 @@ LOW = 2
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double trigger, running without processes)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The engine does not use interrupts itself; they are available for
-    strategies that need to cancel a waiting thread (e.g. tearing down an
-    execution early in tests).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -208,12 +194,11 @@ class Process(Event):
     ``result = yield child_process``.
     """
 
-    __slots__ = ("generator", "_waiting_on")
+    __slots__ = ("generator",)
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        self._waiting_on: Optional[Event] = None
         # Kick off the process at the current time (deterministically ordered
         # after whatever is currently executing).
         bootstrap = Event(env, name=f"init:{self.name}")
@@ -221,31 +206,7 @@ class Process(Event):
         env._schedule_at(env.now, bootstrap, NORMAL)
         bootstrap.callbacks.append(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            return
-        target = self._waiting_on
-        if target is not None and not target._triggered:
-            # Detach from the event we were waiting on.
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        kicker = Event(self.env, name=f"interrupt:{self.name}")
-        kicker._triggered = True
-        kicker._ok = False
-        kicker._value = Interrupt(cause)
-        self.env._schedule_at(self.env.now, kicker, HIGH)
-        kicker.callbacks.append(self._resume)
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event.ok:
                 target = self.generator.send(event.value)
@@ -254,11 +215,6 @@ class Process(Event):
         except StopIteration as stop:
             if not self._triggered:
                 self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Interrupt escaped the generator: treat as termination.
-            if not self._triggered:
-                self.succeed(None)
             return
         self._wait_on(target)
 
@@ -271,7 +227,6 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; expected an Event, "
                 f"Timeout, Process or None"
             )
-        self._waiting_on = target
         if target._fired:
             # Already fired in a past round: resume immediately.
             immediate = Event(self.env, name=f"resume:{self.name}")
@@ -1159,13 +1114,6 @@ class Resource:
     Slots are managed inside :meth:`use` only; ``users`` counts the held
     slots of the fair and priority disciplines (FIFO keeps per-slot
     busy horizons instead — read :attr:`in_use`, which covers both).
-
-    Limitation: interrupting a process that is waiting for a slot leaks
-    its queue entry — under the fair/priority disciplines the parked
-    process's resume callback migrates between park events and service
-    timeouts, which :meth:`Process.interrupt` cannot detach, and a FIFO
-    charge's slot horizon is already booked.  The engine never
-    interrupts threads in these paths.
     """
 
     __slots__ = ("env", "capacity", "name", "users", "discipline", "_sched",

@@ -136,9 +136,10 @@ class Disk:
                                  discipline=discipline)
         self._busy_until = 0.0
         self._last_stream: object = None
-        #: per sequential stream: when its last request's data (plus the
-        #: cache's read-ahead) became available (FIFO path only).
-        self._stream_ready: dict[object, float] = {}
+        #: when the last request's data (plus the cache's read-ahead)
+        #: became available (FIFO path only).  Only a request continuing
+        #: ``_last_stream`` reads it, so no other stream's is kept.
+        self._last_ready = 0.0
         # --- statistics -------------------------------------------------
         self.requests = 0
         self.pages_read = 0
@@ -207,14 +208,13 @@ class Disk:
         now = self.env.now
         key = (tag or DEFAULT_TAG).key
         transfer = pages * self.params.page_size / self.params.transfer_rate
-        sequential = (stream is not None and stream == self._last_stream
-                      and stream in self._stream_ready)
+        sequential = stream is not None and stream == self._last_stream
         if sequential:
             if prefetchable:
                 # The cache began reading these pages when the previous
                 # request on the stream finished; they are ready at
                 # prev_ready + transfer, possibly already in the past.
-                ready = max(self._stream_ready[stream] + transfer, now)
+                ready = max(self._last_ready + transfer, now)
                 finish = ready
             else:
                 finish = max(now, self._busy_until) + transfer
@@ -226,8 +226,7 @@ class Disk:
             self._record_wait(key, max(0.0, self._busy_until - now))
             self.busy_time += service
         self._last_stream = stream
-        if stream is not None:
-            self._stream_ready[stream] = finish
+        self._last_ready = finish
         self._busy_until = max(self._busy_until, finish)
         self.requests += 1
         self.pages_read += pages

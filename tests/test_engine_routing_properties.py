@@ -135,8 +135,8 @@ class TestFlowControl:
                     drained += activation.tuples
         assert not channel.stalled
         assert channel.parked_activations() == 0
-        # A drained cell keeps no deque (dead channels are cyclic garbage).
-        assert all(parked is None for parked in channel._undelivered)
+        # A drained cell keeps no entry (dead channels are cyclic garbage).
+        assert channel._undelivered == {}
         assert drained == channel.tuples_out
 
     def test_stalled_op_not_selectable(self):
@@ -337,10 +337,13 @@ class TestStealConservation:
         queue_set = fill_probe_queues(context, runtime, 1, [count, 0])
         queue = queue_set.queues[0]
         before = list(queue)
+        bytes_before = queue.bytes_queued
         stolen = queue_set.steal_from(0, steal)
         remaining = list(queue)
         # Conservation: stolen + remaining is exactly the original set,
         # in order, with no activation duplicated or lost.
         assert len(stolen) == min(steal, count)
         assert remaining + stolen == before
-        assert queue.total_popped == len(stolen)
+        assert len(queue) == len(before) - len(stolen)
+        assert queue.bytes_queued == bytes_before - sum(a.nbytes for a in stolen)
+        assert queue.bytes_queued == sum(a.nbytes for a in remaining)

@@ -16,7 +16,9 @@ collector could free.
 import copy
 import dataclasses
 import gc
+import json
 import tracemalloc
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -183,6 +185,51 @@ def test_memory_does_not_depend_on_the_collector():
         tracemalloc.stop()
         gc.enable()
     assert after_twenty - after_two < 1 << 20
+
+
+def tiny_replay(queries):
+    """Replay ``queries`` generated tiny queries on one 1x2 machine; return
+    the run's disks and how many distinct read streams they served."""
+    spec = ScenarioSpec.from_json(json.dumps({
+        "cluster": {"machines": {"nodes": 1, "processors_per_node": 2}},
+        "plans": {"kind": "pipeline_chain", "base_tuples": 16,
+                  "chain_joins": 1},
+        "workload": {"policy": {"max_multiprogramming": 8}},
+        "trace": {"generate": {"queries": queries, "base_rate": 40.0}},
+    }))
+    disks, streams = [], set()
+    init, read = Disk.__init__, Disk.read_async
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        disks.append(self)
+
+    def recording_read(self, pages, stream=None, tag=None):
+        streams.add(stream)
+        return read(self, pages, stream, tag)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Disk, "__init__", recording_init)
+        patch.setattr(Disk, "read_async", recording_read)
+        metrics = repro.run(spec).workload.metrics
+    assert metrics.completed == queries
+    return disks, len(streams)
+
+
+def test_a_disk_keeps_no_state_per_stream_it_served():
+    """A disk lives as long as its machine; what it keeps about the
+    sequential streams it served must not grow with the query count."""
+
+    def entries(disk):
+        return sum(len(value) for value in vars(disk).values()
+                   if isinstance(value, (dict, list, set, deque)))
+
+    few, few_streams = tiny_replay(20)
+    many, many_streams = tiny_replay(60)
+    assert many_streams > few_streams  # every query reads its own streams
+    assert len(few) == len(many) > 0
+    assert all(disk.discipline_name == "fifo" for disk in few + many)
+    assert [entries(disk) for disk in few] == [entries(disk) for disk in many]
 
 
 def test_a_steal_that_lands_after_finish_holds_the_teardown():

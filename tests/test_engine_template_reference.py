@@ -22,6 +22,7 @@ import math
 import random
 import types
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -159,7 +160,7 @@ def assert_matches_reference(context, reference: ReferenceBuild) -> None:
             assert queue_set._queued == sum(len(q) for q in contents)
             assert queue_set._non_empty == sum(1 for q in contents if q)
             for queue in queue_set.queues:
-                assert queue.total_pushed == len(queue)
+                assert queue._head == 0  # nothing consumed before launch
                 assert queue.bytes_queued == sum(a.nbytes for a in queue)
     assert context.metrics.trigger_activations == sum(
         reference.outstanding.values()
@@ -226,19 +227,24 @@ class TestTemplateMatchesReference:
             if template is None:
                 template = ExecutionTemplate(plan, config, params)
             assert template.fits(params)
-            context = QueryExecutor(plan, config, strategy=strategy,
-                                    params=params, template=lambda: template
-                                    ).launch(Substrate(config, params))
+            with recorded_streams() as built:
+                context = QueryExecutor(
+                    plan, config, strategy=strategy, params=params,
+                    template=lambda: template,
+                ).launch(Substrate(config, params))
             reference = reference_build(plan, config, params)
             assert_matches_reference(context, reference)
-            names = list(context.streams.names())
             if theta == 0:
-                assert names == []
+                assert built == []
             else:
-                assert names == list(reference.streams.names())
-                for name in names:
-                    assert (context.streams.stream(name).getstate()
-                            == reference.streams.stream(name).getstate())
+                # One stream per reference name, each left in the state
+                # the reference's draw left it in.
+                names = {derive_seed(seed, name): name
+                         for name in reference.streams.names()}
+                assert sorted(stream.seed_value for stream in built) == sorted(names)
+                for stream in built:
+                    assert (stream.getstate() == reference.streams.stream(
+                        names[stream.seed_value]).getstate())
 
     def test_seeds_permute_differently_under_skew(self):
         """The grid is not vacuous: at theta > 0 the seed reaches the build."""
@@ -304,6 +310,25 @@ class CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
+@contextmanager
+def recorded_streams():
+    """Yield the list of every ``random.Random`` the context module
+    builds inside the block, each a :class:`CountingRandom` that keeps
+    its seed as ``seed_value``.  The context keeps none of them, so this
+    is the only way to look at the streams a launch drew from."""
+    built = []
+
+    class Recorded(CountingRandom):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.seed_value = seed
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(context_module, "Random", Recorded)
+        yield built
+
+
 class CountingStreams(RandomStreams):
     def stream(self, name):
         if name not in self._streams:
@@ -321,31 +346,30 @@ class TestEachStreamIsDrawnFromOnce:
     @pytest.mark.parametrize("strategy", ["DP", "FP"])
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_one_shuffle_per_stream_and_none_after_launch(
-            self, monkeypatch, strategy, theta):
-        monkeypatch.setattr(context_module, "RandomStreams", CountingStreams)
+            self, strategy, theta):
         config = MachineConfig(nodes=2, processors_per_node=3)
         plan = bushy_plan(config)
         executor = QueryExecutor(plan, config, strategy=strategy,
                                  params=params_for(theta, 11))
-        context = executor.launch(Substrate(config, executor.params))
-        streams = context.streams
-        names = list(streams.names())
+        with recorded_streams() as built:
+            context = executor.launch(Substrate(config, executor.params))
+            launched = list(built)
+            after_launch = [stream.getstate() for stream in launched]
+            context.env.run()
+            assert context.done
+        assert built == launched  # execution builds no stream
         routed = [op for op in plan.operators
                   if op.kind is not OpKind.BUILD and op.consumer_id is not None]
         scans = [op for op in plan.operators if op.kind is OpKind.SCAN]
-        assert names == sorted(
-            [f"router:{op.op_id}" for op in routed]
-            + [f"trigger:{op.op_id}:{node_id}" for op in scans
-               for node_id in plan.homes[op.op_id]]
-        )
-        after_launch = {name: streams.stream(name).getstate() for name in names}
-        context.env.run()
-        assert context.done
-        assert list(streams.names()) == names  # execution opens no stream
-        for name in names:
-            stream = streams.stream(name)
-            assert (stream.shuffles, stream.other_draws) == (1, 0), name
-            assert stream.getstate() == after_launch[name], name
+        names = ([f"router:{op.op_id}" for op in routed]
+                 + [f"trigger:{op.op_id}:{node_id}" for op in scans
+                    for node_id in plan.homes[op.op_id]])
+        assert sorted(stream.seed_value for stream in launched) == sorted(
+            derive_seed(11, name) for name in names)
+        for stream, state in zip(launched, after_launch):
+            label = stream.seed_value
+            assert (stream.shuffles, stream.other_draws) == (1, 0), label
+            assert stream.getstate() == state, label
 
     def test_the_reference_build_draws_once_per_stream_too(self):
         """The property belongs to the model, not to the new code path."""
@@ -365,10 +389,11 @@ class TestEachStreamIsDrawnFromOnce:
         plan = bushy_plan(config)
         executor = QueryExecutor(plan, config, strategy=strategy,
                                  params=params_for(0.0, 11))
-        context = executor.launch(Substrate(config, executor.params))
-        context.env.run()
+        with recorded_streams() as built:
+            context = executor.launch(Substrate(config, executor.params))
+            context.env.run()
         assert context.done
-        assert list(context.streams.names()) == []
+        assert built == []
 
     def test_the_shuffle_skipped_at_theta_zero_is_a_value_no_op(self):
         for n in (1, 2, 3, 64, 96, 256):

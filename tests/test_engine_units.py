@@ -13,9 +13,11 @@ from repro.engine import ExecutionParams, QueryExecutor, Substrate
 from repro.engine.activation import DataActivation, TriggerActivation
 from repro.engine.metrics import (ExecutionMetrics, ExecutionResult,
                                   QueryCompletion)
+from repro.engine import queues as queues_module
 from repro.engine.queues import ActivationQueue, OperatorQueueSet, QueueFull
 from repro.engine.routing import Router, consumer_cells
 from repro.engine.tables import HashTableStore
+from repro.engine.template import ExecutionTemplate
 from repro.sim import Machine, MachineConfig
 from repro.workloads import pipeline_chain_scenario
 
@@ -124,12 +126,6 @@ class TestActivationQueue:
         queue.pop()
         assert queue.bytes_queued == 0
 
-    def test_end_signaled_cleared_on_push(self):
-        queue = ActivationQueue(5, 0, 0, capacity=4)
-        queue.end_signaled = True
-        queue.push(_data())
-        assert not queue.end_signaled
-
     def test_pop_tail_batch_takes_newest_preserving_order(self):
         queue = ActivationQueue(5, 0, 0, capacity=8)
         items = [_data(tuples=i + 1) for i in range(5)]
@@ -204,13 +200,18 @@ QUEUE_STEPS = st.lists(st.tuples(
 
 
 @given(QUEUE_STEPS)
-def test_a_queue_owns_a_deque_exactly_while_it_holds_work(steps):
+def test_a_queue_owns_storage_exactly_while_it_holds_work(steps):
     """The queue set against plain deques: every step keeps the same
     contents, bounds, byte counts and non-empty count, and a queue's
-    storage is allocated exactly while it holds activations."""
+    storage follows the rule for both forms: an empty queue shares the
+    one empty tuple; a seed into an empty queue keeps the seeded tuple
+    itself, with a cursor at its first unpopped trigger, for as long as
+    only pops touch it; any other queue holding work owns a deque."""
     capacity = 3
     qs = OperatorQueueSet(5, 0, thread_count=3, capacity=capacity)
     model = [deque() for _ in qs.queues]
+    #: per queue: the seeded tuple it should still hold, else None.
+    runs = [None for _ in qs.queues]
     for op, index, arg in steps:
         ref = model[index]
         if op == "push":
@@ -221,9 +222,11 @@ def test_a_queue_owns_a_deque_exactly_while_it_holds_work(steps):
             else:
                 qs.push(index, activation, force=arg < 0)
                 ref.append(activation)
+                runs[index] = None
         elif op == "seed" and arg > 0:
-            triggers = [TriggerActivation(op_id=5, disk_id=0, pages=1,
-                                          tuples=1) for _ in range(arg)]
+            triggers = tuple(TriggerActivation(op_id=5, disk_id=0, pages=1,
+                                               tuples=1) for _ in range(arg))
+            runs[index] = None if ref else triggers
             qs.seed(index, triggers)
             ref.extend(triggers)
         elif op == "pop":
@@ -236,8 +239,18 @@ def test_a_queue_owns_a_deque_exactly_while_it_holds_work(steps):
             stolen = qs.steal_from(index, abs(arg))
             expected = [ref.pop() for _ in range(min(abs(arg), len(ref)))]
             assert stolen == expected[::-1]
-        for queue, ref in zip(qs.queues, model):
-            assert isinstance(queue._items, deque) is bool(ref)
+            if expected:
+                runs[index] = None
+        for queue, ref, run in zip(qs.queues, model, runs):
+            if not ref:
+                assert queue._items is queues_module._EMPTY
+                assert queue._head == 0
+            elif run is not None:
+                assert queue._items is run
+                assert queue._head == len(run) - len(ref)
+            else:
+                assert isinstance(queue._items, deque)
+                assert queue._head == 0
             assert len(queue) == len(ref)
             assert list(queue) == list(ref)
             assert queue.peek() is (ref[0] if ref else None)
@@ -249,16 +262,28 @@ def test_a_queue_owns_a_deque_exactly_while_it_holds_work(steps):
 
 
 def test_after_launch_only_the_seeded_queues_own_storage():
+    """Each seeded queue holds its share of the template's triggers — the
+    very tuple, cursor at its start — and every other queue shares the
+    empty tuple: launch allocates no queue storage at all."""
     plan, config = pipeline_chain_scenario(nodes=4, processors_per_node=8)
-    context = QueryExecutor(plan, config, strategy="DP").launch(
-        Substrate(config, ExecutionParams()))
+    params = ExecutionParams()
+    template = ExecutionTemplate(plan, config, params)
+    context = QueryExecutor(plan, config, strategy="DP", params=params,
+                            template=lambda: template).launch(
+        Substrate(config, params))
+    shares = {id(share): share for _op_id, seeds in template.scans
+              for seed in seeds for share in seed.shares if share}
     queues = [queue for node in context.nodes
               for queue_set in node.queue_sets.values()
               for queue in queue_set.queues]
-    owners = [queue for queue in queues if isinstance(queue._items, deque)]
-    assert owners == [queue for queue in queues if len(queue)]
-    assert all(activation.is_trigger for queue in owners
-               for activation in queue)
+    owners = [queue for queue in queues if len(queue)]
+    for queue in owners:
+        assert shares.get(id(queue._items)) is queue._items
+        assert queue._head == 0
+        assert all(activation.is_trigger for activation in queue)
+    assert all(queue._items is queues_module._EMPTY for queue in queues
+               if not len(queue))
+    assert sorted(id(queue._items) for queue in owners) == sorted(shares)
     assert 0 < len(owners) < len(queues)
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import (ChargeTag, Environment, Interrupt, Resource,
-                       SimulationError, make_discipline)
+from repro.sim import (ChargeTag, Environment, Resource, SimulationError,
+                       make_discipline)
 
 
 def test_clock_starts_at_zero():
@@ -267,40 +267,6 @@ def test_any_of_fires_on_first():
     env.process(trigger())
     env.run()
     assert seen == [(1.0, "quick")]
-
-
-def test_interrupt_wakes_a_waiting_process():
-    env = Environment()
-    caught = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            caught.append((env.now, intr.cause))
-
-    proc = env.process(sleeper())
-
-    def interrupter():
-        yield env.timeout(2)
-        proc.interrupt("wake up")
-
-    env.process(interrupter())
-    env.run()
-    assert caught == [(2.0, "wake up")]
-
-
-def test_process_is_alive_until_done():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(5)
-
-    p = env.process(proc())
-    env.run(until=1)
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
 
 
 def test_peek_reports_next_event_time():
