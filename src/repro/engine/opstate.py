@@ -23,7 +23,18 @@ from typing import Optional
 
 from ..optimizer.operator_tree import Operator, OpKind
 
-__all__ = ["OperatorRuntime"]
+__all__ = ["OperatorRuntime", "batch_output"]
+
+
+def batch_output(op: Operator, tuples_in: int, batch: int) -> int:
+    """Output of a ``batch`` that brings ``op``'s input to ``tuples_in``.
+    The floors telescope to ``int(n * output / input cardinality)`` for a
+    total input ``n`` however it was split; multiplying first keeps an
+    integral output integral, where ``fanout * n`` can land just below."""
+    if op.input_cardinality <= 0:
+        return 0
+    out, into = op.output_cardinality, op.input_cardinality
+    return int(tuples_in * out / into) - int((tuples_in - batch) * out / into)
 
 
 class OperatorRuntime:
@@ -51,8 +62,6 @@ class OperatorRuntime:
         self.suspended = False
         # --- statistics ----------------------------------------------------
         self.tuples_in = 0
-        self.tuples_out = 0
-        self.activations_processed = 0
 
     # -- identity helpers ------------------------------------------------------
 

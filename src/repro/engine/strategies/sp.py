@@ -43,6 +43,7 @@ from ...sim.core import DEFAULT_TAG, Process
 from ...sim.machine import MachineConfig
 from ..context import ExecutionDeadlock
 from ..metrics import ExecutionMetrics, ExecutionResult
+from ..opstate import batch_output
 from ..params import ExecutionParams
 from ..substrate import Substrate
 from .base import StrategyError
@@ -74,7 +75,7 @@ class SPExecution:
         self.start_time: float = substrate.env.now
         self.metrics = ExecutionMetrics()
         self.busy = [0.0] * threads
-        self.results = 0.0
+        self.results = 0
         self.done = False
         #: the driver process — an event that fires at query completion.
         self.finished: Process | None = None
@@ -124,6 +125,7 @@ class SynchronousPipeliningExecutor:
         execution = SPExecution(substrate, k, (charge_tag or DEFAULT_TAG).key)
         metrics = execution.metrics
         busy = execution.busy
+        tuples_in = {op.op_id: 0 for op in tree}
 
         def charge(thread_index: int, instructions: float):
             seconds = instructions / cost.mips
@@ -166,22 +168,23 @@ class SynchronousPipeliningExecutor:
                         interleaved.append(disk_chunks[i])
             return interleaved
 
-        def process_tuples(thread_index: int, chain: PipelineChain, tuples: float):
-            """Carry ``tuples`` through the chain by procedure calls."""
+        def process_tuples(chain: PipelineChain, n: int):
+            """Carry ``n`` scanned tuples through the chain by procedure
+            calls; the scan's own cost is charged by the caller."""
             instructions = 0.0
-            n = tuples
-            ops = [tree.op(op_id) for op_id in chain.op_ids]
-            # Scan cost is charged by the caller; walk the downstream ops.
-            n *= ops[0].fanout  # scan selectivity
-            for op in ops[1:]:
+            for op_id in chain.op_ids:
+                op = tree.op(op_id)
+                tuples_in[op_id] += n
+                out = batch_output(op, tuples_in[op_id], n)
                 if op.kind is OpKind.PROBE:
-                    out = n * op.fanout
+                    metrics.tuples_probed += n
                     instructions += (n * cost.probe_instructions_per_tuple
                                      + out * cost.result_instructions_per_tuple)
-                    n = out
-                else:  # terminal build
+                elif op.kind is OpKind.BUILD:
+                    metrics.tuples_built += n
                     instructions += n * cost.build_instructions_per_tuple
-            if ops[-1].op_id == tree.root_id:
+                n = out
+            if chain.terminal_id == tree.root_id:
                 execution.results += n
             return instructions
 
@@ -222,7 +225,7 @@ class SynchronousPipeliningExecutor:
                 yield handle.event
                 metrics.tuples_scanned += chunk.tuples
                 instructions = chunk.tuples * cost.scan_instructions_per_tuple
-                instructions += process_tuples(thread_index, chain, chunk.tuples)
+                instructions += process_tuples(chain, chunk.tuples)
                 yield from charge(thread_index, instructions)
 
         def driver():
@@ -254,7 +257,7 @@ class SynchronousPipeliningExecutor:
             disk_wait += disk.take_wait_time(execution.wait_key)
         metrics.thread_busy_time = busy
         metrics.disk_wait_time = disk_wait
-        metrics.result_tuples = int(round(execution.results))
+        metrics.result_tuples = execution.results
         return ExecutionResult(
             plan_label=self.plan.label,
             strategy="SP",

@@ -34,7 +34,7 @@ from ..optimizer.operator_tree import OpKind
 from ..sim.core import DEFAULT_TAG
 from .activation import Activation, DataActivation, TriggerActivation
 from .context import ExecutionContext, NodeState
-from .opstate import OperatorRuntime
+from .opstate import OperatorRuntime, batch_output
 from .queues import ActivationQueue
 
 __all__ = ["ExecutionThread"]
@@ -71,8 +71,6 @@ class ExecutionThread:
         self.assigned_ops: Optional[set[int]] = None
         self.wake_event = None
         self.process = None
-        #: fractional output carry per operator (exact tuple conservation).
-        self._out_carry: dict[int, float] = {}
         #: signal accounting: the thread pays the scheduler-signal cost
         #: when it *becomes* idle, not on every fruitless wakeup.
         self._worked_since_idle = True
@@ -257,7 +255,6 @@ class ExecutionThread:
         else:
             yield from self._run_probe(activation, runtime)
 
-        runtime.activations_processed += 1
         context.metrics.activations_processed += 1
         runtime.outstanding -= 1
         self._worked_since_idle = True
@@ -328,13 +325,12 @@ class ExecutionThread:
                 )
                 runtime.tuples_in += trigger.tuples
                 context.metrics.tuples_scanned += trigger.tuples
-                output = self._integer_output(runtime, trigger.tuples)
-                runtime.tuples_out += output
+                output = batch_output(runtime.op, runtime.tuples_in,
+                                      trigger.tuples)
                 yield from self._route_output(runtime, output)
                 if trigger is not activation:
                     # Absorbed triggers complete their whole lifecycle
                     # here, including end detection.
-                    runtime.activations_processed += 1
                     context.metrics.activations_processed += 1
                     runtime.outstanding -= 1
                     context.maybe_end(runtime)
@@ -402,8 +398,8 @@ class ExecutionThread:
         cost = context.params.cost
         runtime.tuples_in += activation.tuples
         context.metrics.tuples_probed += activation.tuples
-        output = self._integer_output(runtime, activation.tuples)
-        runtime.tuples_out += output
+        output = batch_output(runtime.op, runtime.tuples_in,
+                              activation.tuples)
         yield from self._charge(
             activation.tuples * cost.probe_instructions_per_tuple
             + output * cost.result_instructions_per_tuple
@@ -411,14 +407,6 @@ class ExecutionThread:
         yield from self._route_output(runtime, output)
 
     # -- output helpers -----------------------------------------------------------------------
-
-    def _integer_output(self, runtime: OperatorRuntime, tuples: int) -> int:
-        """Expected output with an exact fractional carry per operator."""
-        carry = self._out_carry.get(runtime.op_id, 0.0)
-        carry += tuples * runtime.op.fanout
-        whole = int(carry)
-        self._out_carry[runtime.op_id] = carry - whole
-        return whole
 
     def _route_output(self, runtime: OperatorRuntime, output: int):
         """Push output tuples into the operator's channel on this node."""

@@ -8,11 +8,17 @@ Two profiles:
   structure only, so CI runs are reproducible byte-for-byte.  Selected
   with ``HYPOTHESIS_PROFILE=ci`` (the GitHub Actions workflow and
   ``make check`` do this).
+
+It also holds the engine's test-side tuple reference,
+``exact_cardinalities`` and ``counters``, as session fixtures.
 """
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from repro.optimizer import OpKind
 
 settings.register_profile(
     "dev",
@@ -26,3 +32,51 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+COUNTERS = ("tuples_scanned", "tuples_built", "tuples_probed", "result_tuples")
+
+
+def _emitted(op, n: int) -> int:
+    """The output rule for a total input of ``n``: the analytic output's
+    floor, multiplied before dividing so an integral output stays one."""
+    if op.input_cardinality <= 0:
+        return 0
+    return int(n * op.output_cardinality / op.input_cardinality)
+
+
+def _exact_cardinalities(plan) -> dict[str, int]:
+    """The tuple counters every execution of ``plan`` must report.
+
+    Folds the output rule over the operator tree: a scan's input is its
+    relation, any other operator's is its pipelined producer's output.
+    """
+    tree = plan.operators
+
+    def tuples_in(op) -> int:
+        if op.kind is OpKind.SCAN:
+            return op.relation.cardinality
+        (producer_id,) = tree.pipeline_producers(op.op_id)
+        producer = tree.op(producer_id)
+        return _emitted(producer, tuples_in(producer))
+
+    root = tree.op(tree.root_id)
+    return {
+        "tuples_scanned": sum(tuples_in(op) for op in tree.scans()),
+        "tuples_built": sum(tuples_in(op) for op in tree.builds()),
+        "tuples_probed": sum(tuples_in(op) for op in tree.probes()),
+        "result_tuples": _emitted(root, tuples_in(root)),
+    }
+
+
+@pytest.fixture(scope="session")
+def exact_cardinalities():
+    """``plan -> {counter: tuples}`` every execution of the plan reports."""
+    return _exact_cardinalities
+
+
+@pytest.fixture(scope="session")
+def counters():
+    """``result -> {counter: tuples}`` as the execution reported them."""
+    return lambda result: {name: getattr(result.metrics, name)
+                           for name in COUNTERS}

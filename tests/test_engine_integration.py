@@ -16,9 +16,9 @@ from repro.sim import MachineConfig
 from repro.workloads import pipeline_chain_scenario, two_node_join_scenario
 
 
-def single_join_plan(config, r=2000, s=4000, label="t"):
-    """R join S with |result| = |S|."""
-    sel = 1.0 / r
+def single_join_plan(config, r=2000, s=4000, label="t", sel=None):
+    """R join S with |result| = |S|, or ``r * s * sel`` given ``sel``."""
+    sel = sel or 1.0 / r
     graph = QueryGraph(
         [Relation("R", r), Relation("S", s)], [JoinEdge("R", "S", sel)]
     )
@@ -50,30 +50,45 @@ def bushy_plan(config, label="bushy"):
 
 class TestConservation:
     @pytest.mark.parametrize("strategy", ["DP", "FP", "SP"])
-    def test_single_join_result_cardinality(self, strategy):
+    def test_single_join_result_cardinality(self, strategy, exact_cardinalities,
+                                            counters):
         config = MachineConfig(nodes=1, processors_per_node=4)
         plan = single_join_plan(config)
         result = QueryExecutor(plan, config, strategy=strategy).run()
         # |R join S| = 2000 * 4000 * (1/2000) = 4000.
-        assert result.metrics.result_tuples == pytest.approx(4000, rel=0.01)
+        assert result.metrics.result_tuples == 4000
+        assert counters(result) == exact_cardinalities(plan)
 
     @pytest.mark.parametrize("strategy", ["DP", "FP"])
-    def test_single_join_multi_node(self, strategy):
+    def test_single_join_multi_node(self, strategy, exact_cardinalities,
+                                    counters):
         config = MachineConfig(nodes=3, processors_per_node=2)
         plan = single_join_plan(config)
         result = QueryExecutor(plan, config, strategy=strategy).run()
-        assert result.metrics.result_tuples == pytest.approx(4000, rel=0.01)
+        assert result.metrics.result_tuples == 4000
         assert result.metrics.tuples_scanned == 6000
+        assert counters(result) == exact_cardinalities(plan)
 
     @pytest.mark.parametrize("strategy", ["DP", "FP", "SP"])
-    def test_bushy_tree_cardinalities(self, strategy):
+    def test_bushy_tree_cardinalities(self, strategy, exact_cardinalities,
+                                      counters):
         config = MachineConfig(nodes=1, processors_per_node=4)
         plan = bushy_plan(config)
         result = QueryExecutor(plan, config, strategy=strategy).run()
-        root = plan.operators.op(plan.operators.root_id)
-        assert result.metrics.result_tuples == pytest.approx(
-            root.output_cardinality, rel=0.02
-        )
+        assert result.metrics.result_tuples == 2500
+        assert result.metrics.tuples_built == 4500
+        assert counters(result) == exact_cardinalities(plan)
+
+    @pytest.mark.parametrize("strategy, nodes", [("DP", 2), ("FP", 2),
+                                                 ("SP", 1)])
+    def test_integral_output_of_a_fractional_fanout(self, strategy, nodes):
+        """3 x 49 tuples at selectivity 1/147 join to exactly one result,
+        though the probe's fanout times its 49 inputs is 0.999..."""
+        config = MachineConfig(nodes=nodes, processors_per_node=3)
+        plan = single_join_plan(config, r=3, s=49, sel=1.0 / 147)
+        result = QueryExecutor(plan, config, strategy=strategy).run()
+        assert result.metrics.result_tuples == 1
+        assert result.metrics.tuples_probed == 49
 
     def test_every_base_tuple_scanned_exactly_once(self):
         config = MachineConfig(nodes=2, processors_per_node=2)
@@ -87,7 +102,7 @@ class TestConservation:
         plan = bushy_plan(config)
         result = QueryExecutor(plan, config, strategy="DP").run()
         expected = sum(op.input_cardinality for op in plan.operators.builds())
-        assert result.metrics.tuples_built == pytest.approx(expected, rel=0.02)
+        assert result.metrics.tuples_built == expected == 4500
 
     def test_all_operators_terminate_with_end_times(self):
         config = MachineConfig(nodes=2, processors_per_node=2)

@@ -1,7 +1,5 @@
 """Tests for the node scheduler: stealing protocol and end detection."""
 
-import pytest
-
 from repro.catalog import Relation, SkewSpec
 from repro.engine import ExecutionParams, QueryExecutor
 from repro.engine.scheduler import StealCandidate
@@ -78,10 +76,8 @@ class TestStealProtocol:
         without_lb = self._run("DP", enable_global_lb=False)
         # Steals re-use cached hash copies (Section 4); neither may
         # change the result.
-        assert with_lb.metrics.result_tuples == pytest.approx(16000, rel=0.02)
-        assert with_lb.metrics.result_tuples == pytest.approx(
-            without_lb.metrics.result_tuples, rel=0.02
-        )
+        assert with_lb.metrics.result_tuples == 16000
+        assert without_lb.metrics.result_tuples == 16000
 
 
 class TestEndDetection:
@@ -135,7 +131,7 @@ class TestFPAllocation:
         config = MachineConfig(nodes=1, processors_per_node=1)
         plan = skewed_join_plan(config)
         result = QueryExecutor(plan, config, strategy="FP").run()
-        assert result.metrics.result_tuples == pytest.approx(16000, rel=0.02)
+        assert result.metrics.result_tuples == 16000
 
     def test_fp_respects_estimates(self):
         """A plan with deliberately wrong estimates allocates differently

@@ -103,7 +103,7 @@ class TestMultiQueryConservation:
                 m.trigger_activations + m.data_activations
             )
             # Results are correct per query (|R join S| = |S|).
-            assert m.result_tuples == pytest.approx(1200, rel=0.02)
+            assert m.result_tuples == 1200
 
     def test_per_operator_outstanding_drains_to_zero(self):
         config = MachineConfig(nodes=2, processors_per_node=2)
@@ -274,9 +274,7 @@ class TestAdmission:
         )
         assert overcommitted > 0
         for c in metrics.completions:
-            assert c.result.metrics.result_tuples == pytest.approx(
-                3600, rel=0.02
-            )
+            assert c.result.metrics.result_tuples == 3600
 
     def test_a_lone_run_still_raises_when_a_chain_does_not_fit(self):
         # The other side of the same coin: a machine built for one query
