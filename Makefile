@@ -24,7 +24,8 @@
 #                         (python -X importtime in a child), the
 #                         cyclic-garbage census of one more repetition,
 #                         then the top allocation sites at the traced
-#                         peak of one more (tracemalloc)
+#                         peak of one more (tracemalloc) and the top
+#                         gc-tracked types by count at that sample
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python

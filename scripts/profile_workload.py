@@ -34,9 +34,12 @@ The report ends with where the peak heap goes: one more warm repetition
 under ``tracemalloc``.  Every 5 000 kernel events (heap pops, counted
 by a wrapper this script installs around ``heapq.heappop`` for that
 repetition) it reads the traced heap, and at each new high it takes a
-snapshot.  It prints the traced peak and the top allocation sites of
-the highest snapshot, by line, with their block counts: the section to
-read when ``peak_rss_mb`` moves.
+snapshot and counts the gc-tracked objects by type.  It prints the
+traced peak and the top allocation sites of the highest snapshot, by
+line, with their block counts, then the top types of the same sample
+by count: the section to read when ``peak_rss_mb`` moves.  A site's
+line number shifts with every edit; a type's name does not.  The list
+the type count walks is kept out of the traced peak.
 """
 
 import argparse
@@ -121,22 +124,26 @@ SAMPLE_EVERY = 5_000
 
 
 def peak_heap(spec):
-    """``(traced peak bytes, snapshot at the highest sampled heap)`` of
-    one warm repetition."""
+    """``(traced peak bytes, snapshot at the highest sampled heap, the
+    gc-tracked objects by type at that sample)`` of one warm repetition."""
     import repro
 
     pop = heapq.heappop
-    countdown, high, snapshot = SAMPLE_EVERY, 0, None
+    countdown, high, peak, snapshot, types = SAMPLE_EVERY, 0, 0, None, None
 
     def sampling_pop(heap):
-        nonlocal countdown, high, snapshot
+        nonlocal countdown, high, peak, snapshot, types
         countdown -= 1
         if not countdown:
             countdown = SAMPLE_EVERY
-            current = tracemalloc.get_traced_memory()[0]
+            current, traced_peak = tracemalloc.get_traced_memory()
+            peak = max(peak, traced_peak)
             if current > high:
                 high = current
-                snapshot = tracemalloc.take_snapshot()
+                snapshot = tracemalloc.take_snapshot()  # held untraced
+                types = Counter(type(obj).__name__ for obj in gc.get_objects())
+                # gc.get_objects()'s list is traced: keep it out of the peak.
+                tracemalloc.reset_peak()
         return pop(heap)
 
     gc.collect()
@@ -144,11 +151,11 @@ def peak_heap(spec):
     tracemalloc.start()
     try:
         repro.run(spec).to_json()
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = max(peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
         heapq.heappop = pop
-    return peak, snapshot
+    return peak, snapshot, types
 
 
 def heap_report(peak: int, snapshot, top: int = 10) -> str:
@@ -168,6 +175,17 @@ def heap_report(peak: int, snapshot, top: int = 10) -> str:
             f"{stat.size / total:>7.1%} {stat.size / mib:>8.3f} "
             f"{stat.count:>8}  {shown(frame.filename)}:{frame.lineno}"
         )
+    return "\n".join(lines)
+
+
+def type_report(types: Counter, top: int = 10) -> str:
+    """The gc-tracked objects at the highest sample, top types by count."""
+    lines = [
+        f"gc-tracked objects at the highest sample: "
+        f"{sum(types.values())}; top {top} types",
+        f"{'objects':>9}  type",
+    ]
+    lines += [f"{count:>9}  {kind}" for kind, count in types.most_common(top)]
     return "\n".join(lines)
 
 
@@ -284,7 +302,9 @@ def main(argv=None) -> int:
         f"peak heap: one more warm repetition under tracemalloc, sampled "
         f"every {SAMPLE_EVERY} kernel events"
     )
-    print(heap_report(*peak_heap(spec)))
+    peak, snapshot, types = peak_heap(spec)
+    print(heap_report(peak, snapshot))
+    print(type_report(types))
     return 0
 
 

@@ -14,7 +14,7 @@ from .context import ExecutionContext, ExecutionDeadlock
 from .executor import QueryExecutor
 from .metrics import ExecutionMetrics, ExecutionResult
 from .params import ExecutionParams
-from .queues import ActivationQueue, OperatorQueueSet, QueueFull
+from .queues import OperatorQueueSet, QueueFull
 from .strategies import (
     DynamicProcessing,
     ExecutionStrategy,
@@ -36,7 +36,6 @@ __all__ = [
     "ExecutionMetrics",
     "ExecutionResult",
     "ExecutionParams",
-    "ActivationQueue",
     "OperatorQueueSet",
     "QueueFull",
     "DynamicProcessing",

@@ -36,7 +36,7 @@ GroupId = tuple[int, int]
 TRIGGER_ACTIVATION_BYTES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggerActivation:
     """Start (part of) a scan: read ``pages`` from ``disk_id`` and select.
 
@@ -59,7 +59,7 @@ class TriggerActivation:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataActivation:
     """A batch of ``tuples`` pipelined tuples for ``op_id`` in ``group``.
 

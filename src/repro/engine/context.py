@@ -30,7 +30,7 @@ from .activation import DataActivation, GroupId, TriggerActivation
 from .metrics import ExecutionMetrics
 from .opstate import OperatorRuntime
 from .params import ExecutionParams
-from .queues import ActivationQueue, OperatorQueueSet
+from .queues import OperatorQueueSet
 from .routing import OutputChannel, ResultSink
 from .tables import HashTableStore
 from .template import ExecutionTemplate, queue_shares
@@ -120,24 +120,26 @@ class NodeState:
 
     # -- queue callbacks ------------------------------------------------------------
 
-    def on_queue_push(self, queue: ActivationQueue) -> None:
+    def on_queue_push(self, queue_set: OperatorQueueSet,
+                      queue_index: int) -> None:
         """Arrival hook: wake eligible threads, clear the failed-steal latch."""
         self.lb_blocked_scopes.clear()
-        self.wake_for_op(queue.op_id)
+        self.wake_for_op(queue_set.op_id)
 
-    def on_queue_pop(self, queue: ActivationQueue,
+    def on_queue_pop(self, queue_set: OperatorQueueSet, queue_index: int,
                      activation: DataActivation | TriggerActivation) -> None:
         """Consumption hook: flow-control drains and credit returns."""
+        op_id = queue_set.op_id
         # A slot freed: the producer's channel may have parked batches.
-        producer_id = self.context.producer_of.get(queue.op_id)
+        producer_id = self.context.producer_of.get(op_id)
         if producer_id is not None:
             channel = self.context.channels.get((self.node_id, producer_id))
             if channel is not None:
-                channel.on_local_space(queue.thread_index)
+                channel.on_local_space(queue_index)
         # Credit return for remote batches.
         if (not activation.is_trigger and activation.remote
                 and activation.src_node >= 0):
-            queue_key = (queue.op_id, queue.thread_index)
+            queue_key = (op_id, queue_index)
             owed_by_src = self._credit_owed.get(queue_key)
             if owed_by_src is None:
                 owed_by_src = self._credit_owed[queue_key] = {}
@@ -146,23 +148,22 @@ class NodeState:
             if owed >= self._credit_threshold:
                 owed_by_src[src] = 0
                 self.context.return_credits(
-                    self.node_id, src, queue.op_id,
-                    (self.node_id, queue.thread_index), owed,
+                    self.node_id, src, op_id, (self.node_id, queue_index),
+                    owed,
                 )
             else:
                 owed_by_src[src] = owed
         # An emptied queue returns every owed credit at once: producers may
         # be parked on their last sub-window batches (e.g. after a flush),
         # and withholding the crumbs would wedge the pipeline.
-        if queue.is_empty:
-            owed_by_src = self._credit_owed.pop(
-                (queue.op_id, queue.thread_index), None)
+        if not queue_set.items[queue_index]:
+            owed_by_src = self._credit_owed.pop((op_id, queue_index), None)
             if owed_by_src:
                 for src, owed in owed_by_src.items():
                     if owed:
                         self.context.return_credits(
-                            self.node_id, src, queue.op_id,
-                            (self.node_id, queue.thread_index), owed,
+                            self.node_id, src, op_id,
+                            (self.node_id, queue_index), owed,
                         )
 
     def close(self) -> None:
@@ -263,32 +264,30 @@ class ExecutionContext:
         self.producer_of: dict[int, int] = dict(template.producer_of)
         k = config.processors_per_node
         capacity = self.params.queue_capacity
+        # Each node's arrival hook, bound once for all its queue sets.
+        on_push = [node.on_queue_push for node in self.nodes]
         for op, home, predecessors in template.operators:
             runtime = OperatorRuntime(op, home, predecessors)
             self.ops[op.op_id] = runtime
             for node_id in home:
-                node = self.nodes[node_id]
                 queue_set = OperatorQueueSet(op.op_id, node_id, k, capacity,
                                              substrate.queued)
-                queue_set.set_blocked(runtime.blocked)
-                queue_set.on_push = node.on_queue_push
-                node.queue_sets[op.op_id] = queue_set
+                queue_set.on_push = on_push[node_id]
+                self.nodes[node_id].queue_sets[op.op_id] = queue_set
 
         # --- routing ----------------------------------------------------------------
         self.channels: dict[tuple[int, int], OutputChannel] = {}
         tuple_size = template.tuple_size
-        for op_id, consumer_id, router, channels in template.routes:
+        for op_id, consumer_id, router, home in template.routes:
             if router is not None and template.permutes:
                 # This producer's own permutation of the Zipf weights over
                 # the shared bucket space (Section 5.2.2).
                 router = router.with_bucket_weights(
                     self._permuted(router.buckets, f"router:{op_id}")
                 )
-            for node_id, credits in channels:
+            for node_id in home:
                 self.channels[(node_id, op_id)] = OutputChannel(
-                    self, node_id, op_id, consumer_id, router, tuple_size,
-                    credits,
-                )
+                    self, node_id, op_id, consumer_id, router, tuple_size)
         for node in self.nodes:
             node.selection = tuple(
                 (op_id, queue_set, self.ops[op_id],
@@ -438,7 +437,6 @@ class ExecutionContext:
             if runtime.op_id in other.remaining_predecessors:
                 if other.predecessor_terminated(runtime.op_id):
                     for node_id in other.home:
-                        self.nodes[node_id].queue_sets[other.op_id].set_blocked(False)
                         self.nodes[node_id].lb_blocked_scopes.clear()
                     if self.strategy is not None:
                         self.strategy.on_op_unblocked(self, other)

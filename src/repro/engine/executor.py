@@ -155,6 +155,8 @@ class QueryExecutor:
         metrics.loadbalance_bytes = network.bytes_for("loadbalance")
         metrics.control_bytes = network.bytes_for("control")
         metrics.loadbalance_messages = network.messages_for("loadbalance")
+        # Per-query stores, not the node pools: under a shared substrate
+        # the pool watermark mixes every concurrent query's reservations.
         metrics.memory_high_watermark = max(
             (n.store.high_watermark for n in context.nodes), default=0
         )

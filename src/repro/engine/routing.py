@@ -14,7 +14,8 @@ the robustness argument of [Kitsuregawa90].
 tuples into one :class:`OutputChannel` per node.  The channel
 
 * accumulates fractional per-group quotas (exact integer conservation via
-  carry + final largest-remainder flush),
+  carry + final largest-remainder flush), in per-cell tables it holds
+  from its first push to its flush,
 * batches tuples into :class:`DataActivation` units of ``batch_size``,
 * delivers locally through shared memory (bounded queues) or remotely
   through the network under a per-(producer node, consumer queue) credit
@@ -70,9 +71,11 @@ class Router:
     permutation of the Zipf weights over the shared bucket space).
 
     Read-only once built: an :class:`~repro.engine.template.
-    ExecutionTemplate` shares one router between every query of a plan
-    (``rng=None`` leaves the bucket weights unpermuted; at ``theta == 0``
-    they are all equal and a permutation would change nothing).
+    ExecutionTemplate` shares one router between every producer over one
+    consumer home and every query of a plan (``rng=None`` leaves the
+    bucket weights unpermuted; at ``theta == 0`` they are all equal and a
+    permutation would change nothing), and a query's permuted routers
+    share its ``cells`` and ``cell_index``.
     """
 
     __slots__ = ("cells", "cell_index", "buckets", "weights")
@@ -109,11 +112,6 @@ class Router:
         router.weights = self._cell_weights(bucket_weights)
         return router
 
-    @property
-    def max_cell_share(self) -> float:
-        """Largest single-cell share (a skew diagnostic used in tests)."""
-        return max(self.weights)
-
 
 class ResultSink:
     """Terminal consumer of the root operator: counts result tuples."""
@@ -135,12 +133,16 @@ class OutputChannel:
     message dispatch latency instead.
     """
 
+    __slots__ = (
+        "context", "node_id", "producer_op_id", "consumer_op_id", "router",
+        "tuple_size", "batch_size", "_carry", "_pending", "_undelivered",
+        "_remote_credits", "_cell_index", "_stalled_cells", "flushed",
+        "tuples_in", "tuples_out", "activations_emitted",
+    )
+
     def __init__(self, context: "ExecutionContext", node_id: int,
                  producer_op_id: int, consumer_op_id: Optional[int],
-                 router: Optional[Router], tuple_size: int,
-                 remote_credits: Sequence[int] = ()):
-        """``remote_credits`` is the opening credit per cell of ``router``
-        (the window for cells on other nodes, 0 for local ones)."""
+                 router: Optional[Router], tuple_size: int):
         self.context = context
         self.node_id = node_id
         self.producer_op_id = producer_op_id
@@ -149,15 +151,19 @@ class OutputChannel:
         self.tuple_size = tuple_size
         self.batch_size = context.params.batch_size
         if router is not None:
-            n = len(router.cells)
-            self._carry = [0.0] * n
-            self._pending = [0] * n
+            #: the per-cell fractional carries and whole tuples not yet
+            #: batched, from the first push to the flush: most channels of
+            #: a running query have not pushed yet or are done.
+            self._carry: Optional[list[float]] = None
+            self._pending: Optional[list[int]] = None
+            #: the credit left per cell, from the first push on: the
+            #: window for cells on other nodes, 0 for local ones.
+            self._remote_credits: Optional[list[int]] = None
             #: cell index -> the batches parked for want of space or
             #: credit.  A cell has an entry only while it holds parked
             #: batches, so a running query's channels keep nothing for the
             #: many cells that never back up.
             self._undelivered: dict[int, deque[DataActivation]] = {}
-            self._remote_credits = list(remote_credits)
             self._cell_index = router.cell_index
         #: the cells whose parked batches reached ``PENDING_STALL_LIMIT``
         #: and have not drained since.  Replaced, never mutated: most
@@ -196,6 +202,13 @@ class OutputChannel:
             return 0
         instructions = 0
         carry = self._carry
+        if carry is None:
+            cells = self.router.cells
+            carry = self._carry = [0.0] * len(cells)
+            self._pending = [0] * len(cells)
+            window = self.context.params.credit_window
+            self._remote_credits = [window if cell[0] != self.node_id else 0
+                                    for cell in cells]
         pending = self._pending
         batch_size = self.batch_size
         for i, weight in enumerate(self.router.weights):
@@ -215,28 +228,30 @@ class OutputChannel:
         """Emit everything still buffered (producer terminated on all nodes).
 
         Distributes the integer residue of the fractional carries by
-        largest remainder so that ``tuples_out == tuples_in`` exactly.
+        largest remainder so that ``tuples_out == tuples_in`` exactly, and
+        drops the carry and pending tables: nothing pushes again.
         Returns CPU instructions (charged as dispatch latency by the
         caller, since no thread context exists at flush time).
         """
-        if self.router is None or self.flushed:
+        if self.router is None or self.flushed or self._carry is None:
             self.flushed = True
             return 0
         self.flushed = True
-        residue = int(round(sum(self._carry)))
+        carry, pending = self._carry, self._pending
+        self._carry = self._pending = None
+        residue = int(round(sum(carry)))
         if residue:
-            order = sorted(range(len(self._carry)), key=lambda i: -self._carry[i])
+            order = sorted(range(len(carry)), key=lambda i: -carry[i])
             for i in order[:residue]:
-                self._pending[i] += 1
-        self._carry = [0.0] * len(self._carry)
+                pending[i] += 1
         instructions = 0
-        for i in range(len(self._pending)):
-            while self._pending[i] >= self.batch_size:
-                self._pending[i] -= self.batch_size
-                instructions += self._emit(i, self.batch_size)
-            if self._pending[i] > 0:
-                instructions += self._emit(i, self._pending[i])
-                self._pending[i] = 0
+        batch_size = self.batch_size
+        for i, count in enumerate(pending):
+            while count >= batch_size:
+                count -= batch_size
+                instructions += self._emit(i, batch_size)
+            if count > 0:
+                instructions += self._emit(i, count)
         return instructions
 
     # -- delivering -----------------------------------------------------------
@@ -261,7 +276,7 @@ class OutputChannel:
         node_id, queue_index = cell
         if node_id == self.node_id:
             queue_set = self.context.nodes[node_id].queue_sets[self.consumer_op_id]
-            if queue_set.queues[queue_index].is_full:
+            if queue_set.is_full(queue_index):
                 self._park(cell_index, activation)
                 return 0
             queue_set.push(queue_index, activation)
@@ -295,7 +310,7 @@ class OutputChannel:
             node_id, queue_index = cell
             if node_id == self.node_id:
                 queue_set = self.context.nodes[node_id].queue_sets[self.consumer_op_id]
-                if queue_set.queues[queue_index].is_full:
+                if queue_set.is_full(queue_index):
                     return
                 queue_set.push(queue_index, pending.popleft())
             else:
@@ -331,11 +346,3 @@ class OutputChannel:
         self._remote_credits[cell_index] += credits
         if cell_index in self._undelivered:
             self._drain(cell_index)
-
-    # -- diagnostics -------------------------------------------------------------
-
-    def parked_activations(self) -> int:
-        """Total undeliverable batches currently parked (tests/debug)."""
-        if self.router is None:
-            return 0
-        return sum(len(d) for d in self._undelivered.values())

@@ -265,17 +265,19 @@ class NodeScheduler:
             if requester not in runtime.home:
                 continue
             join_id = runtime.op.join_id
-            for queue_index, queue in enumerate(queue_set.queues):
+            for queue_index in range(len(queue_set.items)):
+                length = queue_set.size(queue_index)
                 # Condition (ii): enough work to amortize the acquisition.
-                if len(queue) < params.min_steal_activations:
+                if length < params.min_steal_activations:
                     continue
                 # Condition (iii): not too much — the steal fraction.
-                steal_count = max(1, int(len(queue) * params.steal_fraction))
+                steal_count = max(1, int(length * params.steal_fraction))
                 group = (self.node.node_id, queue_index)
                 hash_bytes = 0
                 if (join_id, group) not in cached:
                     hash_bytes = self.node.store.table_bytes(join_id, group)
-                mean_bytes = queue.bytes_queued / max(1, len(queue))
+                mean_bytes = (queue_set.bytes_queued[queue_index]
+                              / max(1, length))
                 activation_bytes = int(mean_bytes * steal_count)
                 # Condition (i): it must fit in the requester's memory.
                 if hash_bytes + activation_bytes > free_memory:
@@ -419,7 +421,7 @@ class NodeScheduler:
         elif hash_info is None and store.has_copy(join_id, group):
             context.metrics.cache_hits += 1
         queue_set = self.node.queue_sets[op_id]
-        k = len(queue_set.queues)
+        k = len(queue_set.items)
         for i, activation in enumerate(activations):
             local = dataclasses.replace(activation, remote=False, src_node=-1)
             queue_set.push(i % k, local, force=True)

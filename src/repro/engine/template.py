@@ -6,8 +6,8 @@ should not put that overhead back on the host.  Almost everything an
 :class:`~repro.engine.context.ExecutionContext` wires up is a pure
 function of ``(plan, machine, params-sans-seed)``: which operators run
 where and behind which predecessors, which cells each producer routes to
-and with how many buckets, the opening credit window of every output
-channel, and the disk-major trigger chunks of every scan on every node.
+and with how many buckets, and the disk-major trigger chunks of every
+scan on every node.
 An :class:`ExecutionTemplate` computes all of that **once**; a context
 *instantiates* it — fresh queues, runtimes and channels around shared
 read-only tables.
@@ -63,8 +63,8 @@ class Route(NamedTuple):
     consumer_id: Optional[int]
     #: over the consumer's cells, bucket weights unpermuted; None for the root.
     router: Optional[Router]
-    #: per home node of the producer: ``(node_id, opening credit per cell)``.
-    channels: tuple[tuple[int, tuple[int, ...]], ...]
+    #: the producer's home: one output channel per node.
+    home: tuple[int, ...]
 
 
 class TriggerSeed(NamedTuple):
@@ -147,24 +147,23 @@ class ExecutionTemplate:
 
     def _routes(self):
         k = self.config.processors_per_node
-        window = self.params.credit_window
+        # Producers over one consumer home share its router: the cells,
+        # their index and the unpermuted weights depend on the home alone.
+        routers: dict[tuple[int, ...], Router] = {}
         for op, home, _predecessors in self.operators:
             if op.kind is OpKind.BUILD:
                 continue  # builds output a hash table, not a tuple stream
             router = None
             if op.consumer_id is not None:
                 consumer_home = self.plan.homes[op.consumer_id]
-                router = Router(
-                    consumer_cells(consumer_home, k),
-                    self.params.buckets_for_home(len(consumer_home) * k),
-                    self.theta, None,
-                )
-            cells = router.cells if router is not None else ()
-            yield Route(op.op_id, op.consumer_id, router, tuple(
-                (node_id, tuple(window if cell[0] != node_id else 0
-                                for cell in cells))
-                for node_id in home
-            ))
+                router = routers.get(consumer_home)
+                if router is None:
+                    router = routers[consumer_home] = Router(
+                        consumer_cells(consumer_home, k),
+                        self.params.buckets_for_home(len(consumer_home) * k),
+                        self.theta, None,
+                    )
+            yield Route(op.op_id, op.consumer_id, router, home)
 
     def _scans(self):
         k = self.config.processors_per_node

@@ -35,7 +35,6 @@ from ..sim.core import DEFAULT_TAG
 from .activation import Activation, DataActivation, TriggerActivation
 from .context import ExecutionContext, NodeState
 from .opstate import OperatorRuntime, batch_output
-from .queues import ActivationQueue
 
 __all__ = ["ExecutionThread"]
 
@@ -119,8 +118,9 @@ class ExecutionThread:
     # -- activation selection (Figure 5) ----------------------------------------------
 
     def _select(self, exclude_op: Optional[int] = None
-                ) -> Optional[tuple[Activation, ActivationQueue]]:
-        """Pick and pop the next activation, or None if nothing is consumable.
+                ) -> Optional[tuple[Activation, int]]:
+        """Pick and pop the next activation, or None if nothing is consumable;
+        returns it with the index of the queue it came from.
 
         Pass 1 scans the thread's primary queues (its own index) across the
         node's operators; pass 2 takes any consumable queue, starting just
@@ -145,11 +145,10 @@ class ExecutionThread:
                 continue
             if channel is not None and channel._stalled_cells:
                 continue
-            queue = queue_set.queues[index]
-            if queue._items:
+            if queue_set.items[index]:
                 activation = queue_set.pop(index)
-                node.on_queue_pop(queue, activation)
-                return activation, queue
+                node.on_queue_pop(queue_set, index, activation)
+                return activation, index
         # Pass 2: any queue of the node.
         for op_id, queue_set, runtime, channel in selection:
             if not queue_set._non_empty or op_id == exclude_op:
@@ -162,16 +161,16 @@ class ExecutionThread:
                 continue
             queue_index = queue_set.first_non_empty(index + 1)
             if queue_index is not None:
-                queue = queue_set.queues[queue_index]
                 activation = queue_set.pop(queue_index)
-                node.on_queue_pop(queue, activation)
-                return activation, queue
+                node.on_queue_pop(queue_set, queue_index, activation)
+                return activation, queue_index
         return None
 
     def _select_trigger_of(self, runtime: OperatorRuntime,
                            busy_disks: Optional[set[int]] = None,
-                           ) -> Optional[tuple[Activation, ActivationQueue]]:
-        """Pop another trigger of the same scan (I/O-wait fallback).
+                           ) -> Optional[tuple[Activation, int]]:
+        """Pop another trigger of the same scan (I/O-wait fallback), with
+        the index of the queue it came from.
 
         ``busy_disks`` holds disk ids this thread already has reads in
         flight on; triggers targeting *other* disks are preferred so the
@@ -182,11 +181,11 @@ class ExecutionThread:
         if not self.context.is_op_selectable(node, runtime):
             return None
         queue_set = node.queue_sets[runtime.op_id]
-        n = len(queue_set.queues)
+        n = len(queue_set.items)
         fallback: Optional[int] = None
         for offset in range(n):
             queue_index = (self.index + offset) % n
-            head = queue_set.queues[queue_index].peek()
+            head = queue_set.peek(queue_index)
             if head is None:
                 continue
             if busy_disks and getattr(head, "disk_id", None) in busy_disks:
@@ -197,10 +196,9 @@ class ExecutionThread:
             break
         if fallback is None:
             return None
-        queue = queue_set.queues[fallback]
         activation = queue_set.pop(fallback)
-        node.on_queue_pop(queue, activation)
-        return activation, queue
+        node.on_queue_pop(queue_set, fallback, activation)
+        return activation, fallback
 
     # -- idling --------------------------------------------------------------------------
 
@@ -231,15 +229,15 @@ class ExecutionThread:
 
     # -- processing -----------------------------------------------------------------------
 
-    def _execute(self, picked: tuple[Activation, ActivationQueue], depth: int):
+    def _execute(self, picked: tuple[Activation, int], depth: int):
         """Process one activation completely (possibly nesting others)."""
-        activation, queue = picked
+        activation, queue_index = picked
         context = self.context
         runtime = context.ops[activation.op_id]
         cost = context.params.cost
 
         overhead = cost.activation_overhead_instructions
-        if queue.thread_index != self.index:
+        if queue_index != self.index:
             overhead += cost.foreign_queue_penalty_instructions
             context.metrics.foreign_queue_consumptions += 1
         if not activation.is_trigger and activation.remote:
@@ -310,9 +308,9 @@ class ExecutionThread:
                     busy_disks = {t.disk_id for t, _ in inflight}
                     replacement = self._select_trigger_of(runtime, busy_disks)
                     if replacement is not None:
-                        extra, queue = replacement
+                        extra, queue_index = replacement
                         overhead = cost.activation_overhead_instructions
-                        if queue.thread_index != self.index:
+                        if queue_index != self.index:
                             overhead += cost.foreign_queue_penalty_instructions
                             context.metrics.foreign_queue_consumptions += 1
                         yield from self._charge(overhead)
@@ -353,9 +351,9 @@ class ExecutionThread:
                 busy_disks = {t.disk_id for t, _ in inflight}
                 absorbed = self._select_trigger_of(runtime, busy_disks)
                 if absorbed is not None:
-                    trigger, queue = absorbed
+                    trigger, queue_index = absorbed
                     overhead = cost.activation_overhead_instructions
-                    if queue.thread_index != self.index:
+                    if queue_index != self.index:
                         overhead += cost.foreign_queue_penalty_instructions
                         context.metrics.foreign_queue_consumptions += 1
                     yield from self._charge(overhead)
@@ -386,11 +384,6 @@ class ExecutionThread:
             )
         runtime.tuples_in += activation.tuples
         context.metrics.tuples_built += activation.tuples
-        # Per-query stores, not the node pools: under a shared substrate
-        # the pool watermark mixes every concurrent query's reservations.
-        watermark = max(n.store.high_watermark for n in context.nodes)
-        if watermark > context.metrics.memory_high_watermark:
-            context.metrics.memory_high_watermark = watermark
 
     def _run_probe(self, activation: DataActivation, runtime: OperatorRuntime):
         """Probe the group's hash table and route the matches."""

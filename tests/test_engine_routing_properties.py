@@ -7,6 +7,8 @@ tests drive it directly (single-node contexts so deliveries are local) and
 assert the invariants the integration suite relies on.
 """
 
+from itertools import islice
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,16 @@ def build_channel(context):
     """The scan -> build channel on node 0."""
     scan = context.plan.operators.scans()[0]
     return context.channels[(0, scan.op_id)]
+
+
+def parked_activations(channel):
+    """Undeliverable batches the channel holds, over all its cells."""
+    return sum(len(parked) for parked in channel._undelivered.values())
+
+
+def contents(queue_set, index):
+    """What queue ``index`` of the set holds, oldest first."""
+    return list(islice(queue_set.items[index], queue_set.heads[index], None))
 
 
 class TestChannelConservation:
@@ -69,7 +81,8 @@ class TestChannelConservation:
         channel.push_tuples(10_000)
         consumer = context.plan.operators.builds()[0].op_id
         queue_set = context.nodes[0].queue_sets[consumer]
-        sizes = [a.tuples for q in queue_set.queues for a in q]
+        sizes = [a.tuples for index in range(len(queue_set.items))
+                 for a in contents(queue_set, index)]
         assert sizes
         assert all(s <= 32 for s in sizes)
 
@@ -91,6 +104,27 @@ class TestChannelConservation:
         out = channel.tuples_out
         channel.flush()
         assert channel.tuples_out == out
+
+    def test_a_channel_holds_per_cell_tables_only_while_it_pushes(self):
+        # The carry and pending tables serve pushes only: a producer that
+        # has not started, or has been flushed (it never pushes again),
+        # keeps none for the rest of its query, and its credits open at
+        # the first push.
+        context = make_context()
+        channel = build_channel(context)
+        assert channel._carry is None and channel._pending is None
+        assert channel._remote_credits is None
+        channel.push_tuples(77)
+        assert isinstance(channel._carry, list)
+        assert isinstance(channel._pending, list)
+        assert isinstance(channel._remote_credits, list)
+        channel.flush()
+        assert channel._carry is None and channel._pending is None
+        assert channel.tuples_out == 77
+        idle = context.channels[(0, context.plan.operators.scans()[1].op_id)]
+        assert idle.router is not None
+        assert idle.flush() == 0 and idle.tuples_out == 0
+        assert idle._carry is None and idle._pending is None
 
     def test_terminal_channel_counts_results(self):
         context = make_context()
@@ -114,7 +148,7 @@ class TestFlowControl:
         # 4 threads x capacity 2 x batch 8 = 64 tuples fit; push far more.
         channel.push_tuples(5000)
         assert channel.stalled
-        assert channel.parked_activations() > 0
+        assert parked_activations(channel) > 0
 
     def test_unstall_after_draining(self):
         context = make_context(
@@ -128,13 +162,13 @@ class TestFlowControl:
         # Consume everything; every pop triggers the drain hook.
         drained = 0
         while queue_set.has_work:
-            for index, queue in enumerate(queue_set.queues):
-                while not queue.is_empty:
+            for index in range(len(queue_set.items)):
+                while queue_set.items[index]:
                     activation = queue_set.pop(index)
-                    node.on_queue_pop(queue, activation)
+                    node.on_queue_pop(queue_set, index, activation)
                     drained += activation.tuples
         assert not channel.stalled
-        assert channel.parked_activations() == 0
+        assert parked_activations(channel) == 0
         # A drained cell keeps no entry (dead channels are cyclic garbage).
         assert channel._undelivered == {}
         assert drained == channel.tuples_out
@@ -157,11 +191,15 @@ class TestRemoteCredits:
         context = make_context(nodes=2, procs=2,
                                params=ExecutionParams(credit_window=3))
         channel = build_channel(context)
+        channel.push_tuples(0)  # the first push opens the credits
         remote_cells = [
             i for i, cell in enumerate(channel.router.cells) if cell[0] != 0
         ]
         assert remote_cells
         assert all(channel._remote_credits[i] == 3 for i in remote_cells)
+        assert all(channel._remote_credits[i] == 0
+                   for i in range(len(channel.router.cells))
+                   if i not in remote_cells)
 
     def test_remote_sends_consume_credits_and_park_beyond(self):
         from repro.engine.scheduler import NodeScheduler
@@ -176,12 +214,12 @@ class TestRemoteCredits:
             i for i, cell in enumerate(channel.router.cells) if cell[0] != 0
         ]
         assert all(channel._remote_credits[i] == 0 for i in remote_cells)
-        assert channel.parked_activations() > 0
+        assert parked_activations(channel) > 0
         # Returning credits drains parked batches.
-        before = channel.parked_activations()
+        before = parked_activations(channel)
         cell = channel.router.cells[remote_cells[0]]
         channel.on_credit(cell, 5)
-        assert channel.parked_activations() < before
+        assert parked_activations(channel) < before
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +236,6 @@ def make_steal_context(params=None):
     probe = context.plan.operators.probes()[0]
     runtime = context.ops[probe.op_id]
     runtime.blocked = False
-    for node_id in runtime.home:
-        context.nodes[node_id].queue_sets[probe.op_id].set_blocked(False)
     return context, runtime
 
 
@@ -209,7 +245,7 @@ def fill_probe_queues(context, runtime, node_id, fills, tuples=8,
     from repro.engine.activation import DataActivation
 
     queue_set = context.nodes[node_id].queue_sets[runtime.op_id]
-    for queue_index, count in enumerate(fills[:len(queue_set.queues)]):
+    for queue_index, count in enumerate(fills[:len(queue_set.items)]):
         for _ in range(count):
             queue_set.push(
                 queue_index,
@@ -250,12 +286,13 @@ class TestStealProtocolConditions:
             cached=frozenset(),
         )
         eligible = {}
-        for index, queue in enumerate(queue_set.queues):
-            if len(queue) < min_steal:
+        for index in range(len(queue_set.items)):
+            length = queue_set.size(index)
+            if length < min_steal:
                 continue  # condition (ii) must exclude it
-            steal_count = max(1, int(len(queue) * fraction))
+            steal_count = max(1, int(length * fraction))
             activation_bytes = int(
-                queue.bytes_queued / max(1, len(queue)) * steal_count
+                queue_set.bytes_queued[index] / max(1, length) * steal_count
             )
             if activation_bytes > free_memory:
                 continue  # condition (i) must exclude it
@@ -269,10 +306,10 @@ class TestStealProtocolConditions:
         assert not offered.blocked and not offered.terminated
         assert 0 in offered.home
         # Condition (ii) + (iii): count within [min, fraction * queue].
-        queue = queue_set.queues[candidate.queue_index]
-        assert len(queue) >= min_steal
+        length = queue_set.size(candidate.queue_index)
+        assert length >= min_steal
         assert candidate.steal_count == eligible[candidate.queue_index]
-        assert candidate.steal_count <= max(1, int(len(queue) * fraction))
+        assert candidate.steal_count <= max(1, int(length * fraction))
         # Condition (i): the shipment fits the requester's free memory.
         assert candidate.overhead <= free_memory
 
@@ -335,15 +372,15 @@ class TestStealConservation:
     def test_property_steal_moves_without_duplication(self, count, steal):
         context, runtime = make_steal_context()
         queue_set = fill_probe_queues(context, runtime, 1, [count, 0])
-        queue = queue_set.queues[0]
-        before = list(queue)
-        bytes_before = queue.bytes_queued
+        before = contents(queue_set, 0)
+        bytes_before = queue_set.bytes_queued[0]
         stolen = queue_set.steal_from(0, steal)
-        remaining = list(queue)
+        remaining = contents(queue_set, 0)
         # Conservation: stolen + remaining is exactly the original set,
         # in order, with no activation duplicated or lost.
         assert len(stolen) == min(steal, count)
         assert remaining + stolen == before
-        assert len(queue) == len(before) - len(stolen)
-        assert queue.bytes_queued == bytes_before - sum(a.nbytes for a in stolen)
-        assert queue.bytes_queued == sum(a.nbytes for a in remaining)
+        assert queue_set.size(0) == len(before) - len(stolen)
+        assert (queue_set.bytes_queued[0]
+                == bytes_before - sum(a.nbytes for a in stolen))
+        assert queue_set.bytes_queued[0] == sum(a.nbytes for a in remaining)

@@ -13,7 +13,8 @@ empties.  On hypothesis-built states — FP operator assignments, stalled
 channels, blocked / suspended / terminated operators, an excluded
 operator, activations pushed anywhere, local or from any other node —
 two identically built contexts pop the same ``(activation, queue)``
-sequence and return the same credits in the same order, one through
+sequence (a queue is ``(op, node, index)``: its set's operator and node
+and its slot in the set) and return the same credits in the same order, one through
 each path.
 """
 
@@ -55,11 +56,10 @@ def reference_select(thread, exclude_op=None):
         channel = channels.get((node_id, op_id))
         if channel is not None and channel.stalled:
             continue
-        queue = queue_set.queues[thread.index]
-        if not queue.is_empty:
+        if queue_set.size(thread.index):
             activation = queue_set.pop(thread.index)
-            node.on_queue_pop(queue, activation)
-            return activation, queue
+            node.on_queue_pop(queue_set, thread.index, activation)
+            return activation, thread.index
     for op_id, queue_set in node.queue_sets.items():
         if not queue_set._non_empty or op_id == exclude_op:
             continue
@@ -73,39 +73,39 @@ def reference_select(thread, exclude_op=None):
             continue
         queue_index = queue_set.first_non_empty(thread.index + 1)
         if queue_index is not None:
-            queue = queue_set.queues[queue_index]
             activation = queue_set.pop(queue_index)
-            node.on_queue_pop(queue, activation)
-            return activation, queue
+            node.on_queue_pop(queue_set, queue_index, activation)
+            return activation, queue_index
     return None
 
 
-def reference_on_queue_pop(node, owed_credits, queue, activation):
+def reference_on_queue_pop(node, owed_credits, queue_set, queue_index,
+                           activation):
     """``NodeState.on_queue_pop`` as it was: owed credits in one flat
     ``(op, queue index, src)`` dict, scanned whole when a queue empties."""
     context = node.context
-    producer_id = context.producer_of.get(queue.op_id)
+    producer_id = context.producer_of.get(queue_set.op_id)
     if producer_id is not None:
         channel = context.channels.get((node.node_id, producer_id))
         if channel is not None:
-            channel.on_local_space(queue.thread_index)
+            channel.on_local_space(queue_index)
     if (not activation.is_trigger and activation.remote
             and activation.src_node >= 0):
-        key = (queue.op_id, queue.thread_index, activation.src_node)
+        key = (queue_set.op_id, queue_index, activation.src_node)
         owed = owed_credits.get(key, 0) + 1
         threshold = max(1, context.params.credit_window // 2)
         if owed >= threshold:
             owed_credits[key] = 0
             context.return_credits(
-                node.node_id, activation.src_node, queue.op_id,
-                (node.node_id, queue.thread_index), owed,
+                node.node_id, activation.src_node, queue_set.op_id,
+                (node.node_id, queue_index), owed,
             )
         else:
             owed_credits[key] = owed
-    if queue.is_empty:
+    if not queue_set.size(queue_index):
         for key in list(owed_credits):
             op_id, thread_index, src = key
-            if op_id == queue.op_id and thread_index == queue.thread_index:
+            if op_id == queue_set.op_id and thread_index == queue_index:
                 owed = owed_credits.pop(key)
                 if owed:
                     context.return_credits(
@@ -160,11 +160,12 @@ def apply_state(context, state):
                 thread.assigned_ops = assigned
 
 
-def describe(picked):
+def describe(picked, node_id):
+    """The popped activation and its queue's ``(op, node, index)``."""
     if picked is None:
         return None
-    activation, queue = picked
-    return activation, queue.key
+    activation, queue_index = picked
+    return activation, (activation.op_id, node_id, queue_index)
 
 
 STATES = st.fixed_dictionaries({
@@ -205,11 +206,11 @@ def test_table_select_pops_what_the_dict_walk_pops(state):
         got = fast.nodes[node_id].threads[index]._select(exclude)
         want = reference_select(reference.nodes[node_id].threads[index],
                                 exclude)
-        assert describe(got) == describe(want)
+        assert describe(got, node_id) == describe(want, node_id)
     for ours, theirs in zip(fast.nodes, reference.nodes):
-        assert ({op_id: [len(q) for q in qs.queues]
+        assert ({op_id: [qs.size(i) for i in range(len(qs.items))]
                  for op_id, qs in ours.queue_sets.items()}
-                == {op_id: [len(q) for q in qs.queues]
+                == {op_id: [qs.size(i) for i in range(len(qs.items))]
                     for op_id, qs in theirs.queue_sets.items()})
     assert fast.credit_log == reference.credit_log
     assert fast.network.messages_sent == reference.network.messages_sent
@@ -249,7 +250,7 @@ def test_credit_returns_match_the_flat_dict_scan(actions):
         else:
             got = fast.nodes[0].threads[index]._select()
             want = reference_select(reference.nodes[0].threads[index])
-            assert describe(got) == describe(want)
+            assert describe(got, 0) == describe(want, 0)
     assert fast.credit_log == reference.credit_log
 
 
@@ -302,8 +303,9 @@ def test_the_states_reach_both_passes():
                                      tuples=5), force=True)
     thread = context.nodes[0].threads[0]
     thread.assigned_ops = {probe.op_id}
-    activation, queue = thread._select()
-    assert activation.op_id == probe.op_id and queue.key == (probe.op_id, 0, 2)
+    picked = thread._select()
+    assert describe(picked, 0) == (picked[0], (probe.op_id, 0, 2))
     queue_set.push(0, DataActivation(op_id=probe.op_id, group=(0, 0),
                                      tuples=5), force=True)
-    assert thread._select()[1].key == (probe.op_id, 0, 0)
+    picked = thread._select()
+    assert describe(picked, 0) == (picked[0], (probe.op_id, 0, 0))

@@ -29,7 +29,7 @@ from repro.api import ScenarioSpec, replace_path
 from repro.engine import ExecutionParams, QueryExecutor, Substrate
 from repro.engine.activation import DataActivation
 from repro.engine.context import ExecutionContext, NodeState
-from repro.engine.queues import ActivationQueue
+from repro.engine.queues import OperatorQueueSet
 from repro.engine.routing import OutputChannel
 from repro.engine.scheduler import NodeScheduler
 from repro.engine.thread_exec import ExecutionThread
@@ -46,7 +46,7 @@ from repro.workloads import pipeline_chain_scenario
 REPO = Path(__file__).resolve().parent.parent
 
 #: what a finished execution and a retired machine must leave to refcount.
-TORN_DOWN = (ExecutionContext, NodeState, ExecutionThread, ActivationQueue,
+TORN_DOWN = (ExecutionContext, NodeState, ExecutionThread, OperatorQueueSet,
              OutputChannel, Process, Processor, Disk)
 
 

@@ -6,7 +6,8 @@ later change could lose without moving a single simulated instant:
 * **operation counts** — a serving run constructs ``Router``\\ s and calls
   ``zipf_weights`` once per *plan*, and validates ``ExecutionParams``
   (``__post_init__``) a constant number of times, however many queries it
-  admits;
+  admits; and within a plan, routes over one consumer home share one
+  router's cell tables;
 * **lifetime** — a template dies with the run (or the lone executor) that
   built it.  Nothing process-wide keeps one: the trigger chunks of a large
   plan are megabytes, and a finished query is freed by refcount (see
@@ -20,12 +21,15 @@ import pytest
 
 import repro
 from repro.api import ScenarioSpec, build_plans, replace_path
+from repro.catalog import SkewSpec
+from repro.engine import QueryExecutor, Substrate
 from repro.engine import routing as routing_module
 from repro.engine import template as template_module
 from repro.engine.params import ExecutionParams
 from repro.engine.routing import Router
 from repro.engine.template import ExecutionTemplate
 from repro.optimizer.operator_tree import OpKind
+from repro.workloads import pipeline_chain_scenario
 
 #: the ledger's ``replay_tiny`` shape: tiny one-join queries from a
 #: generated trace against a deep pending queue, most of them shed.
@@ -97,10 +101,14 @@ class TestLaunchPathOperationCounts:
         assert counts[200] == counts[100]           # ... the build work not
         router_inits, zipf_calls, validated, built = counts[200]
         (plan,) = build_plans(specs[200])
-        routes = sum(1 for op in plan.operators if op.consumer_id is not None
-                     and op.kind is not OpKind.BUILD)
+        routed = [op for op in plan.operators if op.consumer_id is not None
+                  and op.kind is not OpKind.BUILD]
+        routes = len(routed)
+        homes = {plan.homes[op.consumer_id] for op in routed}
         assert built == 1                   # one plan, one cluster size
-        assert router_inits == routes       # not routes x admitted queries
+        # One router per consumer home, not per route, let alone per route
+        # and admitted query.
+        assert router_inits == len(homes) < routes
         assert zipf_calls <= 2 * routes + 2
         assert validated == 0               # per-query params skip validation
 
@@ -117,6 +125,30 @@ class TestLaunchPathOperationCounts:
             assert repro.run(spec).workload.admitted > 0
             built[strategy] = templates.calls - before
         assert built == {"SP": 0, "DP": 1}
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_routes_over_one_home_share_their_tables(self, theta):
+        plan, config = pipeline_chain_scenario(nodes=4, processors_per_node=8)
+        params = ExecutionParams(skew=SkewSpec.uniform_redistribution(theta))
+        template = ExecutionTemplate(plan, config, params)
+        context = QueryExecutor(plan, config, strategy="DP", params=params,
+                                template=lambda: template).launch(
+            Substrate(config, params))
+        by_home = {}
+        for route in template.routes:
+            if route.router is not None:
+                by_home.setdefault(plan.homes[route.consumer_id],
+                                   []).append(route.router)
+        assert max(map(len, by_home.values())) > 1  # some home is shared
+        # A query's routers (its own permutations at theta > 0) share the
+        # template's tables.
+        for channel in context.channels.values():
+            if channel.router is not None:
+                by_home[plan.homes[channel.consumer_op_id]].append(
+                    channel.router)
+        for shared in by_home.values():
+            assert len({id(router.cells) for router in shared}) == 1
+            assert len({id(router.cell_index) for router in shared}) == 1
 
     def test_per_query_params_are_a_seed_only_copy(self):
         base = ExecutionParams(batch_size=32, seed=1)

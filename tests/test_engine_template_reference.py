@@ -23,6 +23,7 @@ import random
 import types
 from collections import deque
 from contextlib import contextmanager
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from repro.catalog.skew import proportional_split, zipf_weights
 from repro.engine import ExecutionParams, QueryExecutor
 from repro.engine import context as context_module
 from repro.engine.activation import TriggerActivation
+from repro.engine.queues import OperatorQueueSet
 from repro.engine.routing import Router, consumer_cells
 from repro.engine.runlog import NOOP_LOGGER
 from repro.engine.substrate import Substrate
@@ -136,6 +138,11 @@ def reference_build(plan, config, params, streams=None) -> ReferenceBuild:
                           streams)
 
 
+def queue_contents(queue_set, index):
+    """What queue ``index`` of the set holds, oldest first (from its cursor)."""
+    return list(islice(queue_set.items[index], queue_set.heads[index], None))
+
+
 def assert_matches_reference(context, reference: ReferenceBuild) -> None:
     plan = context.plan
     assert context.producer_of == reference.producer_of
@@ -149,19 +156,25 @@ def assert_matches_reference(context, reference: ReferenceBuild) -> None:
         assert list(channel.router.cells) == cells
         # Exact: the same floats added in the same order, not approximately.
         assert list(channel.router.weights) == weights
+        # Nothing pushed before launch; the first push opens the credits
+        # (a push of nothing routes nothing).
+        assert channel._carry is None and channel._remote_credits is None
+        channel.push_tuples(0)
         assert channel._remote_credits == reference.credits[(node_id, op_id)]
         assert dict(channel._cell_index) == {c: i for i, c in enumerate(cells)}
     for op in plan.operators:
         assert context.ops[op.op_id].outstanding == reference.outstanding[op.op_id]
         for node_id in plan.homes[op.op_id]:
             queue_set = context.nodes[node_id].queue_sets[op.op_id]
-            contents = [list(queue) for queue in queue_set.queues]
+            contents = [queue_contents(queue_set, i)
+                        for i in range(len(queue_set.items))]
             assert contents == reference.queues[(op.op_id, node_id)]
             assert queue_set._queued == sum(len(q) for q in contents)
             assert queue_set._non_empty == sum(1 for q in contents if q)
-            for queue in queue_set.queues:
-                assert queue._head == 0  # nothing consumed before launch
-                assert queue.bytes_queued == sum(a.nbytes for a in queue)
+            # Nothing consumed before launch.
+            assert queue_set.heads == [0] * len(contents)
+            assert queue_set.bytes_queued == [
+                sum(a.nbytes for a in q) for q in contents]
     assert context.metrics.trigger_activations == sum(
         reference.outstanding.values()
     )
@@ -444,13 +457,19 @@ class TestQueriesShareNothingMutable:
     def launch_pair(self, theta):
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = bushy_plan(config)
-        template = ExecutionTemplate(plan, config, params_for(theta, 0))
+        template = ExecutionTemplate(plan, config, self.params(theta, 0))
         contexts = [
-            QueryExecutor(plan, config, params=params_for(theta, seed),
+            QueryExecutor(plan, config, params=self.params(theta, seed),
                           template=lambda: template).launch(Substrate(config))
             for seed in (1, 2)
         ]
         return plan, config, template, contexts
+
+    @staticmethod
+    def params(theta, seed):
+        # One page per trigger: a queue's seeded run is several triggers
+        # long, so a run moves its cursor before it drains.
+        return params_for(theta, seed, pages_per_trigger=1)
 
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     def test_shared_objects_are_all_immutable(self, theta):
@@ -488,7 +507,7 @@ class TestQueriesShareNothingMutable:
 
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     def test_running_one_query_leaves_its_sibling_and_the_template_alone(
-            self, theta):
+            self, theta, monkeypatch):
         plan, config, template, (a, b) = self.launch_pair(theta)
 
         def template_state():
@@ -497,26 +516,45 @@ class TestQueriesShareNothingMutable:
                 [(r.op_id, r.consumer_id,
                   None if r.router is None else
                   (r.router.cells, r.router.weights, dict(r.router.cell_index)),
-                  r.channels) for r in template.routes],
+                  r.home) for r in template.routes],
                 template.scans,
             )
 
         def context_state(context):
             return (
-                {key: [list(q) for q in queue_set.queues]
+                {(node.node_id, op_id): (
+                    [queue_contents(queue_set, i)
+                     for i in range(len(queue_set.items))],
+                    list(queue_set.heads), list(queue_set.bytes_queued))
                  for node in context.nodes
-                 for key, queue_set in node.queue_sets.items()},
+                 for op_id, queue_set in node.queue_sets.items()},
                 {op_id: (r.outstanding, r.blocked, r.producers_done,
                          set(r.remaining_predecessors))
                  for op_id, r in context.ops.items()},
-                {key: (list(ch._remote_credits), list(ch._carry),
-                       list(ch._pending))
+                {key: (None if ch._remote_credits is None
+                       else list(ch._remote_credits),
+                       None if ch._carry is None else list(ch._carry),
+                       None if ch._pending is None else list(ch._pending))
                  for key, ch in context.channels.items()
                  if ch.router is not None},
             )
 
         template_before, b_before = template_state(), context_state(b)
+        # A drained run's cursor goes back to 0, so a's end state cannot
+        # show a cursor shared with b: compare b also at a's first pop that
+        # leaves a cursor inside a seeded run.
+        mid_run = []
+        pop = OperatorQueueSet.pop
+
+        def checked_pop(queue_set, index):
+            activation = pop(queue_set, index)
+            if queue_set.heads[index] and not mid_run:
+                mid_run.append(context_state(b) == b_before)
+            return activation
+
+        monkeypatch.setattr(OperatorQueueSet, "pop", checked_pop)
         a.env.run()  # mutates everything a query mutates
+        assert mid_run == [True]
         assert a.done
         for node in a.nodes:
             assert all(not qs.has_work for qs in node.queue_sets.values())
@@ -525,6 +563,6 @@ class TestQueriesShareNothingMutable:
 
         # And the sibling still runs to the result it gets when run alone.
         b.env.run()
-        alone = QueryExecutor(plan, config, params=params_for(theta, 2)).run()
+        alone = QueryExecutor(plan, config, params=self.params(theta, 2)).run()
         assert b.response_time == alone.response_time
         assert b.result_sink.tuples == alone.metrics.result_tuples

@@ -1,8 +1,10 @@
 """Unit tests for engine building blocks: activations, queues, routing, tables."""
 
 import dataclasses
+import gc
 import re
-from collections import deque
+from collections import Counter, deque
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,10 +16,11 @@ from repro.engine.activation import DataActivation, TriggerActivation
 from repro.engine.metrics import (ExecutionMetrics, ExecutionResult,
                                   QueryCompletion)
 from repro.engine import queues as queues_module
-from repro.engine.queues import ActivationQueue, OperatorQueueSet, QueueFull
+from repro.engine.queues import OperatorQueueSet, QueueFull
 from repro.engine.routing import Router, consumer_cells
 from repro.engine.tables import HashTableStore
 from repro.engine.template import ExecutionTemplate
+from repro.optimizer.operator_tree import OpKind
 from repro.sim import Machine, MachineConfig
 from repro.workloads import pipeline_chain_scenario
 
@@ -82,93 +85,117 @@ class TestActivations:
 
 
 # ---------------------------------------------------------------------------
-# ActivationQueue / OperatorQueueSet
+# OperatorQueueSet
 # ---------------------------------------------------------------------------
 
 def _data(op_id=5, tuples=10):
     return DataActivation(op_id=op_id, group=(0, 0), tuples=tuples)
 
 
-class TestActivationQueue:
+def contents(queue_set, index):
+    """What queue ``index`` of the set holds, oldest first."""
+    return list(islice(queue_set.items[index], queue_set.heads[index], None))
+
+
+class TestQueue:
+    """One member queue, addressed as ``(queue set, index)``."""
+
     def test_fifo_order(self):
-        queue = ActivationQueue(5, 0, 0, capacity=4)
+        qs = OperatorQueueSet(5, 0, thread_count=2, capacity=4)
         a = _data(tuples=1)
         b = _data(tuples=2)
-        queue.push(a)
-        queue.push(b)
-        assert queue.pop() is a
-        assert queue.pop() is b
+        qs.push(1, a)
+        qs.push(1, b)
+        assert qs.pop(1) is a
+        assert qs.pop(1) is b
 
     def test_capacity_enforced(self):
-        queue = ActivationQueue(5, 0, 0, capacity=2)
-        queue.push(_data())
-        queue.push(_data())
-        assert queue.is_full
+        qs = OperatorQueueSet(5, 0, thread_count=2, capacity=2)
+        qs.push(0, _data())
+        qs.push(0, _data())
+        assert qs.is_full(0)
+        assert not qs.is_full(1)
         with pytest.raises(QueueFull):
-            queue.push(_data())
+            qs.push(0, _data())
 
     def test_force_push_exceeds_capacity(self):
-        queue = ActivationQueue(5, 0, 0, capacity=2)
+        qs = OperatorQueueSet(5, 0, thread_count=2, capacity=2)
         for _ in range(2):
-            queue.push(_data())
-        queue.push(_data(), force=True)
-        assert len(queue) == 3
+            qs.push(0, _data())
+        qs.push(0, _data(), force=True)
+        assert qs.size(0) == 3
 
     def test_wrong_operator_rejected(self):
-        queue = ActivationQueue(5, 0, 0, capacity=2)
+        qs = OperatorQueueSet(5, 0, thread_count=2, capacity=2)
         with pytest.raises(ValueError):
-            queue.push(_data(op_id=6))
+            qs.push(0, _data(op_id=6))
 
     def test_bytes_accounting(self):
-        queue = ActivationQueue(5, 0, 0, capacity=4)
-        queue.push(_data(tuples=10))
-        assert queue.bytes_queued == 1000
-        queue.pop()
-        assert queue.bytes_queued == 0
+        qs = OperatorQueueSet(5, 0, thread_count=2, capacity=4)
+        qs.push(0, _data(tuples=10))
+        assert qs.bytes_queued[0] == 1000
+        qs.pop(0)
+        assert qs.bytes_queued[0] == 0
 
-    def test_pop_tail_batch_takes_newest_preserving_order(self):
-        queue = ActivationQueue(5, 0, 0, capacity=8)
+    def test_steal_takes_newest_preserving_order(self):
+        qs = OperatorQueueSet(5, 0, thread_count=2, capacity=8)
         items = [_data(tuples=i + 1) for i in range(5)]
         for item in items:
-            queue.push(item)
-        stolen = queue.pop_tail_batch(2)
+            qs.push(0, item)
+        stolen = qs.steal_from(0, 2)
         assert stolen == items[3:]
-        assert queue.pop() is items[0]
+        assert qs.pop(0) is items[0]
 
-    def test_pop_tail_batch_bounded_by_length(self):
-        queue = ActivationQueue(5, 0, 0, capacity=8)
-        queue.push(_data())
-        assert len(queue.pop_tail_batch(10)) == 1
+    def test_steal_bounded_by_length(self):
+        qs = OperatorQueueSet(5, 0, thread_count=2, capacity=8)
+        qs.push(0, _data())
+        assert len(qs.steal_from(0, 10)) == 1
 
 
 class TestOperatorQueueSet:
     def test_non_empty_count_maintained(self):
         qs = OperatorQueueSet(5, 0, thread_count=3, capacity=4)
-        assert qs.non_empty_queues == 0
+        assert qs._non_empty == 0
         qs.push(0, _data())
         qs.push(0, _data())
         qs.push(2, _data())
-        assert qs.non_empty_queues == 2
+        assert qs._non_empty == 2
         qs.pop(0)
-        assert qs.non_empty_queues == 2
+        assert qs._non_empty == 2
         qs.pop(0)
-        assert qs.non_empty_queues == 1
+        assert qs._non_empty == 1
         assert qs.has_work
 
-    def test_blocked_propagates(self):
-        qs = OperatorQueueSet(5, 0, thread_count=2, capacity=4)
-        qs.set_blocked(True)
-        assert all(q.blocked for q in qs.queues)
-        qs.set_blocked(False)
-        assert not any(q.blocked for q in qs.queues)
+    def test_a_blocked_operator_queues_work_that_selection_skips(self):
+        """Section 3.1: a blocked operator's activations "cannot be
+        consumed but they can still be produced".  The runtime's flag is
+        the one blocked state: the queue set keeps none."""
+        plan, config = pipeline_chain_scenario(nodes=1, processors_per_node=2,
+                                               base_tuples=400, chain_joins=1)
+        context = QueryExecutor(plan, config, strategy="DP").launch(
+            Substrate(config, ExecutionParams()))
+        probe = next(r for r in context.ops.values() if r.kind is OpKind.PROBE)
+        assert probe.blocked
+        for runtime in context.ops.values():
+            runtime.terminated = runtime is not probe
+        queue_set = context.nodes[0].queue_sets[probe.op_id]
+        queue_set.push(0, DataActivation(op_id=probe.op_id, group=(0, 0),
+                                         tuples=5))
+        thread = context.nodes[0].threads[0]
+        assert thread._select() is None
+        probe.blocked = False
+        assert thread._select()[1] == 0
+        assert not hasattr(queue_set, "blocked")
+        assert not hasattr(queue_set, "set_blocked")
 
     def test_on_push_callback(self):
         qs = OperatorQueueSet(5, 0, thread_count=2, capacity=4)
         seen = []
-        qs.on_push = seen.append
+        qs.on_push = lambda queue_set, index: seen.append((queue_set, index))
         qs.push(1, _data())
-        assert len(seen) == 1
-        assert seen[0].thread_index == 1
+        qs.seed(0, (TriggerActivation(op_id=5, disk_id=0, pages=1, tuples=1),)
+                * 3)
+        assert seen == [(qs, 1), (qs, 0)]
 
     def test_first_non_empty_circular(self):
         qs = OperatorQueueSet(5, 0, thread_count=4, capacity=4)
@@ -188,7 +215,7 @@ class TestOperatorQueueSet:
             qs.push(0, _data())
         stolen = qs.steal_from(0, 4)
         assert len(stolen) == 4
-        assert qs.non_empty_queues == 0
+        assert qs._non_empty == 0
 
 
 #: one step on a queue set of three queues: (op, queue index, argument).
@@ -209,9 +236,9 @@ def test_a_queue_owns_storage_exactly_while_it_holds_work(steps):
     only pops touch it; any other queue holding work owns a deque."""
     capacity = 3
     qs = OperatorQueueSet(5, 0, thread_count=3, capacity=capacity)
-    model = [deque() for _ in qs.queues]
+    model = [deque() for _ in qs.items]
     #: per queue: the seeded tuple it should still hold, else None.
-    runs = [None for _ in qs.queues]
+    runs = [None for _ in qs.items]
     for op, index, arg in steps:
         ref = model[index]
         if op == "push":
@@ -241,50 +268,93 @@ def test_a_queue_owns_storage_exactly_while_it_holds_work(steps):
             assert stolen == expected[::-1]
             if expected:
                 runs[index] = None
-        for queue, ref, run in zip(qs.queues, model, runs):
+        for index, (ref, run) in enumerate(zip(model, runs)):
             if not ref:
-                assert queue._items is queues_module._EMPTY
-                assert queue._head == 0
+                assert qs.items[index] is queues_module._EMPTY
+                assert qs.heads[index] == 0
             elif run is not None:
-                assert queue._items is run
-                assert queue._head == len(run) - len(ref)
+                assert qs.items[index] is run
+                assert qs.heads[index] == len(run) - len(ref)
             else:
-                assert isinstance(queue._items, deque)
-                assert queue._head == 0
-            assert len(queue) == len(ref)
-            assert list(queue) == list(ref)
-            assert queue.peek() is (ref[0] if ref else None)
-            assert queue.is_full is (len(ref) >= capacity)
-            assert queue.bytes_queued == sum(a.nbytes for a in ref)
-        assert qs.non_empty_queues == sum(1 for ref in model if ref)
+                assert isinstance(qs.items[index], deque)
+                assert qs.heads[index] == 0
+            assert qs.size(index) == len(ref)
+            assert contents(qs, index) == list(ref)
+            assert qs.peek(index) is (ref[0] if ref else None)
+            assert qs.is_full(index) is (len(ref) >= capacity)
+            assert qs.bytes_queued[index] == sum(a.nbytes for a in ref)
+        assert qs._non_empty == sum(1 for ref in model if ref)
     with pytest.raises(ValueError):
         qs.push(0, _data(op_id=6), force=True)
 
 
-def test_after_launch_only_the_seeded_queues_own_storage():
-    """Each seeded queue holds its share of the template's triggers — the
-    very tuple, cursor at its start — and every other queue shares the
-    empty tuple: launch allocates no queue storage at all."""
+def _launched_chain():
+    """A launched, not yet run, DP context on a 4x8 pipeline chain, and
+    its template."""
     plan, config = pipeline_chain_scenario(nodes=4, processors_per_node=8)
     params = ExecutionParams()
     template = ExecutionTemplate(plan, config, params)
     context = QueryExecutor(plan, config, strategy="DP", params=params,
                             template=lambda: template).launch(
         Substrate(config, params))
+    return context, template
+
+
+def _queue_slots(context):
+    return [(queue_set, index) for node in context.nodes
+            for queue_set in node.queue_sets.values()
+            for index in range(len(queue_set.items))]
+
+
+def test_after_launch_only_the_seeded_queues_own_storage():
+    """Each seeded queue holds its share of the template's triggers — the
+    very tuple, cursor at its start — and every other queue shares the
+    empty tuple: launch allocates no queue storage at all."""
+    context, template = _launched_chain()
     shares = {id(share): share for _op_id, seeds in template.scans
               for seed in seeds for share in seed.shares if share}
-    queues = [queue for node in context.nodes
-              for queue_set in node.queue_sets.values()
-              for queue in queue_set.queues]
-    owners = [queue for queue in queues if len(queue)]
-    for queue in owners:
-        assert shares.get(id(queue._items)) is queue._items
-        assert queue._head == 0
-        assert all(activation.is_trigger for activation in queue)
-    assert all(queue._items is queues_module._EMPTY for queue in queues
-               if not len(queue))
-    assert sorted(id(queue._items) for queue in owners) == sorted(shares)
-    assert 0 < len(owners) < len(queues)
+    slots = _queue_slots(context)
+    owners = [(qs, index) for qs, index in slots if qs.size(index)]
+    for qs, index in owners:
+        assert shares.get(id(qs.items[index])) is qs.items[index]
+        assert qs.heads[index] == 0
+        assert all(activation.is_trigger
+                   for activation in contents(qs, index))
+    assert all(qs.items[index] is queues_module._EMPTY
+               for qs, index in slots if not qs.size(index))
+    assert sorted(id(qs.items[index]) for qs, index in owners) == sorted(shares)
+    assert 0 < len(owners) < len(slots)
+
+
+def test_launch_allocates_no_object_per_operator_and_thread():
+    """A queue is slots of its set's lists, not an object: of no type
+    does a launch make as many instances as it makes queues (operators x
+    nodes x threads), every empty slot is the one empty tuple, and each
+    node's queue sets share one bound arrival hook."""
+    plan, config = pipeline_chain_scenario(nodes=4, processors_per_node=8)
+    params = ExecutionParams()
+    template = ExecutionTemplate(plan, config, params)
+    executor = QueryExecutor(plan, config, strategy="DP", params=params,
+                             template=lambda: template)
+    substrate = Substrate(config, params)
+    gc.collect()
+    before = gc.get_objects()  # held, so no id is reused meanwhile
+    seen = {id(obj) for obj in before}
+    context = executor.launch(substrate)
+    made = Counter(type(obj).__name__ for obj in gc.get_objects()
+                   if id(obj) not in seen)
+    queues = sum(len(node.queue_sets) for node in context.nodes) * 8
+    assert {kind: count for kind, count in made.items()
+            if count >= queues} == {}
+    slots = _queue_slots(context)
+    assert len(slots) == queues
+    assert all(qs.items[index] is queues_module._EMPTY
+               for qs, index in slots if not qs.size(index))
+    # A node's arrival hook is bound once, not once per queue set.
+    for node in context.nodes:
+        hooks = {id(qs.on_push) for qs in node.queue_sets.values()}
+        assert len(hooks) == 1
+    del before
 
 
 def test_execution_records_have_no_instance_dict():
@@ -315,7 +385,7 @@ class TestRouter:
         cells = consumer_cells([0, 1], 4)
         flat = Router(cells, 64, theta=0.0, rng=random.Random(0))
         skewed = Router(cells, 64, theta=1.0, rng=random.Random(0))
-        assert skewed.max_cell_share > flat.max_cell_share
+        assert max(skewed.weights) > max(flat.weights)
 
     def test_high_fragmentation_smooths_mild_skew(self):
         """More buckets -> flatter group weights (the Section 3.1 argument)."""
@@ -323,7 +393,7 @@ class TestRouter:
         cells = consumer_cells([0, 1], 4)
         coarse = Router(cells, buckets=8, theta=0.5, rng=random.Random(1))
         fine = Router(cells, buckets=1024, theta=0.5, rng=random.Random(1))
-        assert fine.max_cell_share < coarse.max_cell_share
+        assert max(fine.weights) < max(coarse.weights)
 
     def test_weights_sum_to_one(self):
         import random

@@ -6,12 +6,13 @@ Every ``make <target>`` in a code span or code block of ``README.md``,
 ``Makefile``, and every ``scripts/...`` / ``benchmarks/...`` path a
 recipe names must be in the tree, and ``make profile``'s cold-import
 section reads ``-X importtime`` rows and its peak-heap section a
-``tracemalloc`` snapshot.  Stdlib only; no target is run.
+``tracemalloc`` snapshot and a count of objects by type.  Stdlib only; no target is run.
 """
 
 import importlib.util
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,4 +92,45 @@ def test_profile_reports_the_peak_heap_by_site():
         "  share      MiB   blocks  site",
         "  75.0%    6.000        3  src/repro/engine/queues.py:53",
         "  25.0%    2.000        1  random.py:164",
+    ]
+
+
+def test_profile_keeps_its_type_count_out_of_the_traced_peak(monkeypatch):
+    # The type count walks a list of every gc-tracked object, built at
+    # the highest sample; the reported peak must not include it.
+    import heapq
+
+    import repro
+
+    profile = profile_script()
+
+    class Result:
+        def to_json(self):
+            return ""
+
+    def run(_spec):
+        heap = [0]
+        for _ in range(profile.SAMPLE_EVERY):
+            heapq.heappop(heap)  # the script's sampling wrapper
+            heap.append(0)
+        return Result()
+
+    monkeypatch.setattr(repro, "run", run)
+    peak, snapshot, types = profile.peak_heap(None)
+    sampled = sum(stat.size for stat in snapshot.statistics("filename"))
+    census_list = 8 * sum(types.values())
+    assert census_list > 1 << 18  # the bound below can tell it apart
+    assert peak - sampled < census_list / 4
+
+
+def test_profile_reports_the_peak_heap_by_type():
+    # ``make profile``'s peak-heap section, on a canned census of the
+    # highest sample: types by count, most first, at most ``top``.
+    types = Counter({"DataActivation": 40, "OperatorQueueSet": 8704,
+                     "deque": 12})
+    assert profile_script().type_report(types, top=2).splitlines() == [
+        "gc-tracked objects at the highest sample: 8756; top 2 types",
+        "  objects  type",
+        "     8704  OperatorQueueSet",
+        "       40  DataActivation",
     ]

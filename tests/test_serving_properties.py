@@ -137,14 +137,14 @@ class TestStealLegalityInSitu:
                 assert requester in runtime.home
                 if scope is not None:
                     assert candidate.op_id == scope
-                queue = self.node.queue_sets[candidate.op_id].queues[
+                length = self.node.queue_sets[candidate.op_id].size(
                     candidate.queue_index
-                ]
+                )
                 # (ii) enough work; (iii) at most the steal fraction.
                 params = self.context.params
-                assert len(queue) >= params.min_steal_activations
+                assert length >= params.min_steal_activations
                 assert candidate.steal_count == max(
-                    1, int(len(queue) * params.steal_fraction)
+                    1, int(length * params.steal_fraction)
                 )
                 # (i) the requester can store the shipment.
                 assert candidate.overhead <= free_memory
