@@ -159,8 +159,3 @@ class Rebalancer:
         remaining[0] -= 1
         if remaining[0] == 0 and not done.triggered:
             done.succeed()
-
-    @property
-    def bytes_shipped(self) -> int:
-        """Bytes that actually crossed the overlay (conservation check)."""
-        return self.network.bytes_for("rebalance")

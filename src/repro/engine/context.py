@@ -91,9 +91,7 @@ class NodeState:
             return
         parked, self._idle = self._idle, []
         for thread in parked:
-            event, thread.wake_event = thread.wake_event, None
-            if event is not None and not event.triggered:
-                event.succeed()
+            thread.wake()
 
     def wake_for_op(self, op_id: int) -> None:
         """Wake parked threads that may consume ``op_id``.
@@ -109,9 +107,7 @@ class NodeState:
         for thread in self._idle:
             eligible = thread.assigned_ops is None or op_id in thread.assigned_ops
             if eligible:
-                event, thread.wake_event = thread.wake_event, None
-                if event is not None and not event.triggered:
-                    event.succeed()
+                thread.wake()
                 woken = True
             else:
                 keep.append(thread)
@@ -430,7 +426,6 @@ class ExecutionContext:
         runtime.terminated = True
         runtime.ending = False
         runtime.termination_time = self.env.now
-        self.metrics.op_end_times[runtime.op_id] = self.env.now
 
         # 1. Unblock successors whose predecessors are now all done.
         for other in self.ops.values():
@@ -492,22 +487,13 @@ class ExecutionContext:
         self.completion_time = self.env.now
         self.response_time = self.env.now - self.start_time
         self.metrics.response_time = self.response_time
-        # Per-resource queueing attribution: the disks and the network
-        # link account waiting per ChargeTag key, and this query's key is
-        # unique (per query under the serving layer, the default tag for
-        # a query run alone).  The totals are *taken*: a device must not
-        # keep a key for every query that ever queued on it.
-        key = (self.charge_tag or DEFAULT_TAG).key
-        # Folded left to right: float ``sum()`` rounds differently from 3.12 on.
-        disk_wait = 0.0
-        for row in self.disks:
-            for disk in row:
-                disk_wait += disk.take_wait_time(key)
-        self.metrics.disk_wait_time = disk_wait
-        self.metrics.net_wait_time = self.network.take_wait_time(key)
+        self.substrate.take_device_waits(
+            (self.charge_tag or DEFAULT_TAG).key, self.metrics)
         self.substrate.unregister_context(self)
         if not self.finished.triggered:
             self.finished.succeed()
+        # Closes every parked thread's ``no_work`` at this instant, before
+        # anything waiting on ``finished`` runs.
         for node in self.nodes:
             node.wake_all()
 

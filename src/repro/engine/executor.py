@@ -136,14 +136,8 @@ class QueryExecutor:
         metrics = context.metrics
         context.metrics = ExecutionMetrics()
         metrics.queueing_delay = queueing_delay
-        metrics.thread_count = sum(len(n.threads) for n in context.nodes)
-        # Derived (not live-accumulated): per-thread busy totals, folded
-        # left to right (float ``sum()`` rounds differently from 3.12 on).
-        busy = 0.0
-        for node in context.nodes:
-            for thread in node.threads:
-                busy += thread.busy_time
-        metrics.thread_busy_time = busy
+        metrics.fold_threads(thread for node in context.nodes
+                             for thread in node.threads)
         metrics.result_tuples = context.result_sink.tuples
         metrics.data_activations = sum(
             channel.activations_emitted for channel in context.channels.values()

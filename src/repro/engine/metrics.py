@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
+    "ThreadTime",
     "ExecutionMetrics",
     "ExecutionResult",
     "QueryCompletion",
@@ -37,6 +38,24 @@ __all__ = [
     "WorkloadMetrics",
     "percentile",
 ]
+
+
+class ThreadTime:
+    """One execution thread's lifetime, split at its three suspension
+    points: a CPU charge (``cpu``, its service seconds, added at issue;
+    ``cpu_contention``, its wait behind other queries' charges), a wait
+    on in-flight reads (``io_wait``) and a park with nothing selectable
+    (``no_work``).  Nothing else advances a thread's clock, so once it
+    has exited the slots sum to its exit instant minus its start
+    (``tests/test_thread_time.py``)."""
+
+    __slots__ = ("cpu", "cpu_contention", "io_wait", "no_work")
+
+    def __init__(self) -> None:
+        self.cpu = 0.0
+        self.cpu_contention = 0.0
+        self.io_wait = 0.0
+        self.no_work = 0.0
 
 
 @dataclass(slots=True)
@@ -50,9 +69,14 @@ class ExecutionMetrics:
     #: arrival -> admission wait under the serving layer's admission
     #: control; 0 for a directly-executed query.
     queueing_delay: float = 0.0
+    #: the threads' ``cpu``, ``io_wait`` and ``no_work`` slots, each
+    #: summed over the threads (see :class:`ThreadTime`).
     thread_busy_time: float = 0.0
+    thread_io_wait_time: float = 0.0
+    thread_no_work_time: float = 0.0
     #: time threads spent queued for a processor behind concurrent
-    #: queries' charges (0 in single-query mode: one thread/processor).
+    #: queries' charges (0 in single-query mode: one thread/processor),
+    #: summed live as charges end, up to the query's completion.
     cpu_contention_time: float = 0.0
     #: time this query's read requests spent queued behind other requests
     #: at the disk arms (self- or cross-query; per-ChargeTag attribution).
@@ -108,22 +132,35 @@ class ExecutionMetrics:
     #: preemptions, priced like steal page transfers.
     spill_bytes: int = 0
 
-    # --- per-operator termination times (op_id -> virtual seconds) -----------------------
-    op_end_times: dict[int, float] = field(default_factory=dict)
+    def fold_threads(self, threads) -> None:
+        """Set the thread fields from ``threads``' :class:`ThreadTime`
+        slots, folded left to right (float ``sum()`` rounds differently
+        from 3.12 on).  ``cpu_contention_time`` is not among them: it
+        keeps its live sum."""
+        count = 0
+        busy = io_wait = no_work = 0.0
+        for thread in threads:
+            count += 1
+            busy += thread.cpu
+            io_wait += thread.io_wait
+            no_work += thread.no_work
+        self.thread_count = count
+        self.thread_busy_time = busy
+        self.thread_io_wait_time = io_wait
+        self.thread_no_work_time = no_work
 
     def idle_fraction(self) -> float:
-        """Fraction of processor-time the threads spent idle."""
+        """Fraction of processor-time the threads spent not computing.
+
+        It lumps together CPU contention, I/O waits and parking with no
+        work — the three non-``cpu`` slots of :class:`ThreadTime`, of
+        which only the last is the paper's "idle" — less what charges
+        still in flight at completion run past it.
+        """
         if self.response_time <= 0 or self.thread_count == 0:
             return 0.0
         total = self.response_time * self.thread_count
         return max(0.0, 1.0 - self.thread_busy_time / total)
-
-    def busy_fraction(self) -> float:
-        """Fraction of processor-time the threads spent working."""
-        if self.response_time <= 0 or self.thread_count == 0:
-            return 0.0
-        total = self.response_time * self.thread_count
-        return min(1.0, self.thread_busy_time / total)
 
 
 @dataclass(frozen=True, slots=True)

@@ -42,7 +42,7 @@ from ...optimizer.scheduling import chain_total_order
 from ...sim.core import DEFAULT_TAG, Process
 from ...sim.machine import MachineConfig
 from ..context import ExecutionDeadlock
-from ..metrics import ExecutionMetrics, ExecutionResult
+from ..metrics import ExecutionMetrics, ExecutionResult, ThreadTime
 from ..opstate import batch_output
 from ..params import ExecutionParams
 from ..substrate import Substrate
@@ -70,11 +70,14 @@ class SPExecution:
     ops: dict = {}
 
     def __init__(self, substrate: Substrate, threads: int, wait_key: str):
-        self.disks = substrate.disks[0]
+        self.substrate = substrate
         self.wait_key = wait_key
         self.start_time: float = substrate.env.now
         self.metrics = ExecutionMetrics()
-        self.busy = [0.0] * threads
+        #: one per processor, alive from launch to completion: a chain's
+        #: worker on that processor fills it, and so does the wait at the
+        #: chain's barrier once the worker's pool has drained.
+        self.threads = [ThreadTime() for _ in range(threads)]
         self.results = 0
         self.done = False
         #: the driver process — an event that fires at query completion.
@@ -124,16 +127,21 @@ class SynchronousPipeliningExecutor:
         order = chain_total_order(tree)
         execution = SPExecution(substrate, k, (charge_tag or DEFAULT_TAG).key)
         metrics = execution.metrics
-        busy = execution.busy
+        threads = execution.threads
+        # Each worker's exit instant in the running chain: its thread's
+        # wait at the chain's barrier starts there.
+        exited = [0.0] * k
         tuples_in = {op.op_id: 0 for op in tree}
 
         def charge(thread_index: int, instructions: float):
+            thread = threads[thread_index]
             seconds = instructions / cost.mips
-            busy[thread_index] += seconds
+            thread.cpu += seconds
             started = env.now
             yield from processors[thread_index].use(seconds, charge_tag)
             waited = env.now - started - seconds
             if waited > 1e-12:
+                thread.cpu_contention += waited
                 metrics.cpu_contention_time += waited
 
         def make_chunks(chain: PipelineChain) -> list[_Chunk]:
@@ -194,6 +202,7 @@ class SynchronousPipeliningExecutor:
             One charge per chunk: the scan and every downstream
             operator's per-tuple work fold into a single ``use``.
             """
+            thread = threads[thread_index]
             # Query-scoped stream keys: concurrent queries sharing a disk
             # must not be mistaken for one sequential read stream.
             pending = None
@@ -222,11 +231,14 @@ class SynchronousPipeliningExecutor:
                     pending = (nxt, nxt_handle)
                 else:
                     pending = None
+                started = env.now
                 yield handle.event
+                thread.io_wait += env.now - started
                 metrics.tuples_scanned += chunk.tuples
                 instructions = chunk.tuples * cost.scan_instructions_per_tuple
                 instructions += process_tuples(chain, chunk.tuples)
                 yield from charge(thread_index, instructions)
+            exited[thread_index] = env.now
 
         def driver():
             for chain_id in order:
@@ -236,6 +248,8 @@ class SynchronousPipeliningExecutor:
                                      name=f"sp:q{query_id}t{t}")
                          for t in range(k)]
                 yield env.all_of(procs)
+                for thread, exit_time in zip(threads, exited):
+                    thread.no_work += env.now - exit_time
             metrics.response_time = env.now - execution.start_time
             execution.done = True
 
@@ -248,15 +262,8 @@ class SynchronousPipeliningExecutor:
         """Assemble the result after ``execution.finished`` has fired."""
         metrics = execution.metrics
         metrics.queueing_delay = queueing_delay
-        metrics.thread_count = len(execution.busy)
-        # Left folds: float ``sum()`` rounds differently from 3.12 on.
-        busy = disk_wait = 0.0
-        for seconds in execution.busy:
-            busy += seconds
-        for disk in execution.disks:
-            disk_wait += disk.take_wait_time(execution.wait_key)
-        metrics.thread_busy_time = busy
-        metrics.disk_wait_time = disk_wait
+        metrics.fold_threads(execution.threads)
+        execution.substrate.take_device_waits(execution.wait_key, metrics)
         metrics.result_tuples = execution.results
         return ExecutionResult(
             plan_label=self.plan.label,

@@ -174,6 +174,25 @@ class Substrate:
                 queued[node.node_id] -= queue_set._queued
                 queue_set.detach_load()
 
+    def take_device_waits(self, key: str, metrics) -> None:
+        """Set ``metrics``' ``disk_wait_time`` and ``net_wait_time`` to the
+        queueing the disks and the link charged to ``key``.
+
+        The devices account waiting per ChargeTag key, and a query's key
+        is unique (per query under the serving layer, the default tag for
+        a query run alone).  The totals are *taken*: a device must not
+        keep a key for every query that ever queued on it, and one that
+        never saw the key gives 0.0.
+        """
+        # Folded left to right: float ``sum()`` rounds differently from 3.12 on.
+        disk_wait = 0.0
+        for row in self.disks:
+            for disk in row:
+                disk_wait += disk.take_wait_time(key)
+        metrics.disk_wait_time = disk_wait
+        metrics.net_wait_time = (0.0 if self.net_link is None
+                                 else self.net_link.take_wait_time(key))
+
     def notify_memory_released(self) -> None:
         """Engine hook: a query freed node memory mid-execution."""
         if self.on_memory_release is not None:

@@ -34,6 +34,7 @@ from ..optimizer.operator_tree import OpKind
 from ..sim.core import DEFAULT_TAG
 from .activation import Activation, DataActivation, TriggerActivation
 from .context import ExecutionContext, NodeState
+from .metrics import ThreadTime
 from .opstate import OperatorRuntime, batch_output
 
 __all__ = ["ExecutionThread"]
@@ -46,10 +47,11 @@ MAX_SUSPENSION_DEPTH = 8
 IO_MULTIPLEX_WINDOW = 4
 
 
-class ExecutionThread:
+class ExecutionThread(ThreadTime):
     """One simulated processor's worth of query execution."""
 
     def __init__(self, context: ExecutionContext, node: NodeState, index: int):
+        super().__init__()
         self.context = context
         self.node = node
         self.index = index
@@ -63,12 +65,13 @@ class ExecutionThread:
         self._use = self.processor._use
         self._tag = (DEFAULT_TAG if context.charge_tag is None
                      else context.charge_tag)
-        self.busy_time = 0.0
-        self.idle_time = 0.0
         #: FP restriction: the operator ids this thread may process
         #: (None = unrestricted, the DP default).
         self.assigned_ops: Optional[set[int]] = None
         self.wake_event = None
+        #: when the current park began: ``no_work`` runs from here to
+        #: :meth:`wake`.
+        self.parked_at = 0.0
         self.process = None
         #: signal accounting: the thread pays the scheduler-signal cost
         #: when it *becomes* idle, not on every fruitless wakeup.
@@ -95,23 +98,22 @@ class ExecutionThread:
     # -- CPU accounting ------------------------------------------------------------
 
     def _charge(self, instructions: float):
-        """Consume CPU: hold the processor, advance time, record busy time.
+        """Consume CPU: hold the processor, advance time, fill ``cpu``.
 
         The charge acquires the thread's physical processor for its
         duration; with one query per machine the processor is always free
         and this degenerates to a plain timeout.  Under multiprogramming,
-        time spent queued behind another query's charge is recorded as
-        ``cpu_contention_time`` (it is neither busy nor idle time).
+        time spent queued behind another query's charge fills
+        ``cpu_contention`` and the query's live ``cpu_contention_time``.
         """
-        # ``metrics.thread_busy_time`` is derived from the per-thread
-        # totals at collect time, not accumulated live.
         seconds = instructions / self._mips
-        self.busy_time += seconds
+        self.cpu += seconds
         env = self._env
         started = env._now
         yield from self._use(self.processor, seconds, self._tag)
         waited = env._now - started - seconds
         if waited > 1e-12:
+            self.cpu_contention += waited
             # Read through the context: ``collect`` swaps the metrics object.
             self.context.metrics.cpu_contention_time += waited
 
@@ -209,7 +211,8 @@ class ExecutionThread:
         thread, Section 4) on the transition into idleness; a woken thread
         that finds nothing goes straight back to sleep without re-paying.
         After paying the signal the thread re-checks for work that may
-        have arrived meanwhile.
+        have arrived meanwhile.  The sleep is ``no_work``, closed by
+        whoever wakes the thread (:meth:`wake`).
         """
         context = self.context
         if self._worked_since_idle:
@@ -222,10 +225,18 @@ class ExecutionThread:
         if context.done:
             return
         self.node.scheduler.on_thread_idle(self)
-        event = self.node.register_idle(self)
-        started = context.env.now
-        yield event
-        self.idle_time += context.env.now - started
+        self.parked_at = self._env._now
+        yield self.node.register_idle(self)
+
+    def wake(self) -> None:
+        """End the park: fill ``no_work`` up to now, the instant the
+        thread resumes.  Closing it here, not on resumption, lets a
+        collect on ``finished`` (which runs before the threads ``finish``
+        woke) read their whole park."""
+        event, self.wake_event = self.wake_event, None
+        self.no_work += self._env._now - self.parked_at
+        if event is not None and not event.triggered:
+            event.succeed()
 
     # -- processing -----------------------------------------------------------------------
 
@@ -360,9 +371,10 @@ class ExecutionThread:
                     inflight.append((trigger, issue(trigger)))
                     yield from self._charge(params.disk.async_init_instructions)
                     continue
-            yield context.env.any_of(
-                [handle.event for _, handle in inflight]
-            )
+            env = self._env
+            waited_from = env._now
+            yield env.any_of([handle.event for _, handle in inflight])
+            self.io_wait += env._now - waited_from
 
     def _run_build(self, activation: DataActivation, runtime: OperatorRuntime):
         """Insert the batch into the group's hash table."""

@@ -122,9 +122,6 @@ class OverloadResult(SweepResult):
                    f"cell, SLO {self.slo:.3f}s)"),
         )
 
-    def peak_goodput(self, regime: str) -> float:
-        return max(row.goodput for row in self.select(regime=regime))
-
 
 def overload_scenarios(options: ExperimentOptions,
                        multipliers: tuple = LOAD_MULTIPLIERS,

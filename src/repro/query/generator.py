@@ -128,7 +128,3 @@ class QueryGenerator:
             edges.append(JoinEdge(a, b, selectivity))
 
         return QueryGraph(relations, edges)
-
-    def generate_many(self, count: int, start_index: int = 0) -> list[QueryGraph]:
-        """Generate ``count`` queries (the paper uses 20)."""
-        return [self.generate(start_index + i) for i in range(count)]

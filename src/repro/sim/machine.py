@@ -76,11 +76,6 @@ class MachineConfig:
             raise ValueError(f"mips must be positive, got {self.mips}")
 
     @property
-    def total_processors(self) -> int:
-        """Processor count across all SM-nodes."""
-        return self.nodes * self.processors_per_node
-
-    @property
     def memory_per_node(self) -> int:
         """Shared memory available on one SM-node."""
         return self.memory_per_processor * self.processors_per_node

@@ -23,7 +23,7 @@ propagation delay, and the link's
 :class:`~repro.sim.core.SchedulingDiscipline` — the same ``"fifo"`` /
 ``"fair"`` / ``"priority"`` registry the CPUs and disks use — orders the
 waiting messages by their :class:`~repro.sim.core.ChargeTag`.  Per-class
-link queueing is observable through :meth:`Network.take_wait_time`, which
+link queueing is observable through :meth:`NetworkLink.take_wait_time`, which
 the serving layer reads back into per-class network queueing-delay
 metrics.  A :class:`NetworkLink` can be shared by several
 :class:`Network` overlays (the serving layer's per-query networks all
@@ -201,11 +201,6 @@ class Network:
         owner is done and nothing is in flight (a later send raises)."""
         self._inboxes = {}
         self.on_drained = None
-
-    def take_wait_time(self, key: str) -> float:
-        """Link queueing time of messages tagged ``key`` (0 when infinite),
-        taken off the link's table."""
-        return 0.0 if self.link is None else self.link.take_wait_time(key)
 
     def send(self, src: int, dst: int, kind: str, payload: Any,
              nbytes: int, purpose: str = "control",

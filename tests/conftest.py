@@ -10,7 +10,9 @@ Two profiles:
   ``make check`` do this).
 
 It also holds the engine's test-side tuple reference,
-``exact_cardinalities`` and ``counters``, as session fixtures.
+``exact_cardinalities`` and ``counters``, and ``run_with_end_times``
+(each operator's termination instant beside a lone run's result), as
+session fixtures.
 """
 
 import os
@@ -18,6 +20,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.engine import Substrate
 from repro.optimizer import OpKind
 
 settings.register_profile(
@@ -80,3 +83,23 @@ def counters():
     """``result -> {counter: tuples}`` as the execution reported them."""
     return lambda result: {name: getattr(result.metrics, name)
                            for name in COUNTERS}
+
+
+def _run_with_end_times(executor):
+    """Run ``executor`` alone, as ``QueryExecutor.run`` does, and return
+    its result with ``{op_id: termination_time}`` read off the execution's
+    operator runtimes (empty under SP, which has none)."""
+    substrate = Substrate(executor.config, executor.params)
+    execution = executor.launch(substrate)
+    substrate.env.run()
+    assert execution.done, "the simulation drained before completion"
+    result = executor.collect(execution)
+    substrate.close()
+    return result, {op_id: runtime.termination_time
+                    for op_id, runtime in execution.ops.items()}
+
+
+@pytest.fixture(scope="session")
+def run_with_end_times():
+    """``executor -> (result, {op_id: termination_time})``."""
+    return _run_with_end_times

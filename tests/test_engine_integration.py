@@ -104,22 +104,24 @@ class TestConservation:
         expected = sum(op.input_cardinality for op in plan.operators.builds())
         assert result.metrics.tuples_built == expected == 4500
 
-    def test_all_operators_terminate_with_end_times(self):
+    def test_all_operators_terminate_with_end_times(self, run_with_end_times):
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = bushy_plan(config)
-        result = QueryExecutor(plan, config, strategy="DP").run()
-        assert set(result.metrics.op_end_times) == {
+        result, end_times = run_with_end_times(
+            QueryExecutor(plan, config, strategy="DP"))
+        assert None not in end_times.values()
+        assert set(end_times) == {
             op.op_id for op in plan.operators
         }
-        root_end = result.metrics.op_end_times[plan.operators.root_id]
+        root_end = end_times[plan.operators.root_id]
         assert root_end == result.response_time
 
-    def test_termination_order_respects_schedule(self):
+    def test_termination_order_respects_schedule(self, run_with_end_times):
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = bushy_plan(config)
-        result = QueryExecutor(plan, config, strategy="DP").run()
-        order = sorted(result.metrics.op_end_times,
-                       key=result.metrics.op_end_times.get)
+        _result, end_times = run_with_end_times(
+            QueryExecutor(plan, config, strategy="DP"))
+        order = sorted(end_times, key=end_times.get)
         assert plan.schedule.is_consistent_linearization(order)
 
 

@@ -105,24 +105,27 @@ class TestEndDetection:
         # The protocol's messages are part of the control purpose count.
         assert result.metrics.messages_sent >= expected_end_messages
 
-    def test_end_detection_latency_delays_termination(self):
+    def test_end_detection_latency_delays_termination(self, run_with_end_times):
         """Termination lags actual completion by 4 transmission delays."""
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = skewed_join_plan(config)
         delay = 0.5e-3
-        result = QueryExecutor(plan, config, strategy="DP").run()
-        ends = sorted(result.metrics.op_end_times.values())
+        result, end_times = run_with_end_times(
+            QueryExecutor(plan, config, strategy="DP"))
+        ends = sorted(end_times.values())
         # Operator end times are spaced by at least the protocol latency
         # when they are on the critical path (coarse check: the last two
         # distinct end times differ by >= 4 delays or are simultaneous).
         assert result.response_time >= ends[0] + 4 * delay
 
-    def test_all_ops_terminate_under_every_strategy(self):
+    def test_all_ops_terminate_under_every_strategy(self, run_with_end_times):
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = skewed_join_plan(config)
         for strategy in ("DP", "FP"):
-            result = QueryExecutor(plan, config, strategy=strategy).run()
-            assert len(result.metrics.op_end_times) == len(plan.operators)
+            _result, end_times = run_with_end_times(
+                QueryExecutor(plan, config, strategy=strategy))
+            assert None not in end_times.values()
+            assert len(end_times) == len(plan.operators)
 
 
 class TestFPAllocation:

@@ -43,8 +43,8 @@ def random_plan(seed: int, relations: int, config: MachineConfig):
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_property_random_plans_complete_and_conserve(
-        exact_cardinalities, counters, seed, relations, strategy, nodes,
-        procs, theta):
+        exact_cardinalities, counters, run_with_end_times, seed, relations,
+        strategy, nodes, procs, theta):
     """Any plan completes, and does the same work on every machine, under
     every strategy and redistribution skew."""
     if strategy == "SP":
@@ -53,13 +53,13 @@ def test_property_random_plans_complete_and_conserve(
     plan = random_plan(seed, relations, config)
     params = ExecutionParams(skew=SkewSpec.uniform_redistribution(theta),
                              seed=seed)
-    result = QueryExecutor(plan, config, strategy=strategy,
-                           params=params).run()
+    result, end_times = run_with_end_times(
+        QueryExecutor(plan, config, strategy=strategy, params=params))
     if strategy != "SP":  # SP's chains keep no per-operator end times
         # Completion with every operator terminated in schedule order.
-        assert len(result.metrics.op_end_times) == len(plan.operators)
-        order = sorted(result.metrics.op_end_times,
-                       key=result.metrics.op_end_times.get)
+        assert None not in end_times.values()
+        assert len(end_times) == len(plan.operators)
+        order = sorted(end_times, key=end_times.get)
         assert plan.schedule.is_consistent_linearization(order)
     # Conservation: base tuples scanned exactly once, every operator's
     # output exactly the folded output rule.

@@ -296,6 +296,8 @@ class TestRecordedCompletionIsImmutable:
 
 @pytest.mark.parametrize("module", [
     "engine/metrics.py",
+    # where the thread-time slots and the device waits are accumulated
+    "engine/thread_exec.py", "engine/strategies/sp.py", "engine/substrate.py",
     # decision / report paths: every figure table, the service-class
     # draw, and the placement ``bytes_avoided`` estimate
     "experiments/methodology.py", "serving/driver.py", "placement/base.py",

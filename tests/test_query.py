@@ -212,7 +212,7 @@ class TestQueryGenerator:
 
     def test_generate_many(self):
         generator = QueryGenerator(RandomStreams(1))
-        graphs = generator.generate_many(20)
+        graphs = [generator.generate(index) for index in range(20)]
         assert len(graphs) == 20
         names = {tuple(g.names) for g in graphs}
         assert len(names) == 20  # distinct relation name spaces

@@ -248,7 +248,7 @@ class TestNetworkLinkScheduling:
         assert [i for _t, i in delivered] == [0, 1]
         assert delivered[0][0] == pytest.approx(0.01)
         assert delivered[1][0] == pytest.approx(0.02)
-        assert network.take_wait_time("b") == pytest.approx(0.01)
+        assert network.link.take_wait_time("b") == pytest.approx(0.01)
 
     def test_priority_link_preempts_a_bulk_transfer(self):
         # A 100 KB shipment from t=0 at 1 MB/s; a high-priority control
@@ -309,7 +309,7 @@ class TestNetworkLinkScheduling:
         env.run()
         assert done == [pytest.approx(0.05), pytest.approx(0.1)]
         assert link.wait_by_key == {"q1": pytest.approx(0.05)}
-        assert nets[1].take_wait_time("q1") == pytest.approx(0.05)
+        assert link.take_wait_time("q1") == pytest.approx(0.05)
         assert link.wait_by_key == {}  # taken, not read
 
     def test_link_requires_finite_bandwidth(self):

@@ -12,6 +12,7 @@ from repro.sim import (
     Network,
     NetworkParams,
 )
+from repro.sim.machine import make_processors
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +26,9 @@ class TestMachineConfig:
         assert config.page_size == 8 * 1024
 
     def test_total_processors(self):
-        assert MachineConfig(nodes=4, processors_per_node=8).total_processors == 32
+        rows = make_processors(Environment(),
+                               MachineConfig(nodes=4, processors_per_node=8))
+        assert [len(row) for row in rows] == [8] * 4
 
     def test_describe_label(self):
         assert MachineConfig(nodes=4, processors_per_node=12).describe() == "4x12"

@@ -5,8 +5,10 @@ import pytest
 from repro.engine import (
     ExecutionMetrics,
     QueryExecutor,
+    Substrate,
     SynchronousPipeliningExecutor,
 )
+from repro.engine.metrics import ThreadTime
 from repro.optimizer import chain_total_order
 from repro.sim import MachineConfig
 from repro.workloads import pipeline_chain_scenario, two_node_join_scenario
@@ -14,20 +16,29 @@ from repro.workloads import pipeline_chain_scenario, two_node_join_scenario
 
 class TestExecutionMetrics:
     def test_idle_fraction_complements_busy(self):
-        metrics = ExecutionMetrics(response_time=10.0, thread_count=4,
-                                   thread_busy_time=30.0)
-        assert metrics.idle_fraction() == pytest.approx(0.25)
-        assert metrics.busy_fraction() == pytest.approx(0.75)
+        threads = [ThreadTime() for _ in range(4)]
+        for thread in threads:
+            thread.cpu, thread.io_wait, thread.no_work = 7.0, 2.0, 1.0
+        threads[0].cpu_contention = 5.0  # not folded: a live sum
+        metrics = ExecutionMetrics(response_time=10.0)
+        metrics.fold_threads(threads)
+        assert (metrics.thread_count, metrics.thread_busy_time,
+                metrics.thread_io_wait_time, metrics.thread_no_work_time,
+                metrics.cpu_contention_time) == (4, 28.0, 8.0, 4.0, 0.0)
+        # "Idle" is everything but ``cpu``: I/O waits and no work here.
+        assert metrics.idle_fraction() == pytest.approx(0.3)
 
     def test_zero_response_time_safe(self):
         metrics = ExecutionMetrics()
+        metrics.fold_threads([])
+        assert metrics.thread_count == 0
         assert metrics.idle_fraction() == 0.0
-        assert metrics.busy_fraction() == 0.0
 
-    def test_busy_fraction_clamped(self):
+    def test_idle_fraction_clamped(self):
+        """A charge in flight at completion runs past the response time,
+        so ``cpu`` can exceed it; idle then reads 0, never below."""
         metrics = ExecutionMetrics(response_time=1.0, thread_count=1,
                                    thread_busy_time=2.0)
-        assert metrics.busy_fraction() == 1.0
         assert metrics.idle_fraction() == 0.0
 
     def test_result_str_mentions_key_facts(self):
@@ -62,11 +73,26 @@ class TestSPExecutor:
         assert order[-1] == longest.chain_id
 
     def test_busy_time_bounded_by_response(self):
+        """Every SP thread lives from launch to the last chain's barrier,
+        so its four slots sum to the response time."""
         plan, config = pipeline_chain_scenario(nodes=1, processors_per_node=4,
                                                base_tuples=1000)
-        result = QueryExecutor(plan, config, strategy="SP").run()
-        m = result.metrics
-        assert 0 < m.thread_busy_time <= m.response_time * m.thread_count * 1.001
+        executor = QueryExecutor(plan, config, strategy="SP")
+        substrate = Substrate(config, executor.params)
+        execution = executor.launch(substrate)
+        substrate.env.run()
+        m = executor.collect(execution).metrics
+        assert len(execution.threads) == m.thread_count == 4
+        for thread in execution.threads:
+            lifetime = (thread.cpu + thread.cpu_contention + thread.io_wait
+                        + thread.no_work)
+            assert lifetime == pytest.approx(m.response_time, rel=1e-9,
+                                             abs=0.0)
+        assert 0 < m.thread_busy_time < m.response_time * m.thread_count
+        assert (m.thread_busy_time + m.cpu_contention_time
+                + m.thread_io_wait_time + m.thread_no_work_time
+                == pytest.approx(m.response_time * m.thread_count,
+                                 rel=1e-9, abs=0.0))
 
     def test_no_network_traffic(self):
         plan, config = pipeline_chain_scenario(nodes=1, processors_per_node=4,
