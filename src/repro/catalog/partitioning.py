@@ -105,16 +105,6 @@ class RelationPlacement:
             return ()
         return self.tuples_per_disk[index]
 
-    def pages_on_disk(self, node_id: int, disk_id: int) -> int:
-        """Pages of this relation on one disk of one node."""
-        shares = self.disk_shares(node_id)
-        if disk_id >= len(shares):
-            return 0
-        tuples = shares[disk_id]
-        if tuples == 0:
-            return 0
-        return math.ceil(tuples * self.relation.tuple_size / self.page_size)
-
 
 @dataclass(frozen=True)
 class PartitionMove:

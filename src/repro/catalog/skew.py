@@ -122,12 +122,3 @@ class SkewSpec:
         """The paper's Figure 9/10 setting: the same redistribution skew
         factor on every operator."""
         return cls(redistribution=theta)
-
-    @property
-    def any_skew(self) -> bool:
-        """True if any axis is skewed."""
-        return any(
-            getattr(self, name) > 0.0
-            for name in ("redistribution", "tuple_placement", "attribute_value",
-                         "selectivity", "join_product")
-        )

@@ -126,17 +126,6 @@ class HashTableStore:
         """Stolen-queue cache check (Section 4 optimization)."""
         return (join_id, group) in self._copies
 
-    def probe_table(self, join_id: int, group: GroupId) -> Optional[GroupTable]:
-        """The table a probe of ``group`` should use on this node.
-
-        The locally built table for local groups, or an installed copy for
-        stolen groups.
-        """
-        key = (join_id, group)
-        if key in self._built:
-            return self._built[key]
-        return self._copies.get(key)
-
     # -- memory preemption (serving layer) ---------------------------------------
 
     def spillable_bytes(self, join_id: int) -> int:

@@ -1,4 +1,4 @@
-"""Goodput under deep overload: graceful degradation vs. retry storms.
+"""Goodput under deep overload: shedding vs. retry storms.
 
 Not a paper figure — the ROADMAP's production-overload arc.  The paper
 measures one query at a time on an idle machine; a serving deployment of
@@ -6,25 +6,31 @@ the same engine dies a different death: offered load exceeds capacity,
 queries shed on queue timeouts, *clients retry*, and the retry traffic
 re-offers the overload back to the machine.  This experiment sweeps
 offered load from half capacity into deep overload (>= 2x) under two
-client/serving regimes built from the same plans, machine and arrival
-schedule:
+client regimes built from the same plans, machine, serving policy and
+arrival schedule, which differ in the client retry policy alone:
 
 * ``naive`` — clients retry shed queries forever on a short, barely
   jittered backoff (the default behaviour of most application retry
-  loops); no preemptive memory management; the cross-query broker uses
-  its shotgun ``"all"`` policy.  Past saturation the retry storm keeps
-  re-offering the excess load, so the queue never drains, client-
-  perceived latencies grow without bound, and *goodput* — completions
-  within the SLO per second of run — collapses even though raw
-  throughput stays near capacity (the metastable-failure signature).
-* ``graceful`` — bounded attempts with jittered exponential backoff
-  (shed load is eventually *dropped*, not recycled), preemptive memory
-  management (a memory-blocked interactive query may suspend a batch
-  query's hash build, spilling its reserved bytes until the preemptor
-  resolves), and the broker's targeted ``"best"`` policy (one
-  benefit/overhead-ranked victim per imbalance instead of a stampede).
-  Goodput flattens near capacity instead of collapsing: the acceptance
-  gate asserts the 2x point holds >= 80% of the regime's peak.
+  loops).  Past saturation the retry storm keeps re-offering the excess
+  load, so the queue never drains, client-perceived latencies grow
+  without bound, and *goodput* — completions within the SLO per second
+  of run — collapses even though raw throughput stays near capacity
+  (the metastable-failure signature).
+* ``graceful`` — a query shed on its queue timeout is dropped, not
+  resubmitted, so the excess load leaves the machine and goodput
+  flattens near capacity instead of collapsing: the acceptance gate
+  asserts the 2x point holds >= 80% of the regime's peak.
+
+The graceful client does not retry because at this SLO a retry is load
+that cannot count: its latency runs from the original arrival, and a
+query shed after its queue timeout that backs off and queues again
+almost never completes inside the SLO.  Bounded retry with jittered
+exponential backoff (2 or 3 attempts) held the gate at fewer seeds,
+and memory preemption lost goodput or completions at every seed where
+it acted, so neither regime carries it.  Both run the broker's
+targeted ``"best"`` policy, which won the one sweep cell where the
+broker mattered and lost none; README's overload section has the seed
+distribution.
 
 Goodput is measured against the *logical* query: a retried query's
 latency runs from its original arrival (recomputed from the seeded
@@ -52,18 +58,37 @@ __all__ = ["OverloadResult", "OverloadRow", "overload_scenarios", "measure",
            "LOAD_MULTIPLIERS"]
 
 PAPER_EXPECTATION = (
-    "Bounded retries with jittered backoff plus preemptive memory "
-    "management hold goodput near capacity into deep overload (the 2x "
-    "point stays >= 80% of the regime's peak), while naive infinite "
-    "retries recycle the excess load into a metastable retry storm whose "
-    "goodput collapses well below that bar."
+    "Shedding on a queue timeout and dropping the shed query holds goodput "
+    "near capacity into deep overload (the 2x point stays >= 80% of the "
+    "regime's peak), while naive infinite retries recycle the excess load "
+    "into a metastable retry storm whose goodput collapses well below that "
+    "bar."
 )
 
 #: offered load as multiples of the calibrated base rate.
 LOAD_MULTIPLIERS = (0.5, 1.0, 1.5, 2.0, 3.0)
 
+#: offered logical queries per second at 1x.
+BASE_RATE = 2.0
+
+#: the interactive class's queue timeout (batch waits four times longer).
+QUEUE_TIMEOUT = 0.5
+
 #: client-perceived latency bound that defines a "good" completion.
-DEFAULT_SLO = 3.0
+SLO = 3.0
+
+#: per-processor memory: 16 MiB per node against ~4 MiB of hash build
+#: per query, so concurrent builds contend for node memory.
+MEMORY_PER_PROCESSOR = 4 << 20
+
+#: regime -> client retry policy; the regimes differ in nothing else.
+REGIMES = (
+    ("naive", RetryPolicySpec(
+        max_attempts=None, base_backoff=QUEUE_TIMEOUT / 2,
+        multiplier=1.0, jitter=0.1,
+    )),
+    ("graceful", None),
+)
 
 
 @dataclass(frozen=True)
@@ -81,8 +106,6 @@ class OverloadRow:
     retries: int
     #: shed-reason counts (the taxonomy summary for the cell).
     shed_reasons: dict
-    #: victim suspensions by preemptive memory management.
-    preemptions: int
     #: completions whose *client-perceived* latency (completion minus the
     #: logical query's original scheduled arrival) met the SLO.
     good: int
@@ -114,7 +137,6 @@ class OverloadResult(SweepResult):
              ("completed", {}, lambda r: r.completed),
              ("gave up", {}, lambda r: r.gave_up),
              ("retries", {}, lambda r: r.retries),
-             ("preempt", {}, lambda r: r.preemptions),
              ("good", {}, lambda r: r.good),
              ("goodput (q/s)", {}, lambda r: f"{r.goodput:.2f}"),
              ("p95 client (s)", {}, lambda r: f"{r.p95_client_latency:.3f}")),
@@ -125,61 +147,41 @@ class OverloadResult(SweepResult):
 
 def overload_scenarios(options: ExperimentOptions,
                        multipliers: tuple = LOAD_MULTIPLIERS,
-                       base_rate: float = 2.0,
-                       queue_timeout: float = 0.5,
-                       slo: float = DEFAULT_SLO,
-                       queries_per_cell: Optional[int] = None,
-                       memory_per_processor: int = 4 << 20) -> tuple:
+                       queries_per_cell: Optional[int] = None) -> tuple:
     """Every sweep cell, labelled ``overload-<regime>-<multiplier>x``.
 
-    Both regimes share plans, machine, classes and the seeded arrival
-    schedule — the *only* differences are the retry policy, the
-    preemption knobs and the broker policy, so the curve isolates the
-    degradation machinery.  ``memory_per_processor`` is deliberately
-    small (default 4 MiB, i.e. 16 MiB per node against ~4 MiB of hash
-    build per query) so concurrent builds genuinely contend for node
-    memory and preemption has something to do.
+    Both regimes share plans, machine, execution parameters, classes,
+    admission policy and the seeded arrival schedule; the *only*
+    difference is the client retry policy (:data:`REGIMES`).
     """
     queries = queries_per_cell or 6 * options.workload_queries
     machines = MachineConfig(
         nodes=2, processors_per_node=4,
-        memory_per_processor=memory_per_processor,
+        memory_per_processor=MEMORY_PER_PROCESSOR,
     )
     plans = options.plan_mix()
+    # "best" won the one sweep cell where the broker policy mattered
+    # (96 queries, seed 11, graceful 2x: 1.25 vs 1.21 q/s under "all",
+    # 45 completions each) and lost none.
+    params = scaled_execution_params(scale=options.scale, seed=options.seed,
+                                     cross_steal_policy="best")
+    policy = AdmissionPolicy(max_multiprogramming=4,
+                             queue_timeout=QUEUE_TIMEOUT)
     interactive = ServiceClass(
         name="interactive", weight=4.0, priority=10,
-        latency_slo=slo, queue_timeout=queue_timeout,
+        latency_slo=SLO, queue_timeout=QUEUE_TIMEOUT,
     )
     batch = ServiceClass(
         name="batch", weight=1.0, priority=0,
-        queue_timeout=4 * queue_timeout,
-    )
-    regimes = (
-        ("naive", RetryPolicySpec(
-            max_attempts=None, base_backoff=queue_timeout / 2,
-            multiplier=1.0, jitter=0.1,
-        ), AdmissionPolicy(
-            max_multiprogramming=4, queue_timeout=queue_timeout,
-        ), "all"),
-        ("graceful", RetryPolicySpec(
-            max_attempts=3, base_backoff=2 * queue_timeout,
-            multiplier=2.0, max_backoff=8 * queue_timeout, jitter=0.5,
-        ), AdmissionPolicy(
-            max_multiprogramming=4, queue_timeout=queue_timeout,
-            memory_preemption=True, preemption_shed=True,
-        ), "best"),
+        queue_timeout=4 * QUEUE_TIMEOUT,
     )
     cells = []
-    for regime, retry, policy, steal_policy in regimes:
-        params = scaled_execution_params(
-            scale=options.scale, seed=options.seed,
-            cross_steal_policy=steal_policy,
-        )
+    for regime, retry in REGIMES:
         for multiplier in multipliers:
             workload = WorkloadSpec(
                 queries=queries,
                 arrival=ArrivalSpec(kind="poisson",
-                                    rate=multiplier * base_rate),
+                                    rate=multiplier * BASE_RATE),
                 policy=policy,
                 classes=((interactive, 3.0), (batch, 1.0)),
                 retry=retry,
@@ -231,7 +233,6 @@ def measure(cell: ScenarioSpec) -> OverloadRow:
         gave_up=workload.clients.gave_up,
         retries=workload.clients.retries,
         shed_reasons=metrics.shed_reason_counts(),
-        preemptions=metrics.memory_preemptions,
         good=good,
         goodput=good / (metrics.makespan or 1.0),
         p95_client_latency=(ordered[int(0.95 * (len(ordered) - 1))]
@@ -241,8 +242,8 @@ def measure(cell: ScenarioSpec) -> OverloadRow:
 
 register_experiment(
     "overload",
-    "Graceful degradation under deep overload: bounded retry/backoff + "
-    "preemptive memory management vs. a naive retry storm",
+    "Graceful degradation under deep overload: shed queries dropped "
+    "vs. a naive retry storm",
     cells=overload_scenarios, measure=measure,
     assemble=OverloadResult.assemble,
     expectation=PAPER_EXPECTATION,

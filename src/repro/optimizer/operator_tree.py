@@ -206,10 +206,6 @@ class OperatorTree:
             raise ValueError(f"operator {build_id} is not a build")
         return consumers[0]
 
-    def chain_of(self, op_id: int) -> PipelineChain:
-        """The maximal pipeline chain containing ``op_id``."""
-        return self.chains[self._chain_of[op_id]]
-
     # -- chains ---------------------------------------------------------------
 
     def _compute_chains(self) -> list[PipelineChain]:

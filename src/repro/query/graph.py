@@ -123,10 +123,6 @@ class QueryGraph:
         for edge in self._adjacency[name]:
             yield edge.other(name)
 
-    def edges_of(self, name: str) -> list[JoinEdge]:
-        """All predicate edges incident to ``name``."""
-        return list(self._adjacency[name])
-
     def edge_between(self, a: str, b: str) -> JoinEdge:
         """The edge connecting ``a`` and ``b``.
 

@@ -150,11 +150,6 @@ class Disk:
         self.wait_by_key: dict[str, float] = {}
 
     @property
-    def discipline_name(self) -> str:
-        """Registry name of the discipline this arm runs."""
-        return "fifo" if self._arm is None else self._arm.discipline.name
-
-    @property
     def preemptions(self) -> int:
         """Transfers preempted mid-service (0 under FIFO/fair)."""
         return 0 if self._arm is None else self._arm.preemptions

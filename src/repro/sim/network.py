@@ -132,11 +132,6 @@ class NetworkLink:
         #: ChargeTag key -> link queueing time of that class's messages.
         self.wait_by_key: dict[str, float] = {}
 
-    @property
-    def discipline_name(self) -> str:
-        """Registry name of the discipline this link runs."""
-        return self.resource.discipline.name
-
     def take_wait_time(self, key: str) -> float:
         """Queued time accumulated by messages tagged with ``key``, which
         is forgotten (a finished query takes its total with it)."""

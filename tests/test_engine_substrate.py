@@ -96,7 +96,7 @@ class TestLoneSPHonoursItsDisciplines:
         assert fifo.metrics.disk_wait_time == 0.0
         params = ExecutionParams(disk_discipline=discipline)
         substrate = Substrate(self.CONFIG, params)
-        assert {d.discipline_name for d in substrate.disks[0]} == {discipline}
+        assert {d._arm.discipline.name for d in substrate.disks[0]} == {discipline}
         by_hand_result = by_hand(chain(self.CONFIG), self.CONFIG, "SP",
                                  params, substrate)
         assert (dataclasses.asdict(by_hand_result)

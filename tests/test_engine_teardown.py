@@ -228,7 +228,7 @@ def test_a_disk_keeps_no_state_per_stream_it_served():
     many, many_streams = tiny_replay(60)
     assert many_streams > few_streams  # every query reads its own streams
     assert len(few) == len(many) > 0
-    assert all(disk.discipline_name == "fifo" for disk in few + many)
+    assert all(disk._arm is None for disk in few + many)  # FIFO arms
     assert [entries(disk) for disk in few] == [entries(disk) for disk in many]
 
 

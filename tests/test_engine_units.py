@@ -411,6 +411,13 @@ class TestRouter:
 # HashTableStore
 # ---------------------------------------------------------------------------
 
+def probe_table(store, join_id, group):
+    """The table a probe of ``group`` reads on the store's node: the local
+    build for a local group, else the installed copy of a stolen one."""
+    key = (join_id, group)
+    return store._built.get(key) or store._copies.get(key)
+
+
 class TestHashTableStore:
     def _store(self):
         machine = Machine(MachineConfig(nodes=1, processors_per_node=2))
@@ -432,14 +439,14 @@ class TestHashTableStore:
     def test_probe_table_prefers_local(self):
         store, _ = self._store()
         store.insert(1, (0, 0), 10, 100)
-        assert store.probe_table(1, (0, 0)).tuples == 10
+        assert probe_table(store, 1, (0, 0)).tuples == 10
 
     def test_install_copy_and_cache_check(self):
         store, node = self._store()
         assert not store.has_copy(1, (2, 0))
         store.install_copy(1, (2, 0), tuples=20, nbytes=2000)
         assert store.has_copy(1, (2, 0))
-        assert store.probe_table(1, (2, 0)).tuples == 20
+        assert probe_table(store, 1, (2, 0)).tuples == 20
         assert node.used == 2000
 
     def test_double_install_rejected(self):
@@ -456,7 +463,7 @@ class TestHashTableStore:
         released = store.release_join(1)
         assert released == 1500
         assert node.used == 1000
-        assert store.probe_table(1, (0, 0)) is None
+        assert probe_table(store, 1, (0, 0)) is None
         assert store.local_table(2, (0, 1)) is not None
 
     def test_total_bytes(self):

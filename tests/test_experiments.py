@@ -7,6 +7,7 @@ workload-sweep contracts run at their full shape in the slow tier
 (``TestServingSweepContracts``, ``make check-slow``).
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from repro.experiments import (
 )
 from repro.experiments import figure7
 from repro.experiments.methodology import PlanRun, Point, measure
+from repro.experiments.overload import LOAD_MULTIPLIERS, overload_scenarios
 from repro.experiments.registry import REGISTRY, register_experiment
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import EXPERIMENTS, run_all, run_experiment
@@ -183,8 +185,8 @@ class TestFigureModules:
         assert "5-operator chain" in result.table()
 
     def test_overload_miniature(self):
-        # Five queries: the fewest at which both regimes shed and retry
-        # at 2x, so every assertion below has something to count.
+        # Five queries: enough that both regimes shed at 2x (and
+        # naive retries), so every assertion below has something to count.
         result = run_experiment("overload", TINY, multipliers=(1.0, 2.0),
                                 queries_per_cell=5)
         assert {(r.regime, r.multiplier) for r in result.rows} == {
@@ -200,7 +202,24 @@ class TestFigureModules:
                 # unbounded retries never give up
                 assert row.gave_up == 0
                 assert row.completed == result.queries
+            else:
+                # no retry: every shed query is given up at once
+                assert row.retries == 0
+                assert row.gave_up == sum(row.shed_reasons.values())
         assert "Goodput under overload" in result.table()
+
+    def test_overload_regimes_differ_in_retry_alone(self):
+        cells = {cell.label: cell
+                 for cell in overload_scenarios(TINY, queries_per_cell=5)}
+        for multiplier in LOAD_MULTIPLIERS:
+            naive = cells[f"overload-naive-{multiplier!r}x"]
+            graceful = cells[f"overload-graceful-{multiplier!r}x"]
+            assert graceful.workload.retry is None
+            assert naive.workload.retry is not None
+            assert dataclasses.replace(
+                naive, label=graceful.label,
+                workload=dataclasses.replace(naive.workload, retry=None),
+            ) == graceful
 
     def test_service_class_sweep_miniature(self):
         result = run_experiment(
@@ -241,11 +260,14 @@ class TestFigureModules:
 class TestServingSweepContracts:
     """The serving sweeps' behavioural contracts at their full shape."""
 
-    def test_overload_graceful_degradation(self):
+    # The ledger's default and held-out seeds, fixed before measuring.
+    @pytest.mark.parametrize("seed", [1996, 2815])
+    def test_overload_graceful_degradation(self, seed):
         """Graceful holds >= 80 % of its peak goodput at 2x offered load;
         the naive retry storm collapses below that bar."""
-        result = run_experiment("overload", ExperimentOptions.quick(),
-                                multipliers=(1.0, 2.0), queries_per_cell=96)
+        result = run_experiment(
+            "overload", dataclasses.replace(ExperimentOptions.quick(), seed=seed),
+            processes=2, multipliers=(1.0, 2.0), queries_per_cell=96)
 
         def retention_2x(regime):
             peak = max(row.goodput for row in result.select(regime=regime))

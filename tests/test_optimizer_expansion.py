@@ -127,7 +127,7 @@ class TestMacroExpansion:
         ops = macro_expand(tree, CardinalityEstimator(graph))
         for chain in ops.chains:
             for op_id in chain.op_ids:
-                assert ops.chain_of(op_id).chain_id == chain.chain_id
+                assert ops.chains[ops._chain_of[op_id]].chain_id == chain.chain_id
 
     def test_fanout(self):
         graph, tree = four_relation_bushy()

@@ -78,7 +78,7 @@ class TestQueryGraph:
         graph = simple_graph()
         assert sorted(graph.neighbors("S")) == ["R", "T"]
         assert sorted(graph.neighbors("R")) == ["S"]
-        assert len(graph.edges_of("S")) == 2
+        assert len(graph._adjacency["S"]) == 2
 
     def test_edge_between(self):
         graph = simple_graph()

@@ -209,9 +209,9 @@ class TestNetworkLinkServing:
             MachineConfig(nodes=2, processors_per_node=2), params=params
         )
         substrate = coordinator.substrate
-        assert substrate.disks[0][0].discipline_name == "priority"
+        assert substrate.disks[0][0]._arm.discipline.name == "priority"
         assert substrate.net_link is not None
-        assert substrate.net_link.discipline_name == "fair"
+        assert substrate.net_link.resource.discipline.name == "fair"
 
     def test_infinite_bandwidth_builds_no_link(self):
         coordinator = MultiQueryCoordinator(

@@ -86,7 +86,7 @@ class TestDiskFIFOByteIdentity:
         explicit, d1 = run_disk_requests("fifo", requests)
         default, d2 = run_disk_requests(None, requests)
         assert repr(explicit) == repr(default)
-        assert d1.discipline_name == d2.discipline_name == "fifo"
+        assert d1._arm is None and d2._arm is None  # the analytic FIFO arm
 
     def test_fifo_wait_accounting_sees_the_busy_period(self):
         # Two stream-less requests issued back to back: the second queues
