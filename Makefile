@@ -23,9 +23,10 @@
 #                         cold imports of set-up + one run by package
 #                         (python -X importtime in a child), the
 #                         cyclic-garbage census of one more repetition,
-#                         then the top allocation sites at the traced
-#                         peak of one more (tracemalloc) and the top
-#                         gc-tracked types by count at that sample
+#                         then one more under tracemalloc: the traced
+#                         peak of the run and of .to_json(), and the top
+#                         allocation sites at each one's high (with the
+#                         top gc-tracked types by count at the run's)
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python

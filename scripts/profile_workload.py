@@ -31,15 +31,21 @@ serving-shaped in it is a leak of teardown, and ``peak_rss_mb`` then
 depends on when the collector happens to run.
 
 The report ends with where the peak heap goes: one more warm repetition
-under ``tracemalloc``.  Every 5 000 kernel events (heap pops, counted
-by a wrapper this script installs around ``heapq.heappop`` for that
-repetition) it reads the traced heap, and at each new high it takes a
-snapshot and counts the gc-tracked objects by type.  It prints the
-traced peak and the top allocation sites of the highest snapshot, by
-line, with their block counts, then the top types of the same sample
-by count: the section to read when ``peak_rss_mb`` moves.  A site's
-line number shifts with every edit; a type's name does not.  The list
-the type count walks is kept out of the traced peak.
+under ``tracemalloc``, phase by phase.  It first prints the traced peak
+of ``repro.run``, what the finished result retains, and the traced peak
+of ``.to_json()`` above that (with the length of its text): a
+repetition's peak can be set in either.  During the run, every 5 000
+kernel events (heap pops, counted by a wrapper this script installs
+around ``heapq.heappop`` for that repetition) it reads the traced heap,
+and at each new high it takes a snapshot and counts the gc-tracked
+objects by type; during ``.to_json()`` it reads the heap at every
+function return (``sys.setprofile``) and snapshots at each high 2 %
+above the last.  For each phase it prints the top allocation sites of
+the highest snapshot, by line, with their block counts, and for the run
+the top types of the same sample by count: the section to read when
+``peak_rss_mb`` moves.  A site's line number shifts with every edit; a
+type's name does not.  The list the type count walks is kept out of the
+traced peak.
 """
 
 import argparse
@@ -52,7 +58,9 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -121,41 +129,108 @@ def census(spec, top: int = 10) -> str:
 
 #: kernel events between two reads of the traced heap.
 SAMPLE_EVERY = 5_000
+#: while serialising, a snapshot is taken at a new high this much above
+#: the last one: a snapshot costs a walk of every traced block.
+TO_JSON_STEP = 1.02
 
 
-def peak_heap(spec):
-    """``(traced peak bytes, snapshot at the highest sampled heap, the
-    gc-tracked objects by type at that sample)`` of one warm repetition."""
+@dataclass
+class Phase:
+    """One phase of a repetition under tracemalloc."""
+
+    #: the traced heap the phase started from, in bytes.
+    start: int = 0
+    #: traced peak above ``start``, in bytes.
+    peak: int = 0
+    #: the snapshot at the phase's highest sample.
+    snapshot: object = None
+    #: the gc-tracked objects by type at that sample (run phase only).
+    types: Optional[Counter] = None
+
+
+class Sampler:
+    """Reads the traced heap when called; snapshots at each new high."""
+
+    def __init__(self, count_types: bool, step: float = 1.0):
+        self.count_types, self.step = count_types, step
+        self.start = tracemalloc.get_traced_memory()[0]
+        self.high = self.start
+        self.phase = Phase(start=self.start)
+
+    def __call__(self) -> None:
+        current, traced_peak = tracemalloc.get_traced_memory()
+        phase = self.phase
+        phase.peak = max(phase.peak, traced_peak - self.start)
+        if current > self.high * self.step or phase.snapshot is None:
+            self.high = current
+            phase.snapshot = tracemalloc.take_snapshot()  # held untraced
+            if self.count_types:
+                phase.types = Counter(type(obj).__name__ for obj in gc.get_objects())
+            # gc.get_objects()'s list is traced: keep it out of the peak.
+            tracemalloc.reset_peak()
+
+    def finish(self) -> Phase:
+        self.phase.peak = max(
+            self.phase.peak, tracemalloc.get_traced_memory()[1] - self.start
+        )
+        return self.phase
+
+
+def peak_heap(spec) -> tuple[Phase, int, Phase, int]:
+    """One warm repetition under tracemalloc, phase by phase:
+    ``(run, bytes the result retains, to_json, length of its text)``.
+
+    The run is sampled every :data:`SAMPLE_EVERY` kernel events (heap
+    pops), with the gc-tracked types counted at its highest sample;
+    ``.to_json()`` at every function return (``sys.setprofile``), which
+    catches the join that builds its text."""
     import repro
 
     pop = heapq.heappop
-    countdown, high, peak, snapshot, types = SAMPLE_EVERY, 0, 0, None, None
+    countdown = SAMPLE_EVERY
 
     def sampling_pop(heap):
-        nonlocal countdown, high, peak, snapshot, types
+        nonlocal countdown
         countdown -= 1
         if not countdown:
             countdown = SAMPLE_EVERY
-            current, traced_peak = tracemalloc.get_traced_memory()
-            peak = max(peak, traced_peak)
-            if current > high:
-                high = current
-                snapshot = tracemalloc.take_snapshot()  # held untraced
-                types = Counter(type(obj).__name__ for obj in gc.get_objects())
-                # gc.get_objects()'s list is traced: keep it out of the peak.
-                tracemalloc.reset_peak()
+            run_sampler()
         return pop(heap)
+
+    def on_return(_frame, event, _arg):
+        if event in ("return", "c_return"):
+            json_sampler()
 
     gc.collect()
     heapq.heappop = sampling_pop  # the kernel binds it when a run starts
     tracemalloc.start()
     try:
-        repro.run(spec).to_json()
-        peak = max(peak, tracemalloc.get_traced_memory()[1])
+        run_sampler = Sampler(count_types=True)
+        result = repro.run(spec)
+        run = run_sampler.finish()
+        retained = tracemalloc.get_traced_memory()[0] - run_sampler.start
+        json_sampler = Sampler(count_types=False, step=TO_JSON_STEP)
+        sys.setprofile(on_return)
+        try:
+            text = result.to_json()
+        finally:
+            sys.setprofile(None)
+        to_json = json_sampler.finish()
     finally:
         tracemalloc.stop()
         heapq.heappop = pop
-    return peak, snapshot, types
+    return run, retained, to_json, len(text)
+
+
+def phase_report(run: Phase, retained: int, to_json: Phase, text: int) -> str:
+    """The traced peak of each phase, above the heap it started from."""
+    mib = 1 << 20
+    return "\n".join([
+        f"repro.run: traced peak {run.peak / mib:.2f} MiB; the result "
+        f"retains {retained / mib:.2f} MiB",
+        f".to_json(): traced peak {to_json.peak / mib:.2f} MiB above the "
+        f"retained result, for {text / mib:.2f} MiB of text",
+    ])
 
 
 def heap_report(peak: int, snapshot, top: int = 10) -> str:
@@ -299,12 +374,18 @@ def main(argv=None) -> int:
     print(census(spec))
     print()
     print(
-        f"peak heap: one more warm repetition under tracemalloc, sampled "
-        f"every {SAMPLE_EVERY} kernel events"
+        "peak heap: one more warm repetition under tracemalloc; the run "
+        f"sampled every {SAMPLE_EVERY} kernel events, .to_json() at every return"
     )
-    peak, snapshot, types = peak_heap(spec)
-    print(heap_report(peak, snapshot))
-    print(type_report(types))
+    run, retained, to_json, text = peak_heap(spec)
+    print(phase_report(run, retained, to_json, text))
+    print()
+    print("the run's highest sample")
+    print(heap_report(run.start + run.peak, run.snapshot))
+    print(type_report(run.types))
+    print()
+    print(".to_json()'s highest sample (the retained result included)")
+    print(heap_report(to_json.start + to_json.peak, to_json.snapshot))
     return 0
 
 

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .facade import run
-from .serde import SpecError
+from .serde import SpecError, dumps
 from .spec import ScenarioSpec, TraceSpec
 
 __all__ = ["main", "load_scenario"]
@@ -153,7 +152,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             digest = result.metrics.summary()
         else:
             digest = dataclasses.asdict(result.metrics)
-        print(json.dumps(digest, indent=2, default=list))
+        sys.stdout.write(dumps(digest))
     return 0
 
 

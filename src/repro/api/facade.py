@@ -30,7 +30,6 @@ population pay for it once per process.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +37,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..engine.metrics import ExecutionResult
 from ..sim.machine import MachineConfig
-from .serde import encode
+from .serde import dumps, encode
 from .spec import PlanSpec, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -166,7 +165,7 @@ class RunResult:
 
     def to_json(self, indent: int = 2) -> str:
         """:meth:`to_dict` as JSON text (tuples become arrays)."""
-        return json.dumps(self.to_dict(), indent=indent, default=list) + "\n"
+        return dumps(self.to_dict(), indent=indent)
 
 
 def run(scenario: ScenarioSpec, *, plans: Optional[Sequence] = None,

@@ -25,6 +25,13 @@ distinguish ``null`` from a value — ``decode(type(x), encode(x)) == x``
 for every spec tree built from supported field types (scalars,
 ``Optional``, dataclasses, homogeneous ``tuple[T, ...]`` and
 fixed-arity ``tuple[A, B, ...]``).
+
+Every JSON document the API emits — a spec, a sweep, a run result —
+goes through one writer, :func:`dumps`.  Its text is byte-identical to
+``json.dumps(obj, indent=indent, default=list) + "\n"``, but it writes a
+row of scalars (a run's ``per_query`` and ``shed`` entries) as one
+string, encoding each value at C level, instead of holding the document
+as a list of every token.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import types
 import typing
 from functools import lru_cache
 
-__all__ = ["SpecError", "encode", "decode", "to_json", "from_json"]
+__all__ = ["SpecError", "encode", "decode", "dumps", "to_json", "from_json"]
 
 
 class SpecError(ValueError):
@@ -165,9 +172,97 @@ def _decode_scalar(tp: typing.Any, data: typing.Any, path: str) -> typing.Any:
     )
 
 
+#: ``json``'s spelling of the floats whose ``repr`` is not JSON.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+#: the scalar encoders, keyed by *exact* type: a subclass (an ``IntEnum``,
+#: say) is not a row item and takes ``json``'s own path.
+_SCALAR: dict[type, typing.Callable[[typing.Any], str]] = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _value: "null",
+}
+
+
+def dumps(obj: typing.Any, indent: typing.Optional[int] = 2) -> str:
+    """``json.dumps(obj, indent=indent, default=list) + "\\n"``, byte for byte.
+
+    Dicts with ``str`` keys, lists and tuples are walked here; a list or
+    tuple of exact scalars is encoded as one string.  Any other value is
+    handed to ``json.dumps`` and re-indented to its depth (JSON text
+    holds no raw newline outside its layout), so the output is ``json``'s
+    whatever the tree holds.  ``indent=None`` is ``json``'s one-line
+    layout, delegated whole.
+    """
+    if indent is None:
+        return json.dumps(obj, default=list) + "\n"
+    out: list[str] = []
+    _write(obj, out, "\n", " " * indent)
+    # A tree built for this call is freed before the text is joined, so
+    # the two never peak together.
+    del obj
+    out.append("\n")
+    return "".join(out)
+
+
+def _row(items: typing.Any, newline: str, step: str) -> typing.Optional[str]:
+    """A list or tuple of exact scalars as one string; None otherwise."""
+    try:
+        parts = [_SCALAR[type(item)](item) for item in items]
+    except KeyError:
+        return None
+    if not parts:
+        return "[]"
+    inner = newline + step
+    return "".join(("[", inner, ("," + inner).join(parts), newline, "]"))
+
+
+def _write(value: typing.Any, out: list, newline: str, step: str) -> None:
+    """Append ``value``'s text at the depth ``newline`` indents to."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        row = _row(value, newline, step)
+        if row is not None:
+            out.append(row)
+            return
+        inner = newline + step
+        comma = "," + inner  # one object, shared by every item's entry
+        items = ["[" + inner]
+        for index, item in enumerate(value):
+            if index:
+                items.append(comma)
+            _write(item, items, inner, step)
+        items.append(newline + "]")
+        out.append("".join(items))
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + step
+        separator = "{" + inner
+        for key, item in value.items():
+            out.append(separator + json.encoder.encode_basestring_ascii(key) + ": ")
+            separator = "," + inner
+            _write(item, out, inner, step)
+        out.append(newline + "}")
+    elif kind in _SCALAR:
+        out.append(_SCALAR[kind](value))
+    else:
+        text = json.dumps(value, indent=len(step), default=list)
+        out.append(text.replace("\n", newline))
+
+
 def to_json(value: typing.Any, indent: int = 2) -> str:
-    """``encode`` then dump — the canonical on-disk spec format."""
-    return json.dumps(encode(value), indent=indent) + "\n"
+    """``encode`` then :func:`dumps` — the canonical on-disk spec format."""
+    return dumps(encode(value), indent=indent)
 
 
 def from_json(tp: typing.Any, text: str) -> typing.Any:

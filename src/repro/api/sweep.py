@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..catalog.skew import SkewSpec
 from .facade import RunResult, run
-from .serde import SpecError, encode
+from .serde import SpecError, dumps, encode
 from .spec import ScenarioSpec, get_path, replace_path
 
 __all__ = [
@@ -179,7 +179,7 @@ class SweepSpec:
         )
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
+        return dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":

@@ -17,6 +17,7 @@ Example::
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Optional, Union
 
 from ..optimizer.plan import ParallelExecutionPlan
@@ -53,7 +54,8 @@ class QueryExecutor:
         #: SP bypasses the activation engine: its own executor runs it.
         self._sp = None
         if isinstance(strategy, str):
-            self.strategy_name = strategy.upper()
+            # Shared by every result that names it, as is config_label.
+            self.strategy_name = sys.intern(strategy.upper())
             self._strategy_instance = None
             if self.strategy_name == "SP":
                 self._sp = SynchronousPipeliningExecutor(plan, config,

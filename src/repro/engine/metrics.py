@@ -264,7 +264,7 @@ class QueryCompletion:
         return self.result.metrics.loadbalance_bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShedRecord:
     """One query rejected by overload handling before it ever started.
 
@@ -535,9 +535,6 @@ class WorkloadMetrics:
         names = set(self._classes)
         names.update(s.service_class for s in self.shed)
         return sorted(names)
-
-    def completions_of(self, service_class: str) -> list[QueryCompletion]:
-        return [c for c in self.completions if c.service_class == service_class]
 
     def shed_of(self, service_class: str) -> list[ShedRecord]:
         return [s for s in self.shed if s.service_class == service_class]

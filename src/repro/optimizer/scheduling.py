@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .operator_tree import OperatorTree, OpKind
 
@@ -50,27 +50,6 @@ class Schedule:
     def predecessors_of(self, op_id: int) -> frozenset[int]:
         """Operators that must terminate before ``op_id`` starts."""
         return self.predecessors.get(op_id, frozenset())
-
-    def initially_unblocked(self) -> list[int]:
-        """Operators with no predecessors (startable at time zero)."""
-        return sorted(
-            op_id for op_id, preds in self.predecessors.items() if not preds
-        )
-
-    def is_consistent_linearization(self, order: Iterable[int]) -> bool:
-        """Whether ``order`` (a termination order) respects the constraints.
-
-        Used by property tests: in any valid execution, every operator's
-        predecessors terminate before it does.
-        """
-        position = {op_id: i for i, op_id in enumerate(order)}
-        for op_id, preds in self.predecessors.items():
-            if op_id not in position:
-                return False
-            for pred in preds:
-                if pred not in position or position[pred] >= position[op_id]:
-                    return False
-        return True
 
     def topological_order(self) -> list[int]:
         """A deterministic linear extension; raises on cycles."""

@@ -122,14 +122,6 @@ class BushySearch:
             frontier = grown
         return ordered
 
-    def connected_subsets(self) -> list[frozenset[str]]:
-        """All connected subsets, ordered by size then lexicographically."""
-        subsets = [
-            frozenset(name for name, bit in self._bit.items() if mask & bit)
-            for mask in self._connected_masks()
-        ]
-        return sorted(subsets, key=lambda s: (len(s), tuple(sorted(s))))
-
     # -- the DP ---------------------------------------------------------------
 
     def _leaf_cost(self, card: float) -> float:

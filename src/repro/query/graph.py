@@ -148,22 +148,6 @@ class QueryGraph:
                 found.append(edge)
         return found
 
-    def is_connected_subset(self, names: frozenset[str]) -> bool:
-        """Whether ``names`` induces a connected subgraph."""
-        if not names:
-            return False
-        start = next(iter(names))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            name = frontier.pop()
-            for edge in self._adjacency[name]:
-                neighbor = edge.other(name)
-                if neighbor in names and neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(names)
-
     @property
     def names(self) -> list[str]:
         """Relation names in insertion order."""

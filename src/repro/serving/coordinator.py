@@ -42,6 +42,7 @@ stealing (:mod:`repro.serving.broker`, owned by the substrate).
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Optional
 
 from ..engine.context import ExecutionDeadlock
@@ -187,7 +188,8 @@ class MultiQueryCoordinator:
         request = QueryRequest(
             query_id=query_id,
             plan=plan,
-            strategy=(strategy or "DP").upper(),
+            # One shared name for every query, not a new string each.
+            strategy=sys.intern((strategy or "DP").upper()),
             params=params or self.params,
             service_class=cls,
             arrival_time=self.env.now,

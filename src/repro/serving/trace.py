@@ -352,7 +352,7 @@ def read_events(path: str) -> List:
 
 # -- replayable traces -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceQuery:
     """One query of a replayable trace, in submission order."""
 

@@ -14,6 +14,7 @@ local cache), aggregated per node.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .core import Environment, Resource, SchedulingDiscipline
@@ -85,8 +86,9 @@ class MachineConfig:
         return instructions / self.mips
 
     def describe(self) -> str:
-        """Human-readable configuration label, e.g. ``4x8``."""
-        return f"{self.nodes}x{self.processors_per_node}"
+        """Human-readable configuration label, e.g. ``4x8``; one shared
+        string per shape, since every query's result names it."""
+        return sys.intern(f"{self.nodes}x{self.processors_per_node}")
 
 
 class SMNode:

@@ -85,6 +85,26 @@ def counters():
                            for name in COUNTERS}
 
 
+def _respects_schedule(schedule, order) -> bool:
+    """Whether ``order`` (a termination order) respects ``schedule``: in
+    any valid execution, every operator's predecessors terminate before
+    it does."""
+    position = {op_id: i for i, op_id in enumerate(order)}
+    for op_id, preds in schedule.predecessors.items():
+        if op_id not in position:
+            return False
+        for pred in preds:
+            if pred not in position or position[pred] >= position[op_id]:
+                return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def respects_schedule():
+    """``(schedule, termination order) -> bool``."""
+    return _respects_schedule
+
+
 def _run_with_end_times(executor):
     """Run ``executor`` alone, as ``QueryExecutor.run`` does, and return
     its result with ``{op_id: termination_time}`` read off the execution's

@@ -43,8 +43,8 @@ def random_plan(seed: int, relations: int, config: MachineConfig):
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_property_random_plans_complete_and_conserve(
-        exact_cardinalities, counters, run_with_end_times, seed, relations,
-        strategy, nodes, procs, theta):
+        exact_cardinalities, counters, run_with_end_times, respects_schedule,
+        seed, relations, strategy, nodes, procs, theta):
     """Any plan completes, and does the same work on every machine, under
     every strategy and redistribution skew."""
     if strategy == "SP":
@@ -60,7 +60,7 @@ def test_property_random_plans_complete_and_conserve(
         assert None not in end_times.values()
         assert len(end_times) == len(plan.operators)
         order = sorted(end_times, key=end_times.get)
-        assert plan.schedule.is_consistent_linearization(order)
+        assert respects_schedule(plan.schedule, order)
     # Conservation: base tuples scanned exactly once, every operator's
     # output exactly the folded output rule.
     assert counters(result) == exact_cardinalities(plan)

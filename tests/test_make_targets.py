@@ -78,6 +78,20 @@ def test_profile_reports_cold_imports_by_package():
     assert "      1  repro.cluster" in text
 
 
+def test_profile_reports_each_phase_of_a_repetition():
+    # ``make profile``'s phase lines: the run's peak and what its result
+    # retains, then ``to_json``'s peak above that, beside its text.
+    profile = profile_script()
+    mib = 1 << 20
+    run = profile.Phase(start=0, peak=4 * mib)
+    to_json = profile.Phase(start=3 * mib, peak=mib + mib // 2)
+    assert profile.phase_report(run, 3 * mib, to_json, mib // 2).splitlines() == [
+        "repro.run: traced peak 4.00 MiB; the result retains 3.00 MiB",
+        ".to_json(): traced peak 1.50 MiB above the retained result, "
+        "for 0.50 MiB of text",
+    ]
+
+
 def test_profile_reports_the_peak_heap_by_site():
     # ``make profile``'s peak-heap section, on a canned tracemalloc
     # snapshot: sites by size with their block counts, a path in the
@@ -116,11 +130,35 @@ def test_profile_keeps_its_type_count_out_of_the_traced_peak(monkeypatch):
         return Result()
 
     monkeypatch.setattr(repro, "run", run)
-    peak, snapshot, types = profile.peak_heap(None)
-    sampled = sum(stat.size for stat in snapshot.statistics("filename"))
-    census_list = 8 * sum(types.values())
+    run_phase, _retained, _to_json, _text = profile.peak_heap(None)
+    sampled = sum(stat.size for stat in run_phase.snapshot.statistics("filename"))
+    census_list = 8 * sum(run_phase.types.values())
     assert census_list > 1 << 18  # the bound below can tell it apart
-    assert peak - sampled < census_list / 4
+    assert run_phase.start + run_phase.peak - sampled < census_list / 4
+
+
+def test_profile_snapshots_to_json_at_its_high(monkeypatch):
+    # A transient that ``to_json`` frees before it returns: the phase's
+    # peak counts it, and its snapshot is taken while it is held.
+    import repro
+
+    profile = profile_script()
+
+    class Result:
+        def __init__(self):
+            self.kept = [object() for _ in range(1000)]  # what the run retains
+
+        def to_json(self):
+            tokens = [str(i) for i in range(50_000)]  # the transient
+            return "".join(tokens)
+
+    monkeypatch.setattr(repro, "run", lambda _spec: Result())
+    _run, retained, to_json, text = profile.peak_heap(None)
+    assert retained > 1000 * 16
+    assert to_json.peak > 50_000 * 40 + text
+    at_high = to_json.snapshot.statistics("lineno")
+    assert at_high[0].traceback[0].filename == __file__
+    assert at_high[0].size > 50_000 * 40
 
 
 def test_profile_reports_the_peak_heap_by_type():

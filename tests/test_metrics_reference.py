@@ -202,10 +202,6 @@ class TestReferenceModel:
         shed = [e for e in events if isinstance(e, ShedRecord)]
         expected = reference_summary(completions, shed, counters)
         assert metrics.completions == completions
-        for name in CLASS_NAMES:
-            assert metrics.completions_of(name) == [
-                c for c in completions if c.service_class == name
-            ]
         assert repr(metrics.summary()) == repr(expected)
         assert metrics.completed == len(completions)
         assert metrics.shed_count == len(shed)

@@ -79,7 +79,7 @@ class TestClassWaitPartitions:
         for resource, total in totals.items():
             by_class = sum(
                 metrics.class_resource_waits(name)[resource]
-                * len(metrics.completions_of(name))
+                * sum(1 for c in metrics.completions if c.service_class == name)
                 for name in metrics.class_names()
             )
             assert by_class == pytest.approx(total, rel=1e-9, abs=1e-12)

@@ -263,11 +263,12 @@ class TestOverloadHandling:
         metrics = WorkloadDriver(plan, config, spec).run().metrics
         names = metrics.class_names()
         assert set(names) <= {"interactive", "batch"}
-        assert sum(len(metrics.completions_of(n)) for n in names) == 10
+        assert sum(1 for c in metrics.completions
+                   if c.service_class in names) == 10
         per_class = metrics.per_class_summary()
         for name in names:
-            assert per_class[name]["completed"] == len(
-                metrics.completions_of(name)
+            assert per_class[name]["completed"] == sum(
+                1 for c in metrics.completions if c.service_class == name
             )
         # A generous SLO is attained; batch (no SLO, nothing shed) is 1.0.
         if "interactive" in names:
