@@ -1,8 +1,8 @@
 """``repro.run(scenario)``: one entry point for every kind of run.
 
 The façade subsumes the manual wiring a scenario used to require —
-building plans, a :class:`~repro.serving.substrate.SharedSubstrate`, a
-:class:`~repro.serving.coordinator.MultiQueryCoordinator` and a
+building plans, a :class:`~repro.serving.coordinator.MultiQueryCoordinator`
+on its shared :class:`~repro.engine.substrate.Substrate` and a
 :class:`~repro.serving.driver.WorkloadDriver` by hand — behind one
 declarative :class:`~repro.api.spec.ScenarioSpec`:
 

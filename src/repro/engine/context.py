@@ -29,7 +29,6 @@ from ..sim.rng import derive_seed
 from .activation import DataActivation, GroupId, TriggerActivation
 from .metrics import ExecutionMetrics
 from .opstate import OperatorRuntime
-from .params import ExecutionParams
 from .queues import OperatorQueueSet
 from .routing import OutputChannel, ResultSink
 from .tables import HashTableStore
@@ -196,19 +195,22 @@ class ExecutionContext:
     over the substrate's one :class:`~repro.sim.network.NetworkLink`);
     its threads contend with whatever else is on the machine for the
     :class:`~repro.sim.machine.Processor` slots, disks and node memory.
+    Its engine params are the substrate's; the query brings one int, the
+    seed its skew permutations derive from.
     ``start_time`` is the launch (admission) time: response times are
     reported relative to it, separating queueing delay from execution
     time.
     """
 
     def __init__(self, plan: ParallelExecutionPlan, config: MachineConfig,
-                 substrate: "Substrate",
-                 params: Optional[ExecutionParams] = None,
+                 substrate: "Substrate", seed: int,
                  query_id: int = 0, service_class=None,
                  template: Optional[ExecutionTemplate] = None):
         self.plan = plan
         self.config = config
-        self.params = params or ExecutionParams()
+        self.params = substrate.params
+        #: what the query's ``router:`` / ``trigger:`` streams derive from.
+        self.seed = seed
         if template is None:
             template = ExecutionTemplate(plan, config, self.params)
         elif template.plan is not plan or template.config != config:
@@ -299,7 +301,7 @@ class ExecutionContext:
         ``RandomStreams(seed).stream(stream)`` would build.  Each stream is
         drawn from once, so none outlives its shuffle."""
         weights = list(self.template.zipf_vector(n))
-        Random(derive_seed(self.params.seed, stream)).shuffle(weights)
+        Random(derive_seed(self.seed, stream)).shuffle(weights)
         return weights
 
     def instructions_time(self, instructions: float) -> float:

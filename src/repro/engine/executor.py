@@ -42,14 +42,16 @@ class QueryExecutor:
                  strategy: Union[str, ExecutionStrategy] = "DP",
                  params: Optional[ExecutionParams] = None,
                  template: Optional[Callable[[], ExecutionTemplate]] = None):
-        """``template`` returns the caller's :class:`ExecutionTemplate` for
-        ``(plan, config, params-sans-seed)``, shared by every query the
+        """``params`` are the machine :meth:`run` builds (None: the
+        defaults); a launch runs under its substrate's params instead.
+        ``template`` returns the caller's :class:`ExecutionTemplate` for
+        ``(plan, config, substrate params)``, shared by every query the
         caller launches on that plan; it is called by the launches that
         instantiate one, so SP, which reads none, never builds it.  An
         executor run alone builds a private template per launch."""
         self.plan = plan
         self.config = config
-        self.params = params or ExecutionParams()
+        self.params = params
         self.template = template
         #: SP bypasses the activation engine: its own executor runs it.
         self._sp = None
@@ -58,8 +60,7 @@ class QueryExecutor:
             self.strategy_name = sys.intern(strategy.upper())
             self._strategy_instance = None
             if self.strategy_name == "SP":
-                self._sp = SynchronousPipeliningExecutor(plan, config,
-                                                         self.params)
+                self._sp = SynchronousPipeliningExecutor(plan, config)
         else:
             self.strategy_name = strategy.name
             self._strategy_instance = strategy
@@ -79,18 +80,20 @@ class QueryExecutor:
         return result
 
     def launch(self, substrate: Substrate, query_id: int = 0,
-               service_class=None):
+               service_class=None, seed: Optional[int] = None):
         """Build and start an execution, without running the simulation.
 
         Creates the context on ``substrate`` (where it contends with
         whatever else was launched there — see :mod:`repro.serving`),
-        wires the per-node schedulers, creates one thread per processor
-        (Section 3.1: one thread per processor *per query*), seeds the
-        trigger activations and starts the threads.  ``service_class``
-        tags the query's CPU charges with its weight/priority for
-        non-FIFO scheduling disciplines.  The caller decides when the
-        environment runs; completion is observable on the returned
-        execution's ``finished`` event.
+        under the substrate's params, wires the per-node schedulers,
+        creates one thread per processor (Section 3.1: one thread per
+        processor *per query*), seeds the trigger activations and starts
+        the threads.  ``seed`` is the query's own randomness (its skew
+        permutations; None: the substrate params' seed).
+        ``service_class`` tags the query's CPU charges with its
+        weight/priority for non-FIFO scheduling disciplines.  The caller
+        decides when the environment runs; completion is observable on
+        the returned execution's ``finished`` event.
         """
         if self._sp is not None:
             return self._sp.launch(substrate, query_id, service_class)
@@ -101,9 +104,12 @@ class QueryExecutor:
         # query's queues let go of each trigger chunk as it is consumed,
         # and a template kept here would hold them all until the end.
         template = (self.template() if self.template is not None
-                    else ExecutionTemplate(self.plan, self.config, self.params))
-        context = ExecutionContext(self.plan, self.config, substrate,
-                                   self.params, query_id=query_id,
+                    else ExecutionTemplate(self.plan, self.config,
+                                           substrate.params))
+        if seed is None:
+            seed = substrate.params.seed
+        context = ExecutionContext(self.plan, self.config, substrate, seed,
+                                   query_id=query_id,
                                    service_class=service_class,
                                    template=template)
         context.strategy = strategy

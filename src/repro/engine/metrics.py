@@ -33,7 +33,6 @@ __all__ = [
     "ExecutionMetrics",
     "ExecutionResult",
     "QueryCompletion",
-    "QueryShed",
     "ShedRecord",
     "WorkloadMetrics",
     "percentile",
@@ -268,6 +267,11 @@ class QueryCompletion:
 class ShedRecord:
     """One query rejected by overload handling before it ever started.
 
+    A :class:`~repro.serving.pending.QueryRequest`'s ``done`` event fires
+    with its :class:`QueryCompletion` when the query finished and with
+    this record when it was shed, so clients tell "served" from "dropped"
+    by the value's type.
+
     ``reason`` is one of:
 
     * ``"queue_timeout"`` — waited longer than its class's admission
@@ -292,34 +296,6 @@ class ShedRecord:
     def queued_for(self) -> float:
         """How long the query waited before being shed."""
         return self.shed_time - self.arrival_time
-
-
-@dataclass(frozen=True)
-class QueryShed:
-    """Explicit completion kind of a shed query.
-
-    A :class:`~repro.serving.pending.QueryRequest`'s ``done`` event
-    fires with a :class:`~repro.engine.metrics.QueryCompletion` when the
-    query finished — and with a :class:`QueryShed` when overload handling
-    rejected it, so closed-loop clients (and future retry/backoff client
-    models) can distinguish "served" from "dropped" without guessing from
-    ``None``.
-    """
-
-    record: ShedRecord
-
-    @property
-    def query_id(self) -> int:
-        return self.record.query_id
-
-    @property
-    def service_class(self) -> str:
-        return self.record.service_class
-
-    @property
-    def reason(self) -> str:
-        """The shed reason taxonomy (see :class:`ShedRecord`)."""
-        return self.record.reason
 
 
 @dataclass(slots=True)

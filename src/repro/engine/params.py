@@ -151,17 +151,6 @@ class ExecutionParams:
                 "known: ['all', 'best']"
             )
 
-    def with_seed(self, seed: int) -> "ExecutionParams":
-        """A copy that differs in ``seed`` only (the per-query params).
-
-        Skips ``__post_init__``: the other fields were validated when
-        ``self`` was built, and ``seed`` has no validation to skip.
-        """
-        clone = object.__new__(ExecutionParams)
-        clone.__dict__.update(self.__dict__)
-        clone.__dict__["seed"] = seed
-        return clone
-
     def buckets_for_home(self, home_processors: int) -> int:
         """Degree of fragmentation for a join executed on ``home_processors``."""
         return max(64, self.fragmentation_factor * home_processors)

@@ -44,7 +44,6 @@ from ...sim.machine import MachineConfig
 from ..context import ExecutionDeadlock
 from ..metrics import ExecutionMetrics, ExecutionResult, ThreadTime
 from ..opstate import batch_output
-from ..params import ExecutionParams
 from ..substrate import Substrate
 from .base import StrategyError
 
@@ -92,8 +91,7 @@ class SPExecution:
 class SynchronousPipeliningExecutor:
     """Executes a plan with the SP model on one SM-node."""
 
-    def __init__(self, plan: ParallelExecutionPlan, config: MachineConfig,
-                 params: ExecutionParams | None = None):
+    def __init__(self, plan: ParallelExecutionPlan, config: MachineConfig):
         if config.nodes != 1:
             raise StrategyError(
                 "SP is a shared-memory model: it requires a single SM-node "
@@ -102,23 +100,22 @@ class SynchronousPipeliningExecutor:
             )
         self.plan = plan
         self.config = config
-        self.params = params or ExecutionParams()
 
     def launch(self, substrate: Substrate, query_id: int = 0,
                service_class=None) -> SPExecution:
         """Start the SP execution on ``substrate``; return its handle.
 
         SP is a single-SM-node model: it runs on node 0's disks and
-        processors.  CPU charges and disk reads are tagged with
+        processors, under the substrate's params.  CPU charges and disk reads are tagged with
         ``service_class``'s weight/priority, so under a non-FIFO
         discipline concurrent SP queries are scheduled exactly like
         DP/FP threads of the same class.
         """
-        substrate.check_hardware(self.config, self.params)
+        substrate.check_hardware(self.config)
         env = substrate.env
         disks = substrate.disks[0]
         processors = substrate.processors[0]
-        params = self.params
+        params = substrate.params
         cost = params.cost
         k = self.config.processors_per_node
         tree = self.plan.operators

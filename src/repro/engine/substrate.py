@@ -29,7 +29,7 @@ that machine, built once:
 executor, one query alone (``QueryExecutor.run`` builds a private
 substrate) or many co-resident (the serving layer's coordinator builds
 one for the run).  It also holds what is machine-wide rather than
-per-query: the live contexts and their summed load
+per-query: the run's params, the live contexts and their summed load
 (:meth:`Substrate.node_load`), and the slots the upper layers fill
 (logger, broker, membership, memory-release hook).
 """
@@ -56,6 +56,8 @@ class Substrate:
                  params: Optional[ExecutionParams] = None,
                  strict_memory: bool = True):
         self.config = config
+        #: the run's engine params: every execution launched here runs
+        #: under them, and a query brings only its seed.
         self.params = params or ExecutionParams()
         #: whether a hash build whose chain does not fit in node memory
         #: raises :class:`~repro.sim.machine.MemoryExhausted` (the paper's
@@ -95,8 +97,9 @@ class Substrate:
         #: the coordinator installs a real one when recording.
         self.logger = NOOP_LOGGER
         #: cross-query machine-share broker, installed by the serving
-        #: layer (:class:`repro.serving.substrate.SharedSubstrate`); None
-        #: on a machine built for one query, which has nobody to steal for.
+        #: layer's coordinator (:class:`repro.serving.broker.
+        #: CrossQueryBroker`); None on a machine built for one query, which
+        #: has nobody to steal for.
         self.broker = None
         #: live cluster membership, installed by an
         #: :class:`~repro.cluster.runtime.ElasticCluster` when the run is
@@ -123,10 +126,9 @@ class Substrate:
 
     # -- hardware contract --------------------------------------------------
 
-    def check_hardware(self, config: MachineConfig,
-                       params: ExecutionParams) -> None:
-        """Raise unless a query planned for ``config`` under ``params``
-        describes the machine this substrate already built."""
+    def check_hardware(self, config: MachineConfig) -> None:
+        """Raise unless a query planned for ``config`` fits the node shape
+        of the machine this substrate already built."""
         # Elastic: contexts span the active prefix of the physical
         # footprint, so any size up to the footprint is valid.
         nodes_fit = (config.nodes == self.config.nodes
@@ -138,26 +140,12 @@ class Substrate:
                 f"context planned for a {config.describe()} machine but the "
                 f"substrate was built as {self.config.describe()}"
             )
-        # Per-query params may legitimately differ in seed, skew, batch
-        # sizes etc., but the *hardware* models must match the devices
-        # this substrate already built — a query with a different disk
-        # model or CPU speed would silently mix two machines.
-        mine = self.params
-        for what, theirs, built in (
-                ("disk parameters", params.disk, mine.disk),
-                ("network parameters", params.network, mine.network),
-                ("CPU speed (cost.mips)", params.cost.mips, mine.cost.mips)):
-            if theirs != built:
-                raise ValueError(
-                    f"context {what} differ from the substrate's; the "
-                    "devices are shared hardware, built from its model"
-                )
 
     # -- context registry ---------------------------------------------------
 
     def register_context(self, context) -> None:
         """A query execution was launched onto this machine."""
-        self.check_hardware(context.config, context.params)
+        self.check_hardware(context.config)
         self.contexts.append(context)
 
     def unregister_context(self, context) -> None:

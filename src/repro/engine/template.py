@@ -129,15 +129,6 @@ class ExecutionTemplate:
         #: per scan, in plan order: ``(op_id, seeds of its non-empty nodes)``.
         self.scans = tuple(self._scans())
 
-    def fits(self, params: ExecutionParams) -> bool:
-        """Whether ``params`` differ from the template's in the seed only."""
-        mine = self.params
-        # Field dicts, not the dataclass ``==``: that builds two tuples of
-        # all 20 fields per call, and CPython 3.11 parks tuples of up to 20
-        # items on a free list (~0.4 MiB of replay_tiny's peak RSS).
-        return (params is mine
-                or params.with_seed(mine.seed).__dict__ == mine.__dict__)
-
     def zipf_vector(self, n: int) -> tuple[float, ...]:
         """The unshuffled Zipf weights over ``n`` cells at this theta."""
         vector = self._vectors.get(n)

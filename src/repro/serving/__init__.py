@@ -10,19 +10,18 @@ The package re-exports its value types only (:mod:`repro.serving.spec`:
 so decoding a scenario never loads the runtime.  The runtime classes are
 imported from the module that defines them:
 
-* :class:`~repro.serving.substrate.SharedSubstrate` — the engine's one
-  machine builder, shared by many executions: adds the broker;
 * :func:`~repro.serving.arrivals.sample_arrival_times` — open-loop
   (Poisson, bursty) arrival schedules;
 * :class:`~repro.serving.admission.AdmissionController` — gates
   admissions on multiprogramming level and live free node memory, plus
   open-loop overload handling (queue timeouts, deadline shedding);
 * :class:`~repro.serving.coordinator.MultiQueryCoordinator` — runs many
-  ``ExecutionContext``s in one environment so threads contend for
-  processors and the steal protocol balances load under inter-query
-  pressure (with its per-class pending FIFOs in
-  :mod:`repro.serving.pending` and memory preemption in
-  :mod:`repro.serving.preemption`);
+  ``ExecutionContext``s on one :class:`~repro.engine.substrate.Substrate`,
+  into which it installs the broker, so threads contend for processors
+  and the steal protocol balances load under inter-query pressure.  A
+  query brings its plan and a seed and runs under the machine's params.
+  The per-class pending FIFOs are in :mod:`repro.serving.pending`, memory
+  preemption in :mod:`repro.serving.preemption`;
 * :class:`~repro.serving.broker.CrossQueryBroker` — turns any query's
   idle-thread signal into machine-share stealing by co-resident queries;
 * :class:`~repro.serving.driver.WorkloadDriver` — seeded end-to-end

@@ -7,8 +7,8 @@ the coordinator each admitted query still gets exactly that — its own
 :class:`~repro.engine.context.ExecutionContext` with per-node
 :class:`~repro.engine.scheduler.NodeScheduler` instances and one
 :class:`~repro.engine.thread_exec.ExecutionThread` per processor — but
-the *physical* processors, disks and node memory come from a
-:class:`~repro.serving.substrate.SharedSubstrate`, so the threads of
+the *physical* processors, disks and node memory come from the run's
+one :class:`~repro.engine.substrate.Substrate`, so the threads of
 concurrent queries FIFO-share each processor at activation granularity
 (the node OS time-slicing the paper delegates to the KSR1).  Activation
 queues, the steal protocol, flow control and operator-end detection all
@@ -23,9 +23,10 @@ within a service class, strict class priority across classes) ->
 (completion), recorded as a :class:`~repro.engine.metrics.QueryCompletion`
 with its queueing delay and execution time separated.  Under an
 overload policy a queued query may instead be *shed* (queue timeout or
-expired SLO deadline): its ``done`` event fires with an explicit
-:class:`~repro.engine.metrics.QueryShed` and the rejection is recorded
-as a :class:`~repro.engine.metrics.ShedRecord`.
+expired SLO deadline): its ``done`` event fires with the
+:class:`~repro.engine.metrics.ShedRecord` the rejection is recorded as.
+A query brings its plan and one int, its seed: every execution runs
+under the machine's params (``substrate.params``).
 
 SP queries are coordinated too (single-node substrates only), through
 the same ``launch`` -> ``finished`` -> ``collect`` protocol: the SP
@@ -36,7 +37,8 @@ activation-model queries — mixed-strategy workloads are legal.
 Beside this module: the per-class pending FIFOs
 (:mod:`repro.serving.pending`), victim suspension for memory-blocked
 heads (:mod:`repro.serving.preemption`) and cross-query machine-share
-stealing (:mod:`repro.serving.broker`, owned by the substrate).
+stealing (:mod:`repro.serving.broker`, installed into the substrate's
+``broker`` slot here).
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ from typing import Optional
 
 from ..engine.context import ExecutionDeadlock
 from ..engine.executor import QueryExecutor
-from ..engine.metrics import (QueryCompletion, QueryShed, ShedRecord,
-                              WorkloadMetrics)
+from ..engine.metrics import QueryCompletion, ShedRecord, WorkloadMetrics
 from ..engine.params import ExecutionParams
 from ..engine.strategies.base import StrategyError
+from ..engine.substrate import Substrate
 from ..engine.template import ExecutionTemplate
 from ..optimizer.plan import ParallelExecutionPlan
 from ..placement.base import ClusterView, place_plan
@@ -58,10 +60,10 @@ from ..placement.policies import get_policy
 from ..sim.core import Event
 from ..sim.machine import MachineConfig
 from .admission import AdmissionController
+from .broker import CrossQueryBroker
 from .pending import PendingQueues, QueryRequest
 from .preemption import MemoryPreemptor
 from .spec import DEFAULT_CLASS, AdmissionPolicy, ServiceClass
-from .substrate import SharedSubstrate
 from .trace import (NOOP_LOGGER, QueryAdmitted, QueryFinished, QueryPlaced,
                     QueryShedEvent, QueryStarted, QuerySubmitted, RunLogger)
 
@@ -78,8 +80,12 @@ class MultiQueryCoordinator:
                  cluster=None, plan_bank=None, relations=(),
                  placement=None):
         self.config = config
-        self.params = params or ExecutionParams()
-        self.substrate = SharedSubstrate(config, self.params)
+        # A shared machine tolerates memory overcommit: a racing build may
+        # beat the admission estimate.
+        self.substrate = Substrate(config, params, strict_memory=False)
+        self.substrate.broker = CrossQueryBroker(self.substrate)
+        #: the run's params: every query executes under them.
+        self.params = self.substrate.params
         #: structured run-event sink; installed on the substrate so the
         #: engine's steal protocol logs through the same stream.
         self.logger = logger or NOOP_LOGGER
@@ -99,7 +105,6 @@ class MultiQueryCoordinator:
         self._kick: Optional[Event] = None
         self._next_query_id = 0
         self._next_seq = 0
-        self._used_query_ids: set[int] = set()
         #: virtual instant the armed shed timer targets (None: no timer).
         self._shed_timer_at: Optional[float] = None
         #: the machine an execution planned over ``n`` nodes spans, per
@@ -142,13 +147,19 @@ class MultiQueryCoordinator:
 
     def submit(self, plan: ParallelExecutionPlan,
                strategy: Optional[str] = None,
-               params: Optional[ExecutionParams] = None,
+               seed: Optional[int] = None,
                query_id: Optional[int] = None,
                service_class: Optional[ServiceClass] = None,
                plan_index: Optional[int] = None,
                attempt: int = 0,
                final_attempt: bool = False) -> QueryRequest:
-        """Register an arriving query; it executes when admission allows."""
+        """Register an arriving query; it executes when admission allows.
+
+        ``seed`` is the query's own randomness (None: the run params'
+        seed); everything else it runs under is the machine's.  Query ids
+        are the caller's to keep unique (the driver's are by
+        construction; a loaded trace is checked).
+        """
         if not self._arrivals_open:
             raise RuntimeError("arrivals are closed; cannot submit")
         if (strategy or "DP").upper() == "SP" and self.config.nodes != 1:
@@ -158,19 +169,6 @@ class MultiQueryCoordinator:
                 "SP queries need a single-SM-node substrate; this machine "
                 f"has {self.config.nodes} nodes"
             )
-        if params is not None:
-            # The processors, disks and network link were built with the
-            # substrate's disciplines; a per-query override would be
-            # silently ignored.
-            for knob in ("cpu_discipline", "disk_discipline",
-                         "net_discipline"):
-                if getattr(params, knob) != getattr(self.params, knob):
-                    raise ValueError(
-                        f"query {knob} {getattr(params, knob)!r} differs "
-                        f"from the substrate's {getattr(self.params, knob)!r}; "
-                        "scheduling disciplines are machine-wide (set them "
-                        "on the coordinator's params)"
-                    )
         cls = service_class or DEFAULT_CLASS
         if self._classes.setdefault(cls.name, cls) != cls:
             # Pending order and per-class metrics are keyed by name;
@@ -181,16 +179,13 @@ class MultiQueryCoordinator:
             )
         if query_id is None:
             query_id = self._next_query_id
-        if query_id in self._used_query_ids:
-            raise ValueError(f"query id {query_id} already submitted")
-        self._used_query_ids.add(query_id)
         self._next_query_id = max(self._next_query_id, query_id + 1)
         request = QueryRequest(
             query_id=query_id,
             plan=plan,
             # One shared name for every query, not a new string each.
             strategy=sys.intern((strategy or "DP").upper()),
-            params=params or self.params,
+            seed=self.params.seed if seed is None else seed,
             service_class=cls,
             arrival_time=self.env.now,
             seq=self._next_seq,
@@ -213,7 +208,7 @@ class MultiQueryCoordinator:
                 plan_index=plan_index, plan_label=plan.label,
                 strategy=request.strategy,
                 service_class=request.service_class,
-                params_seed=request.params.seed,
+                params_seed=request.seed,
                 attempt=attempt, final_attempt=final_attempt,
             ))
         self._poke()
@@ -409,10 +404,9 @@ class MultiQueryCoordinator:
                 attempt=request.attempt,
             ))
         if not request.done.triggered:
-            # An explicit completion kind, not ``done(None)``: drivers
-            # (and future retry/backoff clients) can tell a shed query
+            # The record, not ``done(None)``: clients tell a shed query
             # from a finished one by the event's value type.
-            request.done.succeed(QueryShed(record))
+            request.done.succeed(record)
 
     def _arm_shed_timer(self) -> None:
         """Wake the admission loop at the earliest pending shed deadline.
@@ -449,12 +443,11 @@ class MultiQueryCoordinator:
         config = self._config_for(request)
         executor = QueryExecutor(
             request.plan, config, strategy=request.strategy,
-            params=request.params,
             template=lambda: self._template_for(request, config),
         )
         request.context = executor.launch(
             self.substrate, query_id=request.query_id,
-            service_class=request.service_class,
+            service_class=request.service_class, seed=request.seed,
         )
         request.context.finished.callbacks.append(
             lambda _event, req=request, ex=executor: self._record(
@@ -477,17 +470,15 @@ class MultiQueryCoordinator:
         """The run's execution template for ``request``'s plan on ``config``.
 
         Keyed by the plan's index in the driver's bank (direct submissions
-        share the ``None`` slot) and checked against the plan object and
-        the params it was built from, so a placement-rewritten plan or a
-        per-query params override gets a template of its own; each slot
+        share the ``None`` slot) and checked against the plan object, so a
+        placement-rewritten plan gets a template of its own; each slot
         holds the latest, so the store stays O(plans x cluster sizes).
         """
         key = (request.plan_index, config.nodes)
         template = self._templates.get(key)
-        if (template is None or template.plan is not request.plan
-                or not template.fits(request.params)):
+        if template is None or template.plan is not request.plan:
             template = self._templates[key] = ExecutionTemplate(
-                request.plan, config, request.params
+                request.plan, config, self.params
             )
         return template
 

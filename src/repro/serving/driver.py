@@ -158,12 +158,10 @@ class WorkloadDriver:
             return self.plan_bank[coordinator.planning_count][plan_index]
         return self.plans[plan_index]
 
-    def _params_for(self, index: int) -> ExecutionParams:
-        """Per-query engine params: an independent seed per query, so two
+    def _seed_for(self, index: int) -> int:
+        """Per-query engine seed: an independent one per query, so two
         instances of the same plan do not draw identical routing skew."""
-        return self.params.with_seed(
-            derive_seed(self.spec.seed, f"query:{index}")
-        )
+        return derive_seed(self.spec.seed, f"query:{index}")
 
     def _class_for(self, index: int) -> Optional[ServiceClass]:
         """Deterministic service-class draw for the ``index``-th query.
@@ -196,7 +194,7 @@ class WorkloadDriver:
         Retries are the *same* logical query — same plan draw, same
         service class, same per-query engine seed — under a fresh query
         id (``attempt * queries + index``, collision-free because the
-        original ids are ``0..queries-1``).
+        original ids are ``0..queries-1``; the coordinator does not check).
         """
         retry = self.spec.retry
         final = retry is not None and retry.is_final(attempt)
@@ -205,7 +203,7 @@ class WorkloadDriver:
         return coordinator.submit(
             self._plan(coordinator, plan_index),
             strategy=self.spec.strategy,
-            params=self._params_for(index), query_id=query_id,
+            seed=self._seed_for(index), query_id=query_id,
             service_class=self._class_for(index),
             plan_index=plan_index,
             attempt=attempt, final_attempt=final,
@@ -334,7 +332,7 @@ class WorkloadDriver:
                     yield env.timeout_at(q.arrival_time)
             coordinator.submit(
                 self._plan(coordinator, q.plan_index), strategy=q.strategy,
-                params=self.params.with_seed(q.params_seed),
+                seed=q.params_seed,
                 query_id=q.query_id, service_class=q.service_class,
                 plan_index=q.plan_index,
                 attempt=q.attempt, final_attempt=q.final_attempt,

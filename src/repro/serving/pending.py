@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..engine.context import ExecutionContext
     from ..engine.metrics import QueryCompletion
-    from ..engine.params import ExecutionParams
     from ..optimizer.plan import ParallelExecutionPlan
     from ..sim.core import Event
     from .spec import ServiceClass
@@ -35,7 +34,7 @@ __all__ = ["QueryRequest", "PendingQueues"]
 class QueryRequest:
     """One submitted query: identity, timestamps, completion event."""
 
-    __slots__ = ("query_id", "plan", "base_plan", "strategy", "params",
+    __slots__ = ("query_id", "plan", "base_plan", "strategy", "seed",
                  "service_class",
                  "arrival_time", "seq", "start_time", "done", "completion",
                  "context", "deferred", "shed", "shed_at",
@@ -43,7 +42,7 @@ class QueryRequest:
                  "final_attempt", "preempting", "placement")
 
     def __init__(self, query_id: int, plan: ParallelExecutionPlan,
-                 strategy: str, params: ExecutionParams,
+                 strategy: str, seed: int,
                  service_class: ServiceClass,
                  arrival_time: float, seq: int, done: Event):
         self.query_id = query_id
@@ -53,7 +52,9 @@ class QueryRequest:
         #: evaluation — placement never compounds on its own output.
         self.base_plan = plan
         self.strategy = strategy
-        self.params = params
+        #: the query's own randomness (its skew permutations); it runs
+        #: under the machine's params.
+        self.seed = seed
         #: scheduling/admission contract (weight, priority, SLO, gates).
         self.service_class = service_class
         self.arrival_time = arrival_time
@@ -61,7 +62,7 @@ class QueryRequest:
         self.seq = seq
         self.start_time: Optional[float] = None
         #: fires when the query finishes (with its QueryCompletion) or is
-        #: shed (with a QueryShed) — closed-loop clients wait on it.
+        #: shed (with its ShedRecord) — closed-loop clients wait on it.
         self.done = done
         self.completion: Optional[QueryCompletion] = None
         self.context: Optional[ExecutionContext] = None

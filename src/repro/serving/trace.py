@@ -81,7 +81,7 @@ class QuerySubmitted:
     strategy: str
     service_class: Optional[ServiceClass]
     #: the per-query engine seed (routing, trigger skew) the execution ran
-    #: with — ``request.params.seed`` at submission time.
+    #: with — ``request.seed`` at submission time.
     params_seed: int
     #: retry attempt number (0: the original submission; k: the k-th
     #: backoff re-entry of the same logical query).
@@ -391,6 +391,8 @@ class Trace:
         """Extract the replayable trace from a full event stream."""
         header: Optional[RunStarted] = None
         queries: List[TraceQuery] = []
+        # The coordinator keys running queries by id and trusts it unique.
+        seen: set[int] = set()
         for event in events:
             if isinstance(event, RunStarted):
                 header = event
@@ -401,6 +403,12 @@ class Trace:
                         "plan index (not via a WorkloadDriver plan "
                         "population); the trace cannot be replayed"
                     )
+                if event.query_id in seen:
+                    raise ValueError(
+                        f"query id {event.query_id} is submitted twice; "
+                        "the trace cannot be replayed"
+                    )
+                seen.add(event.query_id)
                 queries.append(TraceQuery(
                     query_id=event.query_id,
                     arrival_time=event.time,

@@ -33,8 +33,8 @@ from repro.cluster import AutoscalerSpec, ClusterEventSpec, ClusterSpec
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.rebalance import Rebalancer
 from repro.cluster.runtime import ElasticCluster
+from repro.engine import Substrate
 from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
-from repro.serving.substrate import SharedSubstrate
 from repro.serving.trace import (NodeDraining, NodeJoined, NodeLeft,
                                  QueryFinished, QueryStarted,
                                  RebalanceCompleted, read_events)
@@ -231,8 +231,7 @@ def _elastic(substrate, spec, demand, mpl_cap=4):
 def test_autoscaler_cooldown_boundary_instant_allows_decision():
     # interval=0.25, cooldown=0.5: both exact binary floats, so the
     # second decision's tick lands *exactly* cooldown after the first.
-    substrate = SharedSubstrate(MachineConfig(nodes=4,
-                                              processors_per_node=1))
+    substrate = Substrate(MachineConfig(nodes=4, processors_per_node=1))
     spec = ClusterSpec(
         machines=substrate.config, initial_nodes=1,
         autoscaler=AutoscalerSpec(target_utilization=0.75,
@@ -252,8 +251,7 @@ def test_autoscaler_cooldown_boundary_instant_allows_decision():
 def test_autoscaler_within_cooldown_defers_decision():
     # cooldown=0.75 is three ticks: the tick at 0.5 (0.25 after the
     # first decision) must skip, the tick at 1.0 fires.
-    substrate = SharedSubstrate(MachineConfig(nodes=3,
-                                              processors_per_node=1))
+    substrate = Substrate(MachineConfig(nodes=3, processors_per_node=1))
     spec = ClusterSpec(
         machines=substrate.config, initial_nodes=1,
         autoscaler=AutoscalerSpec(target_utilization=0.75,
@@ -266,8 +264,7 @@ def test_autoscaler_within_cooldown_defers_decision():
 
 
 def test_autoscaler_scales_in_idle_cluster_to_min_nodes():
-    substrate = SharedSubstrate(MachineConfig(nodes=4,
-                                              processors_per_node=1))
+    substrate = Substrate(MachineConfig(nodes=4, processors_per_node=1))
     spec = ClusterSpec(
         machines=substrate.config, initial_nodes=4,
         autoscaler=AutoscalerSpec(target_utilization=0.75,
@@ -288,8 +285,7 @@ def test_autoscaler_scales_in_idle_cluster_to_min_nodes():
 
 
 def test_autoscaler_stops_when_workload_done():
-    substrate = SharedSubstrate(MachineConfig(nodes=4,
-                                              processors_per_node=1))
+    substrate = Substrate(MachineConfig(nodes=4, processors_per_node=1))
     spec = ClusterSpec(
         machines=substrate.config, initial_nodes=1,
         autoscaler=AutoscalerSpec(interval=0.25),
@@ -319,8 +315,7 @@ def test_rebalance_moves_ship_only_share_deltas():
 
 
 def test_rebalancer_bytes_shipped_equals_partition_bytes_moved():
-    substrate = SharedSubstrate(MachineConfig(nodes=4,
-                                              processors_per_node=1))
+    substrate = Substrate(MachineConfig(nodes=4, processors_per_node=1))
     relations = (Relation("R", cardinality=8000, tuple_size=100),
                  Relation("S", cardinality=3000, tuple_size=208))
     rebalancer = Rebalancer(substrate, relations)

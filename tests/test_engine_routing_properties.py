@@ -31,7 +31,8 @@ def make_context(nodes=1, procs=4, params=None):
     config = MachineConfig(nodes=nodes, processors_per_node=procs)
     plan = compile_plan(graph, tree, config)
     params = params or ExecutionParams()
-    return ExecutionContext(plan, config, Substrate(config, params), params)
+    return ExecutionContext(plan, config, Substrate(config, params),
+                            params.seed)
 
 
 def build_channel(context):

@@ -16,7 +16,7 @@ import pytest
 from repro.engine import ExecutionParams, QueryExecutor, Substrate
 from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from repro.serving.driver import WorkloadDriver
-from repro.serving.substrate import SharedSubstrate
+from repro.serving.broker import CrossQueryBroker
 from repro.sim import MachineConfig, NetworkParams
 from repro.workloads import pipeline_chain_scenario
 
@@ -27,6 +27,13 @@ def chain(config, base_tuples=2000, chain_joins=3):
         base_tuples=base_tuples, chain_joins=chain_joins,
     )
     return plan
+
+
+def shared(config, params):
+    """The machine the serving coordinator builds for a run."""
+    substrate = Substrate(config, params, strict_memory=False)
+    substrate.broker = CrossQueryBroker(substrate)
+    return substrate
 
 
 def by_hand(plan, config, strategy, params, substrate):
@@ -55,7 +62,7 @@ class TestOneProtocol:
         alone = QueryExecutor(plan, config, strategy=strategy,
                               params=params).run()
         for substrate in (Substrate(config, params),
-                          SharedSubstrate(config, params)):
+                          shared(config, params)):
             result = by_hand(plan, config, strategy, params, substrate)
             assert dataclasses.asdict(result) == dataclasses.asdict(alone)
             assert substrate.contexts == []

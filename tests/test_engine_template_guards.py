@@ -12,7 +12,9 @@ later change could lose without moving a single simulated instant:
   built it.  Nothing process-wide keeps one: the trigger chunks of a large
   plan are megabytes, and a finished query is freed by refcount (see
   ``tests/test_engine_teardown.py``), so a template kept past its run is
-  the one thing left holding them.
+  the one thing left holding them;
+* **census** — a query brings a seed, not an ``ExecutionParams``: the
+  params alive mid-run do not grow with the queries pending or running.
 """
 
 import gc
@@ -110,7 +112,7 @@ class TestLaunchPathOperationCounts:
         # and admitted query.
         assert router_inits == len(homes) < routes
         assert zipf_calls <= 2 * routes + 2
-        assert validated == 0               # per-query params skip validation
+        assert validated == 0               # a query brings a seed, not params
 
     def test_an_sp_only_run_builds_no_template(self, monkeypatch):
         """SP reads no template, so the coordinator builds it only when a
@@ -149,16 +151,6 @@ class TestLaunchPathOperationCounts:
         for shared in by_home.values():
             assert len({id(router.cells) for router in shared}) == 1
             assert len({id(router.cell_index) for router in shared}) == 1
-
-    def test_per_query_params_are_a_seed_only_copy(self):
-        base = ExecutionParams(batch_size=32, seed=1)
-        clone = base.with_seed(99)
-        assert clone.seed == 99 and base.seed == 1
-        assert clone == ExecutionParams(batch_size=32, seed=99)
-        assert hash(clone) == hash(ExecutionParams(batch_size=32, seed=99))
-        assert clone.skew is base.skew and clone.cost is base.cost
-        with pytest.raises(AttributeError):
-            clone.seed = 3  # still frozen
 
 
 def live_templates() -> list:
@@ -222,20 +214,14 @@ class TestTemplateLifetime:
                                           config=config)
         other, _ = pipeline_chain_scenario(base_tuples=32, chain_joins=1,
                                            config=config)
-        base = ExecutionParams()
-        coordinator = MultiQueryCoordinator(config, params=base)
+        coordinator = MultiQueryCoordinator(config)
         env = coordinator.env
 
         def arrivals():
             for index in range(6):
-                coordinator.submit(plan, params=base.with_seed(index),
-                                   plan_index=0)
-                coordinator.submit(other, params=base.with_seed(index),
-                                   plan_index=1)
+                coordinator.submit(plan, seed=index, plan_index=0)
+                coordinator.submit(other, seed=index, plan_index=1)
                 yield env.timeout(0.5)
-            # An override that is not seed-only gets a template of its own.
-            coordinator.submit(
-                plan, params=ExecutionParams(batch_size=8), plan_index=0)
             coordinator.close_arrivals()
 
         env.process(arrivals(), name="arrivals")
@@ -247,11 +233,39 @@ class TestTemplateLifetime:
             if not any(template is known for known in seen):
                 seen.append(template)
             assert template.plan is request.plan
-            assert template.fits(request.params)
+            assert template.params is coordinator.substrate.params
             return template
 
         coordinator._template_for = recording
         metrics = coordinator.run()
-        assert metrics.completed == 13
-        assert len(seen) == 3
+        assert metrics.completed == 12
+        assert len(seen) == 2
         assert set(coordinator._templates) == {(0, 1), (1, 1)}
+
+
+def live_params() -> int:
+    return sum(isinstance(obj, ExecutionParams) for obj in gc.get_objects())
+
+
+class TestQueriesBringASeed:
+    def test_no_query_keeps_params_of_its_own(self, monkeypatch):
+        from repro.serving.coordinator import MultiQueryCoordinator
+
+        spec = replay_spec(200, 0.5)
+        build_plans(spec)
+        before = live_params()
+        samples = []  # (live queries, ExecutionParams alive) at each new high
+        original = MultiQueryCoordinator._start
+
+        def sampling(coordinator, request):
+            original(coordinator, request)
+            live = len(coordinator.pending) + len(coordinator.running)
+            if not samples or live > samples[-1][0]:
+                samples.append((live, live_params()))
+
+        monkeypatch.setattr(MultiQueryCoordinator, "_start", sampling)
+        assert repro.run(spec).workload.admitted > 0
+        assert samples[-1][0] >= 40     # a deep queue was really sampled
+        counts = {alive for _live, alive in samples}
+        assert len(counts) == 1         # flat while the queue grew
+        assert counts.pop() <= before + 1

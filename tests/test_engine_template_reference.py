@@ -233,18 +233,17 @@ class TestTemplateMatchesReference:
             self, theta, nodes, procs, shape, strategy, pages_per_trigger):
         config = MachineConfig(nodes=nodes, processors_per_node=procs)
         plan = PLANS[shape](config)
-        template = None
+        # One machine's params and template; each query brings its seed.
+        machine = params_for(theta, 0, pages_per_trigger=pages_per_trigger)
+        template = ExecutionTemplate(plan, config, machine)
         for seed in (0, 7, 1996, 2815):
             params = params_for(theta, seed,
                                 pages_per_trigger=pages_per_trigger)
-            if template is None:
-                template = ExecutionTemplate(plan, config, params)
-            assert template.fits(params)
             with recorded_streams() as built:
                 context = QueryExecutor(
-                    plan, config, strategy=strategy, params=params,
+                    plan, config, strategy=strategy,
                     template=lambda: template,
-                ).launch(Substrate(config, params))
+                ).launch(Substrate(config, machine), seed=seed)
             reference = reference_build(plan, config, params)
             assert_matches_reference(context, reference)
             if theta == 0:
@@ -273,7 +272,7 @@ class TestTemplateMatchesReference:
         plan = bushy_plan(config)
         params = params_for(0.5, 3)
         context = context_module.ExecutionContext(
-            plan, config, Substrate(config, params), params)
+            plan, config, Substrate(config, params), params.seed)
         context.seed_triggers()
         assert_matches_reference(context, reference_build(plan, config, params))
 
@@ -284,17 +283,6 @@ class TestTemplateMatchesReference:
             ExecutionTemplate(plan, small, ExecutionParams())
         with pytest.raises(ValueError, match="plan references node 2"):
             QueryExecutor(plan, small).launch(Substrate(small))
-
-    def test_fits_ignores_the_seed_and_nothing_else(self):
-        config = MachineConfig(nodes=1, processors_per_node=2)
-        base = ExecutionParams(seed=1)
-        template = ExecutionTemplate(chain_plan(config, 1), config, base)
-        assert template.fits(base)
-        assert template.fits(base.with_seed(99))
-        assert template.fits(dataclasses.replace(base, seed=5))
-        assert not template.fits(dataclasses.replace(base, batch_size=32))
-        assert not template.fits(dataclasses.replace(
-            base, skew=SkewSpec.uniform_redistribution(0.5)))
 
 
 # -- soundness of skipping the streams at theta == 0 -------------------------------
@@ -457,10 +445,11 @@ class TestQueriesShareNothingMutable:
     def launch_pair(self, theta):
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = bushy_plan(config)
-        template = ExecutionTemplate(plan, config, self.params(theta, 0))
+        params = self.params(theta, 0)
+        template = ExecutionTemplate(plan, config, params)
         contexts = [
-            QueryExecutor(plan, config, params=self.params(theta, seed),
-                          template=lambda: template).launch(Substrate(config))
+            QueryExecutor(plan, config, template=lambda: template).launch(
+                Substrate(config, params), seed=seed)
             for seed in (1, 2)
         ]
         return plan, config, template, contexts

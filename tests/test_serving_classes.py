@@ -119,17 +119,6 @@ class TestPerClassAdmission:
         assert (by_class["heavy"].completion_time
                 < by_class["light"].completion_time)
 
-    def test_per_query_discipline_override_is_rejected(self):
-        # The discipline is machine-wide (processors are built once);
-        # a per-query override would be silently ignored, so it errors.
-        config = MachineConfig(nodes=2, processors_per_node=2)
-        plan = join_plan(config)
-        coordinator = MultiQueryCoordinator(config)  # fifo substrate
-        with pytest.raises(ValueError):
-            coordinator.submit(
-                plan, params=ExecutionParams(cpu_discipline="priority")
-            )
-
     def test_single_class_workload_is_plain_fifo(self):
         # With one class the scheduler must preserve head-of-line order.
         config = MachineConfig(nodes=2, processors_per_node=2)
@@ -337,28 +326,26 @@ class TestDisciplineDifferentiation:
 
 def skewed_stress_scenario(cross_query_steal, seed=2, smalls=4, gap=0.01):
     """One large heavily-skewed query co-resident with small queries that
-    leave machine share idle — the broker's showcase."""
+    leave machine share idle — the broker's showcase.  Every query runs
+    under the run's params (skew 1.0) and brings its own seed."""
     config = MachineConfig(nodes=2, processors_per_node=2)
     big = join_plan(config, 4000, 8000, "big")
     small = join_plan(config, 400, 800, "small")
-    big_params = scaled_execution_params(
+    params = scaled_execution_params(
         skew=SkewSpec.uniform_redistribution(1.0), seed=seed,
         cross_query_steal=cross_query_steal,
     )
     coordinator = MultiQueryCoordinator(
-        config, params=big_params,
+        config, params=params,
         policy=AdmissionPolicy(max_multiprogramming=8),
     )
     env = coordinator.env
 
     def submit():
-        coordinator.submit(big, params=big_params)
+        coordinator.submit(big)
         for i in range(smalls):
             yield env.timeout(gap)
-            coordinator.submit(small, params=scaled_execution_params(
-                seed=100 + seed * 10 + i,
-                cross_query_steal=cross_query_steal,
-            ))
+            coordinator.submit(small, seed=100 + seed * 10 + i)
         coordinator.close_arrivals()
 
     env.process(submit(), name="submit")

@@ -11,11 +11,10 @@ discipline layer:
   I/O-heavy mix at MPL 8, ``disk_discipline="priority"`` improves the
   interactive p95 over FIFO disks while batch throughput stays within
   20% (the acceptance ordering of the I/O-heavy sweep);
-* discipline choices are machine-wide: per-query overrides of
-  ``disk_discipline``/``net_discipline`` are rejected at submission,
-  like ``cpu_discipline`` overrides;
-* shed queries resolve their ``done`` event with an explicit
-  :class:`~repro.engine.metrics.QueryShed` (not ``None``), and finished
+* discipline choices are machine-wide: the substrate builds its devices
+  from the run's params, and a query brings only its seed;
+* shed queries resolve their ``done`` event with their
+  :class:`~repro.engine.metrics.ShedRecord` (not ``None``), and finished
   queries with their :class:`~repro.engine.metrics.QueryCompletion`;
 * runs stay deterministic under every disk/net discipline: same seed,
   byte-identical ``WorkloadMetrics.summary()``.
@@ -26,7 +25,7 @@ import dataclasses
 import pytest
 
 from repro.engine import ExecutionParams
-from repro.engine.metrics import QueryCompletion, QueryShed
+from repro.engine.metrics import QueryCompletion, ShedRecord
 from repro.experiments.config import scaled_execution_params
 from repro.experiments.service_class_sweep import io_heavy_params
 from repro.optimizer.cost import CostParams
@@ -219,24 +218,13 @@ class TestNetworkLinkServing:
         )
         assert coordinator.substrate.net_link is None
 
-    def test_per_query_io_discipline_overrides_are_rejected(self):
-        config = MachineConfig(nodes=2, processors_per_node=2)
-        plan, _ = pipeline_chain_scenario(nodes=2, processors_per_node=2,
-                                          base_tuples=500)
-        coordinator = MultiQueryCoordinator(config)
-        for knob in ("disk_discipline", "net_discipline"):
-            with pytest.raises(ValueError):
-                coordinator.submit(
-                    plan, params=ExecutionParams(**{knob: "priority"})
-                )
-
 
 # ---------------------------------------------------------------------------
 # Explicit shed completions
 # ---------------------------------------------------------------------------
 
-class TestQueryShedCompletion:
-    def test_shed_done_event_carries_a_query_shed(self):
+class TestShedCompletion:
+    def test_shed_done_event_carries_its_shed_record(self):
         plan, config = pipeline_chain_scenario(
             nodes=2, processors_per_node=2, base_tuples=1500
         )
@@ -266,11 +254,11 @@ class TestQueryShedCompletion:
             assert request.done.triggered
             value = request.done.value
             if request.shed:
-                assert isinstance(value, QueryShed)
+                assert isinstance(value, ShedRecord)
                 assert value.query_id == request.query_id
                 assert value.reason == "queue_timeout"
                 assert value.service_class == "impatient"
-                assert value.record in metrics.shed
+                assert value in metrics.shed
             else:
                 assert isinstance(value, QueryCompletion)
                 assert value.query_id == request.query_id

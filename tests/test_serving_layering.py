@@ -10,7 +10,9 @@ so no api module may import it, not even inside a function.  At the
 bottom, ``repro.engine`` and ``repro.sim`` import nothing above them —
 the scheduler used to fetch its two trace events from ``serving`` inside
 a function — and hardware is built in exactly one module outside
-``sim/``: ``engine/substrate.py``.  Inside ``repro.experiments`` a query
+``sim/``: ``engine/substrate.py``.  A machine is built in two places: by
+``QueryExecutor.run`` for one query alone and by the coordinator for one
+run many queries share.  Inside ``repro.experiments`` a query
 is executed from exactly one module, ``methodology.py``: a figure is a
 point builder and a table layout, not another measurement loop.
 Scenario value types live in ``spec`` modules that load no runtime, so a
@@ -64,13 +66,11 @@ def test_nothing_behind_the_coordinator_imports_it(module):
         )
 
 
-@pytest.mark.parametrize("module", ["serving/substrate.py",
-                                    "engine/substrate.py"])
-def test_the_substrate_defers_no_import(module):
-    deferred = [node.lineno
-                for node, top in imports(SRC / module) if not top]
+def test_the_substrate_defers_no_import():
+    deferred = [node.lineno for node, top
+                in imports(SRC / "engine" / "substrate.py") if not top]
     assert not deferred, (
-        f"{module} has function-level imports at lines "
+        f"engine/substrate.py has function-level imports at lines "
         f"{deferred}: a deferred import hides an import cycle — break the "
         "cycle instead (the broker lives in serving/broker.py for this)"
     )
@@ -117,6 +117,17 @@ def test_hardware_is_built_in_one_place(constructor):
         f"{constructor}(...) is the substrate's to call: a second builder "
         "is a second machine model that can drift (a lone SP run once "
         "ignored its disciplines this way)"
+    )
+
+
+def test_one_machine_alone_and_one_shared():
+    assert call_sites("Substrate") == {"engine/executor.py",
+                                       "serving/coordinator.py"}, (
+        "a Substrate is built by QueryExecutor.run (one query alone) and "
+        "by the coordinator (one machine many queries share), nowhere else"
+    )
+    assert call_sites("CrossQueryBroker") == {"serving/coordinator.py"}, (
+        "the coordinator installs the broker into its substrate's slot"
     )
 
 
@@ -170,7 +181,7 @@ REPO = SRC.parent.parent
 SERVING_ONLY = (
     *(f"repro.serving.{name}" for name in (
         "driver", "coordinator", "admission", "broker", "preemption",
-        "pending", "substrate", "trace")),
+        "pending", "trace")),
     "repro.cluster.runtime", "repro.cluster.rebalance",
     "repro.cluster.membership",
     "repro.placement.base", "repro.placement.policies",

@@ -80,7 +80,7 @@ class ReferenceSharedDeque:
 
 def make_request(seq, service_class, arrival_time, controller):
     request = QueryRequest(
-        query_id=seq, plan=None, strategy="DP", params=None,
+        query_id=seq, plan=None, strategy="DP", seed=0,
         service_class=service_class, arrival_time=arrival_time, seq=seq,
         done=None,
     )

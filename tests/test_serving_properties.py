@@ -281,7 +281,6 @@ class TestAdmission:
         # keeps the paper's chain-fits-in-memory assumption (Section 2.2),
         # a shared one tolerates the overcommit.  Which one is the
         # substrate builder's call (``strict_memory``), not a spec field.
-        from repro.serving.substrate import SharedSubstrate
         from repro.sim.machine import MemoryExhausted
 
         config = MachineConfig(nodes=2, processors_per_node=2,
@@ -290,7 +289,7 @@ class TestAdmission:
         executor = QueryExecutor(plan, config)
         with pytest.raises(MemoryExhausted):
             executor.run()
-        shared = SharedSubstrate(config)
+        shared = MultiQueryCoordinator(config).substrate
         assert not shared.strict_memory
         context = executor.launch(shared)
         shared.env.run()
@@ -308,24 +307,17 @@ class TestAdmission:
             coordinator.submit(plan, strategy="SP")
 
     def test_duplicate_query_id_rejected(self):
-        config = MachineConfig(nodes=2, processors_per_node=2)
-        plan = small_join_plan(config)
-        coordinator = MultiQueryCoordinator(config)
-        coordinator.submit(plan, query_id=5)
-        with pytest.raises(ValueError):
-            coordinator.submit(plan, query_id=5)
+        # Ids are checked where they enter from outside: a loaded trace.
+        # The coordinator keys running queries by id and trusts them.
+        from repro.serving.trace import QuerySubmitted, Trace
 
-    def test_mismatched_hardware_params_rejected_on_shared_substrate(self):
-        from repro.serving.substrate import SharedSubstrate
-        from repro.sim import DiskParams
-
-        config = MachineConfig(nodes=2, processors_per_node=2)
-        plan = small_join_plan(config)
-        substrate = SharedSubstrate(config)
-        other = ExecutionParams(disk=DiskParams(latency=1e-3))
-        with pytest.raises(ValueError):
-            QueryExecutor(plan, config, strategy="DP",
-                          params=other).launch(substrate)
+        events = [QuerySubmitted(time=when, query_id=5, plan_index=0,
+                                 plan_label="p", strategy="DP",
+                                 service_class=None, params_seed=0)
+                  for when in (0.0, 1.0)]
+        assert len(Trace.from_events(events[:1]).queries) == 1
+        with pytest.raises(ValueError, match="query id 5"):
+            Trace.from_events(events)
 
     def test_deferrals_counted_per_query_not_per_wakeup(self):
         # Eight queries arrive at once with an MPL cap of 1: each of the

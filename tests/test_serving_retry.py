@@ -30,7 +30,8 @@ from repro.serving import (
     WorkloadSpec,
 )
 from repro.serving.driver import WorkloadDriver
-from repro.serving.trace import JsonLinesLogger, Trace
+from repro.serving.trace import (JsonLinesLogger, MemoryLogger,
+                                 QuerySubmitted, Trace)
 from repro.sim import MachineConfig
 
 
@@ -151,6 +152,23 @@ class TestOpenLoopRetryAccounting:
         b = self.run_shed_heavy(retry)
         assert a.metrics.summary() == b.metrics.summary()
         assert a.clients == b.clients
+
+    def test_every_attempt_gets_its_own_query_id(self):
+        # The coordinator keys running queries by id without checking
+        # them: the driver's ``attempt * queries + index`` ids must be
+        # unique by construction, retries included.
+        config = MachineConfig(nodes=1, processors_per_node=2)
+        plan = join_plan(config, r=1500, s=3000)
+        logger = MemoryLogger()
+        spec = shed_heavy_spec(RetryPolicySpec(
+            max_attempts=None, base_backoff=0.02, jitter=0.1))
+        result = WorkloadDriver(plan, config, spec, logger=logger).run()
+        ids = [event.query_id for event in logger.events
+               if isinstance(event, QuerySubmitted)]
+        assert result.clients.retries > 10
+        assert len(ids) == 10 + result.clients.retries
+        assert len(set(ids)) == len(ids)
+        assert len(Trace.from_events(logger.events).queries) == len(ids)
 
     def test_unbounded_retries_eventually_serve_everything(self):
         result = self.run_shed_heavy(RetryPolicySpec(
