@@ -4,8 +4,9 @@
 on a private :class:`~repro.engine.substrate.Substrate`; the serving
 layer drives the same three steps on a shared one.  Here: the protocol
 driven by hand equals ``run()`` field for field for DP, FP and SP; a lone
-SP run honours its disciplines (it used to build bare FIFO devices); and
-a long-lived machine keeps no per-query key on its devices once the query
+SP run honours its disciplines (it used to build bare FIFO devices); a
+launch runs under the substrate's params and brings only its seed; and a
+long-lived machine keeps no per-query key on its devices once the query
 has finished.
 """
 
@@ -13,11 +14,12 @@ import dataclasses
 
 import pytest
 
+from repro.catalog import SkewSpec
 from repro.engine import ExecutionParams, QueryExecutor, Substrate
 from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from repro.serving.driver import WorkloadDriver
 from repro.serving.broker import CrossQueryBroker
-from repro.sim import MachineConfig, NetworkParams
+from repro.sim import DiskParams, MachineConfig, NetworkParams
 from repro.workloads import pipeline_chain_scenario
 
 
@@ -78,6 +80,41 @@ class TestOneProtocol:
         with pytest.raises(ValueError, match="substrate was built as"):
             QueryExecutor(chain(one, 200, 1), one, strategy="SP").launch(
                 Substrate(MachineConfig(nodes=1, processors_per_node=4)))
+
+
+class TestALaunchBringsOnlyASeed:
+    @pytest.mark.parametrize("strategy,nodes", [("DP", 2), ("FP", 2),
+                                                ("SP", 1)])
+    def test_a_launch_runs_under_the_substrates_params(self, strategy, nodes):
+        # The executor's own params only shape the machine ``run()``
+        # builds; launched onto a substrate, the query runs on its hardware.
+        config = MachineConfig(nodes=nodes, processors_per_node=4)
+        plan = chain(config)
+        other = ExecutionParams(disk=DiskParams(latency=1e-3))
+        machine = QueryExecutor(plan, config, strategy=strategy).run()
+        assert QueryExecutor(plan, config, strategy=strategy,
+                             params=other).run() != machine
+        launched = by_hand(plan, config, strategy, other,
+                           shared(config, ExecutionParams()))
+        assert dataclasses.asdict(launched) == dataclasses.asdict(machine)
+
+    @pytest.mark.parametrize("strategy", ["DP", "FP"])
+    def test_the_seed_alone_sets_a_querys_randomness(self, strategy):
+        config = MachineConfig(nodes=2, processors_per_node=4)
+        plan = chain(config)
+        params = ExecutionParams(skew=SkewSpec(redistribution=0.8), seed=5)
+
+        def launched(**seed):
+            substrate = Substrate(config, params)
+            executor = QueryExecutor(plan, config, strategy=strategy)
+            execution = executor.launch(substrate, **seed)
+            substrate.env.run()
+            return dataclasses.asdict(executor.collect(execution))
+
+        default = launched()
+        assert default == launched(seed=5)      # None: the params' seed
+        assert launched(seed=6) == launched(seed=6)
+        assert launched(seed=6) != default
 
 
 class TestLoneSPHonoursItsDisciplines:
