@@ -96,7 +96,7 @@ def tier1(name: str, shape: dict, processes=None) -> str:
 def scenarios(seed: int = 7) -> str:
     """Two named plans, alone, under DP and FP."""
     params = scaled_execution_params(
-        skew=SkewSpec.uniform_redistribution(0.8), seed=seed)
+        skew=SkewSpec(redistribution=0.8), seed=seed)
     lines = []
     for label, scenario in (("chain", named.pipeline_chain_scenario),
                             ("two-node", named.two_node_join_scenario)):

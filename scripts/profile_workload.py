@@ -32,9 +32,10 @@ depends on when the collector happens to run.
 
 The report ends with where the peak heap goes: one more warm repetition
 under ``tracemalloc``, phase by phase.  It first prints the traced peak
-of ``repro.run``, what the finished result retains, and the traced peak
-of ``.to_json()`` above that (with the length of its text): a
-repetition's peak can be set in either.  During the run, every 5 000
+of ``repro.run``, what the finished result retains once the cyclic
+collector has run, and the traced peak of ``.to_json()`` above that
+(with the length of its text): a repetition's peak can be set in
+either.  During the run, every 5 000
 kernel events (heap pops, counted by a wrapper this script installs
 around ``heapq.heappop`` for that repetition) it reads the traced heap,
 and at each new high it takes a snapshot and counts the gc-tracked
@@ -208,6 +209,9 @@ def peak_heap(spec) -> tuple[Phase, int, Phase, int]:
         run_sampler = Sampler(count_types=True)
         result = repro.run(spec)
         run = run_sampler.finish()
+        # What the result holds, not the cycles the run left for the
+        # collector (they read as retained until it happens to run).
+        gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - run_sampler.start
         json_sampler = Sampler(count_types=False, step=TO_JSON_STEP)
         sys.setprofile(on_return)

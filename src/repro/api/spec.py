@@ -126,8 +126,9 @@ class PlanSpec:
         """
         # Late imports: the workloads/optimizer stack is heavy and the
         # sweep workers only need it inside the worker process.  Every
-        # factory takes the scenario's full cluster, so non-default
-        # machine knobs (page size, memory, MIPS) reach compilation.
+        # factory takes the scenario's full cluster: its shape and page
+        # size set the placements.  Its MIPS does not reach compilation
+        # (the optimizer prices plans at ``cost.ESTIMATE_MIPS``).
         if self.kind == "pipeline_chain":
             from ..workloads.scenarios import pipeline_chain_scenario
 
@@ -191,13 +192,11 @@ class TraceSpec:
     workload spec's ``queries``/``arrival`` knobs (each replayed query
     carries its own arrival instant, plan index, strategy, class and
     engine seed); admission ``policy`` and engine ``params`` still come
-    from the scenario.  ``limit`` truncates the trace to its first N
-    queries (smoke runs over big recordings).
+    from the scenario.
     """
 
     path: str = ""
     generate: Optional[TraceGenSpec] = None
-    limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         if bool(self.path) == (self.generate is not None):
@@ -205,24 +204,16 @@ class TraceSpec:
                 "a TraceSpec needs exactly one source: a trace file "
                 "'path' or a synthetic 'generate' model"
             )
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be >= 1, got {self.limit}")
 
     def resolve(self, plan_count: int) -> Trace:
         """The concrete trace: loaded from disk or generated (pure)."""
         if self.generate is not None:
             from ..workloads.tracegen import generate_trace
 
-            trace = generate_trace(self.generate, plan_count)
-        else:
-            from ..serving.trace import Trace
+            return generate_trace(self.generate, plan_count)
+        from ..serving.trace import Trace
 
-            trace = Trace.load(self.path)
-        if self.limit is not None and self.limit < len(trace.queries):
-            trace = dataclasses.replace(
-                trace, queries=trace.queries[: self.limit]
-            )
-        return trace
+        return Trace.load(self.path)
 
 
 @dataclass(frozen=True)

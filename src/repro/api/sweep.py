@@ -69,7 +69,7 @@ def _set_skew(scenario: ScenarioSpec, value: Any) -> ScenarioSpec:
     return replace_path(
         scenario,
         "params.skew",
-        SkewSpec.uniform_redistribution(value),
+        SkewSpec(redistribution=value),
     )
 
 

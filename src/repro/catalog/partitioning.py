@@ -9,20 +9,19 @@ store its partitions."
 
 :class:`RelationPlacement` captures the materialized decision: for one
 relation, which nodes hold partitions, how many tuples/pages sit on each
-node, and how each node's share spreads over its local disks.  Placement
-skew (Walton91 "tuple placement skew") enters as a Zipf factor over the
-node shares.
+node, and how each node's share spreads over its local disks.  Shares
+are even (what an ideal hash function achieves): the paper's experiments
+inject no placement skew (Section 5.2.2).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .relation import Relation
-from .skew import proportional_split, zipf_weights
+from .skew import proportional_split
 
 __all__ = ["PartitionMove", "RelationPlacement", "partitioning_degree",
            "place_relation", "rebalance_moves"]
@@ -183,26 +182,18 @@ def rebalance_moves(old: RelationPlacement,
 
 
 def place_relation(relation: Relation, home: Sequence[int], disks_per_node: int,
-                   placement_skew: float = 0.0,
-                   rng: Optional[random.Random] = None,
                    page_size: int = 8 * 1024) -> RelationPlacement:
-    """Hash-partition ``relation`` over ``home`` nodes and their disks.
-
-    With ``placement_skew == 0`` the partitioning is even (what an ideal
-    hash function achieves); a positive Zipf factor produces the unbalanced
-    partitions of Walton91's tuple-placement skew.
-    """
+    """Hash-partition ``relation`` evenly over ``home`` nodes and their disks."""
     home = tuple(sorted(home))
     if not home:
         raise ValueError(f"{relation.name}: home must contain at least one node")
     if disks_per_node < 1:
         raise ValueError(f"disks_per_node must be >= 1, got {disks_per_node}")
-    node_weights = zipf_weights(len(home), placement_skew, rng)
-    node_shares = proportional_split(relation.cardinality, node_weights)
-    disk_shares = []
-    for share in node_shares:
-        disk_weights = zipf_weights(disks_per_node, placement_skew, rng)
-        disk_shares.append(tuple(proportional_split(share, disk_weights)))
+    node_shares = proportional_split(relation.cardinality,
+                                     [1.0 / len(home)] * len(home))
+    disk_weights = [1.0 / disks_per_node] * disks_per_node
+    disk_shares = [tuple(proportional_split(share, disk_weights))
+                   for share in node_shares]
     return RelationPlacement(
         relation=relation,
         home=home,

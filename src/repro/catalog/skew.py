@@ -1,4 +1,4 @@
-"""Skew models: Zipf distributions and the Walton91 skew taxonomy.
+"""Skew models: Zipf distributions and the redistribution skew.
 
 The paper measures skew resilience (Figures 9 and 10, Section 5.3) by
 injecting *redistribution skew*: the tuples produced by an operator
@@ -11,7 +11,7 @@ This module provides:
 * :func:`proportional_split` — deterministic largest-remainder integer
   apportionment (used wherever a tuple count is divided across buckets,
   nodes, or disks: sums are exact, no sampling noise);
-* :class:`SkewSpec` — the Walton91 taxonomy knobs used by the experiments.
+* :class:`SkewSpec` — the redistribution skew a run injects.
 """
 
 from __future__ import annotations
@@ -82,43 +82,22 @@ def proportional_split(total: int, weights: Sequence[float]) -> list[int]:
 
 @dataclass(frozen=True)
 class SkewSpec:
-    """Skew configuration following the Walton91 taxonomy.
+    """The skew a run injects: the paper's redistribution skew.
 
-    The paper's experiments only exercise ``redistribution`` (applied to
-    trigger-activation production and to every pipelined producer, Section
-    5.2.2) but the other axes are modelled so tests and ablations can
-    exercise them:
-
-    - ``attribute_value`` / ``tuple_placement``: unbalanced base-relation
-      partitions, i.e. skewed *trigger* activation distribution;
-    - ``redistribution``: skewed data-activation distribution over the
-      consumer's buckets;
-    - ``selectivity``: per-bucket variation of scan selectivity;
-    - ``join_product``: per-bucket variation of join fan-out.
-
-    All factors are Zipf thetas in ``[0, 1]``.
+    Of Walton91's taxonomy the paper's experiments "only exercise
+    redistribution" skew (Section 5.2.2): the tuples an operator produces
+    distribute over the consumer's buckets by a Zipf law whose factor is
+    ``redistribution``, applied to trigger-activation production and to
+    every pipelined producer alike.  0 is uniform, 1 the paper's "high
+    skew".  Base relations are always partitioned evenly
+    (:func:`~repro.catalog.partitioning.place_relation`).
     """
 
     redistribution: float = 0.0
-    tuple_placement: float = 0.0
-    attribute_value: float = 0.0
-    selectivity: float = 0.0
-    join_product: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("redistribution", "tuple_placement", "attribute_value",
-                     "selectivity", "join_product"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} skew must be in [0, 1], got {value}")
-
-    @classmethod
-    def none(cls) -> "SkewSpec":
-        """No skew on any axis (the paper's baseline)."""
-        return cls()
-
-    @classmethod
-    def uniform_redistribution(cls, theta: float) -> "SkewSpec":
-        """The paper's Figure 9/10 setting: the same redistribution skew
-        factor on every operator."""
-        return cls(redistribution=theta)
+        if not 0.0 <= self.redistribution <= 1.0:
+            raise ValueError(
+                f"redistribution skew must be in [0, 1], got "
+                f"{self.redistribution}"
+            )

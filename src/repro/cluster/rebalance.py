@@ -84,11 +84,9 @@ class Rebalancer:
                    new_nodes: Sequence[int]) -> tuple[PartitionMove, ...]:
         """Every move turning the ``old_nodes`` placement into ``new_nodes``.
 
-        Placements are the canonical even hash placements of each
-        resident relation over the active prefix (placement skew is a
-        per-run experiment knob, not a membership property, so the
-        rebalance target is always the even split an ideal hash
-        achieves).
+        Placements are the even hash placements of each resident
+        relation over the active prefix, the split an ideal hash
+        achieves and the one every plan compiles against.
         """
         old_nodes = tuple(old_nodes)
         new_nodes = tuple(new_nodes)

@@ -108,7 +108,7 @@ class ElasticCluster:
 
     def _autoscale(self):
         spec = self.spec.autoscaler
-        max_nodes = spec.max_nodes or self.spec.machines.nodes
+        max_nodes = self.spec.machines.nodes
         last_decision: Optional[float] = None
         while True:
             yield self.env.timeout(spec.interval)

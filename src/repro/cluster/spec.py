@@ -72,7 +72,9 @@ class AutoscalerSpec:
     the effective multiprogramming limit of the currently planned node
     set.  Above ``target_utilization`` the autoscaler adds one node
     (after ``scale_out_latency`` of provisioning); below
-    ``scale_in_utilization`` it drains one.  ``cooldown`` is the minimum
+    ``scale_in_utilization`` it drains one, down to ``min_nodes``.  It
+    scales out up to the whole physical machine
+    (``ClusterSpec.machines.nodes``).  ``cooldown`` is the minimum
     spacing between two *decisions* — a decision exactly ``cooldown``
     after the previous one is allowed (boundary inclusive).
     """
@@ -83,7 +85,6 @@ class AutoscalerSpec:
     cooldown: float = 0.0
     interval: float = 0.25
     min_nodes: int = 1
-    max_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_utilization or not math.isfinite(
@@ -111,11 +112,6 @@ class AutoscalerSpec:
             )
         if self.min_nodes < 1:
             raise ValueError(f"min_nodes must be >= 1, got {self.min_nodes}")
-        if self.max_nodes is not None and self.max_nodes < self.min_nodes:
-            raise ValueError(
-                f"max_nodes ({self.max_nodes}) must be >= min_nodes "
-                f"({self.min_nodes})"
-            )
 
 
 @dataclass(frozen=True)
@@ -144,18 +140,11 @@ class ClusterSpec:
                 f"initial_nodes must be in [1, {total}], got "
                 f"{self.initial_nodes}"
             )
-        if self.autoscaler is not None:
-            a = self.autoscaler
-            if a.min_nodes > total:
-                raise ValueError(
-                    f"autoscaler min_nodes ({a.min_nodes}) exceeds the "
-                    f"machine's {total} node(s)"
-                )
-            if a.max_nodes is not None and a.max_nodes > total:
-                raise ValueError(
-                    f"autoscaler max_nodes ({a.max_nodes}) exceeds the "
-                    f"machine's {total} node(s)"
-                )
+        if self.autoscaler is not None and self.autoscaler.min_nodes > total:
+            raise ValueError(
+                f"autoscaler min_nodes ({self.autoscaler.min_nodes}) exceeds "
+                f"the machine's {total} node(s)"
+            )
         # Walking the timeline validates it: membership may never leave
         # [1, machines.nodes] at any point of the schedule.
         self.size_bounds()
@@ -204,7 +193,7 @@ class ClusterSpec:
             hi = max(hi, count)
         if self.autoscaler is not None:
             lo = min(lo, self.autoscaler.min_nodes)
-            hi = max(hi, self.autoscaler.max_nodes or total)
+            hi = total
         return lo, hi
 
     def reachable_sizes(self) -> tuple[int, ...]:

@@ -305,8 +305,9 @@ class ExecutionContext:
         return weights
 
     def instructions_time(self, instructions: float) -> float:
-        """Virtual seconds for ``instructions`` on one processor."""
-        return instructions / self.params.cost.mips
+        """Virtual seconds for ``instructions`` on one of the machine's
+        processors."""
+        return instructions / self.substrate.config.mips
 
     # -- trigger seeding (Section 4, "Query execution") ---------------------------
 

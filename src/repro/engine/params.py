@@ -18,9 +18,9 @@ paper leaves open").
 
 A field stays only with a reason: a paper section, an experiment, example
 or ledger workload that sets it, or an ablation that compares it
-(ARCHITECTURE.md, "Why each `ExecutionParams` field stays"; a tier-1 test
-keeps that table and these fields equal).  Bounds nothing varies are
-named constants in the one module that reads each.
+(ARCHITECTURE.md, "Why each spec field stays"; a tier-1 test keeps that
+section and the fields of every spec type equal).  Bounds nothing varies
+are named constants in the one module that reads each.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class ExecutionParams:
     signal_instructions: int = 2000
 
     # --- skew (Section 5.2.2) ----------------------------------------------
-    skew: SkewSpec = field(default_factory=SkewSpec.none)
+    skew: SkewSpec = field(default_factory=SkewSpec)
 
     # --- substrate parameters ----------------------------------------------
     cost: CostParams = field(default_factory=CostParams)

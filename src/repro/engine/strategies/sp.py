@@ -117,6 +117,7 @@ class SynchronousPipeliningExecutor:
         processors = substrate.processors[0]
         params = substrate.params
         cost = params.cost
+        mips = substrate.config.mips
         k = self.config.processors_per_node
         tree = self.plan.operators
         charge_tag = (service_class.charge_tag(query_id)
@@ -132,7 +133,7 @@ class SynchronousPipeliningExecutor:
 
         def charge(thread_index: int, instructions: float):
             thread = threads[thread_index]
-            seconds = instructions / cost.mips
+            seconds = instructions / mips
             thread.cpu += seconds
             started = env.now
             yield from processors[thread_index].use(seconds, charge_tag)

@@ -61,7 +61,7 @@ class ExecutionThread(ThreadTime):
         # ``_charge``'s invariants, bound once: the clock, the CPU speed,
         # the processor's discipline entry point and the resolved tag.
         self._env = context.env
-        self._mips = context.params.cost.mips
+        self._mips = context.substrate.config.mips
         self._use = self.processor._use
         self._tag = (DEFAULT_TAG if context.charge_tag is None
                      else context.charge_tag)

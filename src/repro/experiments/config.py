@@ -97,7 +97,7 @@ def scaled_execution_params(scale: float = 0.01,
     return ExecutionParams(
         disk=disk,
         network=network,
-        skew=skew or SkewSpec.none(),
+        skew=skew or SkewSpec(),
         seed=seed,
         steal_cooldown=2e-3 * scale,
         **overrides,

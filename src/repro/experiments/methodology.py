@@ -135,7 +135,7 @@ def single_point(options: ExperimentOptions, machine: MachineConfig,
         mode="single", cluster=machine,
         params=scaled_execution_params(
             scale=options.scale,
-            skew=SkewSpec.uniform_redistribution(skew),
+            skew=SkewSpec(redistribution=skew),
         ),
         workload=WorkloadSpec(strategy=strategy),
         plans=plans or options.plan_mix(),

@@ -208,7 +208,7 @@ def sweep_specs(options: ExperimentOptions,
                                   processors_per_node=processors_per_node),
             params=scaled_execution_params(
                 scale=options.scale,
-                skew=SkewSpec.uniform_redistribution(regime.skew),
+                skew=SkewSpec(redistribution=regime.skew),
                 seed=options.seed,
             ),
             workload=WorkloadSpec(

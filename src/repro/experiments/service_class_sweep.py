@@ -173,7 +173,7 @@ def io_heavy_params(options: ExperimentOptions, disk_discipline: str,
     """
     params = scaled_execution_params(
         scale=options.scale,
-        skew=SkewSpec.uniform_redistribution(0.8),
+        skew=SkewSpec(redistribution=0.8),
         seed=options.seed,
         cpu_discipline=cpu_discipline,
         disk_discipline=disk_discipline,
@@ -216,7 +216,7 @@ def sweep_specs(options: ExperimentOptions,
         cluster=cluster,
         params=scaled_execution_params(
             scale=options.scale,
-            skew=SkewSpec.uniform_redistribution(0.8),
+            skew=SkewSpec(redistribution=0.8),
             seed=options.seed,
         ),
         workload=WorkloadSpec(

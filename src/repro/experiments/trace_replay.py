@@ -122,8 +122,7 @@ def cells(options: ExperimentOptions,
         queries = max(12, 3 * options.workload_queries)
     gen = TraceGenSpec(
         queries=queries, seed=options.seed, base_rate=base_rate,
-        diurnal_amplitude=0.6, diurnal_period=queries / base_rate * 2.0,
-        flash_crowds=1, flash_magnitude=6.0,
+        diurnal_period=queries / base_rate * 2.0, flash_magnitude=6.0,
         flash_duration=queries / base_rate / 8.0,
         interactive_slo=2.0,
     )

@@ -31,12 +31,22 @@ from ..query.graph import QueryGraph
 from ..sim.disk import DiskParams
 from .join_tree import BaseNode, JoinTree
 
-__all__ = ["CostParams", "CardinalityEstimator", "distort_cardinalities", "CostModel"]
+__all__ = ["CostParams", "CardinalityEstimator", "distort_cardinalities",
+           "CostModel", "ESTIMATE_MIPS"]
+
+#: the CPU speed the optimizer prices disk seconds at (Section 5.1.1's
+#: 40 MIPS).  The engine charges the simulated machine's own speed,
+#: ``MachineConfig.mips``; the estimate is fixed, like the
+#: :class:`~repro.sim.disk.DiskParams` the cost model prices I/O with.
+ESTIMATE_MIPS = 40e6
 
 
 @dataclass(frozen=True)
 class CostParams:
     """Instruction-count constants of the execution model.
+
+    Counts, not times: the engine turns them into seconds at the
+    simulated machine's speed (``MachineConfig.mips``).
 
     ``activation_overhead_instructions`` is the queue-management price DP
     pays per activation (enqueue + dequeue + selection); it is the
@@ -53,11 +63,6 @@ class CostParams:
     result_instructions_per_tuple: int = 100
     activation_overhead_instructions: int = 150
     foreign_queue_penalty_instructions: int = 50
-    mips: float = 40e6
-
-    def instructions_time(self, instructions: float) -> float:
-        """Seconds of CPU for ``instructions`` at the model's MIPS rate."""
-        return instructions / self.mips
 
 
 class CardinalityEstimator:
@@ -112,8 +117,8 @@ class CostModel:
     """Operator and plan cost estimation on top of :class:`CostParams`.
 
     Costs are expressed in *instructions* (CPU) plus disk *seconds*
-    converted to instruction-equivalents at the MIPS rate, so a single
-    scalar ranks plans.
+    converted to instruction-equivalents at :data:`ESTIMATE_MIPS`, so a
+    single scalar ranks plans.
     """
 
     def __init__(self, params: Optional[CostParams] = None,
@@ -176,7 +181,7 @@ class CostModel:
                 if node.relation.name not in seen_leaves:
                     seen_leaves.add(node.relation.name)
                     total += self.scan_instructions(card)
-                    total += self.scan_io_seconds(card) * self.params.mips
+                    total += self.scan_io_seconds(card) * ESTIMATE_MIPS
                 return card
             build_card = visit(node.build)
             probe_card = visit(node.probe)

@@ -165,20 +165,19 @@ class ParallelExecutionPlan:
 
 def compile_plan(graph: QueryGraph, join_tree: JoinTree, config: MachineConfig,
                  cost_model: Optional[CostModel] = None,
-                 placement_skew: float = 0.0,
-                 rng: Optional[random.Random] = None,
-                 heuristic1: bool = True, heuristic2: bool = True,
                  label: str = "plan") -> ParallelExecutionPlan:
     """Compile a join tree into a full parallel execution plan.
 
     Applies the paper's experimental assumptions (Section 5.1.2): relations
-    fully partitioned across all SM-nodes, all nodes allocated to all
-    operators, pipeline chains one-at-a-time (``heuristic2``).
+    partitioned evenly across all SM-nodes and their disks (pages of
+    ``config.page_size``), all nodes allocated to all operators, and the
+    schedule under both of Section 2.2's heuristics (hash tables ready
+    before their probes, pipeline chains one at a time).
     """
     cost_model = cost_model or CostModel()
     estimator = CardinalityEstimator(graph)
     operators = macro_expand(join_tree, estimator)
-    schedule = build_schedule(operators, heuristic1=heuristic1, heuristic2=heuristic2)
+    schedule = build_schedule(operators)
     nodes = tuple(range(config.nodes))
     homes = all_nodes_homes(operators, nodes)
     placements = {
@@ -186,8 +185,6 @@ def compile_plan(graph: QueryGraph, join_tree: JoinTree, config: MachineConfig,
             relation,
             home=nodes,
             disks_per_node=config.processors_per_node,
-            placement_skew=placement_skew,
-            rng=rng,
             page_size=config.page_size,
         )
         for name, relation in graph.relations.items()

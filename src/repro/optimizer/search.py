@@ -42,7 +42,7 @@ from operator import itemgetter
 from typing import Optional
 
 from ..query.graph import QueryGraph
-from .cost import CardinalityEstimator, CostModel
+from .cost import ESTIMATE_MIPS, CardinalityEstimator, CostModel
 from .join_tree import BaseNode, JoinNode, JoinTree, tree_signature
 
 __all__ = ["PlanCandidate", "BushySearch", "best_bushy_trees"]
@@ -127,7 +127,7 @@ class BushySearch:
     def _leaf_cost(self, card: float) -> float:
         return (
             self.cost_model.scan_instructions(card)
-            + self.cost_model.scan_io_seconds(card) * self.cost_model.params.mips
+            + self.cost_model.scan_io_seconds(card) * ESTIMATE_MIPS
         )
 
     def run(self) -> list[PlanCandidate]:

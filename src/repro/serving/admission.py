@@ -13,8 +13,8 @@ static reservations:
 * **multiprogramming level** — at most ``max_multiprogramming`` queries
   executing at once (the knob the workload experiments sweep);
 * **memory** — the query's estimated per-node hash-table demand must fit
-  into every home node's *current* free memory with ``memory_headroom``
-  to spare.  The signal is the same per-node ``SMNode.available`` the
+  into :data:`MEMORY_HEADROOM` of every home node's *current* free
+  memory.  The signal is the same per-node ``SMNode.available`` the
   steal protocol ships in its *starving* messages (condition (i): "the
   requester must be able to store the activations and corresponding
   data"), so admission and load balancing see one consistent picture.
@@ -41,7 +41,14 @@ from ..optimizer.operator_tree import OpKind
 from ..optimizer.plan import ParallelExecutionPlan
 from .spec import AdmissionPolicy
 
-__all__ = ["AdmissionController", "estimated_node_demand"]
+__all__ = ["AdmissionController", "estimated_node_demand", "MEMORY_HEADROOM"]
+
+#: the share of a home node's free memory a new query's estimated demand
+#: may claim; the rest absorbs estimate error, stolen hash-table copies
+#: and queue growth.  The paper admits one query at a time and names no
+#: value; 0.8 is the one every experiment, example and ledger workload
+#: ran with.
+MEMORY_HEADROOM = 0.8
 
 
 def estimated_node_demand(plan: ParallelExecutionPlan) -> Dict[int, int]:
@@ -105,16 +112,15 @@ class AdmissionController:
         """node id -> bytes by which the plan's demand overshoots the gate.
 
         The memory gate itself, reported per node: a node is short when
-        the plan's estimated demand there exceeds ``memory_headroom`` of
-        its free memory.  The coordinator's victim selector ranks
+        the plan's estimated demand there exceeds :data:`MEMORY_HEADROOM`
+        of its free memory.  The coordinator's victim selector ranks
         suspension candidates by their spillable bytes *on these nodes*
         (freeing memory elsewhere would not unblock the query).  Empty
         when the gate passes.
         """
-        headroom = self.policy.memory_headroom
         shortfall: Dict[int, int] = {}
         for node_id, nbytes in estimated_node_demand(plan).items():
-            allowed = self.substrate.free_memory(node_id) * headroom
+            allowed = self.substrate.free_memory(node_id) * MEMORY_HEADROOM
             if nbytes > allowed:
                 shortfall[node_id] = int(nbytes - allowed)
         return shortfall

@@ -13,7 +13,7 @@ stress that policies behave qualitatively differently under contention):
   same long-run ``rate``, stressing admission control with deep transient
   queues.
 * **Closed loop** — ``population`` clients each submit a query, wait for
-  its completion, think for ``think_time``, and submit again.  The
+  its completion, and submit the next at once.  The
   multiprogramming level is bounded by the population by construction;
   sweeping it is how the workload experiments control load.
 

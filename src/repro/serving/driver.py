@@ -8,8 +8,8 @@ simulation, and returns the aggregate
 :class:`~repro.engine.metrics.WorkloadMetrics`.
 
 Determinism contract: a driver run is a pure function of ``(plans,
-config, spec, params)``.  Plan choice, arrival times, think times and
-every per-query engine stream (routing, trigger skew) derive from the
+config, spec, params)``.  Plan choice, arrival times and every
+per-query engine stream (routing, trigger skew) derive from the
 spec's master seed via named :class:`~repro.sim.rng.RandomStreams`; the
 shared environment orders simultaneous events by its ``(time, priority,
 sequence)`` heap.  Two identical runs produce byte-identical
@@ -275,8 +275,8 @@ class WorkloadDriver:
             coordinator.close_arrivals()
 
     def _closed_loop_client(self, coordinator: MultiQueryCoordinator,
-                            client_id: int, counter: list):
-        """One closed-loop client: submit, wait, (maybe retry,) think, repeat.
+                            counter: list):
+        """One closed-loop client: submit, wait, (maybe retry,) repeat.
 
         A retrying closed-loop client backs off *inline*: while it waits
         it submits nothing, so the effective multiprogramming level
@@ -285,7 +285,6 @@ class WorkloadDriver:
         """
         env = coordinator.env
         retry = self.spec.retry
-        think_rng = self.streams.stream(f"think:{client_id}")
         while counter[0] < self.spec.queries:
             index = counter[0]
             counter[0] += 1
@@ -302,9 +301,6 @@ class WorkloadDriver:
                 self.client_stats.backoff_seconds += delay
                 yield env.timeout(delay)
                 attempt = next_attempt
-            think = self.spec.arrival.think_time
-            if think > 0 and counter[0] < self.spec.queries:
-                yield env.timeout(think_rng.expovariate(1.0 / think))
         counter[1] -= 1
         if counter[1] == 0:
             coordinator.close_arrivals()
@@ -385,7 +381,7 @@ class WorkloadDriver:
             self.client_stats.population = population
             for client_id in range(population):
                 env.process(
-                    self._closed_loop_client(coordinator, client_id, counter),
+                    self._closed_loop_client(coordinator, counter),
                     name=f"client:{client_id}",
                 )
         return coordinator

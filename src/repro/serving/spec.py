@@ -110,9 +110,8 @@ class ArrivalSpec:
     and ``burst_speedup`` (how much faster than ``rate`` arrivals come
     inside a burst).
 
-    Closed-loop knobs: ``population`` (concurrent clients) and
-    ``think_time`` (virtual seconds between a completion and the client's
-    next submission).
+    Closed-loop knob: ``population`` (concurrent clients, each
+    submitting its next query the moment the last one resolves).
     """
 
     kind: str = "poisson"
@@ -120,7 +119,6 @@ class ArrivalSpec:
     burst_size: float = 4.0
     burst_speedup: float = 10.0
     population: int = 4
-    think_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("poisson", "bursty", "closed"):
@@ -143,8 +141,6 @@ class ArrivalSpec:
             )
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.think_time < 0 or not math.isfinite(self.think_time):
-            raise ValueError(f"think_time must be >= 0, got {self.think_time}")
 
     @property
     def open_loop(self) -> bool:
@@ -155,10 +151,10 @@ class ArrivalSpec:
 class AdmissionPolicy:
     """Admission knobs.
 
-    ``max_multiprogramming`` caps concurrently executing queries;
-    ``memory_headroom`` is the fraction of a node's *free* memory a new
-    query's estimated demand may claim (the rest absorbs estimate error,
-    stolen hash-table copies and queue growth).
+    ``max_multiprogramming`` caps concurrently executing queries; the
+    memory gate admits a query whose estimated demand fits a fixed share
+    of each home node's free memory (:data:`~repro.serving.admission.
+    MEMORY_HEADROOM`).
 
     Overload handling (open-loop streams): ``queue_timeout`` sheds any
     query still awaiting admission after that many virtual seconds (a
@@ -178,7 +174,6 @@ class AdmissionPolicy:
     """
 
     max_multiprogramming: int = 8
-    memory_headroom: float = 0.8
     queue_timeout: Optional[float] = None
     deadline_shedding: bool = False
     memory_preemption: bool = False
@@ -189,10 +184,6 @@ class AdmissionPolicy:
             raise ValueError(
                 f"max_multiprogramming must be >= 1, got "
                 f"{self.max_multiprogramming}"
-            )
-        if not 0.0 < self.memory_headroom <= 1.0:
-            raise ValueError(
-                f"memory_headroom must be in (0, 1], got {self.memory_headroom}"
             )
         if self.queue_timeout is not None and self.queue_timeout <= 0:
             raise ValueError(
@@ -274,28 +265,25 @@ class RetryPolicySpec:
 
 @dataclass(frozen=True)
 class TraceGenSpec:
-    """Knobs of the synthetic traffic model (all virtual-time units)."""
+    """Knobs of the synthetic traffic model (all virtual-time units).
+
+    The model's shape constants that nothing varies — the diurnal depth,
+    one flash window per cycle, the session-length law, plan affinity,
+    the interactive share and the DP strategy — are named in
+    :mod:`repro.workloads.tracegen`, which reads them.
+    """
 
     #: total queries in the generated trace.
     queries: int = 100
     seed: int = 0
     #: long-run average *query* rate (queries per virtual second).
     base_rate: float = 50.0
-    #: relative diurnal modulation in [0, 1): 0 = flat, 0.8 = deep cycle.
-    diurnal_amplitude: float = 0.6
     #: virtual seconds per diurnal cycle (one "day").
     diurnal_period: float = 8.0
-    #: number of flash-crowd windows per diurnal cycle.
-    flash_crowds: int = 1
-    #: rate multiplier inside a flash window.
+    #: rate multiplier inside the cycle's flash window.
     flash_magnitude: float = 6.0
     #: flash window length (virtual seconds).
     flash_duration: float = 0.4
-    #: mean queries per session (Pareto mean; the tail does the rest).
-    session_mean_queries: float = 3.0
-    #: Pareto shape of the session length (smaller = heavier tail; must
-    #: be > 1 so the mean exists).
-    session_tail: float = 1.6
     #: mean gap between queries of one session (exponential).
     session_gap: float = 0.02
     #: distinct tenants; sessions draw a tenant uniformly.
@@ -304,13 +292,8 @@ class TraceGenSpec:
     tenant_bursts: int = 2
     #: sessions started (near-)simultaneously by one burst.
     tenant_burst_sessions: int = 4
-    #: probability a session uses its tenant's favored plan.
-    plan_affinity: float = 0.5
-    #: fraction of sessions that are interactive (SLO-bearing).
-    interactive_fraction: float = 0.5
     #: end-to-end latency SLO stamped on interactive queries.
     interactive_slo: float = 2.0
-    strategy: str = "DP"
 
     def __post_init__(self) -> None:
         if self.queries < 1:
@@ -319,17 +302,14 @@ class TraceGenSpec:
             raise ValueError(
                 f"base_rate must be positive and finite, got {self.base_rate}"
             )
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError(
-                f"diurnal_amplitude must be in [0, 1), got "
-                f"{self.diurnal_amplitude}"
-            )
         if self.diurnal_period <= 0:
             raise ValueError(
                 f"diurnal_period must be positive, got {self.diurnal_period}"
             )
-        if self.flash_crowds < 0 or self.tenant_bursts < 0:
-            raise ValueError("flash_crowds/tenant_bursts must be >= 0")
+        if self.tenant_bursts < 0:
+            raise ValueError(
+                f"tenant_bursts must be >= 0, got {self.tenant_bursts}"
+            )
         if self.flash_magnitude < 1:
             raise ValueError(
                 f"flash_magnitude must be >= 1, got {self.flash_magnitude}"
@@ -337,16 +317,6 @@ class TraceGenSpec:
         if self.flash_duration <= 0:
             raise ValueError(
                 f"flash_duration must be positive, got {self.flash_duration}"
-            )
-        if self.session_mean_queries < 1:
-            raise ValueError(
-                f"session_mean_queries must be >= 1, got "
-                f"{self.session_mean_queries}"
-            )
-        if self.session_tail <= 1:
-            raise ValueError(
-                f"session_tail must be > 1 (finite mean), got "
-                f"{self.session_tail}"
             )
         if self.session_gap < 0:
             raise ValueError(
@@ -359,23 +329,9 @@ class TraceGenSpec:
                 f"tenant_burst_sessions must be >= 1, got "
                 f"{self.tenant_burst_sessions}"
             )
-        if not 0.0 <= self.plan_affinity <= 1.0:
-            raise ValueError(
-                f"plan_affinity must be in [0, 1], got {self.plan_affinity}"
-            )
-        if not 0.0 <= self.interactive_fraction <= 1.0:
-            raise ValueError(
-                f"interactive_fraction must be in [0, 1], got "
-                f"{self.interactive_fraction}"
-            )
         if self.interactive_slo <= 0:
             raise ValueError(
                 f"interactive_slo must be positive, got {self.interactive_slo}"
-            )
-        if self.strategy not in ("DP", "FP", "SP"):
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; "
-                "expected 'DP', 'FP' or 'SP'"
             )
 
 
@@ -400,8 +356,8 @@ class WorkloadSpec:
     #: admission-time cluster scheduler (see :mod:`repro.placement`);
     #: the default ``paper`` policy is a strict no-op.
     placement: PlacementSpec = field(default_factory=PlacementSpec)
-    #: master seed: plan choice, arrivals, think times and all per-query
-    #: engine randomness derive from it.
+    #: master seed: plan choice, arrivals and all per-query engine
+    #: randomness derive from it.
     seed: int = 0
 
     def __post_init__(self) -> None:

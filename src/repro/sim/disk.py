@@ -66,26 +66,18 @@ __all__ = ["DiskParams", "Disk", "AsyncReadHandle"]
 
 @dataclass(frozen=True)
 class DiskParams:
-    """Disk timing parameters (defaults from the paper, Section 5.1.1)."""
+    """Disk timing parameters (defaults from the paper, Section 5.1.1).
+
+    The page a request reads is the machine's (``MachineConfig.page_size``,
+    handed to each :class:`Disk`), the same page the relations are
+    divided into.
+    """
 
     latency: float = 17e-3
     seek_time: float = 5e-3
     transfer_rate: float = 6 * 1024 * 1024
     async_init_instructions: int = 5000
     io_cache_pages: int = 8
-    page_size: int = 8 * 1024
-
-    def service_time(self, pages: int) -> float:
-        """Wall time for one synchronous request of ``pages`` pages."""
-        if pages <= 0:
-            raise ValueError(f"pages must be positive, got {pages}")
-        return self.latency + self.seek_time + pages * self.page_size / self.transfer_rate
-
-    def transfer_time(self, pages: int) -> float:
-        """Pure transfer time of ``pages`` pages (no latency, no seek)."""
-        if pages <= 0:
-            raise ValueError(f"pages must be positive, got {pages}")
-        return pages * self.page_size / self.transfer_rate
 
 
 class AsyncReadHandle:
@@ -123,10 +115,13 @@ class Disk:
     :class:`~repro.sim.core.ChargeTag`.
     """
 
-    def __init__(self, env: Environment, params: DiskParams, name: str = "disk",
+    def __init__(self, env: Environment, params: DiskParams, page_size: int,
+                 name: str = "disk",
                  discipline: Optional[SchedulingDiscipline] = None):
         self.env = env
         self.params = params
+        #: bytes per page: the machine's page, which its relations fill.
+        self.page_size = page_size
         self.name = name
         #: the scheduled arm; None means the analytic FIFO busy-period
         #: model (the seed behaviour, bit-identical single-query runs).
@@ -158,6 +153,20 @@ class Disk:
         """Retire the scheduled arm (see :meth:`Resource.close`)."""
         if self._arm is not None:
             self._arm.close()
+
+    def service_time(self, pages: int) -> float:
+        """Wall time for one synchronous request of ``pages`` pages."""
+        if pages <= 0:
+            raise ValueError(f"pages must be positive, got {pages}")
+        params = self.params
+        return (params.latency + params.seek_time
+                + pages * self.page_size / params.transfer_rate)
+
+    def transfer_time(self, pages: int) -> float:
+        """Pure transfer time of ``pages`` pages (no latency, no seek)."""
+        if pages <= 0:
+            raise ValueError(f"pages must be positive, got {pages}")
+        return pages * self.page_size / self.params.transfer_rate
 
     def take_wait_time(self, key: str) -> float:
         """Queued time accumulated by requests tagged with ``key``, which
@@ -202,7 +211,7 @@ class Disk:
             prefetchable = False
         now = self.env.now
         key = (tag or DEFAULT_TAG).key
-        transfer = pages * self.params.page_size / self.params.transfer_rate
+        transfer = pages * self.page_size / self.params.transfer_rate
         sequential = stream is not None and stream == self._last_stream
         if sequential:
             if prefetchable:
@@ -216,7 +225,7 @@ class Disk:
                 self._record_wait(key, max(0.0, self._busy_until - now))
             self.busy_time += transfer
         else:
-            service = self.params.service_time(pages)
+            service = self.service_time(pages)
             finish = max(now, self._busy_until) + service
             self._record_wait(key, max(0.0, self._busy_until - now))
             self.busy_time += service
@@ -248,9 +257,9 @@ class Disk:
         now = self.env.now
         sequential = stream is not None and stream == self._last_stream
         if sequential:
-            service = self.params.transfer_time(pages)
+            service = self.transfer_time(pages)
         else:
-            service = self.params.service_time(pages)
+            service = self.service_time(pages)
         self.requests += 1
         self.pages_read += pages
         done = self.env.event(f"read:{self.name}")

@@ -53,9 +53,12 @@ class MachineConfig:
 
     Parameters mirror Section 5.1.1 of the paper:
 
-    - ``mips``: per-processor speed, 40 MIPS on the KSR1;
+    - ``mips``: per-processor speed, 40 MIPS on the KSR1; every CPU charge
+      of the engine and the rebalancer runs at it;
     - ``memory_per_processor``: 32 MB local cache per KSR1 processor,
       pooled into the node's shared memory;
+    - ``page_size``: the 8 KB page relations are divided into and each
+      disk reads;
     - one disk per processor (see :class:`repro.sim.disk.Disk` for the disk
       service parameters).
     """
@@ -193,7 +196,8 @@ def make_processors(env: Environment, config: MachineConfig,
 
 def make_disks(env: Environment, disk_params, config: MachineConfig,
                discipline: SchedulingDiscipline | None = None):
-    """One disk per (node, processor) of ``config`` (the paper's layout).
+    """One disk per (node, processor) of ``config`` (the paper's layout),
+    each reading pages of ``config.page_size``.
 
     All disks of a machine share one ``discipline`` instance, exactly
     like the processors (``None`` keeps the analytic FIFO arm, the
@@ -201,7 +205,8 @@ def make_disks(env: Environment, disk_params, config: MachineConfig,
     """
     from .disk import Disk  # late import: disk depends only on core
     return [
-        [Disk(env, disk_params, name=f"d{node_id}.{d}", discipline=discipline)
+        [Disk(env, disk_params, config.page_size, name=f"d{node_id}.{d}",
+              discipline=discipline)
          for d in range(config.processors_per_node)]
         for node_id in range(config.nodes)
     ]

@@ -54,6 +54,11 @@ __all__ = ["NetworkParams", "Message", "Network", "NetworkLink",
 #: every other tag.
 REBALANCE_TAG = ChargeTag(key="rebalance", weight=0.5, priority=-1)
 
+#: the message unit the per-message CPU costs are quoted in (Section
+#: 5.1.1: "CPU cost for sending 8 K bytes"): a message pays one unit's
+#: instructions per started 8 KB.
+MESSAGE_UNIT = 8 * 1024
+
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -62,7 +67,6 @@ class NetworkParams:
     transmission_delay: float = 0.5e-3
     send_instructions_per_8k: int = 10_000
     receive_instructions_per_8k: int = 10_000
-    message_unit: int = 8 * 1024
     #: link bandwidth in bytes/second; ``None`` is the paper's infinite
     #: interconnect (no queueing, scheduling disciplines are moot).
     bandwidth: Optional[float] = None
@@ -75,12 +79,12 @@ class NetworkParams:
 
     def send_instructions(self, nbytes: int) -> int:
         """CPU instructions the sender pays for an ``nbytes`` message."""
-        units = max(1, -(-nbytes // self.message_unit))  # ceil division
+        units = max(1, -(-nbytes // MESSAGE_UNIT))  # ceil division
         return units * self.send_instructions_per_8k
 
     def receive_instructions(self, nbytes: int) -> int:
         """CPU instructions the receiver pays for an ``nbytes`` message."""
-        units = max(1, -(-nbytes // self.message_unit))
+        units = max(1, -(-nbytes // MESSAGE_UNIT))
         return units * self.receive_instructions_per_8k
 
     def serialization_time(self, nbytes: int) -> float:

@@ -21,8 +21,15 @@ def derive_seed(master_seed: int, name: str) -> int:
     """Derive a child seed from ``master_seed`` and a stream ``name``.
 
     Uses SHA-256 so the mapping is stable across Python versions and
-    platforms (``hash()`` is salted per process and unusable here).
+    platforms (``hash()`` is salted per process and unusable here).  The
+    master seed must be an ``int``: any other object (a ``bool``, a
+    params object) would be formatted into the hash input and silently
+    seed a stream.
     """
+    if type(master_seed) is not int:
+        raise TypeError(
+            f"a master seed is an int, got {type(master_seed).__name__}"
+        )
     digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..optimizer.cost import CardinalityEstimator, CostModel
+from ..optimizer.cost import ESTIMATE_MIPS, CardinalityEstimator, CostModel
 from ..optimizer.join_tree import BaseNode, JoinNode, JoinTree, joins
 from ..optimizer.plan import ParallelExecutionPlan, compile_plan
 from ..optimizer.search import BushySearch
@@ -177,7 +177,7 @@ def _below_band(graph: QueryGraph, cost_model: CostModel, k: int,
     """Whether the search's ``k`` best trees surely run under ``low`` s."""
     bound = _kth_cost_bound(graph, cost_model, k)
     return (bound is not None
-            and bound * (1 + _BOUND_MARGIN) / cost_model.params.mips < low)
+            and bound * (1 + _BOUND_MARGIN) / ESTIMATE_MIPS < low)
 
 
 #: query selection is machine-independent and, for every candidate the
@@ -232,7 +232,7 @@ def build_query_population(config: Optional[WorkloadConfig] = None,
         if len(candidates) < config.plans_per_query:
             rejected += 1
             continue
-        sequential = [c.cost / cost_model.params.mips for c in candidates]
+        sequential = [c.cost / ESTIMATE_MIPS for c in candidates]
         if not all(low <= s <= high for s in sequential):
             rejected += 1
             continue

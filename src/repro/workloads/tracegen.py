@@ -16,23 +16,29 @@ its :class:`~repro.serving.spec.TraceGenSpec`):
 
 * **Sessions, not queries, arrive.**  Session starts follow a
   non-homogeneous Poisson process (thinning): the base session rate is
-  modulated by a sinusoidal *diurnal* cycle and by rectangular *flash
-  crowd* windows.
+  modulated by a sinusoidal *diurnal* cycle (depth
+  :data:`DIURNAL_AMPLITUDE`) and by one rectangular *flash crowd*
+  window that opens mid-cycle.
 * **Heavy-tailed sessions.**  Each session belongs to one user of one
-  tenant and issues a Pareto-distributed number of queries (shape
-  ``session_tail``; small shapes → a few users contribute a large share
-  of queries), spaced by exponential intra-session gaps.
+  tenant and issues a Pareto-distributed number of queries (mean
+  :data:`SESSION_MEAN_QUERIES`, shape :data:`SESSION_TAIL`: a few users
+  contribute a large share of queries), spaced by exponential
+  intra-session gaps.
 * **Correlated tenant bursts.**  A burst event starts several sessions
   of *one* tenant at (nearly) the same instant — the correlated-arrival
   pattern that stresses admission fairness across classes.
 * **Per-tenant plan affinity.**  Each tenant favors one plan of the
-  population (probability ``plan_affinity``), otherwise draws uniformly
-  — so a tenant burst is also a *plan* hotspot.
+  population (probability :data:`PLAN_AFFINITY`), otherwise draws
+  uniformly — so a tenant burst is also a *plan* hotspot.
 
 The output is truncated to exactly ``queries`` queries in arrival order,
 re-numbered ``0..n-1`` (query ids in a trace are submission-ordered),
-each carrying its service class (interactive with an SLO, or batch) and
-a per-query engine seed derived from the spec seed.
+each run under DP and carrying its service class (interactive with an
+SLO for a :data:`INTERACTIVE_FRACTION` share of the sessions, batch
+otherwise) and a per-query engine seed derived from the spec seed.
+
+The shape constants are the values every trace experiment, example and
+ledger workload ran with; none of them varied one.
 """
 
 from __future__ import annotations
@@ -40,53 +46,51 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from ..serving.spec import BATCH, INTERACTIVE, ServiceClass, TraceGenSpec
+from ..serving.spec import BATCH, INTERACTIVE, TraceGenSpec
 from ..serving.trace import Trace, TraceQuery
 from ..sim.rng import RandomStreams, derive_seed
 
 __all__ = ["generate_trace", "session_rate_at"]
 
+#: relative diurnal modulation: the rate swings +-60 % around its mean.
+DIURNAL_AMPLITUDE = 0.6
+#: mean queries per session (the Pareto mean).
+SESSION_MEAN_QUERIES = 3.0
+#: Pareto shape of the session length (> 1, so the mean exists).
+SESSION_TAIL = 1.6
+#: probability that a session runs its tenant's favoured plan.
+PLAN_AFFINITY = 0.5
+#: share of sessions that are interactive (SLO-bearing); the rest batch.
+INTERACTIVE_FRACTION = 0.5
+#: the strategy every generated query runs under.
+STRATEGY = "DP"
+
+#: Pareto(shape a, scale m) has mean a*m/(a-1): the scale that makes the
+#: session-length mean SESSION_MEAN_QUERIES.
+_PARETO_SCALE = SESSION_MEAN_QUERIES * (SESSION_TAIL - 1.0) / SESSION_TAIL
+
 
 def session_rate_at(spec: TraceGenSpec, t: float) -> float:
-    """Session-start rate λ(t): diurnal sinusoid times flash windows.
+    """Session-start rate λ(t): diurnal sinusoid times the flash window.
 
     Exposed so tests can check the generated arrivals against the model
     (a flash window really is denser; a diurnal trough really is not).
+    The window opens half-way through each cycle — a fixed offset, not
+    a random one: flash timing is part of the scenario's shape, and a
+    fixed offset keeps tests sharp.
     """
-    return _session_rate(spec, t, _flash_starts(spec))
-
-
-def _session_rate(spec: TraceGenSpec, t: float,
-                  flash_starts: list[float]) -> float:
-    """λ(t) given ``_flash_starts(spec)`` (computed once per trace)."""
-    base = spec.base_rate / spec.session_mean_queries
+    base = spec.base_rate / SESSION_MEAN_QUERIES
     phase = 2.0 * math.pi * (t / spec.diurnal_period)
-    rate = base * (1.0 + spec.diurnal_amplitude * math.sin(phase))
-    t_in_cycle = t % spec.diurnal_period
-    for start in flash_starts:
-        if start <= t_in_cycle < start + spec.flash_duration:
-            rate *= spec.flash_magnitude
-            break
+    rate = base * (1.0 + DIURNAL_AMPLITUDE * math.sin(phase))
+    start = 0.5 * spec.diurnal_period
+    if start <= t % spec.diurnal_period < start + spec.flash_duration:
+        rate *= spec.flash_magnitude
     return rate
 
 
-def _flash_starts(spec: TraceGenSpec) -> list[float]:
-    """Flash-window start instants, evenly placed inside each cycle."""
-    starts = []
-    for k in range(spec.flash_crowds):
-        # Fixed fractions of the cycle (not random): flash timing is part
-        # of the scenario's shape, and fixed offsets keep tests sharp.
-        frac = (k + 1) / (spec.flash_crowds + 1)
-        starts.append(frac * spec.diurnal_period)
-    return starts
-
-
 def _peak_session_rate(spec: TraceGenSpec) -> float:
-    peak = (spec.base_rate / spec.session_mean_queries
-            * (1.0 + spec.diurnal_amplitude))
-    if spec.flash_crowds > 0:
-        peak *= spec.flash_magnitude
-    return peak
+    return (spec.base_rate / SESSION_MEAN_QUERIES
+            * (1.0 + DIURNAL_AMPLITUDE) * spec.flash_magnitude)
 
 
 def generate_trace(spec: TraceGenSpec, plan_count: int) -> Trace:
@@ -104,29 +108,17 @@ def generate_trace(spec: TraceGenSpec, plan_count: int) -> Trace:
     interactive = dataclasses.replace(
         INTERACTIVE, latency_slo=spec.interactive_slo
     )
-    has_classes = 0.0 < spec.interactive_fraction
-    all_interactive = spec.interactive_fraction >= 1.0
-
-    def session_class() -> ServiceClass:
-        if not has_classes:
-            return BATCH
-        if all_interactive or shape_rng.random() < spec.interactive_fraction:
-            return interactive
-        return BATCH
 
     def session_queries(start: float, tenant: int) -> list[tuple]:
         """(time, tenant, plan_index, service_class) for one session."""
-        # Pareto(shape a, scale m) has mean a*m/(a-1); pick the scale so
-        # the session-length mean is session_mean_queries.
-        a = spec.session_tail
-        scale = spec.session_mean_queries * (a - 1.0) / a
-        length = max(1, int(shape_rng.paretovariate(a) * scale + 0.5))
-        if spec.plan_affinity > 0 and plan_count > 1 \
-                and shape_rng.random() < spec.plan_affinity:
+        length = max(1, int(shape_rng.paretovariate(SESSION_TAIL)
+                            * _PARETO_SCALE + 0.5))
+        if plan_count > 1 and shape_rng.random() < PLAN_AFFINITY:
             plan_index = tenant % plan_count
         else:
             plan_index = shape_rng.randrange(plan_count)
-        cls = session_class()
+        cls = (interactive if shape_rng.random() < INTERACTIVE_FRACTION
+               else BATCH)
         out = []
         t = start
         for _ in range(length):
@@ -139,12 +131,11 @@ def generate_trace(spec: TraceGenSpec, plan_count: int) -> Trace:
     # 2x headroom bounds the truncation bias at the trace tail (sessions
     # starting late would otherwise be under-sampled near the cut).
     peak = _peak_session_rate(spec)
-    flash_starts = _flash_starts(spec)
     raw: list[tuple] = []
     t = 0.0
     while len(raw) < 2 * spec.queries:
         t += arrivals_rng.expovariate(peak)
-        if arrivals_rng.random() * peak > _session_rate(spec, t, flash_starts):
+        if arrivals_rng.random() * peak > session_rate_at(spec, t):
             continue
         tenant = shape_rng.randrange(spec.tenants)
         raw.extend(session_queries(t, tenant))
@@ -168,8 +159,8 @@ def generate_trace(spec: TraceGenSpec, plan_count: int) -> Trace:
             query_id=index,
             arrival_time=when,
             plan_index=plan_index,
-            strategy=spec.strategy,
-            service_class=cls if has_classes else None,
+            strategy=STRATEGY,
+            service_class=cls,
             params_seed=derive_seed(spec.seed, f"trace-query:{index}"),
         )
         for index, (when, _tenant, plan_index, cls) in enumerate(raw)
@@ -177,6 +168,6 @@ def generate_trace(spec: TraceGenSpec, plan_count: int) -> Trace:
     return Trace(
         queries=queries,
         arrival_kind="trace",
-        strategy=spec.strategy,
+        strategy=STRATEGY,
         seed=spec.seed,
     )

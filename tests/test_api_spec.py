@@ -56,7 +56,7 @@ def _rich_scenario() -> ScenarioSpec:
     interactive = dataclasses.replace(INTERACTIVE, latency_slo=0.25)
     batch = dataclasses.replace(BATCH, queue_timeout=0.5)
     params = scaled_execution_params(
-        scale=0.02, skew=SkewSpec.uniform_redistribution(0.7), seed=11,
+        scale=0.02, skew=SkewSpec(redistribution=0.7), seed=11,
         cpu_discipline="priority", disk_discipline="fair",
         cross_steal_policy="best",
     )
@@ -74,7 +74,6 @@ def _rich_scenario() -> ScenarioSpec:
                                 burst_speedup=12.0),
             strategy="FP",
             policy=AdmissionPolicy(max_multiprogramming=3,
-                                   memory_headroom=0.7,
                                    queue_timeout=2.5,
                                    deadline_shedding=True),
             classes=((interactive, 1.0), (batch, 3.0)),
@@ -178,6 +177,65 @@ class TestStrictDecoding:
             SweepSpec.from_dict(sweep)
 
 
+#: (dotted path, a value it once took): fields that left the spec tree
+#: because no run read them, or because a second field already held
+#: their physical fact (ARCHITECTURE "Why each spec field stays").
+DELETED_FIELDS = (
+    ("params.skew.tuple_placement", 0.5),
+    ("params.skew.attribute_value", 0.5),
+    ("params.skew.selectivity", 0.5),
+    ("params.skew.join_product", 0.5),
+    ("params.cost.mips", 40e6),
+    ("params.disk.page_size", 8192),
+    ("params.network.message_unit", 8192),
+    ("workload.arrival.think_time", 0.0),
+    ("workload.policy.memory_headroom", 0.8),
+    ("cluster.autoscaler.max_nodes", 1),
+    ("trace.limit", 5),
+    ("trace.generate.diurnal_amplitude", 0.6),
+    ("trace.generate.flash_crowds", 1),
+    ("trace.generate.session_mean_queries", 3.0),
+    ("trace.generate.session_tail", 1.6),
+    ("trace.generate.plan_affinity", 0.5),
+    ("trace.generate.interactive_fraction", 0.5),
+    ("trace.generate.strategy", "DP"),
+)
+
+
+class TestDeletedFields:
+    @pytest.mark.parametrize("path,value", DELETED_FIELDS,
+                             ids=[path for path, _value in DELETED_FIELDS])
+    def test_deleted_field_is_a_spec_error_naming_its_path(self, path,
+                                                           value):
+        data = ScenarioSpec().to_dict()
+        data["trace"] = {"generate": {}}
+        data["cluster"]["autoscaler"] = {}
+        *parents, leaf = path.split(".")
+        node = data
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        with pytest.raises(SpecError) as raised:
+            ScenarioSpec.from_dict(data)
+        parent = ".".join(["$", *parents])
+        assert f"{parent}: unknown key(s) ['{leaf}']" in str(raised.value)
+
+    def test_one_cpu_speed_and_one_page_size(self):
+        # The machine's MIPS prices every CPU charge and its page size
+        # both divides the relations and sets each disk transfer, so
+        # each moves the run (the default reads 0.10584624999999993 s).
+        text = (SCENARIO_DIR / "single_query.json").read_text()
+        spec = ScenarioSpec.from_json(text)
+
+        def response(path, value):
+            return run_scenario(replace_path(spec, path, value)) \
+                .execution.response_time
+
+        assert response("cluster.machines.mips", 2e7) == 0.1608016666666663
+        assert (response("cluster.machines.page_size", 4096)
+                == 0.10255125000000002)
+
+
 class TestSpecValidation:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -255,7 +313,7 @@ def _serving_scenario() -> ScenarioSpec:
     return ScenarioSpec(
         cluster=MachineConfig(nodes=2, processors_per_node=2),
         params=scaled_execution_params(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=7
+            skew=SkewSpec(redistribution=0.8), seed=7
         ),
         workload=WorkloadSpec(
             queries=6,

@@ -98,7 +98,7 @@ class TestSweepSpec:
 
     def test_skew_macro_sets_redistribution(self):
         cell = apply_axis(ScenarioSpec(), "skew", 0.8)
-        assert cell.params.skew == SkewSpec.uniform_redistribution(0.8)
+        assert cell.params.skew == SkewSpec(redistribution=0.8)
 
     def test_dotted_axis_reaches_nested_fields(self):
         cell = apply_axis(ScenarioSpec(), "params.network.bandwidth", 8e6)
@@ -118,7 +118,7 @@ class TestSweepSpec:
         assert SweepSpec.from_json(sweep.to_json()) == sweep
 
     def test_non_scalar_axis_value_not_serializable(self):
-        sweep = SweepSpec(axes=(("params.skew", (SkewSpec.none(),)),))
+        sweep = SweepSpec(axes=(("params.skew", (SkewSpec(),)),))
         with pytest.raises(SpecError, match="non-scalar"):
             sweep.to_dict()
 

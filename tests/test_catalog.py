@@ -1,6 +1,5 @@
 """Unit and property tests for the catalog layer (relations, placement, skew)."""
 
-import dataclasses
 import math
 import random
 
@@ -17,12 +16,6 @@ from repro.catalog import (
     proportional_split,
     zipf_weights,
 )
-
-
-def any_skew(spec: SkewSpec) -> bool:
-    """True if any axis of ``spec`` is skewed."""
-    return any(getattr(spec, field.name) > 0.0
-               for field in dataclasses.fields(spec))
 
 
 def pages_on_disk(placement, node_id: int, disk_id: int) -> int:
@@ -173,18 +166,13 @@ class TestProportionalSplit:
 
 class TestSkewSpec:
     def test_none_has_no_skew(self):
-        assert not any_skew(SkewSpec.none())
-
-    def test_uniform_redistribution(self):
-        spec = SkewSpec.uniform_redistribution(0.8)
-        assert spec.redistribution == 0.8
-        assert any_skew(spec)
+        assert SkewSpec().redistribution == 0.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             SkewSpec(redistribution=1.5)
         with pytest.raises(ValueError):
-            SkewSpec(join_product=-0.1)
+            SkewSpec(redistribution=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +192,6 @@ class TestPlacement:
         rel = Relation("R", 10_000)
         placement = place_relation(rel, home=[0, 1, 2, 3], disks_per_node=2)
         assert max(placement.tuples_per_node) - min(placement.tuples_per_node) <= 1
-
-    def test_skewed_placement_is_unbalanced(self):
-        rel = Relation("R", 10_000)
-        placement = place_relation(rel, home=[0, 1, 2, 3], disks_per_node=2,
-                                   placement_skew=0.9)
-        assert max(placement.tuples_per_node) > 2 * min(placement.tuples_per_node)
 
     def test_node_share_and_disk_shares(self):
         rel = Relation("R", 1000)
@@ -235,13 +217,11 @@ class TestPlacement:
 
     @given(card=st.integers(min_value=0, max_value=100_000),
            nodes=st.integers(min_value=1, max_value=8),
-           disks=st.integers(min_value=1, max_value=8),
-           theta=st.floats(min_value=0.0, max_value=1.0))
+           disks=st.integers(min_value=1, max_value=8))
     @settings(max_examples=100)
-    def test_property_placement_is_partition(self, card, nodes, disks, theta):
+    def test_property_placement_is_partition(self, card, nodes, disks):
         rel = Relation("R", card)
-        placement = place_relation(rel, home=range(nodes), disks_per_node=disks,
-                                   placement_skew=theta, rng=random.Random(0))
+        placement = place_relation(rel, home=range(nodes), disks_per_node=disks)
         assert sum(placement.tuples_per_node) == card
         for node_id in range(nodes):
             assert sum(placement.disk_shares(node_id)) == placement.node_share(node_id)

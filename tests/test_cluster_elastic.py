@@ -143,9 +143,6 @@ def test_autoscaler_bounds_checked_against_machine():
     with pytest.raises(ValueError, match="min_nodes"):
         ClusterSpec(machines=MachineConfig(nodes=2),
                     autoscaler=AutoscalerSpec(min_nodes=3))
-    with pytest.raises(ValueError, match="max_nodes"):
-        ClusterSpec(machines=MachineConfig(nodes=2),
-                    autoscaler=AutoscalerSpec(max_nodes=4))
     with pytest.raises(ValueError, match="scale_in_utilization"):
         AutoscalerSpec(target_utilization=0.5, scale_in_utilization=0.5)
 
@@ -170,7 +167,7 @@ def test_cluster_spec_round_trips_through_codec():
         events=(ClusterEventSpec(at=0.5, action="join", nodes=2),
                 ClusterEventSpec(at=2.0, action="leave", nodes=1)),
         autoscaler=AutoscalerSpec(target_utilization=0.9, cooldown=0.5,
-                                  max_nodes=4),
+                                  min_nodes=2),
     )
     assert decode(ClusterSpec, encode(spec), path="$") == spec
 

@@ -131,7 +131,7 @@ class TestDeterminism:
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = bushy_plan(config)
         params = ExecutionParams(seed=7,
-                                 skew=SkewSpec.uniform_redistribution(0.5))
+                                 skew=SkewSpec(redistribution=0.5))
         a = QueryExecutor(plan, config, strategy="DP", params=params).run()
         b = QueryExecutor(plan, config, strategy="DP", params=params).run()
         assert a.response_time == b.response_time
@@ -191,7 +191,7 @@ class TestStrategyRelationships:
         config = MachineConfig(nodes=2, processors_per_node=2)
         plan = bushy_plan(config)
         params = ExecutionParams(enable_global_lb=False,
-                                 skew=SkewSpec.uniform_redistribution(0.8))
+                                 skew=SkewSpec(redistribution=0.8))
         result = QueryExecutor(plan, config, strategy="DP", params=params).run()
         assert result.metrics.steal_rounds == 0
         assert result.metrics.result_tuples > 0
@@ -200,7 +200,7 @@ class TestStrategyRelationships:
         """Figure 10's direction: DP < FP with skew on a multi-node machine."""
         config = MachineConfig(nodes=2, processors_per_node=4)
         plan = bushy_plan(config)
-        params = ExecutionParams(skew=SkewSpec.uniform_redistribution(0.6))
+        params = ExecutionParams(skew=SkewSpec(redistribution=0.6))
         dp = QueryExecutor(plan, config, strategy="DP", params=params).run()
         fp = QueryExecutor(plan, config, strategy="FP", params=params).run()
         assert dp.response_time < fp.response_time
@@ -210,7 +210,7 @@ class TestStrategyRelationships:
         it is quite significant with FP'."""
         config = MachineConfig(nodes=2, processors_per_node=4)
         plan = bushy_plan(config)
-        params = ExecutionParams(skew=SkewSpec.uniform_redistribution(0.6))
+        params = ExecutionParams(skew=SkewSpec(redistribution=0.6))
         dp = QueryExecutor(plan, config, strategy="DP", params=params).run()
         fp = QueryExecutor(plan, config, strategy="FP", params=params).run()
         assert dp.metrics.idle_fraction() < fp.metrics.idle_fraction()
@@ -265,7 +265,7 @@ class TestSkewResilience:
         base = QueryExecutor(plan, config, strategy="DP").run().response_time
         skewed = QueryExecutor(
             plan, config, strategy="DP",
-            params=ExecutionParams(skew=SkewSpec.uniform_redistribution(0.8)),
+            params=ExecutionParams(skew=SkewSpec(redistribution=0.8)),
         ).run().response_time
         # Figure 9: degradation stays small (we allow a loose 40% here; the
         # experiment suite measures the real curve).
@@ -277,7 +277,7 @@ class TestSkewResilience:
         plain = QueryExecutor(plan, config, strategy="DP").run()
         skewed = QueryExecutor(
             plan, config, strategy="DP",
-            params=ExecutionParams(skew=SkewSpec.uniform_redistribution(1.0)),
+            params=ExecutionParams(skew=SkewSpec(redistribution=1.0)),
         ).run()
         assert skewed.metrics.result_tuples == pytest.approx(
             plain.metrics.result_tuples, rel=0.02

@@ -69,7 +69,7 @@ class TestChannelConservation:
     def test_property_conservation_under_skew(self, theta, total):
         from repro.catalog import SkewSpec
         context = make_context(
-            params=ExecutionParams(skew=SkewSpec.uniform_redistribution(theta))
+            params=ExecutionParams(skew=SkewSpec(redistribution=theta))
         )
         channel = build_channel(context)
         channel.push_tuples(total)

@@ -38,7 +38,7 @@ class TestStealProtocol:
     def _run(self, strategy, **param_overrides):
         config = MachineConfig(nodes=4, processors_per_node=2)
         plan = skewed_join_plan(config)
-        defaults = dict(skew=SkewSpec.uniform_redistribution(0.9), seed=3)
+        defaults = dict(skew=SkewSpec(redistribution=0.9), seed=3)
         defaults.update(param_overrides)
         params = ExecutionParams(**defaults)
         return QueryExecutor(plan, config, strategy=strategy,

@@ -51,7 +51,7 @@ def test_property_random_plans_complete_and_conserve(
         nodes = 1  # SP is a single SM-node model
     config = MachineConfig(nodes=nodes, processors_per_node=procs)
     plan = random_plan(seed, relations, config)
-    params = ExecutionParams(skew=SkewSpec.uniform_redistribution(theta),
+    params = ExecutionParams(skew=SkewSpec(redistribution=theta),
                              seed=seed)
     result, end_times = run_with_end_times(
         QueryExecutor(plan, config, strategy=strategy, params=params))

@@ -16,6 +16,7 @@ import pytest
 
 from repro.catalog import SkewSpec
 from repro.engine import ExecutionParams, QueryExecutor, Substrate
+from repro.engine.context import ExecutionContext
 from repro.serving import AdmissionPolicy, ArrivalSpec, WorkloadSpec
 from repro.serving.driver import WorkloadDriver
 from repro.serving.broker import CrossQueryBroker
@@ -115,6 +116,15 @@ class TestALaunchBringsOnlyASeed:
         assert default == launched(seed=5)      # None: the params' seed
         assert launched(seed=6) == launched(seed=6)
         assert launched(seed=6) != default
+
+    def test_a_seed_that_is_not_an_int_is_a_type_error(self):
+        # Params handed over where the seed belongs must not be hashed
+        # into the skew streams as if they were a seed.
+        config = MachineConfig(nodes=2, processors_per_node=4)
+        params = ExecutionParams(skew=SkewSpec(redistribution=0.8))
+        with pytest.raises(TypeError, match="got ExecutionParams"):
+            ExecutionContext(chain(config), config,
+                             Substrate(config, params), seed=params)
 
 
 class TestLoneSPHonoursItsDisciplines:

@@ -131,7 +131,7 @@ class TestLaunchPathOperationCounts:
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_routes_over_one_home_share_their_tables(self, theta):
         plan, config = pipeline_chain_scenario(nodes=4, processors_per_node=8)
-        params = ExecutionParams(skew=SkewSpec.uniform_redistribution(theta))
+        params = ExecutionParams(skew=SkewSpec(redistribution=theta))
         template = ExecutionTemplate(plan, config, params)
         context = QueryExecutor(plan, config, strategy="DP", params=params,
                                 template=lambda: template).launch(

@@ -215,7 +215,7 @@ PLANS = {
 
 
 def params_for(theta, seed, **overrides):
-    return ExecutionParams(skew=SkewSpec.uniform_redistribution(theta),
+    return ExecutionParams(skew=SkewSpec(redistribution=theta),
                            seed=seed, **overrides)
 
 

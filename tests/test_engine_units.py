@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import re
+import typing
 from collections import Counter, deque
 from itertools import islice
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.api.spec import ScenarioSpec
 from repro.engine import ExecutionParams, QueryExecutor, Substrate
 from repro.engine.activation import DataActivation, TriggerActivation
 from repro.engine.metrics import (ExecutionMetrics, ExecutionResult,
@@ -28,6 +30,24 @@ from repro.workloads import pipeline_chain_scenario
 # ---------------------------------------------------------------------------
 # ExecutionParams
 # ---------------------------------------------------------------------------
+
+def spec_types() -> list[type]:
+    """Every dataclass reachable from ``ScenarioSpec``'s type hints."""
+    found: list[type] = []
+
+    def walk(tp) -> None:
+        if dataclasses.is_dataclass(tp):
+            if tp not in found:
+                found.append(tp)
+                for hint in typing.get_type_hints(tp).values():
+                    walk(hint)
+        else:
+            for arg in typing.get_args(tp):
+                walk(arg)
+
+    walk(ScenarioSpec)
+    return found
+
 
 class TestExecutionParams:
     def test_defaults_valid(self):
@@ -56,16 +76,23 @@ class TestExecutionParams:
             ExecutionParams(**kwargs)
 
     def test_every_field_has_a_reason_row_in_architecture(self):
-        # A knob needs a stated reason to exist: ARCHITECTURE's table has
-        # one row per field, no more and no fewer.
+        # A knob needs a stated reason to exist: ARCHITECTURE has one
+        # subsection per spec type and one row per field of it, no more
+        # and no fewer.
         text = (Path(__file__).resolve().parent.parent
                 / "ARCHITECTURE.md").read_text()
-        section = text.split("## Why each `ExecutionParams` field stays")[1]
+        section = text.split("## Why each spec field stays")[1]
         section = section.split("\n## ")[0]
-        rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
-        assert len(rows) == len(set(rows)), "a field has two rows"
-        fields = {f.name for f in dataclasses.fields(ExecutionParams)}
-        assert set(rows) == fields
+        parts = re.split(r"^### `(\w+)`.*$", section, flags=re.MULTILINE)
+        names = parts[1::2]
+        assert len(names) == len(set(names)), "a type has two subsections"
+        types = spec_types()
+        assert set(names) == {tp.__name__ for tp in types}
+        for name, body in zip(names, parts[2::2]):
+            rows = re.findall(r"^\| `(\w+)` \|", body, flags=re.MULTILINE)
+            assert len(rows) == len(set(rows)), f"{name}: a field has two rows"
+            tp = next(tp for tp in types if tp.__name__ == name)
+            assert set(rows) == {f.name for f in dataclasses.fields(tp)}, name
 
 
 # ---------------------------------------------------------------------------

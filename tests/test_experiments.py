@@ -100,7 +100,7 @@ class TestConfig:
         assert params.network.send_instructions_per_8k == 10_000
 
     def test_skew_passthrough(self):
-        params = scaled_execution_params(skew=SkewSpec.uniform_redistribution(0.7))
+        params = scaled_execution_params(skew=SkewSpec(redistribution=0.7))
         assert params.skew.redistribution == 0.7
 
     def test_invalid_scale(self):

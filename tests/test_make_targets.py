@@ -161,6 +161,37 @@ def test_profile_snapshots_to_json_at_its_high(monkeypatch):
     assert at_high[0].size > 50_000 * 40
 
 
+def test_profile_retains_only_what_the_result_holds(monkeypatch):
+    # Cyclic garbage the run leaves for the collector is not part of
+    # what the result retains: the reading follows a collection.
+    import gc
+
+    import repro
+
+    profile = profile_script()
+
+    class Result:
+        def __init__(self):
+            self.kept = bytes(100_000)
+
+        def to_json(self):
+            return ""
+
+    def run(_spec):
+        gc.disable()  # leave the cycles to a collection, not to chance
+        for _ in range(2000):
+            cycle = [bytes(500)]
+            cycle.append(cycle)
+        return Result()
+
+    monkeypatch.setattr(repro, "run", run)
+    try:
+        _run, retained, _to_json, _text = profile.peak_heap(None)
+    finally:
+        gc.enable()
+    assert 100_000 <= retained < 120_000
+
+
 def test_profile_reports_the_peak_heap_by_type():
     # ``make profile``'s peak-heap section, on a canned census of the
     # highest sample: types by count, most first, at most ``top``.

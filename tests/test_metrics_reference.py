@@ -223,7 +223,7 @@ def poisson_driver():
         seed=11,
     )
     params = ExecutionParams(
-        skew=SkewSpec.uniform_redistribution(0.8), seed=11
+        skew=SkewSpec(redistribution=0.8), seed=11
     )
     return WorkloadDriver(plan, config, spec, params)
 
@@ -255,7 +255,7 @@ class TestRecordedCompletionIsImmutable:
         plan, config = pipeline_chain_scenario(nodes=2, processors_per_node=2,
                                                base_tuples=1000)
         params = scaled_execution_params(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=11,
+            skew=SkewSpec(redistribution=0.8), seed=11,
             cpu_discipline=discipline,
         )
         spec = WorkloadSpec(

@@ -13,7 +13,6 @@ from repro.optimizer import (
     BushySearch,
     CardinalityEstimator,
     CostModel,
-    CostParams,
     JoinNode,
     best_bushy_trees,
     distort_cardinalities,
@@ -25,6 +24,7 @@ from repro.optimizer import (
     tree_signature,
     validate_tree,
 )
+from repro.optimizer.cost import ESTIMATE_MIPS
 from repro.query import JoinEdge, QueryGenerator, QueryGeneratorConfig, QueryGraph
 from repro.sim import RandomStreams
 
@@ -216,10 +216,6 @@ class TestCostModel:
         cost_large = model.join_tree_cost(any_tree(large), graph=large)
         assert 0 < cost_small < cost_large
 
-    def test_instructions_time(self):
-        params = CostParams(mips=40e6)
-        assert params.instructions_time(40e6) == pytest.approx(1.0)
-
 
 # ---------------------------------------------------------------------------
 # Bushy search
@@ -343,7 +339,7 @@ def reference_search(graph, k):
         if len(subset) == 1:
             tree = BaseNode(graph.relation(min(subset)))
             cost = (model.scan_instructions(card(tree))
-                    + model.scan_io_seconds(card(tree)) * model.params.mips)
+                    + model.scan_io_seconds(card(tree)) * ESTIMATE_MIPS)
             best[subset] = [(cost, tree)]
             continue
         candidates, seen = [], set()

@@ -25,7 +25,7 @@ def _class_workload(cpu_discipline: str, mpl: int = 4, queries: int = 8):
     plan, config = pipeline_chain_scenario(nodes=2, processors_per_node=2,
                                            base_tuples=1000)
     params = scaled_execution_params(
-        skew=SkewSpec.uniform_redistribution(0.8), seed=11,
+        skew=SkewSpec(redistribution=0.8), seed=11,
         cpu_discipline=cpu_discipline,
     )
     interactive = dataclasses.replace(INTERACTIVE, latency_slo=0.3)

@@ -276,7 +276,7 @@ class TestDisciplineDifferentiation:
             nodes=2, processors_per_node=4, base_tuples=2000,
         )
         params = scaled_execution_params(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=seed,
+            skew=SkewSpec(redistribution=0.8), seed=seed,
             cpu_discipline=discipline,
         )
         inter = dataclasses.replace(INTERACTIVE, latency_slo=0.3)
@@ -332,7 +332,7 @@ def skewed_stress_scenario(cross_query_steal, seed=2, smalls=4, gap=0.01):
     big = join_plan(config, 4000, 8000, "big")
     small = join_plan(config, 400, 800, "small")
     params = scaled_execution_params(
-        skew=SkewSpec.uniform_redistribution(1.0), seed=seed,
+        skew=SkewSpec(redistribution=1.0), seed=seed,
         cross_query_steal=cross_query_steal,
     )
     coordinator = MultiQueryCoordinator(
@@ -380,7 +380,7 @@ class TestCrossQuerySteal:
         results = []
         for steal in (True, False):
             params = ExecutionParams(
-                skew=SkewSpec.uniform_redistribution(0.8), seed=3,
+                skew=SkewSpec(redistribution=0.8), seed=3,
                 cross_query_steal=steal,
             )
             result = QueryExecutor(plan, config, params=params).run()

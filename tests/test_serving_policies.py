@@ -18,6 +18,7 @@ from repro.serving.broker import benefit_key
 from repro.serving.preemption import (greedy_cover, reload_seconds,
                                       select_victim, spill_seconds,
                                       spillable_joins)
+from repro.sim.machine import MachineConfig
 
 
 def runtime(kind, join_id, terminated=False, ending=False, suspended=False):
@@ -150,10 +151,9 @@ class TestGreedyCover:
 
 class TestSpillPricing:
     def context(self):
-        params = ExecutionParams()
         return SimpleNamespace(
-            params=params,
-            instructions_time=lambda n: n / (params.cost.mips * 1e6),
+            params=ExecutionParams(),
+            instructions_time=MachineConfig().instructions_time,
         )
 
     def test_serialize_then_stream_at_the_disk_rate(self):

@@ -58,8 +58,8 @@ def run_workload(plan, config, *, queries=6, strategy="DP", kind="closed",
         seed=seed,
     )
     params = ExecutionParams(
-        skew=(SkewSpec.uniform_redistribution(skew) if skew > 0
-              else SkewSpec.none()),
+        skew=(SkewSpec(redistribution=skew) if skew > 0
+              else SkewSpec()),
         seed=seed,
     )
     driver = WorkloadDriver(plan, config, spec, params)
@@ -228,19 +228,18 @@ class TestAdmission:
         assert 1 <= coordinator.peak_running <= mpl
 
     def test_memory_gate_defers_when_tables_do_not_fit(self):
-        # Hash tables of ~300 KB/query (150 KB per node) on 400 KB nodes:
-        # with a 0.3 headroom a second query's demand exceeds the budget,
-        # so the controller serializes admissions even though the MPL cap
-        # would allow eight at once.
+        # Hash tables of ~300 KB/query (150 KB per node) on 180 KB nodes:
+        # a query's demand exceeds the 0.8 headroom of even an idle node,
+        # so the controller admits each query alone (the progress
+        # guarantee) even though the MPL cap would allow eight at once.
         config = MachineConfig(nodes=2, processors_per_node=2,
-                               memory_per_processor=200 * 1024)
+                               memory_per_processor=90 * 1024)
         plan = small_join_plan(config, r=3000, s=3600)
         spec = WorkloadSpec(
             queries=6,
             arrival=ArrivalSpec(kind="poisson", rate=500.0),
             strategy="DP",
-            policy=AdmissionPolicy(max_multiprogramming=8,
-                                   memory_headroom=0.3),
+            policy=AdmissionPolicy(max_multiprogramming=8),
             seed=5,
         )
         driver = WorkloadDriver(plan, config, spec)
@@ -262,8 +261,7 @@ class TestAdmission:
         spec = WorkloadSpec(
             queries=4,
             arrival=ArrivalSpec(kind="poisson", rate=500.0),
-            policy=AdmissionPolicy(max_multiprogramming=8,
-                                   memory_headroom=0.8),
+            policy=AdmissionPolicy(max_multiprogramming=8),
             seed=5,
         )
         metrics = WorkloadDriver(plan, config, spec).run().metrics

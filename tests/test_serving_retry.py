@@ -186,8 +186,7 @@ class TestClosedLoopRetryAccounting:
         plan = join_plan(config, r=1500, s=3000)
         spec = WorkloadSpec(
             queries=8,
-            arrival=ArrivalSpec(kind="closed", population=4,
-                                think_time=0.001),
+            arrival=ArrivalSpec(kind="closed", population=4),
             policy=AdmissionPolicy(max_multiprogramming=1,
                                    queue_timeout=0.02),
             retry=RetryPolicySpec(max_attempts=3, base_backoff=0.01),
@@ -208,8 +207,7 @@ class TestClosedLoopRetryAccounting:
         plan = join_plan(config, r=1500, s=3000)
         spec = WorkloadSpec(
             queries=8,
-            arrival=ArrivalSpec(kind="closed", population=4,
-                                think_time=0.001),
+            arrival=ArrivalSpec(kind="closed", population=4),
             policy=AdmissionPolicy(max_multiprogramming=1,
                                    queue_timeout=0.02),
             seed=23,

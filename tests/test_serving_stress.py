@@ -55,7 +55,7 @@ class TestServingStress4x8:
             nodes=4, processors_per_node=8, base_tuples=4000,
         )
         params = ExecutionParams(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=2
+            skew=SkewSpec(redistribution=0.8), seed=2
         )
         spec = stress_spec(
             50, ArrivalSpec(kind="poisson", rate=5.0), mpl=12, seed=2
@@ -102,7 +102,7 @@ class TestServingStress4x8:
         results = {}
         for steal in (True, False):
             params = scaled_execution_params(
-                skew=SkewSpec.uniform_redistribution(1.0), seed=6,
+                skew=SkewSpec(redistribution=1.0), seed=6,
                 cross_query_steal=steal,
             )
             spec = stress_spec(
@@ -133,7 +133,7 @@ class TestServingStress4x8:
             nodes=4, processors_per_node=8, base_tuples=6000,
         )
         params = scaled_execution_params(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=7,
+            skew=SkewSpec(redistribution=0.8), seed=7,
             cpu_discipline="priority",
         )
         interactive = dataclasses.replace(INTERACTIVE, latency_slo=60.0)
@@ -166,7 +166,7 @@ class TestServingStress50Tier1:
             nodes=4, processors_per_node=8, base_tuples=4000,
         )
         params = ExecutionParams(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=1,
+            skew=SkewSpec(redistribution=0.8), seed=1,
         )
         spec = stress_spec(
             50, ArrivalSpec(kind="closed", population=12), mpl=12
@@ -188,7 +188,7 @@ class TestServingStressSmoke:
             nodes=2, processors_per_node=2, base_tuples=800,
         )
         params = ExecutionParams(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=4
+            skew=SkewSpec(redistribution=0.8), seed=4
         )
         spec = stress_spec(
             12, ArrivalSpec(kind="bursty", rate=60.0, burst_size=6), mpl=4,

@@ -404,17 +404,6 @@ class TestRecordReplayRoundTrip:
         _original, trace = self._roundtrip(plans, config, spec, tmp_path)
         assert trace.closed_loop
 
-    def test_closed_loop_with_think_time_roundtrip(self, tmp_path):
-        config = MachineConfig(nodes=1, processors_per_node=2)
-        plan = small_join_plan(config)
-        spec = WorkloadSpec(
-            queries=6,
-            arrival=ArrivalSpec(kind="closed", population=2,
-                                think_time=0.05),
-            seed=8,
-        )
-        self._roundtrip([plan], config, spec, tmp_path)
-
     def test_shed_heavy_roundtrip(self, tmp_path):
         config = MachineConfig(nodes=2, processors_per_node=2)
         plans = plan_population(config)
@@ -532,8 +521,6 @@ class TestTraceSpecSurface:
             TraceSpec()
         with pytest.raises(ValueError, match="exactly one source"):
             TraceSpec(path="x.jsonl", generate=TraceGenSpec())
-        with pytest.raises(ValueError, match="limit"):
-            TraceSpec(path="x.jsonl", limit=0)
 
     def test_trace_needs_serving_mode(self):
         from repro.api import ScenarioSpec, TraceSpec
@@ -558,14 +545,6 @@ class TestTraceSpecSurface:
         from repro.serving import TraceGenSpec
 
         spec = ScenarioSpec(
-            trace=TraceSpec(generate=TraceGenSpec(queries=10), limit=5),
+            trace=TraceSpec(generate=TraceGenSpec(queries=10)),
         )
         assert ScenarioSpec.from_json(spec.to_json()) == spec
-
-    def test_trace_spec_limit_truncates(self, tmp_path):
-        from repro.api import TraceSpec
-        from repro.serving import TraceGenSpec
-
-        spec = TraceSpec(generate=TraceGenSpec(queries=10), limit=4)
-        trace = spec.resolve(plan_count=2)
-        assert len(trace.queries) == 4

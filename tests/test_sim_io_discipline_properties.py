@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.sim.core import ChargeTag, Environment, make_discipline
 from repro.sim.disk import Disk, DiskParams
+from repro.sim.machine import PAGE_SIZE
 from repro.sim.network import Network, NetworkLink, NetworkParams
 
 
@@ -29,12 +30,12 @@ from repro.sim.network import Network, NetworkLink, NetworkParams
 # Disk
 # ---------------------------------------------------------------------------
 
-def run_disk_requests(discipline, requests, trace_tags=True, params=None):
+def run_disk_requests(discipline, requests, trace_tags=True):
     """Run ``requests`` = [(start_delay, pages, stream, key, weight, prio)]
     against one disk; return [(completion_time, index)] plus the disk."""
     env = Environment()
     disc = None if discipline is None else make_discipline(discipline)
-    disk = Disk(env, params or DiskParams(), name="d", discipline=disc)
+    disk = Disk(env, DiskParams(), PAGE_SIZE, name="d", discipline=disc)
     done = []
 
     def reader(index, start, pages, stream, tag):
@@ -94,7 +95,7 @@ class TestDiskFIFOByteIdentity:
         # to its tag key without shifting any event times.
         requests = [(0.0, 2, None, "a", 1.0, 0), (0.0, 2, None, "b", 1.0, 0)]
         done, disk = run_disk_requests("fifo", requests)
-        one = DiskParams().service_time(2)
+        one = disk.service_time(2)
         assert done[0][0] == pytest.approx(one)
         assert done[1][0] == pytest.approx(2 * one)
         assert disk.wait_time == pytest.approx(one)
@@ -112,11 +113,11 @@ class TestDiskFairShare:
 
     def test_saturated_classes_split_the_arm_by_weight(self):
         env = Environment()
-        disk = Disk(env, DiskParams(), name="d",
+        disk = Disk(env, DiskParams(), PAGE_SIZE, name="d",
                     discipline=make_discipline("fair"))
         served = {"a": 0.0, "c": 0.0}
         weights = {"a": 1.0, "c": 4.0}
-        service = DiskParams().service_time(1)
+        service = disk.service_time(1)
 
         def worker(key):
             tag = ChargeTag(key=key, weight=weights[key])
@@ -145,14 +146,13 @@ class TestDiskPriorityPreemptive:
         # A long batch read from t=0; a high-priority page read arriving
         # mid-transfer preempts the arm and completes as if the batch
         # backlog did not exist; the batch read still finishes in full.
-        params = DiskParams()
-        long_service = params.service_time(12)
-        short_service = params.service_time(1)
         requests = [
             (0.0, 12, None, "batch", 1.0, 0),
             (0.005, 1, None, "int", 1.0, 9),
         ]
-        done, disk = run_disk_requests("priority", requests, params=params)
+        done, disk = run_disk_requests("priority", requests)
+        long_service = disk.service_time(12)
+        short_service = disk.service_time(1)
         completion = {i: t for t, i in done}
         assert completion[1] == pytest.approx(0.005 + short_service)
         assert completion[0] == pytest.approx(long_service + short_service)

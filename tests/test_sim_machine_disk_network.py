@@ -12,7 +12,7 @@ from repro.sim import (
     Network,
     NetworkParams,
 )
-from repro.sim.machine import make_processors
+from repro.sim.machine import PAGE_SIZE, make_processors
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +89,18 @@ class TestSMNodeMemory:
 
 class TestDisk:
     def test_service_time_formula(self):
-        params = DiskParams()
+        disk = Disk(Environment(), DiskParams(), PAGE_SIZE)
         # 17 ms latency + 5 ms seek + 1 page at 6 MB/s
         expected = 17e-3 + 5e-3 + 8 * 1024 / (6 * 1024 * 1024)
-        assert params.service_time(1) == pytest.approx(expected)
+        assert disk.service_time(1) == pytest.approx(expected)
 
     def test_zero_pages_rejected(self):
         with pytest.raises(ValueError):
-            DiskParams().service_time(0)
+            Disk(Environment(), DiskParams(), PAGE_SIZE).service_time(0)
 
     def test_async_read_completes_after_service_time(self):
         env = Environment()
-        disk = Disk(env, DiskParams())
+        disk = Disk(env, DiskParams(), PAGE_SIZE)
         times = []
 
         def reader():
@@ -111,12 +111,11 @@ class TestDisk:
 
         env.process(reader())
         env.run()
-        assert times == [pytest.approx(DiskParams().service_time(4))]
+        assert times == [pytest.approx(disk.service_time(4))]
 
     def test_fifo_queueing_serializes_requests(self):
         env = Environment()
-        params = DiskParams()
-        disk = Disk(env, params)
+        disk = Disk(env, DiskParams(), PAGE_SIZE)
         finish_times = []
 
         def reader():
@@ -129,13 +128,13 @@ class TestDisk:
 
         env.process(reader())
         env.run()
-        one = params.service_time(1)
+        one = disk.service_time(1)
         assert finish_times[0] == pytest.approx(one)
         assert finish_times[1] == pytest.approx(2 * one)
 
     def test_statistics(self):
         env = Environment()
-        disk = Disk(env, DiskParams())
+        disk = Disk(env, DiskParams(), PAGE_SIZE)
 
         def reader():
             yield disk.read_async(3).event

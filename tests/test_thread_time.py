@@ -85,7 +85,7 @@ def run_case(strategy, nodes, procs, discipline, seed, relations, shared,
     if strategy == "SP":
         nodes = 1
     config = MachineConfig(nodes=nodes, processors_per_node=procs)
-    params = ExecutionParams(skew=SkewSpec.uniform_redistribution(0.5),
+    params = ExecutionParams(skew=SkewSpec(redistribution=0.5),
                              seed=seed, cpu_discipline=discipline)
     substrate = Substrate(config, params, strict_memory=not shared)
     executors = [QueryExecutor(random_plan(seed, relations, config), config,

@@ -15,7 +15,8 @@ import pytest
 from repro.serving import ArrivalSpec, TraceGenSpec, WorkloadSpec
 from repro.serving.driver import WorkloadDriver
 from repro.sim import MachineConfig
-from repro.workloads.tracegen import generate_trace, session_rate_at
+from repro.workloads.tracegen import (DIURNAL_AMPLITUDE, SESSION_MEAN_QUERIES,
+                                      generate_trace, session_rate_at)
 
 
 def small_spec(**overrides):
@@ -63,29 +64,16 @@ class TestTraceShape:
         assert trace.arrival_kind == "trace"
         assert not trace.closed_loop
 
-    def test_sessions_share_plan_via_tenant_affinity(self):
-        # Full plan affinity: every query of a tenant uses the tenant's
-        # preferred plan, so at most `tenants` distinct indices appear.
-        spec = small_spec(plan_affinity=1.0, tenants=2)
-        trace = generate_trace(spec, plan_count=5)
-        assert len({q.plan_index for q in trace.queries}) <= 2
-
     def test_service_class_mix(self):
-        mixed = generate_trace(small_spec(interactive_fraction=0.5),
-                               plan_count=2)
-        names = {q.service_class.name if q.service_class else None
-                 for q in mixed.queries}
+        mixed = generate_trace(small_spec(), plan_count=2)
+        names = {q.service_class.name for q in mixed.queries}
         assert names == {"interactive", "batch"}
-        classless = generate_trace(small_spec(interactive_fraction=0.0),
-                                   plan_count=2)
-        assert all(q.service_class is None for q in classless.queries)
 
     def test_heavy_tail_produces_multi_query_sessions(self):
-        # Pareto session lengths with mean 4: some sessions must batch
+        # Pareto session lengths with mean 3: some sessions must batch
         # several back-to-back queries (gaps ~ session_gap, far smaller
         # than the mean inter-session spacing).
-        spec = small_spec(queries=120, session_mean_queries=4.0,
-                          session_gap=0.001)
+        spec = small_spec(queries=120, session_gap=0.001)
         trace = generate_trace(spec, plan_count=1)
         times = [q.arrival_time for q in trace.queries]
         gaps = [b - a for a, b in zip(times, times[1:])]
@@ -95,33 +83,30 @@ class TestTraceShape:
 
 class TestRateFunction:
     def test_diurnal_cycle_modulates_rate(self):
-        spec = small_spec(diurnal_amplitude=0.8, diurnal_period=10.0,
-                          flash_crowds=0)
+        # The flash window, [5.0, 5.4) of this cycle, covers neither.
+        spec = small_spec(diurnal_period=10.0)
         peak = session_rate_at(spec, 2.5)    # sin peak at period/4
         trough = session_rate_at(spec, 7.5)  # sin trough at 3*period/4
         assert peak > trough
         assert peak == pytest.approx(
-            spec.base_rate / spec.session_mean_queries * 1.8)
+            spec.base_rate / SESSION_MEAN_QUERIES * (1 + DIURNAL_AMPLITUDE))
         assert trough == pytest.approx(
-            spec.base_rate / spec.session_mean_queries * 0.2)
+            spec.base_rate / SESSION_MEAN_QUERIES * (1 - DIURNAL_AMPLITUDE))
 
     def test_flash_crowd_window_multiplies_rate(self):
-        spec = small_spec(diurnal_amplitude=0.0, diurnal_period=10.0,
-                          flash_crowds=1, flash_magnitude=6.0,
+        spec = small_spec(diurnal_period=10.0, flash_magnitude=6.0,
                           flash_duration=1.0)
-        # One flash centred at half the cycle.
+        # One flash opening at half the cycle, where the sinusoid
+        # crosses zero as it does at the cycle's start.
         inside = session_rate_at(spec, 5.0)
-        outside = session_rate_at(spec, 1.0)
+        outside = session_rate_at(spec, 0.0)
         assert inside == pytest.approx(outside * 6.0)
 
     def test_flash_crowd_raises_local_density(self):
         # Short cycle so the flash window (mid-cycle) lands well inside
         # the generated horizon.
-        calm = small_spec(queries=100, flash_crowds=0,
-                          diurnal_amplitude=0.0, diurnal_period=2.0)
-        stormy = dataclasses.replace(calm, flash_crowds=1,
-                                     flash_magnitude=8.0,
-                                     flash_duration=0.3)
+        stormy = small_spec(queries=100, diurnal_period=2.0,
+                            flash_magnitude=8.0, flash_duration=0.3)
         trace = generate_trace(stormy, plan_count=1)
         horizon = trace.queries[-1].arrival_time
         # Bucket arrivals; the max-density bucket under flash crowds
@@ -136,17 +121,11 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("queries", 0),
         ("base_rate", 0.0),
-        ("diurnal_amplitude", 1.5),
         ("diurnal_period", 0.0),
-        ("flash_crowds", -1),
         ("flash_magnitude", 0.5),
-        ("session_mean_queries", 0.5),
-        ("session_tail", 1.0),
         ("session_gap", -0.1),
         ("tenants", 0),
-        ("plan_affinity", 1.5),
-        ("interactive_fraction", -0.1),
-        ("strategy", "XX"),
+        ("tenant_bursts", -1),
     ])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError):

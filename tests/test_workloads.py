@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optimizer import CostModel, is_right_deep, validate_tree
+from repro.optimizer.cost import ESTIMATE_MIPS
 from repro.optimizer.search import BushySearch
 from repro.query import QueryGenerator, QueryGeneratorConfig
 from repro.sim import MachineConfig, RandomStreams
@@ -42,7 +43,7 @@ class TestWorkloadBuilder:
                 validate_tree(tree, graph)
             candidates = BushySearch(graph, cost_model=cost_model, k=2).run()
             for candidate in candidates:
-                seq = candidate.cost / cost_model.params.mips
+                seq = candidate.cost / ESTIMATE_MIPS
                 assert low <= seq <= high
 
     def test_intermediate_ratio_respected(self):
@@ -176,7 +177,7 @@ class TestRejectBeforeSearch:
         assert found[-1].cost <= bound * (1 + plans._BOUND_MARGIN)
         # A band floor below (floor < 1) or around the search's k-th cost:
         # the bound lets the first kind through to the search.
-        sequential = found[-1].cost / cost_model.params.mips
+        sequential = found[-1].cost / ESTIMATE_MIPS
         low = floor * sequential
         if plans._below_band(graph, cost_model, k, low):
             assert sequential < low
@@ -187,7 +188,7 @@ class TestRejectBeforeSearch:
         graph = QueryGenerator(RandomStreams(7)).generate(0)
         cost_model = CostModel()
         (_, second) = BushySearch(graph, cost_model=cost_model, k=2).run()
-        sequential = second.cost / cost_model.params.mips
+        sequential = second.cost / ESTIMATE_MIPS
         assert not plans._below_band(graph, cost_model, 2, sequential)
         assert plans._below_band(graph, cost_model, 2, 1.5 * sequential)
         # two relations have two trees, not four: the bound does not decide
