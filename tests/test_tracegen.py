@@ -15,6 +15,7 @@ import pytest
 from repro.serving import ArrivalSpec, TraceGenSpec, WorkloadSpec
 from repro.serving.driver import WorkloadDriver
 from repro.sim import MachineConfig
+from repro.workloads import tracegen
 from repro.workloads.tracegen import (DIURNAL_AMPLITUDE, SESSION_MEAN_QUERIES,
                                       generate_trace, session_rate_at)
 
@@ -64,6 +65,21 @@ class TestTraceShape:
         assert trace.arrival_kind == "trace"
         assert not trace.closed_loop
 
+    def test_sessions_share_plan_via_tenant_affinity(self, monkeypatch):
+        # Full plan affinity: every query of a tenant uses the tenant's
+        # preferred plan, so at most `tenants` distinct indices appear.
+        monkeypatch.setattr(tracegen, "PLAN_AFFINITY", 1.0)
+        trace = generate_trace(small_spec(tenants=2), plan_count=5)
+        assert len({q.plan_index for q in trace.queries}) <= 2
+
+    def test_shipped_affinity_favours_the_tenant_plan(self):
+        # One tenant, five plans: at PLAN_AFFINITY = 0.5 about 0.5 + 0.5/5
+        # of the sessions run plan 0, far above the uniform 1/5.
+        trace = generate_trace(small_spec(queries=300, tenants=1),
+                               plan_count=5)
+        favoured = sum(q.plan_index == 0 for q in trace.queries)
+        assert favoured > 0.4 * len(trace.queries)
+
     def test_service_class_mix(self):
         mixed = generate_trace(small_spec(), plan_count=2)
         names = {q.service_class.name for q in mixed.queries}
@@ -103,10 +119,19 @@ class TestRateFunction:
         assert inside == pytest.approx(outside * 6.0)
 
     def test_flash_crowd_raises_local_density(self):
-        # Short cycle so the flash window (mid-cycle) lands well inside
-        # the generated horizon.
+        # Short cycle so the flash window, [1.0, 1.3) of each 2 s cycle,
+        # lands inside the generated horizon.  The control is the same
+        # spec with the flash switched off (magnitude 1).
         stormy = small_spec(queries=100, diurnal_period=2.0,
                             flash_magnitude=8.0, flash_duration=0.3)
+        calm = dataclasses.replace(stormy, flash_magnitude=1.0)
+
+        def in_flash(spec):
+            trace = generate_trace(spec, plan_count=1)
+            return sum(1 for q in trace.queries
+                       if 1.0 <= q.arrival_time % 2.0 < 1.3)
+
+        assert in_flash(stormy) > 2 * in_flash(calm)
         trace = generate_trace(stormy, plan_count=1)
         horizon = trace.queries[-1].arrival_time
         # Bucket arrivals; the max-density bucket under flash crowds
